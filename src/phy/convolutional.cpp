@@ -51,8 +51,36 @@ const trellis_tables& tables() {
   return t;
 }
 
-/// Puncture pattern per rate over the mother-code bit index (period in
-/// mother bits; 1 = transmit, 0 = puncture).
+// Byte-at-a-time encoder table: entry [state][byte] is the 16 mother bits
+// the trellis emits for the byte's 8 input bits (LSB first) from `state`.
+// The state after a byte needs no table: the register keeps the newest 6
+// inputs with the newest in the MSB, i.e. byte >> 2.
+using byte_encoder_table = std::array<std::array<std::uint16_t, 256>, kStates>;
+
+const byte_encoder_table& byte_encoder() {
+  static const byte_encoder_table table = [] {
+    const auto& t = tables();
+    byte_encoder_table out{};
+    for (int s = 0; s < kStates; ++s) {
+      for (int v = 0; v < 256; ++v) {
+        std::uint8_t state = static_cast<std::uint8_t>(s);
+        std::uint16_t word = 0;
+        for (int i = 0; i < 8; ++i) {
+          const int bit = (v >> i) & 1;
+          word = static_cast<std::uint16_t>(word | (t.out0[state][bit] << (2 * i)) |
+                                            (t.out1[state][bit] << (2 * i + 1)));
+          state = t.next_state[state][bit];
+        }
+        out[s][v] = word;
+      }
+    }
+    return out;
+  }();
+  return table;
+}
+
+}  // namespace
+
 std::span<const std::uint8_t> puncture_pattern(code_rate rate) {
   static constexpr std::uint8_t kHalf[] = {1, 1};
   static constexpr std::uint8_t kTwoThirds[] = {1, 1, 1, 0};
@@ -64,8 +92,6 @@ std::span<const std::uint8_t> puncture_pattern(code_rate rate) {
   }
   throw std::logic_error("unknown code rate");
 }
-
-}  // namespace
 
 double code_rate_value(code_rate rate) {
   switch (rate) {
@@ -101,6 +127,18 @@ bitvec conv_encode(std::span<const std::uint8_t> info) {
   for (std::uint8_t bit : info) push(bit & 1u);
   for (std::size_t i = 0; i < conv_tail_bits; ++i) push(0);
   return out;
+}
+
+void conv_encode_packed(std::span<const std::uint8_t> in,
+                        std::span<std::uint16_t> out) {
+  if (out.size() < in.size())
+    throw std::invalid_argument("conv_encode_packed: output too short");
+  const auto& table = byte_encoder();
+  std::uint8_t state = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i] = table[state][in[i]];
+    state = static_cast<std::uint8_t>(in[i] >> 2);
+  }
 }
 
 bitvec puncture(std::span<const std::uint8_t> coded, code_rate rate) {

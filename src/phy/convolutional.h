@@ -34,8 +34,21 @@ inline constexpr std::size_t conv_tail_bits = 6;
 /// is 2 * (len(info) + 6).
 bitvec conv_encode(std::span<const std::uint8_t> info);
 
+/// Packed form of conv_encode for the transmitter: `in` holds info bits
+/// LSB-first per byte (the 802.11 bit order) and each input byte becomes
+/// one 16-bit word of mother-code bits, one table lookup per byte (bits 2i
+/// and 2i + 1 are conv_encode's two outputs for input bit i). Starts from
+/// the zero state and appends no tail: callers reproduce conv_encode by
+/// placing its 6 zero tail bits in the input. `out` needs in.size() words.
+void conv_encode_packed(std::span<const std::uint8_t> in,
+                        std::span<std::uint16_t> out);
+
 /// Puncture a rate-1/2 coded stream to the requested rate.
 bitvec puncture(std::span<const std::uint8_t> coded, code_rate rate);
+
+/// Transmit mask over one puncturing period of mother-code bits
+/// (1 = sent, 0 = punctured); period 2, 4 or 6 for 1/2, 2/3, 3/4.
+std::span<const std::uint8_t> puncture_pattern(code_rate rate);
 
 /// Expand a punctured soft stream back to `mother_length` mother-code
 /// positions, inserting zero (erasure) metrics at punctured positions.

@@ -53,4 +53,17 @@ bitvec scrambler_sequence(std::uint8_t seed, std::size_t n_bits) {
   return scramble(zeros, seed);
 }
 
+const std::array<std::uint8_t, 127>& scrambler_keystream_bytes(std::uint8_t seed) {
+  static const std::array<std::array<std::uint8_t, 127>, 128> all = [] {
+    std::array<std::array<std::uint8_t, 127>, 128> packed{};
+    for (int s = 0; s < 128; ++s) {
+      const auto& key = keystream_for(static_cast<std::uint8_t>(s));
+      for (std::size_t i = 0; i < 8 * 127; ++i)
+        packed[s][i / 8] |= static_cast<std::uint8_t>(key[i % 127] << (i % 8));
+    }
+    return packed;
+  }();
+  return all[seed & 0x7Fu];
+}
+
 }  // namespace backfi::phy

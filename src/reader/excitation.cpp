@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <memory>
 #include <mutex>
 
@@ -109,12 +108,7 @@ struct full_entry {
   std::size_t wake_end = 0;
   std::size_t ppdu_start = 0;
   phy::bitvec wake_preamble;
-  // PPDU 0 metadata (its samples are the [ppdu_start, ppdu_start +
-  // ppdu0_samples) segment of `samples` by construction).
-  std::size_t ppdu0_samples = 0;
-  std::size_t ppdu0_n_data_symbols = 0;
-  std::size_t ppdu0_data_start = 0;
-  std::vector<std::uint8_t> ppdu0_payload;
+  wifi::ppdu_info ppdu;         ///< PPDU 0's layout and payload
 };
 
 using full_cache_t = dsp::replay_cache<full_key, full_entry, full_key_hash>;
@@ -131,22 +125,14 @@ full_key key_for(const excitation_config& config) {
           config.payload_seed, std::max<std::size_t>(config.n_ppdus, 1)};
 }
 
-void emit_from_entry(const full_entry& e, const excitation_config& config,
-                     excitation& out, dsp::workspace_stats* stats) {
+void emit_from_entry(const full_entry& e, excitation& out,
+                     dsp::workspace_stats* stats) {
   out.wake_preamble = e.wake_preamble;
   dsp::acquire(out.samples, e.samples.size(), stats);
   std::copy(e.samples.begin(), e.samples.end(), out.samples.begin());
   out.wake_end = e.wake_end;
   out.ppdu_start = e.ppdu_start;
-  out.ppdu.rate = config.rate;
-  out.ppdu.psdu_bytes = config.ppdu_bytes;
-  out.ppdu.n_data_symbols = e.ppdu0_n_data_symbols;
-  out.ppdu.data_start = e.ppdu0_data_start;
-  out.ppdu.payload = e.ppdu0_payload;
-  out.ppdu.samples.assign(
-      e.samples.begin() + static_cast<std::ptrdiff_t>(e.ppdu_start),
-      e.samples.begin() +
-          static_cast<std::ptrdiff_t>(e.ppdu_start + e.ppdu0_samples));
+  out.ppdu = e.ppdu;
 }
 
 void build_excitation_uncached(const excitation_config& config,
@@ -162,24 +148,23 @@ void build_excitation_uncached(const excitation_config& config,
 
   // Unified per-PPDU loop: PPDU i draws its payload from payload_seed + i
   // (same rng, same draw order as wifi::random_ppdu — the prefix cache never
-  // touches the rng, so every emitted sample is unchanged).
+  // touches the rng, so every emitted sample is unchanged) and is
+  // transmitted straight into its slice of the burst.
   const std::size_t n_ppdus = std::max<std::size_t>(config.n_ppdus, 1);
+  const std::size_t ppdu_len =
+      wifi::ppdu_length_samples(config.ppdu_bytes, config.rate);
   thread_local std::vector<std::uint8_t> psdu_scratch;
-  thread_local wifi::tx_ppdu extra_scratch;
-  std::size_t offset = out.ppdu_start;
+  thread_local wifi::ppdu_info extra_info;
   for (std::size_t i = 0; i < n_ppdus; ++i) {
     dsp::rng gen(config.payload_seed + i);
     psdu_scratch.resize(config.ppdu_bytes);
     for (auto& b : psdu_scratch)
       b = static_cast<std::uint8_t>(gen.uniform_int(256));
-    wifi::tx_ppdu& ppdu = (i == 0) ? out.ppdu : extra_scratch;
-    wifi::transmit_into(psdu_scratch, {.rate = config.rate}, pre.ppdu_prefix,
-                        ppdu, stats);
-    std::copy(ppdu.samples.begin(), ppdu.samples.end(),
-              out.samples.begin() + offset);
-    offset += ppdu.samples.size();
+    wifi::transmit_into(
+        psdu_scratch, {.rate = config.rate}, pre.ppdu_prefix,
+        std::span<cplx>(out.samples).subspan(out.ppdu_start + i * ppdu_len, ppdu_len),
+        i == 0 ? out.ppdu : extra_info);
   }
-  assert(offset == out.samples.size());
 }
 
 }  // namespace
@@ -199,7 +184,7 @@ void build_excitation_into(const excitation_config& config, excitation& out,
   }
   const full_key key = key_for(config);
   if (const auto hit = cache.find(key)) {
-    emit_from_entry(*hit, config, out, stats);
+    emit_from_entry(*hit, out, stats);
     return;
   }
   build_excitation_uncached(config, out, stats);
@@ -208,12 +193,9 @@ void build_excitation_into(const excitation_config& config, excitation& out,
   entry->wake_end = out.wake_end;
   entry->ppdu_start = out.ppdu_start;
   entry->wake_preamble = out.wake_preamble;
-  entry->ppdu0_samples = out.ppdu.samples.size();
-  entry->ppdu0_n_data_symbols = out.ppdu.n_data_symbols;
-  entry->ppdu0_data_start = out.ppdu.data_start;
-  entry->ppdu0_payload = out.ppdu.payload;
+  entry->ppdu = out.ppdu;
   const std::size_t bytes = entry->samples.size() * sizeof(cplx) +
-                            entry->ppdu0_payload.size() +
+                            entry->ppdu.payload.size() +
                             entry->wake_preamble.size() + sizeof(full_entry);
   cache.insert(key, std::move(entry), bytes);
 }

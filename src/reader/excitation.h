@@ -27,10 +27,12 @@ struct excitation_config {
 
 /// The assembled excitation waveform.
 struct excitation {
-  cvec samples;             ///< wake pulses followed by the PPDU
+  cvec samples;             ///< wake pulses followed by the PPDU(s)
   std::size_t ppdu_start = 0;
   std::size_t wake_end = 0; ///< nominal tag time origin
-  wifi::tx_ppdu ppdu;       ///< the embedded WiFi packet
+  /// Layout and payload of the first embedded WiFi packet; its waveform is
+  /// samples[ppdu_start, ppdu_start + wifi::ppdu_length_samples(...)).
+  wifi::ppdu_info ppdu;
   phy::bitvec wake_preamble;
 };
 

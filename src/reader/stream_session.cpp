@@ -50,7 +50,7 @@ stream_session::stream_session(std::span<const cplx> x,
     const stream_packet& p = schedule_[i];
     const bool ordered = i == 0 || p.begin >= previous_begin;
     if (!ordered || p.begin >= p.end || p.begin > p.wake_end ||
-        p.wake_end > p.silent_end || p.wake_end > p.end ||
+        p.wake_end > p.silent_end || p.silent_end > p.end ||
         p.end > y_.size() || p.payload_bits == 0)
       throw std::invalid_argument("stream_session: malformed schedule entry");
     previous_begin = p.begin;

@@ -50,10 +50,10 @@ namespace backfi::reader {
 
 /// One packet's position on the continuous capture timeline. All indices
 /// are absolute sample offsets into the session's (x, y) spans and must
-/// satisfy begin <= wake_end <= silent_end and wake_end <= end <= capture
-/// length. A degenerate silent window (empty, or past the segment end)
-/// flows through to run_receive_chain's own bypass handling, exactly as
-/// in the batch path.
+/// satisfy begin <= wake_end <= silent_end <= end <= capture length; the
+/// constructor rejects any other entry. An empty silent window
+/// (wake_end == silent_end) flows through to run_receive_chain's own
+/// bypass handling, exactly as in the batch path.
 struct stream_packet {
   std::size_t begin = 0;       ///< first sample of the packet's segment
   std::size_t end = 0;         ///< one past the last sample

@@ -13,6 +13,7 @@
 #include "reader/stream_session.h"
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
+#include "sim/synthesis.h"
 #include "tag/wake_detector.h"
 
 namespace backfi::sim {
@@ -186,17 +187,15 @@ trial_result run_backscatter_trial(const scenario_config& config,
       channel::draw_backscatter_channels(config.budget, config.tag_distance_m, gen);
 
   // --- Tag side: wake detection on the incident signal ---
-  channel::apply_channel_into(ex.samples, channels.h_f, ws.incident, &ws.stats);
+  // Only the wake window of h_f * x is built here; add_backscatter builds
+  // the tag's support (sim/synthesis.h).
+  const std::span<const cplx> incident = wake_incident(
+      ex.samples, channels.h_f, ex_cfg.wake_bits, ws.synth, &ws.stats);
   forward_span.stop();
   obs::timing_span modulate_span(c, "tag.modulate");
-  const cvec& incident = ws.incident;
   const double incident_dbm =
       channel::incident_power_at_tag_dbm(config.budget, config.tag_distance_m);
-  const std::size_t wake_window =
-      std::min<std::size_t>((ex_cfg.wake_bits + 4) * samples_per_us,
-                            incident.size());
-  const auto wake = tag::detect_wake(std::span(incident).first(wake_window),
-                                     ex.wake_preamble, incident_dbm);
+  const auto wake = tag::detect_wake(incident, ex.wake_preamble, incident_dbm);
   result.woke = wake.woke;
   if (!wake.woke) {
     report_workspace_gauges(c, ws.stats);
@@ -236,10 +235,8 @@ trial_result run_backscatter_trial(const scenario_config& config,
   obs::timing_span backscatter_span(c, "channel.backscatter");
   channel::apply_channel_into(ex.samples, channels.h_env, ws.rx, &ws.stats);
   cvec& rx = ws.rx;
-  dsp::hadamard_into(incident, tag_tx.reflection, ws.reflected, &ws.stats);
-  channel::apply_channel_into(ws.reflected, channels.h_b, ws.backscatter,
-                              &ws.stats);
-  dsp::add_in_place(rx, ws.backscatter);
+  add_backscatter(ex.samples, channels.h_f, channels.h_b, tag_tx,
+                  /*theta_rad=*/0.0, rx, ws.synth, &ws.stats);
   backscatter_span.stop();
   obs::timing_span noise_span(c, "sim.noise");
   channel::add_awgn(rx, channels.noise_power, gen);

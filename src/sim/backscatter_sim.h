@@ -14,6 +14,7 @@
 #include "obs/collector.h"
 #include "reader/decoder.h"
 #include "reader/excitation.h"
+#include "sim/synthesis.h"
 #include "tag/tag_device.h"
 
 namespace backfi::sim {
@@ -105,10 +106,8 @@ struct trial_result {
 /// counters through the collector as runtime.workspace.* gauges.
 struct trial_workspace {
   reader::excitation ex;
-  cvec incident;
+  synthesis_scratch synth;
   cvec rx;
-  cvec reflected;
-  cvec backscatter;
   tag::tag_transmission tag_tx;
   fd::receive_chain_scratch chain;
   reader::decoder_scratch decoder;

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "channel/awgn.h"
-#include "dsp/vec_ops.h"
+#include "sim/synthesis.h"
 #include "tag/wake_detector.h"
 
 namespace backfi::sim {
@@ -69,10 +69,8 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
       channel::incident_power_at_tag_dbm(sc.budget, sc.tag_distance_m);
 
   reader::excitation ex;
-  cvec incident;
+  synthesis_scratch synth;
   cvec si;
-  cvec reflected;
-  cvec backscatter;
   tag::tag_transmission tag_tx;
 
   std::size_t offset = 0;
@@ -87,12 +85,9 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
     reader::build_excitation_into(ex_cfg, ex);
     std::copy(ex.samples.begin(), ex.samples.end(), cap.x.begin() + offset);
 
-    channel::apply_channel_into(ex.samples, h_f, incident, nullptr);
-    const std::size_t wake_window = std::min<std::size_t>(
-        (ex_cfg.wake_bits + 4) * samples_per_us, incident.size());
-    const auto wake =
-        tag::detect_wake(std::span<const cplx>(incident).first(wake_window),
-                         ex.wake_preamble, incident_dbm);
+    const auto wake = tag::detect_wake(
+        wake_incident(ex.samples, h_f, ex_cfg.wake_bits, synth),
+        ex.wake_preamble, incident_dbm);
 
     // Self-interference rides every packet whether or not the tag answers.
     channel::apply_channel_into(ex.samples, channels.h_env, si, nullptr);
@@ -108,13 +103,10 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
       cap.payloads[k] = gen.random_bits(sc.payload_bits);
       device.backscatter_into(cap.payloads[k], ex.samples.size(), tag_origin,
                               tag_tx, nullptr);
-      dsp::hadamard_into(incident, tag_tx.reflection, reflected, nullptr);
-      channel::apply_channel_into(reflected, channels.h_b, backscatter,
-                                  nullptr);
       // The walked LO phase rotates only the backscatter component: the
       // self-interference is generated and received by the same LO.
-      impair::apply_constant_phase(backscatter, theta);
-      dsp::add_in_place(y_pkt, backscatter);
+      add_backscatter(ex.samples, h_f, channels.h_b, tag_tx, theta, y_pkt,
+                      synth);
     }
 
     channel::add_awgn(std::span<cplx>(cap.y).subspan(offset, ex_len + gap),

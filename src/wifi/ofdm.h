@@ -37,12 +37,10 @@ std::size_t subcarrier_to_bin(int subcarrier);
 /// Output power is normalized so the average sample power is ~1.
 cvec modulate_symbol(std::span<const cplx> data_points, std::size_t symbol_index);
 
-/// As modulate_symbol(), writing the 80 samples into `out` and using
-/// `freq_scratch` as the reusable IFFT buffer (resized on first use); output
-/// samples are bit-identical to modulate_symbol().
+/// As modulate_symbol(), writing the 80 samples into `out` (the IFFT runs
+/// in place in the symbol body, no scratch buffer).
 void modulate_symbol_into(std::span<const cplx> data_points,
-                          std::size_t symbol_index, std::span<cplx> out,
-                          cvec& freq_scratch);
+                          std::size_t symbol_index, std::span<cplx> out);
 
 /// Demodulated frequency-domain content of one symbol.
 struct demodulated_symbol {

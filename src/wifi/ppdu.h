@@ -24,14 +24,18 @@ struct tx_config {
   std::uint8_t scrambler_seed = 0x5D;
 };
 
-/// A fully assembled PPDU.
-struct tx_ppdu {
-  cvec samples;                ///< preamble + SIGNAL + data, unit mean power
-  wifi_rate rate;              ///< data-field rate
+/// Layout and payload of one PPDU: everything but its waveform.
+struct ppdu_info {
+  wifi_rate rate{};            ///< data-field rate
   std::size_t psdu_bytes = 0;  ///< payload length
   std::size_t n_data_symbols = 0;
   std::size_t data_start = 0;  ///< sample index of the first data symbol
   std::vector<std::uint8_t> payload;  ///< the PSDU itself (for verification)
+};
+
+/// A fully assembled PPDU.
+struct tx_ppdu : ppdu_info {
+  cvec samples;  ///< preamble + SIGNAL + data, unit mean power
 };
 
 /// Build the 18 SIGNAL-field information bits (RATE, reserved, LENGTH,
@@ -59,6 +63,21 @@ tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config,
 void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
                    std::span<const cplx> prefix, tx_ppdu& out,
                    dsp::workspace_stats* stats = nullptr);
+
+/// As transmit_into(), writing the waveform straight into `samples` (exactly
+/// ppdu_length_samples(psdu.size(), config.rate) entries, e.g. a slice of a
+/// longer burst) and the layout into `info`.
+///
+/// The data field runs on packed words: the SERVICE + PSDU + pad bytes are
+/// XOR-ed with the byte-packed 127-periodic scrambler keystream, encoded 8
+/// input bits per table lookup (phy::conv_encode_packed), and each
+/// subcarrier's constellation label is read straight from the encoder
+/// output through a per-rate table composing the puncturer with the
+/// inverse interleaver. Output is bit-identical to the textbook per-bit
+/// chain (bytes_to_bits, scramble, conv_encode, puncture, interleave, map).
+void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
+                   std::span<const cplx> prefix, std::span<cplx> samples,
+                   ppdu_info& info);
 
 /// Duration of a PPDU carrying `length_bytes` at `rate`, in samples.
 std::size_t ppdu_length_samples(std::size_t length_bytes, wifi_rate rate);

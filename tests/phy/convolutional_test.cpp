@@ -17,6 +17,29 @@ TEST(ConvolutionalTest, RateValuesAndNames) {
   EXPECT_STREQ(code_rate_name(code_rate::half), "1/2");
 }
 
+TEST(ConvolutionalTest, PackedEncoderMatchesBitEncoder) {
+  // Byte-at-a-time table encoding of LSB-first packed bits equals
+  // conv_encode on the unpacked bits when the input carries the zero tail.
+  dsp::rng gen(99);
+  for (const std::size_t n_bytes : {1u, 2u, 3u, 64u, 501u}) {
+    std::vector<std::uint8_t> packed(n_bytes);
+    for (auto& b : packed) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+    packed.back() &= 0x03;  // top 6 bits: the zero tail
+    bitvec info;
+    for (std::size_t i = 0; i < 8 * n_bytes - conv_tail_bits; ++i)
+      info.push_back(static_cast<std::uint8_t>((packed[i / 8] >> (i % 8)) & 1u));
+    const bitvec coded = conv_encode(info);
+    std::vector<std::uint16_t> words(n_bytes);
+    conv_encode_packed(packed, words);
+    ASSERT_EQ(coded.size(), 16 * n_bytes);
+    for (std::size_t m = 0; m < coded.size(); ++m)
+      ASSERT_EQ((words[m / 16] >> (m % 16)) & 1u, coded[m]) << n_bytes << " " << m;
+  }
+  std::vector<std::uint16_t> short_out(1);
+  const std::vector<std::uint8_t> two(2, 0);
+  EXPECT_THROW(conv_encode_packed(two, short_out), std::invalid_argument);
+}
+
 TEST(ConvolutionalTest, EncodeKnownVector) {
   // 802.11 K=7 (133,171) encoder, all-zero input stays all-zero.
   const bitvec zeros(8, 0);

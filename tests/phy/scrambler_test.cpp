@@ -14,6 +14,21 @@ TEST(ScramblerTest, SelfInverse) {
   EXPECT_EQ(scramble(scrambled, 0x5D), data);
 }
 
+TEST(ScramblerTest, PackedKeystreamScramblesBytesLikeBits) {
+  // XOR with the packed keystream (byte i -> key byte i % 127) equals
+  // scramble() on the LSB-first unpacked bits, across several periods.
+  dsp::rng gen(3);
+  for (const std::uint8_t seed : {std::uint8_t{0x5D}, std::uint8_t{0x7F},
+                                  std::uint8_t{0x01}}) {
+    std::vector<std::uint8_t> bytes(400);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(gen.uniform_int(256));
+    const bitvec scrambled = scramble(bytes_to_bits(bytes), seed);
+    const auto& key = scrambler_keystream_bytes(seed);
+    for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] ^= key[i % key.size()];
+    EXPECT_EQ(bytes_to_bits(bytes), scrambled) << int{seed};
+  }
+}
+
 TEST(ScramblerTest, Has127BitPeriod) {
   const bitvec seq = scrambler_sequence(0x7F, 3 * 127);
   for (std::size_t i = 0; i + 127 < seq.size(); ++i)

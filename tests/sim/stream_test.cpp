@@ -233,6 +233,16 @@ TEST(StreamSession, MalformedScheduleThrows) {
          .payload_bits = 8};
   EXPECT_THROW(reader::stream_session(x, y, std::span(&bad, 1), cfg),
                std::invalid_argument);
+  // silent window running past the packet end
+  bad = {.begin = 0, .end = 32, .wake_end = 4, .silent_end = 33,
+         .payload_bits = 8};
+  EXPECT_THROW(reader::stream_session(x, y, std::span(&bad, 1), cfg),
+               std::invalid_argument);
+  // ... and past the capture
+  bad = {.begin = 0, .end = 32, .wake_end = 4, .silent_end = 100,
+         .payload_bits = 8};
+  EXPECT_THROW(reader::stream_session(x, y, std::span(&bad, 1), cfg),
+               std::invalid_argument);
   // zero payload
   bad = {.begin = 0, .end = 32, .wake_end = 4, .silent_end = 8,
          .payload_bits = 0};
