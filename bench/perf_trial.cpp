@@ -25,7 +25,6 @@
 
 #include "bench_util.h"
 #include "channel/awgn.h"
-#include "dsp/linalg.h"
 #include "obs/collector.h"
 #include "reader/excitation.h"
 #include "obs/export.h"
@@ -210,19 +209,6 @@ int main(int argc, char** argv) {
               hit_pct(ex_cache.hits, ex_cache.misses), ex_cache.entries,
               static_cast<double>(ex_cache.bytes) / (1024.0 * 1024.0));
 
-  // FIR least-squares size dispatch (process-wide, cumulative): the
-  // scenario's 5-8-tap fits over long windows should all land on the
-  // bit-exact vectorized build (correlation form is reserved for >=12-tap
-  // filters). A drift toward scalar here means the dispatch thresholds (or
-  // a caller's window geometry) regressed even if the stage means still
-  // pass.
-  const dsp::fir_ls_counts ls_counts = dsp::fir_ls_dispatch_counts();
-  std::printf("fir_ls:    %llu correlation / %llu vectorized / %llu scalar "
-              "fits\n",
-              static_cast<unsigned long long>(ls_counts.correlation),
-              static_cast<unsigned long long>(ls_counts.vectorized),
-              static_cast<unsigned long long>(ls_counts.scalar));
-
   // Stage coverage: the top-level stage spans partition sim.trial, so
   // their means must account for (nearly) all of the trial mean. A low
   // ratio means a pipeline stage lost its span — the probe-gap regression
@@ -368,11 +354,6 @@ int main(int argc, char** argv) {
             static_cast<double>(ex_cache.entries));
   append_kv(json, "excitation_bytes", static_cast<double>(ex_cache.bytes),
             true);
-  json += "  },\n";
-  json += "  \"fir_ls_dispatch\": {\n";
-  append_kv(json, "correlation", static_cast<double>(ls_counts.correlation));
-  append_kv(json, "vectorized", static_cast<double>(ls_counts.vectorized));
-  append_kv(json, "scalar", static_cast<double>(ls_counts.scalar), true);
   json += "  },\n";
   json += "  \"stream\": {\n";
   append_kv(json, "packets", static_cast<double>(stream_cfg.n_packets));

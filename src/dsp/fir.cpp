@@ -134,76 +134,26 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
                                  std::span<const cplx> h, cvec& out,
                                  workspace_stats* stats) {
   acquire(out, rx.size(), stats);
-  if (h.empty() || x.empty()) {
-    std::copy(rx.begin(), rx.end(), out.begin());
-    return;
-  }
-  const std::size_t overlap = std::min(rx.size(), x.size());
-  if (std::min(x.size(), h.size()) >= fft_convolve_min_taps) {
-    const cvec emulated = convolve_same(x, h);
-    for (std::size_t j = 0; j < overlap; ++j) out[j] = rx[j] - emulated[j];
-  } else {
+  const std::size_t overlap = h.empty() ? 0 : std::min(rx.size(), x.size());
+  if (overlap > 0)
     detail::convolve_same_gather_subtract(x.data(), x.size(), h.data(),
                                           h.size(), rx.data(), out.data(), 0,
                                           overlap);
-  }
   std::copy(rx.begin() + static_cast<std::ptrdiff_t>(overlap), rx.end(),
             out.begin() + static_cast<std::ptrdiff_t>(overlap));
-}
-
-void convolve_same_subtract_range_into(std::span<const cplx> rx,
-                                       std::span<const cplx> x,
-                                       std::span<const cplx> h,
-                                       std::size_t begin, std::size_t end,
-                                       cvec& out, workspace_stats* stats) {
-  acquire(out, rx.size(), stats);
-  const std::size_t e = std::min(end, rx.size());
-  const std::size_t b = std::min(begin, e);
-  if (b >= e) return;
-  if (h.empty() || x.empty()) {
-    std::copy(rx.begin() + static_cast<std::ptrdiff_t>(b),
-              rx.begin() + static_cast<std::ptrdiff_t>(e),
-              out.begin() + static_cast<std::ptrdiff_t>(b));
-    return;
-  }
-  if (std::min(x.size(), h.size()) >= fft_convolve_min_taps) {
-    // FFT-length channels: the overlap-save transform touches the whole
-    // capture anyway, so the windowed form has nothing to skip.
-    convolve_same_subtract_into(rx, x, h, out, stats);
-    return;
-  }
-  const std::size_t overlap = std::min(rx.size(), x.size());
-  const std::size_t eo = std::min(e, overlap);
-  if (b < eo)
-    detail::convolve_same_gather_subtract(x.data(), x.size(), h.data(),
-                                          h.size(), rx.data(), out.data() + b,
-                                          b, eo);
-  for (std::size_t j = std::max(b, overlap); j < e; ++j) out[j] = rx[j];
 }
 
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
                                           std::span<const cplx> h, cvec& out,
                                           workspace_stats* stats) {
-  const std::size_t overlap = std::min(rx.size(), x.size());
-  const bool direct = !h.empty() && !x.empty() &&
-                      std::min(x.size(), h.size()) < fft_convolve_min_taps;
-  double eacc;
-  if (direct) {
-    acquire(out, rx.size(), stats);
+  acquire(out, rx.size(), stats);
+  const std::size_t overlap = h.empty() ? 0 : std::min(rx.size(), x.size());
+  double eacc = 0.0;
+  if (overlap > 0)
     eacc = detail::convolve_same_gather_subtract_energy(
         x.data(), x.size(), h.data(), h.size(), rx.data(), out.data(), 0,
         overlap);
-  } else {
-    // Rare paths (empty operands, FFT-length channels): reuse the plain
-    // fused subtract and scan the prefix afterwards.
-    convolve_same_subtract_into(rx, x, h, out, stats);
-    eacc = 0.0;
-    for (std::size_t j = 0; j < overlap; ++j) {
-      const double re = out[j].real(), im = out[j].imag();
-      eacc += re * re + im * im;
-    }
-  }
   for (std::size_t j = overlap; j < rx.size(); ++j) {
     out[j] = rx[j];
     const double re = out[j].real(), im = out[j].imag();

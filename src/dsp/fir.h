@@ -3,7 +3,8 @@
 // Channels in BackFi are short (a handful of 50 ns taps), so those stay on
 // the direct-form loop. Long kernels — wideband channel soundings, matched
 // filters over whole captures — dispatch to an FFT overlap-save path that
-// turns O(N*M) into O(N log M).
+// turns O(N*M) into O(N log M). The fused cancellation forms are
+// direct-form at every length.
 #pragma once
 
 #include <cstddef>
@@ -56,28 +57,16 @@ void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
 void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,
                         cvec& out, workspace_stats* stats = nullptr);
 
-/// Fused cancellation: out[j] = rx[j] - convolve_same(x, h)[j] for
+/// Fused cancellation: out[j] = rx[j] - convolve_direct(x, h)[j] for
 /// j < min(len(rx), len(x)), and out[j] = rx[j] beyond (matching a
-/// subtract over the overlapping prefix). Bit-identical to materializing
-/// the convolution and subtracting, without the intermediate buffer.
+/// subtract over the overlapping prefix). Direct form at every kernel
+/// length — the cancellers' channels are short, and no FFT-length
+/// cancellation is ever configured — bit-identical to materializing the
+/// direct convolution and subtracting, without the intermediate buffer.
 void convolve_same_subtract_into(std::span<const cplx> rx,
                                  std::span<const cplx> x,
                                  std::span<const cplx> h, cvec& out,
                                  workspace_stats* stats = nullptr);
-
-/// As convolve_same_subtract_into, restricted to the window [begin, end)
-/// (clamped to len(rx)): out is sized to len(rx) but only the window is
-/// written with bit-identical values — samples outside it are left with
-/// unspecified (stale) contents, so callers must not read them. Cost is
-/// proportional to the window in the short-kernel regime; FFT-length
-/// channels fall back to the full-capture sweep (still bit-identical over
-/// the window, the whole output happens to be valid then).
-void convolve_same_subtract_range_into(std::span<const cplx> rx,
-                                       std::span<const cplx> x,
-                                       std::span<const cplx> h,
-                                       std::size_t begin, std::size_t end,
-                                       cvec& out,
-                                       workspace_stats* stats = nullptr);
 
 /// As convolve_same_subtract_into, additionally returning the residual's
 /// energy sum |out[j]|^2 over the whole output, accumulated in ascending

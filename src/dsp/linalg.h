@@ -1,17 +1,11 @@
 // Small dense complex linear algebra: just enough to solve the regularized
 // least-squares problems of channel estimation (system sizes <= a few tens).
 //
-// estimate_fir_least_squares is size-dispatched across three Gram/RHS
-// builders (see dsp/linalg_kernels.h): a scalar compat path that preserves
-// the seed accumulation order bit-exactly, a vectorized compat path that is
-// bit-identical to it (lanes run across matrix entries, never across time),
-// and a correlation-form path for wide filters that rebuilds the Toeplitz
-// Gram from base-row lags plus O(1) shift corrections per entry
-// (tolerance-equivalent; pinned anchors never reach it at in-simulation
-// tap counts).
+// estimate_fir_least_squares builds its Gram/RHS with the vectorized kernel
+// in dsp/linalg_kernels.h, bit-identical to the seed scalar accumulation at
+// every size (lanes run across matrix entries, never across time).
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -53,30 +47,6 @@ cvec solve_hermitian_positive_definite(const cmatrix& a, std::span<const cplx> b
 /// (e.g. a narrowband excitation exciting few delay taps).
 cvec least_squares(const cmatrix& a, std::span<const cplx> b, double ridge = 0.0);
 
-/// Below this many usable rows the scalar build wins (kernel-call and
-/// broadcast overhead dominate) and estimate_fir_least_squares stays on the
-/// legacy loop.
-inline constexpr std::size_t fir_ls_vector_min_window = 32;
-/// The correlation-form build pays an O(n_taps^2) recurrence to drop the
-/// per-entry window sweeps; it only wins — and only reassociates — for wide
-/// filters over long windows. Every in-simulation fit (5-8 taps) stays on
-/// the bit-exact paths.
-inline constexpr std::size_t fir_ls_correlation_min_taps = 12;
-inline constexpr std::size_t fir_ls_correlation_min_window = 192;
-
-/// Which normal-equations builder a fit dispatched to.
-enum class fir_ls_path : std::uint8_t { scalar, vectorized, correlation };
-
-/// Process-wide dispatch counters (relaxed; perf_trial prints them so a
-/// size-dispatch regression is visible in the bench JSON).
-struct fir_ls_counts {
-  std::uint64_t scalar = 0;
-  std::uint64_t vectorized = 0;
-  std::uint64_t correlation = 0;
-};
-fir_ls_counts fir_ls_dispatch_counts();
-void reset_fir_ls_dispatch_counts();
-
 /// Reusable state for FIR least-squares fits. gram holds the n_taps x
 /// n_taps column-major normal matrix after fir_ls_build, and its Cholesky
 /// factor L (lower triangle) after fir_ls_factor. The widely-linear
@@ -91,8 +61,8 @@ struct fir_ls_workspace {
 };
 
 /// Build the pre-ridge normal equations for y[t] = sum_k h[k] x[t-k] over
-/// the rows with full filter memory (the size-dispatched hot path; bumps
-/// the dispatch counters). Requires min(|x|, |y|) >= n_taps >= 1.
+/// the rows with full filter memory. Requires n_taps >= 1; throws
+/// std::invalid_argument when min(|x|, |y|) < n_taps.
 void fir_ls_build(std::span<const cplx> x, std::span<const cplx> y,
                   std::size_t n_taps, fir_ls_workspace& w,
                   workspace_stats* stats = nullptr);
@@ -138,15 +108,6 @@ void estimate_fir_least_squares_into(std::span<const cplx> x,
                                      workspace_stats* stats = nullptr);
 
 namespace detail {
-
-/// Test hook: run the fit on a forced builder path, bypassing the size
-/// dispatch (the equivalence suite pins vectorized == scalar bitwise and
-/// correlation ~= scalar to tolerance at every tap count).
-void estimate_fir_least_squares_with_path(std::span<const cplx> x,
-                                          std::span<const cplx> y,
-                                          std::size_t n_taps, double ridge,
-                                          fir_ls_path path, cvec& taps,
-                                          fir_ls_workspace& w);
 
 /// In-place Cholesky A = L L^H on an n x n column-major buffer (lower
 /// triangle overwritten with L; upper triangle untouched). Same operation

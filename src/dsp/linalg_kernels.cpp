@@ -129,33 +129,6 @@ void fir_normal_equations_vectorized(const cplx* x, std::size_t n,
   fir_rhs_vectorized(x, n, y, n_taps, rhs);
 }
 
-void fir_normal_equations_correlation(const cplx* x, std::size_t n,
-                                      const cplx* y, std::size_t n_taps,
-                                      cplx* gram, cplx* rhs) {
-  const std::size_t t0 = n_taps - 1;
-  // Base row: the n_taps lag correlations gram(0, d), d in [0, n_taps) —
-  // the only O(window) work in the Gram. gram(0, 0) doubles as the exact
-  // column energy the ridge scaling uses.
-#if defined(__AVX2__)
-  gram_row_avx2(x, n, t0, n_taps, 0, gram);
-#else
-  for (std::size_t j = 0; j < n_taps; ++j)
-    gram[j * n_taps + 0] = gram_entry_scalar(x, n, t0, 0, j);
-#endif
-  // Toeplitz shift recurrence: row i's window over x is row (i-1)'s window
-  // shifted one sample earlier, so each entry gains one head term and loses
-  // one tail term. O(1) per entry, O(n_taps^2) for the rest of the Gram.
-  for (std::size_t i = 1; i < n_taps; ++i) {
-    for (std::size_t j = i; j < n_taps; ++j) {
-      const cplx head = std::conj(x[t0 - i]) * x[t0 - j];
-      const cplx tail = std::conj(x[n - i]) * x[n - j];
-      gram[j * n_taps + i] = gram[(j - 1) * n_taps + (i - 1)] + head - tail;
-    }
-  }
-  mirror_lower_triangle(gram, n_taps);
-  fir_rhs_vectorized(x, n, y, n_taps, rhs);
-}
-
 bool all_finite_window2(const cplx* x, const cplx* y, std::size_t begin,
                         std::size_t end) {
   if (begin >= end) return true;

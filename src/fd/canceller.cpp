@@ -1,6 +1,7 @@
 #include "fd/canceller.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "dsp/fir.h"
@@ -10,20 +11,6 @@
 #include "dsp/vec_ops.h"
 
 namespace backfi::fd {
-
-namespace {
-
-cvec subtract_filtered(std::span<const cplx> tx, std::span<const cplx> rx,
-                       const cvec& taps) {
-  // convolve_same_subtract_into fuses the leakage emulation into the
-  // subtraction (bit-identical to materializing convolve_same and
-  // subtracting); the same FFT dispatch applies for long channels.
-  cvec out;
-  dsp::convolve_same_subtract_into(rx, tx, taps, out);
-  return out;
-}
-
-}  // namespace
 
 analog_canceller::analog_canceller(const analog_canceller_config& config)
     : config_(config) {}
@@ -58,13 +45,9 @@ void analog_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx,
 
 cvec analog_canceller::cancel(std::span<const cplx> tx,
                               std::span<const cplx> rx) const {
-  return subtract_filtered(tx, rx, taps_);
-}
-
-void analog_canceller::cancel_into(std::span<const cplx> tx,
-                                   std::span<const cplx> rx, cvec& out,
-                                   dsp::workspace_stats* stats) const {
-  dsp::convolve_same_subtract_into(rx, tx, taps_, out, stats);
+  cvec out;
+  dsp::convolve_same_subtract_into(rx, tx, taps_, out);
+  return out;
 }
 
 double analog_canceller::cancel_energy_into(std::span<const cplx> tx,
@@ -153,7 +136,8 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
   if (config_.remove_dc) {
     // Mean of the fully-cancelled training residual (dc_ is still zero
     // here, so the cancellation applies only the FIR branches).
-    cancel_into(txn, rxn, s.work, s, stats);
+    const std::array<dsp::sample_range, 1> whole{{{0, n}}};
+    cancel_into(txn, rxn, whole, s.work, s, nullptr, stats);
     const auto v = std::span<const cplx>(s.work).subspan(edge);
     cplx sum = {0.0, 0.0};
     for (const cplx& c : v) sum += c;
@@ -163,70 +147,50 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
 
 cvec digital_canceller::cancel(std::span<const cplx> tx,
                                std::span<const cplx> rx) const {
+  canceller_scratch scratch;
+  const std::array<dsp::sample_range, 1> whole{{{0, rx.size()}}};
   cvec out;
-  cancel_into(tx, rx, out);
+  cancel_into(tx, rx, whole, out, scratch);
   return out;
 }
 
 void digital_canceller::cancel_into(std::span<const cplx> tx,
-                                    std::span<const cplx> rx, cvec& out,
+                                    std::span<const cplx> in,
+                                    std::span<const dsp::sample_range> ranges,
+                                    cvec& out, canceller_scratch& s,
+                                    fused_adc* adc,
                                     dsp::workspace_stats* stats) const {
-  dsp::convolve_same_subtract_into(rx, tx, taps_, out, stats);
-  if (!conj_taps_.empty()) {
-    cvec ctx(tx.size());
-    for (std::size_t i = 0; i < tx.size(); ++i) ctx[i] = std::conj(tx[i]);
-    const cvec emulated = dsp::convolve_same(ctx, conj_taps_);
-    const std::size_t n = std::min(out.size(), emulated.size());
-    for (std::size_t i = 0; i < n; ++i) out[i] -= emulated[i];
-  }
-  if (dc_ != cplx{0.0, 0.0})
-    for (cplx& v : out) v -= dc_;
-}
-
-void digital_canceller::cancel_into(std::span<const cplx> tx,
-                                    std::span<const cplx> rx, cvec& out,
-                                    canceller_scratch& s,
-                                    dsp::workspace_stats* stats) const {
-  dsp::convolve_same_subtract_into(rx, tx, taps_, out, stats);
-  if (!conj_taps_.empty()) {
-    dsp::acquire(s.ctx, tx.size(), stats);
-    for (std::size_t i = 0; i < tx.size(); ++i) s.ctx[i] = std::conj(tx[i]);
-    dsp::convolve_same_into(s.ctx, conj_taps_, s.work2, stats);
-    const std::size_t n = std::min(out.size(), s.work2.size());
-    for (std::size_t i = 0; i < n; ++i) out[i] -= s.work2[i];
-  }
-  if (dc_ != cplx{0.0, 0.0})
-    for (cplx& v : out) v -= dc_;
-}
-
-void digital_canceller::cancel_ranges_into(
-    std::span<const cplx> tx, std::span<const cplx> rx, cvec& out,
-    std::span<const dsp::sample_range> ranges, canceller_scratch& s,
-    dsp::workspace_stats* stats) const {
-  const std::size_t n = rx.size();
-  if (taps_.empty() || tx.empty() ||
-      std::min(tx.size(), taps_.size()) >= dsp::fft_convolve_min_taps) {
-    // Degenerate operands copy in O(n) anyway; FFT-length channels
-    // transform the whole capture regardless, so there is nothing to skip.
-    cancel_into(tx, rx, out, s, stats);
-    return;
-  }
+  const std::size_t n = in.size();
   dsp::acquire(out, n, stats);
-  const std::size_t overlap = std::min(n, tx.size());
+  if (adc != nullptr) dsp::acquire(adc->digitized, n, stats);
+  // With the ADC fused in, the cancellation reads the quantized samples.
+  const cplx* src = adc != nullptr ? adc->digitized.data() : in.data();
+  const std::size_t overlap = taps_.empty() ? 0 : std::min(n, tx.size());
+  // Chunks sized so one chunk's quantize (divider-bound) and convolution
+  // (FP mul/add-bound) fit a reorder window together: the out-of-order
+  // core overlaps the divides of chunk i with the convolution of chunks
+  // i-1/i, which a pair of full-capture sweeps can never do.
+  constexpr std::size_t kChunk = 256;
   for (const dsp::sample_range& r : ranges) {
     const std::size_t e = std::min(r.end, n);
     const std::size_t b = std::min(r.begin, e);
-    if (b >= e) continue;
-    const std::size_t eo = std::min(e, overlap);
-    if (b < eo)
-      dsp::detail::convolve_same_gather_subtract(tx.data(), tx.size(),
-                                                 taps_.data(), taps_.size(),
-                                                 rx.data(), out.data() + b, b,
-                                                 eo);
-    for (std::size_t j = std::max(b, overlap); j < e; ++j) out[j] = rx[j];
+    const std::size_t eo = std::max(b, std::min(e, overlap));
+    for (std::size_t c0 = b; c0 < eo; c0 += kChunk) {
+      const std::size_t c1 = std::min(c0 + kChunk, eo);
+      if (adc != nullptr)
+        quantize_range_saturation(in.data(), c0, c1, adc->config,
+                                  adc->digitized.data(), adc->clipped_any);
+      dsp::detail::convolve_same_gather_subtract(
+          tx.data(), tx.size(), taps_.data(), taps_.size(), src,
+          out.data() + c0, c0, c1);
+    }
+    if (adc != nullptr)
+      quantize_range_saturation(in.data(), eo, e, adc->config,
+                                adc->digitized.data(), adc->clipped_any);
+    std::copy(src + eo, src + e, out.data() + eo);
   }
-  // Conjugate and DC branches over the same windows, exactly as in
-  // cancel_into's tail restricted per range.
+  // Conjugate and DC branches act element-wise on the already-cancelled
+  // output, over the same ranges.
   if (!conj_taps_.empty()) {
     dsp::acquire(s.ctx, tx.size(), stats);
     for (std::size_t i = 0; i < tx.size(); ++i) s.ctx[i] = std::conj(tx[i]);
@@ -241,122 +205,9 @@ void digital_canceller::cancel_ranges_into(
   if (dc_ != cplx{0.0, 0.0}) {
     for (const dsp::sample_range& r : ranges) {
       const std::size_t e = std::min(r.end, n);
-      const std::size_t b = std::min(r.begin, e);
-      for (std::size_t j = b; j < e; ++j) out[j] -= dc_;
+      for (std::size_t j = std::min(r.begin, e); j < e; ++j) out[j] -= dc_;
     }
   }
-}
-
-void digital_canceller::cancel_quantized_ranges_into(
-    std::span<const cplx> tx, std::span<const cplx> analog,
-    const adc_config& adc, cvec& digitized, cvec& cleaned, bool& saturated,
-    std::span<const dsp::sample_range> ranges, canceller_scratch& s,
-    dsp::workspace_stats* stats) const {
-  const std::size_t n = analog.size();
-  if (taps_.empty() || tx.empty() ||
-      std::min(tx.size(), taps_.size()) >= dsp::fft_convolve_min_taps) {
-    cancel_quantized_into(tx, analog, adc, digitized, cleaned, saturated, s,
-                          stats);
-    return;
-  }
-  dsp::acquire(digitized, n, stats);
-  dsp::acquire(cleaned, n, stats);
-  const std::size_t overlap = std::min(n, tx.size());
-  unsigned clipped_any = 0;
-  constexpr std::size_t kChunk = 256;  // same reorder-window size as the
-                                       // full sweep; chunking is invisible
-  for (const dsp::sample_range& r : ranges) {
-    const std::size_t e = std::min(r.end, n);
-    const std::size_t b = std::min(r.begin, e);
-    if (b >= e) continue;
-    const std::size_t eo = std::min(e, overlap);
-    for (std::size_t c0 = b; c0 < eo; c0 += kChunk) {
-      const std::size_t c1 = std::min(c0 + kChunk, eo);
-      quantize_range_saturation(analog.data(), c0, c1, adc, digitized.data(),
-                                clipped_any);
-      dsp::detail::convolve_same_gather_subtract(
-          tx.data(), tx.size(), taps_.data(), taps_.size(), digitized.data(),
-          cleaned.data() + c0, c0, c1);
-    }
-    if (eo < e) {
-      const std::size_t t0 = std::max(b, overlap);
-      quantize_range_saturation(analog.data(), t0, e, adc, digitized.data(),
-                                clipped_any);
-      for (std::size_t j = t0; j < e; ++j) cleaned[j] = digitized[j];
-    }
-  }
-  saturated = clipped_any != 0;
-  if (!conj_taps_.empty()) {
-    dsp::acquire(s.ctx, tx.size(), stats);
-    for (std::size_t i = 0; i < tx.size(); ++i) s.ctx[i] = std::conj(tx[i]);
-    for (const dsp::sample_range& r : ranges) {
-      const std::size_t e = std::min({r.end, n, tx.size()});
-      const std::size_t b = std::min(r.begin, e);
-      if (b >= e) continue;
-      dsp::convolve_same_range_into(s.ctx, conj_taps_, b, e, s.work2, stats);
-      for (std::size_t j = b; j < e; ++j) cleaned[j] -= s.work2[j];
-    }
-  }
-  if (dc_ != cplx{0.0, 0.0}) {
-    for (const dsp::sample_range& r : ranges) {
-      const std::size_t e = std::min(r.end, n);
-      const std::size_t b = std::min(r.begin, e);
-      for (std::size_t j = b; j < e; ++j) cleaned[j] -= dc_;
-    }
-  }
-}
-
-void digital_canceller::cancel_quantized_into(std::span<const cplx> tx,
-                                              std::span<const cplx> analog,
-                                              const adc_config& adc,
-                                              cvec& digitized, cvec& cleaned,
-                                              bool& saturated,
-                                              canceller_scratch& s,
-                                              dsp::workspace_stats* stats) const {
-  const std::size_t n = analog.size();
-  dsp::acquire(digitized, n, stats);
-  if (taps_.empty() || tx.empty() ||
-      std::min(tx.size(), taps_.size()) >= dsp::fft_convolve_min_taps) {
-    // FFT-length channels (and degenerate operands) keep the two-sweep
-    // form: the divide/convolution interleave only pays off against the
-    // direct-form kernel.
-    quantize_into_saturation(analog, adc, digitized, saturated, stats);
-    cancel_into(tx, digitized, cleaned, s, stats);
-    return;
-  }
-  dsp::acquire(cleaned, n, stats);
-  const std::size_t overlap = std::min(n, tx.size());
-  unsigned clipped_any = 0;
-  // Chunks sized so one chunk's quantize (divider-bound) and convolution
-  // (FP mul/add-bound) fit a reorder window together: the out-of-order
-  // core overlaps the divides of chunk i with the convolution of chunks
-  // i-1/i, which a pair of full-capture sweeps can never do.
-  constexpr std::size_t kChunk = 256;
-  for (std::size_t c0 = 0; c0 < overlap; c0 += kChunk) {
-    const std::size_t c1 = std::min(c0 + kChunk, overlap);
-    quantize_range_saturation(analog.data(), c0, c1, adc, digitized.data(),
-                              clipped_any);
-    dsp::detail::convolve_same_gather_subtract(
-        tx.data(), tx.size(), taps_.data(), taps_.size(), digitized.data(),
-        cleaned.data() + c0, c0, c1);
-  }
-  if (overlap < n) {
-    quantize_range_saturation(analog.data(), overlap, n, adc, digitized.data(),
-                              clipped_any);
-    for (std::size_t j = overlap; j < n; ++j) cleaned[j] = digitized[j];
-  }
-  saturated = clipped_any != 0;
-  // Conjugate and DC branches act element-wise on the already-cancelled
-  // output, exactly as in cancel_into's tail.
-  if (!conj_taps_.empty()) {
-    dsp::acquire(s.ctx, tx.size(), stats);
-    for (std::size_t i = 0; i < tx.size(); ++i) s.ctx[i] = std::conj(tx[i]);
-    dsp::convolve_same_into(s.ctx, conj_taps_, s.work2, stats);
-    const std::size_t m = std::min(cleaned.size(), s.work2.size());
-    for (std::size_t i = 0; i < m; ++i) cleaned[i] -= s.work2[i];
-  }
-  if (dc_ != cplx{0.0, 0.0})
-    for (cplx& v : cleaned) v -= dc_;
 }
 
 double cancellation_depth_db(std::span<const cplx> before,

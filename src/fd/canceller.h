@@ -58,20 +58,15 @@ class analog_canceller {
   /// samples for the same interval).
   cvec cancel(std::span<const cplx> tx, std::span<const cplx> rx) const;
 
-  /// As cancel_into(), additionally returning the residual's energy
-  /// (sum |out[i]|^2, bit-identical to dsp::energy(out) run afterwards)
-  /// fused into the cancellation store loop. The receive chain's AGC sets
-  /// its full scale from exactly this quantity; the fusion removes a full
-  /// capture-length rms read pass between the analog stage and the ADC.
+  /// As cancel(), into a reusable caller buffer, additionally returning
+  /// the residual's energy (sum |out[i]|^2, bit-identical to
+  /// dsp::energy(out) run afterwards) fused into the cancellation store
+  /// loop. The receive chain's AGC sets its full scale from exactly this
+  /// quantity; the fusion removes a full capture-length rms read pass
+  /// between the analog stage and the ADC.
   double cancel_energy_into(std::span<const cplx> tx, std::span<const cplx> rx,
                             cvec& out,
                             dsp::workspace_stats* stats = nullptr) const;
-
-  /// As cancel(), into a reusable caller buffer. The emulated leakage is
-  /// fused into the subtraction (no intermediate waveform); bit-identical
-  /// to cancel().
-  void cancel_into(std::span<const cplx> tx, std::span<const cplx> rx,
-                   cvec& out, dsp::workspace_stats* stats = nullptr) const;
 
   const cvec& taps() const { return taps_; }
   bool adapted() const { return !taps_.empty(); }
@@ -94,6 +89,13 @@ struct digital_canceller_config {
   bool remove_dc = false;
 };
 
+/// The ADC stage fused into digital_canceller::cancel_into.
+struct fused_adc {
+  const adc_config& config;
+  cvec& digitized;        ///< sized to len(in); written over the ranges
+  unsigned& clipped_any;  ///< OR-ed with the ranges' clip events
+};
+
 /// Digital cancellation stage: unconstrained LS FIR estimate of the
 /// residual self-interference channel.
 class digital_canceller {
@@ -111,63 +113,28 @@ class digital_canceller {
   void adapt(std::span<const cplx> tx, std::span<const cplx> rx,
              canceller_scratch& scratch, dsp::workspace_stats* stats = nullptr);
 
+  /// The whole of rx, cancelled (allocating convenience form of
+  /// cancel_into over one full range).
   cvec cancel(std::span<const cplx> tx, std::span<const cplx> rx) const;
 
-  /// As cancel(), into a reusable caller buffer; bit-identical to cancel().
-  void cancel_into(std::span<const cplx> tx, std::span<const cplx> rx,
-                   cvec& out, dsp::workspace_stats* stats = nullptr) const;
-
-  /// As cancel_into(), with the conj-branch intermediates (conj(tx) and its
-  /// emulation) in reusable scratch instead of per-call vectors.
-  /// Bit-identical to cancel().
-  void cancel_into(std::span<const cplx> tx, std::span<const cplx> rx,
-                   cvec& out, canceller_scratch& scratch,
+  /// The apply kernel: out[j] = in[j] - (tx * taps)[j] - (conj(tx) *
+  /// conj_taps)[j] - dc for j in `ranges` (disjoint, ascending [begin, end)
+  /// windows, clamped to len(in)); the FIR branches stop at len(tx), past
+  /// which only the DC estimate is removed. out is sized to len(in) but
+  /// only the ranges are written — samples outside them are left stale and
+  /// must not be read. Every sample is computed on its own, so any split of
+  /// the capture into ranges gives the bits of one full range {0, len(in)}.
+  ///
+  /// With `adc`, `in` is the analog waveform: the kernel quantizes each
+  /// range into adc->digitized in 256-sample chunks, each followed by its
+  /// cancellation, so the quantizer's divide chain executes while the FP
+  /// pipes chew the convolution; the result is bit-identical to
+  /// quantize_into_saturation() followed by the kernel without `adc`. The
+  /// ranges' per-axis clip events are OR-ed into adc->clipped_any.
+  void cancel_into(std::span<const cplx> tx, std::span<const cplx> in,
+                   std::span<const dsp::sample_range> ranges, cvec& out,
+                   canceller_scratch& scratch, fused_adc* adc = nullptr,
                    dsp::workspace_stats* stats = nullptr) const;
-
-  /// As cancel_into() with scratch, restricted to `ranges` (disjoint,
-  /// ascending [begin, end) windows, clamped to len(rx)): out is sized to
-  /// len(rx) but only the ranges are written with values bit-identical to
-  /// the full sweep — samples outside them are left stale and must not be
-  /// read. FFT-length channels fall back to the full sweep (the transform
-  /// touches the whole capture anyway). The receive chain passes
-  /// silent-window ∪ decoder-ROI here.
-  void cancel_ranges_into(std::span<const cplx> tx, std::span<const cplx> rx,
-                          cvec& out,
-                          std::span<const dsp::sample_range> ranges,
-                          canceller_scratch& scratch,
-                          dsp::workspace_stats* stats = nullptr) const;
-
-  /// Fused ADC + cancellation sweep: quantizes `analog` through `adc` into
-  /// `digitized` (reporting clipping in `saturated`) and subtracts this
-  /// canceller's emulated leakage into `cleaned`, in interleaved chunks so
-  /// the quantizer's divide chain executes while the FP pipes chew the
-  /// cancellation convolution. Both halves process each sample with the
-  /// exact per-element sequence of quantize_into_saturation() and
-  /// cancel_into() — any chunking is bit-identical to the two full sweeps.
-  /// Requires adapt() to have run (it reads the fitted taps).
-  void cancel_quantized_into(std::span<const cplx> tx,
-                             std::span<const cplx> analog,
-                             const adc_config& adc, cvec& digitized,
-                             cvec& cleaned, bool& saturated,
-                             canceller_scratch& scratch,
-                             dsp::workspace_stats* stats = nullptr) const;
-
-  /// As cancel_quantized_into(), restricted to `ranges` (disjoint,
-  /// ascending, clamped to len(analog)): only the ranges of `digitized` and
-  /// `cleaned` are written — bit-identical to the full sweep there — and
-  /// `saturated` reflects clip events from the ranges alone. The caller
-  /// completes the flag over the skipped regions with
-  /// saturation_scan_range (the OR reduction is order-independent, so the
-  /// combined flag equals the full sweep's). FFT-length channels fall back
-  /// to the full sweep, in which case `saturated` is already complete (and
-  /// the caller's extra scan only re-ORs a subset — still identical).
-  void cancel_quantized_ranges_into(std::span<const cplx> tx,
-                                    std::span<const cplx> analog,
-                                    const adc_config& adc, cvec& digitized,
-                                    cvec& cleaned, bool& saturated,
-                                    std::span<const dsp::sample_range> ranges,
-                                    canceller_scratch& scratch,
-                                    dsp::workspace_stats* stats = nullptr) const;
 
   const cvec& taps() const { return taps_; }
   const cvec& conjugate_taps() const { return conj_taps_; }

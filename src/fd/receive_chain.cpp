@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "dsp/fir.h"
 #include "dsp/vec_ops.h"
 #include "obs/collector.h"
 
@@ -86,10 +85,15 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   cvec& cleaned = scratch.cleaned;
   obs::timing_span chain_span(config.collector, "fd.receive_chain");
   // A degenerate adaptation window (or misaligned tx/rx) would train both
-  // cancellers on garbage and silently "cancel" the backscatter itself.
-  // Flag it and pass the input through untouched instead.
+  // cancellers on garbage and silently "cancel" the backscatter itself; a
+  // window shorter than an enabled stage's tap count has fewer rows than
+  // unknowns and cannot be fitted at all. Flag it and pass the input
+  // through untouched instead.
+  const std::size_t min_window =
+      std::max(config.enable_analog ? config.analog.n_taps : 0,
+               config.enable_digital ? config.digital.n_taps : 0);
   if (tx.size() != rx.size() || silent_begin >= silent_end ||
-      silent_end > rx.size()) {
+      silent_end > rx.size() || silent_end - silent_begin < min_window) {
     result.cancellation_bypassed = true;
     obs::count(config.collector, obs::probe::cancellation_bypassed);
     dsp::acquire(cleaned, rx.size(), scratch.stats);
@@ -106,28 +110,25 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   // is a function of the whole analog residual's energy, so a ranged
   // analog apply would change the quantization grid everywhere. Only the
   // quantize/cancel sweeps downstream of the AGC (and the residual-gain
-  // application pass) are rangeable.
+  // application pass) are rangeable; the full capture is one range.
   const std::size_t capture_len = rx.size();
   const dsp::sample_range roi{std::min(config.roi.begin, capture_len),
                               std::min(config.roi.end, capture_len)};
+  const std::array<dsp::sample_range, 1> whole{{{0, capture_len}}};
   std::array<dsp::sample_range, 2> roi_union{};
-  std::size_t n_ranges = 0;
-  if (!roi.empty())
-    n_ranges = union_ranges({silent_begin, silent_end}, roi, roi_union);
-  const std::span<const dsp::sample_range> ranges(roi_union.data(), n_ranges);
-  // The ranged kernels fall back to the full sweep for FFT-length channels
-  // (the transform touches the whole capture anyway); skip the detour so
-  // the ROI accounting below stays honest.
-  const bool fft_regime =
-      std::min(tx.size(), config.digital.n_taps) >= dsp::fft_convolve_min_taps;
-  // Full-range rules: a front-end hook mutates the whole analog-cancelled
-  // waveform, and residual-gain tracking fits whole-capture statistics, so
-  // both keep the quantize/cancel sweeps full-length. Tracking still
-  // restricts its final gain-application pass (ranged_tracker below).
-  const bool ranged_stages = n_ranges > 0 && !config.front_end_hook &&
-                             !config.track_residual_gain && !fft_regime &&
-                             (config.enable_adc || config.enable_digital);
-  const bool ranged_tracker = n_ranges > 0 && !config.front_end_hook;
+  // A front-end hook mutates the whole analog-cancelled waveform, so it
+  // keeps every pass full-range.
+  std::span<const dsp::sample_range> apply_ranges = whole;
+  if (!roi.empty() && !config.front_end_hook)
+    apply_ranges = std::span<const dsp::sample_range>(
+        roi_union.data(),
+        union_ranges({silent_begin, silent_end}, roi, roi_union));
+  // Residual-gain tracking fits whole-capture statistics, so it keeps the
+  // quantize/cancel sweeps full-length too; its final gain-application
+  // pass still runs over apply_ranges only.
+  const std::span<const dsp::sample_range> sweep_ranges =
+      config.track_residual_gain ? std::span<const dsp::sample_range>(whole)
+                                 : apply_ranges;
 
   // --- Analog stage (before the ADC) ---
   // The AGC's full-scale choice needs the analog residual's energy; the
@@ -158,18 +159,17 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   }
 
   // --- AGC + ADC ---
-  // With both the ADC and the digital stage enabled, only the adaptation
-  // window is digitized here: the rest of the capture goes through the
-  // digital stage's fused quantize+cancel sweep below, which hides the
-  // quantizer's divide chain under the cancellation convolution. Every
-  // sample still sees the identical clamp/divide/round/scale sequence, so
-  // digitized/cleaned/saturated are bit-identical to the split sweeps.
-  const bool fuse_adc_digital = config.enable_adc && config.enable_digital;
+  // With the digital stage enabled, only the adaptation window is digitized
+  // here: the sweep ranges go through the digital stage's fused
+  // quantize+cancel kernel below, which hides the quantizer's divide chain
+  // under the cancellation convolution. Every sample still sees the
+  // identical clamp/divide/round/scale sequence.
   adc_config adc = config.adc;
-  // Clip events from the regions the ranged sweeps skip (compare-only
-  // scan); OR-ed into the flag the processed ranges report, reproducing
-  // the full sweep's capture-wide OR reduction bit-for-bit.
-  unsigned complement_clip = 0;
+  // Per-axis clip events over the whole capture: a compare-only scan of
+  // the regions the sweep ranges skip (none for a full-range sweep) OR-ed
+  // with the quantized ranges' events. The OR reduction is
+  // order-independent, so the flag equals a full quantization sweep's.
+  unsigned clipped_any = 0;
   if (config.enable_adc) {
     obs::timing_span span(config.collector, "fd.adc");
     adc.full_scale =
@@ -178,41 +178,23 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
                                          after_analog.size(),
                                          config.agc_headroom)
             : agc_full_scale(after_analog, config.agc_headroom);
-    if (ranged_stages) {
-      // Saturation completeness over the skipped regions (the gaps around
-      // the silent ∪ roi union), attributed to the ADC span like the
-      // former full quantization sweep.
-      std::size_t cursor = 0;
-      for (const dsp::sample_range& r : ranges) {
-        saturation_scan_range(after_analog.data(), cursor, r.begin, adc,
-                              complement_clip);
-        cursor = r.end;
-      }
-      saturation_scan_range(after_analog.data(), cursor, capture_len, adc,
-                            complement_clip);
+    std::size_t cursor = 0;
+    for (const dsp::sample_range& r : sweep_ranges) {
+      saturation_scan_range(after_analog.data(), cursor, r.begin, adc,
+                            clipped_any);
+      cursor = r.end;
     }
-    if (fuse_adc_digital) {
-      dsp::acquire(digitized, rx.size(), scratch.stats);
-      unsigned window_clip = 0;  // recomputed over the capture sweep below
+    saturation_scan_range(after_analog.data(), cursor, capture_len, adc,
+                          clipped_any);
+    dsp::acquire(digitized, rx.size(), scratch.stats);
+    if (config.enable_digital) {
+      unsigned window_clip = 0;  // re-quantized by the fused sweep below
       quantize_range_saturation(after_analog.data(), silent_begin, silent_end,
                                 adc, digitized.data(), window_clip);
-    } else if (ranged_stages) {
-      dsp::acquire(digitized, rx.size(), scratch.stats);
-      unsigned clipped_any = complement_clip;
-      for (const dsp::sample_range& r : ranges)
+    } else {
+      for (const dsp::sample_range& r : sweep_ranges)
         quantize_range_saturation(after_analog.data(), r.begin, r.end, adc,
                                   digitized.data(), clipped_any);
-      result.adc_saturated = clipped_any != 0;
-      if (result.adc_saturated)
-        obs::count(config.collector, obs::probe::adc_saturated);
-    } else {
-      // The saturation scan is fused into the quantization sweep (one read
-      // of the capture instead of two); the flag is identical to the former
-      // standalone |I|/|Q| > full_scale scan.
-      quantize_into_saturation(after_analog, adc, digitized,
-                               result.adc_saturated, scratch.stats);
-      if (result.adc_saturated)
-        obs::count(config.collector, obs::probe::adc_saturated);
     }
   } else {
     // O(1) buffer exchange: after_analog's storage becomes next call's
@@ -229,29 +211,21 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
                     std::span(digitized).subspan(silent_begin,
                                                  silent_end - silent_begin),
                     scratch.canceller, scratch.stats);
-      if (fuse_adc_digital) {
-        if (ranged_stages) {
-          digital.cancel_quantized_ranges_into(
-              tx, after_analog, adc, digitized, cleaned, result.adc_saturated,
-              ranges, scratch.canceller, scratch.stats);
-          result.adc_saturated = result.adc_saturated || complement_clip != 0;
-        } else {
-          digital.cancel_quantized_into(tx, after_analog, adc, digitized,
-                                        cleaned, result.adc_saturated,
-                                        scratch.canceller, scratch.stats);
-        }
-        if (result.adc_saturated)
-          obs::count(config.collector, obs::probe::adc_saturated);
-      } else if (ranged_stages) {
-        digital.cancel_ranges_into(tx, digitized, cleaned, ranges,
-                                   scratch.canceller, scratch.stats);
-      } else {
-        digital.cancel_into(tx, digitized, cleaned, scratch.canceller,
-                            scratch.stats);
-      }
+      // With the ADC enabled the kernel quantizes the analog residual
+      // itself; without it, digitized already holds that residual.
+      fused_adc fused{adc, digitized, clipped_any};
+      digital.cancel_into(tx, config.enable_adc ? after_analog : digitized,
+                          sweep_ranges, cleaned, scratch.canceller,
+                          config.enable_adc ? &fused : nullptr,
+                          scratch.stats);
     } else {
       std::swap(cleaned, digitized);
     }
+  }
+  if (config.enable_adc) {
+    result.adc_saturated = clipped_any != 0;
+    if (result.adc_saturated)
+      obs::count(config.collector, obs::probe::adc_saturated);
   }
 
   // --- Residual gain tracking (see receive_chain_config) ---
@@ -328,10 +302,6 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
     // each a pure function of its own index — so it honours the roi when
     // one is set: samples outside silent ∪ roi stay pass-1-corrected,
     // which the roi contract marks unreadable anyway.
-    const std::array<dsp::sample_range, 1> full_range{{{0, n}}};
-    const std::span<const dsp::sample_range> apply_ranges =
-        ranged_tracker ? ranges
-                       : std::span<const dsp::sample_range>(full_range);
     for (const dsp::sample_range& ar : apply_ranges) {
       const std::size_t end = std::min(ar.end, n);
       for (std::size_t i = ar.begin; i < end; ++i) {
@@ -370,10 +340,12 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   // pre-ROI chain. runtime.*-prefixed gauges are excluded from the
   // deterministic telemetry digests by convention.
   if (!roi.empty()) {
+    // With neither the ADC nor the digital stage the whole capture passes
+    // through.
     std::size_t processed = capture_len;
-    if (ranged_stages) {
+    if (config.enable_adc || config.enable_digital) {
       processed = 0;
-      for (const dsp::sample_range& r : ranges) processed += r.size();
+      for (const dsp::sample_range& r : sweep_ranges) processed += r.size();
     }
     result.roi_samples_processed = processed;
     result.roi_samples_skipped = capture_len - processed;

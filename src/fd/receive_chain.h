@@ -104,9 +104,11 @@ struct receive_chain_result {
   double total_depth_db = 0.0;    ///< SI suppression of both stages
   double residual_power = 0.0;    ///< mean residual power in the silent window
   bool adc_saturated = false;     ///< clipping detected at the ADC
-  /// Set when the adaptation window was degenerate (empty/reversed/past the
-  /// buffer, or tx/rx misaligned): no stage adapted, `cleaned` is the raw
-  /// rx, and the depths are zero. Callers must not trust the cancellation.
+  /// Set when the adaptation window was degenerate (empty, reversed, past
+  /// the buffer, or shorter than the tap count of an enabled canceller
+  /// stage) or tx/rx were misaligned: no stage adapted, `cleaned` is the
+  /// raw rx, and the depths are zero. Callers must not trust the
+  /// cancellation.
   bool cancellation_bypassed = false;
   /// ROI accounting (meaningful only when config.roi was set): capture
   /// samples that went through the quantize/cancel sweeps vs. samples
@@ -134,8 +136,9 @@ struct receive_chain_scratch {
 
 /// Adapt on rx[silent_begin, silent_end) against the aligned tx samples and
 /// clean the entire rx buffer. tx and rx must be time-aligned and equally
-/// long; a degenerate silent window or misaligned buffers return a flagged
-/// pass-through result instead of adapting on garbage.
+/// long; a degenerate silent window (see cancellation_bypassed, including
+/// one too short to fit an enabled stage's taps) or misaligned buffers
+/// return a flagged pass-through result instead of adapting on garbage.
 ///
 /// With `scratch == nullptr` the cleaned waveform is returned in
 /// result.cleaned. With a scratch, every intermediate waveform lives in it

@@ -1,17 +1,13 @@
-// Equivalence suite for the size-dispatched FIR least-squares builders.
+// Equivalence suite for the FIR least-squares normal-equations kernel.
 //
 // The contract under test (dsp/linalg_kernels.h):
 //  - vectorized build == scalar seed build, bit for bit, at every size;
-//  - correlation-form build == scalar seed build to tolerance (its Toeplitz
-//    recurrence reassociates each entry's sum, trading one rounding sequence
-//    for another — the only kernel in this family that changes accumulation
-//    order, which is why the dispatch thresholds keep the in-simulation
-//    5-8-tap fits off it);
 //  - the workspace build/factor/solve split, RHS-only rebuilds, and the
 //    derived conj-branch Gram reproduce the one-shot fits they replace.
 #include "dsp/linalg_kernels.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -54,9 +50,11 @@ void reference_normal_equations(const cvec& x, const cvec& y,
 TEST(LinalgKernelsTest, VectorizedBuildMatchesScalarBitExactly) {
   rng gen(901);
   // Odd window lengths on purpose: they exercise the scalar tails of the
-  // two-entry lane pairing at every alignment.
-  for (const std::size_t n : {std::size_t{33}, std::size_t{97}, std::size_t{313},
-                              std::size_t{601}}) {
+  // two-entry lane pairing at every alignment. 19 and 20 are the tiny,
+  // edge-dominated windows (fewer usable rows than a wide filter's taps).
+  for (const std::size_t n :
+       {std::size_t{19}, std::size_t{20}, std::size_t{33}, std::size_t{97},
+        std::size_t{313}, std::size_t{601}}) {
     for (std::size_t n_taps = 1; n_taps <= 16; ++n_taps) {
       if (n < n_taps) continue;
       const cvec x = random_vec(gen, n);
@@ -77,83 +75,36 @@ TEST(LinalgKernelsTest, VectorizedBuildMatchesScalarBitExactly) {
   }
 }
 
-TEST(LinalgKernelsTest, CorrelationBuildMatchesScalarToTolerance) {
-  rng gen(902);
-  for (const std::size_t n : {std::size_t{201}, std::size_t{513}}) {
-    for (std::size_t n_taps = 1; n_taps <= 16; ++n_taps) {
-      const cvec x = random_vec(gen, n);
-      const cvec y = random_vec(gen, n);
-      cvec ref_gram, ref_rhs;
-      reference_normal_equations(x, y, n_taps, ref_gram, ref_rhs);
-
-      cvec gram(n_taps * n_taps), rhs(n_taps);
-      detail::fir_normal_equations_correlation(x.data(), n, y.data(), n_taps,
-                                               gram.data(), rhs.data());
-      const double scale = std::abs(ref_gram[0]);
-      for (std::size_t k = 0; k < gram.size(); ++k)
-        ASSERT_NEAR(std::abs(gram[k] - ref_gram[k]), 0.0, 1e-9 * scale)
-            << "gram n=" << n << " taps=" << n_taps << " k=" << k;
-      // The RHS build is shared with the vectorized path: bit-identical.
-      for (std::size_t k = 0; k < rhs.size(); ++k)
-        ASSERT_EQ(rhs[k], ref_rhs[k]) << "rhs taps=" << n_taps << " k=" << k;
-    }
-  }
-}
-
-TEST(LinalgKernelsTest, ForcedPathsAgreeOnTaps) {
-  rng gen(903);
-  // Full-fit comparison across every builder, including edge-dominated tiny
-  // windows (m barely above n_taps) and ridge 0 vs 1e-6.
-  for (const std::size_t n : {std::size_t{19}, std::size_t{41}, std::size_t{257},
-                              std::size_t{511}}) {
-    for (const std::size_t n_taps :
-         {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{8},
-          std::size_t{13}, std::size_t{16}}) {
-      if (n < n_taps + 4) continue;
-      for (const double ridge : {0.0, 1e-6}) {
-        // An edge-dominated window with fewer usable rows than taps is
-        // rank-deficient; it is only solvable with the ridge on.
-        if (ridge == 0.0 && n - (n_taps - 1) < n_taps) continue;
-        const cvec x = random_vec(gen, n);
-        const cvec y = random_vec(gen, n);
-
-        cvec taps_scalar, taps_vec, taps_corr;
-        fir_ls_workspace w;
-        detail::estimate_fir_least_squares_with_path(
-            x, y, n_taps, ridge, fir_ls_path::scalar, taps_scalar, w);
-        detail::estimate_fir_least_squares_with_path(
-            x, y, n_taps, ridge, fir_ls_path::vectorized, taps_vec, w);
-        detail::estimate_fir_least_squares_with_path(
-            x, y, n_taps, ridge, fir_ls_path::correlation, taps_corr, w);
-
-        for (std::size_t k = 0; k < n_taps; ++k) {
-          ASSERT_EQ(taps_vec[k], taps_scalar[k])
-              << "vectorized n=" << n << " taps=" << n_taps << " k=" << k;
-          ASSERT_NEAR(std::abs(taps_corr[k] - taps_scalar[k]), 0.0, 1e-7)
-              << "correlation n=" << n << " taps=" << n_taps << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
 TEST(LinalgKernelsTest, DispatchedFitMatchesSeedImplementationBitExactly) {
   rng gen(904);
-  // Whatever path the size dispatch picks must reproduce the allocating
-  // seed API bitwise for in-simulation shapes (the pinned-literal contract).
+  // The production fit must reproduce the seed solve bitwise for
+  // in-simulation shapes and tiny windows (the pinned-literal contract):
+  // seed Gram/RHS, ridge scaled by the first column's energy, Cholesky.
   for (const auto& [n, n_taps] :
        {std::pair<std::size_t, std::size_t>{320, 5},
         {320, 6}, {320, 8}, {600, 5}, {20, 3}, {16, 8}}) {
     const cvec x = random_vec(gen, n);
     const cvec y = random_vec(gen, n);
-    const cvec seed = estimate_fir_least_squares(x, y, n_taps, 1e-9);
+    cvec ref_gram, ref_rhs;
+    reference_normal_equations(x, y, n_taps, ref_gram, ref_rhs);
+    double col_energy = 0.0;
+    for (std::size_t t = n_taps - 1; t < n; ++t) col_energy += std::norm(x[t]);
+    cmatrix gram(n_taps, n_taps);
+    std::copy(ref_gram.begin(), ref_gram.end(), gram.data());
+    for (std::size_t i = 0; i < n_taps; ++i)
+      gram(i, i) += 1e-9 * std::max(col_energy, 1e-30);
+    const cvec seed = solve_hermitian_positive_definite(gram, ref_rhs);
 
+    const cvec fit = estimate_fir_least_squares(x, y, n_taps, 1e-9);
     cvec taps;
     fir_ls_workspace w;
     estimate_fir_least_squares_into(x, y, n_taps, 1e-9, taps, w);
+    ASSERT_EQ(fit.size(), seed.size());
     ASSERT_EQ(taps.size(), seed.size());
-    for (std::size_t k = 0; k < n_taps; ++k)
+    for (std::size_t k = 0; k < n_taps; ++k) {
+      ASSERT_EQ(fit[k], seed[k]) << "n=" << n << " taps=" << n_taps;
       ASSERT_EQ(taps[k], seed[k]) << "n=" << n << " taps=" << n_taps;
+    }
   }
 }
 
@@ -223,22 +174,6 @@ TEST(LinalgKernelsTest, WorkspaceFactorRejectsNonPositiveDefinite) {
   fir_ls_workspace w;
   fir_ls_build(x, y, 4, w);
   EXPECT_THROW(fir_ls_factor(w, 0.0), std::runtime_error);
-}
-
-TEST(LinalgKernelsTest, DispatchCountersTrackPathSelection) {
-  reset_fir_ls_dispatch_counts();
-  rng gen(907);
-  const cvec big_x = random_vec(gen, 400), big_y = random_vec(gen, 400);
-  const cvec small_x = random_vec(gen, 20), small_y = random_vec(gen, 20);
-
-  estimate_fir_least_squares(small_x, small_y, 4, 1e-9);   // m=17 -> scalar
-  estimate_fir_least_squares(big_x, big_y, 6, 1e-9);       // -> vectorized
-  estimate_fir_least_squares(big_x, big_y, 14, 1e-9);      // -> correlation
-
-  const fir_ls_counts c = fir_ls_dispatch_counts();
-  EXPECT_EQ(c.scalar, 1u);
-  EXPECT_EQ(c.vectorized, 1u);
-  EXPECT_EQ(c.correlation, 1u);
 }
 
 TEST(LinalgKernelsTest, AllFiniteWindowMatchesScalarPredicate) {

@@ -1,6 +1,8 @@
 #include "fd/canceller.h"
 
 #include <gtest/gtest.h>
+#include <array>
+#include <string>
 
 #include "channel/awgn.h"
 #include "channel/multipath.h"
@@ -143,36 +145,68 @@ TEST(CancellerTest, AdaptingDuringBackscatterCancelsIt) {
 }
 
 TEST(DigitalCancellerTest, FusedQuantizeCancelMatchesSplitSweepsBitExactly) {
-  // cancel_quantized_into interleaves the ADC sweep with the cancellation
-  // convolution in chunks; every sample must still carry the exact bits of
-  // quantize_into_saturation() followed by cancel_into(). Cover the plain
-  // linear fit and the widely-linear + DC configuration (conj/dc branches
-  // run as element-wise tails over the fused output).
+  // The apply kernel with the ADC fused in interleaves the quantizer with
+  // the cancellation convolution in chunks; every sample must still carry
+  // the exact bits of quantize_into_saturation() followed by the kernel
+  // without the ADC. Two disjoint ranges must reproduce the full range
+  // in-range, with and without the ADC, and a tx shorter than rx must pass
+  // the tail through. Cover the plain linear fit and the widely-linear + DC
+  // configuration (conj/dc branches run as element-wise tails).
   for (const bool wl : {false, true}) {
-    const si_scenario s = make_scenario(wl ? 31 : 30);
-    digital_canceller d({.n_taps = 8, .widely_linear = wl, .remove_dc = wl});
-    canceller_scratch scratch;
-    // Adapt on a pre-quantized silent window, as the receive chain does.
-    const adc_config adc{.bits = 12, .full_scale = agc_full_scale(s.rx)};
-    cvec reference_digitized;
-    bool reference_saturated = false;
-    quantize_into_saturation(s.rx, adc, reference_digitized,
-                             reference_saturated);
-    d.adapt(std::span(s.tx).first(320),
-            std::span<const cplx>(reference_digitized).first(320), scratch);
-    cvec reference_cleaned;
-    d.cancel_into(s.tx, reference_digitized, reference_cleaned, scratch);
+    for (const std::size_t tx_cut : {std::size_t{0}, std::size_t{300}}) {
+      const si_scenario s = make_scenario(wl ? 31 : 30);
+      const std::size_t n = s.rx.size();
+      const auto tx = std::span<const cplx>(s.tx).first(n - tx_cut);
+      digital_canceller d({.n_taps = 8, .widely_linear = wl, .remove_dc = wl});
+      canceller_scratch scratch;
+      // Adapt on a pre-quantized silent window, as the receive chain does.
+      const adc_config adc{.bits = 12, .full_scale = agc_full_scale(s.rx)};
+      cvec reference_digitized;
+      bool reference_saturated = false;
+      quantize_into_saturation(s.rx, adc, reference_digitized,
+                               reference_saturated);
+      d.adapt(tx.first(320),
+              std::span<const cplx>(reference_digitized).first(320), scratch);
+      const std::array<dsp::sample_range, 1> whole{{{0, n}}};
+      cvec reference_cleaned;
+      d.cancel_into(tx, reference_digitized, whole, reference_cleaned,
+                    scratch);
+      ASSERT_EQ(reference_cleaned.size(), n);
+      const cvec allocated = d.cancel(tx, reference_digitized);
+      ASSERT_EQ(allocated, reference_cleaned);
+      if (!wl) {  // no DC estimate: past the end of tx the input passes through
+        for (std::size_t i = tx.size(); i < n; ++i)
+          ASSERT_EQ(reference_cleaned[i], reference_digitized[i]) << i;
+      }
 
-    cvec digitized, cleaned;
-    bool saturated = true;  // must be overwritten
-    d.cancel_quantized_into(s.tx, s.rx, adc, digitized, cleaned, saturated,
-                            scratch);
-    EXPECT_EQ(saturated, reference_saturated);
-    ASSERT_EQ(digitized.size(), reference_digitized.size());
-    ASSERT_EQ(cleaned.size(), reference_cleaned.size());
-    for (std::size_t i = 0; i < cleaned.size(); ++i) {
-      ASSERT_EQ(digitized[i], reference_digitized[i]) << "wl " << wl << " @" << i;
-      ASSERT_EQ(cleaned[i], reference_cleaned[i]) << "wl " << wl << " @" << i;
+      // The second range straddles the end of tx when it is cut.
+      const std::array<dsp::sample_range, 2> split{{{37, 700}, {n - 500, n}}};
+      for (const std::span<const dsp::sample_range> ranges :
+           {std::span<const dsp::sample_range>(whole),
+            std::span<const dsp::sample_range>(split)}) {
+        cvec digitized, cleaned, ranged;
+        unsigned clipped = 0;
+        fused_adc fused{adc, digitized, clipped};
+        d.cancel_into(tx, s.rx, ranges, cleaned, scratch, &fused);
+        d.cancel_into(tx, reference_digitized, ranges, ranged, scratch);
+        if (ranges.size() == 1) {
+          EXPECT_EQ(clipped != 0, reference_saturated);
+        }
+        ASSERT_EQ(digitized.size(), n);
+        ASSERT_EQ(cleaned.size(), n);
+        ASSERT_EQ(ranged.size(), n);
+        for (const dsp::sample_range& r : ranges) {
+          for (std::size_t i = r.begin; i < r.end; ++i) {
+            const std::string at = "wl " + std::to_string(wl) + " cut " +
+                                   std::to_string(tx_cut) + " ranges " +
+                                   std::to_string(ranges.size()) + " @" +
+                                   std::to_string(i);
+            ASSERT_EQ(digitized[i], reference_digitized[i]) << at;
+            ASSERT_EQ(cleaned[i], reference_cleaned[i]) << at;
+            ASSERT_EQ(ranged[i], reference_cleaned[i]) << at;
+          }
+        }
+      }
     }
   }
 }

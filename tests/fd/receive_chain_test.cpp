@@ -82,12 +82,15 @@ TEST(ReceiveChainTest, CleanedBufferKeepsLength) {
 
 TEST(ReceiveChainTest, DegenerateSilentWindowBypassesCancellation) {
   const chain_scenario s = make_scenario(6);
-  // Empty, reversed and past-the-end windows must all flag a bypass and
-  // pass the input through untouched instead of adapting on garbage.
+  // Empty, reversed, past-the-end and shorter-than-the-taps windows (3 < 6
+  // analog taps, 7 < 8 digital taps) must all flag a bypass and pass the
+  // input through untouched instead of adapting on garbage.
   for (const auto& [begin, end] :
        {std::pair<std::size_t, std::size_t>{100, 100},
         {320, 100},
-        {0, s.rx.size() + 1}}) {
+        {0, s.rx.size() + 1},
+        {100, 103},
+        {100, 107}}) {
     const auto result = run_receive_chain(s.tx, s.rx, begin, end, {});
     EXPECT_TRUE(result.cancellation_bypassed);
     EXPECT_EQ(result.analog_depth_db, 0.0);
@@ -168,6 +171,95 @@ TEST(ReceiveChainTest, ScratchPathBitIdenticalToAllocatingPath) {
     run_receive_chain(s.tx, s.rx, 0, 320, cfg, &scratch);
     EXPECT_EQ(stats.bytes_allocated, allocated);
     EXPECT_GT(stats.bytes_reused, 0u);
+  }
+}
+
+std::uint64_t fnv1a_bytes(const cvec& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(cplx); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The full-range chain (no roi) pinned as literals over every stage toggle
+// and the hardening options: FNV-1a 64 over the cleaned waveform's bytes
+// plus the exact depths, residual power and saturation flag. Any change to
+// the quantize/cancel sweeps that moves a single output bit fails here.
+TEST(ReceiveChainTest, FullRangeOutputsPinned) {
+  struct pinned {
+    std::uint64_t cleaned_fnv;
+    double analog_depth_db;
+    double total_depth_db;
+    double residual_power;
+    bool adc_saturated;
+  };
+  constexpr std::size_t kConfigs = 7;
+  const auto make_config = [](std::size_t c) {
+    receive_chain_config cfg;
+    switch (c) {
+      case 1:  // widely-linear + DC
+      case 2:  // ... + residual-gain tracking
+        cfg.digital.widely_linear = true;
+        cfg.digital.remove_dc = true;
+        cfg.track_residual_gain = c == 2;
+        break;
+      case 3:
+        cfg.front_end_hook = [](std::span<cplx> v) {
+          for (cplx& x : v) x *= 0.5;
+        };
+        break;
+      case 4: cfg.enable_adc = false; break;
+      case 5: cfg.enable_digital = false; break;
+      case 6: cfg.enable_analog = false; break;
+      default: break;
+    }
+    return cfg;
+  };
+  // Hex-float literals: exact, no decimal round trip.
+  const pinned want[2][kConfigs] = {
+      {{0xad75a1e137b5869bULL, 0x1.3ba8540916e1ep+5, 0x1.79d076d07f158p+6,
+        0x1.f8c338421cdeap-39, false},
+       {0x737a71e8c8ccfa90ULL, 0x1.3ba8540916e1ep+5, 0x1.79d14192435dep+6,
+        0x1.f8ac3562121b5p-39, false},
+       {0x004fa1cfe571f0dfULL, 0x1.3ba8540916e1ep+5, 0x1.79f31c8ae4e94p+6,
+        0x1.f4d8669d20c76p-39, false},
+       {0xf32a15f0dddcccc3ULL, 0x1.3ba8540916e1ep+5, 0x1.91e58ef5466ep+6,
+        0x1.f8c338421cdeap-41, false},
+       {0x76dc1666dc7944bbULL, 0x1.3ba8540916e1ep+5, 0x1.7cf478a74341bp+6,
+        0x1.a547acdc53a3dp-39, false},
+       {0x5c8b326f534c4276ULL, 0x1.3ba8540916e1ep+5, 0x1.3ba8993b3f70ep+5,
+        0x1.30303d873fb26p-20, false},
+       {0x91cf333bc29458feULL, 0x0p+0, 0x1.f283d0285b72ep+5,
+        0x1.9358d52497322p-28, false}},
+      {{0xc881d43c47a2410fULL, 0x1.481192353dcf9p+5, 0x1.79e2909e21348p+6,
+        0x1.f9fb9c9a81be8p-39, false},
+       {0x8febf2f0a66ca5b9ULL, 0x1.481192353dcf9p+5, 0x1.79e99f6b04d7bp+6,
+        0x1.f92e342ed694ap-39, false},
+       {0x993314ed0d3e383bULL, 0x1.481192353dcf9p+5, 0x1.7a01affe04dd7p+6,
+        0x1.f6744749eda72p-39, false},
+       {0x84e31fbf896b2896ULL, 0x1.481192353dcf9p+5, 0x1.91f7a8c2e88dp+6,
+        0x1.f9fb9c9a81be8p-41, false},
+       {0xef8ca3de500cbde9ULL, 0x1.481192353dcf9p+5, 0x1.7c8e6094b32c8p+6,
+        0x1.b1de1d46067cbp-39, false},
+       {0x840a5bd2125be094ULL, 0x1.481192353dcf9p+5, 0x1.481270bd83543p+5,
+        0x1.ac5f33632fc3bp-21, false},
+       {0xb38808e7d456bb63ULL, 0x0p+0, 0x1.f9934060ba6afp+5,
+        0x1.4b50aecf9a8fbp-28, false}},
+  };
+  for (std::size_t si = 0; si < 2; ++si) {
+    const chain_scenario s = make_scenario(si + 1);
+    for (std::size_t c = 0; c < kConfigs; ++c) {
+      const auto r = run_receive_chain(s.tx, s.rx, 0, 320, make_config(c));
+      const pinned& w = want[si][c];
+      EXPECT_EQ(fnv1a_bytes(r.cleaned), w.cleaned_fnv) << si << "/" << c;
+      EXPECT_EQ(r.analog_depth_db, w.analog_depth_db) << si << "/" << c;
+      EXPECT_EQ(r.total_depth_db, w.total_depth_db) << si << "/" << c;
+      EXPECT_EQ(r.residual_power, w.residual_power) << si << "/" << c;
+      EXPECT_EQ(r.adc_saturated, w.adc_saturated) << si << "/" << c;
+    }
   }
 }
 

@@ -218,6 +218,31 @@ TEST(StreamSession, FinishDrainsPacketsPushedAtShutdown) {
   }
 }
 
+// A schedule whose silent window is shorter than the canceller taps passes
+// the session's checks (only wake_end <= silent_end is required). The chain
+// must bypass cancellation for it; a throw from the fit would escape the
+// 2-thread worker, which has no handler, and terminate the process.
+TEST(StreamSession, ShortSilentWindowBypassesCancellation) {
+  const stream_scenario_config cfg = fast_stream_scenario(4, 2);
+  stream_capture cap = build_stream_capture(cfg);
+  for (reader::stream_packet& p : cap.schedule) p.silent_end = p.wake_end + 3;
+
+  reader::stream_config scfg;
+  scfg.tag = cfg.scenario.tag;
+  scfg.decoder = cfg.scenario.decoder;
+  scfg.chain = cfg.scenario.chain;
+  scfg.emit_stream_metrics = false;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    scfg.threads = threads;
+    reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
+    session.finish();
+    ASSERT_EQ(session.results().size(), cap.schedule.size());
+    for (const reader::stream_packet_result& r : session.results())
+      EXPECT_TRUE(r.chain.cancellation_bypassed)
+          << threads << " threads, packet " << r.index;
+  }
+}
+
 TEST(StreamSession, MalformedScheduleThrows) {
   const cvec x(64, cplx{0.0, 0.0});
   const cvec y(64, cplx{0.0, 0.0});
