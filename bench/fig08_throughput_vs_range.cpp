@@ -18,9 +18,9 @@ namespace {
 
 using namespace backfi;
 
-// Paper-scale trial count; affordable now that find_max_goodput flattens
-// each speculative wave's (point x trial) grid through the sweep
-// scheduler, and cheaper still under the adaptive rerun below.
+// Paper-scale trial count; affordable because find_max_goodput runs each
+// examined point's trials across every lane of the sweep scheduler, and
+// cheaper still under the adaptive rerun below.
 constexpr int kTrials = 40;
 
 sim::scenario_config base_scenario(std::size_t preamble_us) {

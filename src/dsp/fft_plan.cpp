@@ -14,7 +14,7 @@ namespace backfi::dsp {
 namespace {
 
 // Ping-pong scratch for the out-of-place Stockham stages. Thread-local so
-// plans can execute concurrently from sim::parallel_for workers.
+// plans can execute concurrently from sim::sweep_for workers.
 thread_local std::vector<double> tl_stockham_scratch;
 
 // DIF Stockham radix-4 autosort with a radix-2 tail when log2(n) is odd.

@@ -6,7 +6,7 @@
 // tables, the bit-reversal permutation, and — for large transforms — the
 // Stockham stage tables. Plans are immutable after construction and shared
 // process-wide through `get_fft_plan`, so they are safe to use from the
-// sim::parallel_for worker threads.
+// sim::sweep_for worker threads.
 //
 // Two execution paths, chosen by size:
 //  - n <= fft_compat_size_limit: tabled radix-2 whose butterflies are

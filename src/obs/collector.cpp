@@ -1,6 +1,5 @@
 #include "obs/collector.h"
 
-#include <algorithm>
 #include <string>
 
 namespace backfi::obs {
@@ -135,11 +134,10 @@ collector_fork::collector_fork(collector* parent, std::size_t n)
   for (auto& child : children_) child = std::make_unique<collector>();
 }
 
-void collector_fork::join(std::size_t first_n) {
+void collector_fork::join() {
   if (!parent_) return;
-  const std::size_t n = std::min(first_n, children_.size());
   // Index order, always: this is the determinism contract.
-  for (std::size_t i = 0; i < n; ++i) parent_->merge(*children_[i]);
+  for (const auto& child : children_) parent_->merge(*child);
   children_.clear();
   parent_ = nullptr;
 }

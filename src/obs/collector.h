@@ -110,11 +110,6 @@ class timing_span {
 /// back into the parent in index order by join(). With a null parent the
 /// fork is inert (child() returns nullptr, join() is a no-op), so the
 /// parallel loops pay nothing when collection is off.
-///
-/// join(first_n) merges only children [0, first_n) — used by speculative
-/// evaluators (sim::find_max_goodput) to fold in exactly the indices the
-/// serial semantics consumed, keeping the merged telemetry independent of
-/// the speculation width (and therefore of the thread count).
 class collector_fork {
  public:
   collector_fork(collector* parent, std::size_t n);
@@ -123,7 +118,7 @@ class collector_fork {
     return parent_ ? children_[i].get() : nullptr;
   }
 
-  void join(std::size_t first_n = static_cast<std::size_t>(-1));
+  void join();
 
  private:
   collector* parent_;

@@ -36,15 +36,12 @@ struct excitation {
   phy::bitvec wake_preamble;
 };
 
-/// Build the excitation for one backscatter opportunity. Two process-wide
-/// caches serve repeated shapes: the prefix cache (wake preamble + WiFi
-/// legacy preamble + SIGNAL, keyed on (tag_id, wake_bits, rate,
-/// ppdu_bytes)) and the full-synthesis replay cache (the complete
-/// waveform including the payload symbols, keyed additionally on
-/// (payload_seed, n_ppdus)), so repeated-seed sweeps pay payload synthesis
-/// once per key. Cache hits are bitwise identical to fresh synthesis;
-/// budget BACKFI_EXCITATION_CACHE_MB (MiB, default 64, 0 disables the
-/// full-synthesis cache — the prefix cache is always on).
+/// Build the excitation for one backscatter opportunity. A process-wide
+/// full-synthesis replay cache serves repeated configs: it holds the
+/// complete waveform, keyed on (tag_id, wake_bits, rate, ppdu_bytes,
+/// payload_seed, n_ppdus), so repeated-seed sweeps pay synthesis once per
+/// key. Cache hits are bitwise identical to fresh synthesis; budget
+/// BACKFI_EXCITATION_CACHE_MB (MiB, default 64, 0 disables the cache).
 excitation build_excitation(const excitation_config& config);
 
 /// As build_excitation(), recycling the caller's excitation buffers across

@@ -11,8 +11,6 @@
 #include "dsp/vec_ops.h"
 #include "phy/constellation.h"
 #include "reader/stream_session.h"
-#include "sim/parallel.h"
-#include "sim/scheduler.h"
 #include "sim/synthesis.h"
 #include "tag/wake_detector.h"
 
@@ -150,11 +148,6 @@ double oracle_post_mrc_snr_db(std::span<const cplx> x,
 trial_workspace& local_trial_workspace() {
   thread_local trial_workspace workspace;
   return workspace;
-}
-
-trial_batch& local_trial_batch() {
-  thread_local trial_batch batch;
-  return batch;
 }
 
 trial_result run_backscatter_trial(const scenario_config& config) {
@@ -371,151 +364,6 @@ trial_result run_backscatter_trial(const scenario_config& config,
 
   report_workspace_gauges(c, ws.stats);
   return result;
-}
-
-double packet_error_rate(const scenario_config& config, int trials) {
-  validate_or_throw(config, "packet_error_rate");
-  if (trials <= 0) return 0.0;
-  // Each trial's seed depends only on (base seed, trial index) and each
-  // trial fills its own slot; the index-ordered reduction (and the
-  // index-ordered collector join) keeps the result — telemetry included —
-  // bit-identical to the serial loop at any thread count. Execution goes
-  // through the work-stealing sweep scheduler; its deterministic counters
-  // (sim.scheduler.*) are reported on the parent after the join.
-  const std::size_t n = static_cast<std::size_t>(trials);
-  obs::collector_fork fork(config.collector, n);
-  std::vector<std::uint8_t> failed(n, 0);
-  const sweep_stats stats =
-      sweep_for_ranges(n, [&](std::size_t begin, std::size_t end) {
-        // trial_batch: one scenario copy per claimed chunk; only the
-        // per-trial seed and collector change between trials.
-        scenario_config& c = local_trial_batch().scratch;
-        c = config;
-        for (std::size_t t = begin; t < end; ++t) {
-          c.seed = derive_trial_seed(config.seed, t);
-          c.collector = fork.child(t);
-          const trial_result r = run_backscatter_trial(c);
-          failed[t] = (!r.crc_ok || r.bit_errors != 0) ? 1 : 0;
-        }
-      });
-  fork.join();
-  report_sweep_stats(config.collector, stats);
-  int failures = 0;
-  for (const std::uint8_t f : failed) failures += f;
-  return static_cast<double>(failures) / static_cast<double>(trials);
-}
-
-double wilson_halfwidth(int failures, int trials, double z) {
-  if (trials <= 0) return 1.0;
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(failures) / n;
-  const double z2 = z * z;
-  return (z / (1.0 + z2 / n)) *
-         std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
-}
-
-std::vector<per_estimate> packet_error_rates_adaptive(
-    std::span<const scenario_config> configs, const per_options& options,
-    obs::collector* collector) {
-  for (const scenario_config& config : configs)
-    validate_or_throw(config, "packet_error_rates_adaptive");
-  std::vector<per_estimate> out(configs.size());
-  if (configs.empty() || options.max_trials <= 0) return out;
-  const int max_trials = options.max_trials;
-  const int min_trials = std::clamp(options.min_trials, 1, max_trials);
-  const int batch = std::max(options.batch, 1);
-  const bool adaptive = options.target_ci_halfwidth > 0.0;
-
-  // Round loop: every live point contributes its next `batch` trial
-  // indices to one flattened sweep, then the stopping rule replays the
-  // committed outcome prefix of each point in index order. The round
-  // composition is a pure function of (configs, options) and the
-  // deterministic trial outcomes, so every quantity below — including the
-  // telemetry merge order — is independent of the thread count.
-  struct round_task {
-    std::size_t point;
-    int trial;
-  };
-  std::vector<std::uint8_t> live(configs.size(), 1);
-  std::vector<round_task> round;
-  std::vector<std::uint8_t> failed;
-  for (;;) {
-    round.clear();
-    for (std::size_t p = 0; p < configs.size(); ++p) {
-      if (!live[p]) continue;
-      const int end = std::min(out[p].trials_run + batch, max_trials);
-      for (int t = out[p].trials_run; t < end; ++t) round.push_back({p, t});
-    }
-    if (round.empty()) break;
-    obs::collector_fork fork(collector, round.size());
-    failed.assign(round.size(), 0);
-    const sweep_stats stats = sweep_for_ranges(
-        round.size(), [&](std::size_t begin, std::size_t end) {
-          // Rounds are laid out point-major, so a chunk is almost always
-          // same-point trials: the batch re-copies the scenario only at
-          // point boundaries and mutates seed/collector in between.
-          trial_batch& batch = local_trial_batch();
-          batch.point = static_cast<std::size_t>(-1);
-          for (std::size_t k = begin; k < end; ++k) {
-            const round_task task = round[k];
-            if (task.point != batch.point) {
-              batch.scratch = configs[task.point];
-              batch.point = task.point;
-            }
-            scenario_config& c = batch.scratch;
-            c.seed = derive_trial_seed(configs[task.point].seed,
-                                       static_cast<std::uint64_t>(task.trial));
-            c.collector = fork.child(k);
-            const trial_result r = run_backscatter_trial(c);
-            failed[k] = (!r.crc_ok || r.bit_errors != 0) ? 1 : 0;
-          }
-        });
-    fork.join();
-    report_sweep_stats(collector, stats);
-    // Commit the round in (point, trial) order, then apply the stopping
-    // rule at the new batch boundary of every live point.
-    for (std::size_t k = 0; k < round.size(); ++k) {
-      per_estimate& e = out[round[k].point];
-      e.failures += failed[k];
-      ++e.trials_run;
-    }
-    for (std::size_t p = 0; p < configs.size(); ++p) {
-      if (!live[p]) continue;
-      per_estimate& e = out[p];
-      e.ci_halfwidth = wilson_halfwidth(e.failures, e.trials_run, options.z);
-      if (adaptive && e.trials_run >= min_trials && e.trials_run < max_trials &&
-          e.ci_halfwidth <= options.target_ci_halfwidth) {
-        e.early_stopped = true;
-        live[p] = 0;
-      } else if (e.trials_run >= max_trials) {
-        live[p] = 0;
-      }
-    }
-  }
-  std::uint64_t trials_run = 0, trials_saved = 0, early_stops = 0;
-  for (per_estimate& e : out) {
-    e.per = e.trials_run > 0 ? static_cast<double>(e.failures) /
-                                   static_cast<double>(e.trials_run)
-                             : 0.0;
-    trials_run += static_cast<std::uint64_t>(e.trials_run);
-    trials_saved += static_cast<std::uint64_t>(max_trials - e.trials_run);
-    early_stops += e.early_stopped ? 1 : 0;
-  }
-  if (collector) {
-    // Deterministic adaptive telemetry: depends only on the config and the
-    // deterministic outcome sequences, never on the thread count.
-    collector->add_counter("sim.adaptive.points", configs.size());
-    collector->add_counter("sim.adaptive.trials_run", trials_run);
-    collector->add_counter("sim.adaptive.trials_saved", trials_saved);
-    collector->add_counter("sim.adaptive.early_stops", early_stops);
-  }
-  return out;
-}
-
-per_estimate packet_error_rate(const scenario_config& config,
-                               const per_options& options) {
-  return packet_error_rates_adaptive(std::span(&config, 1), options,
-                                     config.collector)[0];
 }
 
 }  // namespace backfi::sim

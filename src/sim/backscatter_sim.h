@@ -127,22 +127,6 @@ struct trial_workspace {
 /// run_backscatter_trial overload uses).
 trial_workspace& local_trial_workspace();
 
-/// Per-chunk batch state of the flattened trial evaluators: the scheduler
-/// delivers same-point trials in contiguous chunks (sweep_for_ranges), and
-/// the chunk body reuses one scenario copy — re-copied only when the chunk
-/// crosses into a new sweep point — mutating just the per-trial seed and
-/// collector between trials. Seeds stay derive_trial_seed(point seed, t)
-/// verbatim and every trial still writes only its own slot, so batched
-/// execution is bit-identical to the per-index path at any BACKFI_THREADS.
-struct trial_batch {
-  scenario_config scratch;
-  /// Sweep point `scratch` was copied from (-1: not yet loaded).
-  std::size_t point = static_cast<std::size_t>(-1);
-};
-
-/// The calling thread's trial batch (reused across chunks and sweeps).
-trial_batch& local_trial_batch();
-
 /// Run one complete backscatter exchange (on the calling thread's
 /// workspace; results are independent of workspace history).
 trial_result run_backscatter_trial(const scenario_config& config);
@@ -159,21 +143,15 @@ double oracle_post_mrc_snr_db(std::span<const cplx> x,
                               std::size_t samples_per_symbol, std::size_t guard,
                               std::size_t data_begin, std::size_t data_end);
 
-/// Packet error probability over `trials` independent trials (CRC-based).
-/// The trials run flattened through the work-stealing sweep scheduler
-/// (sim/scheduler.h) with per-trial seeds derive_trial_seed(seed, t);
-/// results and merged telemetry are bit-identical at any BACKFI_THREADS.
-double packet_error_rate(const scenario_config& config, int trials);
-
-/// Opt-in adaptive Monte-Carlo control for PER evaluation. Off by default
-/// (target_ci_halfwidth == 0 runs exactly max_trials, matching the fixed
-/// API bit for bit). With a target, trials are committed in `batch`-sized
-/// rounds and a point stops as soon as its Wilson-score confidence
-/// interval half-width is at or below the target (never before
-/// min_trials, never past max_trials). The stopping decision replays the
-/// deterministic per-trial outcome sequence in index order at fixed batch
-/// boundaries, so the stop point — and therefore the reported PER and the
-/// sim.adaptive.* telemetry — is identical at any thread count.
+/// Monte-Carlo control for PER evaluation. Without a target
+/// (target_ci_halfwidth <= 0, the default) every point runs exactly
+/// max_trials. With a target, trials are committed in `batch`-sized rounds
+/// and a point stops as soon as its Wilson-score confidence interval
+/// half-width is at or below the target (never before min_trials, never
+/// past max_trials). The stopping decision replays the deterministic
+/// per-trial outcome sequence in index order at fixed batch boundaries, so
+/// the stop point — and therefore the reported PER and the sim.adaptive.*
+/// telemetry — is identical at any thread count.
 struct per_options {
   int max_trials = 0;               ///< trial budget per point (required)
   double target_ci_halfwidth = 0.0; ///< 0 = fixed count; else stop when tight
@@ -182,7 +160,7 @@ struct per_options {
   double z = 1.959963984540054;     ///< normal quantile (default 95% CI)
 };
 
-/// One adaptively evaluated PER point.
+/// One evaluated PER point.
 struct per_estimate {
   double per = 0.0;
   int trials_run = 0;
@@ -195,20 +173,25 @@ struct per_estimate {
 /// normal quantile `z`; 1.0 when trials <= 0.
 double wilson_halfwidth(int failures, int trials, double z);
 
-/// Adaptive PER of one scenario (see per_options).
+/// The Monte-Carlo PER engine: packet error rate (CRC-based) of each
+/// scenario, trial t of a point seeded derive_trial_seed(point seed, t).
+/// Each round flattens every live point's next trials into one
+/// work-stealing sweep (sim/scheduler.h) — without a target that is one
+/// round holding every point's max_trials — so points that stop early stop
+/// consuming the machine while the rest keep it full. `collector` receives
+/// the trial probes merged in (point, trial) order per round, one sweep's
+/// sim.scheduler.* counters per round, and, with a target, the
+/// sim.adaptive.* counters (points, trials_run, trials_saved, early_stops).
+/// Results and merged telemetry are identical at any BACKFI_THREADS.
+std::vector<per_estimate> packet_error_rates(
+    std::span<const scenario_config> configs, const per_options& options,
+    obs::collector* collector);
+
+/// PER of one scenario (collector: config.collector).
 per_estimate packet_error_rate(const scenario_config& config,
                                const per_options& options);
 
-/// Adaptive PER of several scenarios at once: every live point's next
-/// batch is flattened into one sweep-scheduler pool per round, so points
-/// that stop early stop consuming the machine while the rest keep it
-/// full. Telemetry merges child collectors in (point, trial) order per
-/// round — deterministic at any thread count because the round
-/// composition depends only on the deterministic outcome sequences.
-/// `collector` receives the merged trial probes plus the sim.adaptive.*
-/// counters (points, trials_run, trials_saved, early_stops).
-std::vector<per_estimate> packet_error_rates_adaptive(
-    std::span<const scenario_config> configs, const per_options& options,
-    obs::collector* collector);
+/// PER over exactly `trials` trials (0 when trials <= 0).
+double packet_error_rate(const scenario_config& config, int trials);
 
 }  // namespace backfi::sim

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-
-#include "obs/collector.h"
-#include "sim/parallel.h"
-#include "sim/scheduler.h"
 
 namespace backfi::sim {
 
@@ -76,69 +71,11 @@ scenario_config scenario_for_point(const scenario_config& base,
   return config;
 }
 
-namespace {
-
-// Shared by both evaluate_link flavors: the per-point scenarios, built
-// serially (scenario_for_point is a pure function of its arguments).
-std::vector<scenario_config> scenarios_for_points(
-    const scenario_config& base, const std::vector<operating_point>& points,
-    double distance_m) {
-  std::vector<scenario_config> configs;
-  configs.reserve(points.size());
-  for (const operating_point& point : points)
-    configs.push_back(scenario_for_point(base, point.rate, distance_m));
-  return configs;
-}
-
-}  // namespace
-
 std::vector<link_evaluation> evaluate_link(const scenario_config& base,
                                            double distance_m, int trials,
                                            double per_threshold) {
-  validate_or_throw(base, "evaluate_link");
-  // The whole (operating point x trial) space is one flattened pool: index
-  // i is trial i % trials of point i / trials. No barrier between points —
-  // a lane that finishes an easy low-rate point immediately steals trials
-  // from whichever point still has work. Seeds come from (point base seed,
-  // trial index) alone and the collector children merge in flat (point,
-  // trial) order, so results and telemetry are identical at any
-  // BACKFI_THREADS.
-  const std::vector<operating_point> points = all_operating_points();
-  const std::vector<scenario_config> configs =
-      scenarios_for_points(base, points, distance_m);
-  std::vector<link_evaluation> evals(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    evals[p].point = points[p];
-    evals[p].packet_error_rate = 0.0;  // trials <= 0 means "no evidence"
-  }
-  if (trials > 0) {
-    const std::size_t T = static_cast<std::size_t>(trials);
-    const std::size_t n = points.size() * T;
-    obs::collector_fork fork(base.collector, n);
-    std::vector<std::uint8_t> failed(n, 0);
-    const sweep_stats stats = sweep_for(n, [&](std::size_t i) {
-      const std::size_t p = i / T;
-      scenario_config c = configs[p];
-      c.seed = derive_trial_seed(configs[p].seed, i % T);
-      c.collector = fork.child(i);
-      const trial_result r = run_backscatter_trial(c);
-      failed[i] = (!r.crc_ok || r.bit_errors != 0) ? 1 : 0;
-    });
-    fork.join();
-    report_sweep_stats(base.collector, stats);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      int failures = 0;
-      for (std::size_t t = 0; t < T; ++t) failures += failed[p * T + t];
-      evals[p].packet_error_rate =
-          static_cast<double>(failures) / static_cast<double>(trials);
-    }
-  }
-  for (link_evaluation& eval : evals) {
-    eval.goodput_bps =
-        eval.point.throughput_bps * (1.0 - eval.packet_error_rate);
-    eval.usable = eval.packet_error_rate <= per_threshold;
-  }
-  return evals;
+  return evaluate_link(base, distance_m, per_options{.max_trials = trials},
+                       per_threshold);
 }
 
 std::vector<link_evaluation> evaluate_link(const scenario_config& base,
@@ -147,10 +84,12 @@ std::vector<link_evaluation> evaluate_link(const scenario_config& base,
                                            double per_threshold) {
   validate_or_throw(base, "evaluate_link");
   const std::vector<operating_point> points = all_operating_points();
-  const std::vector<scenario_config> configs =
-      scenarios_for_points(base, points, distance_m);
+  std::vector<scenario_config> configs;
+  configs.reserve(points.size());
+  for (const operating_point& point : points)
+    configs.push_back(scenario_for_point(base, point.rate, distance_m));
   const std::vector<per_estimate> estimates =
-      packet_error_rates_adaptive(configs, options, base.collector);
+      packet_error_rates(configs, options, base.collector);
   std::vector<link_evaluation> evals(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     evals[p].point = points[p];
@@ -174,123 +113,34 @@ std::optional<link_evaluation> max_goodput_point(
 
 std::optional<link_evaluation> find_max_goodput(const scenario_config& base,
                                                 double distance_m, int trials) {
-  validate_or_throw(base, "find_max_goodput");
-  std::vector<operating_point> points = all_operating_points();
-  std::sort(points.begin(), points.end(),
-            [](const operating_point& a, const operating_point& b) {
-              return a.throughput_bps > b.throughput_bps;
-            });
-  // Serial semantics: walk points in descending throughput, stop once no
-  // remaining point can beat the best goodput seen so far. Parallel
-  // version: evaluate one wave of points speculatively, then replay the
-  // serial accept/stop rule in index order. Evaluations are pure functions
-  // of (config, trials), so the returned point is identical to the serial
-  // scan at any thread count — a wave only costs wasted speculative work
-  // when the serial loop would have stopped mid-wave.
-  std::optional<link_evaluation> best;
-  const std::size_t wave = std::max<std::size_t>(thread_count(), 1);
-  const std::size_t T = trials > 0 ? static_cast<std::size_t>(trials) : 0;
-  for (std::size_t begin = 0; begin < points.size();) {
-    if (best && points[begin].throughput_bps <= best->goodput_bps) break;
-    const std::size_t end = std::min(points.size(), begin + wave);
-    const std::size_t n_points = end - begin;
-    // Flatten the wave's (point x trial) grid into one sweep so a fast
-    // point's lane steals trials from a slow one instead of idling at a
-    // per-point barrier.
-    obs::collector_fork fork(base.collector, n_points * T);
-    std::vector<std::uint8_t> failed(n_points * T, 0);
-    sweep_stats stats;
-    if (T > 0) {
-      stats = sweep_for(n_points * T, [&](std::size_t i) {
-        const std::size_t j = i / T;
-        scenario_config config =
-            scenario_for_point(base, points[begin + j].rate, distance_m);
-        config.seed = derive_trial_seed(config.seed, i % T);
-        config.collector = fork.child(i);
-        const trial_result r = run_backscatter_trial(config);
-        failed[i] = (!r.crc_ok || r.bit_errors != 0) ? 1 : 0;
-      });
-    }
-    bool stopped = false;
-    std::size_t examined = 0;
-    for (std::size_t j = 0; j < n_points; ++j) {
-      if (best && points[begin + j].throughput_bps <= best->goodput_bps) {
-        stopped = true;
-        break;
-      }
-      examined = j + 1;
-      const operating_point& point = points[begin + j];
-      link_evaluation eval;
-      eval.point = point;
-      int failures = 0;
-      for (std::size_t t = 0; t < T; ++t) failures += failed[j * T + t];
-      eval.packet_error_rate =
-          T > 0 ? static_cast<double>(failures) / static_cast<double>(T) : 0.0;
-      eval.goodput_bps = point.throughput_bps * (1.0 - eval.packet_error_rate);
-      eval.usable = eval.packet_error_rate < 1.0;
-      if (eval.usable && (!best || eval.goodput_bps > best->goodput_bps))
-        best = eval;
-    }
-    // Merge only the prefix the serial replay consumed: telemetry from
-    // speculative points past the stop index is discarded, so the merged
-    // registry is independent of the wave width (= thread count). The wave
-    // shape itself *is* thread-dependent, so only the runtime.* gauges —
-    // never the deterministic sim.scheduler.* counters — are reported.
-    fork.join(examined * T);
-    report_sweep_runtime(base.collector, stats);
-    if (stopped) break;
-    begin = end;
-  }
-  return best;
+  return find_max_goodput(base, distance_m, per_options{.max_trials = trials});
 }
 
 std::optional<link_evaluation> find_max_goodput(const scenario_config& base,
                                                 double distance_m,
                                                 const per_options& options) {
-  // Adaptive variant: evaluate waves of points with the early-stopping PER
-  // estimator. The accept/stop replay is the same serial rule as the fixed
-  // variant, applied to the adaptive estimates in point order — the chosen
-  // point is identical at any thread count because the estimates are.
   validate_or_throw(base, "find_max_goodput");
   std::vector<operating_point> points = all_operating_points();
   std::sort(points.begin(), points.end(),
             [](const operating_point& a, const operating_point& b) {
               return a.throughput_bps > b.throughput_bps;
             });
+  // Walk the points in descending throughput and stop once no remaining
+  // point can beat the best goodput seen so far even at zero PER. Each
+  // examined point is one engine call with every lane on its trials, so
+  // the examined set — and with it the merged telemetry — depends only on
+  // the deterministic estimates, never on the thread count.
   std::optional<link_evaluation> best;
-  const std::size_t wave = std::max<std::size_t>(thread_count(), 1);
-  for (std::size_t begin = 0; begin < points.size();) {
-    if (best && points[begin].throughput_bps <= best->goodput_bps) break;
-    const std::size_t end = std::min(points.size(), begin + wave);
-    std::vector<scenario_config> configs;
-    configs.reserve(end - begin);
-    for (std::size_t j = begin; j < end; ++j)
-      configs.push_back(scenario_for_point(base, points[j].rate, distance_m));
-    // Speculative points are cheap to discard here: the adaptive estimator
-    // merges telemetry per round internally, so the whole wave's probes are
-    // committed. Wave composition depends only on the deterministic
-    // estimates, keeping the merged registry thread-count invariant for a
-    // fixed wave width; the width itself follows thread_count(), matching
-    // the fixed-trials variant's contract.
-    const std::vector<per_estimate> estimates =
-        packet_error_rates_adaptive(configs, options, base.collector);
-    bool stopped = false;
-    for (std::size_t j = 0; j < estimates.size(); ++j) {
-      if (best && points[begin + j].throughput_bps <= best->goodput_bps) {
-        stopped = true;
-        break;
-      }
-      link_evaluation eval;
-      eval.point = points[begin + j];
-      eval.packet_error_rate = estimates[j].per;
-      eval.goodput_bps =
-          eval.point.throughput_bps * (1.0 - eval.packet_error_rate);
-      eval.usable = eval.packet_error_rate < 1.0;
-      if (eval.usable && (!best || eval.goodput_bps > best->goodput_bps))
-        best = eval;
-    }
-    if (stopped) break;
-    begin = end;
+  for (const operating_point& point : points) {
+    if (best && point.throughput_bps <= best->goodput_bps) break;
+    const double per =
+        packet_error_rate(scenario_for_point(base, point.rate, distance_m),
+                          options)
+            .per;
+    if (per >= 1.0) continue;
+    const double goodput = point.throughput_bps * (1.0 - per);
+    if (!best || goodput > best->goodput_bps)
+      best = link_evaluation{point, per, goodput, /*usable=*/true};
   }
   return best;
 }

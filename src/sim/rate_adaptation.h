@@ -44,17 +44,16 @@ scenario_config scenario_for_point(const scenario_config& base,
 
 /// Evaluate every operating point at `distance_m` with `trials` packets
 /// each; a point is usable when its PER is at most `per_threshold`. The
-/// whole (point x trial) grid runs as one flattened sweep-scheduler pool
-/// (sim/scheduler.h) — no per-point barrier — with per-trial seeds
-/// derive_trial_seed(point seed, trial); results and merged telemetry are
-/// identical at any BACKFI_THREADS.
+/// whole (point x trial) grid is one packet_error_rates call — one
+/// flattened sweep-scheduler pool with no per-point barrier — so results
+/// and merged telemetry are identical at any BACKFI_THREADS.
 std::vector<link_evaluation> evaluate_link(const scenario_config& base,
                                            double distance_m, int trials,
                                            double per_threshold = 0.5);
 
-/// Adaptive variant: per-point trial counts follow the early-stopping
-/// Wilson-CI rule of per_options (see backscatter_sim.h). Deterministic
-/// given (base, distance_m, options) — independent of the thread count.
+/// As above with explicit per_options (e.g. the early-stopping Wilson-CI
+/// rule, see backscatter_sim.h). Deterministic given (base, distance_m,
+/// options) — independent of the thread count.
 std::vector<link_evaluation> evaluate_link(const scenario_config& base,
                                            double distance_m,
                                            const per_options& options,
@@ -66,16 +65,15 @@ std::optional<link_evaluation> max_goodput_point(
     const std::vector<link_evaluation>& evaluations);
 
 /// Fast path for throughput-vs-range sweeps: evaluates points in
-/// descending nominal throughput and skips any point that cannot beat the
-/// best goodput found so far even at zero PER.
+/// descending nominal throughput, one at a time with every lane on that
+/// point's trials, and stops at the first point that cannot beat the best
+/// goodput found so far even at zero PER. The chosen point and the merged
+/// telemetry (examined points only) are identical at any BACKFI_THREADS.
 std::optional<link_evaluation> find_max_goodput(const scenario_config& base,
                                                 double distance_m, int trials);
 
-/// Adaptive variant of the descending-throughput scan: each wave's points
-/// are evaluated with the early-stopping PER estimator, so confidently bad
-/// (or confidently good) points stop sampling early. Picks the same point
-/// as the fixed variant would whenever their PER estimates agree on the
-/// accept/stop decisions.
+/// As above with explicit per_options: with a CI target, confidently bad
+/// (or confidently good) points stop sampling early.
 std::optional<link_evaluation> find_max_goodput(const scenario_config& base,
                                                 double distance_m,
                                                 const per_options& options);

@@ -317,11 +317,6 @@ void report_sweep_stats(obs::collector* c, const sweep_stats& stats) {
   c->add_counter("sim.scheduler.sweeps", 1);
   c->add_counter("sim.scheduler.tasks", stats.tasks);
   c->add_counter("sim.scheduler.chunks", stats.chunks);
-  report_sweep_runtime(c, stats);
-}
-
-void report_sweep_runtime(obs::collector* c, const sweep_stats& stats) {
-  if (!c) return;
   // Execution-dependent gauges: runtime.* is excluded from the
   // deterministic export profile alongside timing.*.
   c->set_gauge("runtime.scheduler.threads",

@@ -11,11 +11,10 @@
 // so trial loops scale with the hardware instead of serializing on the
 // pool bookkeeping.
 //
-// Determinism contract (same as sim::parallel_for, see parallel.h): the
-// caller derives every task's RNG seed from (base seed, flattened index)
-// alone and each index writes only its own result slot, so results —
-// and index-ordered collector merges — are bit-identical at any
-// BACKFI_THREADS. The scheduler only changes *which lane* runs an index,
+// Determinism contract (the rules in parallel.h): the caller derives every
+// task's RNG seed from (base seed, flattened index) alone and each index
+// writes only its own result slot, so results — and index-ordered
+// collector merges — are bit-identical at any BACKFI_THREADS. The scheduler only changes *which lane* runs an index,
 // never what the index computes or the order results are committed in.
 //
 // The chunk size is a pure function of the task count (never of the
@@ -73,10 +72,10 @@ struct sweep_stats {
 };
 
 /// Run body(0) ... body(n - 1) across the worker pool with chunked
-/// work-stealing. Same semantics as parallel_for — returns after every
-/// index has completed, rethrows the first body exception, runs serially
-/// in index order when thread_count() <= 1 or when called from inside a
-/// pool worker — plus an execution report. `chunk` == 0 selects
+/// work-stealing. Returns after every index has completed, rethrows the
+/// first body exception (abandoning unclaimed work), and runs serially in
+/// index order when thread_count() <= 1 or when called from inside a pool
+/// worker; the returned report describes the execution. `chunk` == 0 selects
 /// sweep_chunk_size(n, 0).
 sweep_stats sweep_for(std::size_t n,
                       const std::function<void(std::size_t)>& body,
@@ -104,17 +103,11 @@ sweep_stats sweep_for_ranges(
 /// exempt group as timing.* and runtime.workspace.*.
 void report_sweep_stats(obs::collector* c, const sweep_stats& stats);
 
-/// Gauges-only variant for sweeps whose shape depends on the thread count
-/// (find_max_goodput waves are thread_count() points wide): emits the
-/// runtime.scheduler.* gauges but none of the sim.scheduler.* counters, so
-/// deterministic exports stay thread-count invariant.
-void report_sweep_runtime(obs::collector* c, const sweep_stats& stats);
-
-/// Seed derivation shared by the flattened trial evaluators
-/// (packet_error_rate, evaluate_link, find_max_goodput, fault campaign
-/// polls): the per-trial seed depends only on (base seed, flattened trial
-/// index), never on lane, chunk, or thread count. This is the PR 2 formula
-/// verbatim — the pinned trial literals depend on it.
+/// Seed derivation shared by the flattened trial loops (the
+/// packet_error_rates engine and the fault campaign polls): the per-trial
+/// seed depends only on (base seed, flattened trial index), never on lane,
+/// chunk, or thread count. The pinned trial literals depend on this exact
+/// formula.
 constexpr std::uint64_t derive_trial_seed(std::uint64_t base_seed,
                                           std::uint64_t trial_index) {
   return base_seed * 1000003ULL + trial_index;

@@ -118,26 +118,14 @@ cvec signal_symbol(wifi_rate rate, std::size_t length_bytes) {
 }
 
 tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config) {
-  return transmit(psdu, config, std::span<const cplx>{});
-}
-
-tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config,
-                 std::span<const cplx> prefix) {
   tx_ppdu out;
-  transmit_into(psdu, config, prefix, out);
+  out.samples.resize(ppdu_length_samples(psdu.size(), config.rate));
+  transmit_into(psdu, config, out.samples, out);
   return out;
 }
 
 void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
-                   std::span<const cplx> prefix, tx_ppdu& out,
-                   dsp::workspace_stats* stats) {
-  dsp::acquire(out.samples, ppdu_length_samples(psdu.size(), config.rate), stats);
-  transmit_into(psdu, config, prefix, out.samples, out);
-}
-
-void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
-                   std::span<const cplx> prefix, std::span<cplx> samples,
-                   ppdu_info& info) {
+                   std::span<cplx> samples, ppdu_info& info) {
   if (psdu.empty() || psdu.size() > 4095)
     throw std::invalid_argument("transmit: PSDU must be 1..4095 bytes");
   const auto& p = params_for(config.rate);
@@ -151,16 +139,10 @@ void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
   info.n_data_symbols = n_sym;
   info.data_start = preamble_samples + symbol_samples;
 
-  if (prefix.empty()) {
-    const cvec preamble = legacy_preamble();
-    const cvec sig = signal_symbol(config.rate, psdu.size());
-    std::copy(preamble.begin(), preamble.end(), samples.begin());
-    std::copy(sig.begin(), sig.end(), samples.begin() + preamble.size());
-  } else {
-    if (prefix.size() != info.data_start)
-      throw std::invalid_argument("transmit: prefix must be preamble + SIGNAL");
-    std::copy(prefix.begin(), prefix.end(), samples.begin());
-  }
+  const cvec preamble = legacy_preamble();
+  const cvec sig = signal_symbol(config.rate, psdu.size());
+  std::copy(preamble.begin(), preamble.end(), samples.begin());
+  std::copy(sig.begin(), sig.end(), samples.begin() + preamble.size());
 
   // Encoder input, LSB-first bytes: SERVICE (16 zero bits), PSDU, zero pad
   // up to n_info bits, then the encoder's 6-bit zero tail (which plays the

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "phy/bits.h"
 #include "wifi/rates.h"
 
@@ -49,22 +48,7 @@ cvec signal_symbol(wifi_rate rate, std::size_t length_bytes);
 /// Maximum PSDU length 4095 bytes (12-bit LENGTH field).
 tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config = {});
 
-/// As transmit(), reusing a prebuilt legacy-preamble + SIGNAL prefix. The
-/// first preamble_samples + symbol_samples output samples depend only on the
-/// rate and PSDU length, so callers issuing many PPDUs of one shape can cache
-/// them; `prefix` must be exactly that sample sequence (empty = build it
-/// here). Output is bit-identical to transmit().
-tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config,
-                 std::span<const cplx> prefix);
-
-/// As the prefix-reusing transmit(), but recycling the caller's tx_ppdu so
-/// repeated transmissions of one PPDU shape reuse the samples/payload
-/// buffers. Every field of `out` is overwritten; bit-identical output.
-void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
-                   std::span<const cplx> prefix, tx_ppdu& out,
-                   dsp::workspace_stats* stats = nullptr);
-
-/// As transmit_into(), writing the waveform straight into `samples` (exactly
+/// As transmit(), writing the waveform straight into `samples` (exactly
 /// ppdu_length_samples(psdu.size(), config.rate) entries, e.g. a slice of a
 /// longer burst) and the layout into `info`.
 ///
@@ -76,8 +60,7 @@ void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
 /// inverse interleaver. Output is bit-identical to the textbook per-bit
 /// chain (bytes_to_bits, scramble, conv_encode, puncture, interleave, map).
 void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
-                   std::span<const cplx> prefix, std::span<cplx> samples,
-                   ppdu_info& info);
+                   std::span<cplx> samples, ppdu_info& info);
 
 /// Duration of a PPDU carrying `length_bytes` at `rate`, in samples.
 std::size_t ppdu_length_samples(std::size_t length_bytes, wifi_rate rate);

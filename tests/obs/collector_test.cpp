@@ -90,14 +90,6 @@ TEST(CollectorFork, JoinMergesInIndexOrder) {
   EXPECT_EQ(parent.registry().histograms().at("reader.evm_rms").count, 3u);
 }
 
-TEST(CollectorFork, PartialJoinDropsSpeculativeChildren) {
-  collector parent;
-  collector_fork fork(&parent, 4);
-  for (std::size_t i = 0; i < 4; ++i) fork.child(i)->count(probe::trials);
-  fork.join(2);  // only the serially-consumed prefix
-  EXPECT_EQ(parent.registry().counters().at("sim.trials").value, 2u);
-}
-
 TEST(CollectorFork, NullParentIsInert) {
   collector_fork fork(nullptr, 4);
   EXPECT_EQ(fork.child(0), nullptr);

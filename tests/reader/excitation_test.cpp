@@ -107,10 +107,11 @@ TEST(ExcitationTest, BuildIntoMatchesBuildAndReusesBuffers) {
 }
 
 TEST(ExcitationTest, PrefixCacheRespondsToEveryKeyField) {
-  // The cached wake/preamble prefix is keyed on (tag_id, wake_bits, rate,
-  // ppdu_bytes): vary each field and check the waveform changes where it
-  // must, while a repeated config stays identical (a stale cache hit on a
-  // mutated key would reproduce the previous waveform).
+  // The full-synthesis cache is keyed on (tag_id, wake_bits, rate,
+  // ppdu_bytes, payload_seed, n_ppdus): vary each field and check the
+  // waveform changes where it must, while a repeated config stays identical
+  // (a stale cache hit on a mutated key would reproduce the previous
+  // waveform).
   excitation_config base;
   base.ppdu_bytes = 400;
   const excitation ref = build_excitation(base);
@@ -135,6 +136,14 @@ TEST(ExcitationTest, PrefixCacheRespondsToEveryKeyField) {
   excitation_config other_rate = base;
   other_rate.rate = wifi::wifi_rate::mbps12;
   EXPECT_NE(build_excitation(other_rate).samples.size(), ref.samples.size());
+
+  excitation_config other_seed = base;
+  other_seed.payload_seed = base.payload_seed + 1;
+  EXPECT_NE(build_excitation(other_seed).ppdu.payload, ref.ppdu.payload);
+
+  excitation_config other_count = base;
+  other_count.n_ppdus = base.n_ppdus + 1;
+  EXPECT_NE(build_excitation(other_count).samples.size(), ref.samples.size());
 
   // And the original key still serves the original waveform.
   const excitation again = build_excitation(base);

@@ -107,7 +107,7 @@ TEST(AdaptivePerTest, EstimatesAndTelemetryIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     scoped_thread_count guard(threads);
     obs::collector collector;
-    const std::vector<per_estimate> estimates = packet_error_rates_adaptive(
+    const std::vector<per_estimate> estimates = packet_error_rates(
         std::span(configs.data(), configs.size()), options, &collector);
     const std::string json = obs::to_json(
         collector.registry(), {.include_timings = false, .pretty = true});
@@ -136,7 +136,7 @@ TEST(AdaptivePerTest, ExportsAdaptiveCounters) {
   const std::vector<scenario_config> configs = {anchor_scenario(0.5),
                                                 anchor_scenario(0.5)};
   obs::collector collector;
-  const auto estimates = packet_error_rates_adaptive(
+  const auto estimates = packet_error_rates(
       std::span(configs.data(), configs.size()), options, &collector);
   const auto& counters = collector.registry().counters();
   EXPECT_EQ(counters.at("sim.adaptive.points").value, 2u);
@@ -150,6 +150,25 @@ TEST(AdaptivePerTest, ExportsAdaptiveCounters) {
   EXPECT_EQ(counters.at("sim.adaptive.trials_saved").value, saved);
   EXPECT_EQ(counters.at("sim.adaptive.early_stops").value, stops);
   EXPECT_GT(saved, 0u);  // both easy points must have stopped early
+}
+
+TEST(AdaptivePerTest, NoTargetIsOneSweepWithoutAdaptiveCounters) {
+  // Without a CI target every point's whole budget runs as one flattened
+  // sweep, and the sim.adaptive.* counters stay out of the export.
+  scoped_thread_count threads(4);
+  per_options options;
+  options.max_trials = 12;
+  const std::vector<scenario_config> configs = {anchor_scenario(0.5),
+                                                anchor_scenario(4.5)};
+  obs::collector collector;
+  const auto estimates = packet_error_rates(
+      std::span(configs.data(), configs.size()), options, &collector);
+  for (const per_estimate& e : estimates) EXPECT_EQ(e.trials_run, 12);
+  const auto& counters = collector.registry().counters();
+  EXPECT_EQ(counters.at("sim.scheduler.sweeps").value, 1u);
+  EXPECT_EQ(counters.at("sim.scheduler.tasks").value, 24u);
+  EXPECT_EQ(counters.at("sim.trials").value, 24u);
+  EXPECT_EQ(counters.count("sim.adaptive.points"), 0u);
 }
 
 TEST(AdaptivePerTest, EvaluateLinkAdaptiveMatchesFixedWithoutTarget) {

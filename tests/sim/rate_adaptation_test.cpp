@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/collector.h"
+#include "obs/export.h"
+#include "sim/parallel.h"
+
 namespace backfi::sim {
 namespace {
 
@@ -113,6 +119,54 @@ TEST(RateAdaptationTest, FindMaxGoodputAtCloseRangeIsMultiMbps) {
   const auto best = find_max_goodput(base, 1.0, 2);
   ASSERT_TRUE(best.has_value());
   EXPECT_GE(best->goodput_bps, 2e6);
+}
+
+TEST(RateAdaptationTest, FindMaxGoodputThreadInvariant) {
+  // The descending walk examines one point at a time, so the chosen point,
+  // the examined set and the merged deterministic telemetry must not move
+  // with the thread count — with and without a CI target.
+  auto base = fast_base();
+  base.seed = 77;
+  const int trials = 16;
+  for (const double target : {0.0, 0.3}) {
+    const per_options options{.max_trials = trials,
+                              .target_ci_halfwidth = target};
+    std::optional<link_evaluation> reference;
+    std::string reference_json;
+    std::uint64_t reference_trials = 0;
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      scoped_thread_count guard(threads);
+      obs::collector collector;
+      base.collector = &collector;
+      const auto best = find_max_goodput(base, 1.0, options);
+      ASSERT_TRUE(best.has_value()) << "target=" << target;
+      const auto& counters = collector.registry().counters();
+      // One engine call per examined point: one sweep each without a
+      // target, one sim.adaptive.points count each with one.
+      const std::uint64_t examined =
+          target > 0.0 ? counters.at("sim.adaptive.points").value
+                       : counters.at("sim.scheduler.sweeps").value;
+      const std::uint64_t trials_run = counters.at("sim.trials").value;
+      EXPECT_GE(examined, 1u);
+      EXPECT_EQ(trials_run, examined * trials) << "threads=" << threads;
+      const std::string json =
+          obs::to_json(collector.registry(), {.include_timings = false});
+      if (!reference) {
+        reference = best;
+        reference_json = json;
+        reference_trials = trials_run;
+        continue;
+      }
+      EXPECT_EQ(best->point.throughput_bps, reference->point.throughput_bps)
+          << "threads=" << threads << " target=" << target;
+      EXPECT_EQ(best->point.repb, reference->point.repb);
+      EXPECT_EQ(best->packet_error_rate, reference->packet_error_rate);
+      EXPECT_EQ(best->goodput_bps, reference->goodput_bps);
+      EXPECT_EQ(trials_run, reference_trials) << "threads=" << threads;
+      EXPECT_EQ(json, reference_json)
+          << "threads=" << threads << " target=" << target;
+    }
+  }
 }
 
 TEST(RateAdaptationTest, NothingDecodesAbsurdlyFar) {

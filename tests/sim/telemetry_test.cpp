@@ -185,33 +185,5 @@ TEST(ScenarioValidate, DelegatesToSubConfigValidators) {
   EXPECT_STREQ(to_string(config_error::bad_chain_config), "bad_chain_config");
 }
 
-// --- parallel API additions -----------------------------------------------
-
-TEST(ParallelApi, ThreadCountAliasAgrees) {
-  EXPECT_EQ(thread_count(), max_threads());
-  scoped_thread_count guard(3);
-  EXPECT_EQ(thread_count(), 3u);
-  EXPECT_EQ(max_threads(), 3u);
-}
-
-TEST(ParallelApi, MapReduceOverloadFoldsOrderedResults) {
-  scoped_thread_count guard(4);
-  const std::size_t sum = parallel_map(
-      100, [](std::size_t i) { return i; },
-      [](const std::vector<std::size_t>& v) {
-        std::size_t total = 0;
-        for (const std::size_t x : v) total += x;
-        return total;
-      });
-  EXPECT_EQ(sum, 4950u);
-}
-
-TEST(ParallelApi, MapDeducesElementTypeWithoutExplicitArgument) {
-  const auto doubled = parallel_map(8, [](std::size_t i) { return 2.0 * i; });
-  static_assert(std::is_same_v<decltype(doubled), const std::vector<double>>);
-  ASSERT_EQ(doubled.size(), 8u);
-  EXPECT_EQ(doubled[7], 14.0);
-}
-
 }  // namespace
 }  // namespace backfi::sim

@@ -111,11 +111,10 @@ TEST(PpduTest, PackedTransmitterMatchesPerBitReference) {
         EXPECT_EQ(got.psdu_bytes, len);
         EXPECT_EQ(got.rate, p.rate);
 
-        // The prefix-reusing span form writes the same waveform in place.
+        // The span form writes the same waveform in place.
         cvec slice(got.samples.size() + 2, cplx{7.0, 7.0});
         ppdu_info info;
         transmit_into(psdu, cfg,
-                      std::span<const cplx>(ref.samples).first(ref.data_start),
                       std::span<cplx>(slice).subspan(1, got.samples.size()), info);
         ASSERT_EQ(std::memcmp(slice.data() + 1, ref.samples.data(),
                               ref.samples.size() * sizeof(cplx)),
@@ -134,7 +133,7 @@ TEST(PpduTest, SpanTransmitRejectsWrongOutputLength) {
   const std::vector<std::uint8_t> psdu(10, 0xA5);
   cvec out(ppdu_length_samples(psdu.size(), wifi_rate::mbps24) - 1);
   ppdu_info info;
-  EXPECT_THROW(transmit_into(psdu, {}, {}, out, info), std::invalid_argument);
+  EXPECT_THROW(transmit_into(psdu, {}, out, info), std::invalid_argument);
 }
 
 TEST(PpduTest, SignalInfoBitsLayout) {
