@@ -4,7 +4,8 @@
 // implementation it replaced (FFT plan vs per-call twiddle recurrence,
 // overlap-save vs direct convolution/correlation) and the thread scaling
 // of packet_error_rate, including the bit-identity check that the parallel
-// result equals the serial one. Part 2 runs google-benchmark timings and
+// result equals the serial one. Part 2 runs google-benchmark timings
+// (including cold AWGN synthesis, which every replay-cache miss pays) and
 // writes BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
 // trajectory of the DSP layer is recorded per build.
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "channel/awgn.h"
 #include "dsp/correlation.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
@@ -209,6 +211,33 @@ void bm_fir_filter_8taps(benchmark::State& state) {
     benchmark::DoNotOptimize(filter.process(block).data());
 }
 BENCHMARK(bm_fir_filter_8taps)->Unit(benchmark::kMillisecond);
+
+// Cold AWGN synthesis at the fig08 mid-point capture length: a fresh
+// generator state every iteration, so every add_awgn call misses the
+// noise replay cache and pays the full Box-Muller draw plus the record.
+void bm_awgn_cold(benchmark::State& state) {
+  cvec x(27440, cplx{0.0, 0.0});
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    dsp::rng gen(seed++);
+    channel::add_awgn(x, 1e-4, gen);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_awgn_cold)->Unit(benchmark::kMicrosecond);
+
+// The bare block Gaussian kernel over the same number of draws.
+void bm_fill_gaussian(benchmark::State& state) {
+  std::vector<double> g(2 * 27440);
+  dsp::rng gen(11);
+  for (auto _ : state) {
+    gen.fill_gaussian(g);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_fill_gaussian)->Unit(benchmark::kMicrosecond);
 
 void bm_backscatter_trial(benchmark::State& state) {
   sim::scenario_config cfg = per_scaling_config();

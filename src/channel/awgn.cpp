@@ -38,7 +38,10 @@ struct noise_key_hash {
 };
 
 struct noise_entry {
-  cvec z;  ///< unit-power complex Gaussians, exactly fill_complex_gaussian's
+  /// Unit-power complex Gaussians as 2 * len interleaved re/im doubles,
+  /// exactly the z = complex_gaussian() values the generating pass added.
+  /// Written once by the miss pass, so never zero-filled first.
+  std::unique_ptr<double[]> z;
   dsp::rng::state_snapshot end;  ///< stream position after generating z
 };
 
@@ -68,16 +71,18 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen) {
     // x[i] += amp * z[i] — the same two multiplies per component the
     // generating pass performs (z[i] holds the scale*g products), so hit
     // and miss results are bitwise identical.
-    dsp::add_scaled_in_place(x, hit->z, amp);
+    dsp::add_scaled_in_place(
+        x, std::span<const double>(hit->z.get(), 2 * x.size()), amp);
     gen.restore(hit->end);
     return;
   }
 
+  // Miss: one pass draws, records and adds, exactly as the no-cache path.
   auto entry = std::make_shared<noise_entry>();
-  entry->z.resize(x.size());
-  gen.fill_complex_gaussian(entry->z);
+  entry->z = std::make_unique_for_overwrite<double[]>(2 * x.size());
+  gen.add_scaled_complex_gaussian(
+      x, amp, std::span<double>(entry->z.get(), 2 * x.size()));
   entry->end = gen.save();
-  dsp::add_scaled_in_place(x, entry->z, amp);
   const std::size_t bytes = x.size() * sizeof(cplx) + sizeof(noise_entry);
   cache.insert(key, std::move(entry), bytes);
 }

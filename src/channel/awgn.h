@@ -25,14 +25,17 @@ namespace backfi::channel {
 /// consumes exactly the draws of `x.size()` complex_gaussian() calls.
 ///
 /// Implementation: the Gaussian synthesis runs through the batched
-/// dsp::rng block kernels, fronted by a process-wide replay cache keyed on
-/// (entering RNG state, length). Repeated (seed, scenario) trials — perf
-/// reps, fig08/fig10 grids, wild-traffic arms — replay the identical RNG
-/// state at this stage, so the cache turns their Box-Muller synthesis into
-/// one fused vectorized scaled-add; `gen` is restored to the exact
-/// position a generating pass ends at, and hit/miss results are bitwise
-/// identical by construction. Budget: BACKFI_NOISE_CACHE_MB (MiB, default
-/// 64, 0 disables).
+/// dsp::rng block kernel add_scaled_complex_gaussian, fronted by a
+/// process-wide replay cache keyed on (entering RNG state, length).
+/// Repeated (seed, scenario) trials — perf reps, fig08/fig10 grids,
+/// wild-traffic arms — replay the identical RNG state at this stage, so
+/// the cache turns their Box-Muller synthesis into one fused vectorized
+/// scaled-add; `gen` is restored to the exact position a generating pass
+/// ends at. A miss is the same single pass as the uncached path: the
+/// kernel adds amp·z into `x` and records the unit-power z into the new
+/// entry as it goes, so hit and miss results are bitwise identical by
+/// construction. Budget: BACKFI_NOISE_CACHE_MB (MiB, default 64, 0
+/// disables).
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 
 /// Noise power normalized to the transmit power reference: the receiver's

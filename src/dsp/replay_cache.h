@@ -27,8 +27,10 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -38,15 +40,21 @@
 namespace backfi::dsp {
 
 /// Byte budget for one cache: `env_name` in whole MiB (0 disables),
-/// falling back to `default_mb` when unset or unparsable.
+/// falling back to `default_mb` when unset or unparsable. Only a plain
+/// decimal digit string whose byte count fits a size_t parses; a sign,
+/// whitespace, a unit suffix or an overflowing value falls back.
 inline std::size_t cache_budget_bytes(const char* env_name,
                                       std::size_t default_mb) {
   const char* raw = std::getenv(env_name);
   if (!raw || *raw == '\0') return default_mb << 20;
-  char* end = nullptr;
-  const unsigned long long mb = std::strtoull(raw, &end, 10);
-  if (end == raw) return default_mb << 20;
-  return static_cast<std::size_t>(mb) << 20;
+  const char* const last = raw + std::strlen(raw);
+  std::size_t mb = 0;
+  // from_chars into an unsigned type accepts digits only (no sign, no
+  // whitespace) and reports overflow instead of wrapping.
+  const auto [ptr, ec] = std::from_chars(raw, last, mb);
+  if (ec != std::errc{} || ptr != last || mb > (SIZE_MAX >> 20))
+    return default_mb << 20;
+  return mb << 20;
 }
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>

@@ -23,13 +23,13 @@ namespace backfi::dsp {
 ///  - scalar methods (next_u64, uniform, gaussian, ...): the seed
 ///    implementation, whose exact draw order every pinned literal in the
 ///    test suite depends on;
-///  - block methods (fill_*, add_scaled_complex_gaussian): generate a whole
-///    buffer per call with the *same stream, same draw order and the same
-///    per-value arithmetic* as the equivalent scalar loop, so their output
-///    is bit-identical — they only restructure the work so the hot noise
-///    synthesis stages batch, pipeline the libm calls and vectorize the
-///    combines. The block methods live in rng_kernels.cpp, the per-TU SIMD
-///    unit (see src/dsp/CMakeLists.txt); equivalence is pinned by
+///  - block methods (fill_gaussian, add_scaled_complex_gaussian): the noise
+///    synthesis kernels. They consume the stream in the *same order* with
+///    the *same per-value arithmetic* as the equivalent scalar loop, so
+///    their output is bit-identical; they only restructure the work into
+///    staged passes (batched and reordered libm calls, vectorized
+///    combines). They live in rng_kernels.cpp, the per-TU SIMD unit (see
+///    src/dsp/CMakeLists.txt); equivalence is pinned by
 ///    tests/dsp/rng_kernels_test.cpp.
 class rng {
  public:
@@ -76,8 +76,7 @@ class rng {
   /// n random bits, one per byte (0 or 1). Legacy draw order: one full
   /// next_u64() is consumed *per bit* (bit 0 of each draw). Pinned trial
   /// literals (tag payloads) depend on these stream positions, so this
-  /// method must never change; batch consumers wanting one draw per 64
-  /// bits use fill_bits() instead.
+  /// method must never change.
   std::vector<std::uint8_t> random_bits(std::size_t n);
 
   /// Derive an independent child generator (for per-trial streams).
@@ -113,33 +112,23 @@ class rng {
   }
 
   // --- Block API (rng_kernels.cpp) ---------------------------------------
-  // Each fill_* call consumes the stream exactly as the equivalent scalar
-  // loop and produces bit-identical values (including Box-Muller spare
+  // Each call consumes the stream exactly as the equivalent scalar loop
+  // and produces bit-identical values (including Box-Muller spare
   // carry-in/-out and the u1 > 0 rejection redraws).
-
-  /// out[i] = next_u64() in order.
-  void fill_u64(std::span<std::uint64_t> out);
-
-  /// out[i] = uniform() in order.
-  void fill_uniform(std::span<double> out);
-
-  /// n random bits, one per byte (0 or 1), *packed* draw order: one
-  /// next_u64() per 64 bits, bit i taken LSB-first from draw i / 64 — so
-  /// bit 0 matches what random_bits' first draw would have produced, but
-  /// the stream advances ceil(n / 64) positions instead of n. Not
-  /// interchangeable with random_bits(): different stream consumption.
-  void fill_bits(std::span<std::uint8_t> out);
 
   /// out[i] = gaussian() in order (Box-Muller pairs, spare carried in/out).
   void fill_gaussian(std::span<double> out);
 
-  /// out[i] = complex_gaussian() in order.
-  void fill_complex_gaussian(std::span<cplx> out);
-
   /// inout[i] += amp * complex_gaussian(), fused — the AWGN inner loop
   /// without materializing the noise. Identical per-sample arithmetic:
-  /// amp * (component of complex_gaussian()), added once.
-  void add_scaled_complex_gaussian(std::span<cplx> inout, double amp);
+  /// z = complex_gaussian(), then amp * z added once per component. A
+  /// non-empty `record` (2 * inout.size() doubles, interleaved re/im)
+  /// receives every z, so a later dsp::add_scaled_in_place(y, record, a)
+  /// reproduces `y[i] += a * complex_gaussian()` bit for bit at any a.
+  /// A record of any other size throws std::invalid_argument before a
+  /// single draw is consumed.
+  void add_scaled_complex_gaussian(std::span<cplx> inout, double amp,
+                                   std::span<double> record = {});
 
  private:
   static std::uint64_t rotl_(std::uint64_t x, int k) {

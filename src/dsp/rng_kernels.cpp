@@ -17,6 +17,9 @@
 // multiply/add combines are IEEE-exact under vectorization; the libm
 // passes stay scalar calls, which is what keeps results bit-identical —
 // libmvec's vectorized variants round differently and are never used).
+// The libm calls cannot be vectorized, but their order is free: the
+// sincos pass visits its arguments in value order (sincos_order), which
+// keeps glibc's range branches predictable.
 //
 // Equivalence with the scalar methods — including the Box-Muller u1 > 0
 // rejection, the spare carry-in/out, and stream positions — is pinned by
@@ -25,6 +28,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "dsp/vec_ops.h"
 
@@ -33,30 +38,35 @@ namespace backfi::dsp {
 namespace {
 
 /// Staged draws per block: big enough to amortize the pass structure,
-/// small enough that the staging arrays (5 x 2 KB) stay L1-resident.
+/// small enough that the staging arrays (5 x 2 KB, plus the sincos
+/// order) stay L1-resident.
 constexpr std::size_t kBlockPairs = 256;
 
-}  // namespace
+/// Value buckets for the sincos pass (see sincos_order).
+constexpr std::size_t kSincosBuckets = 64;
 
-void rng::fill_u64(std::span<std::uint64_t> out) {
-  for (std::uint64_t& w : out) w = next_u64();
-}
-
-void rng::fill_uniform(std::span<double> out) {
-  for (double& v : out) v = uniform();
-}
-
-void rng::fill_bits(std::span<std::uint8_t> out) {
-  std::size_t i = 0;
-  const std::size_t n = out.size();
-  while (i < n) {
-    const std::uint64_t word = next_u64();
-    const std::size_t take = std::min<std::size_t>(64, n - i);
-    for (std::size_t b = 0; b < take; ++b)
-      out[i + b] = static_cast<std::uint8_t>((word >> b) & 1u);
-    i += take;
+/// Counting-sorts the block's pair indices by the value of u2 into
+/// kSincosBuckets equal-width buckets, so the sincos pass can visit
+/// arguments in near-ascending order. glibc's sincos picks its reduction
+/// and quadrant code paths by the argument's range; on uniformly random
+/// arguments those branches mispredict on a large fraction of calls,
+/// while in bucket order consecutive calls take the same path. Only the
+/// call order changes: each call still sees the identical argument and
+/// writes its result back to the pair's own index.
+void sincos_order(const double* u2, std::size_t pairs, std::uint16_t* order) {
+  std::uint16_t start[kSincosBuckets + 1] = {};
+  std::uint8_t bucket[kBlockPairs];
+  for (std::size_t k = 0; k < pairs; ++k) {
+    // u2 < 1, and scaling by a power of two is exact, so this is < 64.
+    bucket[k] = static_cast<std::uint8_t>(u2[k] * kSincosBuckets);
+    ++start[bucket[k] + 1];
   }
+  for (std::size_t b = 0; b < kSincosBuckets; ++b) start[b + 1] += start[b];
+  for (std::size_t k = 0; k < pairs; ++k)
+    order[start[bucket[k]]++] = static_cast<std::uint16_t>(k);
 }
+
+}  // namespace
 
 void rng::fill_gaussian(std::span<double> out) {
   const std::size_t n = out.size();
@@ -69,6 +79,7 @@ void rng::fill_gaussian(std::span<double> out) {
 
   double u1[kBlockPairs], u2[kBlockPairs];
   double rad[kBlockPairs], sn[kBlockPairs], cs[kBlockPairs];
+  std::uint16_t order[kBlockPairs];
   while (i < n) {
     const std::size_t remaining = n - i;
     // Enough pairs to cover the remainder (the final odd value, if any,
@@ -89,18 +100,20 @@ void rng::fill_gaussian(std::span<double> out) {
     for (std::size_t k = 0; k < pairs; ++k) rad[k] = -2.0 * std::log(u1[k]);
     // Pass 3: sqrt — IEEE-exact, so the compiler may vectorize it.
     for (std::size_t k = 0; k < pairs; ++k) rad[k] = std::sqrt(rad[k]);
-    // Pass 4: scalar libm sin/cos. glibc's sincos computes both from one
-    // argument reduction and returns bit-identical values to the separate
-    // calls; elsewhere fall back to exactly the scalar method's calls.
+    // Pass 4: scalar libm sin/cos in bucket order (sincos_order). glibc's
+    // sincos computes both from one argument reduction and returns
+    // bit-identical values to the separate calls; elsewhere fall back to
+    // exactly the scalar method's calls.
+    sincos_order(u2, pairs, order);
+    for (std::size_t j = 0; j < pairs; ++j) {
+      const std::size_t k = order[j];
 #if defined(__GLIBC__)
-    for (std::size_t k = 0; k < pairs; ++k)
       ::sincos(two_pi * u2[k], &sn[k], &cs[k]);
 #else
-    for (std::size_t k = 0; k < pairs; ++k) {
       sn[k] = std::sin(two_pi * u2[k]);
       cs[k] = std::cos(two_pi * u2[k]);
-    }
 #endif
+    }
     // Pass 5: combine in draw order — cos first, sin second (the scalar
     // method returns radius*cos and parks radius*sin as the spare).
     for (std::size_t k = 0; k < pairs; ++k) {
@@ -115,37 +128,34 @@ void rng::fill_gaussian(std::span<double> out) {
   }
 }
 
-void rng::fill_complex_gaussian(std::span<cplx> out) {
-  // Same per-axis scale as complex_gaussian(): independent N(0, 1/2).
-  constexpr double scale = 0.7071067811865476;  // 1/sqrt(2)
-  double g[2 * kBlockPairs];
-  std::size_t i = 0;
-  const std::size_t n = out.size();
-  // std::complex<double> is layout-compatible with double[2]; the flat
-  // view lets the scale pass vectorize.
-  double* flat = reinterpret_cast<double*>(out.data());
-  while (i < n) {
-    const std::size_t m = std::min(kBlockPairs, n - i);
-    fill_gaussian(std::span<double>(g, 2 * m));
-    for (std::size_t j = 0; j < 2 * m; ++j) flat[2 * i + j] = scale * g[j];
-    i += m;
-  }
-}
-
-void rng::add_scaled_complex_gaussian(std::span<cplx> inout, double amp) {
+void rng::add_scaled_complex_gaussian(std::span<cplx> inout, double amp,
+                                      std::span<double> record) {
   // Scalar reference: v += amp * complex_gaussian(), i.e. per component
-  // v += amp * (scale * g) — two separate multiplies, never (amp*scale)*g,
-  // and never fused into the add (contraction is off in this TU).
+  // z = scale * g, then v += amp * z — two separate multiplies, never
+  // (amp*scale)*g, and never fused into the add (contraction is off in
+  // this TU). The recorded z are exactly what a later add_scaled_in_place
+  // replay multiplies by its own amplitude.
   constexpr double scale = 0.7071067811865476;  // 1/sqrt(2)
+  const std::size_t n = inout.size();
+  if (!record.empty() && record.size() != 2 * n)
+    throw std::invalid_argument(
+        "add_scaled_complex_gaussian: record must hold 2 * inout.size() "
+        "doubles");
   double g[2 * kBlockPairs];
   std::size_t i = 0;
-  const std::size_t n = inout.size();
+  // std::complex<double> is layout-compatible with double[2]; the flat
+  // view lets the combine pass vectorize.
   double* flat = reinterpret_cast<double*>(inout.data());
   while (i < n) {
     const std::size_t m = std::min(kBlockPairs, n - i);
-    fill_gaussian(std::span<double>(g, 2 * m));
-    for (std::size_t j = 0; j < 2 * m; ++j)
-      flat[2 * i + j] += amp * (scale * g[j]);
+    // Draw straight into the record when there is one, else into g.
+    double* z = record.empty() ? g : record.data() + 2 * i;
+    fill_gaussian(std::span<double>(z, 2 * m));
+    for (std::size_t j = 0; j < 2 * m; ++j) {
+      const double zj = scale * z[j];
+      z[j] = zj;
+      flat[2 * i + j] += amp * zj;
+    }
     i += m;
   }
 }
@@ -153,12 +163,11 @@ void rng::add_scaled_complex_gaussian(std::span<cplx> inout, double amp) {
 // Declared in vec_ops.h; lives here so it picks up the AVX2 +
 // contraction-off flags of this TU (see the header comment for why the
 // rounding must match the scalar loop exactly).
-void add_scaled_in_place(std::span<cplx> y, std::span<const cplx> x,
+void add_scaled_in_place(std::span<cplx> y, std::span<const double> x,
                          double s) {
   const std::size_t n = y.size();
   double* yd = reinterpret_cast<double*>(y.data());
-  const double* xd = reinterpret_cast<const double*>(x.data());
-  for (std::size_t i = 0; i < 2 * n; ++i) yd[i] += s * xd[i];
+  for (std::size_t i = 0; i < 2 * n; ++i) yd[i] += s * x[i];
 }
 
 }  // namespace backfi::dsp

@@ -26,12 +26,14 @@ void add_in_place(std::span<cplx> y, std::span<const cplx> x);
 /// y -= x element-wise; spans must have equal length.
 void subtract_in_place(std::span<cplx> y, std::span<const cplx> x);
 
-/// y[i] += s * x[i] element-wise; spans must have equal length. Each
-/// component is multiplied by `s` once and added once, never fused: the
-/// implementation lives in rng_kernels.cpp (the contraction-off SIMD TU)
-/// because the AWGN replay cache relies on this matching the scalar
+/// y[i] += s * x[i] element-wise, with `x` given as 2 * y.size() flat
+/// doubles (interleaved re/im, the layout the AWGN replay cache stores).
+/// Each component is multiplied by `s` once and added once, never fused:
+/// the implementation lives in rng_kernels.cpp (the contraction-off SIMD
+/// TU) because the AWGN replay cache relies on this matching the scalar
 /// `y[i] += s * x[i]` rounding bit-for-bit.
-void add_scaled_in_place(std::span<cplx> y, std::span<const cplx> x, double s);
+void add_scaled_in_place(std::span<cplx> y, std::span<const double> x,
+                         double s);
 
 /// x *= s element-wise.
 void scale_in_place(std::span<cplx> x, cplx s);

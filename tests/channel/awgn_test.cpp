@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dsp/math_util.h"
+#include "dsp/replay_cache.h"
 #include "dsp/vec_ops.h"
 
 namespace backfi::channel {
@@ -88,6 +90,51 @@ TEST(AwgnTest, CacheHitAtDifferentPowerMatchesScalarSynthesis) {
     EXPECT_EQ(y[i].imag(), ref[i].imag()) << "sample " << i;
   }
   EXPECT_TRUE(gen.save() == ref_gen.save());
+}
+
+// The miss path draws, records and adds in one pass. Its output must be
+// the scalar `x += amp * complex_gaussian()` loop, and the recorded entry
+// must replay that loop at any other amplitude — across block boundaries
+// (256 pairs) and at the fig08 mid-point capture length.
+TEST(AwgnTest, MissRecordMatchesScalarAndReplays) {
+  const bool cached = dsp::cache_budget_bytes("BACKFI_NOISE_CACHE_MB", 64) > 0;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{255},
+                              std::size_t{256}, std::size_t{257},
+                              std::size_t{27440}}) {
+    const std::uint64_t seed = 0xC01D0000u + n;
+    const auto scalar_loop = [&](cvec& v, double power) {
+      dsp::rng ref(seed);
+      const double amp = std::sqrt(power);
+      for (cplx& s : v) s += amp * ref.complex_gaussian();
+      return ref.save();
+    };
+    cvec init(n);
+    for (std::size_t i = 0; i < n; ++i)
+      init[i] = cplx{0.001 * static_cast<double>(i), -0.5};
+
+    const auto before = awgn_cache_stats();
+    dsp::rng miss_gen(seed);
+    cvec miss = init, want_miss = init;
+    add_awgn(miss, 0.04, miss_gen);
+    const auto miss_end = scalar_loop(want_miss, 0.04);
+    ASSERT_EQ(0, std::memcmp(miss.data(), want_miss.data(), n * sizeof(cplx)))
+        << "miss n=" << n;
+    EXPECT_EQ(miss_gen.save(), miss_end) << "miss n=" << n;
+
+    dsp::rng hit_gen(seed);
+    cvec hit = init, want_hit = init;
+    add_awgn(hit, 0.3, hit_gen);
+    const auto hit_end = scalar_loop(want_hit, 0.3);
+    ASSERT_EQ(0, std::memcmp(hit.data(), want_hit.data(), n * sizeof(cplx)))
+        << "hit n=" << n;
+    EXPECT_EQ(hit_gen.save(), hit_end) << "hit n=" << n;
+
+    const auto after = awgn_cache_stats();
+    if (cached) {
+      EXPECT_EQ(after.misses, before.misses + 1) << "n=" << n;
+      EXPECT_EQ(after.hits, before.hits + 1) << "n=" << n;
+    }
+  }
 }
 
 TEST(AwgnTest, NoiseIsAdditive) {

@@ -119,6 +119,20 @@ TEST(ReplayCacheTest, BudgetFromEnvironment) {
   ::setenv("BACKFI_TEST_CACHE_MB", "garbage", 1);
   EXPECT_EQ(cache_budget_bytes("BACKFI_TEST_CACHE_MB", 64),
             std::size_t{64} << 20);
+  // Hostile values fall back to the default instead of being misread:
+  // a sign (strtoull would wrap "-1" to an unbounded budget), a MiB count
+  // whose byte count overflows (2^44 << 20 wraps to 0, disabling the
+  // cache), and a unit suffix ("64MB" is not 64).
+  for (const char* hostile : {"-1", "17592186044416", "64MB"}) {
+    ::setenv("BACKFI_TEST_CACHE_MB", hostile, 1);
+    EXPECT_EQ(cache_budget_bytes("BACKFI_TEST_CACHE_MB", 8),
+              std::size_t{8} << 20)
+        << hostile;
+  }
+  // The largest MiB count whose byte count still fits is accepted.
+  ::setenv("BACKFI_TEST_CACHE_MB", "17592186044415", 1);
+  EXPECT_EQ(cache_budget_bytes("BACKFI_TEST_CACHE_MB", 8),
+            std::size_t{17592186044415} << 20);
   ::unsetenv("BACKFI_TEST_CACHE_MB");
   EXPECT_EQ(cache_budget_bytes("BACKFI_TEST_CACHE_MB", 64),
             std::size_t{64} << 20);

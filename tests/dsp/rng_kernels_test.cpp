@@ -1,13 +1,15 @@
 // Equivalence suite for the batched rng draw kernels (rng_kernels.cpp).
 //
-// Every fill_* method must consume the xoshiro256++ stream exactly like
+// Every block method must consume the xoshiro256++ stream exactly like
 // the equivalent scalar loop and produce bitwise-identical values —
 // including Box-Muller spare carry across calls, the u1 > 0 rejection,
-// odd lengths, unaligned sub-spans, and fork() stream positions. The
-// pinned trial literals in sim/workspace_test.cpp ride on this.
+// odd lengths, unaligned sub-spans, the reordered sincos pass, and fork()
+// stream positions. The pinned trial literals in sim/workspace_test.cpp
+// ride on this.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "dsp/rng.h"
@@ -21,31 +23,6 @@ void expect_same_state(rng& a, rng& b) {
   EXPECT_EQ(a.save(), b.save());
   EXPECT_EQ(a.next_u64(), b.next_u64());
   EXPECT_EQ(a.gaussian(), b.gaussian());
-}
-
-TEST(RngKernelsTest, FillU64MatchesScalarLoop) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000}}) {
-    rng scalar(42), batch(42);
-    std::vector<std::uint64_t> want(n), got(n);
-    for (auto& w : want) w = scalar.next_u64();
-    batch.fill_u64(got);
-    EXPECT_EQ(want, got) << "n=" << n;
-    expect_same_state(scalar, batch);
-  }
-}
-
-TEST(RngKernelsTest, FillUniformMatchesScalarLoop) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{13},
-                              std::size_t{511}, std::size_t{4096}}) {
-    rng scalar(7), batch(7);
-    std::vector<double> want(n), got(n);
-    for (auto& w : want) w = scalar.uniform();
-    batch.fill_uniform(got);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(want[i], got[i]) << "n=" << n << " i=" << i;
-    expect_same_state(scalar, batch);
-  }
 }
 
 TEST(RngKernelsTest, FillGaussianBitwiseAtOddLengths) {
@@ -98,35 +75,95 @@ TEST(RngKernelsTest, FillGaussianSpareInteroperatesWithScalarCalls) {
   expect_same_state(scalar, mixed);
 }
 
+TEST(RngKernelsTest, FillGaussianMatchesScalarAcrossManyBlocks) {
+  // The sincos pass runs in value-bucket order inside each 256-pair
+  // block; over many blocks, seeds and block-straddling lengths the
+  // output must still be the scalar stream, bit for bit.
+  constexpr std::size_t kLengths[] = {1, 511, 512, 513, 54881};
+  constexpr int kRounds = 3;
+  std::size_t pairs = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const bool spare_in : {false, true}) {
+      rng scalar(seed * 0x51ed27u), batch(seed * 0x51ed27u);
+      if (spare_in) {
+        ASSERT_EQ(scalar.gaussian(), batch.gaussian());  // parks a spare
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (const std::size_t n : kLengths) {
+          std::vector<double> want(n), got(n);
+          for (double& w : want) w = scalar.gaussian();
+          batch.fill_gaussian(got);
+          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   n * sizeof(double)))
+              << "seed=" << seed << " spare_in=" << spare_in << " n=" << n;
+          pairs += n / 2;
+        }
+      }
+      ASSERT_EQ(scalar.save(), batch.save()) << "seed=" << seed;
+    }
+  }
+  EXPECT_GE(pairs, std::size_t{1} << 20);
+}
+
+// The recording add's `record` holds exactly the complex_gaussian()
+// values a scalar loop draws (the AWGN replay cache stores it), and its
+// sum equals the scalar `v += amp * complex_gaussian()` loop.
 TEST(RngKernelsTest, FillComplexGaussianBitwise) {
   for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{255},
                               std::size_t{256}, std::size_t{257},
                               std::size_t{1000}}) {
+    const double amp = 0.125;
     rng scalar(2026), batch(2026);
-    std::vector<cplx> want(n), got(n);
-    for (auto& w : want) w = scalar.complex_gaussian();
-    batch.fill_complex_gaussian(got);
+    std::vector<cplx> want_z(n), want_sum(n, cplx{1.0, -1.0});
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(want[i].real(), got[i].real()) << "n=" << n << " i=" << i;
-      ASSERT_EQ(want[i].imag(), got[i].imag()) << "n=" << n << " i=" << i;
+      want_z[i] = scalar.complex_gaussian();
+      want_sum[i] += amp * want_z[i];
     }
+    std::vector<cplx> sum(n, cplx{1.0, -1.0});
+    std::vector<double> record(2 * n);
+    batch.add_scaled_complex_gaussian(sum, amp, record);
+    ASSERT_EQ(0, std::memcmp(want_z.data(), record.data(), n * sizeof(cplx)))
+        << "n=" << n;
+    ASSERT_EQ(0, std::memcmp(want_sum.data(), sum.data(), n * sizeof(cplx)))
+        << "n=" << n;
     expect_same_state(scalar, batch);
   }
 }
 
 TEST(RngKernelsTest, FillComplexGaussianUnalignedSubspan) {
-  // Fill into a misaligned offset of a larger buffer: values and the
-  // untouched surroundings must both be exact.
+  // Add into and record into misaligned offsets of larger buffers (the
+  // record starts on an odd double, so no complex is 16-byte aligned):
+  // values and the untouched surroundings must both be exact.
+  constexpr double kFill = -7.0;
   rng scalar(33), batch(33);
   std::vector<cplx> buf(64, cplx{-1.0, -2.0});
-  const std::size_t off = 3, n = 37;
-  std::vector<cplx> want(n);
-  for (auto& w : want) w = scalar.complex_gaussian();
-  batch.fill_complex_gaussian(std::span(buf).subspan(off, n));
+  std::vector<double> rec_buf(128, kFill);
+  const std::size_t off = 3, rec_off = 5, n = 37;
+  const double amp = 0.5;
+  std::vector<cplx> want_z(n), want_sum(buf.begin() + off,
+                                        buf.begin() + off + n);
+  for (std::size_t i = 0; i < n; ++i) {
+    want_z[i] = scalar.complex_gaussian();
+    want_sum[i] += amp * want_z[i];
+  }
+  batch.add_scaled_complex_gaussian(std::span(buf).subspan(off, n), amp,
+                                    std::span(rec_buf).subspan(rec_off, 2 * n));
+  ASSERT_EQ(0, std::memcmp(want_z.data(), rec_buf.data() + rec_off,
+                           n * sizeof(cplx)));
+  ASSERT_EQ(0, std::memcmp(want_sum.data(), buf.data() + off,
+                           n * sizeof(cplx)));
   for (std::size_t i = 0; i < off; ++i) ASSERT_EQ(buf[i], (cplx{-1.0, -2.0}));
-  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(want[i], buf[off + i]);
   for (std::size_t i = off + n; i < buf.size(); ++i)
     ASSERT_EQ(buf[i], (cplx{-1.0, -2.0}));
+  for (std::size_t i = 0; i < rec_off; ++i) ASSERT_EQ(rec_buf[i], kFill);
+  for (std::size_t i = rec_off + 2 * n; i < rec_buf.size(); ++i)
+    ASSERT_EQ(rec_buf[i], kFill);
+  // A record that does not hold exactly 2 * n doubles is rejected before
+  // any draw or write.
+  EXPECT_THROW(batch.add_scaled_complex_gaussian(
+                   std::span(buf).subspan(off, n), amp,
+                   std::span(rec_buf).subspan(rec_off, 2 * n - 1)),
+               std::invalid_argument);
   expect_same_state(scalar, batch);
 }
 
@@ -160,26 +197,6 @@ TEST(RngKernelsTest, ForkAfterBatchFillMatchesScalarFork) {
   for (int i = 0; i < 16; ++i)
     ASSERT_EQ(scalar_child.next_u64(), batch_child.next_u64());
   expect_same_state(scalar, batch);
-}
-
-TEST(RngKernelsTest, FillBitsPackedDrawOrder) {
-  // fill_bits draws one u64 per 64 bits, LSB-first — so the reference is
-  // the packed expansion of fill_u64 words, not random_bits (whose legacy
-  // one-draw-per-bit stream positions are pinned separately below).
-  for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
-                              std::size_t{65}, std::size_t{600}}) {
-    rng words(5), batch(5);
-    std::vector<std::uint8_t> got(n);
-    batch.fill_bits(got);
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i % 64 == 0) word = words.next_u64();
-      ASSERT_EQ(got[i], static_cast<std::uint8_t>((word >> (i % 64)) & 1u))
-          << "n=" << n << " i=" << i;
-    }
-    // Stream advanced exactly ceil(n/64) draws.
-    expect_same_state(words, batch);
-  }
 }
 
 TEST(RngKernelsTest, RandomBitsLegacyStreamPositionsUnchanged) {
