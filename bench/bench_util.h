@@ -76,8 +76,8 @@ class telemetry_session {
   int finish(std::span<const obs::probe> required);
 
   /// As above, additionally requiring the ad-hoc named metrics in
-  /// `required_named` (timing spans like "timing.reader.excitation" and
-  /// the "sim.scheduler.*" counters, which have no typed catalogue entry).
+  /// `required_named` (timing spans like "timing.reader.decode" and the
+  /// "sim.scheduler.*" counters, which have no typed catalogue entry).
   int finish(std::span<const obs::probe> required,
              std::span<const std::string> required_named);
 

@@ -128,9 +128,8 @@ int run_sweep() {
   // Every probe the fig. 8 pipeline is supposed to exercise must have
   // fired; a zero-sample probe is disconnected instrumentation and fails
   // the bench (and the CI telemetry job) via the exit code. The named
-  // metrics cover the PR 5 additions: the stage-level timing spans and the
-  // scheduler / adaptive telemetry, none of which live in the typed probe
-  // catalogue.
+  // metrics cover the adaptive-PER telemetry, which has no entry in the
+  // typed probe catalogue.
   const obs::probe required[] = {
       obs::probe::trials,          obs::probe::trials_woke,
       obs::probe::trials_sync_found, obs::probe::trials_decoded,
@@ -143,10 +142,7 @@ int run_sweep() {
       obs::probe::effective_throughput_bps,
   };
   const std::string required_named[] = {
-      "timing.reader.excitation", "timing.channel.forward",
-      "timing.tag.modulate",      "timing.channel.backscatter",
-      "timing.sim.noise",         "timing.reader.slicer",
-      "timing.sim.oracle",        "sim.adaptive.points",
+      "sim.adaptive.points",
       "sim.adaptive.trials_run",
   };
   return telemetry.finish(required, required_named);

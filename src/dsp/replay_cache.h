@@ -27,34 +27,25 @@
 #pragma once
 
 #include <atomic>
-#include <charconv>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <utility>
 
+#include "dsp/env.h"
+
 namespace backfi::dsp {
 
 /// Byte budget for one cache: `env_name` in whole MiB (0 disables),
-/// falling back to `default_mb` when unset or unparsable. Only a plain
-/// decimal digit string whose byte count fits a size_t parses; a sign,
-/// whitespace, a unit suffix or an overflowing value falls back.
+/// falling back to `default_mb` when unset or unparsable (see env_size)
+/// or when the byte count would overflow a size_t.
 inline std::size_t cache_budget_bytes(const char* env_name,
                                       std::size_t default_mb) {
-  const char* raw = std::getenv(env_name);
-  if (!raw || *raw == '\0') return default_mb << 20;
-  const char* const last = raw + std::strlen(raw);
-  std::size_t mb = 0;
-  // from_chars into an unsigned type accepts digits only (no sign, no
-  // whitespace) and reports overflow instead of wrapping.
-  const auto [ptr, ec] = std::from_chars(raw, last, mb);
-  if (ec != std::errc{} || ptr != last || mb > (SIZE_MAX >> 20))
-    return default_mb << 20;
-  return mb << 20;
+  const std::optional<std::size_t> mb = env_size(env_name);
+  if (!mb || *mb > (SIZE_MAX >> 20)) return default_mb << 20;
+  return *mb << 20;
 }
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>

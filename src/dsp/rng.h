@@ -140,4 +140,10 @@ class rng {
   double spare_gaussian_ = 0.0;
 };
 
+namespace detail {
+/// True when rng_kernels.cpp was compiled with AVX2, i.e. the per-TU
+/// kernel flags of src/dsp/CMakeLists.txt took effect.
+bool rng_kernels_avx2();
+}  // namespace detail
+
 }  // namespace backfi::dsp

@@ -170,4 +170,12 @@ void add_scaled_in_place(std::span<cplx> y, std::span<const double> x,
   for (std::size_t i = 0; i < 2 * n; ++i) yd[i] += s * x[i];
 }
 
+bool detail::rng_kernels_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::dsp

@@ -136,17 +136,14 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   // separate rms pass), so the ADC stage below does not re-read the
   // capture. Negative marks it unknown (analog bypassed / hook ran).
   double after_analog_energy = -1.0;
-  {
-    obs::timing_span span(config.collector, "fd.analog");
-    if (config.enable_analog) {
-      analog_canceller analog(config.analog);
-      analog.adapt(tx_silent, rx_silent, scratch.canceller.lin, scratch.stats);
-      after_analog_energy =
-          analog.cancel_energy_into(tx, rx, after_analog, scratch.stats);
-    } else {
-      dsp::acquire(after_analog, rx.size(), scratch.stats);
-      std::copy(rx.begin(), rx.end(), after_analog.begin());
-    }
+  if (config.enable_analog) {
+    analog_canceller analog(config.analog);
+    analog.adapt(tx_silent, rx_silent, scratch.canceller.lin, scratch.stats);
+    after_analog_energy =
+        analog.cancel_energy_into(tx, rx, after_analog, scratch.stats);
+  } else {
+    dsp::acquire(after_analog, rx.size(), scratch.stats);
+    std::copy(rx.begin(), rx.end(), after_analog.begin());
   }
   result.analog_depth_db = cancellation_depth_db(
       rx_silent, std::span(after_analog).subspan(silent_begin,
@@ -171,7 +168,6 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   // order-independent, so the flag equals a full quantization sweep's.
   unsigned clipped_any = 0;
   if (config.enable_adc) {
-    obs::timing_span span(config.collector, "fd.adc");
     adc.full_scale =
         after_analog_energy >= 0.0
             ? agc_full_scale_from_energy(after_analog_energy,
@@ -203,24 +199,20 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   }
 
   // --- Digital stage (adapted on the silent period only) ---
-  {
-    obs::timing_span span(config.collector, "fd.digital");
-    if (config.enable_digital) {
-      digital_canceller digital(config.digital);
-      digital.adapt(tx_silent,
-                    std::span(digitized).subspan(silent_begin,
-                                                 silent_end - silent_begin),
-                    scratch.canceller, scratch.stats);
-      // With the ADC enabled the kernel quantizes the analog residual
-      // itself; without it, digitized already holds that residual.
-      fused_adc fused{adc, digitized, clipped_any};
-      digital.cancel_into(tx, config.enable_adc ? after_analog : digitized,
-                          sweep_ranges, cleaned, scratch.canceller,
-                          config.enable_adc ? &fused : nullptr,
-                          scratch.stats);
-    } else {
-      std::swap(cleaned, digitized);
-    }
+  if (config.enable_digital) {
+    digital_canceller digital(config.digital);
+    digital.adapt(tx_silent,
+                  std::span(digitized).subspan(silent_begin,
+                                               silent_end - silent_begin),
+                  scratch.canceller, scratch.stats);
+    // With the ADC enabled the kernel quantizes the analog residual
+    // itself; without it, digitized already holds that residual.
+    fused_adc fused{adc, digitized, clipped_any};
+    digital.cancel_into(tx, config.enable_adc ? after_analog : digitized,
+                        sweep_ranges, cleaned, scratch.canceller,
+                        config.enable_adc ? &fused : nullptr, scratch.stats);
+  } else {
+    std::swap(cleaned, digitized);
   }
   if (config.enable_adc) {
     result.adc_saturated = clipped_any != 0;

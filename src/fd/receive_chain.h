@@ -81,10 +81,10 @@ struct receive_chain_config {
   /// gain-application pass.
   dsp::sample_range roi;
   /// Observability sink (nullable): the chain reports cancellation depths,
-  /// ADC saturation / bypass events, per-stage timing spans and — when a
-  /// roi is set — runtime.chain.roi.{samples_processed,samples_skipped,
-  /// coverage} gauges through it. Null (the default) compiles to no-ops on
-  /// the hot path.
+  /// ADC saturation / bypass events, the fd.receive_chain timing span and,
+  /// when a roi is set, runtime.chain.roi.{samples_processed,
+  /// samples_skipped,coverage} gauges through it. Null (the default)
+  /// compiles to no-ops on the hot path.
   obs::collector* collector = nullptr;
 
   /// First violated constraint, or config_error::none when usable. Bypassed

@@ -80,4 +80,12 @@ std::size_t nearest_point(const cplx* points, std::size_t n, cplx y) {
   return nearest_scalar(points, n, y);
 }
 
+bool demod_kernels_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::phy::detail

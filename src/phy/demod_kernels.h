@@ -18,4 +18,8 @@ namespace backfi::phy::detail {
 /// comparisons all fail). n must be at least 1.
 std::size_t nearest_point(const cplx* points, std::size_t n, cplx y);
 
+/// True when demod_kernels.cpp was compiled with AVX2, i.e. the per-TU
+/// kernel flags of src/phy/CMakeLists.txt took effect.
+bool demod_kernels_avx2();
+
 }  // namespace backfi::phy::detail

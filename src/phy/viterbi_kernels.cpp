@@ -170,4 +170,12 @@ void viterbi_acs_step(const double* metric, double s0, double s1,
 #endif
 }
 
+bool viterbi_kernels_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::phy::detail

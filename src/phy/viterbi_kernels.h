@@ -28,4 +28,8 @@ void viterbi_acs_step(const double* metric, double s0, double s1,
                       std::uint8_t* survivor_input_row,
                       std::uint8_t* survivor_prev_row);
 
+/// True when viterbi_kernels.cpp was compiled with AVX2, i.e. the per-TU
+/// kernel flags of src/phy/CMakeLists.txt took effect.
+bool viterbi_kernels_avx2();
+
 }  // namespace backfi::phy::detail

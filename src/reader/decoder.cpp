@@ -218,7 +218,6 @@ decode_result backfi_decoder::decode_with_scratch(
   const std::size_t n_payload_symbols = device.payload_symbols(payload_bits);
 
   {
-    obs::timing_span finite_span(config_.collector, "reader.decode.finite");
     // The finite pre-check walks exactly the read-window bound — the same
     // derivation the receive chain's ROI comes from, so a windowed chain
     // never leaves an unchecked (possibly stale) sample readable.
@@ -255,7 +254,6 @@ decode_result backfi_decoder::decode_with_scratch(
   cplx best_reference{1.0, 0.0};
   std::size_t window_begin = 0;  // absolute index of scratch.products[0]
   double search_width = static_cast<double>(std::max(config_.timing_search, 0));
-  obs::timing_span sync_span(config_.collector, "reader.sync_scan");
   for (std::size_t attempt = 0; attempt <= config_.sync_retries; ++attempt,
                    search_width *= std::max(config_.retry_search_scale, 1.0)) {
     const int search =
@@ -328,7 +326,6 @@ decode_result backfi_decoder::decode_with_scratch(
     }
     if (best_score >= config_.sync_threshold) break;
   }
-  sync_span.stop();
   result.timing_offset = best_offset;
   result.sync_correlation = std::max(best_score, 0.0);
   obs::observe(config_.collector, obs::probe::sync_correlation,
@@ -371,20 +368,17 @@ decode_result backfi_decoder::decode_with_scratch(
   const std::size_t data_start_best =
       data_begin + static_cast<std::size_t>(
                        static_cast<std::ptrdiff_t>(best_offset));
-  obs::timing_span mrc_span(config_.collector, "reader.mrc");
   cvec symbols(n_payload_symbols);
   mrc_symbol_estimates_from_products(scratch.products, scratch.weights,
                                      window_begin, y.size(), data_start_best,
                                      sps, n_payload_symbols, guard, symbols);
   for (cplx& m : symbols) m /= correction;
-  mrc_span.stop();
 
   // Decision-directed phase tracking across the payload: each sliced
   // decision feeds a first-order loop that de-rotates subsequent symbols,
   // so rotation accumulating since the sync word (CFO, phase noise, tag
   // clock wander) stays bounded instead of walking across the decision
   // boundary on long packets.
-  obs::timing_span track_span(config_.collector, "reader.decode.track");
   scratch.track_labels.clear();
   if (config_.phase_tracking) {
     // The sliced decisions are kept so the EVM loop below reuses them
@@ -402,7 +396,6 @@ decode_result backfi_decoder::decode_with_scratch(
       rot *= std::polar(1.0, -gain * err);
     }
   }
-  track_span.stop();
 
   // --- 5. Soft decoding ---
   decode_result bits = decode_from_symbols_impl(symbols, noise_var,
@@ -462,7 +455,6 @@ decode_result backfi_decoder::decode_from_symbols_impl(
   // When the phase tracker already sliced these exact symbol values its
   // decisions are reused; slicing again would return the same labels.
   {
-    obs::timing_span evm_span(config_.collector, "reader.decode.evm");
     double acc = 0.0;
     if (tracked_labels.size() == symbols.size()) {
       for (std::size_t i = 0; i < symbols.size(); ++i)
@@ -481,7 +473,6 @@ decode_result backfi_decoder::decode_from_symbols_impl(
   const std::size_t info_bits = payload_bits + 32;  // + CRC
   const std::size_t coded_bits =
       phy::coded_length(info_bits, tag_config_.rate.coding);
-  obs::timing_span demap_span(config_.collector, "reader.decode.demap");
   std::vector<double> local_soft;
   std::vector<double> local_mother;
   std::vector<double>& soft = scratch ? scratch->soft : local_soft;
@@ -497,12 +488,9 @@ decode_result backfi_decoder::decode_from_symbols_impl(
 
   phy::depuncture_into(soft, tag_config_.rate.coding,
                        2 * (info_bits + phy::conv_tail_bits), mother);
-  demap_span.stop();
-  obs::timing_span viterbi_span(config_.collector, "reader.viterbi");
   double path_metric = 0.0;
   const phy::bitvec decoded =
       phy::viterbi_decode(mother, info_bits, &path_metric);
-  viterbi_span.stop();
   // Normalize by trellis steps so the confidence probe is comparable
   // across payload lengths.
   obs::observe(config_.collector, obs::probe::viterbi_path_metric,

@@ -92,8 +92,8 @@ struct decoder_config {
   double phase_tracking_gain = 0.15;
   /// Observability sink (nullable): the decoder reports sync correlation,
   /// timing offset, post-MRC SNR, EVM, Viterbi path metric, per-reason
-  /// failure counters and stage timing spans through it. Null (the
-  /// default) compiles to no-ops on the hot path.
+  /// failure counters and the reader.decode timing span through it. Null
+  /// (the default) compiles to no-ops on the hot path.
   obs::collector* collector = nullptr;
 
   /// First violated constraint, or config_error::none when usable.

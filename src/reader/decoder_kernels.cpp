@@ -71,4 +71,12 @@ bool all_finite_window(std::span<const cplx> x, std::span<const cplx> y,
 #endif
 }
 
+bool decoder_kernels_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::reader::detail

@@ -16,4 +16,8 @@ namespace backfi::reader::detail {
 bool all_finite_window(std::span<const cplx> x, std::span<const cplx> y,
                        std::size_t begin, std::size_t end);
 
+/// True when decoder_kernels.cpp was compiled with AVX2, i.e. the per-TU
+/// kernel flags of src/reader/CMakeLists.txt took effect.
+bool decoder_kernels_avx2();
+
 }  // namespace backfi::reader::detail

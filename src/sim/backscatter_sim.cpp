@@ -159,23 +159,16 @@ trial_result run_backscatter_trial(const scenario_config& config,
   validate_or_throw(config, "run_backscatter_trial");
   trial_result result;
   obs::collector* const c = config.collector;
-  obs::timing_span trial_span(c, "sim.trial");
   obs::count(c, obs::probe::trials);
   dsp::rng gen(config.seed);
 
   // --- Excitation and channels ---
-  // Stage spans below close the probe gap between sim.trial and the
-  // fd/reader spans: every contiguous region of the trial body has its own
-  // top-level timing span, so the stage means sum to the trial mean.
-  obs::timing_span excitation_span(c, "reader.excitation");
   reader::excitation_config ex_cfg = config.excitation;
   ex_cfg.tag_id = config.tag.id;
   ex_cfg.payload_seed = gen.next_u64();
   reader::build_excitation_into(ex_cfg, ws.ex, &ws.stats);
   const reader::excitation& ex = ws.ex;
-  excitation_span.stop();
 
-  obs::timing_span forward_span(c, "channel.forward");
   const auto channels =
       channel::draw_backscatter_channels(config.budget, config.tag_distance_m, gen);
 
@@ -184,8 +177,6 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // the tag's support (sim/synthesis.h).
   const std::span<const cplx> incident = wake_incident(
       ex.samples, channels.h_f, ex_cfg.wake_bits, ws.synth, &ws.stats);
-  forward_span.stop();
-  obs::timing_span modulate_span(c, "tag.modulate");
   const double incident_dbm =
       channel::incident_power_at_tag_dbm(config.budget, config.tag_distance_m);
   const auto wake = tag::detect_wake(incident, ex.wake_preamble, incident_dbm);
@@ -222,19 +213,14 @@ trial_result run_backscatter_trial(const scenario_config& config,
   }
   faults.apply_to_reflection(tag_tx.reflection, tag_tx.preamble_start,
                              tag_tx.data_end);
-  modulate_span.stop();
 
   // --- Received signal at the reader ---
-  obs::timing_span backscatter_span(c, "channel.backscatter");
   channel::apply_channel_into(ex.samples, channels.h_env, ws.rx, &ws.stats);
   cvec& rx = ws.rx;
   add_backscatter(ex.samples, channels.h_f, channels.h_b, tag_tx,
                   /*theta_rad=*/0.0, rx, ws.synth, &ws.stats);
-  backscatter_span.stop();
-  obs::timing_span noise_span(c, "sim.noise");
   channel::add_awgn(rx, channels.noise_power, gen);
   faults.apply_at_antenna(rx);
-  noise_span.stop();
 
   // --- Self-interference cancellation over the silent window ---
   // The reader adapts over its nominal silent window: the tag stays silent
@@ -314,7 +300,6 @@ trial_result run_backscatter_trial(const scenario_config& config,
   }
 
   // Raw (pre-Viterbi) symbol errors for the Fig. 11b BER analysis.
-  obs::timing_span slicer_span(c, "reader.slicer");
   if (decoded.sync_found && !decoded.symbol_estimates.empty()) {
     const auto& constellation =
         phy::psk_constellation(tag::psk_order(config.tag.rate.modulation));
@@ -336,10 +321,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
     obs::count(c, obs::probe::raw_symbol_errors, errors);
   }
 
-  slicer_span.stop();
-
   // --- Oracle SNR (the paper's VNA-measured expectation) ---
-  obs::timing_span oracle_span(c, "sim.oracle");
   const std::size_t guard = std::min<std::size_t>(
       config.decoder.fb_taps - 1,
       device.samples_per_symbol() > 2 ? device.samples_per_symbol() - 2 : 1);
@@ -348,7 +330,6 @@ trial_result run_backscatter_trial(const scenario_config& config,
       dsp::db_to_amplitude(-config.tag.insertion_loss_db),
       device.samples_per_symbol(), guard, tag_tx.data_start, tag_tx.data_end,
       ws.oracle_yhat, &ws.stats);
-  oracle_span.stop();
   obs::observe(c, obs::probe::expected_snr_db, result.link.expected_snr_db);
 
   // --- Throughput accounting ---

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
+
+#include "dsp/env.h"
 
 namespace backfi::sim {
 
@@ -13,13 +14,8 @@ std::atomic<std::size_t> g_thread_override{0};
 
 std::size_t default_thread_count() {
   static const std::size_t n = [] {
-    if (const char* env = std::getenv("BACKFI_THREADS")) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(env, &end, 10);
-      if (end != env && value > 0) {
-        return std::min<std::size_t>(value, max_pool_threads);
-      }
-    }
+    if (const auto value = dsp::env_size("BACKFI_THREADS"); value && *value > 0)
+      return std::min(*value, max_pool_threads);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<std::size_t>(hw) : std::size_t{1};
   }();

@@ -36,7 +36,8 @@ bool in_parallel_region();
 // scoped_thread_count is how callers change it for a region. The
 // resolution order is: the value set by set_thread_count /
 // scoped_thread_count if nonzero, else the BACKFI_THREADS environment
-// variable, else std::thread::hardware_concurrency.
+// variable if it is a nonzero plain decimal count (dsp::env_size), else
+// std::thread::hardware_concurrency.
 
 /// Number of threads a sweep may use right now.
 std::size_t thread_count();

@@ -1,0 +1,28 @@
+// The SIMD kernel TUs (Viterbi ACS, constellation slice, pre-decode finite
+// scan, noise synthesis) get -mavx2 from per-source COMPILE_OPTIONS. A
+// build change that drops those flags loses the vector paths without
+// changing a single output bit, so no value test notices; this one pins
+// each TU's __AVX2__ to the CMake host probe.
+#include <gtest/gtest.h>
+
+#include "dsp/rng.h"
+#include "phy/demod_kernels.h"
+#include "phy/viterbi_kernels.h"
+#include "reader/decoder_kernels.h"
+
+namespace backfi {
+namespace {
+
+TEST(KernelBuildTest, SimdTusMatchHostProbe) {
+#if defined(BACKFI_DEBUG_BUILD)
+  GTEST_SKIP() << "Debug builds compile the kernel TUs with default flags";
+#endif
+  const bool probe = BACKFI_HOST_HAS_AVX2 != 0;
+  EXPECT_EQ(phy::detail::viterbi_kernels_avx2(), probe);
+  EXPECT_EQ(phy::detail::demod_kernels_avx2(), probe);
+  EXPECT_EQ(reader::detail::decoder_kernels_avx2(), probe);
+  EXPECT_EQ(dsp::detail::rng_kernels_avx2(), probe);
+}
+
+}  // namespace
+}  // namespace backfi

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/collector.h"
@@ -219,6 +221,23 @@ TEST(SchedulerTest, ResultsIdenticalAcrossThreadCountsForSeededBodies) {
     });
     EXPECT_EQ(out, reference) << "threads=" << threads;
   }
+}
+
+TEST(SchedulerTest, LanesOverlapOnBlockingTasks) {
+  // A pool that serializes its lanes (one lock held across every task
+  // body) still runs each index exactly once; only the wall time shows
+  // it. Sleeping tasks overlap on any core count and under sanitizers, so
+  // 8 lanes must finish well inside the serial sleep sum.
+  constexpr std::size_t n = 64;
+  constexpr auto task = std::chrono::milliseconds(2);
+  scoped_thread_count guard(8);
+  const auto t0 = std::chrono::steady_clock::now();
+  const sweep_stats stats = sweep_for(
+      n, [&](std::size_t) { std::this_thread::sleep_for(task); },
+      /*chunk=*/1);
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(stats.threads, 8u);
+  EXPECT_LT(wall, n * task / 2);
 }
 
 }  // namespace

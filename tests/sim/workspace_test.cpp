@@ -17,8 +17,8 @@ namespace backfi::sim {
 namespace {
 
 scenario_config fig08_mid(std::uint64_t seed) {
-  // The fig08 single-link mid-range scenario (bench/perf_trial measures the
-  // same one).
+  // The fig08 single-link mid-range scenario (the point bench/e2e's
+  // trial_fresh workload times).
   scenario_config cfg;
   cfg.seed = seed;
   cfg.excitation.ppdu_bytes = 4000;
