@@ -26,11 +26,6 @@ telemetry_session::telemetry_session(std::string name)
 }
 
 int telemetry_session::finish(std::span<const obs::probe> required) {
-  return finish(required, {});
-}
-
-int telemetry_session::finish(std::span<const obs::probe> required,
-                              std::span<const std::string> required_named) {
   if (!collector_) return 0;
   const std::string json_path = prefix_ + ".json";
   const std::string csv_path = prefix_ + ".csv";
@@ -49,12 +44,6 @@ int telemetry_session::finish(std::span<const obs::probe> required,
                 csv_path.c_str());
   for (const std::string& name : obs::zero_sample_probes(registry, required)) {
     std::printf("# telemetry: required probe \"%s\" reported zero samples\n",
-                name.c_str());
-    status = 1;
-  }
-  for (const std::string& name :
-       obs::zero_sample_metrics(registry, required_named)) {
-    std::printf("# telemetry: required metric \"%s\" reported zero samples\n",
                 name.c_str());
     status = 1;
   }

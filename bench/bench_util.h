@@ -75,12 +75,6 @@ class telemetry_session {
   /// coverage through the exit code alone.
   int finish(std::span<const obs::probe> required);
 
-  /// As above, additionally requiring the ad-hoc named metrics in
-  /// `required_named` (timing spans like "timing.reader.decode" and the
-  /// "sim.scheduler.*" counters, which have no typed catalogue entry).
-  int finish(std::span<const obs::probe> required,
-             std::span<const std::string> required_named);
-
  private:
   std::string name_;
   std::string prefix_;

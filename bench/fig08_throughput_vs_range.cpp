@@ -127,9 +127,7 @@ int run_sweep() {
 
   // Every probe the fig. 8 pipeline is supposed to exercise must have
   // fired; a zero-sample probe is disconnected instrumentation and fails
-  // the bench (and the CI telemetry job) via the exit code. The named
-  // metrics cover the adaptive-PER telemetry, which has no entry in the
-  // typed probe catalogue.
+  // the bench (and the CI telemetry job) via the exit code.
   const obs::probe required[] = {
       obs::probe::trials,          obs::probe::trials_woke,
       obs::probe::trials_sync_found, obs::probe::trials_decoded,
@@ -140,12 +138,9 @@ int run_sweep() {
       obs::probe::expected_snr_db, obs::probe::evm_rms,
       obs::probe::viterbi_path_metric, obs::probe::tag_energy_pj,
       obs::probe::effective_throughput_bps,
+      obs::probe::adaptive_points, obs::probe::adaptive_trials_run,
   };
-  const std::string required_named[] = {
-      "sim.adaptive.points",
-      "sim.adaptive.trials_run",
-  };
-  return telemetry.finish(required, required_named);
+  return telemetry.finish(required);
 }
 
 void bm_single_link_trial(benchmark::State& state) {

@@ -78,14 +78,12 @@ int run_experiment() {
       obs::probe::decode_failures,
       obs::probe::arq_state_transitions,
       obs::probe::arq_retries,
+      // run_fault_campaign goes through the sweep scheduler; its
+      // deterministic counters must have landed in the merged registry.
+      obs::probe::scheduler_sweeps,
+      obs::probe::scheduler_tasks,
   };
-  // run_fault_campaign goes through the sweep scheduler; its deterministic
-  // counters must have landed in the merged registry.
-  const std::string required_named[] = {
-      "sim.scheduler.sweeps",
-      "sim.scheduler.tasks",
-  };
-  return telemetry.finish(required, required_named);
+  return telemetry.finish(required);
 }
 
 void bm_campaign_cell(benchmark::State& state) {

@@ -115,17 +115,15 @@ int run_experiment() {
       obs::probe::trials,
       obs::probe::trials_woke,
       obs::probe::arq_state_transitions,
+      obs::probe::scheduler_sweeps,
+      obs::probe::scheduler_tasks,
+      // The erasure-coding layer: per-arm sweep totals and the link
+      // supervisor's per-symbol accounting.
+      obs::probe::coding_arms,
+      obs::probe::coding_arm_blocks_decoded,
+      obs::probe::coding_symbols_delivered,
   };
-  // Coding-layer counters land as named metrics (the typed probe
-  // catalogue stays frozen for digest stability).
-  const std::string required_named[] = {
-      "sim.scheduler.sweeps",
-      "sim.scheduler.tasks",
-      "sim.coding.arms",
-      "sim.coding.blocks_decoded",
-      "mac.coding.symbols_delivered",
-  };
-  return telemetry.finish(required, required_named);
+  return telemetry.finish(required);
 }
 
 void bm_wild_arm_coded(benchmark::State& state) {

@@ -83,7 +83,8 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   cvec& after_analog = scratch.after_analog;
   cvec& digitized = scratch.digitized;
   cvec& cleaned = scratch.cleaned;
-  obs::timing_span chain_span(config.collector, "fd.receive_chain");
+  obs::timing_span chain_span(config.collector,
+                              obs::probe::timing_receive_chain);
   // A degenerate adaptation window (or misaligned tx/rx) would train both
   // cancellers on garbage and silently "cancel" the backscatter itself; a
   // window shorter than an enabled stage's tap count has fewer rows than
@@ -341,16 +342,12 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
     }
     result.roi_samples_processed = processed;
     result.roi_samples_skipped = capture_len - processed;
-    if (config.collector != nullptr) {
-      config.collector->set_gauge("runtime.chain.roi.samples_processed",
-                                  static_cast<double>(processed));
-      config.collector->set_gauge(
-          "runtime.chain.roi.samples_skipped",
-          static_cast<double>(result.roi_samples_skipped));
-      config.collector->set_gauge(
-          "runtime.chain.roi.coverage",
-          static_cast<double>(processed) / static_cast<double>(capture_len));
-    }
+    obs::set(config.collector, obs::probe::roi_samples_processed,
+             static_cast<double>(processed));
+    obs::set(config.collector, obs::probe::roi_samples_skipped,
+             static_cast<double>(result.roi_samples_skipped));
+    obs::set(config.collector, obs::probe::roi_coverage,
+             static_cast<double>(processed) / static_cast<double>(capture_len));
   }
   return result;
 }

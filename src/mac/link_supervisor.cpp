@@ -194,8 +194,7 @@ void link_supervisor::report_symbol_result(std::uint32_t id, bool delivered,
 
   if (delivered) {
     ++r.coding.symbols_delivered;
-    if (collector_ != nullptr)
-      collector_->add_counter("mac.coding.symbols_delivered");
+    obs::count(collector_, obs::probe::coding_symbols_delivered);
     r.erasure_streak = 0;
     if (r.state != link_state::healthy) {
       ++r.stats.recoveries;
@@ -206,8 +205,7 @@ void link_supervisor::report_symbol_result(std::uint32_t id, bool delivered,
   }
 
   ++r.coding.symbols_erased;
-  if (collector_ != nullptr)
-    collector_->add_counter("mac.coding.symbols_erased");
+  obs::count(collector_, obs::probe::coding_symbols_erased);
   ++r.erasure_streak;
   if (r.erasure_streak >= config_.erasure_backoff_after) {
     // Erasures this long look like an OFF burst, not noise the code can
@@ -215,8 +213,7 @@ void link_supervisor::report_symbol_result(std::uint32_t id, bool delivered,
     // exponential ladder (the operating point is not at fault).
     r.erasure_streak = 0;
     ++r.coding.erasure_backoffs;
-    if (collector_ != nullptr)
-      collector_->add_counter("mac.coding.erasure_backoffs");
+    obs::count(collector_, obs::probe::coding_erasure_backoffs);
     scheduler_.defer(r.id,
                      std::min(config_.erasure_backoff, config_.backoff_cap));
     transition(r, link_state::backoff);
@@ -229,16 +226,14 @@ coded_directive link_supervisor::report_block_outcome(std::uint32_t id,
   switch (status) {
     case phy::block_status::decoded:
       ++r.coding.blocks_decoded;
-      if (collector_ != nullptr)
-        collector_->add_counter("mac.coding.blocks_decoded");
+      obs::count(collector_, obs::probe::coding_blocks_decoded);
       r.repair_rounds_used = 0;
       return coded_directive::continue_stream;
     case phy::block_status::pending:
       if (r.repair_rounds_used < config_.max_repair_rounds) {
         ++r.repair_rounds_used;
         ++r.coding.repair_rounds;
-        if (collector_ != nullptr)
-          collector_->add_counter("mac.coding.repair_rounds");
+        obs::count(collector_, obs::probe::coding_repair_rounds);
         return coded_directive::send_repair;
       }
       break;
@@ -246,8 +241,7 @@ coded_directive link_supervisor::report_block_outcome(std::uint32_t id,
       break;
   }
   ++r.coding.blocks_abandoned;
-  if (collector_ != nullptr)
-    collector_->add_counter("mac.coding.blocks_abandoned");
+  obs::count(collector_, obs::probe::coding_blocks_abandoned);
   r.repair_rounds_used = 0;
   return coded_directive::abandon_block;
 }

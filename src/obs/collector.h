@@ -2,22 +2,21 @@
 //
 // A collector owns one metrics_registry with the full probe catalogue
 // pre-registered (so a probe that never reports is visible as zero
-// samples), plus ad-hoc named metrics and wall-time timing spans. The
+// samples); the catalogue is the only way a metric enters it. The
 // pipeline passes a *nullable* `collector*` down the chain; every probe
 // site goes through the free helpers below, which compile to a single
 // null check when collection is disabled — the hot path pays nothing.
 //
-// Determinism contract: everything except "timing.*" metrics is a pure
-// function of the trial inputs. Parallel trial loops give each index its
-// own collector via collector_fork and merge in index order, so exported
-// aggregates (with timings excluded) are bit-identical at any
-// BACKFI_THREADS. Timing spans measure wall clock and are exempt.
+// Determinism contract: everything except "timing.*" and "runtime.*"
+// metrics is a pure function of the trial inputs. Parallel trial loops
+// give each index its own collector via collector_fork and merge in index
+// order, so exported aggregates (with timings excluded) are bit-identical
+// at any BACKFI_THREADS. Timing spans measure wall clock and are exempt.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -48,16 +47,10 @@ class collector {
   collector();
 
   /// Typed probe fast path: cached map-node pointers, no string lookup.
+  /// Each applies to probes of its kind (counter, value, gauge).
   void count(probe p, std::uint64_t delta = 1);
   void observe(probe p, double value);
-
-  /// Ad-hoc named metrics (e.g. per-failure-reason counters).
-  void add_counter(std::string_view name, std::uint64_t delta = 1);
-  void set_gauge(std::string_view name, double value);
-  void observe_named(std::string_view name, double value, double lo, double hi);
-
-  /// Record one wall-time measurement under "timing.<name>" [seconds].
-  void record_timing(std::string_view name, double seconds);
+  void set(probe p, double value);
 
   /// Fold another collector's registry into this one (by metric name).
   void merge(const collector& other);
@@ -69,6 +62,7 @@ class collector {
   metrics_registry registry_;
   std::array<counter*, probe_count> counters_{};
   std::array<histogram*, probe_count> histograms_{};
+  std::array<gauge*, probe_count> gauges_{};
 };
 
 // --- Null-safe probe helpers: the API the pipeline calls. -----------------
@@ -81,19 +75,24 @@ inline void observe(collector* c, probe p, double value) {
   if (c) c->observe(p, value);
 }
 
-/// RAII wall-time span: records "timing.<name>" [s] on destruction. With a
-/// null collector neither clock is read — disabled spans are free.
+inline void set(collector* c, probe p, double value) {
+  if (c) c->set(p, value);
+}
+
+/// RAII wall-time span: observes the elapsed seconds into a "timing.*"
+/// value probe on destruction. With a null collector neither clock is
+/// read — disabled spans are free.
 class timing_span {
  public:
-  timing_span(collector* c, std::string_view name) : collector_(c), name_(name) {
+  timing_span(collector* c, probe p) : collector_(c), probe_(p) {
     if (collector_) start_ = std::chrono::steady_clock::now();
   }
   /// Record the span now instead of at destruction (idempotent).
   void stop() {
     if (!collector_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    collector_->record_timing(
-        name_, std::chrono::duration<double>(elapsed).count());
+    collector_->observe(probe_,
+                        std::chrono::duration<double>(elapsed).count());
     collector_ = nullptr;
   }
   ~timing_span() { stop(); }
@@ -102,7 +101,7 @@ class timing_span {
 
  private:
   collector* collector_;
-  std::string_view name_;
+  probe probe_;
   std::chrono::steady_clock::time_point start_;
 };
 

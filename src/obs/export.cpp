@@ -1,8 +1,7 @@
 #include "obs/export.h"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace backfi::obs {
 
@@ -22,6 +21,15 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
+// JSON has no token for inf or nan.
+void append_json_double(std::string& out, double v) {
+  if (std::isfinite(v)) {
+    append_double(out, v);
+  } else {
+    out += "null";
+  }
+}
+
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
@@ -36,77 +44,6 @@ void append_quoted(std::string& out, std::string_view s) {
   }
   out += '"';
 }
-
-// --- Minimal JSON reader for the shape to_json produces. -----------------
-
-struct json_reader {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-      ++pos;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    failed = true;
-    return false;
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) c = text[pos++];
-      out += c;
-    }
-    if (pos >= text.size()) {
-      failed = true;
-      return out;
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* begin = text.data() + pos;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) {
-      failed = true;
-      return 0.0;
-    }
-    pos += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  std::uint64_t parse_u64() {
-    skip_ws();
-    const char* begin = text.data() + pos;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(begin, &end, 10);
-    if (end == begin) {
-      failed = true;
-      return 0;
-    }
-    pos += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-};
 
 }  // namespace
 
@@ -158,7 +95,7 @@ std::string to_json(const metrics_registry& registry,
     out += ind2;
     append_quoted(out, name);
     out += ": ";
-    append_double(out, g.value);
+    append_json_double(out, g.value);
   }
   out += nl;
   out += ind;
@@ -179,19 +116,19 @@ std::string to_json(const metrics_registry& registry,
     out += ind2;
     append_quoted(out, name);
     out += ": {\"lo\": ";
-    append_double(out, h.lo);
+    append_json_double(out, h.lo);
     out += ", \"hi\": ";
-    append_double(out, h.hi);
+    append_json_double(out, h.hi);
     out += ", \"count\": ";
     append_u64(out, h.count);
     out += ", \"sum\": ";
-    append_double(out, h.sum);
+    append_json_double(out, h.sum);
     out += ", \"sum_sq\": ";
-    append_double(out, h.sum_sq);
+    append_json_double(out, h.sum_sq);
     out += ", \"min\": ";
-    append_double(out, h.count > 0 ? h.min_value : 0.0);
+    append_json_double(out, h.count > 0 ? h.min_value : 0.0);
     out += ", \"max\": ";
-    append_double(out, h.count > 0 ? h.max_value : 0.0);
+    append_json_double(out, h.count > 0 ? h.max_value : 0.0);
     out += ", \"bins\": [";
     for (std::size_t i = 0; i < histogram::n_bins; ++i) {
       if (i > 0) out += ", ";
@@ -243,83 +180,6 @@ std::string to_csv(const metrics_registry& registry) {
   return out;
 }
 
-std::optional<metrics_registry> from_json(std::string_view json) {
-  json_reader r{json};
-  metrics_registry registry;
-
-  if (!r.consume('{')) return std::nullopt;
-  bool first_section = true;
-  while (!r.peek('}')) {
-    if (!first_section && !r.consume(',')) return std::nullopt;
-    first_section = false;
-    const std::string section = r.parse_string();
-    if (!r.consume(':')) return std::nullopt;
-
-    if (section == "backfi_telemetry") {
-      if (r.parse_u64() != 1 || r.failed) return std::nullopt;
-      continue;
-    }
-
-    if (!r.consume('{')) return std::nullopt;
-    bool first_entry = true;
-    while (!r.peek('}')) {
-      if (!first_entry && !r.consume(',')) return std::nullopt;
-      first_entry = false;
-      const std::string name = r.parse_string();
-      if (!r.consume(':')) return std::nullopt;
-
-      if (section == "counters") {
-        registry.get_counter(name).value = r.parse_u64();
-      } else if (section == "gauges") {
-        registry.set(name, r.parse_number());
-      } else if (section == "histograms") {
-        if (!r.consume('{')) return std::nullopt;
-        histogram h;
-        bool first_field = true;
-        while (!r.peek('}')) {
-          if (!first_field && !r.consume(',')) return std::nullopt;
-          first_field = false;
-          const std::string field = r.parse_string();
-          if (!r.consume(':')) return std::nullopt;
-          if (field == "lo") {
-            h.lo = r.parse_number();
-          } else if (field == "hi") {
-            h.hi = r.parse_number();
-          } else if (field == "count") {
-            h.count = r.parse_u64();
-          } else if (field == "sum") {
-            h.sum = r.parse_number();
-          } else if (field == "sum_sq") {
-            h.sum_sq = r.parse_number();
-          } else if (field == "min") {
-            h.min_value = r.parse_number();
-          } else if (field == "max") {
-            h.max_value = r.parse_number();
-          } else if (field == "bins") {
-            if (!r.consume('[')) return std::nullopt;
-            for (std::size_t i = 0; i < histogram::n_bins; ++i) {
-              if (i > 0 && !r.consume(',')) return std::nullopt;
-              h.bins[i] = r.parse_u64();
-            }
-            if (!r.consume(']')) return std::nullopt;
-          } else {
-            return std::nullopt;
-          }
-          if (r.failed) return std::nullopt;
-        }
-        if (!r.consume('}')) return std::nullopt;
-        registry.get_histogram(name, h.lo, h.hi) = h;
-      } else {
-        return std::nullopt;
-      }
-      if (r.failed) return std::nullopt;
-    }
-    if (!r.consume('}')) return std::nullopt;
-  }
-  if (!r.consume('}') || r.failed) return std::nullopt;
-  return registry;
-}
-
 bool write_file(const std::string& path, std::string_view contents) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) return false;
@@ -335,33 +195,24 @@ std::vector<std::string> zero_sample_probes(const metrics_registry& registry,
   for (const probe p : required) {
     const probe_info& pi = info(p);
     bool sampled = false;
-    if (pi.kind == probe_kind::counter) {
-      const auto it = registry.counters().find(pi.name);
-      sampled = it != registry.counters().end() && it->second.value > 0;
-    } else {
-      const auto it = registry.histograms().find(pi.name);
-      sampled = it != registry.histograms().end() && it->second.count > 0;
+    switch (pi.kind) {
+      case probe_kind::counter: {
+        const auto it = registry.counters().find(pi.name);
+        sampled = it != registry.counters().end() && it->second.value > 0;
+        break;
+      }
+      case probe_kind::value: {
+        const auto it = registry.histograms().find(pi.name);
+        sampled = it != registry.histograms().end() && it->second.count > 0;
+        break;
+      }
+      case probe_kind::gauge: {
+        const auto it = registry.gauges().find(pi.name);
+        sampled = it != registry.gauges().end() && it->second.set;
+        break;
+      }
     }
     if (!sampled) unsampled.emplace_back(pi.name);
-  }
-  return unsampled;
-}
-
-std::vector<std::string> zero_sample_metrics(
-    const metrics_registry& registry, std::span<const std::string> required) {
-  std::vector<std::string> unsampled;
-  for (const std::string& name : required) {
-    bool sampled = false;
-    if (const auto it = registry.counters().find(name);
-        it != registry.counters().end() && it->second.value > 0)
-      sampled = true;
-    if (const auto it = registry.histograms().find(name);
-        !sampled && it != registry.histograms().end() && it->second.count > 0)
-      sampled = true;
-    if (const auto it = registry.gauges().find(name);
-        !sampled && it != registry.gauges().end() && it->second.set)
-      sampled = true;
-    if (!sampled) unsampled.push_back(name);
   }
   return unsampled;
 }

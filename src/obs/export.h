@@ -1,16 +1,17 @@
 // Export of a metrics_registry to machine-readable artifacts.
 //
-// JSON is the canonical format: doubles are printed with %.17g so a
-// parse -> re-export round trip is byte-identical, which is also how the
-// determinism tests compare registries (canonical JSON equality). CSV is a
-// flat convenience view (one row per metric) for spreadsheet import.
+// JSON is the canonical format: finite doubles are printed with %.17g, so
+// the text determines each value exactly and the determinism tests compare
+// registries as canonical JSON strings; non-finite doubles (an empty
+// capture's -inf dB depth, a NaN sample's statistics) are written as
+// null, so the output stays strict JSON. CSV is a flat convenience view
+// (one row per metric) for spreadsheet import.
 //
-// "timing.*" metrics are wall-clock measurements and therefore exempt from
-// the bit-identical-across-thread-counts contract; json_options lets
-// deterministic comparisons exclude them.
+// "timing.*" and "runtime.*" metrics are wall-clock or execution-dependent
+// measurements and therefore exempt from the bit-identical-across-thread-
+// counts contract; json_options lets deterministic comparisons exclude them.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -34,26 +35,13 @@ std::string to_json(const metrics_registry& registry,
 /// `kind,name,count,value_or_sum,mean,min,max`.
 std::string to_csv(const metrics_registry& registry);
 
-/// Parse JSON previously produced by to_json back into a registry.
-/// Returns std::nullopt on malformed input. Only the subset of JSON that
-/// to_json emits is supported — this is a round-trip codec, not a general
-/// JSON library.
-std::optional<metrics_registry> from_json(std::string_view json);
-
 /// Write `contents` to `path`; returns false on I/O failure.
 bool write_file(const std::string& path, std::string_view contents);
 
-/// Names of `required` probes that report zero samples (counter value 0 or
-/// histogram count 0) — the "silently disconnected instrumentation" check
-/// the CI telemetry job fails on.
+/// Names of `required` probes that report zero samples (counter value 0,
+/// histogram count 0, or a gauge never set) — the "silently disconnected
+/// instrumentation" check the CI telemetry job fails on.
 std::vector<std::string> zero_sample_probes(const metrics_registry& registry,
                                             std::span<const probe> required);
-
-/// Same check for ad-hoc named metrics that have no typed probe-catalogue
-/// entry (the lazily created timing spans and sim.scheduler.* counters). A
-/// name counts as sampled when it exists as a counter with value > 0, a
-/// histogram with count > 0, or a gauge that has been set.
-std::vector<std::string> zero_sample_metrics(
-    const metrics_registry& registry, std::span<const std::string> required);
 
 }  // namespace backfi::obs

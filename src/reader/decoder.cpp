@@ -29,15 +29,22 @@ std::vector<std::size_t> label_to_point_index(const phy::constellation& c) {
   return by_label;
 }
 
-// Per-reason failure accounting: the aggregate counter plus an ad-hoc
-// "reader.failure.<reason>" counter, so campaigns can tell a sync loss
-// from a CRC storm without re-running.
+// Per-reason failure accounting: the aggregate counter plus one
+// "reader.failure.<reason>" row per reason, so campaigns can tell a sync
+// loss from a CRC storm without re-running. The catalogue lists those rows
+// in decode_failure order, starting after `none`.
+static_assert(static_cast<std::size_t>(obs::probe::failure_crc_failed) -
+                      static_cast<std::size_t>(
+                          obs::probe::failure_empty_input) + 1 ==
+                  static_cast<std::size_t>(decode_failure::crc_failed),
+              "one reader.failure.* probe per decode_failure except none");
+
 void note_failure(obs::collector* c, decode_failure failure) {
   if (!c || failure == decode_failure::none) return;
   c->count(obs::probe::decode_failures);
-  std::string name = "reader.failure.";
-  name += to_string(failure);
-  c->add_counter(name);
+  c->count(static_cast<obs::probe>(
+      static_cast<std::size_t>(obs::probe::failure_empty_input) +
+      static_cast<std::size_t>(failure) - 1));
 }
 }  // namespace
 
@@ -186,7 +193,7 @@ decode_result backfi_decoder::decode_with_scratch(
     std::size_t nominal_origin, std::size_t payload_bits,
     decoder_scratch& scratch) const {
   decode_result result;
-  obs::timing_span decode_span(config_.collector, "reader.decode");
+  obs::timing_span decode_span(config_.collector, obs::probe::timing_decode);
   // --- Input validation: malformed captures return a typed failure ---
   if (x.empty() || y.empty()) {
     result.failure = decode_failure::empty_input;

@@ -196,8 +196,8 @@ void stream_session::cancel_segment(std::size_t index) {
   if (timed) {
     const double us = static_cast<double>(now_ns() - t0) * 1e-3;
     worker_stats_.cancel_us_total += us;
-    if (stage_collector_ != nullptr)
-      stage_collector_->record_timing("reader.stream.cancel", us * 1e-6);
+    obs::observe(stage_collector_, obs::probe::timing_stream_cancel,
+                 us * 1e-6);
   }
 
   while (!decode_ring_->try_push(std::move(seg))) drain_decode_ring();
@@ -228,9 +228,8 @@ void stream_session::drain_decode_ring() {
       worker_stats_.latency_us_total += latency_us;
       if (latency_us > worker_stats_.latency_us_max)
         worker_stats_.latency_us_max = latency_us;
-      if (stage_collector_ != nullptr)
-        stage_collector_->record_timing("reader.stream.decode",
-                                        decode_us * 1e-6);
+      obs::observe(stage_collector_, obs::probe::timing_stream_decode,
+                   decode_us * 1e-6);
     }
 
     seg.view = {};
@@ -287,23 +286,20 @@ void stream_session::finish() {
     // Deterministic under the block policy (pure functions of the capture
     // and schedule); with drop overflow the decode counts become
     // execution-dependent, which CI/bench configurations avoid.
-    c->add_counter("reader.stream.packets_in", stats_.packets_in);
-    c->add_counter("reader.stream.packets_decoded", stats_.packets_decoded);
-    c->add_counter("reader.stream.crc_ok", stats_.crc_ok);
+    c->count(obs::probe::stream_packets_in, stats_.packets_in);
+    c->count(obs::probe::stream_packets_decoded, stats_.packets_decoded);
+    c->count(obs::probe::stream_crc_ok, stats_.crc_ok);
     // Wall-clock / occupancy accounting: execution-dependent, runtime.*.
-    c->set_gauge("runtime.stream.packets_dropped",
-                 static_cast<double>(stats_.packets_dropped));
-    c->set_gauge("runtime.stream.queue_high_water",
-                 static_cast<double>(stats_.queue_high_water));
-    c->set_gauge("runtime.stream.latency_us_max", stats_.latency_us_max);
+    c->set(obs::probe::stream_packets_dropped,
+           static_cast<double>(stats_.packets_dropped));
+    c->set(obs::probe::stream_queue_high_water,
+           static_cast<double>(stats_.queue_high_water));
+    c->set(obs::probe::stream_latency_us_max, stats_.latency_us_max);
     if (stats_.packets_decoded > 0) {
       const double n = static_cast<double>(stats_.packets_decoded);
-      c->set_gauge("runtime.stream.latency_us_mean",
-                   stats_.latency_us_total / n);
-      c->set_gauge("runtime.stream.cancel_us_mean",
-                   stats_.cancel_us_total / n);
-      c->set_gauge("runtime.stream.decode_us_mean",
-                   stats_.decode_us_total / n);
+      c->set(obs::probe::stream_latency_us_mean, stats_.latency_us_total / n);
+      c->set(obs::probe::stream_cancel_us_mean, stats_.cancel_us_total / n);
+      c->set(obs::probe::stream_decode_us_mean, stats_.decode_us_total / n);
     }
   }
 }

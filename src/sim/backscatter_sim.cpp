@@ -109,27 +109,22 @@ double oracle_post_mrc_snr_db_ws(std::span<const cplx> x,
 // export profile alongside timing.*.
 void report_workspace_gauges(obs::collector* c, const dsp::workspace_stats& s) {
   if (!c) return;
-  c->set_gauge("runtime.workspace.bytes_reused",
-               static_cast<double>(s.bytes_reused));
-  c->set_gauge("runtime.workspace.bytes_allocated",
-               static_cast<double>(s.bytes_allocated));
-  c->set_gauge("runtime.workspace.reuse_pct", 100.0 * s.reuse_fraction());
+  using obs::probe;
+  c->set(probe::workspace_bytes_reused, static_cast<double>(s.bytes_reused));
+  c->set(probe::workspace_bytes_allocated,
+         static_cast<double>(s.bytes_allocated));
+  c->set(probe::workspace_reuse_pct, 100.0 * s.reuse_fraction());
   const channel::noise_cache_stats noise = channel::awgn_cache_stats();
-  c->set_gauge("runtime.noise_cache.hits", static_cast<double>(noise.hits));
-  c->set_gauge("runtime.noise_cache.misses",
-               static_cast<double>(noise.misses));
-  c->set_gauge("runtime.noise_cache.entries",
-               static_cast<double>(noise.entries));
-  c->set_gauge("runtime.noise_cache.bytes", static_cast<double>(noise.bytes));
+  c->set(probe::noise_cache_hits, static_cast<double>(noise.hits));
+  c->set(probe::noise_cache_misses, static_cast<double>(noise.misses));
+  c->set(probe::noise_cache_entries, static_cast<double>(noise.entries));
+  c->set(probe::noise_cache_bytes, static_cast<double>(noise.bytes));
   const reader::excitation_cache_stats_snapshot ex =
       reader::excitation_cache_stats();
-  c->set_gauge("runtime.excitation_cache.hits", static_cast<double>(ex.hits));
-  c->set_gauge("runtime.excitation_cache.misses",
-               static_cast<double>(ex.misses));
-  c->set_gauge("runtime.excitation_cache.entries",
-               static_cast<double>(ex.entries));
-  c->set_gauge("runtime.excitation_cache.bytes",
-               static_cast<double>(ex.bytes));
+  c->set(probe::excitation_cache_hits, static_cast<double>(ex.hits));
+  c->set(probe::excitation_cache_misses, static_cast<double>(ex.misses));
+  c->set(probe::excitation_cache_entries, static_cast<double>(ex.entries));
+  c->set(probe::excitation_cache_bytes, static_cast<double>(ex.bytes));
 }
 
 }  // namespace

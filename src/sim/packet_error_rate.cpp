@@ -109,10 +109,10 @@ std::vector<per_estimate> packet_error_rates(
     early_stops += e.early_stopped ? 1 : 0;
   }
   if (adaptive && collector) {
-    collector->add_counter("sim.adaptive.points", configs.size());
-    collector->add_counter("sim.adaptive.trials_run", trials_run);
-    collector->add_counter("sim.adaptive.trials_saved", trials_saved);
-    collector->add_counter("sim.adaptive.early_stops", early_stops);
+    collector->count(obs::probe::adaptive_points, configs.size());
+    collector->count(obs::probe::adaptive_trials_run, trials_run);
+    collector->count(obs::probe::adaptive_trials_saved, trials_saved);
+    collector->count(obs::probe::adaptive_early_stops, early_stops);
   }
   return out;
 }

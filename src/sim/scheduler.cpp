@@ -314,19 +314,17 @@ sweep_stats sweep_for_ranges(
 void report_sweep_stats(obs::collector* c, const sweep_stats& stats) {
   if (!c) return;
   // Deterministic counters: pure functions of the submitted work.
-  c->add_counter("sim.scheduler.sweeps", 1);
-  c->add_counter("sim.scheduler.tasks", stats.tasks);
-  c->add_counter("sim.scheduler.chunks", stats.chunks);
+  using obs::probe;
+  c->count(probe::scheduler_sweeps);
+  c->count(probe::scheduler_tasks, stats.tasks);
+  c->count(probe::scheduler_chunks, stats.chunks);
   // Execution-dependent gauges: runtime.* is excluded from the
   // deterministic export profile alongside timing.*.
-  c->set_gauge("runtime.scheduler.threads",
-               static_cast<double>(stats.threads));
-  c->set_gauge("runtime.scheduler.steals", static_cast<double>(stats.steals));
-  c->set_gauge("runtime.scheduler.wall_seconds", stats.wall_seconds);
-  c->set_gauge("runtime.scheduler.busy_seconds_total",
-               stats.busy_seconds_total());
-  c->set_gauge("runtime.scheduler.efficiency_pct",
-               100.0 * stats.efficiency());
+  c->set(probe::scheduler_threads, static_cast<double>(stats.threads));
+  c->set(probe::scheduler_steals, static_cast<double>(stats.steals));
+  c->set(probe::scheduler_wall_seconds, stats.wall_seconds);
+  c->set(probe::scheduler_busy_seconds_total, stats.busy_seconds_total());
+  c->set(probe::scheduler_efficiency_pct, 100.0 * stats.efficiency());
 }
 
 }  // namespace backfi::sim

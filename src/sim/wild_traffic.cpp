@@ -289,16 +289,15 @@ wild_result run_wild_traffic(const wild_traffic_config& config) {
   }
 
   if (obs::collector* c = config.link.collector) {
-    c->add_counter("sim.coding.arms", n_runs);
+    c->count(obs::probe::coding_arms, n_runs);
     for (const wild_run& run : runs) {
-      c->add_counter("sim.coding.blocks_decoded",
-                     static_cast<std::uint64_t>(run.blocks_decoded));
-      c->add_counter("sim.coding.blocks_abandoned",
-                     static_cast<std::uint64_t>(run.blocks_abandoned));
-      c->add_counter("sim.coding.repair_symbols",
-                     static_cast<std::uint64_t>(run.repair_symbols));
-      c->observe_named("sim.coding.arm_goodput_bps", run.goodput_bps, 0.0,
-                       2e7);
+      c->count(obs::probe::coding_arm_blocks_decoded,
+               static_cast<std::uint64_t>(run.blocks_decoded));
+      c->count(obs::probe::coding_arm_blocks_abandoned,
+               static_cast<std::uint64_t>(run.blocks_abandoned));
+      c->count(obs::probe::coding_arm_repair_symbols,
+               static_cast<std::uint64_t>(run.repair_symbols));
+      c->observe(obs::probe::coding_arm_goodput_bps, run.goodput_bps);
     }
   }
   return result;

@@ -18,10 +18,14 @@ TEST(Collector, PreRegistersFullCatalogue) {
       const auto it = c.registry().counters().find(pi.name);
       ASSERT_NE(it, c.registry().counters().end()) << pi.name;
       EXPECT_EQ(it->second.value, 0u) << pi.name;
-    } else {
+    } else if (pi.kind == probe_kind::value) {
       const auto it = c.registry().histograms().find(pi.name);
       ASSERT_NE(it, c.registry().histograms().end()) << pi.name;
       EXPECT_EQ(it->second.count, 0u) << pi.name;
+    } else {
+      const auto it = c.registry().gauges().find(pi.name);
+      ASSERT_NE(it, c.registry().gauges().end()) << pi.name;
+      EXPECT_FALSE(it->second.set) << pi.name;
     }
   }
 }
@@ -31,15 +35,23 @@ TEST(Collector, CatalogueNamesAreUniqueAndGrouped) {
     const std::string_view name = pi.name;
     const bool grouped = name.starts_with("sim.") || name.starts_with("fd.") ||
                          name.starts_with("reader.") ||
-                         name.starts_with("tag.") || name.starts_with("mac.");
+                         name.starts_with("tag.") || name.starts_with("mac.") ||
+                         name.starts_with("timing.") ||
+                         name.starts_with("runtime.");
     EXPECT_TRUE(grouped) << name;
   }
   collector c;  // the constructor would double-register on a duplicate name
-  std::size_t counters = 0, histograms = 0;
-  for (const probe_info& pi : probe_catalogue())
-    (pi.kind == probe_kind::counter ? counters : histograms) += 1;
+  std::size_t counters = 0, histograms = 0, gauges = 0;
+  for (const probe_info& pi : probe_catalogue()) {
+    switch (pi.kind) {
+      case probe_kind::counter: ++counters; break;
+      case probe_kind::value: ++histograms; break;
+      case probe_kind::gauge: ++gauges; break;
+    }
+  }
   EXPECT_EQ(c.registry().counters().size(), counters);
   EXPECT_EQ(c.registry().histograms().size(), histograms);
+  EXPECT_EQ(c.registry().gauges().size(), gauges);
 }
 
 TEST(Collector, TypedProbesHitTheNamedMetrics) {
@@ -53,28 +65,33 @@ TEST(Collector, TypedProbesHitTheNamedMetrics) {
 TEST(Collector, NullSafeHelpersIgnoreNull) {
   count(nullptr, probe::trials);
   observe(nullptr, probe::evm_rms, 0.1);  // must not crash
+  set(nullptr, probe::roi_coverage, 0.5);
   collector c;
   count(&c, probe::trials, 2);
   observe(&c, probe::evm_rms, 0.1);
+  set(&c, probe::roi_coverage, 0.5);
   EXPECT_EQ(c.registry().counters().at("sim.trials").value, 2u);
   EXPECT_EQ(c.registry().histograms().at("reader.evm_rms").count, 1u);
+  const gauge& g = c.registry().gauges().at("runtime.chain.roi.coverage");
+  EXPECT_TRUE(g.set);
+  EXPECT_EQ(g.value, 0.5);
 }
 
 TEST(TimingSpan, RecordsUnderTimingPrefixOnce) {
   collector c;
   {
-    timing_span span(&c, "unit.test");
+    timing_span span(&c, probe::timing_decode);
     span.stop();
     span.stop();  // idempotent
   }
-  const auto it = c.registry().histograms().find("timing.unit.test");
+  const auto it = c.registry().histograms().find("timing.reader.decode");
   ASSERT_NE(it, c.registry().histograms().end());
   EXPECT_EQ(it->second.count, 1u);
   EXPECT_GE(it->second.sum, 0.0);
 }
 
 TEST(TimingSpan, NullCollectorIsInert) {
-  timing_span span(nullptr, "unit.test");
+  timing_span span(nullptr, probe::timing_decode);
   span.stop();  // no clock read, no crash
 }
 

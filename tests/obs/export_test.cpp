@@ -1,5 +1,5 @@
-// JSON/CSV exporters: canonical output, exact round-trip through
-// from_json, timing exclusion, and the zero-sample probe check.
+// JSON/CSV exporters: canonical output, exact %.17g doubles, timing
+// exclusion, and the zero-sample probe check.
 #include "obs/export.h"
 
 #include <gtest/gtest.h>
@@ -17,33 +17,19 @@ metrics_registry sample_registry() {
   reg.add("sim.trials", 24);
   reg.add("reader.decode_failures", 3);
   reg.set("campaign.severity", 0.5);
-  // Awkward doubles on purpose: the %.17g round-trip must preserve them.
+  // Awkward doubles on purpose: %.17g must print them exactly.
   reg.observe("reader.post_mrc_snr_db", 17.299999999999997, -40.0, 60.0);
   reg.observe("reader.post_mrc_snr_db", -3.0000000000000004, -40.0, 60.0);
   reg.observe("timing.sim.trial", 1.25e-3, 0.0, 1.0);
   return reg;
 }
 
-TEST(JsonExport, RoundTripsByteIdentically) {
-  const metrics_registry reg = sample_registry();
-  const std::string json = to_json(reg);
-  const auto parsed = from_json(json);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(to_json(*parsed), json);
-}
-
-TEST(JsonExport, ParsedValuesMatchExactly) {
-  const metrics_registry reg = sample_registry();
-  auto parsed = from_json(to_json(reg));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->get_counter("sim.trials").value, 24u);
-  EXPECT_DOUBLE_EQ(parsed->get_gauge("campaign.severity").value, 0.5);
-  const histogram& h =
-      parsed->get_histogram("reader.post_mrc_snr_db", -40.0, 60.0);
-  EXPECT_EQ(h.count, 2u);
-  EXPECT_EQ(h.sum, 17.299999999999997 + -3.0000000000000004);
-  EXPECT_EQ(h.min_value, -3.0000000000000004);
-  EXPECT_EQ(h.max_value, 17.299999999999997);
+TEST(JsonExport, PrintsDoublesExactly) {
+  const std::string json = to_json(sample_registry());
+  EXPECT_NE(json.find("\"min\": -3.0000000000000004"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"max\": 17.299999999999997"), std::string::npos)
+      << json;
 }
 
 TEST(JsonExport, IncludeTimingsFalseDropsTimingMetrics) {
@@ -54,13 +40,6 @@ TEST(JsonExport, IncludeTimingsFalseDropsTimingMetrics) {
   EXPECT_EQ(without.find("timing.sim.trial"), std::string::npos);
   // The non-timing content is unaffected.
   EXPECT_NE(without.find("sim.trials"), std::string::npos);
-}
-
-TEST(JsonExport, MalformedInputIsRejected) {
-  EXPECT_FALSE(from_json("").has_value());
-  EXPECT_FALSE(from_json("{").has_value());
-  EXPECT_FALSE(from_json("[1, 2]").has_value());
-  EXPECT_FALSE(from_json("{\"counters\": {\"x\": }}").has_value());
 }
 
 TEST(CsvExport, OneRowPerMetricWithHeader) {
@@ -104,33 +83,22 @@ TEST(ZeroSampleProbes, EmptyWhenAllFired) {
   EXPECT_TRUE(zero_sample_probes(c.registry(), required).empty());
 }
 
-TEST(ZeroSampleMetrics, ChecksNamedCountersHistogramsAndGauges) {
-  // The ad-hoc named metrics (timing spans, sim.scheduler.* counters,
-  // runtime gauges) have no probe-catalogue entry; the named check covers
-  // them across all three metric kinds.
+TEST(ZeroSampleProbes, GaugeCountsOnceSet) {
   collector c;
-  c.add_counter("sim.scheduler.sweeps", 1);
-  c.record_timing("reader.excitation", 1e-4);
-  c.set_gauge("runtime.scheduler.threads", 4.0);
-  const std::string required[] = {
-      "sim.scheduler.sweeps",       // counter, sampled
-      "timing.reader.excitation",   // histogram, sampled
-      "runtime.scheduler.threads",  // gauge, sampled
-      "timing.tag.modulate",        // never recorded
-      "sim.scheduler.tasks",        // never recorded
-  };
-  const auto silent = zero_sample_metrics(c.registry(), required);
-  ASSERT_EQ(silent.size(), 2u);
-  EXPECT_EQ(silent[0], "timing.tag.modulate");
-  EXPECT_EQ(silent[1], "sim.scheduler.tasks");
+  c.set(probe::scheduler_threads, 4.0);
+  c.observe(probe::timing_decode, 1e-4);
+  const probe required[] = {probe::scheduler_threads, probe::timing_decode,
+                            probe::scheduler_steals};
+  const auto silent = zero_sample_probes(c.registry(), required);
+  ASSERT_EQ(silent.size(), 1u);
+  EXPECT_EQ(silent[0], "runtime.scheduler.steals");
 }
 
-TEST(ZeroSampleMetrics, ZeroValueCounterCountsAsSilent) {
+TEST(ZeroSampleProbes, ZeroDeltaCountStaysSilent) {
   collector c;
-  c.add_counter("sim.adaptive.early_stops", 0);
-  const std::string required[] = {"sim.adaptive.early_stops"};
-  const auto silent = zero_sample_metrics(c.registry(), required);
-  ASSERT_EQ(silent.size(), 1u);
+  c.count(probe::adaptive_early_stops, 0);
+  const probe required[] = {probe::adaptive_early_stops};
+  EXPECT_EQ(zero_sample_probes(c.registry(), required).size(), 1u);
 }
 
 }  // namespace

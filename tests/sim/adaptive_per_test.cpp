@@ -168,7 +168,7 @@ TEST(AdaptivePerTest, NoTargetIsOneSweepWithoutAdaptiveCounters) {
   EXPECT_EQ(counters.at("sim.scheduler.sweeps").value, 1u);
   EXPECT_EQ(counters.at("sim.scheduler.tasks").value, 24u);
   EXPECT_EQ(counters.at("sim.trials").value, 24u);
-  EXPECT_EQ(counters.count("sim.adaptive.points"), 0u);
+  EXPECT_EQ(counters.at("sim.adaptive.points").value, 0u);
 }
 
 TEST(AdaptivePerTest, EvaluateLinkAdaptiveMatchesFixedWithoutTarget) {

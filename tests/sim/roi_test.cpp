@@ -83,9 +83,9 @@ TEST(RoiChainTest, UnsetRoiReportsNoAccountingAndNoGauges) {
   EXPECT_EQ(result.roi_samples_processed, 0u);
   EXPECT_EQ(result.roi_samples_skipped, 0u);
   const auto& gauges = collector.registry().gauges();
-  EXPECT_FALSE(gauges.contains("runtime.chain.roi.samples_processed"));
-  EXPECT_FALSE(gauges.contains("runtime.chain.roi.samples_skipped"));
-  EXPECT_FALSE(gauges.contains("runtime.chain.roi.coverage"));
+  EXPECT_FALSE(gauges.at("runtime.chain.roi.samples_processed").set);
+  EXPECT_FALSE(gauges.at("runtime.chain.roi.samples_skipped").set);
+  EXPECT_FALSE(gauges.at("runtime.chain.roi.coverage").set);
 }
 
 TEST(RoiChainTest, InUnionSamplesMatchFullSweepForEveryWindowShape) {

@@ -187,13 +187,13 @@ TEST(TrialWorkspaceTest, PinnedTelemetryExportDigest) {
   }
   const std::string json = obs::to_json(
       root.registry(), {.include_timings = false, .pretty = true});
-  EXPECT_EQ(json.size(), 3647u);
+  EXPECT_EQ(json.size(), 4980u);
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : json) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
-  EXPECT_EQ(h, 0x530a358a920bb4adULL);
+  EXPECT_EQ(h, 0xa9daddd76c007923ULL);
 }
 
 TEST(TrialWorkspaceTest, ReuseGaugeClimbsOnWarmWorkspace) {
