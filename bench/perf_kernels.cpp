@@ -1,10 +1,9 @@
 // perf_kernels: the DSP/performance-layer benchmark.
 //
-// Part 1 prints a speedup summary comparing every fast path against the
-// implementation it replaced (FFT plan vs per-call twiddle recurrence,
-// overlap-save vs direct convolution/correlation) and the thread scaling
-// of packet_error_rate, including the bit-identity check that the parallel
-// result equals the serial one. Part 2 runs google-benchmark timings
+// Part 1 prints a speedup summary comparing the FFT plan against the
+// per-call twiddle recurrence it replaced at the PHY's 64 points, and the
+// thread scaling of packet_error_rate, including the bit-identity check
+// that the parallel result equals the serial one. Part 2 runs google-benchmark timings
 // (including cold AWGN synthesis, which every replay-cache miss pays) and
 // writes BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
 // trajectory of the DSP layer is recorded per build.
@@ -19,10 +18,7 @@
 
 #include "bench_util.h"
 #include "channel/awgn.h"
-#include "dsp/correlation.h"
 #include "dsp/fft.h"
-#include "dsp/fft_plan.h"
-#include "dsp/fir.h"
 #include "dsp/rng.h"
 #include "sim/backscatter_sim.h"
 #include "sim/parallel.h"
@@ -67,54 +63,31 @@ int print_speedup_summary() {
               std::thread::hardware_concurrency(), sim::thread_count());
 
   {  // FFT: cached plan vs the seed's per-call twiddle recurrence.
-    for (const std::size_t n : {std::size_t{64}, std::size_t{4096}}) {
-      const cvec base = random_vector(n, 11);
-      cvec buf = base;
-      const int iters = n <= 64 ? 2000 : 64;
-      const dsp::fft_plan& plan = dsp::get_fft_plan(n, dsp::fft_direction::forward);
-      const double t_ref = median_seconds(
-          [&] {
-            for (int i = 0; i < iters; ++i) {
-              buf = base;
-              dsp::fft_in_place_reference(buf);
-              benchmark::DoNotOptimize(buf.data());
-            }
-          },
-          9);
-      const double t_plan = median_seconds(
-          [&] {
-            for (int i = 0; i < iters; ++i) {
-              buf = base;
-              plan.execute(buf);
-              benchmark::DoNotOptimize(buf.data());
-            }
-          },
-          9);
-      std::printf("fft %5zu-pt:   reference %9.2f us   plan %9.2f us   speedup %5.2fx\n",
-                  n, t_ref / iters * 1e6, t_plan / iters * 1e6, t_ref / t_plan);
-    }
-  }
-
-  {  // Convolution: overlap-save vs direct, 64k samples x 512 taps.
-    const cvec x = random_vector(1 << 16, 21);
-    const cvec h = random_vector(512, 22);
-    const double t_direct =
-        median_seconds([&] { benchmark::DoNotOptimize(dsp::convolve_direct(x, h).data()); }, 3);
-    const double t_fft = median_seconds(
-        [&] { benchmark::DoNotOptimize(dsp::convolve_overlap_save(x, h).data()); }, 5);
-    std::printf("convolve 64k x 512:   direct %8.2f ms   overlap-save %8.2f ms   speedup %5.1fx\n",
-                t_direct * 1e3, t_fft * 1e3, t_direct / t_fft);
-  }
-
-  {  // Cross-correlation: FFT path vs direct, 64k samples x 512-tap ref.
-    const cvec sig = random_vector(1 << 16, 31);
-    const cvec ref = random_vector(512, 32);
-    const double t_direct = median_seconds(
-        [&] { benchmark::DoNotOptimize(dsp::cross_correlate_direct(sig, ref).data()); }, 3);
-    const double t_fft = median_seconds(
-        [&] { benchmark::DoNotOptimize(dsp::cross_correlate(sig, ref).data()); }, 5);
-    std::printf("xcorr    64k x 512:   direct %8.2f ms   fft          %8.2f ms   speedup %5.1fx\n",
-                t_direct * 1e3, t_fft * 1e3, t_direct / t_fft);
+    constexpr std::size_t n = 64;
+    constexpr int iters = 2000;
+    const cvec base = random_vector(n, 11);
+    cvec buf = base;
+    const dsp::fft_plan& plan = dsp::get_fft_plan(n, dsp::fft_direction::forward);
+    const double t_ref = median_seconds(
+        [&] {
+          for (int i = 0; i < iters; ++i) {
+            buf = base;
+            dsp::fft_in_place_reference(buf);
+            benchmark::DoNotOptimize(buf.data());
+          }
+        },
+        9);
+    const double t_plan = median_seconds(
+        [&] {
+          for (int i = 0; i < iters; ++i) {
+            buf = base;
+            plan.execute(buf);
+            benchmark::DoNotOptimize(buf.data());
+          }
+        },
+        9);
+    std::printf("fft %5zu-pt:   reference %9.2f us   plan %9.2f us   speedup %5.2fx\n",
+                n, t_ref / iters * 1e6, t_plan / iters * 1e6, t_ref / t_plan);
   }
 
   {  // packet_error_rate thread scaling + bit-identity.
@@ -164,7 +137,7 @@ void bm_fft_reference(benchmark::State& state) {
     benchmark::DoNotOptimize(buf.data());
   }
 }
-BENCHMARK(bm_fft_reference)->Arg(64)->Arg(4096)->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_fft_reference)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void bm_fft_plan(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -177,40 +150,7 @@ void bm_fft_plan(benchmark::State& state) {
     benchmark::DoNotOptimize(buf.data());
   }
 }
-BENCHMARK(bm_fft_plan)->Arg(64)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
-void bm_convolve_direct(benchmark::State& state) {
-  const cvec x = random_vector(1 << 16, 5);
-  const cvec h = random_vector(512, 6);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dsp::convolve_direct(x, h).data());
-}
-BENCHMARK(bm_convolve_direct)->Unit(benchmark::kMillisecond);
-
-void bm_convolve_overlap_save(benchmark::State& state) {
-  const cvec x = random_vector(1 << 16, 5);
-  const cvec h = random_vector(512, 6);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dsp::convolve_overlap_save(x, h).data());
-}
-BENCHMARK(bm_convolve_overlap_save)->Unit(benchmark::kMillisecond);
-
-void bm_cross_correlate_fft(benchmark::State& state) {
-  const cvec sig = random_vector(1 << 16, 7);
-  const cvec ref = random_vector(512, 8);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dsp::cross_correlate(sig, ref).data());
-}
-BENCHMARK(bm_cross_correlate_fft)->Unit(benchmark::kMillisecond);
-
-void bm_fir_filter_8taps(benchmark::State& state) {
-  // The canceller's streaming configuration: short taps, long blocks.
-  dsp::fir_filter filter(random_vector(8, 9));
-  const cvec block = random_vector(1 << 14, 10);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(filter.process(block).data());
-}
-BENCHMARK(bm_fir_filter_8taps)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_fft_plan)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // Cold AWGN synthesis at the fig08 mid-point capture length: a fresh
 // generator state every iteration, so every add_awgn call misses the

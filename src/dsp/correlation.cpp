@@ -1,16 +1,13 @@
 #include "dsp/correlation.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
-#include "dsp/fir.h"
 #include "dsp/vec_ops.h"
 
 namespace backfi::dsp {
 
-cvec cross_correlate_direct(std::span<const cplx> signal,
-                            std::span<const cplx> reference) {
+cvec cross_correlate(std::span<const cplx> signal, std::span<const cplx> reference) {
   if (reference.empty() || signal.size() < reference.size()) return {};
   const std::size_t n_out = signal.size() - reference.size() + 1;
   cvec out(n_out);
@@ -21,22 +18,6 @@ cvec cross_correlate_direct(std::span<const cplx> signal,
     out[n] = acc;
   }
   return out;
-}
-
-cvec cross_correlate(std::span<const cplx> signal, std::span<const cplx> reference) {
-  if (reference.empty() || signal.size() < reference.size()) return {};
-  if (reference.size() < fft_convolve_min_taps) {
-    return cross_correlate_direct(signal, reference);
-  }
-  // Correlation as convolution with the conjugate-reversed reference; the
-  // valid window starts m - 1 samples into the full convolution.
-  const std::size_t m = reference.size();
-  cvec flipped(m);
-  for (std::size_t k = 0; k < m; ++k) flipped[k] = std::conj(reference[m - 1 - k]);
-  const cvec full = convolve_overlap_save(signal, flipped);
-  const std::size_t n_out = signal.size() - m + 1;
-  const auto first = full.begin() + static_cast<std::ptrdiff_t>(m - 1);
-  return cvec(first, first + static_cast<std::ptrdiff_t>(n_out));
 }
 
 rvec normalized_correlation(std::span<const cplx> signal,
@@ -65,25 +46,6 @@ rvec normalized_correlation(std::span<const cplx> signal,
     }
   }
   return out;
-}
-
-peak_result find_correlation_peak(std::span<const cplx> signal,
-                                  std::span<const cplx> reference,
-                                  double threshold) {
-  const rvec metric = normalized_correlation(signal, reference);
-  peak_result result;
-  for (std::size_t n = 0; n < metric.size(); ++n) {
-    if (metric[n] >= threshold) {
-      // Climb to the local maximum of this peak before reporting it.
-      std::size_t best = n;
-      while (best + 1 < metric.size() && metric[best + 1] >= metric[best]) ++best;
-      result.index = best;
-      result.value = metric[best];
-      result.found = true;
-      return result;
-    }
-  }
-  return result;
 }
 
 rvec delayed_autocorrelation(std::span<const cplx> signal, std::size_t lag) {

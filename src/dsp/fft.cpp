@@ -1,15 +1,18 @@
 #include "dsp/fft.h"
 
-#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <mutex>
+#include <stdexcept>
+#include <utility>
 
-#include "dsp/fft_plan.h"
 #include "dsp/math_util.h"
 
 // NOTE: this translation unit must keep the default build flags (no FMA /
 // per-file fast-math overrides). Both the reference transform and the
-// compat-path twiddle tables and kernel live here precisely so their
+// plan's twiddle tables and kernel live here precisely so their
 // floating-point rounding matches the seed implementation bit for bit.
 
 namespace backfi::dsp {
@@ -52,41 +55,71 @@ void transform(std::span<cplx> data, bool inverse) {
   }
 }
 
+constexpr std::size_t max_log2_size = 40;
+
+void check_size(std::size_t n) {
+  if (!is_power_of_two(n) || n > (std::size_t{1} << max_log2_size))
+    throw std::invalid_argument(
+        "fft: size must be a power of two in [1, 2^40]");
+}
+
+std::vector<std::size_t> build_swap_pairs(std::size_t n) {
+  std::vector<std::size_t> pairs;
+  std::size_t j = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (i < j) {
+      pairs.push_back(i);
+      pairs.push_back(j);
+    }
+    std::size_t mask = n >> 1;
+    while (j & mask) {
+      j ^= mask;
+      mask >>= 1;
+    }
+    j |= mask;
+  }
+  return pairs;
+}
+
+// Plan cache indexed by (direction, log2 n). Slots are filled once under a
+// mutex and published with a release store; steady-state lookups are a
+// single acquire load. Plans are never destroyed, so references handed out
+// stay valid for the life of the process.
+std::atomic<const fft_plan*> g_plan_cache[2][max_log2_size + 1];
+std::mutex g_plan_mutex;
+
 }  // namespace
 
-namespace detail {
-
-void build_compat_twiddles(std::size_t n, bool inverse, cvec& twiddles,
-                           std::vector<std::size_t>& offsets) {
-  twiddles.clear();
-  offsets.clear();
+fft_plan::fft_plan(std::size_t n, fft_direction direction)
+    : n_(n), direction_(direction) {
+  check_size(n);
+  swap_pairs_ = build_swap_pairs(n);
   // Same per-stage recurrence as transform() above: the tabled values are
   // the exact doubles the seed computed on the fly.
+  const bool inverse = direction == fft_direction::inverse;
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    offsets.push_back(twiddles.size());
+    offsets_.push_back(twiddles_.size());
     const double angle = (inverse ? two_pi : -two_pi) / static_cast<double>(len);
     const cplx w_len = phasor(angle);
     cplx w{1.0, 0.0};
     for (std::size_t k = 0; k < len / 2; ++k) {
-      twiddles.push_back(w);
+      twiddles_.push_back(w);
       w *= w_len;
     }
   }
 }
 
-void run_compat_radix2(std::span<cplx> data,
-                       std::span<const std::uint32_t> swap_pairs,
-                       const cvec& twiddles,
-                       const std::vector<std::size_t>& offsets) {
-  const std::size_t n = data.size();
-  for (std::size_t p = 0; p + 1 < swap_pairs.size(); p += 2) {
-    std::swap(data[swap_pairs[p]], data[swap_pairs[p + 1]]);
+void fft_plan::execute(std::span<cplx> data) const {
+  if (data.size() != n_)
+    throw std::invalid_argument("fft_plan::execute: span size != plan size");
+  for (std::size_t p = 0; p + 1 < swap_pairs_.size(); p += 2) {
+    std::swap(data[swap_pairs_[p]], data[swap_pairs_[p + 1]]);
   }
   std::size_t stage = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1, ++stage) {
+  for (std::size_t len = 2; len <= n_; len <<= 1, ++stage) {
     const std::size_t half = len / 2;
-    const cplx* w = twiddles.data() + offsets[stage];
-    for (std::size_t start = 0; start < n; start += len) {
+    const cplx* w = twiddles_.data() + offsets_[stage];
+    for (std::size_t start = 0; start < n_; start += len) {
       cplx* a = data.data() + start;
       cplx* b = a + half;
       for (std::size_t k = 0; k < half; ++k) {
@@ -105,7 +138,21 @@ void run_compat_radix2(std::span<cplx> data,
   }
 }
 
-}  // namespace detail
+const fft_plan& get_fft_plan(std::size_t n, fft_direction direction) {
+  check_size(n);
+  const auto log2n = static_cast<std::size_t>(std::countr_zero(n));
+  auto& slot = g_plan_cache[direction == fft_direction::inverse ? 1 : 0][log2n];
+  if (const fft_plan* plan = slot.load(std::memory_order_acquire)) {
+    return *plan;
+  }
+  std::lock_guard<std::mutex> lock(g_plan_mutex);
+  if (const fft_plan* plan = slot.load(std::memory_order_acquire)) {
+    return *plan;
+  }
+  const fft_plan* raw = new fft_plan(n, direction);
+  slot.store(raw, std::memory_order_release);
+  return *raw;
+}
 
 void fft_in_place_reference(std::span<cplx> data) {
   transform(data, /*inverse=*/false);
@@ -136,20 +183,6 @@ cvec fft(std::span<const cplx> input) {
 cvec ifft(std::span<const cplx> input) {
   cvec out(input.begin(), input.end());
   ifft_in_place(out);
-  return out;
-}
-
-cvec fft_shift(std::span<const cplx> input) {
-  // out[i] = input[(i + n/2) % n]: copy the two halves instead of paying a
-  // modulo per element. For odd-length inputs (not produced by the FFT
-  // paths, but accepted here) this matches the old modulo indexing.
-  const std::size_t n = input.size();
-  cvec out(n);
-  const std::size_t half = n / 2;
-  const auto split = input.begin() + static_cast<std::ptrdiff_t>(half);
-  std::copy(split, input.end(), out.begin());
-  std::copy(input.begin(), split,
-            out.begin() + static_cast<std::ptrdiff_t>(n - half));
   return out;
 }
 

@@ -1,16 +1,17 @@
 // Iterative FFT/IFFT for power-of-two sizes.
 //
-// The WiFi PHY only needs 64-point transforms, but the implementation is
-// generic over any power of two so spectral tests and channel analysis can
-// use longer transforms. All entry points below route through the cached
-// execution plans in dsp/fft_plan.h, so repeated transforms of the same
-// size never re-derive twiddle factors. Sizes up to
-// fft_compat_size_limit are bit-identical to the original (pre-plan)
-// implementation, which is kept as *_reference for equivalence tests and
-// perf baselines.
+// The WiFi PHY only needs 64-point transforms, but the kernel is generic
+// over any power of two so spectral tests can use longer transforms. Every
+// entry point runs through a cached execution plan: a tabled radix-2 kernel
+// whose twiddles are built with the original per-butterfly recurrence, so
+// its output is bit-identical to the original (pre-plan) implementation at
+// every size. That implementation is kept as *_reference for the
+// equivalence tests and perf baselines.
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "dsp/types.h"
 
@@ -31,13 +32,45 @@ cvec ifft(std::span<const cplx> input);
 /// True if n is a power of two (and nonzero).
 bool is_power_of_two(std::size_t n);
 
-/// Circularly shift the spectrum so that DC moves to the centre bin.
-cvec fft_shift(std::span<const cplx> input);
-
 /// The original per-call twiddle-recurrence transform, kept verbatim as the
 /// baseline for perf_kernels and for the plan equivalence tests. Not used
 /// by the signal chain.
 void fft_in_place_reference(std::span<cplx> data);
 void ifft_in_place_reference(std::span<cplx> data);
+
+enum class fft_direction { forward, inverse };
+
+/// Precomputed transform for one (size, direction): the swap pairs of the
+/// bit-reversal permutation plus per-stage twiddle tables, so repeated
+/// transforms never re-derive twiddle factors. Immutable after
+/// construction and shared process-wide through get_fft_plan, so it is
+/// safe to execute from the sim::sweep_for worker threads.
+class fft_plan {
+ public:
+  /// Build a plan for one size and direction. Throws std::invalid_argument
+  /// unless n is a power of two in [1, 2^40].
+  fft_plan(std::size_t n, fft_direction direction);
+
+  std::size_t size() const { return n_; }
+  fft_direction direction() const { return direction_; }
+
+  /// Execute the transform in place. No normalization in either direction
+  /// (callers scale the inverse by 1/N, as the seed implementation did).
+  /// Throws std::invalid_argument unless data.size() == size().
+  void execute(std::span<cplx> data) const;
+
+ private:
+  std::size_t n_;
+  fft_direction direction_;
+  std::vector<std::size_t> swap_pairs_;
+  cvec twiddles_;
+  std::vector<std::size_t> offsets_;  // first twiddle of each stage
+};
+
+/// Shared immutable plan from the process-wide cache. The returned
+/// reference lives for the whole process; lookups are lock-free after the
+/// first request for a given (size, direction). Throws
+/// std::invalid_argument unless n is a power of two in [1, 2^40].
+const fft_plan& get_fft_plan(std::size_t n, fft_direction direction);
 
 }  // namespace backfi::dsp

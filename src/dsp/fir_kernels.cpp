@@ -16,12 +16,12 @@ namespace {
 // Gather-form windowed convolution, vectorized two complex outputs per
 // __m256d, four outputs per iteration on two accumulator chains. The k loop
 // runs descending so each output accumulates contributions in ascending
-// input order — the same addition sequence as convolve_direct's scatter
-// loop. _mm256_addsub_pd(xv*hr, xs*hi) is the textbook complex multiply
-// with one rounding per operation (no FMA), so every product and every
-// partial sum matches the scalar path to the bit.
+// input order — the same addition sequence as convolve's scatter loop.
+// _mm256_addsub_pd(xv*hr, xs*hi) is the textbook complex multiply with one
+// rounding per operation (no FMA), so every product and every partial sum
+// matches the scalar path to the bit.
 //
-// convolve_direct additionally skips exact-zero input samples; dropping the
+// convolve additionally skips exact-zero input samples; dropping the
 // skip is still bit-identical: an accumulator that starts at +0.0 can never
 // become -0.0 under round-to-nearest (x + y is -0 only when both operands
 // are -0, and +0 + (+/-0) is +0), and adding the +/-0 products a zero input
@@ -158,7 +158,7 @@ double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
 
 #else  // !__AVX2__
 
-// Portable fallback: convolve_direct's scatter loop clipped to the output
+// Portable fallback: convolve's scatter loop clipped to the output
 // window, preserving the exact-zero input skip. Per-output addition order
 // (ascending i) is identical to the unclipped loop by construction.
 void scatter_range(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,

@@ -1,7 +1,7 @@
 // Windowed direct-form convolution kernels (internal to dsp).
 //
 // These compute the "same"-length convolution restricted to an output window
-// [o0, o1), bit-identical to convolve_direct/convolve_same on that window.
+// [o0, o1), bit-identical to convolve/convolve_same on that window.
 // The TU is compiled with -mavx2 (when the build host supports it) but
 // explicitly WITHOUT -mfma and with -ffp-contract=off: fusing the
 // multiply-add chains would change rounding and break the bit-identity
@@ -16,7 +16,7 @@ namespace backfi::dsp::detail {
 
 /// out[j - o0] = sum_k h[k] * x[j - k] for j in [o0, o1), accumulated in
 /// ascending-input order (descending k) — the same per-output addition
-/// sequence as convolve_direct's scatter loop, so results are bit-identical
+/// sequence as convolve's scatter loop, so results are bit-identical
 /// for finite inputs. Requires o1 <= nx and nh >= 1.
 void convolve_same_gather(const cplx* x, std::size_t nx, const cplx* h,
                           std::size_t nh, cplx* out, std::size_t o0,

@@ -1,4 +1,4 @@
-// Small numeric helpers: dB <-> linear conversions, phase wrapping, sinc.
+// Small numeric helpers: dB <-> linear conversions, phase wrapping, phasors.
 #pragma once
 
 #include <cmath>
@@ -27,12 +27,6 @@ inline double wrap_phase(double phase) {
   while (phase > pi) phase -= two_pi;
   while (phase <= -pi) phase += two_pi;
   return phase;
-}
-
-/// Normalized sinc: sin(pi x)/(pi x), sinc(0) = 1.
-inline double sinc(double x) {
-  if (std::abs(x) < 1e-12) return 1.0;
-  return std::sin(pi * x) / (pi * x);
 }
 
 /// Unit phasor e^{j*angle}.

@@ -18,34 +18,9 @@ double mean_power(std::span<const cplx> x) {
 
 double rms(std::span<const cplx> x) { return std::sqrt(mean_power(x)); }
 
-cplx dot_conj(std::span<const cplx> x, std::span<const cplx> y) {
-  assert(x.size() == y.size());
-  cplx acc{0.0, 0.0};
-  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * std::conj(y[i]);
-  return acc;
-}
-
 void add_in_place(std::span<cplx> y, std::span<const cplx> x) {
   assert(y.size() == x.size());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += x[i];
-}
-
-void subtract_in_place(std::span<cplx> y, std::span<const cplx> x) {
-  assert(y.size() == x.size());
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] -= x[i];
-}
-
-void scale_in_place(std::span<cplx> x, cplx s) {
-  for (cplx& v : x) v *= s;
-}
-
-cvec normalized_to_power(std::span<const cplx> x, double target_mean_power) {
-  cvec out(x.begin(), x.end());
-  const double current = mean_power(x);
-  if (current <= 0.0) return out;
-  const double gain = std::sqrt(target_mean_power / current);
-  scale_in_place(out, gain);
-  return out;
 }
 
 cvec hadamard(std::span<const cplx> x, std::span<const cplx> y) {
@@ -60,32 +35,6 @@ void hadamard_into(std::span<const cplx> x, std::span<const cplx> y, cvec& out,
   assert(x.size() == y.size());
   acquire(out, x.size(), stats);
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * y[i];
-}
-
-void add_into(std::span<const cplx> x, std::span<const cplx> y, cvec& out,
-              workspace_stats* stats) {
-  assert(x.size() == y.size());
-  acquire(out, x.size(), stats);
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] + y[i];
-}
-
-double peak_magnitude(std::span<const cplx> x) {
-  double best = 0.0;
-  for (const cplx& v : x) best = std::max(best, std::abs(v));
-  return best;
-}
-
-std::size_t argmax_magnitude(std::span<const cplx> x) {
-  std::size_t best_idx = 0;
-  double best = -1.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double mag = std::norm(x[i]);
-    if (mag > best) {
-      best = mag;
-      best_idx = i;
-    }
-  }
-  return best_idx;
 }
 
 }  // namespace backfi::dsp

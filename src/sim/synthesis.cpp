@@ -31,8 +31,6 @@ void add_backscatter(std::span<const cplx> x, std::span<const cplx> h_f,
                      dsp::workspace_stats* stats) {
   if (rx.size() != x.size() || tag_tx.reflection.size() != x.size())
     throw std::invalid_argument("add_backscatter: capture length mismatch");
-  if (h_b.size() >= dsp::fft_convolve_min_taps)
-    throw std::invalid_argument("add_backscatter: h_b in the FFT regime");
   if (tag_tx.preamble_start > tag_tx.data_end)
     throw std::invalid_argument("add_backscatter: tag schedule out of order");
   const std::size_t end = std::min(tag_tx.data_end, x.size());

@@ -23,9 +23,8 @@
 //     plus tail, rotation turns that into a signed zero, and adding a signed
 //     zero to h_env * x is again a no-op, as the gather kernel never emits
 //     -0.0 there either.
-// The channels stay far below dsp::fft_convolve_min_taps (3-tap tag links);
-// h_b at or above it is rejected, since overlap-save rounding depends on the
-// whole signal and would not survive the support cut.
+// Both sides run the same gather kernel at every kernel length, so this
+// holds for an h_b of any length.
 #pragma once
 
 #include <span>
@@ -59,8 +58,8 @@ std::span<const cplx> wake_incident(std::span<const cplx> x,
 /// must have the same length. `rx` must hold h_env * x from
 /// channel::apply_channel_into (no -0.0 entries). The result is bitwise
 /// identical to the full-range call sequence. Throws std::invalid_argument
-/// on mismatched lengths, h_b.size() >= dsp::fft_convolve_min_taps, or a
-/// schedule with preamble_start > data_end (wrapped-around indices).
+/// on mismatched lengths or a schedule with preamble_start > data_end
+/// (wrapped-around indices).
 void add_backscatter(std::span<const cplx> x, std::span<const cplx> h_f,
                      std::span<const cplx> h_b,
                      const tag::tag_transmission& tag_tx, double theta_rad,

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "dsp/fft_plan.h"
+#include "dsp/fft.h"
 #include "wifi/ofdm.h"
 
 namespace backfi::wifi {

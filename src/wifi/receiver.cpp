@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "dsp/correlation.h"
-#include "dsp/fft_plan.h"
+#include "dsp/fft.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
 #include "phy/constellation.h"

@@ -38,18 +38,6 @@ TEST(CorrelationTest, NormalizedCorrelationInvariantToScaling) {
   EXPECT_NEAR(metric[40], 1.0, 1e-9);
 }
 
-TEST(CorrelationTest, FindPeakHonoursThreshold) {
-  const cvec ref = random_sequence(16, 3);
-  cvec signal = random_sequence(128, 4);  // noise only
-  const auto miss = find_correlation_peak(signal, ref, 0.95);
-  EXPECT_FALSE(miss.found);
-
-  for (std::size_t i = 0; i < ref.size(); ++i) signal[60 + i] = ref[i] * 4.0;
-  const auto hit = find_correlation_peak(signal, ref, 0.9);
-  ASSERT_TRUE(hit.found);
-  EXPECT_EQ(hit.index, 60u);
-}
-
 TEST(CorrelationTest, CrossCorrelateMatchesDirectComputation) {
   const cvec signal = random_sequence(20, 5);
   const cvec ref = random_sequence(4, 6);
@@ -68,21 +56,6 @@ TEST(CorrelationTest, TooShortSignalGivesEmpty) {
   const cvec signal = random_sequence(8, 8);
   EXPECT_TRUE(cross_correlate(signal, ref).empty());
   EXPECT_TRUE(normalized_correlation(signal, ref).empty());
-}
-
-TEST(CorrelationTest, FftPathMatchesDirectForLongReferences) {
-  // A 128-sample reference is above fft_convolve_min_taps, so
-  // cross_correlate takes the overlap-save path; it must agree with the
-  // direct loop to FFT rounding.
-  const cvec signal = random_sequence(4096, 11);
-  const cvec ref = random_sequence(128, 12);
-  const cvec direct = cross_correlate_direct(signal, ref);
-  const cvec fast = cross_correlate(signal, ref);
-  ASSERT_EQ(fast.size(), direct.size());
-  double scale = 0.0;
-  for (const cplx& v : direct) scale = std::max(scale, std::abs(v));
-  for (std::size_t n = 0; n < direct.size(); ++n)
-    EXPECT_NEAR(std::abs(fast[n] - direct[n]) / scale, 0.0, 1e-9) << "n=" << n;
 }
 
 TEST(CorrelationTest, WindowEnergyDoesNotDriftOverLongCaptures) {

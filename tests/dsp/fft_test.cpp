@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dsp/math_util.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
@@ -77,14 +79,6 @@ TEST(FftTest, SizeOneIsIdentity) {
   EXPECT_NEAR(std::abs(y[0] - x[0]), 0.0, 1e-15);
 }
 
-TEST(FftTest, FftShiftMovesDcToCentre) {
-  cvec x(8, cplx{0.0, 0.0});
-  x[0] = 1.0;  // DC bin
-  const cvec shifted = fft_shift(x);
-  EXPECT_NEAR(std::abs(shifted[4] - cplx(1.0, 0.0)), 0.0, 1e-15);
-  EXPECT_NEAR(std::abs(shifted[0]), 0.0, 1e-15);
-}
-
 TEST(FftTest, ConvolutionTheorem) {
   // Circular convolution in time == multiplication in frequency.
   rng gen(6);
@@ -104,6 +98,112 @@ TEST(FftTest, ConvolutionTheorem) {
   const cvec via_fft = ifft(product);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(via_fft[i] - direct[i]), 0.0, 1e-9);
+}
+
+cvec random_sequence(std::size_t n, std::uint64_t seed) {
+  rng gen(seed);
+  cvec x(n);
+  for (auto& v : x) v = gen.complex_gaussian();
+  return x;
+}
+
+double max_relative_error(const cvec& a, const cvec& b) {
+  double scale = 0.0;
+  for (const cplx& v : a) scale = std::max(scale, std::abs(v));
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    worst = std::max(worst, std::abs(a[i] - b[i]) / std::max(scale, 1e-300));
+  return worst;
+}
+
+TEST(FftPlanTest, BitIdenticalToReferenceUpToCompatLimit) {
+  // The simulation's regression anchors depend on this: the one kernel must
+  // reproduce the seed transform's doubles exactly, at the WiFi PHY's 64
+  // points and at every longer size too.
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    const cvec base = random_sequence(n, 100 + n);
+
+    cvec expected = base;
+    fft_in_place_reference(expected);
+    cvec actual = base;
+    get_fft_plan(n, fft_direction::forward).execute(actual);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(expected[i].real(), actual[i].real()) << "n=" << n << " i=" << i;
+      EXPECT_EQ(expected[i].imag(), actual[i].imag()) << "n=" << n << " i=" << i;
+    }
+
+    cvec expected_inv = base;
+    ifft_in_place_reference(expected_inv);
+    cvec actual_inv = base;
+    get_fft_plan(n, fft_direction::inverse).execute(actual_inv);
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (cplx& v : actual_inv) v *= inv_n;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(expected_inv[i].real(), actual_inv[i].real())
+          << "n=" << n << " i=" << i;
+      EXPECT_EQ(expected_inv[i].imag(), actual_inv[i].imag())
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(FftPlanTest, PublicFftRoutesThroughBitIdenticalPlanAt64) {
+  const cvec base = random_sequence(64, 12);
+  cvec via_plan = base;
+  fft_in_place(via_plan);
+  cvec via_reference = base;
+  fft_in_place_reference(via_reference);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(via_reference[i].real(), via_plan[i].real());
+    EXPECT_EQ(via_reference[i].imag(), via_plan[i].imag());
+  }
+}
+
+TEST(FftPlanTest, RoundTripThroughPublicApiAt4096) {
+  const cvec x = random_sequence(4096, 17);
+  const cvec y = ifft(fft(x));
+  EXPECT_LT(max_relative_error(x, y), 1e-10);
+}
+
+TEST(FftPlanTest, CacheReturnsStableSharedInstances) {
+  const fft_plan& a = get_fft_plan(64, fft_direction::forward);
+  const fft_plan& b = get_fft_plan(64, fft_direction::forward);
+  EXPECT_EQ(&a, &b);
+  const fft_plan& inv = get_fft_plan(64, fft_direction::inverse);
+  EXPECT_NE(&a, &inv);
+  EXPECT_EQ(a.size(), 64u);
+  EXPECT_EQ(inv.direction(), fft_direction::inverse);
+}
+
+TEST(FftPlanTest, RejectsInvalidSizes) {
+  // Size checks are not assert-only: a 48-point request must not build a
+  // plan into the 16-point cache slot, and size 0 must not index past the
+  // cache, in release builds too.
+  EXPECT_THROW(get_fft_plan(0, fft_direction::forward), std::invalid_argument);
+  EXPECT_THROW(get_fft_plan(48, fft_direction::inverse), std::invalid_argument);
+  EXPECT_THROW(get_fft_plan(std::size_t{1} << 41, fft_direction::forward),
+               std::invalid_argument);
+  EXPECT_THROW(fft_plan(48, fft_direction::forward), std::invalid_argument);
+  EXPECT_THROW(fft(cvec(48)), std::invalid_argument);
+  EXPECT_THROW(ifft(cvec(48)), std::invalid_argument);
+  cvec too_long(32);
+  EXPECT_THROW(get_fft_plan(16, fft_direction::forward).execute(too_long),
+               std::invalid_argument);
+
+  for (const fft_direction dir :
+       {fft_direction::forward, fft_direction::inverse}) {
+    const fft_plan& plan = get_fft_plan(16, dir);
+    EXPECT_EQ(plan.size(), 16u);
+    EXPECT_EQ(plan.direction(), dir);
+  }
+  const cvec base = random_sequence(16, 400);
+  cvec expected = base;
+  fft_in_place_reference(expected);
+  const cvec actual = fft(base);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(expected[i].real(), actual[i].real()) << i;
+    EXPECT_EQ(expected[i].imag(), actual[i].imag()) << i;
+  }
 }
 
 }  // namespace

@@ -39,13 +39,6 @@ TEST(MathUtilTest, WrapPhaseIntoHalfOpenInterval) {
   }
 }
 
-TEST(MathUtilTest, SincValues) {
-  EXPECT_DOUBLE_EQ(sinc(0.0), 1.0);
-  EXPECT_NEAR(sinc(1.0), 0.0, 1e-15);
-  EXPECT_NEAR(sinc(2.0), 0.0, 1e-15);
-  EXPECT_NEAR(sinc(0.5), 2.0 / pi, 1e-12);
-}
-
 TEST(MathUtilTest, PhasorOnUnitCircle) {
   for (double angle : {0.0, 0.5, -2.0, 3.1}) {
     const cplx p = phasor(angle);

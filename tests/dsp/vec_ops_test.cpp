@@ -22,52 +22,17 @@ TEST(VecOpsTest, RmsOfConstant) {
   EXPECT_DOUBLE_EQ(rms(x), 2.0);
 }
 
-TEST(VecOpsTest, DotConjOrthogonalVectors) {
-  const cvec a = {{1.0, 0.0}, {0.0, 1.0}};
-  const cvec b = {{0.0, 1.0}, {1.0, 0.0}};
-  // <a, b> = 1*conj(j) + j*conj(1) = -j + j = 0
-  EXPECT_NEAR(std::abs(dot_conj(a, b)), 0.0, 1e-15);
-}
-
-TEST(VecOpsTest, DotConjSelfIsEnergy) {
-  rng gen(5);
-  cvec x(64);
-  for (auto& v : x) v = gen.complex_gaussian();
-  const cplx d = dot_conj(x, x);
-  EXPECT_NEAR(d.real(), energy(x), 1e-9);
-  EXPECT_NEAR(d.imag(), 0.0, 1e-9);
-}
-
 TEST(VecOpsTest, AddSubtractRoundTrip) {
   rng gen(6);
   cvec x(32), y(32);
   for (auto& v : x) v = gen.complex_gaussian();
   for (auto& v : y) v = gen.complex_gaussian();
+  cvec minus_x(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) minus_x[i] = -x[i];
   cvec z = y;
   add_in_place(z, x);
-  subtract_in_place(z, x);
+  add_in_place(z, minus_x);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(std::abs(z[i] - y[i]), 0.0, 1e-12);
-}
-
-TEST(VecOpsTest, ScaleInPlace) {
-  cvec x = {{1.0, 1.0}, {2.0, 0.0}};
-  scale_in_place(x, cplx{0.0, 1.0});
-  EXPECT_NEAR(std::abs(x[0] - cplx(-1.0, 1.0)), 0.0, 1e-15);
-  EXPECT_NEAR(std::abs(x[1] - cplx(0.0, 2.0)), 0.0, 1e-15);
-}
-
-TEST(VecOpsTest, NormalizedToPowerSetsMeanPower) {
-  rng gen(7);
-  cvec x(128);
-  for (auto& v : x) v = 3.7 * gen.complex_gaussian();
-  const cvec y = normalized_to_power(x, 0.25);
-  EXPECT_NEAR(mean_power(y), 0.25, 1e-12);
-}
-
-TEST(VecOpsTest, NormalizedToPowerOnSilenceIsNoOp) {
-  const cvec x(8, cplx{0.0, 0.0});
-  const cvec y = normalized_to_power(x, 1.0);
-  EXPECT_DOUBLE_EQ(mean_power(y), 0.0);
 }
 
 TEST(VecOpsTest, HadamardMultipliesElementwise) {
@@ -76,12 +41,6 @@ TEST(VecOpsTest, HadamardMultipliesElementwise) {
   const cvec z = hadamard(x, y);
   EXPECT_NEAR(std::abs(z[0] - cplx(0.0, 1.0)), 0.0, 1e-15);
   EXPECT_NEAR(std::abs(z[1] - cplx(-2.0, 0.0)), 0.0, 1e-15);
-}
-
-TEST(VecOpsTest, PeakAndArgmaxMagnitude) {
-  const cvec x = {{1.0, 0.0}, {0.0, -5.0}, {3.0, 0.0}};
-  EXPECT_DOUBLE_EQ(peak_magnitude(x), 5.0);
-  EXPECT_EQ(argmax_magnitude(x), 1u);
 }
 
 }  // namespace

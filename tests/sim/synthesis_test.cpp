@@ -12,7 +12,6 @@
 
 #include "channel/awgn.h"
 #include "channel/multipath.h"
-#include "dsp/fir.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "impair/rf_impairments.h"
@@ -110,7 +109,10 @@ synth_case make_case(std::size_t n_ppdus, std::size_t origin, double theta,
 }
 
 TEST(Synthesis, MatchesFullRangeForEveryBackscatterTapCount) {
-  for (std::size_t taps = 1; taps <= 8; ++taps) {
+  // 96 and 103 taps are far longer than any tag link the simulation draws;
+  // the support cut stays exact there too, as every convolution runs the
+  // same gather kernel.
+  for (const std::size_t taps : {1, 2, 3, 4, 5, 6, 7, 8, 96, 103}) {
     for (const double theta : {0.0, 0.4, 2.5, -2.0, 3.141592653589793}) {
       const synth_case c = make_case(1, 330, theta, taps, 10 + taps);
       ASSERT_LT(c.tag_tx.data_end + taps, c.x.size());
@@ -204,10 +206,6 @@ TEST(Synthesis, RejectsMalformedInputs) {
   EXPECT_THROW(add_backscatter(c.x, c.h_f, c.h_b, c.tag_tx, 0.0, rx, scratch),
                std::invalid_argument);
   rx.resize(c.x.size());
-  const cvec long_taps(dsp::fft_convolve_min_taps, cplx{0.01, 0.0});
-  EXPECT_THROW(
-      add_backscatter(c.x, c.h_f, long_taps, c.tag_tx, 0.0, rx, scratch),
-      std::invalid_argument);
   // A schedule whose indices wrapped around (origin near SIZE_MAX) has no
   // well-defined support.
   c.tag_tx.preamble_start = c.tag_tx.data_end + 1;

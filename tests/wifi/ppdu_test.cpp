@@ -4,7 +4,7 @@
 
 #include <cstring>
 
-#include "dsp/fft_plan.h"
+#include "dsp/fft.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "phy/constellation.h"
