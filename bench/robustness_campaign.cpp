@@ -23,8 +23,8 @@ sim::campaign_config make_config() {
   cfg.link.excitation.ppdu_bytes = 1500;
   cfg.distance_m = 1.5;
   // Paper-scale poll count; affordable now that the (fault, severity, arm)
-  // grid runs flattened through the sweep scheduler (chunk size 1: whole
-  // campaign arms are the repo's heaviest tasks, so idle lanes steal
+  // grid runs flattened through the sweep scheduler (single-arm chunks:
+  // whole campaign arms are the repo's heaviest tasks, so idle lanes steal
   // single arms).
   cfg.opportunities = 60;
   cfg.payload_bits = 256;

@@ -48,8 +48,8 @@ cvec apply_channel(std::span<const cplx> x, std::span<const cplx> taps) {
 }
 
 void apply_channel_into(std::span<const cplx> x, std::span<const cplx> taps,
-                        cvec& out, dsp::workspace_stats* stats) {
-  dsp::convolve_same_into(x, taps, out, stats);
+                        cvec& out) {
+  dsp::convolve_same_into(x, taps, out);
 }
 
 double tap_power(std::span<const cplx> taps) {

@@ -10,7 +10,6 @@
 
 #include "dsp/rng.h"
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 
 namespace backfi::channel {
 
@@ -32,7 +31,7 @@ cvec apply_channel(std::span<const cplx> x, std::span<const cplx> taps);
 
 /// As apply_channel(), into a reusable caller buffer; bit-identical.
 void apply_channel_into(std::span<const cplx> x, std::span<const cplx> taps,
-                        cvec& out, dsp::workspace_stats* stats = nullptr);
+                        cvec& out);
 
 /// Total tap power sum |h_k|^2.
 double tap_power(std::span<const cplx> taps);

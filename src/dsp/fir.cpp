@@ -24,9 +24,8 @@ cvec convolve_same(std::span<const cplx> x, std::span<const cplx> h) {
 }
 
 void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
-                              std::size_t begin, std::size_t end, cvec& out,
-                              workspace_stats* stats) {
-  acquire(out, x.size(), stats);
+                              std::size_t begin, std::size_t end, cvec& out) {
+  out.resize(x.size());
   const std::size_t e = std::min(end, x.size());
   const std::size_t b = std::min(begin, e);
   if (b >= e) return;
@@ -40,15 +39,14 @@ void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
 }
 
 void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,
-                        cvec& out, workspace_stats* stats) {
-  convolve_same_range_into(x, h, 0, x.size(), out, stats);
+                        cvec& out) {
+  convolve_same_range_into(x, h, 0, x.size(), out);
 }
 
 void convolve_same_subtract_into(std::span<const cplx> rx,
                                  std::span<const cplx> x,
-                                 std::span<const cplx> h, cvec& out,
-                                 workspace_stats* stats) {
-  acquire(out, rx.size(), stats);
+                                 std::span<const cplx> h, cvec& out) {
+  out.resize(rx.size());
   const std::size_t overlap = h.empty() ? 0 : std::min(rx.size(), x.size());
   if (overlap > 0)
     detail::convolve_same_gather_subtract(x.data(), x.size(), h.data(),
@@ -60,9 +58,8 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
 
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out,
-                                          workspace_stats* stats) {
-  acquire(out, rx.size(), stats);
+                                          std::span<const cplx> h, cvec& out) {
+  out.resize(rx.size());
   const std::size_t overlap = h.empty() ? 0 : std::min(rx.size(), x.size());
   double eacc = 0.0;
   if (overlap > 0)

@@ -11,7 +11,6 @@
 #include <span>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 
 namespace backfi::dsp {
 
@@ -28,14 +27,13 @@ cvec convolve_same(std::span<const cplx> x, std::span<const cplx> h);
 /// bit-identical to convolve_same at the same indices. Only that window is
 /// written — samples outside it are left with unspecified (stale) contents,
 /// so callers must not read them. Cost is proportional to the window, not
-/// the capture. `stats`, when non-null, records buffer reuse vs. growth.
+/// the capture.
 void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
-                              std::size_t begin, std::size_t end, cvec& out,
-                              workspace_stats* stats = nullptr);
+                              std::size_t begin, std::size_t end, cvec& out);
 
 /// convolve_same into a reusable caller buffer (whole output written).
 void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,
-                        cvec& out, workspace_stats* stats = nullptr);
+                        cvec& out);
 
 /// Fused cancellation: out[j] = rx[j] - convolve(x, h)[j] for
 /// j < min(len(rx), len(x)), and out[j] = rx[j] beyond (matching a
@@ -43,8 +41,7 @@ void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,
 /// the convolution and subtracting, without the intermediate buffer.
 void convolve_same_subtract_into(std::span<const cplx> rx,
                                  std::span<const cplx> x,
-                                 std::span<const cplx> h, cvec& out,
-                                 workspace_stats* stats = nullptr);
+                                 std::span<const cplx> h, cvec& out);
 
 /// As convolve_same_subtract_into, additionally returning the residual's
 /// energy sum |out[j]|^2 over the whole output, accumulated in ascending
@@ -55,7 +52,6 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
 /// capture-length read.)
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out,
-                                          workspace_stats* stats = nullptr);
+                                          std::span<const cplx> h, cvec& out);
 
 }  // namespace backfi::dsp

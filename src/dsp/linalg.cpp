@@ -82,13 +82,12 @@ cvec least_squares(const cmatrix& a, std::span<const cplx> b, double ridge) {
 }
 
 void fir_ls_build(std::span<const cplx> x, std::span<const cplx> y,
-                  std::size_t n_taps, fir_ls_workspace& w,
-                  workspace_stats* stats) {
+                  std::size_t n_taps, fir_ls_workspace& w) {
   assert(n_taps > 0);
   const std::size_t n = std::min(x.size(), y.size());
   if (n < n_taps) throw std::invalid_argument("estimate_fir: too few samples");
-  acquire(w.gram, n_taps * n_taps, stats);
-  acquire(w.rhs, n_taps, stats);
+  w.gram.resize(n_taps * n_taps);
+  w.rhs.resize(n_taps);
   w.n_taps = n_taps;
   w.factored = false;
   detail::fir_normal_equations_vectorized(x.data(), n, y.data(), n_taps,
@@ -109,15 +108,14 @@ void fir_ls_build_rhs(std::span<const cplx> x, std::span<const cplx> y,
 }
 
 void fir_ls_derive_conj(std::span<const cplx> x, std::size_t edge,
-                        const fir_ls_workspace& lin, fir_ls_workspace& w,
-                        workspace_stats* stats) {
+                        const fir_ls_workspace& lin, fir_ls_workspace& w) {
   const std::size_t n_taps = lin.n_taps;
   assert(n_taps > 0 && !lin.factored);
   const std::size_t n = x.size();
   if (n < edge + n_taps)
     throw std::invalid_argument("fir_ls_derive_conj: too few samples");
-  acquire(w.gram, n_taps * n_taps, stats);
-  acquire(w.rhs, n_taps, stats);
+  w.gram.resize(n_taps * n_taps);
+  w.rhs.resize(n_taps);
   w.n_taps = n_taps;
   w.factored = false;
   const std::size_t t0 = n_taps - 1;
@@ -148,10 +146,9 @@ void fir_ls_factor(fir_ls_workspace& w, double ridge) {
   w.factored = true;
 }
 
-void fir_ls_solve(const fir_ls_workspace& w, cvec& taps,
-                  workspace_stats* stats) {
+void fir_ls_solve(const fir_ls_workspace& w, cvec& taps) {
   assert(w.factored);
-  acquire(taps, w.n_taps, stats);
+  taps.resize(w.n_taps);
   std::copy(w.rhs.begin(), w.rhs.end(), taps.begin());
   detail::cholesky_solve_in_place(w.gram.data(), w.n_taps, taps.data());
 }
@@ -159,11 +156,10 @@ void fir_ls_solve(const fir_ls_workspace& w, cvec& taps,
 void estimate_fir_least_squares_into(std::span<const cplx> x,
                                      std::span<const cplx> y,
                                      std::size_t n_taps, double ridge,
-                                     cvec& taps, fir_ls_workspace& w,
-                                     workspace_stats* stats) {
-  fir_ls_build(x, y, n_taps, w, stats);
+                                     cvec& taps, fir_ls_workspace& w) {
+  fir_ls_build(x, y, n_taps, w);
   fir_ls_factor(w, ridge);
-  fir_ls_solve(w, taps, stats);
+  fir_ls_solve(w, taps);
 }
 
 cvec estimate_fir_least_squares(std::span<const cplx> x, std::span<const cplx> y,

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 
 namespace backfi::dsp {
 
@@ -64,8 +63,7 @@ struct fir_ls_workspace {
 /// the rows with full filter memory. Requires n_taps >= 1; throws
 /// std::invalid_argument when min(|x|, |y|) < n_taps.
 void fir_ls_build(std::span<const cplx> x, std::span<const cplx> y,
-                  std::size_t n_taps, fir_ls_workspace& w,
-                  workspace_stats* stats = nullptr);
+                  std::size_t n_taps, fir_ls_workspace& w);
 
 /// Rebuild only the RHS against a new target y (same x and n_taps as the
 /// preceding fir_ls_build; the Gram/factor are untouched).
@@ -80,16 +78,14 @@ void fir_ls_build_rhs(std::span<const cplx> x, std::span<const cplx> y,
 /// `lin` must be built over x and not yet factored. The RHS is NOT set;
 /// call fir_ls_build_rhs with the conjugated spans.
 void fir_ls_derive_conj(std::span<const cplx> x, std::size_t edge,
-                        const fir_ls_workspace& lin, fir_ls_workspace& w,
-                        workspace_stats* stats = nullptr);
+                        const fir_ls_workspace& lin, fir_ls_workspace& w);
 
 /// Add the energy-scaled ridge to the diagonal and Cholesky-factor the
 /// Gram in place. Throws std::runtime_error if not positive definite.
 void fir_ls_factor(fir_ls_workspace& w, double ridge);
 
 /// taps := (A^H A + ridge' I)^{-1} rhs using the stored factor.
-void fir_ls_solve(const fir_ls_workspace& w, cvec& taps,
-                  workspace_stats* stats = nullptr);
+void fir_ls_solve(const fir_ls_workspace& w, cvec& taps);
 
 /// Least squares for the convolution model y[n] = sum_k h[k] x[n-k]:
 /// builds the Toeplitz normal equations from the known input x and the
@@ -104,8 +100,7 @@ cvec estimate_fir_least_squares(std::span<const cplx> x, std::span<const cplx> y
 void estimate_fir_least_squares_into(std::span<const cplx> x,
                                      std::span<const cplx> y,
                                      std::size_t n_taps, double ridge,
-                                     cvec& taps, fir_ls_workspace& w,
-                                     workspace_stats* stats = nullptr);
+                                     cvec& taps, fir_ls_workspace& w);
 
 namespace detail {
 

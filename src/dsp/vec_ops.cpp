@@ -30,10 +30,10 @@ cvec hadamard(std::span<const cplx> x, std::span<const cplx> y) {
   return out;
 }
 
-void hadamard_into(std::span<const cplx> x, std::span<const cplx> y, cvec& out,
-                   workspace_stats* stats) {
+void hadamard_into(std::span<const cplx> x, std::span<const cplx> y,
+                   cvec& out) {
   assert(x.size() == y.size());
-  acquire(out, x.size(), stats);
+  out.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * y[i];
 }
 

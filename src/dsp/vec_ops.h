@@ -4,7 +4,6 @@
 #include <span>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 
 namespace backfi::dsp {
 
@@ -34,7 +33,7 @@ cvec hadamard(std::span<const cplx> x, std::span<const cplx> y);
 
 /// Element-wise product x .* y into a reusable caller buffer (sized to
 /// x.size()); spans must have equal length.
-void hadamard_into(std::span<const cplx> x, std::span<const cplx> y, cvec& out,
-                   workspace_stats* stats = nullptr);
+void hadamard_into(std::span<const cplx> x, std::span<const cplx> y,
+                   cvec& out);
 
 }  // namespace backfi::dsp

@@ -14,11 +14,11 @@ cvec quantize(std::span<const cplx> x, const adc_config& config) {
 }
 
 void quantize_into(std::span<const cplx> x, const adc_config& config,
-                   cvec& out, dsp::workspace_stats* stats) {
+                   cvec& out) {
   const double levels = static_cast<double>(1ULL << config.bits);
   const double full_scale = config.full_scale;
   const double step = 2.0 * full_scale / levels;
-  dsp::acquire(out, x.size(), stats);
+  out.resize(x.size());
   // Quantize the I/Q axes as one flat double array (std::complex<double> is
   // layout-compatible with double[2]): per-axis ops are independent, so the
   // flat loop performs the identical clamp/divide/round/scale sequence per
@@ -35,9 +35,8 @@ void quantize_into(std::span<const cplx> x, const adc_config& config,
 }
 
 void quantize_into_saturation(std::span<const cplx> x, const adc_config& config,
-                              cvec& out, bool& saturated,
-                              dsp::workspace_stats* stats) {
-  dsp::acquire(out, x.size(), stats);
+                              cvec& out, bool& saturated) {
+  out.resize(x.size());
   unsigned clipped_any = 0;
   quantize_range_saturation(x.data(), 0, x.size(), config, out.data(),
                             clipped_any);

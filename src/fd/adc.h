@@ -9,7 +9,6 @@
 #include <span>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 
 namespace backfi::fd {
 
@@ -26,7 +25,7 @@ cvec quantize(std::span<const cplx> x, const adc_config& config);
 
 /// As quantize(), into a reusable caller buffer (must not alias `x`).
 void quantize_into(std::span<const cplx> x, const adc_config& config,
-                   cvec& out, dsp::workspace_stats* stats = nullptr);
+                   cvec& out);
 
 /// As quantize_into(), additionally reporting whether any input sample
 /// exceeded full scale on either axis (the receive chain's ADC saturation
@@ -34,8 +33,7 @@ void quantize_into(std::span<const cplx> x, const adc_config& config,
 /// and `out` are identical to running the standalone scan plus
 /// quantize_into().
 void quantize_into_saturation(std::span<const cplx> x, const adc_config& config,
-                              cvec& out, bool& saturated,
-                              dsp::workspace_stats* stats = nullptr);
+                              cvec& out, bool& saturated);
 
 /// Quantize x[begin, end) into out[begin, end) (both must cover `end`
 /// samples), OR-ing per-axis clip events into `clipped_any`. Every sample

@@ -21,10 +21,9 @@ void analog_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx)
 }
 
 void analog_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx,
-                             dsp::fir_ls_workspace& w,
-                             dsp::workspace_stats* stats) {
+                             dsp::fir_ls_workspace& w) {
   const std::size_t n = std::min(tx.size(), rx.size());
-  dsp::fir_ls_build(tx.first(n), rx.first(n), config_.n_taps, w, stats);
+  dsp::fir_ls_build(tx.first(n), rx.first(n), config_.n_taps, w);
   dsp::fir_ls_factor(w, 1e-6);
   // taps_ lives in this canceller, not the scratch, so its (tap-count-sized)
   // acquisition is not part of the scratch reuse accounting.
@@ -51,9 +50,9 @@ cvec analog_canceller::cancel(std::span<const cplx> tx,
 }
 
 double analog_canceller::cancel_energy_into(std::span<const cplx> tx,
-                                            std::span<const cplx> rx, cvec& out,
-                                            dsp::workspace_stats* stats) const {
-  return dsp::convolve_same_subtract_energy_into(rx, tx, taps_, out, stats);
+                                            std::span<const cplx> rx,
+                                            cvec& out) const {
+  return dsp::convolve_same_subtract_energy_into(rx, tx, taps_, out);
 }
 
 digital_canceller::digital_canceller(const digital_canceller_config& config)
@@ -65,8 +64,7 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
 }
 
 void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx,
-                              canceller_scratch& s,
-                              dsp::workspace_stats* stats) {
+                              canceller_scratch& s) {
   const std::size_t n = std::min(tx.size(), rx.size());
   const auto txn = tx.first(n);
   const auto rxn = rx.first(n);
@@ -79,10 +77,10 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
       (config_.widely_linear || config_.remove_dc) && n > 3 * edge + 4;
   const bool wl = config_.widely_linear && n > 3 * edge + 4;
 
-  dsp::fir_ls_build(txn, rxn, config_.n_taps, s.lin, stats);
+  dsp::fir_ls_build(txn, rxn, config_.n_taps, s.lin);
   // The conj branch's Gram must be derived before the ridge/factor
   // overwrite the linear branch's lags in place.
-  if (wl) dsp::fir_ls_derive_conj(txn, edge, s.lin, s.conj, stats);
+  if (wl) dsp::fir_ls_derive_conj(txn, edge, s.lin, s.conj);
   dsp::fir_ls_factor(s.lin, config_.ridge);
   // As in the analog stage, the tap vectors are canceller members, outside
   // the scratch reuse accounting.
@@ -94,12 +92,12 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
   if (wl) {
     // conj(tx), computed once for the initial fit, the acceptance gate and
     // every refit round.
-    dsp::acquire(s.ctx, n, stats);
+    s.ctx.resize(n);
     for (std::size_t i = 0; i < n; ++i) s.ctx[i] = std::conj(txn[i]);
     const auto ctx = std::span<const cplx>(s.ctx);
     const auto ctxv = ctx.subspan(edge);
 
-    dsp::convolve_same_subtract_into(rxn, txn, taps_, s.work, stats);
+    dsp::convolve_same_subtract_into(rxn, txn, taps_, s.work);
     const auto res = std::span<const cplx>(s.work).subspan(edge);
     dsp::fir_ls_build_rhs(ctxv, res, s.conj);
     dsp::fir_ls_factor(s.conj, config_.ridge);
@@ -110,7 +108,7 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
     // conj(tx) over the whole packet, would inject interference far above
     // the noise floor. Requiring a 3 dB training improvement rejects the
     // noise fit while an actual IQ image (tens of dB above noise) passes.
-    dsp::convolve_same_subtract_into(res, ctxv, conj_taps_, s.work2, stats);
+    dsp::convolve_same_subtract_into(res, ctxv, conj_taps_, s.work2);
     if (dsp::mean_power(std::span<const cplx>(s.work2).subspan(edge)) <
         0.5 * dsp::mean_power(res.subspan(edge))) {
       // Alternating refits: over a short training window, tx and conj(tx)
@@ -121,10 +119,10 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
       // changes between rounds, so each branch rebuilds its RHS and reuses
       // its Cholesky factor.
       for (int round = 0; round < 2; ++round) {
-        dsp::convolve_same_subtract_into(rxn, ctx, conj_taps_, s.work, stats);
+        dsp::convolve_same_subtract_into(rxn, ctx, conj_taps_, s.work);
         dsp::fir_ls_build_rhs(txn, s.work, s.lin);
         dsp::fir_ls_solve(s.lin, taps_);
-        dsp::convolve_same_subtract_into(rxn, txn, taps_, s.work, stats);
+        dsp::convolve_same_subtract_into(rxn, txn, taps_, s.work);
         dsp::fir_ls_build_rhs(ctxv, std::span<const cplx>(s.work).subspan(edge),
                               s.conj);
         dsp::fir_ls_solve(s.conj, conj_taps_);
@@ -137,7 +135,7 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
     // Mean of the fully-cancelled training residual (dc_ is still zero
     // here, so the cancellation applies only the FIR branches).
     const std::array<dsp::sample_range, 1> whole{{{0, n}}};
-    cancel_into(txn, rxn, whole, s.work, s, nullptr, stats);
+    cancel_into(txn, rxn, whole, s.work, s, nullptr);
     const auto v = std::span<const cplx>(s.work).subspan(edge);
     cplx sum = {0.0, 0.0};
     for (const cplx& c : v) sum += c;
@@ -158,11 +156,10 @@ void digital_canceller::cancel_into(std::span<const cplx> tx,
                                     std::span<const cplx> in,
                                     std::span<const dsp::sample_range> ranges,
                                     cvec& out, canceller_scratch& s,
-                                    fused_adc* adc,
-                                    dsp::workspace_stats* stats) const {
+                                    fused_adc* adc) const {
   const std::size_t n = in.size();
-  dsp::acquire(out, n, stats);
-  if (adc != nullptr) dsp::acquire(adc->digitized, n, stats);
+  out.resize(n);
+  if (adc != nullptr) adc->digitized.resize(n);
   // With the ADC fused in, the cancellation reads the quantized samples.
   const cplx* src = adc != nullptr ? adc->digitized.data() : in.data();
   const std::size_t overlap = taps_.empty() ? 0 : std::min(n, tx.size());
@@ -192,13 +189,13 @@ void digital_canceller::cancel_into(std::span<const cplx> tx,
   // Conjugate and DC branches act element-wise on the already-cancelled
   // output, over the same ranges.
   if (!conj_taps_.empty()) {
-    dsp::acquire(s.ctx, tx.size(), stats);
+    s.ctx.resize(tx.size());
     for (std::size_t i = 0; i < tx.size(); ++i) s.ctx[i] = std::conj(tx[i]);
     for (const dsp::sample_range& r : ranges) {
       const std::size_t e = std::min({r.end, n, tx.size()});
       const std::size_t b = std::min(r.begin, e);
       if (b >= e) continue;
-      dsp::convolve_same_range_into(s.ctx, conj_taps_, b, e, s.work2, stats);
+      dsp::convolve_same_range_into(s.ctx, conj_taps_, b, e, s.work2);
       for (std::size_t j = b; j < e; ++j) out[j] -= s.work2[j];
     }
   }

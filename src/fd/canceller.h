@@ -14,7 +14,6 @@
 
 #include "dsp/linalg.h"
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "fd/adc.h"
 
 namespace backfi::fd {
@@ -52,7 +51,7 @@ class analog_canceller {
   /// As adapt(), with a reusable fit workspace (zero-alloc after warm-up).
   /// Bit-identical to the allocating form.
   void adapt(std::span<const cplx> tx, std::span<const cplx> rx,
-             dsp::fir_ls_workspace& w, dsp::workspace_stats* stats = nullptr);
+             dsp::fir_ls_workspace& w);
 
   /// rx - tx * taps (same length as rx; tx must be the aligned transmit
   /// samples for the same interval).
@@ -65,8 +64,7 @@ class analog_canceller {
   /// quantity; the fusion removes a full capture-length rms read pass
   /// between the analog stage and the ADC.
   double cancel_energy_into(std::span<const cplx> tx, std::span<const cplx> rx,
-                            cvec& out,
-                            dsp::workspace_stats* stats = nullptr) const;
+                            cvec& out) const;
 
   const cvec& taps() const { return taps_; }
   bool adapted() const { return !taps_.empty(); }
@@ -111,7 +109,7 @@ class digital_canceller {
   /// factor across the alternating refits, which reassociates the conj
   /// Gram sums — tolerance-level agreement there (see DESIGN.md §9).
   void adapt(std::span<const cplx> tx, std::span<const cplx> rx,
-             canceller_scratch& scratch, dsp::workspace_stats* stats = nullptr);
+             canceller_scratch& scratch);
 
   /// The whole of rx, cancelled (allocating convenience form of
   /// cancel_into over one full range).
@@ -133,8 +131,7 @@ class digital_canceller {
   /// ranges' per-axis clip events are OR-ed into adc->clipped_any.
   void cancel_into(std::span<const cplx> tx, std::span<const cplx> in,
                    std::span<const dsp::sample_range> ranges, cvec& out,
-                   canceller_scratch& scratch, fused_adc* adc = nullptr,
-                   dsp::workspace_stats* stats = nullptr) const;
+                   canceller_scratch& scratch, fused_adc* adc = nullptr) const;
 
   const cvec& taps() const { return taps_; }
   const cvec& conjugate_taps() const { return conj_taps_; }

@@ -97,7 +97,7 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
       silent_end > rx.size() || silent_end - silent_begin < min_window) {
     result.cancellation_bypassed = true;
     obs::count(config.collector, obs::probe::cancellation_bypassed);
-    dsp::acquire(cleaned, rx.size(), scratch.stats);
+    cleaned.resize(rx.size());
     std::copy(rx.begin(), rx.end(), cleaned.begin());
     result.residual_power = dsp::mean_power(cleaned);
     return result;
@@ -139,11 +139,10 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   double after_analog_energy = -1.0;
   if (config.enable_analog) {
     analog_canceller analog(config.analog);
-    analog.adapt(tx_silent, rx_silent, scratch.canceller.lin, scratch.stats);
-    after_analog_energy =
-        analog.cancel_energy_into(tx, rx, after_analog, scratch.stats);
+    analog.adapt(tx_silent, rx_silent, scratch.canceller.lin);
+    after_analog_energy = analog.cancel_energy_into(tx, rx, after_analog);
   } else {
-    dsp::acquire(after_analog, rx.size(), scratch.stats);
+    after_analog.resize(rx.size());
     std::copy(rx.begin(), rx.end(), after_analog.begin());
   }
   result.analog_depth_db = cancellation_depth_db(
@@ -183,7 +182,7 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
     }
     saturation_scan_range(after_analog.data(), cursor, capture_len, adc,
                           clipped_any);
-    dsp::acquire(digitized, rx.size(), scratch.stats);
+    digitized.resize(rx.size());
     if (config.enable_digital) {
       unsigned window_clip = 0;  // re-quantized by the fused sweep below
       quantize_range_saturation(after_analog.data(), silent_begin, silent_end,
@@ -205,13 +204,13 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
     digital.adapt(tx_silent,
                   std::span(digitized).subspan(silent_begin,
                                                silent_end - silent_begin),
-                  scratch.canceller, scratch.stats);
+                  scratch.canceller);
     // With the ADC enabled the kernel quantizes the analog residual
     // itself; without it, digitized already holds that residual.
     fused_adc fused{adc, digitized, clipped_any};
     digital.cancel_into(tx, config.enable_adc ? after_analog : digitized,
                         sweep_ranges, cleaned, scratch.canceller,
-                        config.enable_adc ? &fused : nullptr, scratch.stats);
+                        config.enable_adc ? &fused : nullptr);
   } else {
     std::swap(cleaned, digitized);
   }
@@ -271,7 +270,7 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
     // time (each former pass recomputed m from scratch).
     const std::size_t block = std::max<std::size_t>(config.gain_block, 2);
     const std::size_t n_blocks = (n + block - 1) / block;
-    dsp::acquire(scratch.gain_a, n_blocks, scratch.stats);
+    scratch.gain_a.resize(n_blocks);
     scratch.centre.resize(n_blocks);
     cvec& gain_a = scratch.gain_a;
     std::vector<double>& centre = scratch.centre;

@@ -119,8 +119,7 @@ struct receive_chain_result {
 };
 
 /// Reusable buffers for repeated run_receive_chain calls (one per worker
-/// thread). `stats`, when non-null, accumulates reuse-vs-allocation bytes
-/// across the chain's buffer acquisitions.
+/// thread).
 struct receive_chain_scratch {
   cvec after_analog;
   cvec digitized;
@@ -131,7 +130,6 @@ struct receive_chain_scratch {
   /// Residual-gain tracker per-block state (pass 2).
   cvec gain_a;
   std::vector<double> centre;
-  dsp::workspace_stats* stats = nullptr;
 };
 
 /// Adapt on rx[silent_begin, silent_end) against the aligned tx samples and

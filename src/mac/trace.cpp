@@ -1,7 +1,8 @@
 #include "mac/trace.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 namespace backfi::mac {
 
@@ -13,7 +14,13 @@ double ap_trace::busy_fraction() const {
 }
 
 ap_trace generate_loaded_ap_trace(const trace_config& config) {
-  assert(config.target_busy_fraction > 0.0 && config.target_busy_fraction < 1.0);
+  if (!(config.target_busy_fraction > 0.0 &&
+        config.target_busy_fraction < 1.0))
+    throw std::invalid_argument(
+        "generate_loaded_ap_trace: target_busy_fraction outside (0, 1)");
+  if (config.min_bytes > config.max_bytes)
+    throw std::invalid_argument(
+        "generate_loaded_ap_trace: min_bytes > max_bytes");
   dsp::rng gen(config.seed);
   ap_trace trace;
   trace.duration_us = config.duration_s * 1e6;
@@ -73,6 +80,14 @@ double burst_schedule::duty() const {
 
 burst_schedule generate_burst_schedule(const burst_config& config,
                                        double duration_us) {
+  // A zero mean ON length would draw zero-length periods until the
+  // allocator gives up.
+  if (!(std::isfinite(config.mean_on_us) && config.mean_on_us > 0.0))
+    throw std::invalid_argument(
+        "generate_burst_schedule: mean_on_us must be finite and positive");
+  if (!(std::isfinite(config.duty_cycle) && config.duty_cycle > 0.0))
+    throw std::invalid_argument(
+        "generate_burst_schedule: duty_cycle must be finite and positive");
   burst_schedule schedule;
   schedule.duration_us = std::max(duration_us, 0.0);
   if (schedule.duration_us <= 0.0) return schedule;
@@ -80,7 +95,6 @@ burst_schedule generate_burst_schedule(const burst_config& config,
     schedule.on_periods.push_back({0.0, schedule.duration_us});
     return schedule;
   }
-  assert(config.duty_cycle > 0.0 && config.mean_on_us > 0.0);
   const double mean_off =
       config.mean_on_us * (1.0 - config.duty_cycle) / config.duty_cycle;
   dsp::rng gen(config.seed);

@@ -48,6 +48,8 @@ struct trace_config {
 
 /// Generate a synthetic loaded-AP schedule: packets with random sizes and
 /// rates, separated by contention gaps sized to hit the busy fraction.
+/// Throws std::invalid_argument for a target_busy_fraction outside (0, 1)
+/// or min_bytes > max_bytes.
 ap_trace generate_loaded_ap_trace(const trace_config& config);
 
 /// Replay parameters: what one backscatter opportunity costs and yields.
@@ -96,7 +98,9 @@ struct burst_schedule {
 };
 
 /// Draw an exponential ON/OFF schedule. duty_cycle >= 1 degenerates to a
-/// single ON period covering the whole window (clean air).
+/// single ON period covering the whole window (clean air). Throws
+/// std::invalid_argument for a non-finite or non-positive mean_on_us or
+/// duty_cycle.
 burst_schedule generate_burst_schedule(const burst_config& config,
                                        double duration_us);
 

@@ -137,11 +137,6 @@ namespace backfi::obs {
   G(stream_cancel_us_mean, "runtime.stream.cancel_us_mean", "us")            \
   G(stream_decode_us_mean, "runtime.stream.decode_us_mean", "us")            \
                                                                              \
-  /* --- runtime: trial workspace reuse --- */                               \
-  G(workspace_bytes_reused, "runtime.workspace.bytes_reused", "bytes")       \
-  G(workspace_bytes_allocated, "runtime.workspace.bytes_allocated", "bytes") \
-  G(workspace_reuse_pct, "runtime.workspace.reuse_pct", "%")                 \
-                                                                             \
   /* --- runtime: synthesis replay caches --- */                             \
   G(noise_cache_hits, "runtime.noise_cache.hits", "count")                   \
   G(noise_cache_misses, "runtime.noise_cache.misses", "count")               \

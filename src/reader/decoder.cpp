@@ -116,14 +116,14 @@ cvec backfi_decoder::estimate_combined_channel(std::span<const cplx> x,
   cvec taps;
   dsp::fir_ls_workspace workspace;
   estimate_combined_channel_into(x, y, preamble_begin, preamble_end, taps,
-                                 workspace, nullptr);
+                                 workspace);
   return taps;
 }
 
 bool backfi_decoder::estimate_combined_channel_into(
     std::span<const cplx> x, std::span<const cplx> y,
     std::size_t preamble_begin, std::size_t preamble_end, cvec& taps,
-    dsp::fir_ls_workspace& workspace, dsp::workspace_stats* stats) const {
+    dsp::fir_ls_workspace& workspace) const {
   const std::size_t limit = std::min(x.size(), y.size());
   const std::size_t end = std::min(preamble_end, limit);
   if (end <= preamble_begin) return false;
@@ -135,7 +135,7 @@ bool backfi_decoder::estimate_combined_channel_into(
   if (len < config_.fb_taps) return false;
   dsp::estimate_fir_least_squares_into(x.subspan(start, len),
                                        y.subspan(start, len), config_.fb_taps,
-                                       config_.ridge, taps, workspace, stats);
+                                       config_.ridge, taps, workspace);
   return true;
 }
 
@@ -290,7 +290,7 @@ decode_result backfi_decoder::decode_with_scratch(
     // Estimate into the scratch-owned taps buffer (reused across calls);
     // the result keeps its own copy since it outlives the scratch.
     if (!estimate_combined_channel_into(x, y, est_begin, est_end, scratch.h_fb,
-                                        scratch.ls, scratch.stats)) {
+                                        scratch.ls)) {
       result.failure = decode_failure::estimation_window_too_short;
       note_failure(config_.collector, result.failure);
       return result;
@@ -305,10 +305,10 @@ decode_result backfi_decoder::decode_with_scratch(
     const std::size_t window_end =
         data_begin + n_payload_symbols * sps + static_cast<std::size_t>(search);
     dsp::convolve_same_range_into(x, result.h_fb, window_begin, window_end,
-                                  scratch.yhat, scratch.stats);
+                                  scratch.yhat);
     mrc_precompute(y, scratch.yhat, window_begin, window_end, scratch.products,
-                   scratch.weights, scratch.stats);
-    dsp::acquire(scratch.sync_estimates, sync_labels.size(), scratch.stats);
+                   scratch.weights);
+    scratch.sync_estimates.resize(sync_labels.size());
 
     for (int offset = -search; offset <= search; ++offset) {
       const std::size_t start = sync_begin + static_cast<std::size_t>(

@@ -17,7 +17,6 @@
 
 #include "dsp/linalg.h"
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "phy/bits.h"
 #include "tag/tag_device.h"
 
@@ -121,7 +120,6 @@ struct decode_result {
 
 /// Reusable buffers for repeated decode() calls. One instance per worker
 /// thread; contents are scratch only (no decode state carries across calls).
-/// `stats`, when non-null, accumulates buffer reuse-vs-allocation bytes.
 struct decoder_scratch {
   cvec yhat;                    ///< windowed expected backscatter
   cvec products;                ///< y * conj(yhat) over the sync/data window
@@ -132,7 +130,6 @@ struct decoder_scratch {
   std::vector<std::uint32_t> track_labels;  ///< phase-tracker slice decisions
   std::vector<double> soft;     ///< demapped LLRs (payload coded bits)
   std::vector<double> mother;   ///< depunctured mother-code metrics
-  dsp::workspace_stats* stats = nullptr;
 };
 
 class backfi_decoder {
@@ -209,8 +206,7 @@ class backfi_decoder {
                                       std::span<const cplx> y,
                                       std::size_t preamble_begin,
                                       std::size_t preamble_end, cvec& taps,
-                                      dsp::fir_ls_workspace& workspace,
-                                      dsp::workspace_stats* stats) const;
+                                      dsp::fir_ls_workspace& workspace) const;
 
   tag::tag_config tag_config_;
   decoder_config config_;

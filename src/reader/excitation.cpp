@@ -65,10 +65,9 @@ full_key key_for(const excitation_config& config) {
           config.payload_seed, std::max<std::size_t>(config.n_ppdus, 1)};
 }
 
-void emit_from_entry(const full_entry& e, excitation& out,
-                     dsp::workspace_stats* stats) {
+void emit_from_entry(const full_entry& e, excitation& out) {
   out.wake_preamble = e.wake_preamble;
-  dsp::acquire(out.samples, e.samples.size(), stats);
+  out.samples.resize(e.samples.size());
   std::copy(e.samples.begin(), e.samples.end(), out.samples.begin());
   out.wake_end = e.wake_end;
   out.ppdu_start = e.ppdu_start;
@@ -76,9 +75,9 @@ void emit_from_entry(const full_entry& e, excitation& out,
 }
 
 void build_excitation_uncached(const excitation_config& config,
-                               excitation& out, dsp::workspace_stats* stats) {
+                               excitation& out) {
   out.wake_preamble = phy::wake_preamble(config.tag_id, config.wake_bits);
-  dsp::acquire(out.samples, excitation_length(config), stats);
+  out.samples.resize(excitation_length(config));
   // Wake preamble as 1 us on/off pulses.
   for (std::size_t b = 0; b < out.wake_preamble.size(); ++b)
     std::fill_n(out.samples.begin() + b * samples_per_wake_bit,
@@ -115,19 +114,18 @@ excitation build_excitation(const excitation_config& config) {
   return out;
 }
 
-void build_excitation_into(const excitation_config& config, excitation& out,
-                           dsp::workspace_stats* stats) {
+void build_excitation_into(const excitation_config& config, excitation& out) {
   full_cache_t& cache = full_cache();
   if (!cache.enabled()) {
-    build_excitation_uncached(config, out, stats);
+    build_excitation_uncached(config, out);
     return;
   }
   const full_key key = key_for(config);
   if (const auto hit = cache.find(key)) {
-    emit_from_entry(*hit, out, stats);
+    emit_from_entry(*hit, out);
     return;
   }
-  build_excitation_uncached(config, out, stats);
+  build_excitation_uncached(config, out);
   auto entry = std::make_shared<full_entry>();
   entry->samples = out.samples;
   entry->wake_end = out.wake_end;

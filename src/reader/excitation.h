@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "phy/bits.h"
 #include "wifi/ppdu.h"
 
@@ -47,8 +46,7 @@ excitation build_excitation(const excitation_config& config);
 /// As build_excitation(), recycling the caller's excitation buffers across
 /// calls (one per worker thread). Every field of `out` is overwritten;
 /// bit-identical output.
-void build_excitation_into(const excitation_config& config, excitation& out,
-                           dsp::workspace_stats* stats = nullptr);
+void build_excitation_into(const excitation_config& config, excitation& out);
 
 /// Duration [samples] of an excitation with the given parameters.
 std::size_t excitation_length(const excitation_config& config);

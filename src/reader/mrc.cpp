@@ -38,12 +38,12 @@ cvec mrc_symbol_estimates(std::span<const cplx> y, std::span<const cplx> yhat,
 
 void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
                     std::size_t begin, std::size_t end, cvec& products,
-                    std::vector<double>& weights, dsp::workspace_stats* stats) {
+                    std::vector<double>& weights) {
   assert(y.size() == yhat.size());
   assert(begin <= end && end <= y.size());
   const std::size_t n = end - begin;
-  dsp::acquire(products, n, stats);
-  dsp::acquire(weights, n, stats);
+  products.resize(n);
+  weights.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     products[i] = y[begin + i] * std::conj(yhat[begin + i]);
     weights[i] = std::norm(yhat[begin + i]);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 
 namespace backfi::reader {
 
@@ -40,8 +39,7 @@ cvec mrc_symbol_estimates(std::span<const cplx> y, std::span<const cplx> yhat,
 /// the products per offset.
 void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
                     std::size_t begin, std::size_t end, cvec& products,
-                    std::vector<double>& weights,
-                    dsp::workspace_stats* stats = nullptr);
+                    std::vector<double>& weights);
 
 /// mrc_symbol_estimates evaluated from precomputed products/weights whose
 /// index 0 corresponds to absolute sample `window_begin`, writing into the

@@ -85,12 +85,11 @@ double oracle_post_mrc_snr_db_ws(std::span<const cplx> x,
                                  double reflection_amplitude,
                                  std::size_t samples_per_symbol,
                                  std::size_t guard, std::size_t data_begin,
-                                 std::size_t data_end, cvec& yhat,
-                                 dsp::workspace_stats* stats) {
+                                 std::size_t data_end, cvec& yhat) {
   const std::size_t end = std::min(data_end, x.size());
   if (end <= data_begin) return -120.0;
   const cvec h_fb = dsp::convolve(channels.h_f, channels.h_b);
-  dsp::convolve_same_range_into(x, h_fb, data_begin, end, yhat, stats);
+  dsp::convolve_same_range_into(x, h_fb, data_begin, end, yhat);
   const double mean_sig =
       dsp::mean_power(
           std::span<const cplx>(yhat).subspan(data_begin, end - data_begin)) *
@@ -101,19 +100,13 @@ double oracle_post_mrc_snr_db_ws(std::span<const cplx> x,
   return dsp::to_db(std::max(snr, 1e-12));
 }
 
-// Publish the workspace reuse counters (cumulative over the thread's
-// trials; reuse_pct converges to ~100 once every buffer has warmed up)
-// plus the process-wide synthesis replay-cache counters. All of these are
+// Publish the process-wide synthesis replay-cache counters. They are
 // execution-dependent (cache state outlives trials and is shared across
 // lanes), so they live under runtime.* — excluded from the deterministic
 // export profile alongside timing.*.
-void report_workspace_gauges(obs::collector* c, const dsp::workspace_stats& s) {
+void report_replay_cache_gauges(obs::collector* c) {
   if (!c) return;
   using obs::probe;
-  c->set(probe::workspace_bytes_reused, static_cast<double>(s.bytes_reused));
-  c->set(probe::workspace_bytes_allocated,
-         static_cast<double>(s.bytes_allocated));
-  c->set(probe::workspace_reuse_pct, 100.0 * s.reuse_fraction());
   const channel::noise_cache_stats noise = channel::awgn_cache_stats();
   c->set(probe::noise_cache_hits, static_cast<double>(noise.hits));
   c->set(probe::noise_cache_misses, static_cast<double>(noise.misses));
@@ -137,7 +130,7 @@ double oracle_post_mrc_snr_db(std::span<const cplx> x,
   cvec yhat;
   return oracle_post_mrc_snr_db_ws(x, channels, reflection_amplitude,
                                    samples_per_symbol, guard, data_begin,
-                                   data_end, yhat, nullptr);
+                                   data_end, yhat);
 }
 
 trial_workspace& local_trial_workspace() {
@@ -161,7 +154,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
   reader::excitation_config ex_cfg = config.excitation;
   ex_cfg.tag_id = config.tag.id;
   ex_cfg.payload_seed = gen.next_u64();
-  reader::build_excitation_into(ex_cfg, ws.ex, &ws.stats);
+  reader::build_excitation_into(ex_cfg, ws.ex);
   const reader::excitation& ex = ws.ex;
 
   const auto channels =
@@ -171,13 +164,13 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // Only the wake window of h_f * x is built here; add_backscatter builds
   // the tag's support (sim/synthesis.h).
   const std::span<const cplx> incident = wake_incident(
-      ex.samples, channels.h_f, ex_cfg.wake_bits, ws.synth, &ws.stats);
+      ex.samples, channels.h_f, ex_cfg.wake_bits, ws.synth);
   const double incident_dbm =
       channel::incident_power_at_tag_dbm(config.budget, config.tag_distance_m);
   const auto wake = tag::detect_wake(incident, ex.wake_preamble, incident_dbm);
   result.woke = wake.woke;
   if (!wake.woke) {
-    report_workspace_gauges(c, ws.stats);
+    report_replay_cache_gauges(c);
     return result;
   }
   obs::count(c, obs::probe::trials_woke);
@@ -196,24 +189,23 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // --- Tag backscatter ---
   const phy::bitvec payload = gen.random_bits(config.payload_bits);
   const tag::tag_device device(config.tag);
-  device.backscatter_into(payload, ex.samples.size(), tag_origin, ws.tag_tx,
-                          &ws.stats);
+  device.backscatter_into(payload, ex.samples.size(), tag_origin, ws.tag_tx);
   tag::tag_transmission& tag_tx = ws.tag_tx;
   result.payload_symbols = tag_tx.n_payload_symbols;
   result.tag_energy_pj = tag_tx.energy_pj;
   obs::observe(c, obs::probe::tag_energy_pj, result.tag_energy_pj);
   if (tag_tx.n_payload_symbols < device.payload_symbols(config.payload_bits)) {
-    report_workspace_gauges(c, ws.stats);
+    report_replay_cache_gauges(c);
     return result;  // excitation too short for the payload
   }
   faults.apply_to_reflection(tag_tx.reflection, tag_tx.preamble_start,
                              tag_tx.data_end);
 
   // --- Received signal at the reader ---
-  channel::apply_channel_into(ex.samples, channels.h_env, ws.rx, &ws.stats);
+  channel::apply_channel_into(ex.samples, channels.h_env, ws.rx);
   cvec& rx = ws.rx;
   add_backscatter(ex.samples, channels.h_f, channels.h_b, tag_tx,
-                  /*theta_rad=*/0.0, rx, ws.synth, &ws.stats);
+                  /*theta_rad=*/0.0, rx, ws.synth);
   channel::add_awgn(rx, channels.noise_power, gen);
   faults.apply_at_antenna(rx);
 
@@ -324,7 +316,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
       ex.samples, channels,
       dsp::db_to_amplitude(-config.tag.insertion_loss_db),
       device.samples_per_symbol(), guard, tag_tx.data_start, tag_tx.data_end,
-      ws.oracle_yhat, &ws.stats);
+      ws.oracle_yhat);
   obs::observe(c, obs::probe::expected_snr_db, result.link.expected_snr_db);
 
   // --- Throughput accounting ---
@@ -338,7 +330,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
                  result.effective_throughput_bps);
   }
 
-  report_workspace_gauges(c, ws.stats);
+  report_replay_cache_gauges(c);
   return result;
 }
 

@@ -142,9 +142,9 @@ campaign_result run_fault_campaign(const campaign_config& config) {
   // sweep scheduler with one collector child per pair; the index-ordered
   // commit and join keep results and telemetry identical to the old nested
   // serial loops. Arms are whole multi-poll campaigns (the heaviest task
-  // granularity in the repo), so the chunk size is pinned to 1: any lane
-  // that finishes early steals single arms instead of sitting behind a
-  // multi-arm chunk.
+  // granularity in the repo); grids under 128 arms get single-arm chunks,
+  // so any lane that finishes early steals single arms instead of sitting
+  // behind a multi-arm chunk.
   const std::size_t n_runs = 2 * result.cells.size();
   obs::collector_fork fork(config.link.collector, n_runs);
   std::vector<campaign_run> runs(n_runs);
@@ -157,8 +157,7 @@ campaign_result run_fault_campaign(const campaign_config& config) {
         arm_config.link.collector = fork.child(i);
         runs[i] =
             run_campaign_arm(arm_config, cell.fault, cell.severity, recovery);
-      },
-      /*chunk=*/1);
+      });
   fork.join();
   report_sweep_stats(config.link.collector, stats);
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -270,29 +270,23 @@ sweep_stats sweep_pool::run(
 
 bool in_parallel_region() { return tl_in_sweep; }
 
-std::size_t sweep_chunk_size(std::size_t n, std::size_t chunk_option) {
-  if (chunk_option > 0) return chunk_option;
+std::size_t sweep_chunk_size(std::size_t n) {
   // Pure function of n (never of the thread count): the chunk layout and
   // the sim.scheduler.chunks counter stay identical at any BACKFI_THREADS.
   return std::max<std::size_t>(1, std::min<std::size_t>(64, n / 64));
 }
 
 sweep_stats sweep_for(std::size_t n,
-                      const std::function<void(std::size_t)>& body,
-                      std::size_t chunk) {
-  return sweep_for_ranges(
-      n,
-      [&body](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      },
-      chunk);
+                      const std::function<void(std::size_t)>& body) {
+  return sweep_for_ranges(n, [&body](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  });
 }
 
 sweep_stats sweep_for_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   sweep_stats stats;
-  stats.chunk = sweep_chunk_size(n, chunk);
+  stats.chunk = sweep_chunk_size(n);
   stats.tasks = n;
   stats.chunks = n == 0 ? 0 : (n + stats.chunk - 1) / stats.chunk;
   if (n == 0) {

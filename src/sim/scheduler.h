@@ -36,13 +36,13 @@ class collector;
 
 namespace backfi::sim {
 
-/// Chunking policy of one sweep. chunk == 0 picks the automatic size,
-/// max(1, min(64, n / 64)): single-index chunks for the trial-sized pools
-/// (hundreds of multi-millisecond tasks) and coarser chunks once a sweep
-/// is large enough that per-chunk claim overhead could show up. The auto
-/// size depends only on n, keeping the chunk layout — and therefore the
+/// Chunking policy of one sweep: max(1, min(64, n / 64)). Single-index
+/// chunks for the trial-sized pools (up to 127 multi-millisecond tasks,
+/// which covers every campaign grid) and coarser chunks once a sweep is
+/// large enough that per-chunk claim overhead could show up. The size
+/// depends only on n, keeping the chunk layout — and therefore the
 /// deterministic chunk telemetry — independent of the thread count.
-std::size_t sweep_chunk_size(std::size_t n, std::size_t chunk_option);
+std::size_t sweep_chunk_size(std::size_t n);
 
 /// Execution report of one sweep_for call. Everything here describes how
 /// the work was *executed*; the results the body produced are unaffected.
@@ -75,11 +75,10 @@ struct sweep_stats {
 /// work-stealing. Returns after every index has completed, rethrows the
 /// first body exception (abandoning unclaimed work), and runs serially in
 /// index order when thread_count() <= 1 or when called from inside a pool
-/// worker; the returned report describes the execution. `chunk` == 0 selects
-/// sweep_chunk_size(n, 0).
+/// worker; the returned report describes the execution. Chunks are
+/// sweep_chunk_size(n) indices long.
 sweep_stats sweep_for(std::size_t n,
-                      const std::function<void(std::size_t)>& body,
-                      std::size_t chunk = 0);
+                      const std::function<void(std::size_t)>& body);
 
 /// Range variant: each claimed chunk is delivered to the body as one
 /// contiguous [begin, end) range instead of per-index calls, so the body
@@ -91,16 +90,14 @@ sweep_stats sweep_for(std::size_t n,
 /// results, collector merges, sim.scheduler.* counters — is unchanged.
 /// Serial fallback delivers the single range [0, n).
 sweep_stats sweep_for_ranges(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk = 0);
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Export one sweep's telemetry to `c` (null-safe no-op):
 ///   sim.scheduler.sweeps / .tasks / .chunks   counters, deterministic
 ///   runtime.scheduler.*                       gauges, execution-dependent
-/// The counters are pure functions of (n, chunk option) so merged exports
-/// stay bit-identical at any BACKFI_THREADS; the gauges ride in the same
-/// exempt group as timing.* and runtime.workspace.*.
+/// The counters are pure functions of n so merged exports stay
+/// bit-identical at any BACKFI_THREADS; the gauges ride in the same exempt
+/// group as timing.*.
 void report_sweep_stats(obs::collector* c, const sweep_stats& stats);
 
 /// Seed derivation shared by the flattened trial loops (the

@@ -90,7 +90,7 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
         ex.wake_preamble, incident_dbm);
 
     // Self-interference rides every packet whether or not the tag answers.
-    channel::apply_channel_into(ex.samples, channels.h_env, si, nullptr);
+    channel::apply_channel_into(ex.samples, channels.h_env, si);
     auto y_pkt = std::span<cplx>(cap.y).subspan(offset, ex_len);
     std::copy(si.begin(), si.end(), y_pkt.begin());
 
@@ -102,7 +102,7 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
       const std::size_t tag_origin = wake.preamble_end_sample + jitter;
       cap.payloads[k] = gen.random_bits(sc.payload_bits);
       device.backscatter_into(cap.payloads[k], ex.samples.size(), tag_origin,
-                              tag_tx, nullptr);
+                              tag_tx);
       // The walked LO phase rotates only the backscatter component: the
       // self-interference is generated and received by the same LO.
       add_backscatter(ex.samples, h_f, channels.h_b, tag_tx, theta, y_pkt,

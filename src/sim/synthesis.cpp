@@ -16,19 +16,17 @@ constexpr std::size_t samples_per_us = 20;
 std::span<const cplx> wake_incident(std::span<const cplx> x,
                                     std::span<const cplx> h_f,
                                     std::size_t wake_bits,
-                                    synthesis_scratch& scratch,
-                                    dsp::workspace_stats* stats) {
+                                    synthesis_scratch& scratch) {
   const std::size_t window =
       std::min<std::size_t>((wake_bits + 4) * samples_per_us, x.size());
-  dsp::convolve_same_range_into(x, h_f, 0, window, scratch.incident, stats);
+  dsp::convolve_same_range_into(x, h_f, 0, window, scratch.incident);
   return std::span<const cplx>(scratch.incident).first(window);
 }
 
 void add_backscatter(std::span<const cplx> x, std::span<const cplx> h_f,
                      std::span<const cplx> h_b,
                      const tag::tag_transmission& tag_tx, double theta_rad,
-                     std::span<cplx> rx, synthesis_scratch& scratch,
-                     dsp::workspace_stats* stats) {
+                     std::span<cplx> rx, synthesis_scratch& scratch) {
   if (rx.size() != x.size() || tag_tx.reflection.size() != x.size())
     throw std::invalid_argument("add_backscatter: capture length mismatch");
   if (tag_tx.preamble_start > tag_tx.data_end)
@@ -41,8 +39,8 @@ void add_backscatter(std::span<const cplx> x, std::span<const cplx> h_f,
   // buffer that carries h_b's tail as +0.0 padding.
   const std::size_t len = end - begin;
   const std::size_t tail = h_b.size() - 1;
-  dsp::convolve_same_range_into(x, h_f, begin, end, scratch.incident, stats);
-  dsp::acquire(scratch.reflected, len + tail, stats);
+  dsp::convolve_same_range_into(x, h_f, begin, end, scratch.incident);
+  scratch.reflected.resize(len + tail);
   for (std::size_t i = 0; i < len; ++i)
     scratch.reflected[i] = scratch.incident[begin + i] * tag_tx.reflection[begin + i];
   std::fill(scratch.reflected.begin() + static_cast<std::ptrdiff_t>(len),
@@ -52,7 +50,7 @@ void add_backscatter(std::span<const cplx> x, std::span<const cplx> h_f,
   // inputs before the support are zeros either way.
   const std::size_t n_out = std::min(len + tail, x.size() - begin);
   dsp::convolve_same_range_into(scratch.reflected, h_b, 0, n_out,
-                                scratch.backscatter, stats);
+                                scratch.backscatter);
   const auto window = std::span<cplx>(scratch.backscatter).first(n_out);
   impair::apply_constant_phase(window, theta_rad);
   dsp::add_in_place(rx.subspan(begin, n_out), window);

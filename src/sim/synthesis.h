@@ -30,7 +30,6 @@
 #include <span>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "tag/tag_device.h"
 
 namespace backfi::sim {
@@ -48,8 +47,7 @@ struct synthesis_scratch {
 std::span<const cplx> wake_incident(std::span<const cplx> x,
                                     std::span<const cplx> h_f,
                                     std::size_t wake_bits,
-                                    synthesis_scratch& scratch,
-                                    dsp::workspace_stats* stats = nullptr);
+                                    synthesis_scratch& scratch);
 
 /// Add the tag's backscatter ((h_f * x) .* tag_tx.reflection) * h_b,
 /// rotated by `theta_rad` (impair::apply_constant_phase; 0 = no rotation),
@@ -63,7 +61,6 @@ std::span<const cplx> wake_incident(std::span<const cplx> x,
 void add_backscatter(std::span<const cplx> x, std::span<const cplx> h_f,
                      std::span<const cplx> h_b,
                      const tag::tag_transmission& tag_tx, double theta_rad,
-                     std::span<cplx> rx, synthesis_scratch& scratch,
-                     dsp::workspace_stats* stats = nullptr);
+                     std::span<cplx> rx, synthesis_scratch& scratch);
 
 }  // namespace backfi::sim

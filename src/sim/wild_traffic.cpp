@@ -258,8 +258,9 @@ wild_result run_wild_traffic(const wild_traffic_config& config) {
 
   // Each (cell, trial) arm is an independent pure computation — seeds
   // derive from the flat index — so the grid runs flattened through the
-  // sweep scheduler, one collector child per arm, chunk 1 (arms are whole
-  // multi-poll campaigns, the heaviest task granularity in the repo).
+  // sweep scheduler, one collector child per arm (single-arm chunks below
+  // 128 arms: arms are whole multi-poll campaigns, the heaviest task
+  // granularity in the repo).
   const std::size_t n_runs = result.cells.size() * config.trials;
   obs::collector_fork fork(config.link.collector, n_runs);
   std::vector<wild_run> runs(n_runs);
@@ -271,8 +272,7 @@ wild_result run_wild_traffic(const wild_traffic_config& config) {
         arm_config.link.collector = fork.child(i);
         runs[i] = run_wild_arm(arm_config, cell.scheme, cell.duty_cycle,
                                derive_trial_seed(config.seed, i));
-      },
-      /*chunk=*/1);
+      });
   fork.join();
   report_sweep_stats(config.link.collector, stats);
 

@@ -88,6 +88,8 @@ struct wild_result {
 
 /// Run one arm (one trial of one cell). `arm_seed` drives the burst
 /// schedule, the per-poll PHY seeds and the fountain neighbour streams.
+/// Throws std::invalid_argument (from mac::generate_burst_schedule) for a
+/// non-positive mean_burst_polls or duty_cycle.
 wild_run run_wild_arm(const wild_traffic_config& config,
                       phy::erasure_scheme scheme, double duty_cycle,
                       std::uint64_t arm_seed);

@@ -62,9 +62,8 @@ tag_transmission tag_device::backscatter(std::span<const std::uint8_t> payload,
 void tag_device::backscatter_into(std::span<const std::uint8_t> payload,
                                   std::size_t total_samples,
                                   std::size_t time_origin,
-                                  tag_transmission& out,
-                                  dsp::workspace_stats* stats) const {
-  dsp::acquire(out.reflection, total_samples, stats);
+                                  tag_transmission& out) const {
+  out.reflection.resize(total_samples);
   std::fill(out.reflection.begin(), out.reflection.end(), cplx{0.0, 0.0});
   out.n_payload_symbols = 0;
   out.samples_per_symbol = samples_per_symbol();

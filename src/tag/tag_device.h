@@ -13,9 +13,9 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "dsp/types.h"
-#include "dsp/workspace.h"
 #include "phy/bits.h"
 #include "tag/energy_model.h"
 #include "tag/phase_modulator.h"
@@ -72,8 +72,7 @@ class tag_device {
   /// of `out` is overwritten; results are bit-identical to backscatter().
   void backscatter_into(std::span<const std::uint8_t> payload,
                         std::size_t total_samples, std::size_t time_origin,
-                        tag_transmission& out,
-                        dsp::workspace_stats* stats = nullptr) const;
+                        tag_transmission& out) const;
 
   /// Number of payload symbols required for `n_payload_bits` (with CRC-32,
   /// coding and tail included).

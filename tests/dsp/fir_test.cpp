@@ -117,19 +117,14 @@ TEST(FirTest, ConvolveSameRangeIntoReusesWarmBuffer) {
   const cvec x = window_vec(256, 106);
   const cvec h = window_vec(6, 107);
   const cvec full = convolve_same(x, h);
-  workspace_stats stats;
   cvec out;
-  convolve_same_range_into(x, h, 30, 90, out, &stats);
-  ASSERT_EQ(out.size(), x.size());
-  for (std::size_t i = 30; i < 90; ++i) ASSERT_EQ(out[i], full[i]) << i;
-  EXPECT_GT(stats.bytes_allocated, 0u);
-  const std::uint64_t allocated_after_first = stats.bytes_allocated;
-  for (int rep = 0; rep < 3; ++rep) {
-    convolve_same_range_into(x, h, 30, 90, out, &stats);
+  // The warm re-runs reproduce the window (their allocation count is
+  // asserted in tests/alloc).
+  for (int rep = 0; rep < 4; ++rep) {
+    convolve_same_range_into(x, h, 30, 90, out);
+    ASSERT_EQ(out.size(), x.size());
     for (std::size_t i = 30; i < 90; ++i) ASSERT_EQ(out[i], full[i]) << i;
   }
-  EXPECT_EQ(stats.bytes_allocated, allocated_after_first);
-  EXPECT_GT(stats.bytes_reused, 0u);
 }
 
 TEST(FirTest, ConvolveSameIntoMatchesConvolveSame) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace backfi::mac {
 namespace {
 
@@ -153,6 +156,39 @@ TEST(BurstScheduleTest, ZeroDurationIsEmpty) {
   EXPECT_TRUE(schedule.on_periods.empty());
   EXPECT_DOUBLE_EQ(schedule.duty(), 0.0);
   EXPECT_FALSE(schedule.on_at(0.0));
+}
+
+TEST(TraceTest, RejectsOutOfRangeConfigs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double busy : {0.0, 1.0, -0.5, 1.5, nan})
+    EXPECT_THROW(generate_loaded_ap_trace({.target_busy_fraction = busy}),
+                 std::invalid_argument)
+        << busy;
+  // min > max would wrap the uniform_int range.
+  const trace_config inverted{.min_bytes = 1501, .max_bytes = 1500};
+  EXPECT_THROW(generate_loaded_ap_trace(inverted), std::invalid_argument);
+  EXPECT_NO_THROW(generate_loaded_ap_trace(
+      {.duration_s = 0.01, .min_bytes = 700, .max_bytes = 700}));
+}
+
+TEST(BurstScheduleTest, RejectsDegenerateBurstParameters) {
+  // A zero mean ON length would draw zero-length periods without bound.
+  // Every degenerate value throws up front, even on the clean-air and
+  // empty-window paths.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double mean_on : {0.0, -1.0, nan, inf}) {
+    const burst_config bursty{.duty_cycle = 0.5, .mean_on_us = mean_on};
+    const burst_config clean{.duty_cycle = 1.0, .mean_on_us = mean_on};
+    EXPECT_THROW(generate_burst_schedule(bursty, 1e5), std::invalid_argument)
+        << mean_on;
+    EXPECT_THROW(generate_burst_schedule(clean, 0.0), std::invalid_argument)
+        << mean_on;
+  }
+  for (const double duty : {0.0, -0.5, nan, inf})
+    EXPECT_THROW(generate_burst_schedule({.duty_cycle = duty}, 1e5),
+                 std::invalid_argument)
+        << duty;
 }
 
 }  // namespace

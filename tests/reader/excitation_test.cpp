@@ -86,8 +86,7 @@ TEST(ExcitationTest, BuildIntoMatchesBuildAndReusesBuffers) {
   const excitation a = build_excitation(cfg);
 
   excitation out;
-  dsp::workspace_stats stats;
-  build_excitation_into(cfg, out, &stats);
+  build_excitation_into(cfg, out);
   EXPECT_EQ(out.wake_end, a.wake_end);
   EXPECT_EQ(out.ppdu_start, a.ppdu_start);
   EXPECT_EQ(out.wake_preamble, a.wake_preamble);
@@ -98,10 +97,9 @@ TEST(ExcitationTest, BuildIntoMatchesBuildAndReusesBuffers) {
   EXPECT_EQ(out.ppdu.n_data_symbols, a.ppdu.n_data_symbols);
   EXPECT_EQ(out.ppdu.payload, a.ppdu.payload);
 
-  // Same config into the warm buffers: no further tracked allocations.
-  const std::uint64_t allocated = stats.bytes_allocated;
-  build_excitation_into(cfg, out, &stats);
-  EXPECT_EQ(stats.bytes_allocated, allocated);
+  // Same config into the warm buffers reproduces the waveform (the
+  // allocation count of this re-run is asserted in tests/alloc).
+  build_excitation_into(cfg, out);
   for (std::size_t i = 0; i < a.samples.size(); ++i)
     ASSERT_EQ(out.samples[i], a.samples[i]) << i;
 }

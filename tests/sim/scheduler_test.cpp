@@ -18,18 +18,16 @@ namespace backfi::sim {
 namespace {
 
 TEST(SchedulerTest, ChunkSizeIsAPureFunctionOfTaskCount) {
-  // Explicit chunk option always wins.
-  EXPECT_EQ(sweep_chunk_size(1000, 7), 7u);
-  EXPECT_EQ(sweep_chunk_size(0, 3), 3u);
-  // Automatic policy: max(1, min(64, n / 64)). These are pinned because
-  // the sim.scheduler.chunks counter — which deterministic exports compare
+  // Policy: max(1, min(64, n / 64)). These are pinned because the
+  // sim.scheduler.chunks counter — which deterministic exports compare
   // across thread counts — is derived from them.
-  EXPECT_EQ(sweep_chunk_size(0, 0), 1u);
-  EXPECT_EQ(sweep_chunk_size(63, 0), 1u);
-  EXPECT_EQ(sweep_chunk_size(64, 0), 1u);
-  EXPECT_EQ(sweep_chunk_size(128, 0), 2u);
-  EXPECT_EQ(sweep_chunk_size(4096, 0), 64u);
-  EXPECT_EQ(sweep_chunk_size(1000000, 0), 64u);
+  EXPECT_EQ(sweep_chunk_size(0), 1u);
+  EXPECT_EQ(sweep_chunk_size(63), 1u);
+  EXPECT_EQ(sweep_chunk_size(64), 1u);
+  EXPECT_EQ(sweep_chunk_size(127), 1u);
+  EXPECT_EQ(sweep_chunk_size(128), 2u);
+  EXPECT_EQ(sweep_chunk_size(4096), 64u);
+  EXPECT_EQ(sweep_chunk_size(1000000), 64u);
 }
 
 TEST(SchedulerTest, RunsEveryIndexExactlyOnceAtEveryThreadCount) {
@@ -52,7 +50,7 @@ TEST(SchedulerTest, StatsDescribeTheSubmittedWork) {
   const std::size_t n = 500;
   const sweep_stats stats = sweep_for(n, [](std::size_t) {});
   EXPECT_EQ(stats.tasks, n);
-  EXPECT_EQ(stats.chunk, sweep_chunk_size(n, 0));
+  EXPECT_EQ(stats.chunk, sweep_chunk_size(n));
   EXPECT_EQ(stats.chunks, (n + stats.chunk - 1) / stats.chunk);
   EXPECT_GE(stats.wall_seconds, 0.0);
   // One busy-time entry per participating lane; lane count never exceeds
@@ -60,13 +58,6 @@ TEST(SchedulerTest, StatsDescribeTheSubmittedWork) {
   EXPECT_EQ(stats.busy_seconds.size(), stats.threads);
   EXPECT_LE(stats.threads, 4u);
   EXPECT_LE(stats.threads, stats.chunks);
-}
-
-TEST(SchedulerTest, ExplicitChunkSizeIsHonored) {
-  scoped_thread_count guard(2);
-  const sweep_stats stats = sweep_for(100, [](std::size_t) {}, /*chunk=*/10);
-  EXPECT_EQ(stats.chunk, 10u);
-  EXPECT_EQ(stats.chunks, 10u);
 }
 
 TEST(SchedulerTest, ZeroTasksIsANoOp) {
@@ -159,19 +150,16 @@ TEST(SchedulerTest, RangesCoverEveryIndexExactlyOnceAtEveryThreadCount) {
     EXPECT_EQ(stats.tasks, n);
     // Same chunk layout as the per-index API: a delivered range never
     // exceeds one chunk.
-    EXPECT_EQ(stats.chunk, sweep_chunk_size(n, 0));
+    EXPECT_EQ(stats.chunk, sweep_chunk_size(n));
   }
 }
 
 TEST(SchedulerTest, RangeBodiesNeverReceiveMoreThanOneChunk) {
   scoped_thread_count guard(4);
-  const std::size_t n = 1000, chunk = 16;
-  sweep_for_ranges(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        EXPECT_LE(end - begin, chunk);
-      },
-      chunk);
+  const std::size_t n = 1000, chunk = sweep_chunk_size(n);
+  sweep_for_ranges(n, [&](std::size_t begin, std::size_t end) {
+    EXPECT_LE(end - begin, chunk);
+  });
   // Serial fallback (threads=1) delivers the whole pool as one range.
   scoped_thread_count serial(1);
   std::size_t calls = 0, covered = 0;
@@ -233,8 +221,7 @@ TEST(SchedulerTest, LanesOverlapOnBlockingTasks) {
   scoped_thread_count guard(8);
   const auto t0 = std::chrono::steady_clock::now();
   const sweep_stats stats = sweep_for(
-      n, [&](std::size_t) { std::this_thread::sleep_for(task); },
-      /*chunk=*/1);
+      n, [&](std::size_t) { std::this_thread::sleep_for(task); });
   const auto wall = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(stats.threads, 8u);
   EXPECT_LT(wall, n * task / 2);

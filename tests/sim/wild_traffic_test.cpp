@@ -106,6 +106,19 @@ TEST(WildTrafficTest, SweepIsThreadCountInvariant) {
   }
 }
 
+TEST(WildTrafficTest, SingleArmRejectsZeroBurstLength) {
+  // run_wild_arm is public and skips run_wild_traffic's validation; a zero
+  // mean burst length must throw rather than grow the burst schedule
+  // without bound.
+  wild_traffic_config config = small_config();
+  config.mean_burst_polls = 0.0;
+  EXPECT_THROW(run_wild_arm(config, phy::erasure_scheme::none, 0.5, 7),
+               std::invalid_argument);
+  EXPECT_THROW(
+      run_wild_arm(small_config(), phy::erasure_scheme::none, 0.0, 7),
+      std::invalid_argument);
+}
+
 TEST(WildTrafficTest, DegenerateConfigsThrow) {
   {
     wild_traffic_config config = small_config();

@@ -1,8 +1,9 @@
-// Bit-identity guard for the zero-alloc trial hot path: pinned pre-change
-// trial_result literals for fixed seeds, thread-count independence, and the
-// workspace reuse gauges. Every double below was captured from the
-// allocating implementation before the workspace/windowed-estimation
-// restructure; EXPECT_EQ (not NEAR) is the point.
+// Bit-identity guard for the trial hot path's reusable workspace: pinned
+// pre-change trial_result literals for fixed seeds and thread-count
+// independence (tests/alloc counts the workspace's allocations). Every
+// double below was captured from the allocating implementation before the
+// workspace/windowed-estimation restructure; EXPECT_EQ (not NEAR) is the
+// point.
 #include "sim/backscatter_sim.h"
 
 #include <gtest/gtest.h>
@@ -194,30 +195,6 @@ TEST(TrialWorkspaceTest, PinnedTelemetryExportDigest) {
     h *= 1099511628211ULL;
   }
   EXPECT_EQ(h, 0xa9daddd76c007923ULL);
-}
-
-TEST(TrialWorkspaceTest, ReuseGaugeClimbsOnWarmWorkspace) {
-  obs::collector root;
-  trial_workspace ws;
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    scenario_config cfg = fig08_mid(seed);
-    cfg.collector = &root;
-    run_backscatter_trial(cfg, ws);
-  }
-  const auto& gauges = root.registry().gauges();
-  const auto it = gauges.find("runtime.workspace.reuse_pct");
-  ASSERT_NE(it, gauges.end());
-  ASSERT_TRUE(it->second.set);
-  // All capture-length buffers are allocated in the first trial or two;
-  // from then on every acquisition is a reuse, so the cumulative fraction
-  // approaches 100% from below.
-  EXPECT_GE(it->second.value, 90.0);
-  EXPECT_LE(it->second.value, 100.0);
-  const auto alloc = gauges.find("runtime.workspace.bytes_allocated");
-  const auto reused = gauges.find("runtime.workspace.bytes_reused");
-  ASSERT_NE(alloc, gauges.end());
-  ASSERT_NE(reused, gauges.end());
-  EXPECT_GT(reused->second.value, alloc->second.value);
 }
 
 }  // namespace
