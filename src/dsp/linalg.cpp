@@ -162,13 +162,4 @@ void estimate_fir_least_squares_into(std::span<const cplx> x,
   fir_ls_solve(w, taps);
 }
 
-cvec estimate_fir_least_squares(std::span<const cplx> x, std::span<const cplx> y,
-                                std::size_t n_taps, double ridge) {
-  assert(n_taps > 0);
-  fir_ls_workspace w;
-  cvec taps;
-  estimate_fir_least_squares_into(x, y, n_taps, ridge, taps, w);
-  return taps;
-}
-
 }  // namespace backfi::dsp

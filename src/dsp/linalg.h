@@ -1,7 +1,7 @@
 // Small dense complex linear algebra: just enough to solve the regularized
 // least-squares problems of channel estimation (system sizes <= a few tens).
 //
-// estimate_fir_least_squares builds its Gram/RHS with the vectorized kernel
+// estimate_fir_least_squares_into builds its Gram/RHS with the vectorized kernel
 // in dsp/linalg_kernels.h, bit-identical to the seed scalar accumulation at
 // every size (lanes run across matrix entries, never across time).
 #pragma once
@@ -89,14 +89,10 @@ void fir_ls_solve(const fir_ls_workspace& w, cvec& taps);
 
 /// Least squares for the convolution model y[n] = sum_k h[k] x[n-k]:
 /// builds the Toeplitz normal equations from the known input x and the
-/// observed output y and returns the length-`n_taps` channel estimate.
-/// Only rows where the full filter memory is available are used.
-cvec estimate_fir_least_squares(std::span<const cplx> x, std::span<const cplx> y,
-                                std::size_t n_taps, double ridge = 1e-9);
-
-/// As estimate_fir_least_squares, into a reusable taps buffer with reusable
-/// fit state — the zero-alloc spelling for per-packet adaptation loops.
-/// Bit-identical to the allocating form.
+/// observed output y and writes the length-`n_taps` channel estimate into
+/// a reusable taps buffer, with reusable fit state — zero-alloc once warm
+/// for per-packet adaptation loops. Only rows where the full filter memory
+/// is available are used.
 void estimate_fir_least_squares_into(std::span<const cplx> x,
                                      std::span<const cplx> y,
                                      std::size_t n_taps, double ridge,

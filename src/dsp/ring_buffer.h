@@ -25,13 +25,22 @@
 
 #include <atomic>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace backfi::dsp {
 
-/// Round up to the next power of two (minimum 2).
+/// The largest power of two a size_t holds: the largest ring capacity.
+inline constexpr std::size_t max_ring_capacity =
+    (std::numeric_limits<std::size_t>::max() >> 1) + 1;
+
+/// Round up to the next power of two (minimum 2). A request above
+/// max_ring_capacity has no such power and throws std::length_error.
 constexpr std::size_t ring_capacity_for(std::size_t requested) {
+  if (requested > max_ring_capacity)
+    throw std::length_error("ring_capacity_for: no power-of-two capacity");
   std::size_t cap = 2;
   while (cap < requested) cap <<= 1;
   return cap;

@@ -20,28 +20,15 @@ struct adc_config {
   double full_scale = 1.0;
 };
 
-/// Quantize a block of samples (clip to full scale, round to the LSB grid).
-cvec quantize(std::span<const cplx> x, const adc_config& config);
-
-/// As quantize(), into a reusable caller buffer (must not alias `x`).
-void quantize_into(std::span<const cplx> x, const adc_config& config,
-                   cvec& out);
-
-/// As quantize_into(), additionally reporting whether any input sample
-/// exceeded full scale on either axis (the receive chain's ADC saturation
-/// flag), fused into the same sweep so the input is read once. `saturated`
-/// and `out` are identical to running the standalone scan plus
-/// quantize_into().
-void quantize_into_saturation(std::span<const cplx> x, const adc_config& config,
-                              cvec& out, bool& saturated);
-
 /// Quantize x[begin, end) into out[begin, end) (both must cover `end`
-/// samples), OR-ing per-axis clip events into `clipped_any`. Every sample
-/// is processed independently with the exact clamp/divide/round/scale
-/// sequence of quantize_into_saturation, so any chunking of the range is
-/// bit-identical to one full sweep — the receive chain interleaves these
-/// chunks with the digital cancellation convolution to hide the
-/// quantizer's divide latency under the canceller's FP work.
+/// samples; out must not alias x): clip each axis to full scale and round
+/// it to the LSB grid, OR-ing per-axis clip events (the receive chain's ADC
+/// saturation flag) into `clipped_any`. Every sample is processed
+/// independently with the same clamp/divide/round/scale sequence, so any
+/// chunking of the range is bit-identical to one full sweep — the receive
+/// chain interleaves these chunks with the digital cancellation
+/// convolution to hide the quantizer's divide latency under the
+/// canceller's FP work.
 void quantize_range_saturation(const cplx* x, std::size_t begin,
                                std::size_t end, const adc_config& config,
                                cplx* out, unsigned& clipped_any);

@@ -12,21 +12,12 @@
 
 namespace backfi::fd {
 
-analog_canceller::analog_canceller(const analog_canceller_config& config)
-    : config_(config) {}
-
-void analog_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx) {
-  dsp::fir_ls_workspace w;
-  adapt(tx, rx, w);
-}
-
-void analog_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx,
+void analog_canceller::adapt(const analog_canceller_config& config,
+                             std::span<const cplx> tx, std::span<const cplx> rx,
                              dsp::fir_ls_workspace& w) {
   const std::size_t n = std::min(tx.size(), rx.size());
-  dsp::fir_ls_build(tx.first(n), rx.first(n), config_.n_taps, w);
+  dsp::fir_ls_build(tx.first(n), rx.first(n), config.n_taps, w);
   dsp::fir_ls_factor(w, 1e-6);
-  // taps_ lives in this canceller, not the scratch, so its (tap-count-sized)
-  // acquisition is not part of the scratch reuse accounting.
   dsp::fir_ls_solve(w, taps_);
   // Quantize coefficients to the attenuator/phase-shifter resolution.
   double max_mag = 0.0;
@@ -37,16 +28,9 @@ void analog_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx,
   // (1ULL << (bits - 1)) cast produced, without the shift's undefined
   // behaviour at bits > 64 (validate() bounds bits to [1, 64] regardless).
   const double step =
-      max_mag / std::ldexp(1.0, static_cast<int>(config_.coefficient_bits) - 1);
+      max_mag / std::ldexp(1.0, static_cast<int>(config.coefficient_bits) - 1);
   for (cplx& t : taps_)
     t = {std::round(t.real() / step) * step, std::round(t.imag() / step) * step};
-}
-
-cvec analog_canceller::cancel(std::span<const cplx> tx,
-                              std::span<const cplx> rx) const {
-  cvec out;
-  dsp::convolve_same_subtract_into(rx, tx, taps_, out);
-  return out;
 }
 
 double analog_canceller::cancel_energy_into(std::span<const cplx> tx,
@@ -55,15 +39,8 @@ double analog_canceller::cancel_energy_into(std::span<const cplx> tx,
   return dsp::convolve_same_subtract_energy_into(rx, tx, taps_, out);
 }
 
-digital_canceller::digital_canceller(const digital_canceller_config& config)
-    : config_(config) {}
-
-void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx) {
-  canceller_scratch scratch;
-  adapt(tx, rx, scratch);
-}
-
-void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx,
+void digital_canceller::adapt(const digital_canceller_config& config,
+                              std::span<const cplx> tx, std::span<const cplx> rx,
                               canceller_scratch& s) {
   const std::size_t n = std::min(tx.size(), rx.size());
   const auto txn = tx.first(n);
@@ -72,18 +49,16 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
   // convolve_same zero-pads, so the first (taps - 1) samples of every
   // emulated waveform are a full-scale warm-up transient — it must be
   // excluded from all the statistics below or it swamps them.
-  const std::size_t edge = config_.n_taps > 0 ? config_.n_taps - 1 : 0;
+  const std::size_t edge = config.n_taps > 0 ? config.n_taps - 1 : 0;
   const bool augmented =
-      (config_.widely_linear || config_.remove_dc) && n > 3 * edge + 4;
-  const bool wl = config_.widely_linear && n > 3 * edge + 4;
+      (config.widely_linear || config.remove_dc) && n > 3 * edge + 4;
+  const bool wl = config.widely_linear && n > 3 * edge + 4;
 
-  dsp::fir_ls_build(txn, rxn, config_.n_taps, s.lin);
+  dsp::fir_ls_build(txn, rxn, config.n_taps, s.lin);
   // The conj branch's Gram must be derived before the ridge/factor
   // overwrite the linear branch's lags in place.
   if (wl) dsp::fir_ls_derive_conj(txn, edge, s.lin, s.conj);
-  dsp::fir_ls_factor(s.lin, config_.ridge);
-  // As in the analog stage, the tap vectors are canceller members, outside
-  // the scratch reuse accounting.
+  dsp::fir_ls_factor(s.lin, config.ridge);
   dsp::fir_ls_solve(s.lin, taps_);
   conj_taps_.clear();
   dc_ = {0.0, 0.0};
@@ -100,7 +75,7 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
     dsp::convolve_same_subtract_into(rxn, txn, taps_, s.work);
     const auto res = std::span<const cplx>(s.work).subspan(edge);
     dsp::fir_ls_build_rhs(ctxv, res, s.conj);
-    dsp::fir_ls_factor(s.conj, config_.ridge);
+    dsp::fir_ls_factor(s.conj, config.ridge);
     dsp::fir_ls_solve(s.conj, conj_taps_);
     // Keep the branch only if it clearly explains training-window power.
     // On a healthy front end the residual is thermal noise; an LS fit of
@@ -131,7 +106,7 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
       conj_taps_.clear();
     }
   }
-  if (config_.remove_dc) {
+  if (config.remove_dc) {
     // Mean of the fully-cancelled training residual (dc_ is still zero
     // here, so the cancellation applies only the FIR branches).
     const std::array<dsp::sample_range, 1> whole{{{0, n}}};
@@ -141,15 +116,6 @@ void digital_canceller::adapt(std::span<const cplx> tx, std::span<const cplx> rx
     for (const cplx& c : v) sum += c;
     dc_ = sum / static_cast<double>(v.size());
   }
-}
-
-cvec digital_canceller::cancel(std::span<const cplx> tx,
-                               std::span<const cplx> rx) const {
-  canceller_scratch scratch;
-  const std::array<dsp::sample_range, 1> whole{{{0, rx.size()}}};
-  cvec out;
-  cancel_into(tx, rx, whole, out, scratch);
-  return out;
 }
 
 void digital_canceller::cancel_into(std::span<const cplx> tx,

@@ -38,28 +38,23 @@ struct canceller_scratch {
   cvec work2;                  ///< trial cancellation / conj emulation
 };
 
-/// Analog cancellation stage. adapt() tunes the taps from a (tx, rx)
-/// training segment; cancel() subtracts the emulated leakage.
+/// Analog cancellation stage: the adapted tap state. adapt() tunes the
+/// taps from a (tx, rx) training segment; cancel_energy_into() subtracts
+/// the emulated leakage. The tap vector keeps its capacity across adapts,
+/// so a canceller reused packet after packet (receive_chain_scratch)
+/// adapts without allocating.
 class analog_canceller {
  public:
-  explicit analog_canceller(const analog_canceller_config& config = {});
+  /// Tune taps by least squares over the training segment with the
+  /// reusable fit workspace `w`, then quantize them to the hardware
+  /// resolution of `config`.
+  void adapt(const analog_canceller_config& config, std::span<const cplx> tx,
+             std::span<const cplx> rx, dsp::fir_ls_workspace& w);
 
-  /// Tune taps by least squares over the training segment, then quantize
-  /// them to the hardware resolution.
-  void adapt(std::span<const cplx> tx, std::span<const cplx> rx);
-
-  /// As adapt(), with a reusable fit workspace (zero-alloc after warm-up).
-  /// Bit-identical to the allocating form.
-  void adapt(std::span<const cplx> tx, std::span<const cplx> rx,
-             dsp::fir_ls_workspace& w);
-
-  /// rx - tx * taps (same length as rx; tx must be the aligned transmit
-  /// samples for the same interval).
-  cvec cancel(std::span<const cplx> tx, std::span<const cplx> rx) const;
-
-  /// As cancel(), into a reusable caller buffer, additionally returning
-  /// the residual's energy (sum |out[i]|^2, bit-identical to
-  /// dsp::energy(out) run afterwards) fused into the cancellation store
+  /// out = rx - tx * taps (same length as rx; tx must be the aligned
+  /// transmit samples for the same interval) into a reusable caller
+  /// buffer, returning the residual's energy (sum |out[i]|^2, bit-identical
+  /// to dsp::energy(out) run afterwards) fused into the cancellation store
   /// loop. The receive chain's AGC sets its full scale from exactly this
   /// quantity; the fusion removes a full capture-length rms read pass
   /// between the analog stage and the ADC.
@@ -70,7 +65,6 @@ class analog_canceller {
   bool adapted() const { return !taps_.empty(); }
 
  private:
-  analog_canceller_config config_;
   cvec taps_;
 };
 
@@ -95,25 +89,19 @@ struct fused_adc {
 };
 
 /// Digital cancellation stage: unconstrained LS FIR estimate of the
-/// residual self-interference channel.
+/// residual self-interference channel (the adapted tap state; like the
+/// analog stage, its tap vectors keep their capacity across adapts).
 class digital_canceller {
  public:
-  explicit digital_canceller(const digital_canceller_config& config = {});
-
-  void adapt(std::span<const cplx> tx, std::span<const cplx> rx);
-
-  /// As adapt(), with reusable scratch (zero-alloc after warm-up). The
-  /// linear-only configuration is bit-identical to the allocating form; the
-  /// widely-linear branch derives its conj-excitation Gram from the linear
-  /// branch's lags (fir_ls_derive_conj) and reuses each branch's Cholesky
-  /// factor across the alternating refits, which reassociates the conj
-  /// Gram sums — tolerance-level agreement there (see DESIGN.md §9).
-  void adapt(std::span<const cplx> tx, std::span<const cplx> rx,
-             canceller_scratch& scratch);
-
-  /// The whole of rx, cancelled (allocating convenience form of
-  /// cancel_into over one full range).
-  cvec cancel(std::span<const cplx> tx, std::span<const cplx> rx) const;
+  /// Fit the taps of `config` over the training segment with reusable
+  /// scratch (zero-alloc after warm-up). The widely-linear branch derives
+  /// its conj-excitation Gram from the linear branch's lags
+  /// (fir_ls_derive_conj) and reuses each branch's Cholesky factor across
+  /// the alternating refits, which reassociates the conj Gram sums —
+  /// tolerance-level agreement with a from-scratch fit there (see
+  /// DESIGN.md §9).
+  void adapt(const digital_canceller_config& config, std::span<const cplx> tx,
+             std::span<const cplx> rx, canceller_scratch& scratch);
 
   /// The apply kernel: out[j] = in[j] - (tx * taps)[j] - (conj(tx) *
   /// conj_taps)[j] - dc for j in `ranges` (disjoint, ascending [begin, end)
@@ -127,7 +115,8 @@ class digital_canceller {
   /// range into adc->digitized in 256-sample chunks, each followed by its
   /// cancellation, so the quantizer's divide chain executes while the FP
   /// pipes chew the convolution; the result is bit-identical to
-  /// quantize_into_saturation() followed by the kernel without `adc`. The
+  /// quantize_range_saturation() over the ranges followed by the kernel
+  /// without `adc`. The
   /// ranges' per-axis clip events are OR-ed into adc->clipped_any.
   void cancel_into(std::span<const cplx> tx, std::span<const cplx> in,
                    std::span<const dsp::sample_range> ranges, cvec& out,
@@ -138,7 +127,6 @@ class digital_canceller {
   bool adapted() const { return !taps_.empty(); }
 
  private:
-  digital_canceller_config config_;
   cvec taps_;
   cvec conj_taps_;          ///< widely-linear branch (empty when disabled)
   cplx dc_ = {0.0, 0.0};    ///< estimated residual DC (remove_dc)

@@ -73,12 +73,18 @@ std::size_t union_ranges(dsp::sample_range silent, dsp::sample_range roi,
   return 2;
 }
 
-receive_chain_result run_chain_core(std::span<const cplx> tx,
-                                    std::span<const cplx> rx,
-                                    std::size_t silent_begin,
-                                    std::size_t silent_end,
-                                    const receive_chain_config& config,
-                                    receive_chain_scratch& scratch) {
+}  // namespace
+
+receive_chain_result run_receive_chain(std::span<const cplx> tx,
+                                       std::span<const cplx> rx,
+                                       std::size_t silent_begin,
+                                       std::size_t silent_end,
+                                       const receive_chain_config& config,
+                                       receive_chain_scratch* scratch_ptr) {
+  validate_or_throw(config, "run_receive_chain");
+  if (scratch_ptr == nullptr)
+    throw std::invalid_argument("run_receive_chain: scratch is required");
+  receive_chain_scratch& scratch = *scratch_ptr;
   receive_chain_result result;
   cvec& after_analog = scratch.after_analog;
   cvec& digitized = scratch.digitized;
@@ -138,9 +144,10 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
   // capture. Negative marks it unknown (analog bypassed / hook ran).
   double after_analog_energy = -1.0;
   if (config.enable_analog) {
-    analog_canceller analog(config.analog);
-    analog.adapt(tx_silent, rx_silent, scratch.canceller.lin);
-    after_analog_energy = analog.cancel_energy_into(tx, rx, after_analog);
+    scratch.analog.adapt(config.analog, tx_silent, rx_silent,
+                         scratch.canceller.lin);
+    after_analog_energy =
+        scratch.analog.cancel_energy_into(tx, rx, after_analog);
   } else {
     after_analog.resize(rx.size());
     std::copy(rx.begin(), rx.end(), after_analog.begin());
@@ -200,8 +207,8 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
 
   // --- Digital stage (adapted on the silent period only) ---
   if (config.enable_digital) {
-    digital_canceller digital(config.digital);
-    digital.adapt(tx_silent,
+    digital_canceller& digital = scratch.digital;
+    digital.adapt(config.digital, tx_silent,
                   std::span(digitized).subspan(silent_begin,
                                                silent_end - silent_begin),
                   scratch.canceller);
@@ -348,25 +355,6 @@ receive_chain_result run_chain_core(std::span<const cplx> tx,
     obs::set(config.collector, obs::probe::roi_coverage,
              static_cast<double>(processed) / static_cast<double>(capture_len));
   }
-  return result;
-}
-
-}  // namespace
-
-receive_chain_result run_receive_chain(std::span<const cplx> tx,
-                                       std::span<const cplx> rx,
-                                       std::size_t silent_begin,
-                                       std::size_t silent_end,
-                                       const receive_chain_config& config,
-                                       receive_chain_scratch* scratch) {
-  validate_or_throw(config, "run_receive_chain");
-  if (scratch != nullptr) {
-    return run_chain_core(tx, rx, silent_begin, silent_end, config, *scratch);
-  }
-  receive_chain_scratch local;
-  receive_chain_result result =
-      run_chain_core(tx, rx, silent_begin, silent_end, config, local);
-  result.cleaned = std::move(local.cleaned);
   return result;
 }
 

@@ -97,18 +97,18 @@ struct receive_chain_config {
 /// when the config is invalid (called by run_receive_chain itself).
 void validate_or_throw(const receive_chain_config& config, const char* where);
 
-/// Result of running the chain over a full packet.
+/// Result of running the chain over a full packet (the cleaned waveform
+/// itself is in receive_chain_scratch::cleaned).
 struct receive_chain_result {
-  cvec cleaned;                ///< rx after both cancellation stages
   double analog_depth_db = 0.0;   ///< SI suppression of the analog stage
   double total_depth_db = 0.0;    ///< SI suppression of both stages
   double residual_power = 0.0;    ///< mean residual power in the silent window
   bool adc_saturated = false;     ///< clipping detected at the ADC
   /// Set when the adaptation window was degenerate (empty, reversed, past
   /// the buffer, or shorter than the tap count of an enabled canceller
-  /// stage) or tx/rx were misaligned: no stage adapted, `cleaned` is the
-  /// raw rx, and the depths are zero. Callers must not trust the
-  /// cancellation.
+  /// stage) or tx/rx were misaligned: no stage adapted, the scratch's
+  /// `cleaned` is the raw rx, and the depths are zero. Callers must not
+  /// trust the cancellation.
   bool cancellation_bypassed = false;
   /// ROI accounting (meaningful only when config.roi was set): capture
   /// samples that went through the quantize/cancel sweeps vs. samples
@@ -118,14 +118,19 @@ struct receive_chain_result {
   std::size_t roi_samples_skipped = 0;
 };
 
-/// Reusable buffers for repeated run_receive_chain calls (one per worker
-/// thread).
+/// Caller-owned state of repeated run_receive_chain calls (one per worker
+/// thread): every intermediate waveform, the cleaned output and both
+/// cancellers' adapted taps. Buffers keep their capacity across calls, so
+/// a warm chain allocates nothing.
 struct receive_chain_scratch {
   cvec after_analog;
   cvec digitized;
-  cvec cleaned;
-  /// Adaptation state for both canceller stages: least-squares fit
-  /// workspaces plus the widely-linear intermediates.
+  cvec cleaned;  ///< the chain's output: rx after both cancellation stages
+  /// Adapted tap state of both canceller stages (re-adapted every call).
+  analog_canceller analog;
+  digital_canceller digital;
+  /// Adaptation workspaces for both canceller stages: least-squares fit
+  /// state plus the widely-linear intermediates.
   canceller_scratch canceller;
   /// Residual-gain tracker per-block state (pass 2).
   cvec gain_a;
@@ -133,21 +138,19 @@ struct receive_chain_scratch {
 };
 
 /// Adapt on rx[silent_begin, silent_end) against the aligned tx samples and
-/// clean the entire rx buffer. tx and rx must be time-aligned and equally
-/// long; a degenerate silent window (see cancellation_bypassed, including
-/// one too short to fit an enabled stage's taps) or misaligned buffers
-/// return a flagged pass-through result instead of adapting on garbage.
-///
-/// With `scratch == nullptr` the cleaned waveform is returned in
-/// result.cleaned. With a scratch, every intermediate waveform lives in it
-/// and the cleaned output is produced in scratch->cleaned — result.cleaned
-/// is left empty so a reusing caller performs no capture-length
-/// allocations. All computed values are bit-identical either way.
+/// clean the entire rx buffer into scratch->cleaned (see
+/// receive_chain_config::roi for which samples are readable). tx and rx
+/// must be time-aligned and equally long; a degenerate silent window (see
+/// cancellation_bypassed, including one too short to fit an enabled
+/// stage's taps) or misaligned buffers return a flagged pass-through result
+/// instead of adapting on garbage. `scratch` is required (a null pointer
+/// throws std::invalid_argument); once it has served a capture of the same
+/// length the call allocates nothing.
 receive_chain_result run_receive_chain(std::span<const cplx> tx,
                                        std::span<const cplx> rx,
                                        std::size_t silent_begin,
                                        std::size_t silent_end,
-                                       const receive_chain_config& config = {},
-                                       receive_chain_scratch* scratch = nullptr);
+                                       const receive_chain_config& config,
+                                       receive_chain_scratch* scratch);
 
 }  // namespace backfi::fd

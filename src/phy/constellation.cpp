@@ -83,13 +83,6 @@ void constellation::demap_llr(cplx y, double noise_var,
     out[b] = (min1[b] - min0[b]) * inv_var;  // positive favours bit 0
 }
 
-std::vector<double> constellation::demap_llr_stream(std::span<const cplx> symbols,
-                                                    double noise_var) const {
-  std::vector<double> out;
-  demap_llr_stream_into(symbols, noise_var, out);
-  return out;
-}
-
 void constellation::demap_llr_stream_into(std::span<const cplx> symbols,
                                           double noise_var,
                                           std::vector<double>& out) const {

@@ -41,13 +41,10 @@ struct constellation {
   /// complex noise.
   void demap_llr(cplx y, double noise_var, std::vector<double>& out) const;
 
-  /// Max-log LLRs for a symbol stream (bits_per_symbol values per symbol).
-  std::vector<double> demap_llr_stream(std::span<const cplx> symbols,
-                                       double noise_var) const;
-
-  /// As demap_llr_stream, writing into a reusable caller buffer (resized;
-  /// identical values, and allocation-free once warm for constellations up
-  /// to 8 bits per symbol — the decoder hot path).
+  /// Max-log LLRs for a symbol stream (bits_per_symbol values per symbol),
+  /// written into a reusable caller buffer (resized; allocation-free once
+  /// warm for constellations up to 8 bits per symbol — the decoder hot
+  /// path).
   void demap_llr_stream_into(std::span<const cplx> symbols, double noise_var,
                              std::vector<double>& out) const;
 

@@ -1,9 +1,9 @@
 #include "phy/convolutional.h"
 
 #include <array>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "phy/viterbi_kernels.h"
 
@@ -165,13 +165,6 @@ bitvec puncture(std::span<const std::uint8_t> coded, code_rate rate) {
   return out;
 }
 
-std::vector<double> depuncture(std::span<const double> soft, code_rate rate,
-                               std::size_t mother_length) {
-  std::vector<double> out;
-  depuncture_into(soft, rate, mother_length, out);
-  return out;
-}
-
 void depuncture_into(std::span<const double> soft, code_rate rate,
                      std::size_t mother_length, std::vector<double>& out) {
   const auto pattern = puncture_pattern(rate);
@@ -190,62 +183,52 @@ void depuncture_into(std::span<const double> soft, code_rate rate,
     throw std::invalid_argument("depuncture: soft stream too long");
 }
 
-bitvec viterbi_decode(std::span<const double> soft, std::size_t n_info,
-                      double* final_metric) {
+double viterbi_decode(std::span<const double> soft, std::size_t n_info,
+                      std::vector<std::uint64_t>& decisions, bitvec& decoded) {
   const std::size_t n_steps = n_info + conv_tail_bits;
   if (soft.size() < 2 * n_steps)
     throw std::invalid_argument("viterbi_decode: soft stream too short");
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> metric(kStates, kNegInf);
-  metric[0] = 0.0;
-  // Survivor bits, one row of kStates entries per step.
-  std::vector<std::uint8_t> survivor_input(n_steps * kStates);
-  std::vector<std::uint8_t> survivor_prev(n_steps * kStates);
+  std::array<double, kStates> rows[2];
+  rows[0].fill(kNegInf);
+  rows[0][0] = 0.0;
+  double* metric = rows[0].data();
+  double* next_metric = rows[1].data();
+  decisions.resize(n_steps);
 
   // Gather form of the scatter update, one kernel call per step: next state
   // ns has exactly two predecessors 2*(ns & 31) and 2*(ns & 31) + 1, both
-  // via input bit ns >> 5. The select is branchless — the data-dependent
-  // winner made the scatter loop mispredict heavily. `c1 > c0` picks the
-  // second predecessor only on strict improvement, matching the original
-  // first-writer-wins tie break; -inf propagates through the sums, so an
-  // unreachable predecessor never beats a reachable one and fully
-  // unreachable states keep -inf. Their survivor entries are now written
-  // too, but traceback starts at state 0 (finite metric, trellis is
-  // terminated) and only ever follows winners, so decoded output is
-  // unchanged. The AVX2 body lives in viterbi_kernels.cpp (per-TU flags,
-  // contraction off) and is bit-identical to the scalar fallback there.
-  std::vector<double> next_metric(kStates);
+  // via input bit ns >> 5, so one bit per state records the survivor. The
+  // select is branchless — the data-dependent winner made the scatter loop
+  // mispredict heavily. `c1 > c0` picks the second predecessor only on
+  // strict improvement, matching the original first-writer-wins tie break;
+  // -inf propagates through the sums, so an unreachable predecessor never
+  // beats a reachable one and fully unreachable states keep -inf. Their
+  // decision bits are written too, but traceback starts at state 0 (finite
+  // metric, trellis is terminated) and only ever follows winners — on tail
+  // steps only states with input bit 0 — so decoded output is unchanged.
+  // The AVX2 body lives in viterbi_kernels.cpp (per-TU flags, contraction
+  // off) and is bit-identical to the scalar fallback there.
   for (std::size_t step = 0; step < n_steps; ++step) {
     const double s0 = soft[2 * step];      // positive favours coded bit 0
     const double s1 = soft[2 * step + 1];
     const int max_input = (step < n_info) ? 2 : 1;  // tail forces zeros
-    const std::size_t row = step * kStates;
-    detail::viterbi_acs_step(metric.data(), s0, s1, max_input,
-                             next_metric.data(), survivor_input.data() + row,
-                             survivor_prev.data() + row);
-    metric.swap(next_metric);
+    decisions[step] =
+        detail::viterbi_acs_step(metric, s0, s1, max_input, next_metric);
+    std::swap(metric, next_metric);
   }
-
-  if (final_metric) *final_metric = metric[0];
 
   // Trace back from the zero state (trellis was terminated).
-  bitvec decoded(n_steps);
-  int state = 0;
+  decoded.resize(n_steps);
+  unsigned state = 0;
   for (std::size_t step = n_steps; step-- > 0;) {
-    decoded[step] = survivor_input[step * kStates + state];
-    state = survivor_prev[step * kStates + state];
+    decoded[step] = static_cast<std::uint8_t>(state >> (kMemory - 1));
+    state = 2 * (state & (kStates / 2 - 1)) +
+            static_cast<unsigned>((decisions[step] >> state) & 1u);
   }
   decoded.resize(n_info);  // strip tail
-  return decoded;
-}
-
-bitvec viterbi_decode_hard(std::span<const std::uint8_t> coded_bits,
-                           std::size_t n_info) {
-  std::vector<double> soft(coded_bits.size());
-  for (std::size_t i = 0; i < coded_bits.size(); ++i)
-    soft[i] = (coded_bits[i] & 1u) ? -1.0 : 1.0;
-  return viterbi_decode(soft, n_info);
+  return metric[0];
 }
 
 std::size_t coded_length(std::size_t n_info, code_rate rate) {

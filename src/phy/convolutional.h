@@ -51,30 +51,25 @@ bitvec puncture(std::span<const std::uint8_t> coded, code_rate rate);
 std::span<const std::uint8_t> puncture_pattern(code_rate rate);
 
 /// Expand a punctured soft stream back to `mother_length` mother-code
-/// positions, inserting zero (erasure) metrics at punctured positions.
+/// positions, inserting zero (erasure) metrics at punctured positions, into
+/// a reusable caller buffer (resized to `mother_length`).
 /// Soft convention: positive value means "bit 0 more likely" (LLR-like).
 /// Throws if the punctured stream does not match mother_length.
-std::vector<double> depuncture(std::span<const double> soft, code_rate rate,
-                               std::size_t mother_length);
-
-/// As depuncture, writing into a reusable caller buffer (resized to
-/// `mother_length`; identical values, no per-call allocation once warm).
 void depuncture_into(std::span<const double> soft, code_rate rate,
                      std::size_t mother_length, std::vector<double>& out);
 
 /// Soft-decision Viterbi decode of a rate-1/2 stream (after depuncturing).
-/// `soft` must contain 2 * (n_info + 6) metrics; returns the n_info decoded
-/// information bits (tail stripped). The trellis is forced to end in the
-/// zero state. When `final_metric` is non-null it receives the winning
-/// path's accumulated metric at the terminal zero state (higher = better
-/// match; scale is the sum of |soft| branch metrics) — the decoder
-/// confidence probe of the observability layer.
-bitvec viterbi_decode(std::span<const double> soft, std::size_t n_info,
-                      double* final_metric = nullptr);
-
-/// Convenience: hard-decision decode (bits -> +-1 metrics).
-bitvec viterbi_decode_hard(std::span<const std::uint8_t> coded_bits,
-                           std::size_t n_info);
+/// `soft` must contain 2 * (n_info + 6) metrics; `decoded` receives the
+/// n_info decoded information bits (tail stripped). The trellis is forced
+/// to end in the zero state. `decisions` is the traceback store: one word
+/// per trellis step whose bit ns is set when next state ns took its odd
+/// predecessor. Both are caller buffers resized here, so a reused pair
+/// decodes without allocating. Returns the winning path's accumulated
+/// metric at the terminal zero state (higher = better match; scale is the
+/// sum of |soft| branch metrics) — the decoder confidence probe of the
+/// observability layer.
+double viterbi_decode(std::span<const double> soft, std::size_t n_info,
+                      std::vector<std::uint64_t>& decisions, bitvec& decoded);
 
 /// Number of coded bits produced for n_info information bits at `rate`
 /// (including the tail).

@@ -21,12 +21,6 @@ interleaver::interleaver(std::size_t n_cbps, std::size_t n_bpsc) {
   }
 }
 
-bitvec interleaver::interleave(std::span<const std::uint8_t> block) const {
-  bitvec out(block.size());
-  interleave_into(block, out);
-  return out;
-}
-
 void interleaver::interleave_into(std::span<const std::uint8_t> block,
                                   std::span<std::uint8_t> out) const {
   assert(block.size() == forward_.size());

@@ -19,10 +19,8 @@ class interleaver {
 
   std::size_t block_size() const { return forward_.size(); }
 
-  /// Interleave exactly one block (size must equal block_size()).
-  bitvec interleave(std::span<const std::uint8_t> block) const;
-
-  /// As interleave(), writing into a caller buffer of block_size() entries.
+  /// Interleave exactly one block (size must equal block_size()) into a
+  /// caller buffer of block_size() entries.
   void interleave_into(std::span<const std::uint8_t> block,
                        std::span<std::uint8_t> out) const;
 

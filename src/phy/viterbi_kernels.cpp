@@ -1,6 +1,5 @@
 #include "phy/viterbi_kernels.h"
 
-#include <cstring>
 #include <limits>
 
 #if defined(__AVX2__)
@@ -12,7 +11,8 @@ namespace backfi::phy::detail {
 namespace {
 
 // Mirror of convolutional.cpp's trellis constants and parity recipe; the
-// VectorAcsMatchesScalarReference test pins the two against each other.
+// ConvolutionalTest reference-Viterbi tests pin the decoder built on this
+// kernel against an independent scatter-form decoder.
 constexpr std::uint32_t kG0 = 0b1011011;  // 133 octal
 constexpr std::uint32_t kG1 = 0b1111001;  // 171 octal
 constexpr int kMemory = 6;
@@ -49,13 +49,11 @@ struct acs_tables {
   alignas(32) double se1[16][4];  // sign of s1, even predecessor
   alignas(32) double so0[16][4];  // sign of s0, odd (second) predecessor
   alignas(32) double so1[16][4];  // sign of s1, odd predecessor
-  std::uint32_t prev_base[16];    // lane predecessor states, packed LE bytes
 };
 
 acs_tables make_acs_tables() {
   acs_tables t{};
   for (int g = 0; g < 16; ++g) {
-    std::uint32_t base = 0;
     for (int lane = 0; lane < 4; ++lane) {
       const int ns = 4 * g + lane;
       const int b = ns >> (kMemory - 1);
@@ -64,20 +62,10 @@ acs_tables make_acs_tables() {
       t.se1[g][lane] = out_bit(kG1, p0, b) ? -1.0 : 1.0;
       t.so0[g][lane] = out_bit(kG0, p0 + 1, b) ? -1.0 : 1.0;
       t.so1[g][lane] = out_bit(kG1, p0 + 1, b) ? -1.0 : 1.0;
-      base |= static_cast<std::uint32_t>(p0) << (8 * lane);
     }
-    t.prev_base[g] = base;
   }
   return t;
 }
-
-// movemask bit -> +1 in the matching survivor byte (little-endian lanes).
-constexpr std::uint32_t kSpread[16] = {
-    0x00000000u, 0x00000001u, 0x00000100u, 0x00000101u,
-    0x00010000u, 0x00010001u, 0x00010100u, 0x00010101u,
-    0x01000000u, 0x01000001u, 0x01000100u, 0x01000101u,
-    0x01010000u, 0x01010001u, 0x01010100u, 0x01010101u,
-};
 
 #else  // !__AVX2__
 
@@ -101,10 +89,9 @@ bm_tables make_bm_tables() {
 
 }  // namespace
 
-void viterbi_acs_step(const double* metric, double s0, double s1,
-                      int max_input, double* next_metric,
-                      std::uint8_t* survivor_input_row,
-                      std::uint8_t* survivor_prev_row) {
+std::uint64_t viterbi_acs_step(const double* metric, double s0, double s1,
+                               int max_input, double* next_metric) {
+  std::uint64_t decisions = 0;
 #if defined(__AVX2__)
   static const acs_tables t = make_acs_tables();
   const __m256d s0v = _mm256_set1_pd(s0);
@@ -133,15 +120,9 @@ void viterbi_acs_step(const double* metric, double s0, double s1,
     // matching the scalar `c1 > c0`.
     const __m256d gt = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
     _mm256_storeu_pd(next_metric + 4 * g, _mm256_blendv_pd(c0, c1, gt));
-    const int m = _mm256_movemask_pd(gt);
-    const std::uint32_t prev =
-        t.prev_base[g] + kSpread[static_cast<unsigned>(m)];
-    std::memcpy(survivor_prev_row + 4 * g, &prev, sizeof(prev));
+    decisions |= static_cast<std::uint64_t>(_mm256_movemask_pd(gt)) << (4 * g);
   }
-  std::memset(survivor_input_row, 0, kStates / 2);
-  if (max_input == 2) {
-    std::memset(survivor_input_row + kStates / 2, 1, kStates / 2);
-  } else {
+  if (max_input != 2) {
     const __m256d ninf =
         _mm256_set1_pd(-std::numeric_limits<double>::infinity());
     for (int ns = kStates / 2; ns < kStates; ns += 4)
@@ -164,10 +145,10 @@ void viterbi_acs_step(const double* metric, double s0, double s1,
     const double c1 = metric[p0 + 1] + bm[t.index[p0 + 1][b]];
     const bool take1 = c1 > c0;
     next_metric[ns] = take1 ? c1 : c0;
-    survivor_input_row[ns] = static_cast<std::uint8_t>(b);
-    survivor_prev_row[ns] = static_cast<std::uint8_t>(p0 + (take1 ? 1 : 0));
+    decisions |= static_cast<std::uint64_t>(take1) << ns;
   }
 #endif
+  return decisions;
 }
 
 bool viterbi_kernels_avx2() {

@@ -14,19 +14,16 @@ namespace backfi::phy::detail {
 
 /// One trellis step over all 64 states of the K=7 code (generators
 /// 133/171 octal, matching convolutional.cpp's tables()).
-///  metric              path metrics entering the step (64 entries)
-///  s0, s1              the step's two soft inputs (positive favours bit 0)
-///  max_input           2 for data steps, 1 for tail steps (input forced 0)
-///  next_metric         path metrics leaving the step (64 entries)
-///  survivor_input_row  this step's 64 survivor input bits
-///  survivor_prev_row   this step's 64 survivor predecessor states
-/// Tail steps write neither metric nor survivors for states whose input bit
-/// would be 1 beyond setting their metric to -inf, exactly like the scalar
-/// loop (their survivor bytes keep the caller's zero initialisation).
-void viterbi_acs_step(const double* metric, double s0, double s1,
-                      int max_input, double* next_metric,
-                      std::uint8_t* survivor_input_row,
-                      std::uint8_t* survivor_prev_row);
+///  metric       path metrics entering the step (64 entries)
+///  s0, s1       the step's two soft inputs (positive favours bit 0)
+///  max_input    2 for data steps, 1 for tail steps (input forced 0)
+///  next_metric  path metrics leaving the step (64 entries)
+/// Returns the step's decisions: bit ns is set when next state ns took its
+/// odd predecessor 2*(ns & 31) + 1 (its input bit is ns >> 5). Tail steps
+/// set the metric of every state with input bit 1 to -inf and leave its
+/// decision bit clear.
+std::uint64_t viterbi_acs_step(const double* metric, double s0, double s1,
+                               int max_input, double* next_metric);
 
 /// True when viterbi_kernels.cpp was compiled with AVX2, i.e. the per-TU
 /// kernel flags of src/phy/CMakeLists.txt took effect.

@@ -20,15 +20,6 @@ namespace backfi::reader {
 namespace {
 constexpr std::size_t samples_per_us = 20;
 
-// label -> index into constellation.points (labels are unique), shared by
-// decode() and decode_from_symbols() so the EVM loop and phase tracker do a
-// table lookup instead of scanning the constellation per symbol.
-std::vector<std::size_t> label_to_point_index(const phy::constellation& c) {
-  std::vector<std::size_t> by_label(c.points.size());
-  for (std::size_t i = 0; i < c.points.size(); ++i) by_label[c.labels[i]] = i;
-  return by_label;
-}
-
 // Per-reason failure accounting: the aggregate counter plus one
 // "reader.failure.<reason>" row per reason, so campaigns can tell a sync
 // loss from a CRC storm without re-running. The catalogue lists those rows
@@ -107,6 +98,15 @@ backfi_decoder::backfi_decoder(const tag::tag_config& tag_config,
                                const decoder_config& config)
     : tag_config_(tag_config), config_(config) {
   validate_or_throw(config_, "backfi_decoder");
+  constellation_ =
+      &phy::psk_constellation(tag::psk_order(tag_config_.rate.modulation));
+  by_label_.resize(constellation_->points.size());
+  for (std::size_t i = 0; i < by_label_.size(); ++i)
+    by_label_[constellation_->labels[i]] = i;
+  sync_labels_ = tag::tag_device(tag_config_).sync_labels();
+  sync_points_.resize(sync_labels_.size());
+  for (std::size_t i = 0; i < sync_labels_.size(); ++i)
+    sync_points_[i] = constellation_->points[by_label_[sync_labels_[i]]];
 }
 
 cvec backfi_decoder::estimate_combined_channel(std::span<const cplx> x,
@@ -139,23 +139,11 @@ bool backfi_decoder::estimate_combined_channel_into(
   return true;
 }
 
-decode_result backfi_decoder::decode(std::span<const cplx> x,
-                                     std::span<const cplx> y,
-                                     std::size_t nominal_origin,
-                                     std::size_t payload_bits,
-                                     decoder_scratch* scratch) const {
-  if (scratch == nullptr) {
-    decoder_scratch local;
-    return decode_with_scratch(x, y, nominal_origin, payload_bits, local);
-  }
-  return decode_with_scratch(x, y, nominal_origin, payload_bits, *scratch);
-}
-
 dsp::sample_range backfi_decoder::read_window_bounds(
     std::size_t capture_len, std::size_t nominal_origin,
     std::size_t payload_bits) const {
-  // Mirror decode_with_scratch's early typed-error exits: those paths
-  // return before touching a single y sample, so their window is empty.
+  // Mirror decode's early typed-error exits: those paths return before
+  // touching a single y sample, so their window is empty.
   if (capture_len == 0 || nominal_origin >= capture_len || payload_bits == 0)
     return {};
   const tag::tag_device device(tag_config_);
@@ -188,10 +176,14 @@ dsp::sample_range backfi_decoder::read_window_bounds(
   return {scan_lo, scan_hi};
 }
 
-decode_result backfi_decoder::decode_with_scratch(
-    std::span<const cplx> x, std::span<const cplx> y,
-    std::size_t nominal_origin, std::size_t payload_bits,
-    decoder_scratch& scratch) const {
+decode_result backfi_decoder::decode(std::span<const cplx> x,
+                                     std::span<const cplx> y,
+                                     std::size_t nominal_origin,
+                                     std::size_t payload_bits,
+                                     decoder_scratch* scratch_ptr) const {
+  if (scratch_ptr == nullptr)
+    throw std::invalid_argument("backfi_decoder::decode: scratch is required");
+  decoder_scratch& scratch = *scratch_ptr;
   decode_result result;
   obs::timing_span decode_span(config_.collector, obs::probe::timing_decode);
   // --- Input validation: malformed captures return a typed failure ---
@@ -243,13 +235,8 @@ decode_result backfi_decoder::decode_with_scratch(
   const std::size_t guard =
       std::min<std::size_t>(config_.fb_taps - 1, sps > 2 ? sps - 2 : 1);
 
-  const auto sync_labels = device.sync_labels();
-  const auto& constellation =
-      phy::psk_constellation(tag::psk_order(tag_config_.rate.modulation));
-  const std::vector<std::size_t> by_label = label_to_point_index(constellation);
-  cvec sync_points(sync_labels.size());
-  for (std::size_t i = 0; i < sync_labels.size(); ++i)
-    sync_points[i] = constellation.points[by_label[sync_labels[i]]];
+  const std::span<const cplx> sync_points(sync_points_);
+  const phy::constellation& constellation = *constellation_;
 
   // --- 1+2. Channel estimation and sync timing, with re-acquisition:
   // each attempt widens the timing search (the estimation window shrinks
@@ -308,14 +295,14 @@ decode_result backfi_decoder::decode_with_scratch(
                                   scratch.yhat);
     mrc_precompute(y, scratch.yhat, window_begin, window_end, scratch.products,
                    scratch.weights);
-    scratch.sync_estimates.resize(sync_labels.size());
+    scratch.sync_estimates.resize(sync_points.size());
 
     for (int offset = -search; offset <= search; ++offset) {
       const std::size_t start = sync_begin + static_cast<std::size_t>(
                                     static_cast<std::ptrdiff_t>(offset));
       mrc_symbol_estimates_from_products(
           scratch.products, scratch.weights, window_begin, y.size(), start,
-          sps, sync_labels.size(), guard, scratch.sync_estimates);
+          sps, sync_points.size(), guard, scratch.sync_estimates);
       const std::span<const cplx> m(scratch.sync_estimates);
       cplx corr{0.0, 0.0};
       double energy = 0.0;
@@ -359,7 +346,7 @@ decode_result backfi_decoder::decode_with_scratch(
   {
     mrc_symbol_estimates_from_products(
         scratch.products, scratch.weights, window_begin, y.size(),
-        sync_start_best, sps, sync_labels.size(), guard,
+        sync_start_best, sps, sync_points.size(), guard,
         scratch.sync_estimates);
     const std::span<const cplx> m(scratch.sync_estimates);
     for (std::size_t i = 0; i < m.size(); ++i)
@@ -398,17 +385,15 @@ decode_result backfi_decoder::decode_with_scratch(
       m *= rot;
       const std::uint32_t label = constellation.slice(m);
       scratch.track_labels[s++] = label;
-      const cplx ref = constellation.points[by_label[label]];
+      const cplx ref = constellation.points[by_label_[label]];
       const double err = std::arg(m * std::conj(ref));
       rot *= std::polar(1.0, -gain * err);
     }
   }
 
   // --- 5. Soft decoding ---
-  decode_result bits = decode_from_symbols_impl(symbols, noise_var,
-                                                payload_bits, constellation,
-                                                by_label, &scratch,
-                                                scratch.track_labels);
+  decode_result bits = decode_from_symbols_impl(
+      symbols, noise_var, payload_bits, scratch, scratch.track_labels);
   bits.sync_found = result.sync_found;
   bits.sync_attempts = result.sync_attempts;
   bits.timing_offset = result.timing_offset;
@@ -433,18 +418,14 @@ decode_result backfi_decoder::decode_from_symbols(std::span<const cplx> symbols,
     note_failure(config_.collector, result.failure);
     return result;
   }
-  const auto& constellation =
-      phy::psk_constellation(tag::psk_order(tag_config_.rate.modulation));
-  return decode_from_symbols_impl(symbols, noise_var, payload_bits,
-                                  constellation,
-                                  label_to_point_index(constellation), nullptr,
+  decoder_scratch scratch;
+  return decode_from_symbols_impl(symbols, noise_var, payload_bits, scratch,
                                   {});
 }
 
 decode_result backfi_decoder::decode_from_symbols_impl(
     std::span<const cplx> symbols, double noise_var, std::size_t payload_bits,
-    const phy::constellation& constellation,
-    std::span<const std::size_t> by_label, decoder_scratch* scratch,
+    decoder_scratch& scratch,
     std::span<const std::uint32_t> tracked_labels) const {
   decode_result result;
   if (payload_bits == 0) {
@@ -458,19 +439,20 @@ decode_result backfi_decoder::decode_from_symbols_impl(
     return result;
   }
 
-  // EVM against sliced points (label -> point index via the shared table).
+  // EVM against sliced points (label -> point index via the member table).
   // When the phase tracker already sliced these exact symbol values its
   // decisions are reused; slicing again would return the same labels.
+  const phy::constellation& constellation = *constellation_;
   {
     double acc = 0.0;
     if (tracked_labels.size() == symbols.size()) {
       for (std::size_t i = 0; i < symbols.size(); ++i)
         acc += std::norm(symbols[i] -
-                         constellation.points[by_label[tracked_labels[i]]]);
+                         constellation.points[by_label_[tracked_labels[i]]]);
     } else {
       for (const cplx& m : symbols) {
         const std::uint32_t label = constellation.slice(m);
-        acc += std::norm(m - constellation.points[by_label[label]]);
+        acc += std::norm(m - constellation.points[by_label_[label]]);
       }
     }
     result.evm_rms = std::sqrt(acc / std::max<std::size_t>(symbols.size(), 1));
@@ -480,10 +462,7 @@ decode_result backfi_decoder::decode_from_symbols_impl(
   const std::size_t info_bits = payload_bits + 32;  // + CRC
   const std::size_t coded_bits =
       phy::coded_length(info_bits, tag_config_.rate.coding);
-  std::vector<double> local_soft;
-  std::vector<double> local_mother;
-  std::vector<double>& soft = scratch ? scratch->soft : local_soft;
-  std::vector<double>& mother = scratch ? scratch->mother : local_mother;
+  std::vector<double>& soft = scratch.soft;
   constellation.demap_llr_stream_into(symbols, std::max(noise_var, 1e-12),
                                       soft);
   if (soft.size() < coded_bits) {
@@ -494,10 +473,10 @@ decode_result backfi_decoder::decode_from_symbols_impl(
   soft.resize(coded_bits);  // drop symbol-padding bits
 
   phy::depuncture_into(soft, tag_config_.rate.coding,
-                       2 * (info_bits + phy::conv_tail_bits), mother);
-  double path_metric = 0.0;
-  const phy::bitvec decoded =
-      phy::viterbi_decode(mother, info_bits, &path_metric);
+                       2 * (info_bits + phy::conv_tail_bits), scratch.mother);
+  const phy::bitvec& decoded = scratch.decoded;
+  const double path_metric = phy::viterbi_decode(
+      scratch.mother, info_bits, scratch.decisions, scratch.decoded);
   // Normalize by trellis steps so the confidence probe is comparable
   // across payload lengths.
   obs::observe(config_.collector, obs::probe::viterbi_path_metric,

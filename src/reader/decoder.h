@@ -118,8 +118,10 @@ struct decode_result {
   cvec symbol_estimates;         ///< raw MRC outputs (payload symbols)
 };
 
-/// Reusable buffers for repeated decode() calls. One instance per worker
-/// thread; contents are scratch only (no decode state carries across calls).
+/// Caller-owned buffers of repeated decode() calls. One instance per worker
+/// thread; contents are scratch only (no decode state carries across
+/// calls). Once warm, a decode allocates only the three vectors its result
+/// returns (payload, h_fb, symbol_estimates).
 struct decoder_scratch {
   cvec yhat;                    ///< windowed expected backscatter
   cvec products;                ///< y * conj(yhat) over the sync/data window
@@ -130,6 +132,8 @@ struct decoder_scratch {
   std::vector<std::uint32_t> track_labels;  ///< phase-tracker slice decisions
   std::vector<double> soft;     ///< demapped LLRs (payload coded bits)
   std::vector<double> mother;   ///< depunctured mother-code metrics
+  std::vector<std::uint64_t> decisions;  ///< Viterbi traceback, one word/step
+  phy::bitvec decoded;          ///< Viterbi output (payload + CRC bits)
 };
 
 class backfi_decoder {
@@ -142,12 +146,12 @@ class backfi_decoder {
   ///  y               the receive samples after SI cancellation
   ///  nominal_origin  the reader's estimate of the tag's wake instant
   ///  payload_bits    expected payload size (link-layer agreed)
-  ///  scratch         optional reusable buffers so a warmed-up worker runs
-  ///                  the sync scan and MRC allocation-free; results are
-  ///                  bit-identical with or without one
+  ///  scratch         the caller's reusable buffers (required: a null
+  ///                  pointer throws std::invalid_argument); results never
+  ///                  depend on their prior contents
   decode_result decode(std::span<const cplx> x, std::span<const cplx> y,
                        std::size_t nominal_origin, std::size_t payload_bits,
-                       decoder_scratch* scratch = nullptr) const;
+                       decoder_scratch* scratch) const;
 
   /// The closed-open absolute sample range of y that decode() may read for
   /// this (capture length, nominal origin, payload size) — the same span
@@ -181,23 +185,14 @@ class backfi_decoder {
   const decoder_config& config() const { return config_; }
 
  private:
-  /// The actual decode body; both public spellings land here.
-  decode_result decode_with_scratch(std::span<const cplx> x,
-                                    std::span<const cplx> y,
-                                    std::size_t nominal_origin,
-                                    std::size_t payload_bits,
-                                    decoder_scratch& scratch) const;
-
-  /// Shared demap/Viterbi/CRC tail used by decode() and decode_from_symbols;
-  /// takes the constellation and its label->point-index table so neither
-  /// caller rebuilds them. `scratch` (nullable) supplies the demap and
-  /// depuncture buffers; `tracked_labels`, when non-empty, carries the phase
-  /// tracker's slice decisions so the EVM loop reuses them instead of
-  /// re-slicing the same symbols.
+  /// Shared demap/Viterbi/CRC tail used by decode() and decode_from_symbols.
+  /// `scratch` supplies the demap, depuncture and Viterbi buffers;
+  /// `tracked_labels`, when non-empty, carries the phase tracker's slice
+  /// decisions so the EVM loop reuses them instead of re-slicing the same
+  /// symbols.
   decode_result decode_from_symbols_impl(
       std::span<const cplx> symbols, double noise_var, std::size_t payload_bits,
-      const phy::constellation& constellation,
-      std::span<const std::size_t> by_label, decoder_scratch* scratch,
+      decoder_scratch& scratch,
       std::span<const std::uint32_t> tracked_labels) const;
 
   /// estimate_combined_channel through the reusable Gram/RHS workspace;
@@ -210,6 +205,14 @@ class backfi_decoder {
 
   tag::tag_config tag_config_;
   decoder_config config_;
+  /// Per-config tables, built once by the constructor: the tag's PSK
+  /// constellation, its label -> point-index table (labels are unique, so
+  /// the EVM loop and phase tracker look points up instead of scanning),
+  /// and the sync word as labels and as constellation points.
+  const phy::constellation* constellation_ = nullptr;
+  std::vector<std::size_t> by_label_;
+  std::vector<std::uint32_t> sync_labels_;
+  cvec sync_points_;
 };
 
 }  // namespace backfi::reader

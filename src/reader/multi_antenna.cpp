@@ -16,10 +16,12 @@ multi_antenna_result multi_antenna_decoder::decode(
   multi_antenna_result result;
   const backfi_decoder single(tag_config_, config_);
 
-  // Per-antenna channel estimation, timing and symbol-level MRC.
+  // Per-antenna channel estimation, timing and symbol-level MRC, through
+  // one scratch reused across the antennas.
+  decoder_scratch scratch;
   for (const auto& antenna : antennas)
-    result.per_antenna.push_back(
-        single.decode(x, antenna.cleaned, nominal_origin, payload_bits));
+    result.per_antenna.push_back(single.decode(
+        x, antenna.cleaned, nominal_origin, payload_bits, &scratch));
 
   // Spatial MRC: weight each antenna's per-symbol estimate by its linear
   // post-MRC SNR (the optimal combiner for unit-signal statistics with

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <utility>
 
 namespace backfi::reader {
 
@@ -17,19 +16,26 @@ std::uint64_t now_ns() {
 
 }  // namespace
 
-/// A cancelled packet in flight between the cancellation and decode
-/// stages. `view` is what the decoder reads: the owned `cleaned` buffer in
-/// 2-thread mode (ownership must cross the stage boundary ahead of the
-/// next chain run), or a borrowed view of the chain scratch in inline mode
-/// (the segment is decoded before the scratch is reused, so no copy — and
-/// the one-shot batch wrapper keeps its workspace buffers).
-struct stream_session::segment {
-  std::size_t index = 0;
-  fd::receive_chain_result chain;
-  cvec cleaned;
-  std::span<const cplx> view;
-  std::uint64_t t_feed_ns = 0;
-};
+fd::receive_chain_result cancel_packet(std::span<const cplx> x,
+                                       std::span<const cplx> y,
+                                       const stream_packet& packet,
+                                       const backfi_decoder& decoder,
+                                       bool restrict_to_roi,
+                                       const post_cancel_fn& hook,
+                                       fd::receive_chain_config& chain,
+                                       fd::receive_chain_scratch& scratch) {
+  const std::size_t len = packet.end - packet.begin;
+  const auto xseg = x.subspan(packet.begin, len);
+  const auto yseg = y.subspan(packet.begin, len);
+  const std::size_t wake_end = packet.wake_end - packet.begin;
+  const std::size_t silent_end = packet.silent_end - packet.begin;
+  if (restrict_to_roi && !hook)
+    chain.roi = decoder.read_window_bounds(len, wake_end, packet.payload_bits);
+  const fd::receive_chain_result result =
+      fd::run_receive_chain(xseg, yseg, wake_end, silent_end, chain, &scratch);
+  if (hook) hook(xseg, std::span<cplx>(scratch.cleaned), silent_end);
+  return result;
+}
 
 stream_session::stream_session(std::span<const cplx> x,
                                std::span<const cplx> y,
@@ -56,15 +62,11 @@ stream_session::stream_session(std::span<const cplx> x,
     previous_begin = p.begin;
   }
 
-  const std::size_t capacity =
-      config_.queue_capacity > 0 ? config_.queue_capacity : 1;
-  capture_ring_ = std::make_unique<dsp::spsc_ring<std::size_t>>(capacity);
-  decode_ring_ = std::make_unique<dsp::spsc_ring<segment>>(capacity);
-
-  chain_scratch_ = config_.chain_scratch != nullptr ? config_.chain_scratch
-                                                    : &own_chain_scratch_;
-  decode_scratch_ = config_.decode_scratch != nullptr ? config_.decode_scratch
-                                                      : &own_decode_scratch_;
+  if (config_.queue_capacity > dsp::max_ring_capacity)
+    throw std::invalid_argument(
+        "stream_session: queue_capacity has no power-of-two ring size");
+  capture_ring_ = std::make_unique<dsp::spsc_ring<std::size_t>>(
+      config_.queue_capacity > 0 ? config_.queue_capacity : 1);
 
   // Probe confinement: in 2-thread mode the stages run on the worker, so
   // they report to a session-private collector merged after the join.
@@ -78,11 +80,6 @@ stream_session::stream_session(std::span<const cplx> x,
   decoder_config dec_cfg = config_.decoder;
   dec_cfg.collector = stage_collector_;
   decoder_ = std::make_unique<backfi_decoder>(config_.tag, dec_cfg);
-
-  // ROI shrinking: a post_cancel_hook reads/mutates the whole cleaned
-  // segment, so its presence forces the full-capture chain. A caller who
-  // pre-set chain.roi keeps it (their contract with their own consumer).
-  roi_active_ = config_.restrict_to_roi && !config_.post_cancel_hook;
 
   results_.resize(schedule_.size());
   for (std::size_t i = 0; i < results_.size(); ++i) results_[i].index = i;
@@ -125,20 +122,14 @@ void stream_session::produce(std::size_t index) {
   // Feed->decoded latency starts here, so time spent blocked on a full
   // ring and queued in the capture ring is counted. The ring push's
   // release store publishes the stamp to the worker's acquiring pop.
-  if (config_.emit_stream_metrics) t_feed_ns_[index] = now_ns();
+  t_feed_ns_[index] = now_ns();
   if (config_.threads == 1) {
-    // Inline mode: the rings still carry every hand-off (identical
-    // wraparound behavior), drained depth-first on this thread.
-    while (!capture_ring_->try_push(std::size_t(index))) {
-      std::size_t ready = 0;
-      if (capture_ring_->try_pop(ready)) cancel_segment(ready);
-      drain_decode_ring();
-    }
+    // Inline mode: the ring still carries every hand-off (identical
+    // wraparound behavior), drained on this thread.
     std::size_t ready = 0;
-    while (capture_ring_->try_pop(ready)) {
-      cancel_segment(ready);
-      drain_decode_ring();
-    }
+    while (!capture_ring_->try_push(std::size_t(index)))
+      if (capture_ring_->try_pop(ready)) process_packet(ready);
+    while (capture_ring_->try_pop(ready)) process_packet(ready);
     return;
   }
   // 2-thread mode: the capture ring is the backpressure boundary.
@@ -153,111 +144,56 @@ void stream_session::produce(std::size_t index) {
     std::this_thread::yield();
 }
 
-void stream_session::cancel_segment(std::size_t index) {
+void stream_session::process_packet(std::size_t index) {
+  // Only this stage's thread touches config_.chain (cancel_packet sets its
+  // roi per packet) and the scratch, so both threading modes are
+  // race-free.
   const stream_packet& p = schedule_[index];
-  const std::size_t len = p.end - p.begin;
-  const auto xseg = x_.subspan(p.begin, len);
-  const auto yseg = y_.subspan(p.begin, len);
-  const bool timed = config_.emit_stream_metrics;
-  const std::uint64_t t0 = timed ? now_ns() : 0;
+  stream_packet_result& out = results_[index];
+  const std::uint64_t t0 = now_ns();
+  out.chain = cancel_packet(x_, y_, p, *decoder_, config_.restrict_to_roi,
+                            config_.post_cancel_hook, config_.chain,
+                            chain_scratch_);
+  worker_stats_.roi_samples_processed += out.chain.roi_samples_processed;
+  worker_stats_.roi_samples_skipped += out.chain.roi_samples_skipped;
+  const std::uint64_t t1 = now_ns();
+  out.decoded = decoder_->decode(x_.subspan(p.begin, p.end - p.begin),
+                                 chain_scratch_.cleaned, p.wake_end - p.begin,
+                                 p.payload_bits, &decode_scratch_);
+  const std::uint64_t t2 = now_ns();
+  ++worker_stats_.packets_decoded;
+  if (out.decoded.crc_ok) ++worker_stats_.crc_ok;
 
-  segment seg;
-  if (!free_segments_.empty()) {
-    seg = std::move(free_segments_.back());
-    free_segments_.pop_back();
-  }
-  seg.index = index;
-  seg.t_feed_ns = t_feed_ns_[index];
-
-  // Per-packet ROI: the decoder's exact read window for this segment. Only
-  // this stage's thread touches config_.chain from here on, so the
-  // mutation is race-free in both threading modes.
-  if (roi_active_)
-    config_.chain.roi = decoder_->read_window_bounds(
-        len, p.wake_end - p.begin, p.payload_bits);
-
-  seg.chain = fd::run_receive_chain(xseg, yseg, p.wake_end - p.begin,
-                                    p.silent_end - p.begin, config_.chain,
-                                    chain_scratch_);
-  worker_stats_.roi_samples_processed += seg.chain.roi_samples_processed;
-  worker_stats_.roi_samples_skipped += seg.chain.roi_samples_skipped;
-  if (config_.post_cancel_hook)
-    config_.post_cancel_hook(xseg, std::span<cplx>(chain_scratch_->cleaned),
-                             p.silent_end - p.begin);
-  if (config_.threads == 2) {
-    // Hand the cleaned buffer itself across the stage boundary; the
-    // scratch inherits the recycled segment's capacity for the next run.
-    std::swap(seg.cleaned, chain_scratch_->cleaned);
-    seg.view = std::span<const cplx>(seg.cleaned);
-  } else {
-    seg.view = std::span<const cplx>(chain_scratch_->cleaned);
-  }
-
-  if (timed) {
-    const double us = static_cast<double>(now_ns() - t0) * 1e-3;
-    worker_stats_.cancel_us_total += us;
-    obs::observe(stage_collector_, obs::probe::timing_stream_cancel,
-                 us * 1e-6);
-  }
-
-  while (!decode_ring_->try_push(std::move(seg))) drain_decode_ring();
-}
-
-void stream_session::drain_decode_ring() {
-  segment seg;
-  while (decode_ring_->try_pop(seg)) {
-    const stream_packet& p = schedule_[seg.index];
-    const std::size_t len = p.end - p.begin;
-    const bool timed = config_.emit_stream_metrics;
-    const std::uint64_t t0 = timed ? now_ns() : 0;
-
-    stream_packet_result& out = results_[seg.index];
-    out.chain = std::move(seg.chain);
-    out.decoded =
-        decoder_->decode(x_.subspan(p.begin, len), seg.view,
-                         p.wake_end - p.begin, p.payload_bits, decode_scratch_);
-    ++worker_stats_.packets_decoded;
-    if (out.decoded.crc_ok) ++worker_stats_.crc_ok;
-
-    if (timed) {
-      const std::uint64_t t1 = now_ns();
-      const double decode_us = static_cast<double>(t1 - t0) * 1e-3;
-      const double latency_us =
-          static_cast<double>(t1 - seg.t_feed_ns) * 1e-3;
-      worker_stats_.decode_us_total += decode_us;
-      worker_stats_.latency_us_total += latency_us;
-      if (latency_us > worker_stats_.latency_us_max)
-        worker_stats_.latency_us_max = latency_us;
-      obs::observe(stage_collector_, obs::probe::timing_stream_decode,
-                   decode_us * 1e-6);
-    }
-
-    seg.view = {};
-    free_segments_.push_back(std::move(seg));
-  }
+  const double cancel_us = static_cast<double>(t1 - t0) * 1e-3;
+  const double decode_us = static_cast<double>(t2 - t1) * 1e-3;
+  const double latency_us = static_cast<double>(t2 - t_feed_ns_[index]) * 1e-3;
+  worker_stats_.cancel_us_total += cancel_us;
+  worker_stats_.decode_us_total += decode_us;
+  worker_stats_.latency_us_total += latency_us;
+  if (latency_us > worker_stats_.latency_us_max)
+    worker_stats_.latency_us_max = latency_us;
+  obs::observe(stage_collector_, obs::probe::timing_stream_cancel,
+               cancel_us * 1e-6);
+  obs::observe(stage_collector_, obs::probe::timing_stream_decode,
+               decode_us * 1e-6);
 }
 
 void stream_session::worker_loop() {
   for (;;) {
     std::size_t index = 0;
     if (capture_ring_->try_pop(index)) {
-      cancel_segment(index);
-      drain_decode_ring();
+      process_packet(index);
     } else if (producer_done_.load(std::memory_order_acquire)) {
       // finish() pushes the schedule tail *before* its release store on
       // producer_done_, so this acquire guarantees the drain below sees
       // every prior push. Without it, a packet landing between the failed
       // pop above and the flag check would be silently lost.
-      while (capture_ring_->try_pop(index)) {
-        cancel_segment(index);
-        drain_decode_ring();
-      }
+      while (capture_ring_->try_pop(index)) process_packet(index);
       break;
     } else {
       std::this_thread::yield();
     }
   }
-  drain_decode_ring();
 }
 
 void stream_session::finish() {
@@ -282,7 +218,7 @@ void stream_session::finish() {
   obs::collector* const c = config_.collector;
   if (worker_collector_ != nullptr && c != nullptr)
     c->merge(*worker_collector_);
-  if (c != nullptr && config_.emit_stream_metrics) {
+  if (c != nullptr) {
     // Deterministic under the block policy (pure functions of the capture
     // and schedule); with drop overflow the decode counts become
     // execution-dependent, which CI/bench configurations avoid.

@@ -1,28 +1,25 @@
 // Streaming receive pipeline: a continuously running reader session that
-// consumes a capture through bounded SPSC ring buffers between stages
-// instead of one batch call per packet (the BackFi AP is an always-on
-// device; ROADMAP "streaming reader" item).
+// consumes a capture through a bounded SPSC ring buffer instead of one
+// batch call per packet (the BackFi AP is an always-on device; ROADMAP
+// "streaming reader" item).
 //
 // Stage diagram (DESIGN.md "Streaming architecture"):
 //
 //   caller (capture)                    session pipeline
 //   ----------------                    ----------------------------------
-//   feed(chunk) --> [capture ring] -->  cancellation (run_receive_chain,
-//       |            bounded SPSC       adapt on the packet's own silent
-//       |            backpressure       window) + segmentation
-//       v            boundary               |
-//   block / drop                            v
-//   when full                          [segment ring] --> decode (sync
-//                                       bounded SPSC      scan, MRC, PSK
-//                                                         demap, Viterbi,
-//                                                         CRC)
+//   feed(chunk) --> [capture ring] -->  per-packet stage, back to back:
+//       |            bounded SPSC         cancellation (cancel_packet:
+//       |            backpressure         adapt on the packet's own silent
+//       v            boundary             window), then decode (sync scan,
+//   block / drop                          MRC, PSK demap, Viterbi, CRC)
+//   when full
 //
-// With `threads == 1` every stage runs inline on the caller's thread (the
-// rings still carry the hand-offs, so wraparound/backpressure behave
-// identically); with `threads == 2` the cancellation+decode stages run on
-// one worker thread and the capture ring is the cross-thread boundary. The
-// decoded bit-stream is bit-identical at 1 and 2 threads and to the batch
-// per-packet path (pinned by tests/sim/stream_test.cpp): segments are
+// With `threads == 1` the stage runs inline on the caller's thread (the
+// capture ring still carries the hand-off, so wraparound/backpressure
+// behave identically); with `threads == 2` it runs on one worker thread
+// and the capture ring is the cross-thread boundary. The decoded
+// bit-stream is bit-identical at 1 and 2 threads and to the batch
+// per-packet path (pinned by tests/sim/stream_test.cpp): packets are
 // decoded strictly in schedule order through the exact same
 // run_receive_chain / backfi_decoder::decode calls on identical subspans.
 //
@@ -62,6 +59,13 @@ struct stream_packet {
   std::size_t payload_bits = 0;
 };
 
+/// Applied to a packet's cleaned segment between cancellation and decode
+/// (arguments: aligned tx segment, cleaned segment, silent-window end
+/// relative to the segment). The simulator injects post-cancellation
+/// faults here.
+using post_cancel_fn =
+    std::function<void(std::span<const cplx>, std::span<cplx>, std::size_t)>;
+
 /// What to do when the capture ring is full (2-thread mode: the decoder
 /// fell behind the capture).
 enum class stream_overflow : std::uint8_t {
@@ -73,19 +77,16 @@ struct stream_config {
   tag::tag_config tag;
   decoder_config decoder;
   fd::receive_chain_config chain;
-  /// 1 = all stages inline on the caller's thread; 2 = pipeline stages on
-  /// a dedicated worker thread behind the capture ring.
+  /// 1 = the per-packet stage inline on the caller's thread; 2 = on a
+  /// dedicated worker thread behind the capture ring.
   std::size_t threads = 1;
-  /// Capacity of each inter-stage ring [packets] (rounded up to a power
-  /// of two). This bounds queue depth and therefore in-flight latency.
+  /// Capacity of the capture ring [packets] (rounded up to a power of two;
+  /// above dsp::max_ring_capacity the constructor throws). This bounds
+  /// queue depth and therefore in-flight latency.
   std::size_t queue_capacity = 8;
   stream_overflow overflow = stream_overflow::block;
-  /// Applied to the cleaned segment between cancellation and decode
-  /// (arguments: aligned tx segment, cleaned segment, silent-window end
-  /// relative to the segment). The simulator injects post-cancellation
-  /// faults here.
-  std::function<void(std::span<const cplx>, std::span<cplx>, std::size_t)>
-      post_cancel_hook;
+  /// Post-cancellation hook (see post_cancel_fn); empty = none.
+  post_cancel_fn post_cancel_hook;
   /// Per-packet region-of-interest shrinking: derive each packet's decoder
   /// read window (backfi_decoder::read_window_bounds, which covers the
   /// worst-case retry-widened sync scan) and pass it as the receive
@@ -97,28 +98,38 @@ struct stream_config {
   /// full-range sweep) so it needs no session-side gate. Off = every
   /// packet runs the full-capture chain, byte-for-byte the pre-ROI path.
   bool restrict_to_roi = true;
-  /// Observability sink (nullable), see probe confinement note above.
+  /// Observability sink (nullable), see probe confinement note above. It
+  /// receives the chain/decoder probes, the per-stage timing spans and, in
+  /// finish(), the session's reader.stream.* / runtime.stream.* metrics.
   obs::collector* collector = nullptr;
-  /// Emit the session's own reader.stream.* / runtime.stream.* metrics and
-  /// per-stage timing spans in finish(). The one-shot batch wrapper turns
-  /// this off so a wrapped trial's export stays byte-identical to the
-  /// direct-call path; chain/decoder probes pass through regardless.
-  bool emit_stream_metrics = true;
-  /// Optional external scratch (one per session; in 2-thread mode the
-  /// worker owns them for the session's lifetime). The batch wrapper
-  /// passes the trial workspace's arenas so the hot path stays
-  /// allocation-free; null means session-owned scratch.
-  fd::receive_chain_scratch* chain_scratch = nullptr;
-  decoder_scratch* decode_scratch = nullptr;
 };
 
 /// Per-packet outcome, in schedule order.
 struct stream_packet_result {
   std::size_t index = 0;  ///< position in the session's schedule
   bool dropped = false;   ///< overflowed the capture ring (drop policy)
-  fd::receive_chain_result chain;  ///< cleaned empty (scratch semantics)
+  fd::receive_chain_result chain;
   decode_result decoded;
 };
+
+/// The reader's per-packet cancellation stage, shared by stream_session and
+/// sim::run_backscatter_trial: runs the receive chain over one packet of
+/// the (x, y) timeline and leaves its cleaned segment (indexed from
+/// packet.begin) in scratch.cleaned, ready for decoder.decode. With
+/// `restrict_to_roi` and no hook, chain.roi is first set to the decoder's
+/// read window for the packet, so cancellation compute scales with the tag
+/// packet span instead of the captured segment; decoded bits are the same
+/// either way (the roi contract). A hook reads and rewrites the whole
+/// cleaned segment, so it keeps the caller's chain.roi and runs after the
+/// chain.
+fd::receive_chain_result cancel_packet(std::span<const cplx> x,
+                                       std::span<const cplx> y,
+                                       const stream_packet& packet,
+                                       const backfi_decoder& decoder,
+                                       bool restrict_to_roi,
+                                       const post_cancel_fn& hook,
+                                       fd::receive_chain_config& chain,
+                                       fd::receive_chain_scratch& scratch);
 
 /// Session accounting (valid after finish()). Latency numbers are wall
 /// clock and therefore execution-dependent; counts are deterministic under
@@ -172,12 +183,9 @@ class stream_session {
   const stream_stats& stats() const { return stats_; }
 
  private:
-  struct segment;  // cancelled packet in flight between the stages
-
   void push_ready_packets();
-  void produce(std::size_t index);        // capture -> cancellation stage
-  void cancel_segment(std::size_t index); // cancellation + segmentation
-  void drain_decode_ring();               // decode stage
+  void produce(std::size_t index);         // capture -> per-packet stage
+  void process_packet(std::size_t index);  // cancellation, then decode
   void worker_loop();
 
   std::span<const cplx> x_;
@@ -186,13 +194,10 @@ class stream_session {
   stream_config config_;
 
   std::unique_ptr<dsp::spsc_ring<std::size_t>> capture_ring_;
-  std::unique_ptr<dsp::spsc_ring<segment>> decode_ring_;
-  std::vector<segment> free_segments_;  ///< consumer-stage buffer recycling
 
-  fd::receive_chain_scratch own_chain_scratch_;
-  decoder_scratch own_decode_scratch_;
-  fd::receive_chain_scratch* chain_scratch_ = nullptr;
-  decoder_scratch* decode_scratch_ = nullptr;
+  /// The stage's scratch (worker-owned in 2-thread mode).
+  fd::receive_chain_scratch chain_scratch_;
+  decoder_scratch decode_scratch_;
 
   std::unique_ptr<backfi_decoder> decoder_;
   std::unique_ptr<obs::collector> worker_collector_;
@@ -201,10 +206,6 @@ class stream_session {
   std::size_t watermark_ = 0;    ///< samples fed so far
   std::size_t next_packet_ = 0;  ///< first schedule entry not yet pushed
   bool finished_ = false;
-  /// restrict_to_roi resolved against the hook rule at construction; read
-  /// by the cancellation stage (worker thread in 2-thread mode, which also
-  /// owns config_.chain.roi from then on).
-  bool roi_active_ = false;
 
   /// Feed-time stamp per packet, written by the producer in produce()
   /// before the ring push (whose release store publishes it to the

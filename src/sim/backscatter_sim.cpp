@@ -225,28 +225,17 @@ trial_result run_backscatter_trial(const scenario_config& config,
       faults.apply_front_end(samples);
     };
   }
-  // The batch trial is a thin wrapper over a one-packet streaming session
-  // (threads = 1, stream metrics off): bit-identical to direct chain+decode
-  // calls by the streaming contract, with the trial workspace arenas passed
-  // through as the session scratch so the hot path stays allocation-free.
-  reader::stream_config stream_cfg;
-  stream_cfg.tag = config.tag;
-  stream_cfg.decoder = config.decoder;
-  stream_cfg.chain = std::move(chain_cfg);
-  stream_cfg.threads = 1;
-  stream_cfg.queue_capacity = 1;
-  stream_cfg.collector = c;
-  stream_cfg.emit_stream_metrics = false;
-  stream_cfg.chain_scratch = &ws.chain;
-  stream_cfg.decode_scratch = &ws.decoder;
-  // The post-cancel hook rewrites the whole cleaned segment, so the session
-  // disables its ROI shrinking whenever one is installed — only wire it up
-  // when a post-cancellation injector is actually active, keeping the
-  // fault-free path (every PER/throughput sweep) on the shrunk chain.
+  // The reader's per-packet path, the same calls the stream session makes
+  // for each packet: cancel_packet (chain over the decoder's read window,
+  // unless a post-cancellation hook rewrites the whole cleaned capture),
+  // then decode, both on the trial workspace's scratch.
+  reader::decoder_config dec_cfg = config.decoder;
+  dec_cfg.collector = c;
+  const reader::backfi_decoder decoder(config.tag, dec_cfg);
+  reader::post_cancel_fn post_cancel;
   if (faults.any_post_cancellation()) {
-    stream_cfg.post_cancel_hook = [&faults](std::span<const cplx> tx,
-                                            std::span<cplx> cleaned,
-                                            std::size_t window_end) {
+    post_cancel = [&faults](std::span<const cplx> tx, std::span<cplx> cleaned,
+                            std::size_t window_end) {
       faults.apply_post_cancellation(tx, cleaned, window_end);
     };
   }
@@ -255,11 +244,10 @@ trial_result run_backscatter_trial(const scenario_config& config,
                                      .wake_end = ex.wake_end,
                                      .silent_end = silent_end,
                                      .payload_bits = config.payload_bits};
-  reader::stream_session session(ex.samples, rx, std::span(&packet, 1),
-                                 stream_cfg);
-  session.finish();
-  const reader::stream_packet_result& packet_result = session.results().front();
-  const fd::receive_chain_result& chain = packet_result.chain;
+  const fd::receive_chain_result chain =
+      reader::cancel_packet(ex.samples, rx, packet, decoder,
+                            /*restrict_to_roi=*/true, post_cancel, chain_cfg,
+                            ws.chain);
   result.cancellation_bypassed = chain.cancellation_bypassed;
   result.link.analog_depth_db = chain.analog_depth_db;
   result.link.total_depth_db = chain.total_depth_db;
@@ -269,8 +257,10 @@ trial_result run_backscatter_trial(const scenario_config& config,
   obs::observe(c, obs::probe::residual_si_over_noise_db,
                result.link.residual_si_over_noise_db);
 
-  // --- BackFi decoding (ran inside the stream session) ---
-  const reader::decode_result& decoded = packet_result.decoded;
+  // --- BackFi decoding ---
+  const reader::decode_result decoded =
+      decoder.decode(ex.samples, ws.chain.cleaned, ex.wake_end,
+                     config.payload_bits, &ws.decoder);
   result.sync_found = decoded.sync_found;
   result.decoded = decoded.decoded;
   result.crc_ok = decoded.crc_ok;

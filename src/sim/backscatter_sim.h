@@ -39,7 +39,7 @@ enum class config_error : std::uint8_t {
   // Streaming-scenario constraints (sim/stream_sim.h).
   zero_stream_packets,    ///< stream n_packets == 0
   bad_stream_threads,     ///< stream threads outside {1, 2}
-  bad_stream_queue,       ///< stream queue_capacity == 0
+  bad_stream_queue,       ///< queue_capacity 0 or > dsp::max_ring_capacity
   bad_drift,              ///< non-finite drift coherence / bad LO step
 };
 
@@ -100,13 +100,13 @@ struct trial_result {
 
 /// Reusable per-thread buffer arena for run_backscatter_trial: every
 /// capture-length intermediate of the pipeline (excitation, channel
-/// outputs, tag reflection, receive-chain waveforms, decoder scratch).
-/// Once warmed by a trial of the same configuration, the workspace serves
-/// every capture-sized buffer from existing capacity. The trial still makes
-/// a few dozen small allocations (sub-capture tables such as the Viterbi
-/// decoder's), and a fresh seed adds the replay caches' capture-sized
-/// inserts; tests/alloc asserts that no other allocation is as large as
-/// the capture.
+/// outputs, tag reflection, receive-chain waveforms and canceller taps,
+/// decoder scratch). Once warmed by a trial of the same configuration, the
+/// workspace serves every capture-sized buffer from existing capacity. The
+/// trial still makes a couple of dozen small allocations (the decoder's
+/// per-config tables and returned vectors, the payload draw), and a fresh
+/// seed adds the replay caches' capture-sized inserts; tests/alloc asserts
+/// that no other allocation is as large as the capture.
 struct trial_workspace {
   reader::excitation ex;
   synthesis_scratch synth;

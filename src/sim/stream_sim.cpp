@@ -20,7 +20,8 @@ config_error stream_scenario_config::validate() const {
   if (base != config_error::none) return base;
   if (n_packets == 0) return config_error::zero_stream_packets;
   if (threads < 1 || threads > 2) return config_error::bad_stream_threads;
-  if (queue_capacity == 0) return config_error::bad_stream_queue;
+  if (queue_capacity == 0 || queue_capacity > dsp::max_ring_capacity)
+    return config_error::bad_stream_queue;
   if (!std::isfinite(forward_drift.coherence_packets) ||
       !std::isfinite(lo_drift.step_std_rad) || lo_drift.step_std_rad < 0.0)
     return config_error::bad_drift;

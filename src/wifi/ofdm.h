@@ -33,12 +33,10 @@ double pilot_polarity(std::size_t symbol_index);
 std::size_t subcarrier_to_bin(int subcarrier);
 
 /// Assemble one OFDM symbol from 48 data points: places data + pilots in
-/// frequency, runs the IFFT and prepends the cyclic prefix.
-/// Output power is normalized so the average sample power is ~1.
-cvec modulate_symbol(std::span<const cplx> data_points, std::size_t symbol_index);
-
-/// As modulate_symbol(), writing the 80 samples into `out` (the IFFT runs
-/// in place in the symbol body, no scratch buffer).
+/// frequency, runs the IFFT and prepends the cyclic prefix, writing the 80
+/// samples into `out` (the IFFT runs in place in the symbol body, no
+/// scratch buffer). Output power is normalized so the average sample power
+/// is ~1.
 void modulate_symbol_into(std::span<const cplx> data_points,
                           std::size_t symbol_index, std::span<cplx> out);
 

@@ -233,7 +233,9 @@ rx_result receive(std::span<const cplx> samples, const rx_config& config) {
                evm_count);
   const phy::interleaver signal_il(48, 1);
   const auto signal_soft = signal_il.deinterleave_soft(signal_llrs);
-  const phy::bitvec signal_bits = phy::viterbi_decode(signal_soft, 18);
+  std::vector<std::uint64_t> decisions;
+  phy::bitvec signal_bits;
+  phy::viterbi_decode(signal_soft, 18, decisions, signal_bits);
 
   // Parity check over the 18 decoded bits (even parity).
   std::uint8_t parity = 0;
@@ -277,8 +279,11 @@ rx_result receive(std::span<const cplx> samples, const rx_config& config) {
                                  : 0.0;
 
   const std::size_t n_info = n_sym * rp->n_dbps - phy::conv_tail_bits;
-  const auto mother = phy::depuncture(soft, rp->coding, 2 * (n_info + phy::conv_tail_bits));
-  const phy::bitvec scrambled = phy::viterbi_decode(mother, n_info);
+  std::vector<double> mother;
+  phy::depuncture_into(soft, rp->coding, 2 * (n_info + phy::conv_tail_bits),
+                       mother);
+  phy::bitvec scrambled;
+  phy::viterbi_decode(mother, n_info, decisions, scrambled);
   const phy::bitvec info = phy::scramble(scrambled, config.scrambler_seed);
 
   // SERVICE(16) + PSDU.

@@ -8,13 +8,13 @@
 // test executables keep the sanitizer's new/delete mismatch checks.
 //
 // The contracts:
-//   - a warm stage call (same sizes as the call before) allocates nothing;
-//   - a warm receive chain, decode or same-seed trial makes no allocation
-//     as large as its capture (or, for decode, its read window) — the few
-//     small ones left are sub-capture tables such as the Viterbi
-//     decoder's;
+//   - a warm stage call (same sizes as the call before) allocates nothing,
+//     the receive chain included (plain and hardened);
+//   - a warm decode allocates only what it returns: the payload, h_fb and
+//     symbol-estimate vectors of its decode_result;
 //   - a warmed always-on stream session decodes packet after packet
-//     without an allocation as large as one packet segment.
+//     allocating only those result vectors;
+//   - a warm same-seed trial makes no allocation as large as its capture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +28,6 @@
 
 #include "dsp/fir.h"
 #include "dsp/rng.h"
-#include "fd/adc.h"
 #include "fd/receive_chain.h"
 #include "reader/decoder.h"
 #include "reader/excitation.h"
@@ -143,6 +142,21 @@ sim::scenario_config fig08_mid(std::uint64_t seed) {
 
 std::size_t bytes_of(std::size_t samples) { return samples * sizeof(cplx); }
 
+/// What a decode_result owns on the heap: one allocation per non-empty
+/// vector, sized exactly (each is built or assigned once per decode).
+alloc_tally owned_by(const reader::decode_result& r) {
+  alloc_tally t;
+  const std::size_t sizes[] = {r.payload.size(), bytes_of(r.h_fb.size()),
+                               bytes_of(r.symbol_estimates.size())};
+  for (const std::size_t n : sizes) {
+    if (n == 0) continue;
+    ++t.count;
+    t.bytes += n;
+    t.largest = std::max(t.largest, n);
+  }
+  return t;
+}
+
 TEST(AllocTest, CountsOnlyWhileArmedOnThisThread) {
   // Direct operator calls: a new-expression the optimizer could elide.
   const alloc_tally armed = count_allocations([] {
@@ -163,19 +177,6 @@ TEST(AllocTest, WarmConvolveSameRangeIntoAllocatesNothing) {
   dsp::convolve_same_range_into(x, h, 30, 90, out);
   const alloc_tally t = count_allocations(
       [&] { dsp::convolve_same_range_into(x, h, 30, 90, out); });
-  EXPECT_EQ(t.count, 0u) << describe(t);
-}
-
-TEST(AllocTest, WarmQuantizeIntoAllocatesNothing) {
-  cvec x = random_vec(5000, 91);
-  for (cplx& v : x) v *= 0.8;
-  fd::adc_config cfg;
-  cfg.bits = 10;
-  cfg.full_scale = 1.6;
-  cvec out;
-  fd::quantize_into(x, cfg, out);
-  const alloc_tally t =
-      count_allocations([&] { fd::quantize_into(x, cfg, out); });
   EXPECT_EQ(t.count, 0u) << describe(t);
 }
 
@@ -226,18 +227,25 @@ one_packet fig08_packet(std::uint64_t seed) {
 }
 
 TEST(AllocTest, WarmReceiveChainMakesNoCaptureSizedAllocation) {
+  // The fig08 chain and the hardened one (widely-linear + DC removal +
+  // residual-gain tracking): both cancellers' taps persist in the scratch.
   const one_packet pk = fig08_packet(5);
   const sim::scenario_config sc = fig08_mid(5);
   const std::size_t silent_begin = pk.p.wake_end - pk.p.begin;
   const std::size_t silent_end = pk.p.silent_end - pk.p.begin;
-  fd::receive_chain_scratch scratch;
-  fd::run_receive_chain(pk.x, pk.y, silent_begin, silent_end, sc.chain,
-                        &scratch);
-  const alloc_tally t = count_allocations([&] {
-    fd::run_receive_chain(pk.x, pk.y, silent_begin, silent_end, sc.chain,
-                          &scratch);
-  });
-  EXPECT_LT(t.largest, bytes_of(pk.y.size())) << describe(t);
+  fd::receive_chain_config robust = sc.chain;
+  robust.digital.widely_linear = true;
+  robust.digital.remove_dc = true;
+  robust.track_residual_gain = true;
+  for (const fd::receive_chain_config& cfg : {sc.chain, robust}) {
+    fd::receive_chain_scratch scratch;
+    fd::run_receive_chain(pk.x, pk.y, silent_begin, silent_end, cfg, &scratch);
+    const alloc_tally t = count_allocations([&] {
+      fd::run_receive_chain(pk.x, pk.y, silent_begin, silent_end, cfg,
+                            &scratch);
+    });
+    EXPECT_EQ(t.count, 0u) << describe(t);
+  }
 }
 
 TEST(AllocTest, WarmDecodeMakesNoReadWindowSizedAllocation) {
@@ -256,10 +264,10 @@ TEST(AllocTest, WarmDecodeMakesNoReadWindowSizedAllocation) {
                             &scratch);
   });
   ASSERT_TRUE(result.crc_ok);  // the full decode path ran
-  const dsp::sample_range window = decoder.read_window_bounds(
-      pk.y.size(), origin, pk.p.payload_bits);
-  ASSERT_LT(window.end - window.begin, pk.y.size());
-  EXPECT_LT(t.largest, bytes_of(window.end - window.begin)) << describe(t);
+  const alloc_tally owned = owned_by(result);
+  EXPECT_EQ(owned.count, 3u);
+  EXPECT_EQ(t.count, owned.count) << describe(t);
+  EXPECT_EQ(t.bytes, owned.bytes) << describe(t);
 }
 
 TEST(AllocTest, WarmSameSeedTrialMakesNoCaptureSizedAllocation) {
@@ -305,11 +313,16 @@ TEST(AllocTest, WarmStreamSessionMakesNoSegmentSizedAllocation) {
     session.finish();
   });
 
-  std::size_t segment = cap.y.size();
-  for (const reader::stream_packet& p : cap.schedule)
-    segment = std::min(segment, p.end - p.begin);
+  // Exactly the result vectors the 62 counted packets stored.
+  alloc_tally stored;
+  for (std::size_t i = 2; i < session.results().size(); ++i) {
+    const alloc_tally r = owned_by(session.results()[i].decoded);
+    stored.count += r.count;
+    stored.bytes += r.bytes;
+  }
   EXPECT_EQ(session.stats().packets_decoded, 64u);
-  EXPECT_LT(t.largest, bytes_of(segment)) << describe(t);
+  EXPECT_EQ(t.count, stored.count) << describe(t);
+  EXPECT_EQ(t.bytes, stored.bytes) << describe(t);
 }
 
 }  // namespace

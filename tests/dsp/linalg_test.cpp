@@ -10,6 +10,15 @@
 namespace backfi::dsp {
 namespace {
 
+/// estimate_fir_least_squares_into on fresh taps and workspace.
+cvec fir_estimate(std::span<const cplx> x, std::span<const cplx> y,
+                  std::size_t n_taps, double ridge = 1e-9) {
+  cvec taps;
+  fir_ls_workspace w;
+  estimate_fir_least_squares_into(x, y, n_taps, ridge, taps, w);
+  return taps;
+}
+
 TEST(LinalgTest, SolveIdentitySystem) {
   cmatrix a(3, 3);
   for (std::size_t i = 0; i < 3; ++i) a(i, i) = 1.0;
@@ -91,7 +100,7 @@ TEST(LinalgTest, FirEstimateRecoversChannelNoiseless) {
   const cvec h_true = {{0.8, 0.1}, {0.0, -0.3}, {0.05, 0.02}};
   const cvec y = convolve_same(x, h_true);
 
-  const cvec h_est = estimate_fir_least_squares(x, y, h_true.size());
+  const cvec h_est = fir_estimate(x, y, h_true.size());
   ASSERT_EQ(h_est.size(), h_true.size());
   for (std::size_t k = 0; k < h_true.size(); ++k)
     EXPECT_NEAR(std::abs(h_est[k] - h_true[k]), 0.0, 1e-6);
@@ -105,7 +114,7 @@ TEST(LinalgTest, FirEstimateToleratesNoise) {
   cvec y = convolve_same(x, h_true);
   for (auto& v : y) v += 0.01 * gen.complex_gaussian();
 
-  const cvec h_est = estimate_fir_least_squares(x, y, h_true.size());
+  const cvec h_est = fir_estimate(x, y, h_true.size());
   for (std::size_t k = 0; k < h_true.size(); ++k)
     EXPECT_NEAR(std::abs(h_est[k] - h_true[k]), 0.0, 0.01);
 }
@@ -113,7 +122,7 @@ TEST(LinalgTest, FirEstimateToleratesNoise) {
 TEST(LinalgTest, FirEstimateRejectsTooFewSamples) {
   const cvec x(4, cplx{1.0, 0.0});
   const cvec y(4, cplx{1.0, 0.0});
-  EXPECT_THROW(estimate_fir_least_squares(x, y, 8), std::invalid_argument);
+  EXPECT_THROW(fir_estimate(x, y, 8), std::invalid_argument);
 }
 
 
@@ -124,7 +133,7 @@ TEST(LinalgTest, MatrixFreeFirEstimateMatchesMaterializedNormalEquations) {
     cvec x(220), y(220);
     for (auto& v : x) v = gen.complex_gaussian();
     for (auto& v : y) v = gen.complex_gaussian();
-    const cvec fast = estimate_fir_least_squares(x, y, n_taps, 1e-9);
+    const cvec fast = fir_estimate(x, y, n_taps, 1e-9);
 
     // Reference: materialize the design matrix and go through
     // least_squares(), exactly as the pre-refactor implementation did. The

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,15 @@ TEST(RingBuffer, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(ring_capacity_for(8), 8u);
   EXPECT_EQ(ring_capacity_for(9), 16u);
   EXPECT_EQ(spsc_ring<int>(5).capacity(), 8u);
+}
+
+TEST(RingBuffer, CapacityAboveTopPowerOfTwoThrows) {
+  // Past the largest power of two a size_t holds, doubling would wrap to 0
+  // and loop forever; the rounding rejects such requests instead.
+  EXPECT_EQ(ring_capacity_for(max_ring_capacity), max_ring_capacity);
+  EXPECT_EQ(ring_capacity_for(max_ring_capacity - 1), max_ring_capacity);
+  EXPECT_THROW(ring_capacity_for(max_ring_capacity + 1), std::length_error);
+  EXPECT_THROW(ring_capacity_for(SIZE_MAX), std::length_error);
 }
 
 TEST(RingBuffer, PushPopPreservesFifoOrderAcrossWraparound) {

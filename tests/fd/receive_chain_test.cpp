@@ -32,9 +32,26 @@ chain_scenario make_scenario(std::uint64_t seed) {
   return s;
 }
 
+/// run_receive_chain on a fresh scratch: the chain result plus the
+/// cleaned waveform it left in the scratch.
+struct chain_run : receive_chain_result {
+  cvec cleaned;
+};
+
+chain_run run_chain(std::span<const cplx> tx, std::span<const cplx> rx,
+                    std::size_t silent_begin, std::size_t silent_end,
+                    const receive_chain_config& config) {
+  receive_chain_scratch scratch;
+  chain_run out{run_receive_chain(tx, rx, silent_begin, silent_end, config,
+                                  &scratch),
+                {}};
+  out.cleaned = std::move(scratch.cleaned);
+  return out;
+}
+
 TEST(ReceiveChainTest, FullChainReachesNearNoiseFloor) {
   const chain_scenario s = make_scenario(1);
-  const auto result = run_receive_chain(s.tx, s.rx, 0, 320, {});
+  const auto result = run_chain(s.tx, s.rx, 0, 320, {});
   EXPECT_FALSE(result.adc_saturated);
   EXPECT_GT(result.analog_depth_db, 25.0);
   EXPECT_GT(result.total_depth_db, result.analog_depth_db);
@@ -49,8 +66,8 @@ TEST(ReceiveChainTest, WithoutAnalogStageAdcLimitsCancellation) {
   receive_chain_config no_analog;
   no_analog.enable_analog = false;
   no_analog.adc.bits = 8;  // a modest ADC makes the failure stark
-  const auto crippled = run_receive_chain(s.tx, s.rx, 0, 320, no_analog);
-  const auto full = run_receive_chain(s.tx, s.rx, 0, 320, {});
+  const auto crippled = run_chain(s.tx, s.rx, 0, 320, no_analog);
+  const auto full = run_chain(s.tx, s.rx, 0, 320, {});
   // Quantization noise of the full-SI-scale ADC floors the residual far
   // above what the two-stage design achieves.
   EXPECT_GT(crippled.residual_power, 10.0 * full.residual_power);
@@ -60,8 +77,8 @@ TEST(ReceiveChainTest, DigitalStageAddsDepth) {
   const chain_scenario s = make_scenario(3);
   receive_chain_config analog_only;
   analog_only.enable_digital = false;
-  const auto partial = run_receive_chain(s.tx, s.rx, 0, 320, analog_only);
-  const auto full = run_receive_chain(s.tx, s.rx, 0, 320, {});
+  const auto partial = run_chain(s.tx, s.rx, 0, 320, analog_only);
+  const auto full = run_chain(s.tx, s.rx, 0, 320, {});
   EXPECT_GT(full.total_depth_db, partial.total_depth_db + 10.0);
 }
 
@@ -69,14 +86,14 @@ TEST(ReceiveChainTest, IdealFrontEndSlightlyBetterThanAdc) {
   const chain_scenario s = make_scenario(4);
   receive_chain_config ideal;
   ideal.enable_adc = false;
-  const auto with_adc = run_receive_chain(s.tx, s.rx, 0, 320, {});
-  const auto without_adc = run_receive_chain(s.tx, s.rx, 0, 320, ideal);
+  const auto with_adc = run_chain(s.tx, s.rx, 0, 320, {});
+  const auto without_adc = run_chain(s.tx, s.rx, 0, 320, ideal);
   EXPECT_GE(without_adc.total_depth_db, with_adc.total_depth_db - 1.0);
 }
 
 TEST(ReceiveChainTest, CleanedBufferKeepsLength) {
   const chain_scenario s = make_scenario(5);
-  const auto result = run_receive_chain(s.tx, s.rx, 0, 320, {});
+  const auto result = run_chain(s.tx, s.rx, 0, 320, {});
   EXPECT_EQ(result.cleaned.size(), s.rx.size());
 }
 
@@ -91,7 +108,7 @@ TEST(ReceiveChainTest, DegenerateSilentWindowBypassesCancellation) {
         {0, s.rx.size() + 1},
         {100, 103},
         {100, 107}}) {
-    const auto result = run_receive_chain(s.tx, s.rx, begin, end, {});
+    const auto result = run_chain(s.tx, s.rx, begin, end, {});
     EXPECT_TRUE(result.cancellation_bypassed);
     EXPECT_EQ(result.analog_depth_db, 0.0);
     EXPECT_EQ(result.total_depth_db, 0.0);
@@ -103,7 +120,7 @@ TEST(ReceiveChainTest, DegenerateSilentWindowBypassesCancellation) {
 
 TEST(ReceiveChainTest, MisalignedBuffersBypassCancellation) {
   const chain_scenario s = make_scenario(7);
-  const auto result = run_receive_chain(
+  const auto result = run_chain(
       std::span(s.tx).first(s.tx.size() - 5), s.rx, 0, 320, {});
   EXPECT_TRUE(result.cancellation_bypassed);
 }
@@ -114,8 +131,8 @@ TEST(ReceiveChainTest, HardeningOptionsDoNotHurtACleanLink) {
   hardened.digital.widely_linear = true;
   hardened.digital.remove_dc = true;
   hardened.track_residual_gain = true;
-  const auto plain = run_receive_chain(s.tx, s.rx, 0, 320, {});
-  const auto hard = run_receive_chain(s.tx, s.rx, 0, 320, hardened);
+  const auto plain = run_chain(s.tx, s.rx, 0, 320, {});
+  const auto hard = run_chain(s.tx, s.rx, 0, 320, hardened);
   // Widely-linear taps, DC removal and residual tracking must be no-ops
   // (within a dB) when there is no image, offset or rotation to fix.
   EXPECT_LT(hard.residual_power, 1.3 * plain.residual_power);
@@ -132,7 +149,7 @@ TEST(ReceiveChainTest, FrontEndHookObservesAndMutatesTheResidual) {
     ++calls;
     for (cplx& v : samples) v = {0.0, 0.0};
   };
-  const auto result = run_receive_chain(s.tx, s.rx, 0, 320, cfg);
+  const auto result = run_chain(s.tx, s.rx, 0, 320, cfg);
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(dsp::mean_power(result.cleaned), 0.0);
   // The analog stage ran before the hook: its depth is still measured.
@@ -140,12 +157,12 @@ TEST(ReceiveChainTest, FrontEndHookObservesAndMutatesTheResidual) {
 }
 
 
-TEST(ReceiveChainTest, ScratchPathBitIdenticalToAllocatingPath) {
+TEST(ReceiveChainTest, DirtyScratchBitIdenticalToFreshScratch) {
   const chain_scenario s = make_scenario(11);
   receive_chain_config configs[2];
   configs[1].track_residual_gain = true;
   for (const auto& cfg : configs) {
-    const auto plain = run_receive_chain(s.tx, s.rx, 0, 320, cfg);
+    const auto fresh = run_chain(s.tx, s.rx, 0, 320, cfg);
 
     // Dirty the scratch with a different packet first: results must be
     // independent of workspace history.
@@ -154,16 +171,21 @@ TEST(ReceiveChainTest, ScratchPathBitIdenticalToAllocatingPath) {
     run_receive_chain(other.tx, other.rx, 0, 320, cfg, &scratch);
 
     const auto ws = run_receive_chain(s.tx, s.rx, 0, 320, cfg, &scratch);
-    EXPECT_TRUE(ws.cleaned.empty());  // output lives in scratch.cleaned
-    ASSERT_EQ(scratch.cleaned.size(), plain.cleaned.size());
-    for (std::size_t i = 0; i < plain.cleaned.size(); ++i)
-      ASSERT_EQ(scratch.cleaned[i], plain.cleaned[i]) << i;
-    EXPECT_EQ(ws.analog_depth_db, plain.analog_depth_db);
-    EXPECT_EQ(ws.total_depth_db, plain.total_depth_db);
-    EXPECT_EQ(ws.residual_power, plain.residual_power);
-    EXPECT_EQ(ws.adc_saturated, plain.adc_saturated);
-    EXPECT_EQ(ws.cancellation_bypassed, plain.cancellation_bypassed);
+    ASSERT_EQ(scratch.cleaned.size(), fresh.cleaned.size());
+    for (std::size_t i = 0; i < fresh.cleaned.size(); ++i)
+      ASSERT_EQ(scratch.cleaned[i], fresh.cleaned[i]) << i;
+    EXPECT_EQ(ws.analog_depth_db, fresh.analog_depth_db);
+    EXPECT_EQ(ws.total_depth_db, fresh.total_depth_db);
+    EXPECT_EQ(ws.residual_power, fresh.residual_power);
+    EXPECT_EQ(ws.adc_saturated, fresh.adc_saturated);
+    EXPECT_EQ(ws.cancellation_bypassed, fresh.cancellation_bypassed);
   }
+}
+
+TEST(ReceiveChainTest, NullScratchThrows) {
+  const chain_scenario s = make_scenario(13);
+  EXPECT_THROW(run_receive_chain(s.tx, s.rx, 0, 320, {}, nullptr),
+               std::invalid_argument);
 }
 
 std::uint64_t fnv1a_bytes(const cvec& v) {
@@ -244,7 +266,7 @@ TEST(ReceiveChainTest, FullRangeOutputsPinned) {
   for (std::size_t si = 0; si < 2; ++si) {
     const chain_scenario s = make_scenario(si + 1);
     for (std::size_t c = 0; c < kConfigs; ++c) {
-      const auto r = run_receive_chain(s.tx, s.rx, 0, 320, make_config(c));
+      const auto r = run_chain(s.tx, s.rx, 0, 320, make_config(c));
       const pinned& w = want[si][c];
       EXPECT_EQ(fnv1a_bytes(r.cleaned), w.cleaned_fnv) << si << "/" << c;
       EXPECT_EQ(r.analog_depth_db, w.analog_depth_db) << si << "/" << c;
@@ -317,8 +339,9 @@ TEST(ReceiveChainValidate, EntryPointThrowsWithCallSiteAndReason) {
   const chain_scenario s = make_scenario(3);
   receive_chain_config cfg;
   cfg.adc.bits = 0;
+  receive_chain_scratch scratch;
   try {
-    (void)run_receive_chain(s.tx, s.rx, 0, 320, cfg);
+    (void)run_receive_chain(s.tx, s.rx, 0, 320, cfg, &scratch);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -42,9 +42,10 @@ double residual_over_noise_db(const chain_scenario& s,
       plan.apply_front_end(samples);
     };
   }
-  const auto result = fd::run_receive_chain(s.tx, s.rx, 0, 320, cfg);
+  fd::receive_chain_scratch scratch;
+  (void)fd::run_receive_chain(s.tx, s.rx, 0, 320, cfg, &scratch);
   // Skip the convolution warm-up edge at the buffer head.
-  const auto body = std::span(result.cleaned).subspan(64);
+  const auto body = std::span(scratch.cleaned).subspan(64);
   return dsp::to_db(dsp::mean_power(body) / s.noise_power);
 }
 
@@ -109,7 +110,8 @@ TEST(RecoveryTest, FrontEndHookRunsAfterAnalogStage) {
   cfg.front_end_hook = [&hook_power](std::span<cplx> samples) {
     hook_power = dsp::mean_power(samples);
   };
-  (void)fd::run_receive_chain(s.tx, s.rx, 0, 320, cfg);
+  fd::receive_chain_scratch scratch;
+  (void)fd::run_receive_chain(s.tx, s.rx, 0, 320, cfg, &scratch);
   ASSERT_GE(hook_power, 0.0);
   EXPECT_LT(hook_power, 0.01 * dsp::mean_power(s.rx));
 }

@@ -40,7 +40,8 @@ TEST_P(WifiConstellationTest, LlrSignsMatchTransmittedBits) {
   dsp::rng gen(GetParam() + 100);
   const bitvec bits = gen.random_bits(c.bits_per_symbol * 50);
   const cvec symbols = c.map(bits);
-  const auto llrs = c.demap_llr_stream(symbols, 0.01);
+  std::vector<double> llrs;
+  c.demap_llr_stream_into(symbols, 0.01, llrs);
   ASSERT_EQ(llrs.size(), bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) {
     // positive favours bit 0
@@ -55,7 +56,8 @@ TEST_P(WifiConstellationTest, NoisyLlrMajorityCorrect) {
   cvec symbols = c.map(bits);
   const double sigma = 0.05;
   for (auto& s : symbols) s += sigma * gen.complex_gaussian();
-  const auto llrs = c.demap_llr_stream(symbols, sigma * sigma);
+  std::vector<double> llrs;
+  c.demap_llr_stream_into(symbols, sigma * sigma, llrs);
   std::size_t wrong = 0;
   for (std::size_t i = 0; i < bits.size(); ++i)
     if ((llrs[i] < 0.0) != (bits[i] != 0)) ++wrong;
@@ -227,7 +229,9 @@ TEST(DemapStreamIntoTest, ReusesWarmBufferAndResizes) {
   EXPECT_EQ(out.size(), big.size() * c.bits_per_symbol);
   c.demap_llr_stream_into(small, 0.1, out);
   EXPECT_EQ(out.size(), small.size() * c.bits_per_symbol);
-  EXPECT_EQ(out, c.demap_llr_stream(small, 0.1));
+  std::vector<double> fresh;
+  c.demap_llr_stream_into(small, 0.1, fresh);
+  EXPECT_EQ(out, fresh);
 }
 
 }  // namespace

@@ -10,6 +10,32 @@
 namespace backfi::phy {
 namespace {
 
+/// viterbi_decode on fresh buffers, returning the decoded bits.
+bitvec decode(std::span<const double> soft, std::size_t n_info,
+              double* final_metric = nullptr) {
+  std::vector<std::uint64_t> decisions;
+  bitvec decoded;
+  const double metric = viterbi_decode(soft, n_info, decisions, decoded);
+  if (final_metric) *final_metric = metric;
+  return decoded;
+}
+
+/// Hard decisions as +-1 soft metrics (bit 0 -> +1).
+std::vector<double> hard_to_soft(std::span<const std::uint8_t> bits) {
+  std::vector<double> soft(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    soft[i] = (bits[i] & 1u) ? -1.0 : 1.0;
+  return soft;
+}
+
+/// depuncture_into on a fresh buffer.
+std::vector<double> depunctured(std::span<const double> soft, code_rate rate,
+                                std::size_t mother_length) {
+  std::vector<double> out;
+  depuncture_into(soft, rate, mother_length, out);
+  return out;
+}
+
 TEST(ConvolutionalTest, RateValuesAndNames) {
   EXPECT_DOUBLE_EQ(code_rate_value(code_rate::half), 0.5);
   EXPECT_NEAR(code_rate_value(code_rate::two_thirds), 2.0 / 3.0, 1e-15);
@@ -67,7 +93,7 @@ TEST(ConvolutionalTest, HardDecodeNoErrorsRoundTrip) {
   dsp::rng gen(2);
   const bitvec info = gen.random_bits(200);
   const bitvec coded = conv_encode(info);
-  EXPECT_EQ(viterbi_decode_hard(coded, info.size()), info);
+  EXPECT_EQ(decode(hard_to_soft(coded), info.size()), info);
 }
 
 TEST(ConvolutionalTest, CorrectsScatteredBitErrors) {
@@ -76,7 +102,7 @@ TEST(ConvolutionalTest, CorrectsScatteredBitErrors) {
   bitvec coded = conv_encode(info);
   // Flip well-separated bits; K=7 free distance 10 corrects these easily.
   for (std::size_t pos = 10; pos + 40 < coded.size(); pos += 40) coded[pos] ^= 1u;
-  EXPECT_EQ(viterbi_decode_hard(coded, info.size()), info);
+  EXPECT_EQ(decode(hard_to_soft(coded), info.size()), info);
 }
 
 TEST(ConvolutionalTest, SoftDecisionsOutperformErasures) {
@@ -89,7 +115,7 @@ TEST(ConvolutionalTest, SoftDecisionsOutperformErasures) {
   // Zero out (erase) a long run; decoder should still recover from code
   // memory as long as the run is not catastrophic.
   for (std::size_t i = 50; i < 58; ++i) soft[i] = 0.0;
-  EXPECT_EQ(viterbi_decode(soft, info.size()), info);
+  EXPECT_EQ(decode(soft, info.size()), info);
 }
 
 TEST(ConvolutionalTest, PunctureLengthsMatchCodedLength) {
@@ -114,22 +140,25 @@ TEST(ConvolutionalTest, PuncturedRoundTripAllRates) {
     std::vector<double> soft(punctured.size());
     for (std::size_t i = 0; i < punctured.size(); ++i)
       soft[i] = punctured[i] ? -1.0 : 1.0;
-    const auto depunct = depuncture(soft, rate, mother.size());
+    const auto depunct = depunctured(soft, rate, mother.size());
     ASSERT_EQ(depunct.size(), mother.size());
-    EXPECT_EQ(viterbi_decode(depunct, info.size()), info)
+    EXPECT_EQ(decode(depunct, info.size()), info)
         << code_rate_name(rate);
   }
 }
 
 TEST(ConvolutionalTest, DepunctureValidatesLength) {
   const std::vector<double> soft(10, 1.0);
-  EXPECT_THROW(depuncture(soft, code_rate::two_thirds, 100), std::invalid_argument);
-  EXPECT_THROW(depuncture(soft, code_rate::two_thirds, 4), std::invalid_argument);
+  std::vector<double> out;
+  EXPECT_THROW(depuncture_into(soft, code_rate::two_thirds, 100, out),
+               std::invalid_argument);
+  EXPECT_THROW(depuncture_into(soft, code_rate::two_thirds, 4, out),
+               std::invalid_argument);
 }
 
 TEST(ConvolutionalTest, DecodeRejectsShortStream) {
   const std::vector<double> soft(10, 1.0);
-  EXPECT_THROW(viterbi_decode(soft, 100), std::invalid_argument);
+  EXPECT_THROW(decode(soft, 100), std::invalid_argument);
 }
 
 class ConvolutionalNoiseTest : public ::testing::TestWithParam<double> {};
@@ -146,7 +175,7 @@ TEST_P(ConvolutionalNoiseTest, SoftDecodingSurvivesGaussianNoise) {
     const double tx = coded[i] ? -1.0 : 1.0;
     soft[i] = tx + noise_sigma * gen.gaussian();
   }
-  const bitvec decoded = viterbi_decode(soft, info.size());
+  const bitvec decoded = decode(soft, info.size());
   EXPECT_EQ(hamming_distance(decoded, info), 0u) << "sigma=" << noise_sigma;
 }
 
@@ -185,8 +214,8 @@ bitvec reference_viterbi(std::span<const double> soft, std::size_t n_info,
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> metric(kStates, kNegInf);
   metric[0] = 0.0;
-  std::vector<std::uint8_t> survivor_input(n_steps * kStates);
-  std::vector<std::uint8_t> survivor_prev(n_steps * kStates);
+  std::vector<std::uint8_t> input_bit(n_steps * kStates);
+  std::vector<std::uint8_t> prev_state(n_steps * kStates);
   std::vector<double> next_metric(kStates);
   for (std::size_t step = 0; step < n_steps; ++step) {
     const double s0 = soft[2 * step];
@@ -202,8 +231,8 @@ bitvec reference_viterbi(std::span<const double> soft, std::size_t n_info,
         const double cand = metric[s] + branch;
         if (cand > next_metric[ns]) {
           next_metric[ns] = cand;
-          survivor_input[step * kStates + ns] = static_cast<std::uint8_t>(b);
-          survivor_prev[step * kStates + ns] = static_cast<std::uint8_t>(s);
+          input_bit[step * kStates + ns] = static_cast<std::uint8_t>(b);
+          prev_state[step * kStates + ns] = static_cast<std::uint8_t>(s);
         }
       }
     }
@@ -213,8 +242,8 @@ bitvec reference_viterbi(std::span<const double> soft, std::size_t n_info,
   bitvec decoded(n_steps);
   int state = 0;
   for (std::size_t step = n_steps; step-- > 0;) {
-    decoded[step] = survivor_input[step * kStates + state];
-    state = survivor_prev[step * kStates + state];
+    decoded[step] = input_bit[step * kStates + state];
+    state = prev_state[step * kStates + state];
   }
   decoded.resize(n_info);
   return decoded;
@@ -233,7 +262,7 @@ TEST(ConvolutionalTest, ViterbiMatchesReferenceScatterImplementation) {
         soft[i] = ((mother[i] & 1u) ? -1.0 : 1.0) + 0.6 * gen.gaussian();
       double ref_metric = 0.0, got_metric = 0.0;
       const bitvec ref = reference_viterbi(soft, n_info, &ref_metric);
-      const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+      const bitvec got = decode(soft, n_info, &got_metric);
       ASSERT_EQ(got, ref) << "n_info " << n_info << " rep " << rep;
       ASSERT_EQ(got_metric, ref_metric) << "n_info " << n_info << " rep " << rep;
     }
@@ -254,10 +283,10 @@ TEST(ConvolutionalTest, ViterbiMatchesReferenceWithErasures) {
   for (std::size_t i = 0; i < soft_sent.size(); ++i)
     soft_sent[i] = ((sent[i] & 1u) ? -1.0 : 1.0) + 0.4 * gen.gaussian();
   const std::vector<double> soft =
-      depuncture(soft_sent, code_rate::three_quarters, mother.size());
+      depunctured(soft_sent, code_rate::three_quarters, mother.size());
   double ref_metric = 0.0, got_metric = 0.0;
   const bitvec ref = reference_viterbi(soft, n_info, &ref_metric);
-  const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+  const bitvec got = decode(soft, n_info, &got_metric);
   ASSERT_EQ(got, ref);
   ASSERT_EQ(got_metric, ref_metric);
 }
@@ -272,21 +301,21 @@ TEST(ConvolutionalTest, AllErasureBlockDecodesDeterministically) {
   const std::vector<double> erased(2 * (n_info + conv_tail_bits), 0.0);
   double ref_metric = 1.0, got_metric = 2.0;
   const bitvec ref = reference_viterbi(erased, n_info, &ref_metric);
-  const bitvec got = viterbi_decode(erased, n_info, &got_metric);
+  const bitvec got = decode(erased, n_info, &got_metric);
   ASSERT_EQ(got, ref);
   ASSERT_EQ(got_metric, ref_metric);
   EXPECT_EQ(got_metric, 0.0);
-  const bitvec again = viterbi_decode(erased, n_info, nullptr);
+  const bitvec again = decode(erased, n_info, nullptr);
   EXPECT_EQ(again, got);
 
   // Same all-erasure property arriving through the depuncture path.
   const bitvec mother = conv_encode(bitvec(n_info, 0));
   const std::vector<double> sent(
       coded_length(n_info, code_rate::two_thirds), 0.0);
-  const auto depunct = depuncture(sent, code_rate::two_thirds, mother.size());
+  const auto depunct = depunctured(sent, code_rate::two_thirds, mother.size());
   ASSERT_EQ(depunct.size(), mother.size());
   for (const double v : depunct) EXPECT_EQ(v, 0.0);
-  EXPECT_EQ(viterbi_decode(depunct, n_info), got);
+  EXPECT_EQ(decode(depunct, n_info), got);
 }
 
 TEST(ConvolutionalTest, AlternatingErasuresMatchScatterReference) {
@@ -306,7 +335,7 @@ TEST(ConvolutionalTest, AlternatingErasuresMatchScatterReference) {
                                  0.3 * gen.gaussian();
   double ref_metric = 0.0, got_metric = 0.0;
   const bitvec ref = reference_viterbi(soft, n_info, &ref_metric);
-  const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+  const bitvec got = decode(soft, n_info, &got_metric);
   ASSERT_EQ(got, ref);
   ASSERT_EQ(got_metric, ref_metric);
 
@@ -315,7 +344,7 @@ TEST(ConvolutionalTest, AlternatingErasuresMatchScatterReference) {
   std::vector<double> mild(mother.size());
   for (std::size_t i = 0; i < mild.size(); ++i)
     mild[i] = (i % 4 == 3) ? 0.0 : ((mother[i] & 1u) ? -1.0 : 1.0);
-  EXPECT_EQ(viterbi_decode(mild, n_info), info);
+  EXPECT_EQ(decode(mild, n_info), info);
 }
 
 TEST(ConvolutionalTest, QuantizedMetricsTieDenselyAndStillMatchReference) {
@@ -335,10 +364,29 @@ TEST(ConvolutionalTest, QuantizedMetricsTieDenselyAndStillMatchReference) {
           static_cast<int>(gen.uniform_int(3)) - 1);
     double ref_metric = 0.0, got_metric = 0.0;
     const bitvec ref = reference_viterbi(soft, n_info, &ref_metric);
-    const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+    const bitvec got = decode(soft, n_info, &got_metric);
     ASSERT_EQ(got, ref) << "rep " << rep;
     ASSERT_EQ(got_metric, ref_metric) << "rep " << rep;
   }
+}
+
+/// Allocating reference depuncture, written out against the 802.11
+/// puncture masks: kept positions take the next soft value, punctured ones
+/// a 0.0 erasure.
+std::vector<double> reference_depuncture(std::span<const double> soft,
+                                         code_rate rate,
+                                         std::size_t mother_length) {
+  static constexpr std::uint8_t kTwoThirds[] = {1, 1, 1, 0};
+  static constexpr std::uint8_t kThreeQuarters[] = {1, 1, 1, 0, 0, 1};
+  std::vector<double> out(mother_length, 0.0);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < mother_length; ++i) {
+    const bool kept = rate == code_rate::half         ? true
+                      : rate == code_rate::two_thirds ? kTwoThirds[i % 4] != 0
+                                                      : kThreeQuarters[i % 6] != 0;
+    if (kept) out[i] = soft[next++];
+  }
+  return out;
 }
 
 TEST(ConvolutionalTest, DepunctureIntoMatchesAllocatingForm) {
@@ -349,7 +397,7 @@ TEST(ConvolutionalTest, DepunctureIntoMatchesAllocatingForm) {
     const std::size_t kept = coded_length(60, rate);
     std::vector<double> soft(kept);
     for (auto& s : soft) s = gen.gaussian();
-    const auto expected = depuncture(soft, rate, mother_length);
+    const auto expected = reference_depuncture(soft, rate, mother_length);
     std::vector<double> got(7, -123.0);  // dirty, wrong-sized warm buffer
     depuncture_into(soft, rate, mother_length, got);
     ASSERT_EQ(got, expected);
@@ -376,7 +424,7 @@ TEST(ConvolutionalTest, NegInfMetricsPropagateThroughErasureRuns) {
     soft[i] = (mother[i] & 1u) ? -1e300 : 1e300;
   double ref_metric = 0.0, got_metric = 0.0;
   const bitvec ref = reference_viterbi(soft, n_info, &ref_metric);
-  const bitvec got = viterbi_decode(soft, n_info, &got_metric);
+  const bitvec got = decode(soft, n_info, &got_metric);
   ASSERT_EQ(got, ref);
   ASSERT_EQ(got_metric, ref_metric);
   // The certainty agreed with the true codeword, so the winning path

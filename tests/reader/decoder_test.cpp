@@ -62,10 +62,18 @@ tag::tag_config default_tag() {
   return cfg;
 }
 
+/// backfi_decoder::decode on a fresh scratch.
+decode_result decode(const backfi_decoder& decoder, std::span<const cplx> x,
+                     std::span<const cplx> y, std::size_t nominal_origin,
+                     std::size_t payload_bits) {
+  decoder_scratch scratch;
+  return decoder.decode(x, y, nominal_origin, payload_bits, &scratch);
+}
+
 TEST(DecoderTest, DecodesCleanExchange) {
   const auto ex = make_exchange(default_tag(), 400, -120.0, 0, 1);
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 400);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 400);
   ASSERT_TRUE(result.sync_found);
   ASSERT_TRUE(result.decoded);
   EXPECT_TRUE(result.crc_ok);
@@ -79,7 +87,7 @@ TEST(DecoderTest, RecoversTagTimingJitter) {
     const auto ex = make_exchange(default_tag(), 300, -110.0, jitter,
                                   static_cast<std::uint64_t>(jitter));
     const backfi_decoder decoder(default_tag());
-    const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+    const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 300);
     ASSERT_TRUE(result.crc_ok) << jitter;
     EXPECT_EQ(result.payload, ex.payload) << jitter;
     // The score is flat over offsets the guard absorbs; only coarse
@@ -98,7 +106,7 @@ TEST_P(DecoderModulationTest, DecodesAllTagRates) {
   cfg.rate = {mod, coding, symbol_rate};
   const auto ex = make_exchange(cfg, 200, -112.0, 5, 42);
   const backfi_decoder decoder(cfg);
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 200);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 200);
   ASSERT_TRUE(result.crc_ok);
   EXPECT_EQ(result.payload, ex.payload);
 }
@@ -120,7 +128,7 @@ TEST(DecoderTest, FailsGracefullyOnPureNoise) {
   dsp::rng gen(9);
   for (auto& v : noise) v = 1e-5 * gen.complex_gaussian();
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, noise, ex.nominal, 300);
+  const auto result = decode(decoder, ex.x, noise, ex.nominal, 300);
   EXPECT_FALSE(result.sync_found);
   EXPECT_FALSE(result.crc_ok);
 }
@@ -132,7 +140,7 @@ TEST(DecoderTest, CrcCatchesResidualErrors) {
     const auto ex = make_exchange(default_tag(), 300, -63.0, 0,
                                   static_cast<std::uint64_t>(t) + 100);
     const backfi_decoder decoder(default_tag());
-    const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+    const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 300);
     if (result.decoded && result.crc_ok && result.payload != ex.payload)
       ++crc_false_accepts;
   }
@@ -143,8 +151,8 @@ TEST(DecoderTest, SnrEstimateTracksNoiseLevel) {
   const auto quiet = make_exchange(default_tag(), 300, -115.0, 0, 11);
   const auto loud = make_exchange(default_tag(), 300, -95.0, 0, 11);
   const backfi_decoder decoder(default_tag());
-  const auto r_quiet = decoder.decode(quiet.x, quiet.y, quiet.nominal, 300);
-  const auto r_loud = decoder.decode(loud.x, loud.y, loud.nominal, 300);
+  const auto r_quiet = decode(decoder, quiet.x, quiet.y, quiet.nominal, 300);
+  const auto r_loud = decode(decoder, loud.x, loud.y, loud.nominal, 300);
   ASSERT_TRUE(r_quiet.sync_found);
   ASSERT_TRUE(r_loud.sync_found);
   EXPECT_GT(r_quiet.post_mrc_snr_db, r_loud.post_mrc_snr_db + 10.0);
@@ -154,7 +162,7 @@ TEST(DecoderTest, CombinedChannelEstimateMatchesTruth) {
   const tag::tag_config cfg = default_tag();
   const auto ex = make_exchange(cfg, 300, -120.0, 0, 13);
   const backfi_decoder decoder(cfg);
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 300);
   ASSERT_TRUE(result.crc_ok);
   // True combined channel (with the tag's reflection amplitude and the
   // constant preamble phase absorbed).
@@ -173,7 +181,7 @@ TEST(DecoderTest, ReturnsEarlyWhenPayloadCannotFit) {
   const auto ex = make_exchange(default_tag(), 300, -120.0, 0, 15);
   const backfi_decoder decoder(default_tag());
   // Absurd payload size: cannot fit in the excitation.
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 1000000);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 1000000);
   EXPECT_FALSE(result.decoded);
   EXPECT_FALSE(result.crc_ok);
   EXPECT_EQ(result.failure, decode_failure::payload_too_long);
@@ -181,7 +189,7 @@ TEST(DecoderTest, ReturnsEarlyWhenPayloadCannotFit) {
 
 TEST(DecoderTest, EmptyInputYieldsTypedFailure) {
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode({}, {}, 0, 100);
+  const auto result = decode(decoder, {}, {}, 0, 100);
   EXPECT_FALSE(result.decoded);
   EXPECT_EQ(result.failure, decode_failure::empty_input);
 }
@@ -189,8 +197,8 @@ TEST(DecoderTest, EmptyInputYieldsTypedFailure) {
 TEST(DecoderTest, MismatchedBufferLengthsYieldTypedFailure) {
   const auto ex = make_exchange(default_tag(), 300, -120.0, 0, 16);
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(
-      ex.x, std::span(ex.y).first(ex.y.size() - 7), ex.nominal, 300);
+  const auto result = decode(
+      decoder, ex.x, std::span(ex.y).first(ex.y.size() - 7), ex.nominal, 300);
   EXPECT_FALSE(result.decoded);
   EXPECT_EQ(result.failure, decode_failure::size_mismatch);
 }
@@ -198,7 +206,7 @@ TEST(DecoderTest, MismatchedBufferLengthsYieldTypedFailure) {
 TEST(DecoderTest, OriginPastBufferEndYieldsTypedFailure) {
   const auto ex = make_exchange(default_tag(), 300, -120.0, 0, 17);
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, ex.y, ex.y.size(), 300);
+  const auto result = decode(decoder, ex.x, ex.y, ex.y.size(), 300);
   EXPECT_FALSE(result.decoded);
   EXPECT_EQ(result.failure, decode_failure::origin_out_of_range);
 }
@@ -206,7 +214,7 @@ TEST(DecoderTest, OriginPastBufferEndYieldsTypedFailure) {
 TEST(DecoderTest, ZeroPayloadYieldsTypedFailure) {
   const auto ex = make_exchange(default_tag(), 300, -120.0, 0, 18);
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 0);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 0);
   EXPECT_FALSE(result.decoded);
   EXPECT_EQ(result.failure, decode_failure::zero_payload);
 }
@@ -220,7 +228,7 @@ TEST(DecoderTest, NonFiniteSamplesYieldTypedFailure) {
   ex.y[ex.nominal + silent_samples + 100] =
       cplx{std::numeric_limits<double>::quiet_NaN(), 0.0};
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 300);
   EXPECT_FALSE(result.decoded);
   EXPECT_EQ(result.failure, decode_failure::non_finite_samples);
 }
@@ -262,7 +270,7 @@ TEST(FiniteWindowKernelTest, FlagsEveryLanePositionAndKind) {
 TEST(DecoderTest, SuccessfulDecodeReportsNoFailure) {
   const auto ex = make_exchange(default_tag(), 300, -120.0, 0, 20);
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 300);
   ASSERT_TRUE(result.crc_ok);
   EXPECT_EQ(result.failure, decode_failure::none);
   EXPECT_STREQ(to_string(result.failure), "none");
@@ -285,8 +293,8 @@ TEST(DecoderTest, PhaseTrackingAbsorbsSlowResidualRotation) {
   no_tracking.phase_tracking = false;
   const backfi_decoder plain(tag_cfg, no_tracking);
   const backfi_decoder tracking(tag_cfg);
-  const auto without = plain.decode(ex.x, ex.y, ex.nominal, 300);
-  const auto with = tracking.decode(ex.x, ex.y, ex.nominal, 300);
+  const auto without = decode(plain, ex.x, ex.y, ex.nominal, 300);
+  const auto with = decode(tracking, ex.x, ex.y, ex.nominal, 300);
   EXPECT_FALSE(without.crc_ok);
   EXPECT_TRUE(with.crc_ok);
 }
@@ -304,17 +312,17 @@ TEST(DecoderTest, NonFiniteSamplesOutsideDecodeWindowStillDecode) {
   ex.y[ex.y.size() - 1] = cplx{nan, 0.0};  // far past the payload symbols
   ex.x[1] = cplx{0.0, nan};                // x is scanned over the same window
   const backfi_decoder decoder(default_tag());
-  const auto result = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+  const auto result = decode(decoder, ex.x, ex.y, ex.nominal, 300);
   ASSERT_TRUE(result.decoded);
   EXPECT_EQ(result.failure, decode_failure::none);
   EXPECT_TRUE(result.crc_ok);
   EXPECT_EQ(result.payload, ex.payload);
 }
 
-TEST(DecoderTest, ScratchDecodeBitIdenticalToAllocatingDecode) {
+TEST(DecoderTest, DirtyScratchDecodeBitIdenticalToFreshScratch) {
   const auto ex = make_exchange(default_tag(), 300, -112.0, 5, 24);
   const backfi_decoder decoder(default_tag());
-  const auto plain = decoder.decode(ex.x, ex.y, ex.nominal, 300);
+  const auto plain = decode(decoder, ex.x, ex.y, ex.nominal, 300);
   ASSERT_TRUE(plain.crc_ok);
 
   // Dirty the scratch with a different exchange first: decode results must
@@ -338,6 +346,13 @@ TEST(DecoderTest, ScratchDecodeBitIdenticalToAllocatingDecode) {
   ASSERT_EQ(ws.symbol_estimates.size(), plain.symbol_estimates.size());
   for (std::size_t i = 0; i < plain.symbol_estimates.size(); ++i)
     ASSERT_EQ(ws.symbol_estimates[i], plain.symbol_estimates[i]) << i;
+}
+
+TEST(DecoderTest, NullScratchThrows) {
+  const auto ex = make_exchange(default_tag(), 300, -112.0, 0, 26);
+  const backfi_decoder decoder(default_tag());
+  EXPECT_THROW(decoder.decode(ex.x, ex.y, ex.nominal, 300, nullptr),
+               std::invalid_argument);
 }
 
 TEST(DecoderValidate, FirstViolationIsTypedAndCtorThrows) {

@@ -73,13 +73,30 @@ void expect_union_samples_equal(const cvec& roi_cleaned,
     ASSERT_EQ(roi_cleaned[i], full_cleaned[i]) << what << " roi " << i;
 }
 
+/// fd::run_receive_chain on a fresh scratch: the chain result plus the
+/// cleaned waveform it left in the scratch.
+struct chain_run : fd::receive_chain_result {
+  cvec cleaned;
+};
+
+chain_run run_chain(std::span<const cplx> tx, std::span<const cplx> rx,
+                    std::size_t silent_begin, std::size_t silent_end,
+                    const fd::receive_chain_config& config) {
+  fd::receive_chain_scratch scratch;
+  chain_run out{fd::run_receive_chain(tx, rx, silent_begin, silent_end, config,
+                                      &scratch),
+                {}};
+  out.cleaned = std::move(scratch.cleaned);
+  return out;
+}
+
 TEST(RoiChainTest, UnsetRoiReportsNoAccountingAndNoGauges) {
   const chain_scenario s = make_chain_scenario(1);
   obs::collector collector;
   fd::receive_chain_config cfg;
   cfg.collector = &collector;
   const auto result =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
   EXPECT_EQ(result.roi_samples_processed, 0u);
   EXPECT_EQ(result.roi_samples_skipped, 0u);
   const auto& gauges = collector.registry().gauges();
@@ -92,7 +109,7 @@ TEST(RoiChainTest, InUnionSamplesMatchFullSweepForEveryWindowShape) {
   const chain_scenario s = make_chain_scenario(2);
   const std::size_t n = s.rx.size();
   const auto full =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, {});
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, {});
 
   // The shapes the decoder's window can take relative to the silent
   // window: a typical decode span, the same span off by one each way,
@@ -106,7 +123,7 @@ TEST(RoiChainTest, InUnionSamplesMatchFullSweepForEveryWindowShape) {
     fd::receive_chain_config cfg;
     cfg.roi = roi;
     const auto windowed =
-        fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
+        run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
     const std::string what = "roi [" + std::to_string(roi.begin) + ", " +
                              std::to_string(roi.end) + ")";
     expect_scalar_results_equal(windowed, full, what.c_str());
@@ -132,10 +149,10 @@ TEST(RoiChainTest, WorksWithEitherStageDisabled) {
   configs[1].enable_digital = false;  // ranged quantization only
   for (auto& cfg : configs) {
     const auto full =
-        fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
+        run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
     cfg.roi = roi;
     const auto windowed =
-        fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
+        run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
     expect_scalar_results_equal(windowed, full, "stage-disabled");
     expect_union_samples_equal(windowed.cleaned, full.cleaned, roi,
                                "stage-disabled");
@@ -151,10 +168,10 @@ TEST(RoiChainTest, FrontEndHookForcesFullRangeSweep) {
   fd::receive_chain_config hooked;
   hooked.front_end_hook = halve;
   const auto full =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, hooked);
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, hooked);
   hooked.roi = {kSilentEnd, 2000};
   const auto windowed =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, hooked);
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, hooked);
   // The hook mutates the whole analog-cancelled waveform, so the chain
   // must ignore the roi entirely: every sample identical, nothing skipped.
   expect_scalar_results_equal(windowed, full, "front-end hook");
@@ -171,10 +188,10 @@ TEST(RoiChainTest, ResidualGainTrackingKeepsFullQuantizeSweep) {
   fd::receive_chain_config tracked;
   tracked.track_residual_gain = true;
   const auto full =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, tracked);
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, tracked);
   tracked.roi = roi;
   const auto windowed =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, tracked);
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, tracked);
   // The tracker's pass 1-2 statistics are whole-capture by definition, so
   // quantize/cancel stay full-range (processed = capture length); only the
   // final gain-application pass is ranged, and in-union samples still
@@ -193,7 +210,7 @@ TEST(RoiChainTest, EmitsRoiGaugesWhenConfigured) {
   cfg.roi = {kSilentEnd, 2000};
   cfg.collector = &collector;
   const auto result =
-      fd::run_receive_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
+      run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
   EXPECT_GT(result.roi_samples_processed, 0u);
   EXPECT_GT(result.roi_samples_skipped, 0u);
   const auto& gauges = collector.registry().gauges();
@@ -263,7 +280,6 @@ reader::stream_config session_config(const stream_scenario_config& cfg,
   scfg.decoder = cfg.scenario.decoder;
   scfg.chain = cfg.scenario.chain;
   scfg.restrict_to_roi = restrict_to_roi;
-  scfg.emit_stream_metrics = false;
   return scfg;
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -198,7 +199,6 @@ TEST(StreamSession, FinishDrainsPacketsPushedAtShutdown) {
   scfg.chain = cfg.scenario.chain;
   scfg.threads = 2;
   scfg.queue_capacity = 4;
-  scfg.emit_stream_metrics = false;
 
   for (int rep = 0; rep < 100; ++rep) {
     reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
@@ -231,7 +231,6 @@ TEST(StreamSession, ShortSilentWindowBypassesCancellation) {
   scfg.tag = cfg.scenario.tag;
   scfg.decoder = cfg.scenario.decoder;
   scfg.chain = cfg.scenario.chain;
-  scfg.emit_stream_metrics = false;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     scfg.threads = threads;
     reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
@@ -279,6 +278,29 @@ TEST(StreamSession, MalformedScheduleThrows) {
                            .silent_end = 8, .payload_bits = 8};
   EXPECT_THROW(reader::stream_session(x, y_short, std::span(&ok, 1), cfg),
                std::invalid_argument);
+}
+
+TEST(StreamSession, OversizedQueueCapacityThrows) {
+  // A capacity with no power-of-two ring size is rejected up front (the
+  // rounding used to wrap to 0 and spin forever in the constructor).
+  const cvec x(64, cplx{0.0, 0.0});
+  const cvec y(64, cplx{0.0, 0.0});
+  reader::stream_config cfg;
+  cfg.queue_capacity = SIZE_MAX;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    cfg.threads = threads;
+    EXPECT_THROW(reader::stream_session(x, y, {}, cfg), std::invalid_argument)
+        << threads << " threads";
+  }
+}
+
+TEST(StreamValidate, OversizedQueueCapacityIsBadStreamQueue) {
+  stream_scenario_config cfg = fast_stream_scenario(1, 2);
+  cfg.queue_capacity = SIZE_MAX;
+  EXPECT_EQ(cfg.validate(), config_error::bad_stream_queue);
+  EXPECT_THROW(run_stream_trial(cfg), std::invalid_argument);
+  cfg.queue_capacity = dsp::max_ring_capacity + 1;
+  EXPECT_EQ(cfg.validate(), config_error::bad_stream_queue);
 }
 
 TEST(StreamValidate, TypedErrorsAndThrowingEntryPoints) {

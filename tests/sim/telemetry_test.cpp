@@ -277,8 +277,9 @@ TEST(JsonExport, NonFiniteValuesExportAsNull) {
   obs::collector collector;
   fd::receive_chain_config cfg;
   cfg.collector = &collector;
+  fd::receive_chain_scratch scratch;
   for (const cvec* rx : {&zeros, &huge, &with_nan, &tiny})
-    (void)fd::run_receive_chain(tx, *rx, 0, 320, cfg);
+    (void)fd::run_receive_chain(tx, *rx, 0, 320, cfg, &scratch);
   const obs::histogram& depth =
       collector.registry().histograms().at("fd.analog_depth_db");
   ASSERT_EQ(depth.count, 4u);

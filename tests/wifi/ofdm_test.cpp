@@ -11,6 +11,13 @@
 namespace backfi::wifi {
 namespace {
 
+/// modulate_symbol_into on a fresh 80-sample buffer.
+cvec modulated(std::span<const cplx> points, std::size_t symbol_index) {
+  cvec out(symbol_samples);
+  modulate_symbol_into(points, symbol_index, out);
+  return out;
+}
+
 TEST(OfdmTest, SubcarrierLayoutDisjointAndComplete) {
   std::set<int> all;
   for (int sc : data_subcarrier_indices()) all.insert(sc);
@@ -47,7 +54,7 @@ TEST(OfdmTest, SymbolHasCorrectSizeAndCyclicPrefix) {
   dsp::rng gen(1);
   const auto& c = phy::wifi_constellation(2);
   const cvec points = c.map(gen.random_bits(96));
-  const cvec symbol = modulate_symbol(points, 3);
+  const cvec symbol = modulated(points, 3);
   ASSERT_EQ(symbol.size(), symbol_samples);
   // CP = last 16 samples of the useful part.
   for (std::size_t i = 0; i < cyclic_prefix; ++i)
@@ -61,7 +68,7 @@ TEST(OfdmTest, SymbolMeanPowerNearUnity) {
   const int n_sym = 50;
   for (int s = 0; s < n_sym; ++s) {
     const cvec points = c.map(gen.random_bits(192));
-    total += dsp::mean_power(modulate_symbol(points, s));
+    total += dsp::mean_power(modulated(points, s));
   }
   EXPECT_NEAR(total / n_sym, 1.0, 0.1);
 }
@@ -71,7 +78,7 @@ TEST(OfdmTest, ModulateDemodulateRoundTrip) {
   const auto& c = phy::wifi_constellation(6);
   const cvec points = c.map(gen.random_bits(288));
   const std::size_t sym_idx = 7;
-  const cvec symbol = modulate_symbol(points, sym_idx);
+  const cvec symbol = modulated(points, sym_idx);
   const auto demod = demodulate_symbol(symbol);
   for (std::size_t i = 0; i < n_data_subcarriers; ++i)
     EXPECT_NEAR(std::abs(demod.data[i] / tx_scale() - points[i]), 0.0, 1e-9) << i;
@@ -85,7 +92,8 @@ TEST(OfdmTest, ModulateDemodulateRoundTrip) {
 
 TEST(OfdmTest, ModulateRejectsWrongPointCount) {
   const cvec too_few(47, cplx{1.0, 0.0});
-  EXPECT_THROW(modulate_symbol(too_few, 0), std::invalid_argument);
+  cvec out(symbol_samples);
+  EXPECT_THROW(modulate_symbol_into(too_few, 0, out), std::invalid_argument);
 }
 
 TEST(OfdmTest, DemodulateRejectsWrongSampleCount) {
