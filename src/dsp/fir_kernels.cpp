@@ -225,4 +225,12 @@ double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
 #endif
 }
 
+bool fir_kernels_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::dsp::detail

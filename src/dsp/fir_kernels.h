@@ -42,4 +42,8 @@ double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
                                             const cplx* rx, cplx* out,
                                             std::size_t o0, std::size_t o1);
 
+/// True when fir_kernels.cpp was compiled with AVX2, i.e. the per-TU
+/// kernel flags of src/dsp/CMakeLists.txt took effect.
+bool fir_kernels_avx2();
+
 }  // namespace backfi::dsp::detail

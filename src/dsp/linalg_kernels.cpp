@@ -159,4 +159,12 @@ bool all_finite_window2(const cplx* x, const cplx* y, std::size_t begin,
   return true;
 }
 
+bool linalg_kernels_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::dsp::detail

@@ -37,4 +37,8 @@ void fir_rhs_vectorized(const cplx* x, std::size_t n, const cplx* y,
 bool all_finite_window2(const cplx* x, const cplx* y, std::size_t begin,
                         std::size_t end);
 
+/// True when linalg_kernels.cpp was compiled with AVX2, i.e. the per-TU
+/// kernel flags of src/dsp/CMakeLists.txt took effect.
+bool linalg_kernels_avx2();
+
 }  // namespace backfi::dsp::detail

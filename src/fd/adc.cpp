@@ -68,4 +68,12 @@ double quantization_noise_power(const adc_config& config) {
   return step * step / 6.0;
 }
 
+bool detail::adc_avx2() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace backfi::fd

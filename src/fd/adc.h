@@ -56,4 +56,10 @@ double agc_full_scale_from_energy(double energy, std::size_t n,
 /// Quantization noise power of the configuration (per complex sample).
 double quantization_noise_power(const adc_config& config);
 
+namespace detail {
+/// True when adc.cpp was compiled with AVX2, i.e. the per-TU flags of
+/// src/fd/CMakeLists.txt took effect.
+bool adc_avx2();
+}  // namespace detail
+
 }  // namespace backfi::fd

@@ -9,6 +9,7 @@
 #include "dsp/linalg.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
+#include "fd/chain_kernels.h"
 
 namespace backfi::fd {
 
@@ -129,6 +130,10 @@ void digital_canceller::cancel_into(std::span<const cplx> tx,
   // With the ADC fused in, the cancellation reads the quantized samples.
   const cplx* src = adc != nullptr ? adc->digitized.data() : in.data();
   const std::size_t overlap = taps_.empty() ? 0 : std::min(n, tx.size());
+  // The conjugate and DC branches ride in the same sweep as the linear
+  // taps (chain_kernels): one pass over the capture instead of three.
+  const bool hardened = !conj_taps_.empty() || dc_ != cplx{0.0, 0.0};
+  bool finite = true;
   // Chunks sized so one chunk's quantize (divider-bound) and convolution
   // (FP mul/add-bound) fit a reorder window together: the out-of-order
   // core overlaps the divides of chunk i with the convolution of chunks
@@ -143,17 +148,44 @@ void digital_canceller::cancel_into(std::span<const cplx> tx,
       if (adc != nullptr)
         quantize_range_saturation(in.data(), c0, c1, adc->config,
                                   adc->digitized.data(), adc->clipped_any);
-      dsp::detail::convolve_same_gather_subtract(
-          tx.data(), tx.size(), taps_.data(), taps_.size(), src,
-          out.data() + c0, c0, c1);
+      if (hardened)
+        finite &= detail::cancel_widely_linear(
+            tx.data(), taps_.data(), taps_.size(), conj_taps_.data(),
+            conj_taps_.size(), dc_, src, out.data(), c0, c1);
+      else
+        dsp::detail::convolve_same_gather_subtract(
+            tx.data(), tx.size(), taps_.data(), taps_.size(), src,
+            out.data() + c0, c0, c1);
     }
     if (adc != nullptr)
       quantize_range_saturation(in.data(), eo, e, adc->config,
                                 adc->digitized.data(), adc->clipped_any);
-    std::copy(src + eo, src + e, out.data() + eo);
+    // Past the FIR branches only the DC estimate is removed.
+    if (dc_ != cplx{0.0, 0.0})
+      for (std::size_t j = eo; j < e; ++j) out[j] = src[j] - dc_;
+    else
+      std::copy(src + eo, src + e, out.data() + eo);
   }
-  // Conjugate and DC branches act element-wise on the already-cancelled
-  // output, over the same ranges.
+  if (!finite) cancel_unfused(tx, std::span(src, n), ranges, out, s);
+}
+
+void digital_canceller::cancel_unfused(
+    std::span<const cplx> tx, std::span<const cplx> src,
+    std::span<const dsp::sample_range> ranges, cvec& out,
+    canceller_scratch& s) const {
+  const std::size_t n = src.size();
+  const std::size_t overlap = std::min(n, tx.size());
+  constexpr std::size_t kChunk = 256;
+  for (const dsp::sample_range& r : ranges) {
+    const std::size_t e = std::min(r.end, n);
+    const std::size_t b = std::min(r.begin, e);
+    const std::size_t eo = std::max(b, std::min(e, overlap));
+    for (std::size_t c0 = b; c0 < eo; c0 += kChunk)
+      dsp::detail::convolve_same_gather_subtract(
+          tx.data(), tx.size(), taps_.data(), taps_.size(), src.data(),
+          out.data() + c0, c0, std::min(c0 + kChunk, eo));
+    std::copy(src.begin() + eo, src.begin() + e, out.begin() + eo);
+  }
   if (!conj_taps_.empty()) {
     s.ctx.resize(tx.size());
     for (std::size_t i = 0; i < tx.size(); ++i) s.ctx[i] = std::conj(tx[i]);

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "dsp/vec_ops.h"
+#include "fd/chain_kernels.h"
 #include "obs/collector.h"
 
 namespace backfi::fd {
@@ -246,84 +247,16 @@ receive_chain_result run_receive_chain(std::span<const cplx> tx,
   //     is locally linear in time, leaving only second-order residue.
   // The backscatter's projection on the model is ~SI - 90 dB, so neither
   // pass touches the tag signal.
+  //
+  // fd/chain_kernels.cpp runs this as three sweeps: the whole-capture fit,
+  // its correction fused with the per-block gain fit, and the interpolated
+  // gain application. Only the last writes samples as a pure function of
+  // each index, so it alone honours the roi: samples outside silent ∪ roi
+  // stay pass-1-corrected, which the roi contract marks unreadable anyway.
   if (config.track_residual_gain && config.enable_digital &&
-      cleaned.size() > 1) {
-    const std::size_t n = cleaned.size();
-    // Pass 1 statistics: static widely-linear residual fit.
-    cplx a0, b0;
-    {
-      double p = 0.0;     // sum |m|^2
-      cplx s{0.0, 0.0};   // sum conj(m)^2 — cross term of the two columns
-      cplx r1{0.0, 0.0};  // sum cleaned * conj(m)
-      cplx r2{0.0, 0.0};  // sum cleaned * m
-      for (std::size_t i = 0; i < n; ++i) {
-        const cplx m = digitized[i] - cleaned[i];
-        p += std::norm(m);
-        s += std::conj(m * m);
-        r1 += cleaned[i] * std::conj(m);
-        r2 += cleaned[i] * m;
-      }
-      const double loaded = p * (1.0 + 1e-3) + 1e-30;
-      const double det = loaded * loaded - std::norm(s);
-      a0 = (loaded * r1 - s * r2) / det;
-      b0 = (loaded * r2 - std::conj(s) * r1) / det;
-    }
-    // Fused sweep: apply the pass-1 correction and accumulate the pass-2
-    // per-block statistics in the same pass over the capture. Each sample's
-    // post-correction model m' = digitized[i] - cleaned'[i] depends only on
-    // that sample, and the block statistics accumulate in the same
-    // ascending order as the former separate sweeps, so the fusion is
-    // bit-identical — it just stops re-reading digitized/cleaned a third
-    // time (each former pass recomputed m from scratch).
-    const std::size_t block = std::max<std::size_t>(config.gain_block, 2);
-    const std::size_t n_blocks = (n + block - 1) / block;
-    scratch.gain_a.resize(n_blocks);
-    scratch.centre.resize(n_blocks);
-    cvec& gain_a = scratch.gain_a;
-    std::vector<double>& centre = scratch.centre;
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      const std::size_t begin = b * block;
-      const std::size_t end = std::min(begin + block, n);
-      double p = 0.0;
-      cplx r1{0.0, 0.0};
-      for (std::size_t i = begin; i < end; ++i) {
-        const cplx m = digitized[i] - cleaned[i];
-        cleaned[i] -= a0 * m + b0 * std::conj(m);
-        const cplx m2 = digitized[i] - cleaned[i];
-        p += std::norm(m2);
-        r1 += cleaned[i] * std::conj(m2);
-      }
-      gain_a[b] = r1 / (p * (1.0 + 1e-3) + 1e-30);
-      centre[b] = 0.5 * static_cast<double>(begin + end - 1);
-    }
-    // Pass 3: interpolated gain application. Unlike passes 1-2 (whole-
-    // capture statistics by definition), this sweep only writes samples,
-    // each a pure function of its own index — so it honours the roi when
-    // one is set: samples outside silent ∪ roi stay pass-1-corrected,
-    // which the roi contract marks unreadable anyway.
-    for (const dsp::sample_range& ar : apply_ranges) {
-      const std::size_t end = std::min(ar.end, n);
-      for (std::size_t i = ar.begin; i < end; ++i) {
-        const double pos = static_cast<double>(i);
-        std::size_t b = std::min(i / block, n_blocks - 1);
-        cplx a;
-        if (pos <= centre[0] || n_blocks == 1) {
-          a = gain_a[0];
-        } else if (pos >= centre[n_blocks - 1]) {
-          a = gain_a[n_blocks - 1];
-        } else {
-          if (pos < centre[b] && b > 0) --b;
-          const std::size_t hi = std::min(b + 1, n_blocks - 1);
-          const double span_len = centre[hi] - centre[b];
-          const double frac =
-              span_len > 0.0 ? (pos - centre[b]) / span_len : 0.0;
-          a = gain_a[b] + (gain_a[hi] - gain_a[b]) * frac;
-        }
-        const cplx m = digitized[i] - cleaned[i];
-        cleaned[i] -= a * m;
-      }
-    }
-  }
+      cleaned.size() > 1)
+    detail::track_residual_gain(digitized, cleaned, config.gain_block,
+                                apply_ranges, scratch.gain_a, scratch.centre);
 
   const auto cleaned_silent =
       std::span(cleaned).subspan(silent_begin, silent_end - silent_begin);
