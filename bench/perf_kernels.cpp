@@ -24,8 +24,12 @@
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "fd/receive_chain.h"
+#include "phy/constellation.h"
+#include "reader/decoder.h"
+#include "reader/stream_session.h"
 #include "sim/backscatter_sim.h"
 #include "sim/parallel.h"
+#include "sim/stream_sim.h"
 
 namespace {
 
@@ -220,6 +224,62 @@ void bm_hardened_chain(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_hardened_chain)->Unit(benchmark::kMicrosecond);
+
+// The always-on reader's per-packet path, warm: reader::cancel_packet (the
+// receive chain over the decoder's read window) then backfi_decoder::decode,
+// on one packet of a Fig. 8 mid-range stream capture (2 m, 16-PSK, rate 1/2,
+// 2.5 Msym/s, 600-bit payload, 4000-byte excitation PPDUs).
+void bm_stream_packet(benchmark::State& state) {
+  sim::stream_scenario_config cfg;
+  cfg.scenario.excitation.ppdu_bytes = 4000;
+  cfg.scenario.payload_bits = 600;
+  cfg.scenario.tag.preamble_us = 32;
+  cfg.scenario.tag_distance_m = 2.0;
+  cfg.scenario.tag.rate = {tag::tag_modulation::psk16, phy::code_rate::half,
+                           2.5e6};
+  cfg.n_packets = 1;
+  const sim::stream_capture cap = sim::build_stream_capture(cfg);
+  const reader::stream_packet& packet = cap.schedule[0];
+  const reader::backfi_decoder decoder(cfg.scenario.tag, cfg.scenario.decoder);
+  fd::receive_chain_config chain = cfg.scenario.chain;
+  fd::receive_chain_scratch chain_scratch;
+  reader::decoder_scratch decode_scratch;
+  const auto x = std::span<const cplx>(cap.x).subspan(
+      packet.begin, packet.end - packet.begin);
+  const auto run = [&] {
+    reader::cancel_packet(cap.x, cap.y, packet, decoder, true, {}, chain,
+                          chain_scratch);
+    return decoder.decode(x, chain_scratch.cleaned,
+                          packet.wake_end - packet.begin, packet.payload_bits,
+                          &decode_scratch);
+  };
+  if (!run().crc_ok) {
+    state.SkipWithError("the fig08 mid-range packet did not decode");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_stream_packet)->Unit(benchmark::kMicrosecond);
+
+// The soft demapper on one fig08 packet's worth of 16-PSK symbols (319).
+void bm_demap_llr_16psk(benchmark::State& state) {
+  const phy::constellation& c = phy::psk_constellation(16);
+  dsp::rng gen(23);
+  cvec symbols(319);
+  for (auto& y : symbols)
+    y = c.points[gen.uniform_int(c.points.size())] +
+        0.1 * gen.complex_gaussian();
+  std::vector<double> llr;
+  for (auto _ : state) {
+    c.demap_llr_stream_into(symbols, 0.01, llr);
+    benchmark::DoNotOptimize(llr.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_demap_llr_16psk)->Unit(benchmark::kMicrosecond);
 
 void bm_backscatter_trial(benchmark::State& state) {
   sim::scenario_config cfg = per_scaling_config();

@@ -1,6 +1,7 @@
 #include "dsp/fir.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "dsp/fir_kernels.h"
 
@@ -58,18 +59,22 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
 
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out) {
+                                          std::span<const cplx> h, cvec& out,
+                                          double& max_abs) {
   out.resize(rx.size());
   const std::size_t overlap = h.empty() ? 0 : std::min(rx.size(), x.size());
   double eacc = 0.0;
+  max_abs = 0.0;
   if (overlap > 0)
     eacc = detail::convolve_same_gather_subtract_energy(
         x.data(), x.size(), h.data(), h.size(), rx.data(), out.data(), 0,
-        overlap);
+        overlap, max_abs);
   for (std::size_t j = overlap; j < rx.size(); ++j) {
     out[j] = rx[j];
     const double re = out[j].real(), im = out[j].imag();
     eacc += re * re + im * im;
+    max_abs = std::max(max_abs, std::fabs(re));
+    max_abs = std::max(max_abs, std::fabs(im));
   }
   return eacc;
 }

@@ -47,11 +47,14 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
 /// energy sum |out[j]|^2 over the whole output, accumulated in ascending
 /// index order with one norm rounding per element — bit-identical to
 /// calling energy(out) afterwards, fused into the store loop so the output
-/// is not re-read. (The receive chain's AGC needs exactly this energy
-/// right after the analog cancel; the separate rms pass was a full
-/// capture-length read.)
+/// is not re-read — and writing its peak axis magnitude max(|re|, |im|),
+/// NaN components ignored (0 for an empty output), to `max_abs`. (The
+/// receive chain's AGC needs exactly this energy right after the analog
+/// cancel, and the ADC saturation flag this peak; separate passes would
+/// each be a full capture-length read.)
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out);
+                                          std::span<const cplx> h, cvec& out,
+                                          double& max_abs);
 
 }  // namespace backfi::dsp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -35,18 +36,28 @@ namespace {
 // re-reading the stores — an 8-byte reload of a 32-byte store would stall
 // on failed store-forwarding every element — and the short scalar add
 // chain overlaps with the next block's independent convolution work.
+// The Energy form also returns the peak axis magnitude max(|re|, |im|) over
+// the window, NaN components ignored: _mm256_max_pd(|v|, peak) is
+// `|v| > peak ? |v| : peak`, which keeps `peak` for a NaN lane, and the
+// maximum of non-NaN values is exact in any order (|v| is never -0), so the
+// lane-wise running peaks reduce to the scalar loop's value.
 template <bool Subtract, bool Energy>
 double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
-                   const cplx* rx, cplx* outp, std::size_t o0, std::size_t o1) {
+                   const cplx* rx, cplx* outp, std::size_t o0, std::size_t o1,
+                   double* max_abs) {
   double eacc = 0.0;
+  double peak = 0.0;
+  [[maybe_unused]] const __m256d sign = _mm256_set1_pd(-0.0);
+  [[maybe_unused]] __m256d peakv = _mm256_setzero_pd();
   // Norms of the two complex outputs in `v`, accumulated in lane order:
   // v*v gives [re0^2, im0^2, re1^2, im1^2]; hadd pairs them to
   // [n0, n0, n1, n1] with the single rounded add of the scalar norm.
-  [[maybe_unused]] auto accumulate_pair = [&eacc](__m256d v) {
+  [[maybe_unused]] auto accumulate_pair = [&eacc, &peakv, sign](__m256d v) {
     const __m256d sq = _mm256_mul_pd(v, v);
     const __m256d n = _mm256_hadd_pd(sq, sq);
     eacc += _mm_cvtsd_f64(_mm256_castpd256_pd128(n));
     eacc += _mm_cvtsd_f64(_mm256_extractf128_pd(n, 1));
+    peakv = _mm256_max_pd(_mm256_andnot_pd(sign, v), peakv);
   };
   auto scalar_one = [&](std::size_t j) {
     const std::size_t k_hi = std::min(j, nh - 1);
@@ -67,7 +78,11 @@ double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
       vi = acci;
     }
     outp[j - o0] = cplx(vr, vi);
-    if constexpr (Energy) eacc += vr * vr + vi * vi;
+    if constexpr (Energy) {
+      eacc += vr * vr + vi * vi;
+      peak = std::max(peak, std::fabs(vr));
+      peak = std::max(peak, std::fabs(vi));
+    }
   };
   std::size_t j = o0;
   // Left edge: outputs whose k range is clipped by the start of x.
@@ -153,6 +168,12 @@ double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
     }
   }
   for (; j < o1; ++j) scalar_one(j);
+  if constexpr (Energy) {
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, peakv);
+    for (const double lane : lanes) peak = std::max(peak, lane);
+    *max_abs = peak;
+  }
   return eacc;
 }
 
@@ -185,7 +206,7 @@ void convolve_same_gather(const cplx* x, std::size_t nx, const cplx* h,
   assert(nh >= 1 && o1 <= nx);
   if (o0 >= o1) return;
 #if defined(__AVX2__)
-  gather_avx2<false, false>(x, nx, h, nh, nullptr, out, o0, o1);
+  gather_avx2<false, false>(x, nx, h, nh, nullptr, out, o0, o1, nullptr);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
 #endif
@@ -198,7 +219,7 @@ void convolve_same_gather_subtract(const cplx* x, std::size_t nx,
   assert(nh >= 1 && o1 <= nx);
   if (o0 >= o1) return;
 #if defined(__AVX2__)
-  gather_avx2<true, false>(x, nx, h, nh, rx, out, o0, o1);
+  gather_avx2<true, false>(x, nx, h, nh, rx, out, o0, o1, nullptr);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
   for (std::size_t j = o0; j < o1; ++j) out[j - o0] = rx[j] - out[j - o0];
@@ -208,19 +229,25 @@ void convolve_same_gather_subtract(const cplx* x, std::size_t nx,
 double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
                                             const cplx* h, std::size_t nh,
                                             const cplx* rx, cplx* out,
-                                            std::size_t o0, std::size_t o1) {
+                                            std::size_t o0, std::size_t o1,
+                                            double& max_abs) {
   assert(nh >= 1 && o1 <= nx);
+  max_abs = 0.0;
   if (o0 >= o1) return 0.0;
 #if defined(__AVX2__)
-  return gather_avx2<true, true>(x, nx, h, nh, rx, out, o0, o1);
+  return gather_avx2<true, true>(x, nx, h, nh, rx, out, o0, o1, &max_abs);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
   double eacc = 0.0;
+  double peak = 0.0;
   for (std::size_t j = o0; j < o1; ++j) {
     const cplx v = rx[j] - out[j - o0];
     out[j - o0] = v;
     eacc += v.real() * v.real() + v.imag() * v.imag();
+    peak = std::max(peak, std::fabs(v.real()));
+    peak = std::max(peak, std::fabs(v.imag()));
   }
+  max_abs = peak;
   return eacc;
 #endif
 }

@@ -34,13 +34,17 @@ void convolve_same_gather_subtract(const cplx* x, std::size_t nx,
 /// As convolve_same_gather_subtract, additionally returning
 /// sum_j |out[j - o0]|^2 accumulated in ascending output order with one
 /// norm rounding per element — bit-identical to running dsp::energy over
-/// the produced window afterwards, without a second read pass. (The AGC
-/// needs the analog residual's energy immediately after the cancel; the
-/// store loop still holds every output in cache.)
+/// the produced window afterwards, without a second read pass — and
+/// writing the peak axis magnitude max(|re|, |im|) over the window's
+/// outputs, NaN components ignored (0 for an empty window), to `max_abs`.
+/// (The AGC needs the analog residual's energy and the ADC saturation
+/// check its peak immediately after the cancel; the store loop still holds
+/// every output in registers.)
 double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
                                             const cplx* h, std::size_t nh,
                                             const cplx* rx, cplx* out,
-                                            std::size_t o0, std::size_t o1);
+                                            std::size_t o0, std::size_t o1,
+                                            double& max_abs);
 
 /// True when fir_kernels.cpp was compiled with AVX2, i.e. the per-TU
 /// kernel flags of src/dsp/CMakeLists.txt took effect.

@@ -36,8 +36,8 @@ void analog_canceller::adapt(const analog_canceller_config& config,
 
 double analog_canceller::cancel_energy_into(std::span<const cplx> tx,
                                             std::span<const cplx> rx,
-                                            cvec& out) const {
-  return dsp::convolve_same_subtract_energy_into(rx, tx, taps_, out);
+                                            cvec& out, double& max_abs) const {
+  return dsp::convolve_same_subtract_energy_into(rx, tx, taps_, out, max_abs);
 }
 
 void digital_canceller::adapt(const digital_canceller_config& config,

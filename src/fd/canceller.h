@@ -55,11 +55,13 @@ class analog_canceller {
   /// transmit samples for the same interval) into a reusable caller
   /// buffer, returning the residual's energy (sum |out[i]|^2, bit-identical
   /// to dsp::energy(out) run afterwards) fused into the cancellation store
-  /// loop. The receive chain's AGC sets its full scale from exactly this
-  /// quantity; the fusion removes a full capture-length rms read pass
-  /// between the analog stage and the ADC.
+  /// loop, and writing the residual's peak axis magnitude max(|re|, |im|)
+  /// (NaN components ignored) to `max_abs`. The receive chain's AGC sets
+  /// its full scale from exactly this energy and its ADC saturation flag
+  /// is `max_abs > full_scale`; the fusion removes a capture-length rms
+  /// pass and a saturation scan between the analog stage and the ADC.
   double cancel_energy_into(std::span<const cplx> tx, std::span<const cplx> rx,
-                            cvec& out) const;
+                            cvec& out, double& max_abs) const;
 
   const cvec& taps() const { return taps_; }
   bool adapted() const { return !taps_.empty(); }

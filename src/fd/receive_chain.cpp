@@ -139,16 +139,18 @@ receive_chain_result run_receive_chain(std::span<const cplx> tx,
                                  : apply_ranges;
 
   // --- Analog stage (before the ADC) ---
-  // The AGC's full-scale choice needs the analog residual's energy; the
-  // fused cancel returns it from the same store loop (bit-identical to a
-  // separate rms pass), so the ADC stage below does not re-read the
-  // capture. Negative marks it unknown (analog bypassed / hook ran).
+  // The AGC's full-scale choice needs the analog residual's energy and the
+  // saturation flag its peak axis magnitude; the fused cancel returns both
+  // from the same store loop (the energy bit-identical to a separate rms
+  // pass), so the ADC stage below does not re-read the capture. A negative
+  // energy marks both unknown (analog bypassed / hook ran).
   double after_analog_energy = -1.0;
+  double after_analog_peak = 0.0;
   if (config.enable_analog) {
     scratch.analog.adapt(config.analog, tx_silent, rx_silent,
                          scratch.canceller.lin);
-    after_analog_energy =
-        scratch.analog.cancel_energy_into(tx, rx, after_analog);
+    after_analog_energy = scratch.analog.cancel_energy_into(
+        tx, rx, after_analog, after_analog_peak);
   } else {
     after_analog.resize(rx.size());
     std::copy(rx.begin(), rx.end(), after_analog.begin());
@@ -170,26 +172,35 @@ receive_chain_result run_receive_chain(std::span<const cplx> tx,
   // under the cancellation convolution. Every sample still sees the
   // identical clamp/divide/round/scale sequence.
   adc_config adc = config.adc;
-  // Per-axis clip events over the whole capture: a compare-only scan of
-  // the regions the sweep ranges skip (none for a full-range sweep) OR-ed
-  // with the quantized ranges' events. The OR reduction is
-  // order-independent, so the flag equals a full quantization sweep's.
+  // Per-axis clip events over the whole capture, OR-ed with the quantized
+  // ranges' events (the OR reduction is order-independent, so the flag
+  // equals a full quantization sweep's). When the fused analog cancel
+  // measured the residual's peak, one compare covers every sample: a
+  // clip event is `v < -fs || v > fs` for some axis value v, i.e.
+  // |v| > fs (abs is exact and fs >= 1e-30), and a NaN v never clips —
+  // exactly `peak > fs` for the NaN-ignoring peak. Otherwise a
+  // compare-only scan covers the regions the sweep ranges skip (none for
+  // a full-range sweep).
   unsigned clipped_any = 0;
   if (config.enable_adc) {
+    const bool peak_known = after_analog_energy >= 0.0;
     adc.full_scale =
-        after_analog_energy >= 0.0
-            ? agc_full_scale_from_energy(after_analog_energy,
-                                         after_analog.size(),
-                                         config.agc_headroom)
-            : agc_full_scale(after_analog, config.agc_headroom);
-    std::size_t cursor = 0;
-    for (const dsp::sample_range& r : sweep_ranges) {
-      saturation_scan_range(after_analog.data(), cursor, r.begin, adc,
+        peak_known ? agc_full_scale_from_energy(after_analog_energy,
+                                                after_analog.size(),
+                                                config.agc_headroom)
+                   : agc_full_scale(after_analog, config.agc_headroom);
+    if (peak_known) {
+      clipped_any |= static_cast<unsigned>(after_analog_peak > adc.full_scale);
+    } else {
+      std::size_t cursor = 0;
+      for (const dsp::sample_range& r : sweep_ranges) {
+        saturation_scan_range(after_analog.data(), cursor, r.begin, adc,
+                              clipped_any);
+        cursor = r.end;
+      }
+      saturation_scan_range(after_analog.data(), cursor, capture_len, adc,
                             clipped_any);
-      cursor = r.end;
     }
-    saturation_scan_range(after_analog.data(), cursor, capture_len, adc,
-                          clipped_any);
     digitized.resize(rx.size());
     if (config.enable_digital) {
       unsigned window_clip = 0;  // re-quantized by the fused sweep below

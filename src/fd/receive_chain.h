@@ -68,8 +68,10 @@ struct receive_chain_config {
   /// cleaned/digitized samples outside that union are left with
   /// unspecified (stale) contents and must not be read. Everything the
   /// contract allows reading — adaptation, analog/total depth,
-  /// residual_power, the adc_saturated flag (completed by a compare-only
-  /// scan of the skipped regions) and every in-union sample — is
+  /// residual_power, the adc_saturated flag (taken from the analog stage's
+  /// fused peak, or completed by a compare-only scan of the skipped
+  /// regions when that stage is off or a hook ran) and every in-union
+  /// sample — is
   /// bit-identical to the full sweep. Empty (default) = full capture,
   /// byte-for-byte the pre-ROI behaviour.
   ///

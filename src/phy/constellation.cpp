@@ -99,29 +99,13 @@ void constellation::demap_llr_stream_into(std::span<const cplx> symbols,
     }
     return;
   }
-  // Same max-log arithmetic as demap_llr, with the per-bit minima on the
-  // stack and LLRs written straight into the presized output — the
-  // per-symbol vector churn dominated the demap stage on long payloads.
+  // Same max-log arithmetic as demap_llr, run by the kernel TU with the
+  // per-bit minima on the stack and LLRs written straight into the
+  // presized output (AVX2: four symbols per vector, same minimum sequence).
   const double inv_var = 1.0 / std::max(noise_var, 1e-30);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double* w = out.data();
-  for (const cplx& y : symbols) {
-    std::array<double, 8> min0;
-    std::array<double, 8> min1;
-    min0.fill(kInf);
-    min1.fill(kInf);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const double d = std::norm(y - points[i]);
-      for (std::size_t b = 0; b < bits_per_symbol; ++b) {
-        const bool bit = ((labels[i] >> (bits_per_symbol - 1 - b)) & 1u) != 0;
-        auto& slot = bit ? min1[b] : min0[b];
-        slot = std::min(slot, d);
-      }
-    }
-    for (std::size_t b = 0; b < bits_per_symbol; ++b)
-      w[b] = (min1[b] - min0[b]) * inv_var;  // positive favours bit 0
-    w += bits_per_symbol;
-  }
+  detail::demap_llr_max_log(points.data(), labels.data(), points.size(),
+                            bits_per_symbol, symbols.data(), symbols.size(),
+                            inv_var, out.data());
 }
 
 double constellation::mean_energy() const {

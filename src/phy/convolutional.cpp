@@ -189,35 +189,24 @@ double viterbi_decode(std::span<const double> soft, std::size_t n_info,
   if (soft.size() < 2 * n_steps)
     throw std::invalid_argument("viterbi_decode: soft stream too short");
 
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::array<double, kStates> rows[2];
-  rows[0].fill(kNegInf);
-  rows[0][0] = 0.0;
-  double* metric = rows[0].data();
-  double* next_metric = rows[1].data();
   decisions.resize(n_steps);
 
-  // Gather form of the scatter update, one kernel call per step: next state
-  // ns has exactly two predecessors 2*(ns & 31) and 2*(ns & 31) + 1, both
-  // via input bit ns >> 5, so one bit per state records the survivor. The
-  // select is branchless — the data-dependent winner made the scatter loop
-  // mispredict heavily. `c1 > c0` picks the second predecessor only on
-  // strict improvement, matching the original first-writer-wins tie break;
-  // -inf propagates through the sums, so an unreachable predecessor never
-  // beats a reachable one and fully unreachable states keep -inf. Their
-  // decision bits are written too, but traceback starts at state 0 (finite
-  // metric, trellis is terminated) and only ever follows winners — on tail
-  // steps only states with input bit 0 — so decoded output is unchanged.
-  // The AVX2 body lives in viterbi_kernels.cpp (per-TU flags, contraction
-  // off) and is bit-identical to the scalar fallback there.
-  for (std::size_t step = 0; step < n_steps; ++step) {
-    const double s0 = soft[2 * step];      // positive favours coded bit 0
-    const double s1 = soft[2 * step + 1];
-    const int max_input = (step < n_info) ? 2 : 1;  // tail forces zeros
-    decisions[step] =
-        detail::viterbi_acs_step(metric, s0, s1, max_input, next_metric);
-    std::swap(metric, next_metric);
-  }
+  // Gather form of the scatter update: next state ns has exactly two
+  // predecessors 2*(ns & 31) and 2*(ns & 31) + 1, both via input bit
+  // ns >> 5, so one bit per state records the survivor. The select is
+  // branchless — the data-dependent winner made the scatter loop mispredict
+  // heavily. `c1 > c0` picks the second predecessor only on strict
+  // improvement, matching the original first-writer-wins tie break; -inf
+  // propagates through the sums, so an unreachable predecessor never beats
+  // a reachable one and fully unreachable states keep -inf. Their decision
+  // bits are written too, but traceback starts at state 0 (finite metric,
+  // trellis is terminated) and only ever follows winners — on tail steps
+  // only states with input bit 0 — so decoded output is unchanged. The
+  // whole forward pass runs in viterbi_kernels.cpp (per-TU flags,
+  // contraction off), whose AVX2 body is bit-identical to the scalar
+  // fallback there.
+  const double final_metric =
+      detail::viterbi_trellis(soft.data(), n_steps, n_info, decisions.data());
 
   // Trace back from the zero state (trellis was terminated).
   decoded.resize(n_steps);
@@ -228,16 +217,28 @@ double viterbi_decode(std::span<const double> soft, std::size_t n_info,
             static_cast<unsigned>((decisions[step] >> state) & 1u);
   }
   decoded.resize(n_info);  // strip tail
-  return metric[0];
+  return final_metric;
 }
 
 std::size_t coded_length(std::size_t n_info, code_rate rate) {
-  const std::size_t mother = 2 * (n_info + conv_tail_bits);
+  // The mother stream 2 * (n_info + tail) is `full` whole puncturing periods
+  // plus 2 * `rem` bits — puncture()'s count, without walking the stream.
+  // Every period is even, so the split comes from (n_info + tail) by half
+  // periods and never forms the (possibly overflowing) doubled length.
   const auto pattern = puncture_pattern(rate);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < mother; ++i)
-    if (pattern[i % pattern.size()]) ++kept;
-  return kept;
+  const std::size_t half = pattern.size() / 2;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::size_t extra = n_info % half + conv_tail_bits;
+  const std::size_t rem = extra % half;
+  std::size_t kept_per_period = 0;
+  for (std::uint8_t keep : pattern) kept_per_period += keep;
+  std::size_t partial = 0;
+  for (std::size_t k = 0; k < 2 * rem; ++k) partial += pattern[k];
+  const std::size_t full = n_info / half;
+  if (full > kMax - extra / half ||
+      full + extra / half > (kMax - partial) / kept_per_period)
+    throw std::overflow_error("coded_length: coded length not representable");
+  return (full + extra / half) * kept_per_period + partial;
 }
 
 }  // namespace backfi::phy

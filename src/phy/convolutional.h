@@ -72,7 +72,8 @@ double viterbi_decode(std::span<const double> soft, std::size_t n_info,
                       std::vector<std::uint64_t>& decisions, bitvec& decoded);
 
 /// Number of coded bits produced for n_info information bits at `rate`
-/// (including the tail).
+/// (including the tail), in O(1). Throws std::overflow_error when the count
+/// does not fit std::size_t.
 std::size_t coded_length(std::size_t n_info, code_rate rate);
 
 }  // namespace backfi::phy

@@ -1,6 +1,8 @@
 #include "phy/viterbi_kernels.h"
 
+#include <array>
 #include <limits>
+#include <utility>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -87,26 +89,23 @@ bm_tables make_bm_tables() {
 
 #endif  // __AVX2__
 
-}  // namespace
+#if defined(__AVX2__)
+using step_tables = acs_tables;
+#else
+using step_tables = bm_tables;
+#endif
 
-std::uint64_t viterbi_acs_step(const double* metric, double s0, double s1,
-                               int max_input, double* next_metric) {
+// One trellis step over all 64 states: reads `metric`, writes
+// `next_metric`, returns the step's decision word.
+std::uint64_t acs_step(const step_tables& t, const double* metric, double s0,
+                       double s1, int max_input, double* next_metric) {
   std::uint64_t decisions = 0;
 #if defined(__AVX2__)
-  static const acs_tables t = make_acs_tables();
   const __m256d s0v = _mm256_set1_pd(s0);
   const __m256d s1v = _mm256_set1_pd(s1);
-  const int n_groups = max_input == 2 ? 16 : 8;
-  for (int g = 0; g < n_groups; ++g) {
-    const double* mp = metric + 8 * (g & 7);
-    const __m256d a = _mm256_loadu_pd(mp);
-    const __m256d b = _mm256_loadu_pd(mp + 4);
-    // Deinterleave the eight predecessor metrics into even/odd lanes in
-    // ascending state order.
-    const __m256d even =
-        _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0b11011000);
-    const __m256d odd =
-        _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0b11011000);
+  // Group g and group g + 8 (input bits 0 and 1) read the same eight
+  // predecessor metrics, so each deinterleave serves both.
+  const auto select = [&](int g, __m256d even, __m256d odd) {
     const __m256d bme =
         _mm256_add_pd(_mm256_mul_pd(_mm256_load_pd(t.se0[g]), s0v),
                       _mm256_mul_pd(_mm256_load_pd(t.se1[g]), s1v));
@@ -121,6 +120,19 @@ std::uint64_t viterbi_acs_step(const double* metric, double s0, double s1,
     const __m256d gt = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
     _mm256_storeu_pd(next_metric + 4 * g, _mm256_blendv_pd(c0, c1, gt));
     decisions |= static_cast<std::uint64_t>(_mm256_movemask_pd(gt)) << (4 * g);
+  };
+  for (int g = 0; g < 8; ++g) {
+    const double* mp = metric + 8 * g;
+    const __m256d a = _mm256_loadu_pd(mp);
+    const __m256d b = _mm256_loadu_pd(mp + 4);
+    // Deinterleave the eight predecessor metrics into even/odd lanes in
+    // ascending state order.
+    const __m256d even =
+        _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0b11011000);
+    const __m256d odd =
+        _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0b11011000);
+    select(g, even, odd);
+    if (max_input == 2) select(g + 8, even, odd);
   }
   if (max_input != 2) {
     const __m256d ninf =
@@ -129,7 +141,6 @@ std::uint64_t viterbi_acs_step(const double* metric, double s0, double s1,
       _mm256_storeu_pd(next_metric + ns, ninf);
   }
 #else
-  static const bm_tables t = make_bm_tables();
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   // bm[o0 << 1 | o1] = (o0 ? -s0 : s0) + (o1 ? -s1 : s1), same FP ops and
   // order as computing each branch individually.
@@ -149,6 +160,29 @@ std::uint64_t viterbi_acs_step(const double* metric, double s0, double s1,
   }
 #endif
   return decisions;
+}
+
+}  // namespace
+
+double viterbi_trellis(const double* soft, std::size_t n_steps,
+                       std::size_t n_info, std::uint64_t* decisions) {
+#if defined(__AVX2__)
+  static const step_tables t = make_acs_tables();
+#else
+  static const step_tables t = make_bm_tables();
+#endif
+  std::array<double, kStates> rows[2];
+  rows[0].fill(-std::numeric_limits<double>::infinity());
+  rows[0][0] = 0.0;
+  double* metric = rows[0].data();
+  double* next_metric = rows[1].data();
+  for (std::size_t step = 0; step < n_steps; ++step) {
+    const int max_input = (step < n_info) ? 2 : 1;  // tail forces zeros
+    decisions[step] = acs_step(t, metric, soft[2 * step], soft[2 * step + 1],
+                               max_input, next_metric);
+    std::swap(metric, next_metric);
+  }
+  return metric[0];
 }
 
 bool viterbi_kernels_avx2() {

@@ -20,6 +20,16 @@ namespace backfi::reader {
 namespace {
 constexpr std::size_t samples_per_us = 20;
 
+std::size_t saturating_add(std::size_t a, std::size_t b) {
+  std::size_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? SIZE_MAX : r;
+}
+
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  std::size_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? SIZE_MAX : r;
+}
+
 // Per-reason failure accounting: the aggregate counter plus one
 // "reader.failure.<reason>" row per reason, so campaigns can tell a sync
 // loss from a CRC storm without re-running. The catalogue lists those rows
@@ -103,7 +113,22 @@ backfi_decoder::backfi_decoder(const tag::tag_config& tag_config,
   by_label_.resize(constellation_->points.size());
   for (std::size_t i = 0; i < by_label_.size(); ++i)
     by_label_[constellation_->labels[i]] = i;
-  sync_labels_ = tag::tag_device(tag_config_).sync_labels();
+  const tag::tag_device device(tag_config_);
+  sync_labels_ = device.sync_labels();
+  sps_ = device.samples_per_symbol();
+  bps_ = tag::bits_per_symbol(tag_config_.rate.modulation);
+  preamble_offset_ = saturating_mul(tag_config_.silent_us, samples_per_us);
+  sync_offset_ = saturating_add(
+      preamble_offset_,
+      saturating_mul(tag_config_.preamble_us, samples_per_us));
+  data_offset_ = saturating_add(
+      sync_offset_, saturating_mul(tag_config_.sync_symbols, sps_));
+  // Widest timing search any retry attempt can reach: decode() widens by
+  // the same schedule, so a retry never scans outside the read window.
+  double width = static_cast<double>(std::max(config_.timing_search, 0));
+  for (std::size_t a = 0; a < config_.sync_retries; ++a)
+    width *= std::max(config_.retry_search_scale, 1.0);
+  max_search_ = static_cast<std::size_t>(static_cast<int>(std::min(width, 1e6)));
   sync_points_.resize(sync_labels_.size());
   for (std::size_t i = 0; i < sync_labels_.size(); ++i)
     sync_points_[i] = constellation_->points[by_label_[sync_labels_[i]]];
@@ -139,41 +164,54 @@ bool backfi_decoder::estimate_combined_channel_into(
   return true;
 }
 
+bool backfi_decoder::layout(std::size_t nominal_origin,
+                            std::size_t payload_bits,
+                            packet_layout& out) const {
+  if (payload_bits > tag::max_payload_bits) return false;
+  // Below tag::max_payload_bits neither the CRC addition nor the coded
+  // length can overflow.
+  const std::size_t coded =
+      phy::coded_length(payload_bits + 32, tag_config_.rate.coding);
+  out.n_payload_symbols = (coded + bps_ - 1) / bps_;
+  std::size_t payload_samples = 0;
+  std::size_t search_end = 0;
+  if (__builtin_add_overflow(nominal_origin, data_offset_, &out.data_begin) ||
+      __builtin_mul_overflow(out.n_payload_symbols, sps_, &payload_samples) ||
+      __builtin_add_overflow(out.data_begin, payload_samples, &out.data_end) ||
+      __builtin_add_overflow(out.data_end, max_search_, &search_end))
+    return false;
+  out.preamble_begin = nominal_origin + preamble_offset_;
+  out.sync_begin = nominal_origin + sync_offset_;
+  return true;
+}
+
+dsp::sample_range backfi_decoder::read_window(std::size_t capture_len,
+                                              const packet_layout& l) const {
+  // The widest sync search together with the estimator's (taps - 1)
+  // history reach-back bounds every sample index the decode pipeline
+  // touches.
+  const std::size_t history = config_.fb_taps - 1;
+  const std::size_t window_lo =
+      l.sync_begin >= max_search_ + history
+          ? l.sync_begin - max_search_ - history
+          : 0;
+  const std::size_t scan_lo =
+      std::min(std::min(l.preamble_begin, window_lo), capture_len);
+  const std::size_t scan_hi = std::min(capture_len, l.data_end + max_search_);
+  if (scan_lo >= scan_hi) return {};
+  return {scan_lo, scan_hi};
+}
+
 dsp::sample_range backfi_decoder::read_window_bounds(
     std::size_t capture_len, std::size_t nominal_origin,
     std::size_t payload_bits) const {
   // Mirror decode's early typed-error exits: those paths return before
   // touching a single y sample, so their window is empty.
-  if (capture_len == 0 || nominal_origin >= capture_len || payload_bits == 0)
+  packet_layout l;
+  if (capture_len == 0 || nominal_origin >= capture_len || payload_bits == 0 ||
+      !layout(nominal_origin, payload_bits, l))
     return {};
-  const tag::tag_device device(tag_config_);
-  const std::size_t sps = device.samples_per_symbol();
-  const std::size_t preamble_begin =
-      nominal_origin + tag_config_.silent_us * samples_per_us;
-  const std::size_t sync_begin =
-      preamble_begin + tag_config_.preamble_us * samples_per_us;
-  const std::size_t data_begin = sync_begin + tag_config_.sync_symbols * sps;
-  const std::size_t n_payload_symbols = device.payload_symbols(payload_bits);
-  // Widest timing search any retry attempt can reach; together with the
-  // estimator's (taps - 1) history reach-back it bounds every sample index
-  // the decode pipeline touches. decode() iterates the same widening
-  // schedule, so a retry can never scan outside this window.
-  const std::size_t max_search = [&] {
-    double width = static_cast<double>(std::max(config_.timing_search, 0));
-    for (std::size_t a = 0; a < config_.sync_retries; ++a)
-      width *= std::max(config_.retry_search_scale, 1.0);
-    return static_cast<std::size_t>(static_cast<int>(std::min(width, 1e6)));
-  }();
-  const std::size_t history = config_.fb_taps - 1;
-  const std::size_t window_lo =
-      sync_begin >= max_search + history ? sync_begin - max_search - history
-                                         : 0;
-  const std::size_t scan_lo =
-      std::min(std::min(preamble_begin, window_lo), capture_len);
-  const std::size_t scan_hi =
-      std::min(capture_len, data_begin + n_payload_symbols * sps + max_search);
-  if (scan_lo >= scan_hi) return {};
-  return {scan_lo, scan_hi};
+  return read_window(capture_len, l);
 }
 
 decode_result backfi_decoder::decode(std::span<const cplx> x,
@@ -207,21 +245,24 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
     note_failure(config_.collector, result.failure);
     return result;
   }
-  const tag::tag_device device(tag_config_);
-  const std::size_t sps = device.samples_per_symbol();
-  const std::size_t preamble_begin =
-      nominal_origin + tag_config_.silent_us * samples_per_us;
-  const std::size_t sync_begin =
-      preamble_begin + tag_config_.preamble_us * samples_per_us;
-  const std::size_t data_begin = sync_begin + tag_config_.sync_symbols * sps;
-  const std::size_t n_payload_symbols = device.payload_symbols(payload_bits);
+  packet_layout packet;
+  if (!layout(nominal_origin, payload_bits, packet)) {
+    result.failure = decode_failure::payload_too_long;
+    note_failure(config_.collector, result.failure);
+    return result;
+  }
+  const std::size_t sps = sps_;
+  const std::size_t preamble_begin = packet.preamble_begin;
+  const std::size_t sync_begin = packet.sync_begin;
+  const std::size_t data_begin = packet.data_begin;
+  const std::size_t data_end = packet.data_end;
+  const std::size_t n_payload_symbols = packet.n_payload_symbols;
 
   {
     // The finite pre-check walks exactly the read-window bound — the same
     // derivation the receive chain's ROI comes from, so a windowed chain
     // never leaves an unchecked (possibly stale) sample readable.
-    const dsp::sample_range window =
-        read_window_bounds(y.size(), nominal_origin, payload_bits);
+    const dsp::sample_range window = read_window(y.size(), packet);
     if (!window.empty() &&
         !detail::all_finite_window(x, y, window.begin, window.end)) {
       result.failure = decode_failure::non_finite_samples;
@@ -255,8 +296,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
     // The payload must fit even at the maximum timing offset, and the
     // negative extreme must not run off the front of the sync region.
     const bool fits =
-        data_begin + n_payload_symbols * sps + static_cast<std::size_t>(search) <=
-            y.size() &&
+        data_end + static_cast<std::size_t>(search) <= y.size() &&
         sync_begin >= static_cast<std::size_t>(search);
     const std::size_t margin = static_cast<std::size_t>(search) + config_.fb_taps;
     const std::size_t est_begin = preamble_begin + margin;
@@ -290,7 +330,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
     // is just contiguous sums over those buffers.
     window_begin = sync_begin - static_cast<std::size_t>(search);
     const std::size_t window_end =
-        data_begin + n_payload_symbols * sps + static_cast<std::size_t>(search);
+        data_end + static_cast<std::size_t>(search);
     dsp::convolve_same_range_into(x, result.h_fb, window_begin, window_end,
                                   scratch.yhat);
     mrc_precompute(y, scratch.yhat, window_begin, window_end, scratch.products,
@@ -410,6 +450,11 @@ decode_result backfi_decoder::decode_from_symbols(std::span<const cplx> symbols,
   decode_result result;
   if (payload_bits == 0) {
     result.failure = decode_failure::zero_payload;
+    note_failure(config_.collector, result.failure);
+    return result;
+  }
+  if (payload_bits > tag::max_payload_bits) {
+    result.failure = decode_failure::payload_too_long;
     note_failure(config_.collector, result.failure);
     return result;
   }

@@ -37,7 +37,8 @@ enum class decode_failure : std::uint8_t {
   size_mismatch,          ///< x and y lengths differ
   origin_out_of_range,    ///< nominal_origin at/past the buffer end
   zero_payload,           ///< payload_bits == 0
-  payload_too_long,       ///< payload cannot fit in the capture
+  payload_too_long,       ///< payload cannot fit in the capture (or in
+                          ///< any: above tag::max_payload_bits)
   estimation_window_too_short,  ///< no room for the channel estimate
   non_finite_samples,     ///< NaN/Inf in the decode window
   sync_not_found,         ///< correlation below threshold after retries
@@ -162,15 +163,19 @@ class backfi_decoder {
   /// takes this as its region of interest: samples outside it may hold
   /// stale contents without changing any decode result, provided they are
   /// finite or never materialized. Degenerate geometry (origin at/past the
-  /// buffer, zero-size window) returns an empty range; decode would fail
-  /// with a typed error before reading samples there.
+  /// buffer, zero-size window, a payload whose sample span is not
+  /// representable) returns an empty range; decode would fail with a typed
+  /// error before reading samples there.
   dsp::sample_range read_window_bounds(std::size_t capture_len,
                                        std::size_t nominal_origin,
                                        std::size_t payload_bits) const;
 
   /// Demap, depuncture, Viterbi-decode and CRC-check a stream of per-symbol
   /// MRC estimates (used by the multi-antenna combiner, which produces the
-  /// symbol stream itself). Fills decoded/crc_ok/payload/evm_rms.
+  /// symbol stream itself). Fills decoded/crc_ok/payload/evm_rms. A
+  /// payload above tag::max_payload_bits fails with payload_too_long, one
+  /// that needs more coded bits than the symbols carry with
+  /// insufficient_symbols.
   decode_result decode_from_symbols(std::span<const cplx> symbols,
                                     double noise_var,
                                     std::size_t payload_bits) const;
@@ -203,8 +208,40 @@ class backfi_decoder {
                                       std::size_t preamble_end, cvec& taps,
                                       dsp::fir_ls_workspace& workspace) const;
 
+  /// Absolute sample geometry of one packet (see layout()).
+  struct packet_layout {
+    std::size_t preamble_begin = 0;
+    std::size_t sync_begin = 0;
+    std::size_t data_begin = 0;
+    std::size_t n_payload_symbols = 0;
+    std::size_t data_end = 0;  ///< data_begin + n_payload_symbols * sps
+  };
+
+  /// The packet geometry for (nominal_origin, payload_bits) from the
+  /// per-config offsets below, in O(1). False when the payload exceeds
+  /// tag::max_payload_bits or any index the decoder derives from it
+  /// (through data_end plus the widest sync search) does not fit
+  /// std::size_t: decode then fails with payload_too_long before reading a
+  /// sample, and read_window_bounds returns an empty range.
+  bool layout(std::size_t nominal_origin, std::size_t payload_bits,
+              packet_layout& out) const;
+
+  /// read_window_bounds for an already derived layout.
+  dsp::sample_range read_window(std::size_t capture_len,
+                                const packet_layout& l) const;
+
   tag::tag_config tag_config_;
   decoder_config config_;
+  /// Per-config geometry, derived once by the constructor: samples and
+  /// coded bits per tag symbol, the preamble/sync/data offsets from the
+  /// nominal origin (saturated at SIZE_MAX, which layout() then rejects),
+  /// and the widest timing search any retry reaches.
+  std::size_t sps_ = 0;
+  std::size_t bps_ = 0;
+  std::size_t preamble_offset_ = 0;
+  std::size_t sync_offset_ = 0;
+  std::size_t data_offset_ = 0;
+  std::size_t max_search_ = 0;
   /// Per-config tables, built once by the constructor: the tag's PSK
   /// constellation, its label -> point-index table (labels are unique, so
   /// the EVM loop and phase tracker look points up instead of scanning),

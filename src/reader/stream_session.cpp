@@ -57,7 +57,8 @@ stream_session::stream_session(std::span<const cplx> x,
     const bool ordered = i == 0 || p.begin >= previous_begin;
     if (!ordered || p.begin >= p.end || p.begin > p.wake_end ||
         p.wake_end > p.silent_end || p.silent_end > p.end ||
-        p.end > y_.size() || p.payload_bits == 0)
+        p.end > y_.size() || p.payload_bits == 0 ||
+        p.payload_bits > tag::max_payload_bits)
       throw std::invalid_argument("stream_session: malformed schedule entry");
     previous_begin = p.begin;
   }

@@ -47,8 +47,9 @@ namespace backfi::reader {
 
 /// One packet's position on the continuous capture timeline. All indices
 /// are absolute sample offsets into the session's (x, y) spans and must
-/// satisfy begin <= wake_end <= silent_end <= end <= capture length; the
-/// constructor rejects any other entry. An empty silent window
+/// satisfy begin <= wake_end <= silent_end <= end <= capture length, with
+/// payload_bits in [1, tag::max_payload_bits]; the constructor rejects any
+/// other entry. An empty silent window
 /// (wake_end == silent_end) flows through to run_receive_chain's own
 /// bypass handling, exactly as in the batch path.
 struct stream_packet {

@@ -45,6 +45,8 @@ std::vector<std::uint32_t> tag_device::sync_labels() const {
 }
 
 std::size_t tag_device::payload_symbols(std::size_t n_payload_bits) const {
+  if (n_payload_bits > max_payload_bits)
+    throw std::invalid_argument("tag_device: payload_bits above max_payload_bits");
   const std::size_t info_bits = n_payload_bits + 32;  // + CRC-32
   const std::size_t coded = phy::coded_length(info_bits, config_.rate.coding);
   const std::size_t bps = bits_per_symbol(config_.rate.modulation);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -30,6 +31,14 @@ struct tag_config {
   std::size_t preamble_us = 32;   ///< 32 us default, 96 us long mode (Fig. 8)
   std::size_t sync_symbols = 16;  ///< known symbols for timing recovery
 };
+
+/// Largest payload (bits, before the CRC-32) a tag packet can describe. No
+/// capture can hold a longer one: a capture has fewer than SIZE_MAX / 16
+/// samples, and a tag symbol of at least one sample carries at most 4 coded
+/// bits, never fewer than the information bits it codes. Up to this size
+/// every coded length and symbol count is representable.
+inline constexpr std::size_t max_payload_bits =
+    std::numeric_limits<std::size_t>::max() / 4;
 
 /// The reflection waveform and bookkeeping of one backscatter transmission.
 struct tag_transmission {
@@ -75,7 +84,8 @@ class tag_device {
                         tag_transmission& out) const;
 
   /// Number of payload symbols required for `n_payload_bits` (with CRC-32,
-  /// coding and tail included).
+  /// coding and tail included). Throws std::invalid_argument above
+  /// max_payload_bits.
   std::size_t payload_symbols(std::size_t n_payload_bits) const;
 
   /// Samples per tag symbol at the configured symbol rate (must divide the

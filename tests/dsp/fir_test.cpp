@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
@@ -154,6 +156,16 @@ TEST(FirTest, ConvolveSameSubtractIntoMatchesMaterializedSubtract) {
   }
 }
 
+// max(|re|, |im|) over v with NaN components skipped: the saturation
+// scan's view of a residual.
+double reference_peak(const cvec& v) {
+  double peak = 0.0;
+  for (const cplx& c : v)
+    for (const double a : {std::fabs(c.real()), std::fabs(c.imag())})
+      if (a > peak) peak = a;
+  return peak;
+}
+
 TEST(FirTest, ConvolveSameSubtractEnergyMatchesSeparatePasses) {
   // The fused energy accumulation must be bit-identical to running
   // dsp::energy over the output afterwards — the receive chain's AGC full
@@ -169,19 +181,47 @@ TEST(FirTest, ConvolveSameSubtractEnergyMatchesSeparatePasses) {
       cvec reference;
       convolve_same_subtract_into(rx, x, h, reference);
       cvec out;
-      const double fused = convolve_same_subtract_energy_into(rx, x, h, out);
+      double peak = -1.0;
+      const double fused =
+          convolve_same_subtract_energy_into(rx, x, h, out, peak);
       ASSERT_EQ(out.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i)
         ASSERT_EQ(out[i], reference[i]) << taps << "x" << nx << " @" << i;
       ASSERT_EQ(fused, energy(out)) << taps << "x" << nx;
+      ASSERT_EQ(peak, reference_peak(out)) << taps << "x" << nx;
     }
   }
   // Degenerate operands follow convolve_same_subtract_into's copy path.
   const cvec rx = window_vec(64, 153);
   cvec out;
-  EXPECT_EQ(convolve_same_subtract_energy_into(rx, {}, {}, out), energy(rx));
+  double peak = -1.0;
+  EXPECT_EQ(convolve_same_subtract_energy_into(rx, {}, {}, out, peak),
+            energy(rx));
+  EXPECT_EQ(peak, reference_peak(rx));
   ASSERT_EQ(out.size(), rx.size());
   for (std::size_t i = 0; i < rx.size(); ++i) ASSERT_EQ(out[i], rx[i]);
+}
+
+// The fused peak ignores NaN components and sees infinities, wherever they
+// fall: in the vector blocks, the scalar edges or the plain-copy tail.
+TEST(FirTest, SubtractEnergyPeakIgnoresNanAndSeesInfinity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const cvec x = window_vec(300, 160);
+  const cvec h = window_vec(6, 161);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{3}, std::size_t{150},
+                               std::size_t{299}, std::size_t{310}}) {
+    cvec rx = window_vec(320, 162);
+    rx[at] = cplx{nan, 0.25};
+    cvec out;
+    double peak = -1.0;
+    convolve_same_subtract_energy_into(rx, x, h, out, peak);
+    EXPECT_EQ(peak, reference_peak(out)) << at;
+    EXPECT_FALSE(std::isnan(peak)) << at;
+    rx[at + 1] = cplx{0.0, -inf};
+    convolve_same_subtract_energy_into(rx, x, h, out, peak);
+    EXPECT_EQ(peak, inf) << at;
+  }
 }
 
 }  // namespace

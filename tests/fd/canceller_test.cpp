@@ -41,7 +41,8 @@ si_scenario make_scenario(std::uint64_t seed, double noise_db = -80.0) {
 cvec cancelled(const analog_canceller& c, std::span<const cplx> tx,
                std::span<const cplx> rx) {
   cvec out;
-  c.cancel_energy_into(tx, rx, out);
+  double peak = 0.0;
+  c.cancel_energy_into(tx, rx, out, peak);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -353,6 +354,53 @@ TEST(ReceiveChainTest, HardenedOutputsPinned) {
 // (n + block - 1) / block, which wraps to 0 near SIZE_MAX and sent the
 // gain-application pass past an empty centre vector. A block longer than
 // the capture is one block: the same output as gain_block == n.
+// The adc_saturated flag, taken from the analog stage's fused peak, against
+// saturation_scan_range over the whole analog residual at the AGC's full
+// scale. The roi is set, so the quantize sweeps skip most of the capture.
+// Cases: no clipping; a clipping sample only outside the roi (before and
+// after it); only inside it; NaN (energy unknown: the chain scans); an
+// infinite or overflowing sample (infinite full scale: nothing clips).
+TEST(ReceiveChainTest, FusedSaturationFlagMatchesFullScan) {
+  const chain_scenario s = make_scenario(4);
+  const std::size_t n = s.rx.size();
+  const dsp::sample_range roi{n / 2, n / 2 + 400};
+  const double spike = 1e3 * std::sqrt(dsp::mean_power(s.rx));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct injection {
+    std::size_t at;
+    cplx value;
+    bool clips;
+  };
+  const injection cases[] = {
+      {0, s.rx[0], false},              // unchanged capture
+      {400, cplx{spike, 0.0}, true},    // between the silent window and roi
+      {n - 10, cplx{0.0, -spike}, true},  // past the roi
+      {n / 2 + 100, cplx{-spike, spike}, true},  // inside the roi
+      {400, cplx{nan, 0.0}, false},
+      {n / 2 + 100, cplx{0.0, nan}, false},
+      {n - 10, cplx{inf, 0.0}, false},
+      {400, cplx{-inf, 1.0}, false},
+      {n / 2 + 100, cplx{1e200, 0.0}, false},
+  };
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    cvec rx = s.rx;
+    rx[cases[c].at] = cases[c].value;
+    for (const bool with_roi : {true, false}) {
+      receive_chain_config cfg;
+      if (with_roi) cfg.roi = roi;
+      receive_chain_scratch scratch;
+      const auto r = run_receive_chain(s.tx, rx, 0, 320, cfg, &scratch);
+      adc_config adc = cfg.adc;
+      adc.full_scale = agc_full_scale(scratch.after_analog, cfg.agc_headroom);
+      unsigned scanned = 0;
+      saturation_scan_range(scratch.after_analog.data(), 0, n, adc, scanned);
+      EXPECT_EQ(r.adc_saturated, scanned != 0) << c << " roi " << with_roi;
+      EXPECT_EQ(r.adc_saturated, cases[c].clips) << c << " roi " << with_roi;
+    }
+  }
+}
+
 TEST(ReceiveChainTest, HugeGainBlockIsOneBlock) {
   const chain_scenario s = make_scenario(14);
   receive_chain_config cfg;

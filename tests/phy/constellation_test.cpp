@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "dsp/rng.h"
@@ -214,6 +215,64 @@ TEST(DemapStreamIntoTest, BitIdenticalToPerSymbolDemap) {
       for (std::size_t b = 0; b < c.bits_per_symbol; ++b)
         ASSERT_EQ(got[s * c.bits_per_symbol + b], per_symbol[b])
             << "symbol " << s << " bit " << b;
+    }
+  }
+}
+
+// The stream demapper (the vector max-log kernel) against per-symbol
+// demap_llr, compared as bytes, on every built-in constellation. The symbol
+// set mixes random points with the inputs where a reordered or fused
+// minimum would show: exact points (a zero distance), midpoints of every
+// point pair (equal distances), the origin (all PSK distances equal), NaN,
+// infinities, overflowing magnitudes, denormals and signed zeros. Every
+// start offset puts each symbol in every vector lane and in the scalar
+// tail.
+TEST(DemapKernelTest, MatchesPerSymbolReferenceBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double sub = std::numeric_limits<double>::min() / 3.0;
+  std::vector<const constellation*> all;
+  for (std::size_t b : {1u, 2u, 4u, 6u}) all.push_back(&wifi_constellation(b));
+  for (std::size_t o : {2u, 4u, 8u, 16u}) all.push_back(&psk_constellation(o));
+  dsp::rng gen(45);
+  for (const constellation* c : all) {
+    cvec symbols;
+    for (int rep = 0; rep < 64; ++rep)
+      symbols.push_back(1.5 * gen.complex_gaussian());
+    for (std::size_t i = 0; i < c->points.size(); ++i) {
+      symbols.push_back(c->points[i]);
+      for (std::size_t j = i + 1; j < c->points.size(); ++j)
+        symbols.push_back(0.5 * (c->points[i] + c->points[j]));
+    }
+    for (const cplx y :
+         {cplx{0.0, 0.0}, cplx{-0.0, -0.0}, cplx{nan, 0.0}, cplx{0.0, nan},
+          cplx{nan, nan}, cplx{inf, 0.0}, cplx{-inf, 0.5}, cplx{0.3, inf},
+          cplx{inf, -inf}, cplx{nan, inf}, cplx{1e300, 0.0},
+          cplx{-1e300, 1e300}, cplx{1e155, 1e155}, cplx{tiny, -tiny},
+          cplx{sub, sub}, cplx{-sub, tiny}})
+      symbols.push_back(y);
+    for (const double noise_var : {0.07, 1e-40, inf}) {
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        const std::span<const cplx> view =
+            std::span<const cplx>(symbols).subspan(offset);
+        std::vector<double> got;
+        c->demap_llr_stream_into(view, noise_var, got);
+        ASSERT_EQ(got.size(), view.size() * c->bits_per_symbol);
+        std::vector<double> want;
+        std::vector<double> per_symbol;
+        for (const cplx& y : view) {
+          c->demap_llr(y, noise_var, per_symbol);
+          want.insert(want.end(), per_symbol.begin(), per_symbol.end());
+        }
+        for (std::size_t s = 0; s < view.size(); ++s)
+          ASSERT_EQ(std::memcmp(got.data() + s * c->bits_per_symbol,
+                                want.data() + s * c->bits_per_symbol,
+                                c->bits_per_symbol * sizeof(double)),
+                    0)
+              << c->points.size() << " points, noise_var " << noise_var
+              << ", offset " << offset << ", symbol " << view[s];
+      }
     }
   }
 }

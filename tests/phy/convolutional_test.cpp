@@ -408,6 +408,44 @@ TEST(ConvolutionalTest, DepunctureIntoMatchesAllocatingForm) {
   }
 }
 
+// coded_length's former body: walk the mother stream one bit at a time.
+std::size_t reference_coded_length(std::size_t n_info, code_rate rate) {
+  const std::size_t mother = 2 * (n_info + conv_tail_bits);
+  const auto pattern = puncture_pattern(rate);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < mother; ++i)
+    if (pattern[i % pattern.size()]) ++kept;
+  return kept;
+}
+
+TEST(ConvolutionalTest, CodedLengthMatchesBitWalk) {
+  for (const code_rate rate :
+       {code_rate::half, code_rate::two_thirds, code_rate::three_quarters})
+    for (std::size_t n = 0; n <= 5000; ++n)
+      ASSERT_EQ(coded_length(n, rate), reference_coded_length(n, rate))
+          << code_rate_name(rate) << " n=" << n;
+}
+
+TEST(ConvolutionalTest, CodedLengthIsOverflowSafe) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // Near the top of the range the count either fits exactly or throws;
+  // it never wraps. Rate 1/2 keeps 2 * (n + 6) bits, so n = kMax / 2 - 6 is
+  // its largest representable input.
+  EXPECT_EQ(coded_length(kMax / 2 - 6, code_rate::half), kMax - 1);
+  EXPECT_THROW(coded_length(kMax / 2 - 5, code_rate::half),
+               std::overflow_error);
+  EXPECT_THROW(coded_length(kMax, code_rate::half), std::overflow_error);
+  // Rate 2/3 keeps 3 of every 4 mother bits. With n + 6 = 2m and
+  // m = kMax / 3 the count is 3m = kMax exactly; one more bit overflows.
+  const std::size_t n = 2 * (kMax / 3) - 6;
+  EXPECT_EQ(coded_length(n, code_rate::two_thirds), kMax);
+  EXPECT_THROW(coded_length(n + 1, code_rate::two_thirds),
+               std::overflow_error);
+  EXPECT_THROW(coded_length(kMax, code_rate::two_thirds), std::overflow_error);
+  EXPECT_THROW(coded_length(kMax - 20, code_rate::three_quarters),
+               std::overflow_error);
+}
+
 TEST(ConvolutionalTest, NegInfMetricsPropagateThroughErasureRuns) {
   // Unreachable trellis states carry -inf path metrics; adding huge branch
   // magnitudes to them must keep them -inf (never NaN, never a winner).

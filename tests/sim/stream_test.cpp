@@ -280,6 +280,32 @@ TEST(StreamSession, MalformedScheduleThrows) {
                std::invalid_argument);
 }
 
+// An unrepresentable payload size is a malformed schedule entry. A
+// representable one too long for its packet runs and fails typed.
+TEST(StreamSession, OversizedPayloadIsRejectedOrTyped) {
+  const stream_scenario_config cfg = fast_stream_scenario(5, 2);
+  stream_capture cap = build_stream_capture(cfg);
+  reader::stream_config scfg;
+  scfg.tag = cfg.scenario.tag;
+  scfg.decoder = cfg.scenario.decoder;
+  scfg.chain = cfg.scenario.chain;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    scfg.threads = threads;
+    cap.schedule[1].payload_bits = SIZE_MAX - 20;
+    EXPECT_THROW(reader::stream_session(cap.x, cap.y, cap.schedule, scfg),
+                 std::invalid_argument)
+        << threads << " threads";
+    cap.schedule[1].payload_bits = std::size_t{1} << 40;
+    reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
+    session.finish();
+    ASSERT_EQ(session.results().size(), 2u);
+    EXPECT_TRUE(session.results()[0].decoded.crc_ok) << threads << " threads";
+    EXPECT_EQ(session.results()[1].decoded.failure,
+              reader::decode_failure::payload_too_long)
+        << threads << " threads";
+  }
+}
+
 TEST(StreamSession, OversizedQueueCapacityThrows) {
   // A capacity with no power-of-two ring size is rejected up front (the
   // rounding used to wrap to 0 and spin forever in the constructor).

@@ -92,6 +92,19 @@ TEST(TagDeviceTest, PayloadSymbolsPerModulationAndRate) {
   EXPECT_EQ(tag_device(cfg).payload_symbols(100), 52u);
 }
 
+TEST(TagDeviceTest, PayloadSymbolsRejectsOversizedPayloads) {
+  tag_config cfg = default_config();
+  cfg.rate.modulation = tag_modulation::psk16;
+  const tag_device device(cfg);
+  // 2^40 + 32 info bits at rate 1/2: 2 * (2^40 + 38) coded, 4 per symbol.
+  EXPECT_EQ(device.payload_symbols(std::size_t{1} << 40),
+            ((std::size_t{1} << 40) + 38) / 2);
+  EXPECT_NO_THROW(device.payload_symbols(max_payload_bits));
+  EXPECT_THROW(device.payload_symbols(max_payload_bits + 1),
+               std::invalid_argument);
+  EXPECT_THROW(device.payload_symbols(SIZE_MAX - 20), std::invalid_argument);
+}
+
 TEST(TagDeviceTest, SymbolsArePiecewiseConstantPskPoints) {
   const tag_device dev(default_config());
   dsp::rng gen(5);
