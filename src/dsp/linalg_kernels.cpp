@@ -1,6 +1,5 @@
 #include "dsp/linalg_kernels.h"
 
-#include <cmath>
 #include <complex>
 
 #if defined(__AVX2__)
@@ -127,36 +126,6 @@ void fir_normal_equations_vectorized(const cplx* x, std::size_t n,
   }
   mirror_lower_triangle(gram, n_taps);
   fir_rhs_vectorized(x, n, y, n_taps, rhs);
-}
-
-bool all_finite_window2(const cplx* x, const cplx* y, std::size_t begin,
-                        std::size_t end) {
-  if (begin >= end) return true;
-  const double* xd = reinterpret_cast<const double*>(x);
-  const double* yd = reinterpret_cast<const double*>(y);
-  std::size_t d = 2 * begin;
-  const std::size_t d_end = 2 * end;
-#if defined(__AVX2__)
-  const __m256d zero = _mm256_setzero_pd();
-  // (v - v) == 0 holds exactly for finite v and fails for NaN/Inf; AND the
-  // comparison masks over a block, check once per block.
-  for (; d + 16 <= d_end; d += 16) {
-    __m256d ok = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    for (std::size_t k = 0; k < 16; k += 4) {
-      const __m256d xv = _mm256_loadu_pd(xd + d + k);
-      const __m256d yv = _mm256_loadu_pd(yd + d + k);
-      ok = _mm256_and_pd(
-          ok, _mm256_cmp_pd(_mm256_sub_pd(xv, xv), zero, _CMP_EQ_OQ));
-      ok = _mm256_and_pd(
-          ok, _mm256_cmp_pd(_mm256_sub_pd(yv, yv), zero, _CMP_EQ_OQ));
-    }
-    if (_mm256_movemask_pd(ok) != 0xF) return false;
-  }
-#endif
-  for (; d < d_end; ++d) {
-    if (!std::isfinite(xd[d]) || !std::isfinite(yd[d])) return false;
-  }
-  return true;
 }
 
 bool linalg_kernels_avx2() {

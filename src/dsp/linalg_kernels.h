@@ -1,6 +1,6 @@
 // Hot inner loops of the FIR least-squares normal equations, compiled in
-// their own translation unit with aggressive flags (see dsp/CMakeLists.txt:
-// -O3 -mavx2 -ffp-contract=off, the adc.cpp / rng_kernels.cpp pattern).
+// their own translation unit with aggressive flags (backfi_kernel_sources in
+// src/CMakeLists.txt: -O3 -mavx2 -ffp-contract=off, like every kernel TU).
 //
 // fir_normal_equations_vectorized exploits that the Gram entries for a fixed
 // row i share the broadcast factor conj(x[t - i]) and that the RHS entries
@@ -30,12 +30,6 @@ void fir_normal_equations_vectorized(const cplx* x, std::size_t n,
 /// the Gram depends only on x). Bit-identical to the scalar RHS loop.
 void fir_rhs_vectorized(const cplx* x, std::size_t n, const cplx* y,
                         std::size_t n_taps, cplx* rhs);
-
-/// Vectorized finite-check over the interleaved I/Q doubles of two aligned
-/// complex spans, restricted to [begin, end). Same predicate as the scalar
-/// std::isfinite sweep (v - v == 0 rejects exactly NaN and +/-Inf).
-bool all_finite_window2(const cplx* x, const cplx* y, std::size_t begin,
-                        std::size_t end);
 
 /// True when linalg_kernels.cpp was compiled with AVX2, i.e. the per-TU
 /// kernel flags of src/dsp/CMakeLists.txt took effect.

@@ -1,7 +1,7 @@
 // The collection point of the observability layer.
 //
-// A collector owns one metrics_registry with the full probe catalogue
-// pre-registered (so a probe that never reports is visible as zero
+// A collector owns one metrics_registry, which holds a slot for every row
+// of the probe catalogue (so a probe that never reports is visible as zero
 // samples); the catalogue is the only way a metric enters it. The
 // pipeline passes a *nullable* `collector*` down the chain; every probe
 // site goes through the free helpers below, which compile to a single
@@ -14,9 +14,7 @@
 // at any BACKFI_THREADS. Timing spans measure wall clock and are exempt.
 #pragma once
 
-#include <array>
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -43,16 +41,14 @@ struct link_report {
 
 class collector {
  public:
-  /// Registers the full probe catalogue (all counts/histograms at zero).
-  collector();
-
-  /// Typed probe fast path: cached map-node pointers, no string lookup.
-  /// Each applies to probes of its kind (counter, value, gauge).
+  /// Typed probe fast path: writes the probe's registry slot directly.
+  /// Each applies to probes of its kind (counter, value, gauge) and
+  /// ignores a probe of another kind.
   void count(probe p, std::uint64_t delta = 1);
   void observe(probe p, double value);
   void set(probe p, double value);
 
-  /// Fold another collector's registry into this one (by metric name).
+  /// Fold another collector's registry into this one (slot by slot).
   void merge(const collector& other);
 
   metrics_registry& registry() { return registry_; }
@@ -60,9 +56,6 @@ class collector {
 
  private:
   metrics_registry registry_;
-  std::array<counter*, probe_count> counters_{};
-  std::array<histogram*, probe_count> histograms_{};
-  std::array<gauge*, probe_count> gauges_{};
 };
 
 // --- Null-safe probe helpers: the API the pipeline calls. -----------------
@@ -105,23 +98,24 @@ class timing_span {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Deterministic fan-out: one child collector per parallel index, merged
-/// back into the parent in index order by join(). With a null parent the
-/// fork is inert (child() returns nullptr, join() is a no-op), so the
-/// parallel loops pay nothing when collection is off.
+/// Deterministic fan-out: one child collector per parallel index (all in
+/// one contiguous buffer), merged back into the parent in index order by
+/// join(). With a null parent the fork is inert (child() returns nullptr,
+/// join() is a no-op), so the parallel loops pay nothing when collection
+/// is off.
 class collector_fork {
  public:
   collector_fork(collector* parent, std::size_t n);
 
   collector* child(std::size_t i) {
-    return parent_ ? children_[i].get() : nullptr;
+    return parent_ ? &children_[i] : nullptr;
   }
 
   void join();
 
  private:
   collector* parent_;
-  std::vector<std::unique_ptr<collector>> children_;
+  std::vector<collector> children_;
 };
 
 }  // namespace backfi::obs

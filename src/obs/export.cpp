@@ -1,5 +1,7 @@
 #include "obs/export.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -45,6 +47,27 @@ void append_quoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
+// Every probe in exported-name order, sorted from the catalogue once, at
+// compile time. Exports list each kind lexicographically by name whatever
+// the catalogue's row order, so adding a row never reorders the others
+// (the pinned telemetry digests depend on the order).
+constexpr auto kByName = [] {
+  std::array<probe, probe_count> order{};
+  for (std::size_t i = 0; i < probe_count; ++i)
+    order[i] = static_cast<probe>(i);
+  std::sort(order.begin(), order.end(), [](probe a, probe b) {
+    return std::string_view(to_string(a)) < std::string_view(to_string(b));
+  });
+  return order;
+}();
+
+// Calls f(probe, name) for each probe of `kind`, in name order.
+template <typename F>
+void for_each_by_name(probe_kind kind, F&& f) {
+  for (const probe p : kByName)
+    if (info(p).kind == kind) f(p, to_string(p));
+}
+
 }  // namespace
 
 std::string to_json(const metrics_registry& registry,
@@ -59,63 +82,41 @@ std::string to_json(const metrics_registry& registry,
   out += "\"backfi_telemetry\": 1,";
   out += nl;
 
-  out += ind;
-  out += "\"counters\": {";
-  out += nl;
-  bool first = true;
-  for (const auto& [name, c] : registry.counters()) {
-    if (!options.include_timings && is_timing(name)) continue;
-    if (!first) {
-      out += ",";
-      out += nl;
-    }
-    first = false;
-    out += ind2;
-    append_quoted(out, name);
-    out += ": ";
-    append_u64(out, c.value);
-  }
-  out += nl;
-  out += ind;
-  out += "},";
-  out += nl;
-
-  out += ind;
-  out += "\"gauges\": {";
-  out += nl;
-  first = true;
-  for (const auto& [name, g] : registry.gauges()) {
-    if (!options.include_timings && is_timing(name)) continue;
-    if (!g.set) continue;
-    if (!first) {
-      out += ",";
-      out += nl;
-    }
-    first = false;
-    out += ind2;
-    append_quoted(out, name);
-    out += ": ";
-    append_json_double(out, g.value);
-  }
-  out += nl;
-  out += ind;
-  out += "},";
-  out += nl;
-
-  out += ind;
-  out += "\"histograms\": {";
-  out += nl;
-  first = true;
-  for (const auto& [name, h] : registry.histograms()) {
-    if (!options.include_timings && is_timing(name)) continue;
-    if (!first) {
-      out += ",";
-      out += nl;
-    }
-    first = false;
-    out += ind2;
-    append_quoted(out, name);
-    out += ": {\"lo\": ";
+  // One object per kind; `close` ends it ("}," or, for the last, "}").
+  const auto section = [&](const char* title, probe_kind kind,
+                           const char* close, const auto& append_value) {
+    out += ind;
+    append_quoted(out, title);
+    out += ": {";
+    out += nl;
+    bool first = true;
+    for_each_by_name(kind, [&](probe p, const char* name) {
+      if (!options.include_timings && is_timing(name)) return;
+      if (kind == probe_kind::gauge && !registry.gauge_at(p).set) return;
+      if (!first) {
+        out += ",";
+        out += nl;
+      }
+      first = false;
+      out += ind2;
+      append_quoted(out, name);
+      out += ": ";
+      append_value(p);
+    });
+    out += nl;
+    out += ind;
+    out += close;
+    out += nl;
+  };
+  section("counters", probe_kind::counter, "},", [&](probe p) {
+    append_u64(out, registry.counter_at(p).value);
+  });
+  section("gauges", probe_kind::gauge, "},", [&](probe p) {
+    append_json_double(out, registry.gauge_at(p).value);
+  });
+  section("histograms", probe_kind::value, "}", [&](probe p) {
+    const histogram& h = registry.histogram_at(p);
+    out += "{\"lo\": ";
     append_json_double(out, h.lo);
     out += ", \"hi\": ";
     append_json_double(out, h.hi);
@@ -135,11 +136,7 @@ std::string to_json(const metrics_registry& registry,
       append_u64(out, h.bins[i]);
     }
     out += "]}";
-  }
-  out += nl;
-  out += ind;
-  out += "}";
-  out += nl;
+  });
   out += "}";
   out += nl;
   return out;
@@ -147,22 +144,24 @@ std::string to_json(const metrics_registry& registry,
 
 std::string to_csv(const metrics_registry& registry) {
   std::string out = "kind,name,count,value_or_sum,mean,min,max\n";
-  for (const auto& [name, c] : registry.counters()) {
+  for_each_by_name(probe_kind::counter, [&](probe p, const char* name) {
     out += "counter,";
     out += name;
     out += ",1,";
-    append_u64(out, c.value);
+    append_u64(out, registry.counter_at(p).value);
     out += ",,,\n";
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    if (!g.set) continue;
+  });
+  for_each_by_name(probe_kind::gauge, [&](probe p, const char* name) {
+    const gauge& g = registry.gauge_at(p);
+    if (!g.set) return;
     out += "gauge,";
     out += name;
     out += ",1,";
     append_double(out, g.value);
     out += ",,,\n";
-  }
-  for (const auto& [name, h] : registry.histograms()) {
+  });
+  for_each_by_name(probe_kind::value, [&](probe p, const char* name) {
+    const histogram& h = registry.histogram_at(p);
     out += "histogram,";
     out += name;
     out += ",";
@@ -176,7 +175,7 @@ std::string to_csv(const metrics_registry& registry) {
     out += ",";
     append_double(out, h.count > 0 ? h.max_value : 0.0);
     out += "\n";
-  }
+  });
   return out;
 }
 
@@ -193,26 +192,19 @@ std::vector<std::string> zero_sample_probes(const metrics_registry& registry,
                                             std::span<const probe> required) {
   std::vector<std::string> unsampled;
   for (const probe p : required) {
-    const probe_info& pi = info(p);
     bool sampled = false;
-    switch (pi.kind) {
-      case probe_kind::counter: {
-        const auto it = registry.counters().find(pi.name);
-        sampled = it != registry.counters().end() && it->second.value > 0;
+    switch (info(p).kind) {
+      case probe_kind::counter:
+        sampled = registry.counter_at(p).value > 0;
         break;
-      }
-      case probe_kind::value: {
-        const auto it = registry.histograms().find(pi.name);
-        sampled = it != registry.histograms().end() && it->second.count > 0;
+      case probe_kind::value:
+        sampled = registry.histogram_at(p).count > 0;
         break;
-      }
-      case probe_kind::gauge: {
-        const auto it = registry.gauges().find(pi.name);
-        sampled = it != registry.gauges().end() && it->second.set;
+      case probe_kind::gauge:
+        sampled = registry.gauge_at(p).set;
         break;
-      }
     }
-    if (!sampled) unsampled.emplace_back(pi.name);
+    if (!sampled) unsampled.emplace_back(to_string(p));
   }
   return unsampled;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace backfi::obs {
 
@@ -49,54 +50,56 @@ void histogram::merge(const histogram& other) {
   for (std::size_t i = 0; i < n_bins; ++i) bins[i] += other.bins[i];
 }
 
+namespace {
+
+std::size_t slot_of_kind(probe p, probe_kind kind) {
+  if (info(p).kind != kind)
+    throw std::invalid_argument(std::string("metrics_registry: ") +
+                                to_string(p) + " is of another probe kind");
+  return slot(p);
+}
+
+}  // namespace
+
+metrics_registry::metrics_registry() {
+  for (std::size_t i = 0; i < probe_count; ++i) {
+    const probe_info& pi = probe_catalogue()[i];
+    if (pi.kind != probe_kind::value) continue;
+    histogram& h = histograms_[slot(static_cast<probe>(i))];
+    h.lo = pi.lo;
+    h.hi = pi.hi;
+  }
+}
+
+const counter& metrics_registry::counter_at(probe p) const {
+  return counters_[slot_of_kind(p, probe_kind::counter)];
+}
+
+const gauge& metrics_registry::gauge_at(probe p) const {
+  return gauges_[slot_of_kind(p, probe_kind::gauge)];
+}
+
+const histogram& metrics_registry::histogram_at(probe p) const {
+  return histograms_[slot_of_kind(p, probe_kind::value)];
+}
+
 counter& metrics_registry::get_counter(std::string_view name) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return it->second;
-  return counters_.emplace(std::string(name), counter{}).first->second;
-}
-
-gauge& metrics_registry::get_gauge(std::string_view name) {
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return it->second;
-  return gauges_.emplace(std::string(name), gauge{}).first->second;
-}
-
-histogram& metrics_registry::get_histogram(std::string_view name, double lo,
-                                           double hi) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  histogram h;
-  h.lo = lo;
-  h.hi = hi;
-  return histograms_.emplace(std::string(name), h).first->second;
-}
-
-void metrics_registry::add(std::string_view name, std::uint64_t delta) {
-  get_counter(name).value += delta;
-}
-
-void metrics_registry::set(std::string_view name, double value) {
-  gauge& g = get_gauge(name);
-  g.value = value;
-  g.set = true;
-}
-
-void metrics_registry::observe(std::string_view name, double value, double lo,
-                               double hi) {
-  get_histogram(name, lo, hi).observe(value);
+  for (std::size_t i = 0; i < probe_count; ++i) {
+    const probe_info& pi = probe_catalogue()[i];
+    if (pi.kind == probe_kind::counter && name == pi.name)
+      return counters_[slot(static_cast<probe>(i))];
+  }
+  throw std::out_of_range("metrics_registry: no counter named " +
+                          std::string(name));
 }
 
 void metrics_registry::merge(const metrics_registry& other) {
-  for (const auto& [name, c] : other.counters_)
-    get_counter(name).value += c.value;
-  for (const auto& [name, g] : other.gauges_) {
-    if (!g.set) continue;
-    gauge& mine = get_gauge(name);
-    mine.value = g.value;
-    mine.set = true;
-  }
-  for (const auto& [name, h] : other.histograms_)
-    get_histogram(name, h.lo, h.hi).merge(h);
+  for (std::size_t i = 0; i < counters_.size(); ++i)
+    counters_[i].value += other.counters_[i].value;
+  for (std::size_t i = 0; i < gauges_.size(); ++i)
+    if (other.gauges_[i].set) gauges_[i] = other.gauges_[i];
+  for (std::size_t i = 0; i < histograms_.size(); ++i)
+    histograms_[i].merge(other.histograms_[i]);
 }
 
 }  // namespace backfi::obs

@@ -179,13 +179,29 @@ struct probe_info {
   double hi = 1.0;
 };
 
+namespace detail {
+#define BACKFI_PROBE_COUNTER(id, name) {probe_kind::counter, name, "count"},
+#define BACKFI_PROBE_VALUE(id, name, unit, lo, hi) \
+  {probe_kind::value, name, unit, lo, hi},
+#define BACKFI_PROBE_GAUGE(id, name, unit) {probe_kind::gauge, name, unit},
+inline constexpr probe_info catalogue[] = {BACKFI_PROBES(
+    BACKFI_PROBE_COUNTER, BACKFI_PROBE_VALUE, BACKFI_PROBE_GAUGE)};
+#undef BACKFI_PROBE_COUNTER
+#undef BACKFI_PROBE_VALUE
+#undef BACKFI_PROBE_GAUGE
+}  // namespace detail
+
 /// The full catalogue, in enum order.
-std::span<const probe_info> probe_catalogue();
+constexpr std::span<const probe_info> probe_catalogue() {
+  return detail::catalogue;
+}
 
 /// Catalogue entry of one probe.
-const probe_info& info(probe p);
+constexpr const probe_info& info(probe p) {
+  return detail::catalogue[static_cast<std::size_t>(p)];
+}
 
 /// Exported name of one probe (shorthand for info(p).name).
-const char* to_string(probe p);
+constexpr const char* to_string(probe p) { return info(p).name; }
 
 }  // namespace backfi::obs

@@ -185,9 +185,10 @@ void depuncture_into(std::span<const double> soft, code_rate rate,
 
 double viterbi_decode(std::span<const double> soft, std::size_t n_info,
                       std::vector<std::uint64_t>& decisions, bitvec& decoded) {
-  const std::size_t n_steps = n_info + conv_tail_bits;
-  if (soft.size() < 2 * n_steps)
+  // soft.size() >= 2 * (n_info + tail), checked without forming either sum.
+  if (n_info > soft.size() / 2 || soft.size() / 2 - n_info < conv_tail_bits)
     throw std::invalid_argument("viterbi_decode: soft stream too short");
+  const std::size_t n_steps = n_info + conv_tail_bits;
 
   decisions.resize(n_steps);
 

@@ -444,9 +444,12 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
   return bits;
 }
 
-decode_result backfi_decoder::decode_from_symbols(std::span<const cplx> symbols,
-                                                  double noise_var,
-                                                  std::size_t payload_bits) const {
+decode_result backfi_decoder::decode_from_symbols(
+    std::span<const cplx> symbols, double noise_var, std::size_t payload_bits,
+    decoder_scratch* scratch) const {
+  if (scratch == nullptr)
+    throw std::invalid_argument(
+        "backfi_decoder::decode_from_symbols: scratch is required");
   decode_result result;
   if (payload_bits == 0) {
     result.failure = decode_failure::zero_payload;
@@ -463,8 +466,7 @@ decode_result backfi_decoder::decode_from_symbols(std::span<const cplx> symbols,
     note_failure(config_.collector, result.failure);
     return result;
   }
-  decoder_scratch scratch;
-  return decode_from_symbols_impl(symbols, noise_var, payload_bits, scratch,
+  return decode_from_symbols_impl(symbols, noise_var, payload_bits, *scratch,
                                   {});
 }
 
@@ -473,16 +475,6 @@ decode_result backfi_decoder::decode_from_symbols_impl(
     decoder_scratch& scratch,
     std::span<const std::uint32_t> tracked_labels) const {
   decode_result result;
-  if (payload_bits == 0) {
-    result.failure = decode_failure::zero_payload;
-    note_failure(config_.collector, result.failure);
-    return result;
-  }
-  if (symbols.empty()) {
-    result.failure = decode_failure::empty_input;
-    note_failure(config_.collector, result.failure);
-    return result;
-  }
 
   // EVM against sliced points (label -> point index via the member table).
   // When the phase tracker already sliced these exact symbol values its

@@ -175,10 +175,11 @@ class backfi_decoder {
   /// symbol stream itself). Fills decoded/crc_ok/payload/evm_rms. A
   /// payload above tag::max_payload_bits fails with payload_too_long, one
   /// that needs more coded bits than the symbols carry with
-  /// insufficient_symbols.
+  /// insufficient_symbols. `scratch` is required as in decode(); once warm,
+  /// a call allocates only the payload it returns.
   decode_result decode_from_symbols(std::span<const cplx> symbols,
-                                    double noise_var,
-                                    std::size_t payload_bits) const;
+                                    double noise_var, std::size_t payload_bits,
+                                    decoder_scratch* scratch) const;
 
   /// Estimate h_fb from the constant-phase preamble window only (exposed
   /// for the cancellation/estimation micro-benchmarks, Fig. 11a). Returns
@@ -190,7 +191,8 @@ class backfi_decoder {
   const decoder_config& config() const { return config_; }
 
  private:
-  /// Shared demap/Viterbi/CRC tail used by decode() and decode_from_symbols.
+  /// Shared demap/Viterbi/CRC tail used by decode() and decode_from_symbols,
+  /// which both reject a zero payload and an empty symbol stream first.
   /// `scratch` supplies the demap, depuncture and Viterbi buffers;
   /// `tracked_labels`, when non-empty, carries the phase tracker's slice
   /// decisions so the EVM loop reuses them instead of re-slicing the same

@@ -55,8 +55,8 @@ multi_antenna_result multi_antenna_decoder::decode(
   // (g_a the linear SNRs, G their sum), var = sum w_a^2 / g_a = 1/G.
   const double combined_var = 1.0 / weight_sum;
 
-  result.combined =
-      single.decode_from_symbols(combined, combined_var, payload_bits);
+  result.combined = single.decode_from_symbols(combined, combined_var,
+                                               payload_bits, &scratch);
   result.combined.sync_found = true;
   result.combined.post_mrc_snr_db = dsp::to_db(weight_sum);
   result.combined.symbol_estimates = std::move(combined);

@@ -11,13 +11,18 @@
 //   - a warm stage call (same sizes as the call before) allocates nothing,
 //     the receive chain included (plain and hardened);
 //   - a warm decode allocates only what it returns: the payload, h_fb and
-//     symbol-estimate vectors of its decode_result;
+//     symbol-estimate vectors of its decode_result; a warm decode of a
+//     combined symbol stream (the multi-antenna combiner's path) only the
+//     payload;
 //   - a warmed always-on stream session decodes packet after packet
 //     allocating only those result vectors;
-//   - a warm same-seed trial makes no allocation as large as its capture.
+//   - a warm same-seed trial makes no allocation as large as its capture;
+//   - building a collector, writing it and merging it allocates nothing,
+//     and a collector_fork keeps its children in one buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -29,6 +34,7 @@
 #include "dsp/fir.h"
 #include "dsp/rng.h"
 #include "fd/receive_chain.h"
+#include "obs/collector.h"
 #include "reader/decoder.h"
 #include "reader/excitation.h"
 #include "reader/mrc.h"
@@ -268,6 +274,56 @@ TEST(AllocTest, WarmDecodeMakesNoReadWindowSizedAllocation) {
   EXPECT_EQ(owned.count, 3u);
   EXPECT_EQ(t.count, owned.count) << describe(t);
   EXPECT_EQ(t.bytes, owned.bytes) << describe(t);
+}
+
+TEST(AllocTest, WarmDecodeFromSymbolsAllocatesOnlyThePayload) {
+  // The multi-antenna combiner's tail: demap, Viterbi and CRC of a symbol
+  // stream through the caller's scratch.
+  const one_packet pk = fig08_packet(6);
+  const sim::scenario_config sc = fig08_mid(6);
+  const std::size_t origin = pk.p.wake_end - pk.p.begin;
+  fd::receive_chain_scratch chain;
+  fd::run_receive_chain(pk.x, pk.y, origin, pk.p.silent_end - pk.p.begin,
+                        sc.chain, &chain);
+  const reader::backfi_decoder decoder(sc.tag, sc.decoder);
+  reader::decoder_scratch scratch;
+  const reader::decode_result full = decoder.decode(
+      pk.x, chain.cleaned, origin, pk.p.payload_bits, &scratch);
+  const double noise_var = std::pow(10.0, -full.post_mrc_snr_db / 10.0);
+  decoder.decode_from_symbols(full.symbol_estimates, noise_var,
+                              pk.p.payload_bits, &scratch);
+  reader::decode_result result;
+  const alloc_tally t = count_allocations([&] {
+    result = decoder.decode_from_symbols(full.symbol_estimates, noise_var,
+                                         pk.p.payload_bits, &scratch);
+  });
+  ASSERT_TRUE(result.crc_ok);
+  EXPECT_EQ(t.count, 1u) << describe(t);
+  EXPECT_EQ(t.bytes, result.payload.size()) << describe(t);
+}
+
+TEST(AllocTest, CollectorBuildWriteAndMergeAllocateNothing) {
+  const alloc_tally t = count_allocations([] {
+    obs::collector parent;
+    obs::collector c;
+    c.count(obs::probe::trials);
+    c.observe(obs::probe::evm_rms, 0.1);
+    c.set(obs::probe::roi_coverage, 0.5);
+    parent.merge(c);
+  });
+  EXPECT_EQ(t.count, 0u) << describe(t);
+}
+
+TEST(AllocTest, CollectorForkOfEightAllocatesOneBuffer) {
+  obs::collector parent;
+  const alloc_tally t = count_allocations([&] {
+    obs::collector_fork fork(&parent, 8);
+    for (std::size_t i = 0; i < 8; ++i)
+      fork.child(i)->count(obs::probe::trials, i + 1);
+    fork.join();
+  });
+  EXPECT_LE(t.count, 1u) << describe(t);
+  EXPECT_EQ(parent.registry().get_counter("sim.trials").value, 36u);
 }
 
 TEST(AllocTest, WarmSameSeedTrialMakesNoCaptureSizedAllocation) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "dsp/linalg.h"
 #include "dsp/rng.h"
@@ -172,34 +171,6 @@ TEST(LinalgKernelsTest, WorkspaceFactorRejectsNonPositiveDefinite) {
   fir_ls_workspace w;
   fir_ls_build(x, y, 4, w);
   EXPECT_THROW(fir_ls_factor(w, 0.0), std::runtime_error);
-}
-
-TEST(LinalgKernelsTest, AllFiniteWindowMatchesScalarPredicate) {
-  rng gen(908);
-  cvec x = random_vec(gen, 131), y = random_vec(gen, 131);
-  EXPECT_TRUE(detail::all_finite_window2(x.data(), y.data(), 0, x.size()));
-  EXPECT_TRUE(detail::all_finite_window2(x.data(), y.data(), 40, 40));
-
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity()}) {
-    for (const std::size_t pos : {std::size_t{0}, std::size_t{63},
-                                  std::size_t{130}}) {
-      cvec xb = x, yb = y;
-      xb[pos] = cplx(bad, 0.0);
-      EXPECT_FALSE(detail::all_finite_window2(xb.data(), y.data(), 0, x.size()))
-          << "x pos=" << pos;
-      yb[pos] = cplx(0.0, bad);
-      EXPECT_FALSE(detail::all_finite_window2(x.data(), yb.data(), 0, y.size()))
-          << "y pos=" << pos;
-      // Outside the window the poison must be invisible.
-      if (pos > 0 && pos < x.size() - 1) {
-        EXPECT_TRUE(
-            detail::all_finite_window2(xb.data(), yb.data(), pos + 1, x.size()));
-        EXPECT_TRUE(detail::all_finite_window2(xb.data(), yb.data(), 0, pos));
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "obs/export.h"
 
@@ -13,24 +15,22 @@ namespace {
 
 TEST(Collector, PreRegistersFullCatalogue) {
   const collector c;
-  for (const probe_info& pi : probe_catalogue()) {
+  const metrics_registry& reg = c.registry();
+  for (std::size_t i = 0; i < probe_count; ++i) {
+    const probe p = static_cast<probe>(i);
+    const probe_info& pi = info(p);
     if (pi.kind == probe_kind::counter) {
-      const auto it = c.registry().counters().find(pi.name);
-      ASSERT_NE(it, c.registry().counters().end()) << pi.name;
-      EXPECT_EQ(it->second.value, 0u) << pi.name;
+      EXPECT_EQ(reg.counter_at(p).value, 0u) << pi.name;
     } else if (pi.kind == probe_kind::value) {
-      const auto it = c.registry().histograms().find(pi.name);
-      ASSERT_NE(it, c.registry().histograms().end()) << pi.name;
-      EXPECT_EQ(it->second.count, 0u) << pi.name;
+      EXPECT_EQ(reg.histogram_at(p).count, 0u) << pi.name;
     } else {
-      const auto it = c.registry().gauges().find(pi.name);
-      ASSERT_NE(it, c.registry().gauges().end()) << pi.name;
-      EXPECT_FALSE(it->second.set) << pi.name;
+      EXPECT_FALSE(reg.gauge_at(p).set) << pi.name;
     }
   }
 }
 
 TEST(Collector, CatalogueNamesAreUniqueAndGrouped) {
+  std::set<std::string_view> names;
   for (const probe_info& pi : probe_catalogue()) {
     const std::string_view name = pi.name;
     const bool grouped = name.starts_with("sim.") || name.starts_with("fd.") ||
@@ -39,27 +39,30 @@ TEST(Collector, CatalogueNamesAreUniqueAndGrouped) {
                          name.starts_with("timing.") ||
                          name.starts_with("runtime.");
     EXPECT_TRUE(grouped) << name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
   }
-  collector c;  // the constructor would double-register on a duplicate name
-  std::size_t counters = 0, histograms = 0, gauges = 0;
-  for (const probe_info& pi : probe_catalogue()) {
-    switch (pi.kind) {
-      case probe_kind::counter: ++counters; break;
-      case probe_kind::value: ++histograms; break;
-      case probe_kind::gauge: ++gauges; break;
-    }
-  }
-  EXPECT_EQ(c.registry().counters().size(), counters);
-  EXPECT_EQ(c.registry().histograms().size(), histograms);
-  EXPECT_EQ(c.registry().gauges().size(), gauges);
+  // Every row, once, in the export.
+  const std::string csv = to_csv(collector().registry());
+  std::size_t rows = 0;
+  for (const char ch : csv) rows += ch == '\n' ? 1 : 0;
+  const std::size_t unset_gauges = probe_count_of(probe_kind::gauge);
+  EXPECT_EQ(rows, 1 + probe_count - unset_gauges);  // header + rows
 }
 
 TEST(Collector, TypedProbesHitTheNamedMetrics) {
   collector c;
   c.count(probe::trials, 3);
   c.observe(probe::post_mrc_snr_db, 12.5);
-  EXPECT_EQ(c.registry().counters().at("sim.trials").value, 3u);
-  EXPECT_EQ(c.registry().histograms().at("reader.post_mrc_snr_db").count, 1u);
+  EXPECT_EQ(c.registry().get_counter("sim.trials").value, 3u);
+  EXPECT_EQ(c.registry().histogram_at(probe::post_mrc_snr_db).count, 1u);
+}
+
+TEST(Collector, WritesToAProbeOfAnotherKindAreIgnored) {
+  collector c;
+  c.count(probe::evm_rms, 2);
+  c.observe(probe::trials, 1.0);
+  c.set(probe::trials, 1.0);
+  EXPECT_EQ(to_json(c.registry()), to_json(collector().registry()));
 }
 
 TEST(Collector, NullSafeHelpersIgnoreNull) {
@@ -70,9 +73,9 @@ TEST(Collector, NullSafeHelpersIgnoreNull) {
   count(&c, probe::trials, 2);
   observe(&c, probe::evm_rms, 0.1);
   set(&c, probe::roi_coverage, 0.5);
-  EXPECT_EQ(c.registry().counters().at("sim.trials").value, 2u);
-  EXPECT_EQ(c.registry().histograms().at("reader.evm_rms").count, 1u);
-  const gauge& g = c.registry().gauges().at("runtime.chain.roi.coverage");
+  EXPECT_EQ(c.registry().counter_at(probe::trials).value, 2u);
+  EXPECT_EQ(c.registry().histogram_at(probe::evm_rms).count, 1u);
+  const gauge& g = c.registry().gauge_at(probe::roi_coverage);
   EXPECT_TRUE(g.set);
   EXPECT_EQ(g.value, 0.5);
 }
@@ -84,10 +87,10 @@ TEST(TimingSpan, RecordsUnderTimingPrefixOnce) {
     span.stop();
     span.stop();  // idempotent
   }
-  const auto it = c.registry().histograms().find("timing.reader.decode");
-  ASSERT_NE(it, c.registry().histograms().end());
-  EXPECT_EQ(it->second.count, 1u);
-  EXPECT_GE(it->second.sum, 0.0);
+  const histogram& h = c.registry().histogram_at(probe::timing_decode);
+  EXPECT_STREQ(to_string(probe::timing_decode), "timing.reader.decode");
+  EXPECT_EQ(h.count, 1u);
+  EXPECT_GE(h.sum, 0.0);
 }
 
 TEST(TimingSpan, NullCollectorIsInert) {
@@ -103,8 +106,8 @@ TEST(CollectorFork, JoinMergesInIndexOrder) {
     fork.child(i)->observe(probe::evm_rms, 0.1 * static_cast<double>(i + 1));
   }
   fork.join();
-  EXPECT_EQ(parent.registry().counters().at("sim.trials").value, 6u);
-  EXPECT_EQ(parent.registry().histograms().at("reader.evm_rms").count, 3u);
+  EXPECT_EQ(parent.registry().counter_at(probe::trials).value, 6u);
+  EXPECT_EQ(parent.registry().histogram_at(probe::evm_rms).count, 3u);
 }
 
 TEST(CollectorFork, NullParentIsInert) {

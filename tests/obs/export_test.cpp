@@ -13,15 +13,15 @@ namespace backfi::obs {
 namespace {
 
 metrics_registry sample_registry() {
-  metrics_registry reg;
-  reg.add("sim.trials", 24);
-  reg.add("reader.decode_failures", 3);
-  reg.set("campaign.severity", 0.5);
+  collector c;
+  c.count(probe::trials, 24);
+  c.count(probe::decode_failures, 3);
+  c.set(probe::roi_coverage, 0.5);
   // Awkward doubles on purpose: %.17g must print them exactly.
-  reg.observe("reader.post_mrc_snr_db", 17.299999999999997, -40.0, 60.0);
-  reg.observe("reader.post_mrc_snr_db", -3.0000000000000004, -40.0, 60.0);
-  reg.observe("timing.sim.trial", 1.25e-3, 0.0, 1.0);
-  return reg;
+  c.observe(probe::post_mrc_snr_db, 17.299999999999997);
+  c.observe(probe::post_mrc_snr_db, -3.0000000000000004);
+  c.observe(probe::timing_decode, 1.25e-3);
+  return c.registry();
 }
 
 TEST(JsonExport, PrintsDoublesExactly) {
@@ -36,8 +36,8 @@ TEST(JsonExport, IncludeTimingsFalseDropsTimingMetrics) {
   const metrics_registry reg = sample_registry();
   const std::string with = to_json(reg, {.include_timings = true});
   const std::string without = to_json(reg, {.include_timings = false});
-  EXPECT_NE(with.find("timing.sim.trial"), std::string::npos);
-  EXPECT_EQ(without.find("timing.sim.trial"), std::string::npos);
+  EXPECT_NE(with.find("timing.reader.decode"), std::string::npos);
+  EXPECT_EQ(without.find("timing.reader.decode"), std::string::npos);
   // The non-timing content is unaffected.
   EXPECT_NE(without.find("sim.trials"), std::string::npos);
 }
@@ -47,7 +47,7 @@ TEST(CsvExport, OneRowPerMetricWithHeader) {
   const std::string csv = to_csv(reg);
   EXPECT_EQ(csv.find("kind,name,count,value_or_sum,mean,min,max"), 0u);
   EXPECT_NE(csv.find("counter,sim.trials,"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,campaign.severity,"), std::string::npos);
+  EXPECT_NE(csv.find("gauge,runtime.chain.roi.coverage,"), std::string::npos);
   EXPECT_NE(csv.find("histogram,reader.post_mrc_snr_db,"), std::string::npos);
 }
 

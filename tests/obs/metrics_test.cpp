@@ -1,11 +1,13 @@
 // Unit semantics of the observability primitives: counters, gauges,
-// histograms, and the name-keyed registry with its find-or-create and
-// merge behaviour.
+// histograms, and the slot store with its catalogue layout, typed reads
+// and merge behaviour.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+
+#include "obs/collector.h"
 
 namespace backfi::obs {
 namespace {
@@ -62,54 +64,93 @@ TEST(Histogram, MergeRejectsMismatchedRanges) {
   EXPECT_EQ(a.count, 0u);
 }
 
-TEST(MetricsRegistry, FindOrCreateReturnsStableEntries) {
+TEST(MetricsRegistry, SlotsFollowTheCatalogue) {
+  const metrics_registry reg;
+  std::size_t counters = 0, histograms = 0, gauges = 0;
+  for (std::size_t i = 0; i < probe_count; ++i) {
+    const probe p = static_cast<probe>(i);
+    const probe_info& pi = info(p);
+    switch (pi.kind) {
+      case probe_kind::counter:
+        EXPECT_EQ(slot(p), counters++) << pi.name;
+        EXPECT_EQ(reg.counter_at(p).value, 0u) << pi.name;
+        break;
+      case probe_kind::value:
+        EXPECT_EQ(slot(p), histograms++) << pi.name;
+        EXPECT_EQ(reg.histogram_at(p).lo, pi.lo) << pi.name;
+        EXPECT_EQ(reg.histogram_at(p).hi, pi.hi) << pi.name;
+        EXPECT_EQ(reg.histogram_at(p).count, 0u) << pi.name;
+        break;
+      case probe_kind::gauge:
+        EXPECT_EQ(slot(p), gauges++) << pi.name;
+        EXPECT_FALSE(reg.gauge_at(p).set) << pi.name;
+        break;
+    }
+  }
+  EXPECT_EQ(counters, probe_count_of(probe_kind::counter));
+  EXPECT_EQ(histograms, probe_count_of(probe_kind::value));
+  EXPECT_EQ(gauges, probe_count_of(probe_kind::gauge));
+}
+
+TEST(MetricsRegistry, ReadsRejectProbesOfAnotherKind) {
+  const metrics_registry reg;
+  EXPECT_THROW((void)reg.counter_at(probe::evm_rms), std::invalid_argument);
+  EXPECT_THROW((void)reg.histogram_at(probe::trials), std::invalid_argument);
+  EXPECT_THROW((void)reg.gauge_at(probe::trials), std::invalid_argument);
+}
+
+TEST(MetricsRegistry, GetCounterLooksUpCatalogueNames) {
   metrics_registry reg;
-  counter& c = reg.get_counter("a");
+  counter& c = reg.get_counter("sim.trials");
   c.value = 3;
-  EXPECT_EQ(reg.get_counter("a").value, 3u);
-  reg.add("a", 2);
-  EXPECT_EQ(c.value, 5u);
+  EXPECT_EQ(reg.counter_at(probe::trials).value, 3u);
+  EXPECT_EQ(&reg.get_counter("sim.trials"), &c);
+  // An unknown name, or the name of another kind, is not created.
+  EXPECT_THROW(reg.get_counter("a"), std::out_of_range);
+  EXPECT_THROW(reg.get_counter("reader.evm_rms"), std::out_of_range);
 }
 
 TEST(MetricsRegistry, GaugeSetTracksLastValue) {
-  metrics_registry reg;
-  reg.set("g", 1.5);
-  reg.set("g", -2.0);
-  EXPECT_TRUE(reg.get_gauge("g").set);
-  EXPECT_DOUBLE_EQ(reg.get_gauge("g").value, -2.0);
+  collector c;
+  c.set(probe::roi_coverage, 1.5);
+  c.set(probe::roi_coverage, -2.0);
+  EXPECT_TRUE(c.registry().gauge_at(probe::roi_coverage).set);
+  EXPECT_DOUBLE_EQ(c.registry().gauge_at(probe::roi_coverage).value, -2.0);
 }
 
 TEST(MetricsRegistry, MergeCombinesAllKinds) {
-  metrics_registry a, b;
-  a.add("hits", 1);
-  b.add("hits", 2);
-  b.add("only_b", 7);
-  b.set("gauge", 4.0);
-  a.observe("h", 0.5, 0.0, 1.0);
-  b.observe("h", 0.7, 0.0, 1.0);
-  a.merge(b);
-  EXPECT_EQ(a.get_counter("hits").value, 3u);
-  EXPECT_EQ(a.get_counter("only_b").value, 7u);
-  EXPECT_DOUBLE_EQ(a.get_gauge("gauge").value, 4.0);
-  EXPECT_EQ(a.get_histogram("h", 0.0, 1.0).count, 2u);
+  collector a, b;
+  a.count(probe::trials, 1);
+  b.count(probe::trials, 2);
+  b.count(probe::bit_errors, 7);
+  b.set(probe::roi_coverage, 4.0);
+  a.observe(probe::evm_rms, 0.5);
+  b.observe(probe::evm_rms, 0.7);
+  a.registry().merge(b.registry());
+  const metrics_registry& reg = a.registry();
+  EXPECT_EQ(reg.counter_at(probe::trials).value, 3u);
+  EXPECT_EQ(reg.counter_at(probe::bit_errors).value, 7u);
+  EXPECT_DOUBLE_EQ(reg.gauge_at(probe::roi_coverage).value, 4.0);
+  EXPECT_EQ(reg.histogram_at(probe::evm_rms).count, 2u);
 }
 
 TEST(MetricsRegistry, MergeIsAssociativeOnCounters) {
-  metrics_registry a, b, c;
-  a.add("x", 1);
-  b.add("x", 2);
-  c.add("x", 4);
+  collector a, b, c;
+  a.count(probe::trials, 1);
+  b.count(probe::trials, 2);
+  c.count(probe::trials, 4);
   metrics_registry left;
-  left.merge(a);
-  left.merge(b);
-  left.merge(c);
+  left.merge(a.registry());
+  left.merge(b.registry());
+  left.merge(c.registry());
   metrics_registry bc;
-  bc.merge(b);
-  bc.merge(c);
+  bc.merge(b.registry());
+  bc.merge(c.registry());
   metrics_registry right;
-  right.merge(a);
+  right.merge(a.registry());
   right.merge(bc);
-  EXPECT_EQ(left.get_counter("x").value, right.get_counter("x").value);
+  EXPECT_EQ(left.counter_at(probe::trials).value,
+            right.counter_at(probe::trials).value);
 }
 
 }  // namespace

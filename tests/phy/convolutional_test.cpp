@@ -161,6 +161,23 @@ TEST(ConvolutionalTest, DecodeRejectsShortStream) {
   EXPECT_THROW(decode(soft, 100), std::invalid_argument);
 }
 
+TEST(ConvolutionalTest, DecodeRejectsLengthsThatWrap) {
+  // 2 * (SIZE_MAX/2 - 2 + tail) wraps to 6 and (SIZE_MAX - 2 + tail) to 3,
+  // both under the 8 soft values: the bound must not be computed in size_t
+  // arithmetic, and the buffers must be left as they were.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::vector<double> soft(8, 1.0);
+  for (const std::size_t n_info : {kMax / 2 - 2, kMax - 2}) {
+    std::vector<std::uint64_t> decisions(2, 7);
+    bitvec decoded(3, 1);
+    EXPECT_THROW(viterbi_decode(soft, n_info, decisions, decoded),
+                 std::invalid_argument)
+        << n_info;
+    EXPECT_EQ(decisions, std::vector<std::uint64_t>(2, 7));
+    EXPECT_EQ(decoded, bitvec(3, 1));
+  }
+}
+
 class ConvolutionalNoiseTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ConvolutionalNoiseTest, SoftDecodingSurvivesGaussianNoise) {

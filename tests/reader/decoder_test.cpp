@@ -207,11 +207,13 @@ TEST(DecoderTest, OversizedPayloadIsTypedAtEveryEntryPoint) {
     EXPECT_EQ(r.failure, decode_failure::payload_too_long) << bits;
   }
 
+  decoder_scratch scratch;
   const auto long_stream =
-      decoder.decode_from_symbols(symbols, 0.1, kRepresentable);
+      decoder.decode_from_symbols(symbols, 0.1, kRepresentable, &scratch);
   EXPECT_FALSE(long_stream.decoded);
   EXPECT_EQ(long_stream.failure, decode_failure::insufficient_symbols);
-  const auto wrapping = decoder.decode_from_symbols(symbols, 0.1, kWrapping);
+  const auto wrapping =
+      decoder.decode_from_symbols(symbols, 0.1, kWrapping, &scratch);
   EXPECT_FALSE(wrapping.decoded);
   EXPECT_EQ(wrapping.failure, decode_failure::payload_too_long);
 
@@ -451,6 +453,9 @@ TEST(DecoderTest, NullScratchThrows) {
   const auto ex = make_exchange(default_tag(), 300, -112.0, 0, 26);
   const backfi_decoder decoder(default_tag());
   EXPECT_THROW(decoder.decode(ex.x, ex.y, ex.nominal, 300, nullptr),
+               std::invalid_argument);
+  const cvec symbols(64, cplx{0.7, 0.7});
+  EXPECT_THROW(decoder.decode_from_symbols(symbols, 0.1, 300, nullptr),
                std::invalid_argument);
 }
 

@@ -138,17 +138,17 @@ TEST(AdaptivePerTest, ExportsAdaptiveCounters) {
   obs::collector collector;
   const auto estimates = packet_error_rates(
       std::span(configs.data(), configs.size()), options, &collector);
-  const auto& counters = collector.registry().counters();
-  EXPECT_EQ(counters.at("sim.adaptive.points").value, 2u);
+  const obs::metrics_registry& reg = collector.registry();
+  EXPECT_EQ(reg.counter_at(obs::probe::adaptive_points).value, 2u);
   std::uint64_t run = 0, saved = 0, stops = 0;
   for (const per_estimate& e : estimates) {
     run += static_cast<std::uint64_t>(e.trials_run);
     saved += static_cast<std::uint64_t>(options.max_trials - e.trials_run);
     stops += e.early_stopped ? 1 : 0;
   }
-  EXPECT_EQ(counters.at("sim.adaptive.trials_run").value, run);
-  EXPECT_EQ(counters.at("sim.adaptive.trials_saved").value, saved);
-  EXPECT_EQ(counters.at("sim.adaptive.early_stops").value, stops);
+  EXPECT_EQ(reg.counter_at(obs::probe::adaptive_trials_run).value, run);
+  EXPECT_EQ(reg.counter_at(obs::probe::adaptive_trials_saved).value, saved);
+  EXPECT_EQ(reg.counter_at(obs::probe::adaptive_early_stops).value, stops);
   EXPECT_GT(saved, 0u);  // both easy points must have stopped early
 }
 
@@ -164,11 +164,11 @@ TEST(AdaptivePerTest, NoTargetIsOneSweepWithoutAdaptiveCounters) {
   const auto estimates = packet_error_rates(
       std::span(configs.data(), configs.size()), options, &collector);
   for (const per_estimate& e : estimates) EXPECT_EQ(e.trials_run, 12);
-  const auto& counters = collector.registry().counters();
-  EXPECT_EQ(counters.at("sim.scheduler.sweeps").value, 1u);
-  EXPECT_EQ(counters.at("sim.scheduler.tasks").value, 24u);
-  EXPECT_EQ(counters.at("sim.trials").value, 24u);
-  EXPECT_EQ(counters.at("sim.adaptive.points").value, 0u);
+  const obs::metrics_registry& reg = collector.registry();
+  EXPECT_EQ(reg.counter_at(obs::probe::scheduler_sweeps).value, 1u);
+  EXPECT_EQ(reg.counter_at(obs::probe::scheduler_tasks).value, 24u);
+  EXPECT_EQ(reg.counter_at(obs::probe::trials).value, 24u);
+  EXPECT_EQ(reg.counter_at(obs::probe::adaptive_points).value, 0u);
 }
 
 TEST(AdaptivePerTest, EvaluateLinkAdaptiveMatchesFixedWithoutTarget) {

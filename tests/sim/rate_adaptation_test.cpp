@@ -140,13 +140,14 @@ TEST(RateAdaptationTest, FindMaxGoodputThreadInvariant) {
       base.collector = &collector;
       const auto best = find_max_goodput(base, 1.0, options);
       ASSERT_TRUE(best.has_value()) << "target=" << target;
-      const auto& counters = collector.registry().counters();
+      const obs::metrics_registry& reg = collector.registry();
       // One engine call per examined point: one sweep each without a
       // target, one sim.adaptive.points count each with one.
       const std::uint64_t examined =
-          target > 0.0 ? counters.at("sim.adaptive.points").value
-                       : counters.at("sim.scheduler.sweeps").value;
-      const std::uint64_t trials_run = counters.at("sim.trials").value;
+          target > 0.0 ? reg.counter_at(obs::probe::adaptive_points).value
+                       : reg.counter_at(obs::probe::scheduler_sweeps).value;
+      const std::uint64_t trials_run =
+          reg.counter_at(obs::probe::trials).value;
       EXPECT_GE(examined, 1u);
       EXPECT_EQ(trials_run, examined * trials) << "threads=" << threads;
       const std::string json =

@@ -99,10 +99,10 @@ TEST(RoiChainTest, UnsetRoiReportsNoAccountingAndNoGauges) {
       run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
   EXPECT_EQ(result.roi_samples_processed, 0u);
   EXPECT_EQ(result.roi_samples_skipped, 0u);
-  const auto& gauges = collector.registry().gauges();
-  EXPECT_FALSE(gauges.at("runtime.chain.roi.samples_processed").set);
-  EXPECT_FALSE(gauges.at("runtime.chain.roi.samples_skipped").set);
-  EXPECT_FALSE(gauges.at("runtime.chain.roi.coverage").set);
+  const obs::metrics_registry& reg = collector.registry();
+  EXPECT_FALSE(reg.gauge_at(obs::probe::roi_samples_processed).set);
+  EXPECT_FALSE(reg.gauge_at(obs::probe::roi_samples_skipped).set);
+  EXPECT_FALSE(reg.gauge_at(obs::probe::roi_coverage).set);
 }
 
 TEST(RoiChainTest, InUnionSamplesMatchFullSweepForEveryWindowShape) {
@@ -213,17 +213,17 @@ TEST(RoiChainTest, EmitsRoiGaugesWhenConfigured) {
       run_chain(s.tx, s.rx, kSilentBegin, kSilentEnd, cfg);
   EXPECT_GT(result.roi_samples_processed, 0u);
   EXPECT_GT(result.roi_samples_skipped, 0u);
-  const auto& gauges = collector.registry().gauges();
-  const auto processed = gauges.find("runtime.chain.roi.samples_processed");
-  const auto skipped = gauges.find("runtime.chain.roi.samples_skipped");
-  const auto coverage = gauges.find("runtime.chain.roi.coverage");
-  ASSERT_NE(processed, gauges.end());
-  ASSERT_NE(skipped, gauges.end());
-  ASSERT_NE(coverage, gauges.end());
-  EXPECT_EQ(processed->second.value + skipped->second.value,
-            static_cast<double>(s.rx.size()));
-  EXPECT_GT(coverage->second.value, 0.0);
-  EXPECT_LT(coverage->second.value, 1.0);
+  const obs::metrics_registry& reg = collector.registry();
+  const obs::gauge& processed =
+      reg.gauge_at(obs::probe::roi_samples_processed);
+  const obs::gauge& skipped = reg.gauge_at(obs::probe::roi_samples_skipped);
+  const obs::gauge& coverage = reg.gauge_at(obs::probe::roi_coverage);
+  ASSERT_TRUE(processed.set);
+  ASSERT_TRUE(skipped.set);
+  ASSERT_TRUE(coverage.set);
+  EXPECT_EQ(processed.value + skipped.value, static_cast<double>(s.rx.size()));
+  EXPECT_GT(coverage.value, 0.0);
+  EXPECT_LT(coverage.value, 1.0);
 }
 
 // --- Decoder read-window bounds ---

@@ -124,10 +124,10 @@ TEST(SchedulerTest, ReportSplitsCountersFromRuntimeGauges) {
   const sweep_stats stats = sweep_for(50, [](std::size_t) {});
   report_sweep_stats(&collector, stats);
   const auto& reg = collector.registry();
-  EXPECT_EQ(reg.counters().at("sim.scheduler.sweeps").value, 1u);
-  EXPECT_EQ(reg.counters().at("sim.scheduler.tasks").value, 50u);
-  EXPECT_TRUE(reg.gauges().at("runtime.scheduler.threads").set);
-  EXPECT_TRUE(reg.gauges().at("runtime.scheduler.wall_seconds").set);
+  EXPECT_EQ(reg.counter_at(obs::probe::scheduler_sweeps).value, 1u);
+  EXPECT_EQ(reg.counter_at(obs::probe::scheduler_tasks).value, 50u);
+  EXPECT_TRUE(reg.gauge_at(obs::probe::scheduler_threads).set);
+  EXPECT_TRUE(reg.gauge_at(obs::probe::scheduler_wall_seconds).set);
   // Null collector is a no-op, not a crash.
   report_sweep_stats(nullptr, stats);
 }

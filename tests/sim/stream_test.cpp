@@ -375,17 +375,14 @@ TEST(StreamMetrics, SessionEmitsStreamCountersAndGauges) {
   cfg.scenario.collector = &collector;
   const stream_trial_result r = run_stream_trial(cfg);
 
-  const auto& counters = collector.registry().counters();
-  ASSERT_TRUE(counters.contains("reader.stream.packets_in"));
-  EXPECT_EQ(counters.at("reader.stream.packets_in").value, 4u);
-  EXPECT_EQ(counters.at("reader.stream.packets_decoded").value, 4u);
-  EXPECT_EQ(counters.at("reader.stream.crc_ok").value, r.crc_ok);
+  const obs::metrics_registry& reg = collector.registry();
+  EXPECT_EQ(reg.counter_at(obs::probe::stream_packets_in).value, 4u);
+  EXPECT_EQ(reg.counter_at(obs::probe::stream_packets_decoded).value, 4u);
+  EXPECT_EQ(reg.counter_at(obs::probe::stream_crc_ok).value, r.crc_ok);
 
-  const auto& gauges = collector.registry().gauges();
-  ASSERT_TRUE(gauges.contains("runtime.stream.queue_high_water"));
-  EXPECT_TRUE(gauges.at("runtime.stream.queue_high_water").set);
-  ASSERT_TRUE(gauges.contains("runtime.stream.latency_us_max"));
-  EXPECT_GT(gauges.at("runtime.stream.latency_us_max").value, 0.0);
+  EXPECT_TRUE(reg.gauge_at(obs::probe::stream_queue_high_water).set);
+  ASSERT_TRUE(reg.gauge_at(obs::probe::stream_latency_us_max).set);
+  EXPECT_GT(reg.gauge_at(obs::probe::stream_latency_us_max).value, 0.0);
 }
 
 // 2-thread probe confinement: the chain/decoder probes recorded on the
@@ -402,12 +399,12 @@ TEST(StreamMetrics, WorkerProbesMergeIntoCallerCollector) {
 
   // Deterministic counters (typed probes + stream counters) are identical
   // across topologies; only timing/runtime gauges may differ.
-  const auto& a = one_thread.registry().counters();
-  const auto& b = two_thread.registry().counters();
-  ASSERT_EQ(a.size(), b.size());
-  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
-    EXPECT_EQ(ia->first, ib->first);
-    EXPECT_EQ(ia->second.value, ib->second.value) << ia->first;
+  for (std::size_t i = 0; i < obs::probe_count; ++i) {
+    const auto p = static_cast<obs::probe>(i);
+    if (obs::info(p).kind != obs::probe_kind::counter) continue;
+    EXPECT_EQ(one_thread.registry().counter_at(p).value,
+              two_thread.registry().counter_at(p).value)
+        << obs::to_string(p);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -117,7 +118,7 @@ std::string telemetry_json_at(std::size_t threads, double* per_out,
   const double per = packet_error_rate(c, 12);
   if (per_out) *per_out = per;
   if (trials_out)
-    *trials_out = collector.registry().counters().at("sim.trials").value;
+    *trials_out = collector.registry().counter_at(obs::probe::trials).value;
   // Timings are wall-clock and exempt from the determinism contract.
   return obs::to_json(collector.registry(), {.include_timings = false});
 }
@@ -163,7 +164,7 @@ TEST(TelemetryDeterminism, NullCollectorLeavesTrialResultBitIdentical) {
   EXPECT_EQ(a.tag_energy_pj, b.tag_energy_pj);
   EXPECT_EQ(a.effective_throughput_bps, b.effective_throughput_bps);
   // And the attached collector actually saw the trial.
-  EXPECT_EQ(collector.registry().counters().at("sim.trials").value, 1u);
+  EXPECT_EQ(collector.registry().counter_at(obs::probe::trials).value, 1u);
 }
 
 TEST(TelemetryDeterminism, PacketErrorRateAnchorUnchangedWithCollector) {
@@ -192,8 +193,8 @@ TEST(Collector, EveryEmittedNameIsCatalogued) {
   const reader::decode_failure failure = run_backscatter_trial(far).failure;
   ASSERT_NE(failure, reader::decode_failure::none);
   EXPECT_EQ(collector.registry()
-                .counters()
-                .at(std::string("reader.failure.") + reader::to_string(failure))
+                .get_counter(std::string("reader.failure.") +
+                             reader::to_string(failure))
                 .value,
             1u);
 
@@ -234,12 +235,13 @@ TEST(Collector, EveryEmittedNameIsCatalogued) {
   for (const obs::probe_info& pi : obs::probe_catalogue())
     catalogued.insert(pi.name);
   const obs::metrics_registry& reg = collector.registry();
-  for (const auto& [name, c] : reg.counters())
-    EXPECT_TRUE(catalogued.contains(name)) << "counter " << name;
-  for (const auto& [name, g] : reg.gauges())
-    EXPECT_TRUE(catalogued.contains(name)) << "gauge " << name;
-  for (const auto& [name, h] : reg.histograms())
-    EXPECT_TRUE(catalogued.contains(name)) << "histogram " << name;
+  // Every exported row (`kind,name,...` after the header) is catalogued.
+  std::istringstream csv(obs::to_csv(reg));
+  std::string row, kind, name;
+  std::getline(csv, row);
+  while (std::getline(std::getline(csv, kind, ','), name, ',') &&
+         std::getline(csv, row))
+    EXPECT_TRUE(catalogued.contains(name)) << kind << " " << name;
 
   // Each source above actually reported.
   const obs::probe fired[] = {
@@ -281,7 +283,7 @@ TEST(JsonExport, NonFiniteValuesExportAsNull) {
   for (const cvec* rx : {&zeros, &huge, &with_nan, &tiny})
     (void)fd::run_receive_chain(tx, *rx, 0, 320, cfg, &scratch);
   const obs::histogram& depth =
-      collector.registry().histograms().at("fd.analog_depth_db");
+      collector.registry().histogram_at(obs::probe::analog_depth_db);
   ASSERT_EQ(depth.count, 4u);
   EXPECT_FALSE(std::isfinite(depth.sum));
 
