@@ -18,7 +18,7 @@ using namespace backfi;
 
 // Paper-scale trial count; affordable now that evaluate_link flattens the
 // whole (operating point x trial) grid into one sweep-scheduler pool — no
-// per-point barrier, lanes steal trials from the slowest points.
+// per-point barrier, idle lanes claim the slowest points' remaining trials.
 constexpr int kTrials = 24;
 
 int run_sweep() {

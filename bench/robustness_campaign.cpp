@@ -24,7 +24,7 @@ sim::campaign_config make_config() {
   cfg.distance_m = 1.5;
   // Paper-scale poll count; affordable now that the (fault, severity, arm)
   // grid runs flattened through the sweep scheduler (single-arm chunks:
-  // whole campaign arms are the repo's heaviest tasks, so idle lanes steal
+  // whole campaign arms are the repo's heaviest tasks, so idle lanes claim
   // single arms).
   cfg.opportunities = 60;
   cfg.payload_bits = 256;

@@ -123,7 +123,6 @@ namespace backfi::obs {
                                                                              \
   /* --- runtime: sweep scheduler --- */                                     \
   G(scheduler_threads, "runtime.scheduler.threads", "count")                 \
-  G(scheduler_steals, "runtime.scheduler.steals", "count")                   \
   G(scheduler_wall_seconds, "runtime.scheduler.wall_seconds", "s")           \
   G(scheduler_busy_seconds_total, "runtime.scheduler.busy_seconds_total",    \
     "s")                                                                     \

@@ -1,6 +1,5 @@
 #include "phy/bits.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace backfi::phy {
@@ -43,8 +42,11 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a,
 
 std::uint32_t bits_to_uint(std::span<const std::uint8_t> bits, std::size_t offset,
                            std::size_t count) {
-  assert(count <= 32);
-  assert(offset + count <= bits.size());
+  // Checked without forming offset + count, which could wrap.
+  if (count > 32)
+    throw std::invalid_argument("bits_to_uint: count exceeds 32 bits");
+  if (offset > bits.size() || count > bits.size() - offset)
+    throw std::invalid_argument("bits_to_uint: field runs past the bits");
   std::uint32_t value = 0;
   for (std::size_t i = 0; i < count; ++i)
     value = (value << 1) | (bits[offset + i] & 1u);
@@ -52,7 +54,8 @@ std::uint32_t bits_to_uint(std::span<const std::uint8_t> bits, std::size_t offse
 }
 
 void append_uint(bitvec& out, std::uint32_t value, std::size_t count) {
-  assert(count <= 32);
+  if (count > 32)
+    throw std::invalid_argument("append_uint: count exceeds 32 bits");
   for (std::size_t i = count; i-- > 0;)
     out.push_back(static_cast<std::uint8_t>((value >> i) & 1u));
 }

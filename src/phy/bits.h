@@ -31,10 +31,12 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a,
                              std::span<const std::uint8_t> b);
 
 /// Read `count` bits starting at `offset` as an unsigned integer, MSB first.
+/// Throws std::invalid_argument for count > 32 or a field past the end.
 std::uint32_t bits_to_uint(std::span<const std::uint8_t> bits, std::size_t offset,
                            std::size_t count);
 
-/// Append `count` bits of `value` (MSB first) to `out`.
+/// Append `count` bits of `value` (MSB first) to `out`. Throws
+/// std::invalid_argument for count > 32.
 void append_uint(bitvec& out, std::uint32_t value, std::size_t count);
 
 }  // namespace backfi::phy

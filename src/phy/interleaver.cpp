@@ -1,9 +1,19 @@
 #include "phy/interleaver.h"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace backfi::phy {
+
+namespace {
+
+void require_block_size(std::size_t got, std::size_t want, const char* what) {
+  if (got != want)
+    throw std::invalid_argument(std::string("interleaver: ") + what +
+                                " size differs from block_size()");
+}
+
+}  // namespace
 
 interleaver::interleaver(std::size_t n_cbps, std::size_t n_bpsc) {
   if (n_cbps == 0 || n_cbps % 16 != 0)
@@ -23,13 +33,13 @@ interleaver::interleaver(std::size_t n_cbps, std::size_t n_bpsc) {
 
 void interleaver::interleave_into(std::span<const std::uint8_t> block,
                                   std::span<std::uint8_t> out) const {
-  assert(block.size() == forward_.size());
-  assert(out.size() == forward_.size());
+  require_block_size(block.size(), forward_.size(), "block");
+  require_block_size(out.size(), forward_.size(), "out");
   for (std::size_t k = 0; k < block.size(); ++k) out[forward_[k]] = block[k];
 }
 
 bitvec interleaver::deinterleave(std::span<const std::uint8_t> block) const {
-  assert(block.size() == forward_.size());
+  require_block_size(block.size(), forward_.size(), "block");
   bitvec out(block.size());
   for (std::size_t k = 0; k < block.size(); ++k) out[k] = block[forward_[k]];
   return out;
@@ -37,7 +47,7 @@ bitvec interleaver::deinterleave(std::span<const std::uint8_t> block) const {
 
 std::vector<double> interleaver::deinterleave_soft(
     std::span<const double> block) const {
-  assert(block.size() == forward_.size());
+  require_block_size(block.size(), forward_.size(), "block");
   std::vector<double> out(block.size());
   for (std::size_t k = 0; k < block.size(); ++k) out[k] = block[forward_[k]];
   return out;

@@ -20,11 +20,13 @@ class interleaver {
   std::size_t block_size() const { return forward_.size(); }
 
   /// Interleave exactly one block (size must equal block_size()) into a
-  /// caller buffer of block_size() entries.
+  /// caller buffer of block_size() entries. Throws std::invalid_argument
+  /// when either size differs.
   void interleave_into(std::span<const std::uint8_t> block,
                        std::span<std::uint8_t> out) const;
 
-  /// De-interleave one block of bits.
+  /// De-interleave one block of bits. Like deinterleave_soft, throws
+  /// std::invalid_argument unless block.size() == block_size().
   bitvec deinterleave(std::span<const std::uint8_t> block) const;
 
   /// De-interleave one block of soft metrics.

@@ -18,9 +18,9 @@ constexpr std::size_t samples_per_wake_bit = 20;  // 1 us at 20 MS/s
 // payload_seed + i and nothing else), so repeated-seed sweeps — perf reps,
 // fig08/fig10 grids, PER points, wild-traffic arms — can replay the
 // complete waveform instead of re-running the wake pulses, preamble and
-// payload scrambling/coding/interleaving/IFFT per trial. The entry stores the
-// exact sample buffer (plus PPDU 0's metadata) the synthesis path
-// produced, so hits are bitwise identical to misses by construction.
+// payload scrambling/coding/interleaving/IFFT per trial. The entry is the
+// excitation the synthesis path produced, so hits are bitwise identical to
+// misses by construction.
 struct full_key {
   std::uint32_t tag_id = 0;
   std::size_t wake_bits = 0;
@@ -43,15 +43,7 @@ struct full_key_hash {
   }
 };
 
-struct full_entry {
-  cvec samples;                 ///< the complete excitation waveform
-  std::size_t wake_end = 0;
-  std::size_t ppdu_start = 0;
-  phy::bitvec wake_preamble;
-  wifi::ppdu_info ppdu;         ///< PPDU 0's layout and payload
-};
-
-using full_cache_t = dsp::replay_cache<full_key, full_entry, full_key_hash>;
+using full_cache_t = dsp::replay_cache<full_key, excitation, full_key_hash>;
 
 full_cache_t& full_cache() {
   static full_cache_t cache(
@@ -63,15 +55,6 @@ full_key key_for(const excitation_config& config) {
   return {config.tag_id,      config.wake_bits,
           config.rate,        config.ppdu_bytes,
           config.payload_seed, std::max<std::size_t>(config.n_ppdus, 1)};
-}
-
-void emit_from_entry(const full_entry& e, excitation& out) {
-  out.wake_preamble = e.wake_preamble;
-  out.samples.resize(e.samples.size());
-  std::copy(e.samples.begin(), e.samples.end(), out.samples.begin());
-  out.wake_end = e.wake_end;
-  out.ppdu_start = e.ppdu_start;
-  out.ppdu = e.ppdu;
 }
 
 void build_excitation_uncached(const excitation_config& config,
@@ -122,20 +105,14 @@ void build_excitation_into(const excitation_config& config, excitation& out) {
   }
   const full_key key = key_for(config);
   if (const auto hit = cache.find(key)) {
-    emit_from_entry(*hit, out);
+    out = *hit;  // copy-assignment reuses out's buffers
     return;
   }
   build_excitation_uncached(config, out);
-  auto entry = std::make_shared<full_entry>();
-  entry->samples = out.samples;
-  entry->wake_end = out.wake_end;
-  entry->ppdu_start = out.ppdu_start;
-  entry->wake_preamble = out.wake_preamble;
-  entry->ppdu = out.ppdu;
-  const std::size_t bytes = entry->samples.size() * sizeof(cplx) +
-                            entry->ppdu.payload.size() +
-                            entry->wake_preamble.size() + sizeof(full_entry);
-  cache.insert(key, std::move(entry), bytes);
+  const std::size_t bytes = out.samples.size() * sizeof(cplx) +
+                            out.ppdu.payload.size() +
+                            out.wake_preamble.size() + sizeof(excitation);
+  cache.insert(key, std::make_shared<excitation>(out), bytes);
 }
 
 excitation_cache_stats_snapshot excitation_cache_stats() {

@@ -170,7 +170,7 @@ double wilson_halfwidth(int failures, int trials, double z);
 /// The Monte-Carlo PER engine: packet error rate (CRC-based) of each
 /// scenario, trial t of a point seeded derive_trial_seed(point seed, t).
 /// Each round flattens every live point's next trials into one
-/// work-stealing sweep (sim/scheduler.h) — without a target that is one
+/// shared-cursor sweep (sim/scheduler.h) — without a target that is one
 /// round holding every point's max_trials — so points that stop early stop
 /// consuming the machine while the rest keep it full. `collector` receives
 /// the trial probes merged in (point, trial) order per round, one sweep's

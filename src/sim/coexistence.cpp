@@ -87,8 +87,8 @@ double client_throughput_bps(const coexistence_config& config, int trials) {
   if (trials <= 0) return 0.0;
   // Seeds depend only on (base seed, trial index); disjoint result slots
   // and the index-ordered reduction keep the outcome bit-identical to the
-  // serial loop at any thread count. Runs through the work-stealing sweep
-  // scheduler like the other Monte-Carlo evaluators.
+  // serial loop at any thread count. Runs through the sweep scheduler like
+  // the other Monte-Carlo evaluators.
   const std::size_t n = static_cast<std::size_t>(trials);
   std::vector<std::uint8_t> decoded(n, 0);
   (void)sweep_for(n, [&](std::size_t t) {

@@ -143,8 +143,8 @@ campaign_result run_fault_campaign(const campaign_config& config) {
   // commit and join keep results and telemetry identical to the old nested
   // serial loops. Arms are whole multi-poll campaigns (the heaviest task
   // granularity in the repo); grids under 128 arms get single-arm chunks,
-  // so any lane that finishes early steals single arms instead of sitting
-  // behind a multi-arm chunk.
+  // so any lane that finishes early claims the next single arm instead of
+  // sitting behind a multi-arm chunk.
   const std::size_t n_runs = 2 * result.cells.size();
   obs::collector_fork fork(config.link.collector, n_runs);
   std::vector<campaign_run> runs(n_runs);

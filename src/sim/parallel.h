@@ -9,12 +9,14 @@
 //  - The trial functions are pure given their config, so which thread runs
 //    an index never changes what it computes.
 //
-// The loops themselves run on the work-stealing sweep scheduler
-// (scheduler.h: sweep_for / sweep_for_ranges). Its pool is lazily
-// created, fixed-size (thread_count() - 1 workers plus the calling
-// thread), and shared process-wide. Nested sweeps from inside a worker run
-// serially on that worker, so trial bodies may themselves call
-// parallelized evaluators without deadlock or oversubscription.
+// The loops themselves run on the sweep scheduler (scheduler.h: sweep_for
+// / sweep_for_ranges), whose lanes claim chunks from one shared cursor.
+// Its pool is lazily created, grows to the largest thread_count() - 1
+// workers any sweep asked for, admits at most thread_count() - 1 of them
+// (plus the calling thread) per sweep, and is shared process-wide. Nested
+// sweeps from inside a worker run serially on that worker, so trial bodies
+// may themselves call parallelized evaluators without deadlock or
+// oversubscription.
 #pragma once
 
 #include <cstddef>

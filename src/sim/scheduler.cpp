@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -20,19 +19,6 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-// One lane of the sweep: a contiguous task range claimed in chunks through
-// the atomic cursor, plus owner-written execution stats. alignas keeps each
-// lane on its own cache line(s) so lane-local claims and stat updates never
-// invalidate another lane's line — the false sharing that flattened the old
-// pool's scaling happened exactly here, on shared bookkeeping words.
-struct alignas(64) lane_state {
-  std::atomic<std::size_t> next{0};  ///< first unclaimed task index
-  std::size_t end = 0;               ///< one past the lane's last task
-  // Execution stats, written only by the lane's owner while it runs.
-  double busy_seconds = 0.0;
-  std::size_t steals = 0;
-};
-
 class sweep_pool {
  public:
   static sweep_pool& instance() {
@@ -40,9 +26,11 @@ class sweep_pool {
     return pool;
   }
 
-  sweep_stats run(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  std::size_t chunk, std::size_t threads);
+  using body_fn = std::function<void(std::size_t, std::size_t)>;
+
+  /// Runs `body` over stats.tasks indices in stats.chunk-sized chunks on
+  /// stats.threads lanes; fills in the timings.
+  sweep_stats run(const body_fn& body, sweep_stats stats);
 
  private:
   sweep_pool() = default;
@@ -64,16 +52,7 @@ class sweep_pool {
   }
 
   void worker_main();
-  void participate(std::size_t my_lane);
-  bool claim(std::size_t my_lane, std::size_t& begin, std::size_t& end,
-             bool& stolen);
-
-  bool drained_relaxed() const {
-    for (std::size_t k = 0; k < lane_count_; ++k)
-      if (lanes_[k].next.load(std::memory_order_relaxed) < lanes_[k].end)
-        return false;
-    return true;
-  }
+  double participate(const body_fn& body);
 
   // Serializes whole jobs; concurrent top-level sweeps queue here.
   std::mutex job_mutex_;
@@ -83,18 +62,17 @@ class sweep_pool {
   std::condition_variable job_done_;
   std::vector<std::thread> workers_;
 
-  // Job state, rebuilt under mutex_ for each run(). Workers only touch it
-  // between registering in participants_ (under mutex_) and deregistering
-  // (under mutex_), and run() does not return until participants_ == 0, so
-  // teardown never races a late worker.
-  std::unique_ptr<lane_state[]> lanes_;
-  std::size_t lanes_capacity_ = 0;
-  const std::function<void(std::size_t, std::size_t)>* body_ = nullptr;
+  // Job state, set under mutex_ for each run(). A worker registers in
+  // participants_ under mutex_ before its first claim and deregisters under
+  // mutex_ after its last, and run() clears body_ under mutex_ only once
+  // participants_ == 0, so no worker ever claims from a finished job.
+  const body_fn* body_ = nullptr;
+  std::size_t n_ = 0;
   std::size_t chunk_ = 1;
-  std::size_t lane_count_ = 0;
-  std::atomic<std::size_t> worker_slot_{0};
-  std::atomic<std::size_t> in_flight_{0};
-  std::size_t participants_ = 0;  // guarded by mutex_
+  std::atomic<std::size_t> next_{0};  ///< first unclaimed task index
+  std::size_t open_slots_ = 0;        // guarded by mutex_
+  std::size_t participants_ = 0;      // guarded by mutex_
+  double busy_seconds_ = 0.0;         // guarded by mutex_
   std::uint64_t generation_ = 0;
   std::exception_ptr error_;
   bool stopping_ = false;
@@ -115,149 +93,78 @@ void sweep_pool::worker_main() {
     });
     if (stopping_) return;
     seen_generation = generation_;
-    const std::size_t slot =
-        worker_slot_.fetch_add(1, std::memory_order_relaxed);
-    if (slot + 1 >= lane_count_) continue;  // job needs fewer lanes
+    if (open_slots_ == 0) continue;  // job already has all its lanes
+    --open_slots_;
     ++participants_;
+    const body_fn& body = *body_;
     lock.unlock();
-    participate(slot + 1);
+    const double busy = participate(body);
     lock.lock();
-    --participants_;
-    if (participants_ == 0) job_done_.notify_all();
+    busy_seconds_ += busy;
+    if (--participants_ == 0) job_done_.notify_all();
   }
 }
 
-bool sweep_pool::claim(std::size_t my_lane, std::size_t& begin,
-                       std::size_t& end, bool& stolen) {
-  // Own range first: one uncontended fetch_add per chunk.
-  lane_state& mine = lanes_[my_lane];
-  std::size_t i = mine.next.fetch_add(chunk_, std::memory_order_relaxed);
-  if (i < mine.end) {
-    begin = i;
-    end = std::min(i + chunk_, mine.end);
-    stolen = false;
-    return true;
-  }
-  // Own range dry: steal a chunk from the victim with the most work left.
-  // Overshooting fetch_adds from racing thieves are harmless — a claim at
-  // or past the lane end is simply not work.
+double sweep_pool::participate(const body_fn& body) {
+  double busy = 0.0;
   for (;;) {
-    std::size_t best = lane_count_;
-    std::size_t best_left = 0;
-    for (std::size_t v = 0; v < lane_count_; ++v) {
-      if (v == my_lane) continue;
-      const std::size_t next = lanes_[v].next.load(std::memory_order_relaxed);
-      const std::size_t left = next < lanes_[v].end ? lanes_[v].end - next : 0;
-      if (left > best_left) {
-        best_left = left;
-        best = v;
-      }
-    }
-    if (best == lane_count_) return false;  // every lane is dry
-    lane_state& victim = lanes_[best];
-    i = victim.next.fetch_add(chunk_, std::memory_order_relaxed);
-    if (i < victim.end) {
-      begin = i;
-      end = std::min(i + chunk_, victim.end);
-      stolen = true;
-      return true;
-    }
-  }
-}
-
-void sweep_pool::participate(std::size_t my_lane) {
-  lane_state& mine = lanes_[my_lane];
-  const auto* body = body_;
-  std::size_t begin = 0, end = 0;
-  bool stolen = false;
-  while (claim(my_lane, begin, end, stolen)) {
-    if (stolen) ++mine.steals;
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    // One fetch_add per chunk on the shared cursor; claims that land at or
+    // past n (overshoot from racing lanes, or an abandoned job) are not work.
+    const std::size_t begin =
+        next_.fetch_add(chunk_, std::memory_order_relaxed);
+    if (begin >= n_) return busy;
+    const std::size_t end = std::min(begin + chunk_, n_);
     const clock::time_point t0 = clock::now();
     std::exception_ptr error;
     try {
       // One call per claimed chunk: range bodies batch their per-chunk
       // setup here; index bodies arrive pre-wrapped by sweep_for.
-      (*body)(begin, end);
+      body(begin, end);
     } catch (...) {
       error = std::current_exception();
     }
-    mine.busy_seconds +=
-        std::chrono::duration<double>(clock::now() - t0).count();
+    busy += std::chrono::duration<double>(clock::now() - t0).count();
     if (error) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!error_) error_ = error;
-      // Abandon all unclaimed work; racing claims land past end harmlessly.
-      for (std::size_t k = 0; k < lane_count_; ++k)
-        lanes_[k].next.store(lanes_[k].end, std::memory_order_relaxed);
-    }
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        drained_relaxed()) {
-      // Last task of the job: wake the caller (lock for a clean handoff
-      // with the caller's predicate check).
-      { std::lock_guard<std::mutex> lock(mutex_); }
-      job_done_.notify_all();
+      next_.store(n_, std::memory_order_relaxed);  // abandon unclaimed work
     }
   }
 }
 
-sweep_stats sweep_pool::run(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk, std::size_t threads) {
+sweep_stats sweep_pool::run(const body_fn& body, sweep_stats stats) {
   std::lock_guard<std::mutex> job_lock(job_mutex_);
-  sweep_stats stats;
-  stats.tasks = n;
-  stats.chunk = chunk;
-  stats.chunks = (n + chunk - 1) / chunk;
-  stats.threads = threads;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ensure_workers_locked(threads - 1);
-    if (lanes_capacity_ < threads) {
-      lanes_ = std::make_unique<lane_state[]>(threads);
-      lanes_capacity_ = threads;
-    }
-    // Partition the chunk grid into contiguous per-lane blocks (in chunk
-    // units so no chunk straddles two lanes).
-    const std::size_t n_chunks = stats.chunks;
-    for (std::size_t k = 0; k < threads; ++k) {
-      const std::size_t chunk_begin = k * n_chunks / threads;
-      const std::size_t chunk_end = (k + 1) * n_chunks / threads;
-      lanes_[k].next.store(chunk_begin * chunk, std::memory_order_relaxed);
-      lanes_[k].end = std::min(chunk_end * chunk, n);
-      lanes_[k].busy_seconds = 0.0;
-      lanes_[k].steals = 0;
-    }
+    ensure_workers_locked(stats.threads - 1);
     body_ = &body;
-    chunk_ = chunk;
-    lane_count_ = threads;
-    worker_slot_.store(0, std::memory_order_relaxed);
-    in_flight_.store(0, std::memory_order_relaxed);
+    n_ = stats.tasks;
+    chunk_ = stats.chunk;
+    next_.store(0, std::memory_order_relaxed);
+    // The pool may hold more workers than this job's lanes (an earlier
+    // sweep ran at a higher thread count); only threads - 1 may join.
+    open_slots_ = stats.threads - 1;
+    busy_seconds_ = 0.0;
     error_ = nullptr;
     ++generation_;
   }
   work_available_.notify_all();
   const clock::time_point t0 = clock::now();
+  double busy = 0.0;
   {
     const bool was_in_sweep = tl_in_sweep;
     tl_in_sweep = true;
-    participate(0);
+    busy = participate(body);
     tl_in_sweep = was_in_sweep;
   }
+  // The cursor has passed n, so every chunk is claimed; the claimed ones
+  // still running belong to registered workers.
   std::unique_lock<std::mutex> lock(mutex_);
-  job_done_.wait(lock, [&] {
-    return participants_ == 0 &&
-           in_flight_.load(std::memory_order_acquire) == 0 &&
-           drained_relaxed();
-  });
+  job_done_.wait(lock, [&] { return participants_ == 0; });
   stats.wall_seconds = std::chrono::duration<double>(clock::now() - t0).count();
-  stats.busy_seconds.resize(threads);
-  for (std::size_t k = 0; k < threads; ++k) {
-    stats.busy_seconds[k] = lanes_[k].busy_seconds;
-    stats.steals += lanes_[k].steals;
-  }
+  stats.busy_seconds_total = busy_seconds_ + busy;
   body_ = nullptr;
-  lane_count_ = 0;
+  open_slots_ = 0;
   if (error_) {
     std::exception_ptr error = error_;
     error_ = nullptr;
@@ -289,20 +196,18 @@ sweep_stats sweep_for_ranges(
   stats.chunk = sweep_chunk_size(n);
   stats.tasks = n;
   stats.chunks = n == 0 ? 0 : (n + stats.chunk - 1) / stats.chunk;
-  if (n == 0) {
-    stats.busy_seconds.assign(1, 0.0);
-    return stats;
-  }
+  if (n == 0) return stats;
   const std::size_t threads = std::min(thread_count(), stats.chunks);
   if (threads <= 1 || tl_in_sweep) {
     const clock::time_point t0 = clock::now();
     body(0, n);
     stats.wall_seconds =
         std::chrono::duration<double>(clock::now() - t0).count();
-    stats.busy_seconds.assign(1, stats.wall_seconds);
+    stats.busy_seconds_total = stats.wall_seconds;
     return stats;
   }
-  return sweep_pool::instance().run(n, body, stats.chunk, threads);
+  stats.threads = threads;
+  return sweep_pool::instance().run(body, stats);
 }
 
 void report_sweep_stats(obs::collector* c, const sweep_stats& stats) {
@@ -315,9 +220,8 @@ void report_sweep_stats(obs::collector* c, const sweep_stats& stats) {
   // Execution-dependent gauges: runtime.* is excluded from the
   // deterministic export profile alongside timing.*.
   c->set(probe::scheduler_threads, static_cast<double>(stats.threads));
-  c->set(probe::scheduler_steals, static_cast<double>(stats.steals));
   c->set(probe::scheduler_wall_seconds, stats.wall_seconds);
-  c->set(probe::scheduler_busy_seconds_total, stats.busy_seconds_total());
+  c->set(probe::scheduler_busy_seconds_total, stats.busy_seconds_total);
   c->set(probe::scheduler_efficiency_pct, 100.0 * stats.efficiency());
 }
 

@@ -1,26 +1,25 @@
-// Sweep-level work-stealing scheduler for Monte-Carlo evaluations.
+// Sweep scheduler for Monte-Carlo evaluations.
 //
 // The Monte-Carlo evaluators flatten their whole (sweep point x trial)
 // space into one global pool of independent tasks and hand it to
-// sweep_for. The pool is split into per-lane contiguous ranges claimed in
-// fixed-size chunks through cache-line-padded atomic cursors: a lane's
-// owner claims chunks from its own range, and a lane that runs dry steals
-// chunks from the fullest remaining victim. Compared to the PR 2 pool
-// (one global mutex acquired per index) this costs one uncontended
-// fetch_add per *chunk* and shares no mutable cache line between lanes,
-// so trial loops scale with the hardware instead of serializing on the
-// pool bookkeeping.
+// sweep_for. Every lane — the calling thread plus up to thread_count() - 1
+// persistent pool workers — claims fixed-size chunks from one shared
+// atomic cursor (one fetch_add per chunk) until the cursor passes n. The
+// sweeps in this repo are at most a few hundred chunks of trials that each
+// take hundreds of microseconds or more, so a single cursor cannot
+// contend; a lane that finishes early simply claims the next chunk.
 //
 // Determinism contract (the rules in parallel.h): the caller derives every
 // task's RNG seed from (base seed, flattened index) alone and each index
 // writes only its own result slot, so results — and index-ordered
-// collector merges — are bit-identical at any BACKFI_THREADS. The scheduler only changes *which lane* runs an index,
-// never what the index computes or the order results are committed in.
+// collector merges — are bit-identical at any BACKFI_THREADS. The
+// scheduler only changes *which lane* runs an index, never what the index
+// computes or the order results are committed in.
 //
 // The chunk size is a pure function of the task count (never of the
 // thread count), so the deterministic scheduler telemetry
 // (sim.scheduler.tasks / sim.scheduler.chunks) is identical at any
-// thread count; execution-dependent quantities (steals, per-lane busy
+// thread count; execution-dependent quantities (lanes, wall and busy
 // time) are exported under runtime.scheduler.*, which the deterministic
 // export profile excludes alongside timing.*.
 #pragma once
@@ -28,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace backfi::obs {
 class collector;
@@ -47,36 +45,29 @@ std::size_t sweep_chunk_size(std::size_t n);
 /// Execution report of one sweep_for call. Everything here describes how
 /// the work was *executed*; the results the body produced are unaffected.
 struct sweep_stats {
-  std::size_t threads = 1;   ///< lanes that participated
+  std::size_t threads = 1;   ///< lanes allowed: min(thread_count(), chunks)
   std::size_t tasks = 0;     ///< total flattened task count (== n)
   std::size_t chunk = 1;     ///< chunk size used
   std::size_t chunks = 0;    ///< ceil(n / chunk)
-  std::size_t steals = 0;    ///< chunks claimed from another lane's range
   double wall_seconds = 0.0;
-  /// Per-lane time spent inside the task body (one entry per lane; the
-  /// calling thread is lane 0). Written only by the owning lane during the
-  /// sweep, published to the caller at the join.
-  std::vector<double> busy_seconds;
+  /// Time all lanes together spent inside the task body; each lane adds
+  /// its share when it leaves the job.
+  double busy_seconds_total = 0.0;
 
-  double busy_seconds_total() const {
-    double total = 0.0;
-    for (const double b : busy_seconds) total += b;
-    return total;
-  }
   /// Fraction of lane wall-clock spent in task bodies: busy / (wall *
   /// lanes). 1.0 means no lane ever waited on the pool.
   double efficiency() const {
     const double denom = wall_seconds * static_cast<double>(threads);
-    return denom > 0.0 ? busy_seconds_total() / denom : 1.0;
+    return denom > 0.0 ? busy_seconds_total / denom : 1.0;
   }
 };
 
-/// Run body(0) ... body(n - 1) across the worker pool with chunked
-/// work-stealing. Returns after every index has completed, rethrows the
-/// first body exception (abandoning unclaimed work), and runs serially in
-/// index order when thread_count() <= 1 or when called from inside a pool
-/// worker; the returned report describes the execution. Chunks are
-/// sweep_chunk_size(n) indices long.
+/// Run body(0) ... body(n - 1) across the worker pool, each lane claiming
+/// chunks from one shared cursor. Returns after every index has completed,
+/// rethrows the first body exception (abandoning unclaimed work), and runs
+/// serially in index order when thread_count() <= 1 or when called from
+/// inside a pool worker; the returned report describes the execution.
+/// Chunks are sweep_chunk_size(n) indices long.
 sweep_stats sweep_for(std::size_t n,
                       const std::function<void(std::size_t)>& body);
 

@@ -88,10 +88,10 @@ TEST(ZeroSampleProbes, GaugeCountsOnceSet) {
   c.set(probe::scheduler_threads, 4.0);
   c.observe(probe::timing_decode, 1e-4);
   const probe required[] = {probe::scheduler_threads, probe::timing_decode,
-                            probe::scheduler_steals};
+                            probe::scheduler_efficiency_pct};
   const auto silent = zero_sample_probes(c.registry(), required);
   ASSERT_EQ(silent.size(), 1u);
-  EXPECT_EQ(silent[0], "runtime.scheduler.steals");
+  EXPECT_EQ(silent[0], "runtime.scheduler.efficiency_pct");
 }
 
 TEST(ZeroSampleProbes, ZeroDeltaCountStaysSilent) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 namespace backfi::phy {
 namespace {
 
@@ -53,6 +56,20 @@ TEST(BitsTest, UintRoundTripMsbFirst) {
   EXPECT_EQ(bits[0], 1);
   EXPECT_EQ(bits[1], 0);
   EXPECT_EQ(bits[7], 1);
+}
+
+TEST(BitsTest, RejectsOutOfRangeFields) {
+  bitvec bits;
+  EXPECT_THROW(append_uint(bits, 1, 33), std::invalid_argument);
+  EXPECT_TRUE(bits.empty());
+  append_uint(bits, 0xFFFFFFFFu, 32);
+  EXPECT_EQ(bits_to_uint(bits, 0, 32), 0xFFFFFFFFu);
+  EXPECT_THROW(bits_to_uint(bits, 0, 33), std::invalid_argument);
+  EXPECT_THROW(bits_to_uint(bits, 1, 32), std::invalid_argument);
+  EXPECT_THROW(bits_to_uint(bits, 33, 0), std::invalid_argument);
+  // offset + count wraps to 7 here; the check must not form the sum.
+  EXPECT_THROW(bits_to_uint(bits, SIZE_MAX, 8), std::invalid_argument);
+  EXPECT_EQ(bits_to_uint(bits, 32, 0), 0u);  // empty field at the end
 }
 
 }  // namespace

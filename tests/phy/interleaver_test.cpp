@@ -88,5 +88,26 @@ TEST(InterleaverTest, RejectsInvalidBlockSize) {
   EXPECT_THROW(interleaver(50, 1), std::invalid_argument);
 }
 
+TEST(InterleaverTest, RejectsWrongBlockSizes) {
+  // A short `out` would be written past its end, and a long block read
+  // through forward_ past the table: both are typed errors, not UB.
+  const interleaver il(48, 1);
+  const bitvec block(48, 1);
+  bitvec out(48, 0);
+  EXPECT_THROW(il.interleave_into(block, std::span(out).first(47)),
+               std::invalid_argument);
+  EXPECT_THROW(il.interleave_into(std::span(block).first(47), out),
+               std::invalid_argument);
+  EXPECT_THROW(il.deinterleave(bitvec(96, 0)), std::invalid_argument);
+  EXPECT_THROW(il.deinterleave(bitvec(47, 0)), std::invalid_argument);
+  EXPECT_THROW(il.deinterleave_soft(std::vector<double>(96, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(il.deinterleave_soft(std::vector<double>(47, 0.0)),
+               std::invalid_argument);
+  // The exact size still works.
+  EXPECT_NO_THROW(il.interleave_into(block, out));
+  EXPECT_EQ(il.deinterleave(out), block);
+}
+
 }  // namespace
 }  // namespace backfi::phy

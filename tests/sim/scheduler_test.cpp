@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -53,9 +55,9 @@ TEST(SchedulerTest, StatsDescribeTheSubmittedWork) {
   EXPECT_EQ(stats.chunk, sweep_chunk_size(n));
   EXPECT_EQ(stats.chunks, (n + stats.chunk - 1) / stats.chunk);
   EXPECT_GE(stats.wall_seconds, 0.0);
-  // One busy-time entry per participating lane; lane count never exceeds
-  // the requested threads or the chunk count.
-  EXPECT_EQ(stats.busy_seconds.size(), stats.threads);
+  // Body time summed over the lanes; lane count never exceeds the
+  // requested threads or the chunk count.
+  EXPECT_GE(stats.busy_seconds_total, 0.0);
   EXPECT_LE(stats.threads, 4u);
   EXPECT_LE(stats.threads, stats.chunks);
 }
@@ -225,6 +227,30 @@ TEST(SchedulerTest, LanesOverlapOnBlockingTasks) {
   const auto wall = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(stats.threads, 8u);
   EXPECT_LT(wall, n * task / 2);
+}
+
+TEST(SchedulerTest, LaneCountFollowsTheCurrentThreadCount) {
+  // The pool keeps the workers an earlier, wider sweep started; a later
+  // sweep must still run on no more lanes than the thread count it sees.
+  {
+    scoped_thread_count wide(8);
+    EXPECT_EQ(sweep_for(64, [](std::size_t) {}).threads, 8u);  // 7 workers
+  }
+  constexpr std::size_t n = 64;
+  constexpr auto task = std::chrono::milliseconds(1);
+  scoped_thread_count guard(2);
+  std::mutex mutex;
+  std::set<std::thread::id> lanes;
+  const sweep_stats stats = sweep_for(n, [&](std::size_t) {
+    std::this_thread::sleep_for(task);
+    std::lock_guard<std::mutex> lock(mutex);
+    lanes.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(stats.threads, 2u);
+  EXPECT_LE(lanes.size(), 2u);
+  // Every lane's body time reaches the total.
+  EXPECT_GE(stats.busy_seconds_total,
+            std::chrono::duration<double>(n * task).count());
 }
 
 }  // namespace
