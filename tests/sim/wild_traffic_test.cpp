@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mac_counters.h"
 #include "sim/fault_campaign.h"
 #include "sim/parallel.h"
 
@@ -64,6 +65,64 @@ TEST(WildTrafficTest, ArmsAreDeterministic) {
   EXPECT_DOUBLE_EQ(a.polls_issued, b.polls_issued);
   EXPECT_DOUBLE_EQ(a.blocks_decoded, b.blocks_decoded);
   EXPECT_DOUBLE_EQ(a.repair_symbols, b.repair_symbols);
+}
+
+// Every output of six arms, exact: the three schemes at duty 0.5 and 1.0
+// on one arm seed. The plain arm's whole-block packets walk the packet
+// ladder (retries, fallbacks, backoff); the coded arms walk the erasure
+// backoff and the repair budget.
+TEST(WildTrafficTest, ArmOutputsPinned) {
+  struct pinned {
+    phy::erasure_scheme scheme;
+    double duty_cycle;
+    double goodput_bps, delivered_fraction, polls_issued, blocks_decoded,
+        blocks_abandoned, repair_symbols, block_latency_polls;
+    mac_counts counters;
+  };
+  const pinned expected[] = {
+      {phy::erasure_scheme::none, 1.0,
+       0x1.cef684bda12f7p+15, 0x1p+0, 0x1.8p+2,
+       0x1.8p+2, 0x0p+0, 0x0p+0, 0x1p+2,
+       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {phy::erasure_scheme::none, 0.5,
+       0x0p+0, 0x0p+0, 0x1.4p+2,
+       0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
+       {3, 4, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}},
+      {phy::erasure_scheme::reed_solomon, 1.0,
+       0x1.81cd6e9e06523p+15, 0x1.eaaaaaaaaaaabp-1, 0x1.8p+4,
+       0x1.4p+2, 0x0p+0, 0x0p+0, 0x1.0cccccccccccdp+2,
+       {0, 0, 0, 0, 0, 0, 0, 23, 1, 0, 5, 0, 0}},
+      {phy::erasure_scheme::reed_solomon, 0.5,
+       0x1.34a4587e6b74fp+13, 0x1.3333333333333p-2, 0x1.4p+4,
+       0x1p+0, 0x0p+0, 0x1.8p+3, 0x1.3p+4,
+       {2, 0, 0, 0, 1, 0, 3, 6, 14, 1, 1, 3, 0}},
+      {phy::erasure_scheme::fountain, 1.0,
+       0x1.81cd6e9e06523p+15, 0x1.eaaaaaaaaaaabp-1, 0x1.8p+4,
+       0x1.4p+2, 0x0p+0, 0x1p+2, 0x1.2666666666666p+2,
+       {0, 0, 0, 0, 0, 0, 0, 23, 1, 0, 5, 1, 0}},
+      {phy::erasure_scheme::fountain, 0.5,
+       0x1.34a4587e6b74fp+13, 0x1.3333333333333p-2, 0x1.4p+4,
+       0x1p+0, 0x0p+0, 0x1.8p+3, 0x1.3p+4,
+       {2, 0, 0, 0, 1, 0, 3, 6, 14, 1, 1, 3, 0}},
+  };
+  wild_traffic_config config = small_config();
+  config.opportunities = 24;
+  for (const pinned& want : expected) {
+    obs::collector collector;
+    config.link.collector = &collector;
+    const wild_run run =
+        run_wild_arm(config, want.scheme, want.duty_cycle, 5);
+    const std::string arm = std::to_string(static_cast<int>(want.scheme)) +
+                            " @ " + std::to_string(want.duty_cycle);
+    EXPECT_EQ(run.goodput_bps, want.goodput_bps) << arm;
+    EXPECT_EQ(run.delivered_fraction, want.delivered_fraction) << arm;
+    EXPECT_EQ(run.polls_issued, want.polls_issued) << arm;
+    EXPECT_EQ(run.blocks_decoded, want.blocks_decoded) << arm;
+    EXPECT_EQ(run.blocks_abandoned, want.blocks_abandoned) << arm;
+    EXPECT_EQ(run.repair_symbols, want.repair_symbols) << arm;
+    EXPECT_EQ(run.block_latency_polls, want.block_latency_polls) << arm;
+    EXPECT_EQ(read_mac_counters(collector), want.counters) << arm;
+  }
 }
 
 TEST(WildTrafficTest, SweepCoversTheGridSchemeMajor) {
