@@ -10,16 +10,13 @@
 namespace backfi::channel {
 
 /// Free-space path loss [dB] at distance d [m] and frequency f [Hz].
+/// Throws std::invalid_argument unless both are finite and positive.
 double free_space_path_loss_db(double distance_m, double frequency_hz);
 
-/// Log-distance model: FSPL(1 m) + 10 * exponent * log10(d).
+/// Log-distance model: FSPL(1 m) + 10 * exponent * log10(d). Throws
+/// std::invalid_argument unless d and f are finite and positive.
 double log_distance_path_loss_db(double distance_m, double frequency_hz,
                                  double exponent);
-
-/// One-way amplitude gain (linear, voltage) for the log-distance model,
-/// including an antenna gain term [dBi].
-double one_way_amplitude_gain(double distance_m, double frequency_hz,
-                              double exponent, double antenna_gain_dbi);
 
 /// Thermal noise floor [dBm] over `bandwidth_hz` with noise figure [dB] at
 /// T = 290 K.

@@ -35,13 +35,12 @@ void bit_reverse_permute(std::span<cplx> data) {
   }
 }
 
-void transform(std::span<cplx> data, bool inverse) {
+void transform(std::span<cplx> data) {
   const std::size_t n = data.size();
   assert(is_power_of_two(n));
   bit_reverse_permute(data);
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? two_pi : -two_pi) / static_cast<double>(len);
-    const cplx w_len = phasor(angle);
+    const cplx w_len = phasor(-two_pi / static_cast<double>(len));
     for (std::size_t start = 0; start < n; start += len) {
       cplx w{1.0, 0.0};
       for (std::size_t k = 0; k < len / 2; ++k) {
@@ -155,35 +154,7 @@ const fft_plan& get_fft_plan(std::size_t n, fft_direction direction) {
 }
 
 void fft_in_place_reference(std::span<cplx> data) {
-  transform(data, /*inverse=*/false);
-}
-
-void ifft_in_place_reference(std::span<cplx> data) {
-  transform(data, /*inverse=*/true);
-  const double inv_n = 1.0 / static_cast<double>(data.size());
-  for (cplx& v : data) v *= inv_n;
-}
-
-void fft_in_place(std::span<cplx> data) {
-  get_fft_plan(data.size(), fft_direction::forward).execute(data);
-}
-
-void ifft_in_place(std::span<cplx> data) {
-  get_fft_plan(data.size(), fft_direction::inverse).execute(data);
-  const double inv_n = 1.0 / static_cast<double>(data.size());
-  for (cplx& v : data) v *= inv_n;
-}
-
-cvec fft(std::span<const cplx> input) {
-  cvec out(input.begin(), input.end());
-  fft_in_place(out);
-  return out;
-}
-
-cvec ifft(std::span<const cplx> input) {
-  cvec out(input.begin(), input.end());
-  ifft_in_place(out);
-  return out;
+  transform(data);
 }
 
 }  // namespace backfi::dsp

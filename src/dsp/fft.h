@@ -1,12 +1,12 @@
 // Iterative FFT/IFFT for power-of-two sizes.
 //
 // The WiFi PHY only needs 64-point transforms, but the kernel is generic
-// over any power of two so spectral tests can use longer transforms. Every
-// entry point runs through a cached execution plan: a tabled radix-2 kernel
+// over any power of two so spectral tests can use longer transforms.
+// Transforms run through a cached execution plan: a tabled radix-2 kernel
 // whose twiddles are built with the original per-butterfly recurrence, so
 // its output is bit-identical to the original (pre-plan) implementation at
-// every size. That implementation is kept as *_reference for the
-// equivalence tests and perf baselines.
+// every size. That implementation is kept as fft_in_place_reference for
+// the equivalence tests and perf baselines.
 #pragma once
 
 #include <cstddef>
@@ -17,26 +17,13 @@
 
 namespace backfi::dsp {
 
-/// In-place forward DFT (no normalization). size must be a power of two >= 1.
-void fft_in_place(std::span<cplx> data);
-
-/// In-place inverse DFT with 1/N normalization. size must be a power of two.
-void ifft_in_place(std::span<cplx> data);
-
-/// Out-of-place forward DFT.
-cvec fft(std::span<const cplx> input);
-
-/// Out-of-place inverse DFT (1/N normalized).
-cvec ifft(std::span<const cplx> input);
-
 /// True if n is a power of two (and nonzero).
 bool is_power_of_two(std::size_t n);
 
-/// The original per-call twiddle-recurrence transform, kept verbatim as the
-/// baseline for perf_kernels and for the plan equivalence tests. Not used
-/// by the signal chain.
+/// The original per-call twiddle-recurrence forward transform (no
+/// normalization), kept verbatim as the baseline for perf_kernels and for
+/// the plan equivalence tests. Not used by the signal chain.
 void fft_in_place_reference(std::span<cplx> data);
-void ifft_in_place_reference(std::span<cplx> data);
 
 enum class fft_direction { forward, inverse };
 

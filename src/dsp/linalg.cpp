@@ -1,5 +1,6 @@
 #include "dsp/linalg.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -46,40 +47,6 @@ void cholesky_solve_in_place(const cplx* a, std::size_t n, cplx* b) {
 }
 
 }  // namespace detail
-
-cvec solve_hermitian_positive_definite(const cmatrix& a, std::span<const cplx> b) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n)
-    throw std::invalid_argument("solve_hpd: dimension mismatch");
-  cmatrix l = a;
-  cvec x(b.begin(), b.end());
-  detail::cholesky_factor_in_place(l.data(), n);
-  detail::cholesky_solve_in_place(l.data(), n, x.data());
-  return x;
-}
-
-cvec least_squares(const cmatrix& a, std::span<const cplx> b, double ridge) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (b.size() != m) throw std::invalid_argument("least_squares: dimension mismatch");
-
-  // Normal equations: (A^H A + ridge I) x = A^H b.
-  cmatrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      cplx acc{0.0, 0.0};
-      for (std::size_t r = 0; r < m; ++r) acc += std::conj(a(r, i)) * a(r, j);
-      gram(i, j) = acc;
-      gram(j, i) = std::conj(acc);
-    }
-    gram(i, i) += ridge;
-  }
-  cvec rhs(n, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t r = 0; r < m; ++r) rhs[i] += std::conj(a(r, i)) * b[r];
-
-  return solve_hermitian_positive_definite(gram, rhs);
-}
 
 void fir_ls_build(std::span<const cplx> x, std::span<const cplx> y,
                   std::size_t n_taps, fir_ls_workspace& w) {

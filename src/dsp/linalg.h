@@ -7,44 +7,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "dsp/types.h"
 
 namespace backfi::dsp {
-
-/// Dense column-major complex matrix, sized at construction.
-class cmatrix {
- public:
-  cmatrix() = default;
-  cmatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, cplx{0.0, 0.0}) {}
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  cplx& operator()(std::size_t r, std::size_t c) { return data_[c * rows_ + r]; }
-  const cplx& operator()(std::size_t r, std::size_t c) const {
-    return data_[c * rows_ + r];
-  }
-
-  cplx* data() { return data_.data(); }
-  const cplx* data() const { return data_.data(); }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  cvec data_;
-};
-
-/// Solve the Hermitian positive-definite system A x = b by Cholesky
-/// factorization. Throws std::runtime_error if A is not positive definite.
-cvec solve_hermitian_positive_definite(const cmatrix& a, std::span<const cplx> b);
-
-/// Solve min_x ||A x - b||^2 + ridge * ||x||^2 via normal equations.
-/// `ridge` > 0 keeps the solve well-posed when A is ill-conditioned
-/// (e.g. a narrowband excitation exciting few delay taps).
-cvec least_squares(const cmatrix& a, std::span<const cplx> b, double ridge = 0.0);
 
 /// Reusable state for FIR least-squares fits. gram holds the n_taps x
 /// n_taps column-major normal matrix after fir_ls_build, and its Cholesky

@@ -16,7 +16,8 @@ double mean_power(std::span<const cplx> x);
 /// Root-mean-square magnitude.
 double rms(std::span<const cplx> x);
 
-/// y += x element-wise; spans must have equal length.
+/// y += x element-wise. Throws std::invalid_argument unless the spans have
+/// equal length.
 void add_in_place(std::span<cplx> y, std::span<const cplx> x);
 
 /// y[i] += s * x[i] element-wise, with `x` given as 2 * y.size() flat
@@ -28,11 +29,13 @@ void add_in_place(std::span<cplx> y, std::span<const cplx> x);
 void add_scaled_in_place(std::span<cplx> y, std::span<const double> x,
                          double s);
 
-/// Element-wise product x .* y as a new vector.
+/// Element-wise product x .* y as a new vector. Throws
+/// std::invalid_argument unless the spans have equal length.
 cvec hadamard(std::span<const cplx> x, std::span<const cplx> y);
 
 /// Element-wise product x .* y into a reusable caller buffer (sized to
-/// x.size()); spans must have equal length.
+/// x.size()). Throws std::invalid_argument unless the spans have equal
+/// length.
 void hadamard_into(std::span<const cplx> x, std::span<const cplx> y,
                    cvec& out);
 

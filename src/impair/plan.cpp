@@ -14,18 +14,6 @@ dsp::rng stream(std::uint64_t seed, std::uint64_t salt) {
 
 }  // namespace
 
-bool impairment_plan::any() const {
-  return cfo.offset_hz != 0.0 || cfo.drift_hz_per_s != 0.0 ||
-         phase_noise.linewidth_hz > 0.0 || iq.gain_mismatch_db != 0.0 ||
-         iq.phase_skew_deg != 0.0 || iq.dc_offset != cplx{0.0, 0.0} ||
-         iq.dc_over_rms != 0.0 ||
-         sampling.ppm != 0.0 || saturation.bursts_per_ms > 0.0 ||
-         interferer.bursts_per_ms > 0.0 || tag_jitter.clock_ppm != 0.0 ||
-         tag_jitter.phase_jitter_rad > 0.0 || brownout.probability > 0.0 ||
-         canceller_drift.final_leakage_db > -200.0 ||
-         stage_failure.leakage_db > -200.0;
-}
-
 bool impairment_plan::any_front_end() const {
   return cfo.offset_hz != 0.0 || cfo.drift_hz_per_s != 0.0 ||
          phase_noise.linewidth_hz > 0.0 || iq.gain_mismatch_db != 0.0 ||

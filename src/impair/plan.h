@@ -32,9 +32,6 @@ struct impairment_plan {
 
   std::uint64_t seed = 0x0fa17ULL;
 
-  /// Any injector active?
-  bool any() const;
-
   /// Any front-end (downconverter) injector active? These must be applied
   /// AFTER the analog cancellation stage — see `apply_front_end`.
   bool any_front_end() const;

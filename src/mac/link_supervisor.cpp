@@ -1,19 +1,98 @@
 #include "mac/link_supervisor.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
 
 #include "obs/collector.h"
 
 namespace backfi::mac {
 
-const char* to_string(coded_directive directive) {
-  switch (directive) {
-    case coded_directive::continue_stream: return "continue_stream";
-    case coded_directive::send_repair: return "send_repair";
-    case coded_directive::abandon_block: return "abandon_block";
+namespace {
+
+/// Supported symbol rates, ascending (the Fig. 7 columns).
+constexpr double kRates[] = {1e4, 1e5, 5e5, 1e6, 2e6, 2.5e6};
+
+const double* symbol_rate_below(double current) {
+  const double* found = nullptr;
+  for (const double& r : kRates)
+    if (r < current - 1.0 && (found == nullptr || r > *found)) found = &r;
+  return found;
+}
+
+const double* symbol_rate_above(double current) {
+  const double* found = nullptr;
+  for (const double& r : kRates)
+    if (r > current + 1.0 && (found == nullptr || r < *found)) found = &r;
+  return found;
+}
+
+}  // namespace
+
+bool fallback_rate(tag::tag_rate_config& rate) {
+  // 1. Slow the symbol clock (more MRC gain, same modulation) — but once
+  // the clock is down to 100 kSPS, dense modulations are clearly SNR-bound
+  // and dropping the order converges faster than crawling to 10 kSPS.
+  const bool dense = rate.modulation != tag::tag_modulation::bpsk &&
+                     rate.modulation != tag::tag_modulation::qpsk;
+  if (!(dense && rate.symbol_rate_hz <= 1e5)) {
+    if (const double* lower = symbol_rate_below(rate.symbol_rate_hz)) {
+      rate.symbol_rate_hz = *lower;
+      return true;
+    }
   }
-  return "unknown";
+  if (dense) {
+    rate.modulation = tag::tag_modulation::qpsk;
+    rate.symbol_rate_hz = 1e6;
+    return true;
+  }
+  // 2. At the slowest clock: reduce coding rate, then modulation order.
+  if (rate.coding == phy::code_rate::two_thirds) {
+    rate.coding = phy::code_rate::half;
+    rate.symbol_rate_hz = 2.5e6;
+    return true;
+  }
+  switch (rate.modulation) {
+    case tag::tag_modulation::psk16:
+      rate.modulation = tag::tag_modulation::qpsk;
+      rate.symbol_rate_hz = 2.5e6;
+      return true;
+    case tag::tag_modulation::psk8:
+      rate.modulation = tag::tag_modulation::qpsk;
+      rate.symbol_rate_hz = 2.5e6;
+      return true;
+    case tag::tag_modulation::qpsk:
+      rate.modulation = tag::tag_modulation::bpsk;
+      rate.symbol_rate_hz = 2.5e6;
+      return true;
+    case tag::tag_modulation::bpsk:
+      return false;  // already most robust
+  }
+  return false;
+}
+
+bool probe_up_rate(tag::tag_rate_config& rate) {
+  if (const double* higher = symbol_rate_above(rate.symbol_rate_hz)) {
+    rate.symbol_rate_hz = *higher;
+    return true;
+  }
+  if (rate.coding == phy::code_rate::half) {
+    rate.coding = phy::code_rate::two_thirds;
+    return true;
+  }
+  switch (rate.modulation) {
+    case tag::tag_modulation::bpsk:
+      rate.modulation = tag::tag_modulation::qpsk;
+      return true;
+    case tag::tag_modulation::qpsk:
+      rate.modulation = tag::tag_modulation::psk8;
+      return true;
+    case tag::tag_modulation::psk8:
+      rate.modulation = tag::tag_modulation::psk16;
+      return true;
+    case tag::tag_modulation::psk16:
+      return false;  // already fastest
+  }
+  return false;
 }
 
 const char* to_string(link_state state) {
@@ -27,61 +106,37 @@ const char* to_string(link_state state) {
   return "unknown";
 }
 
-link_supervisor::link_supervisor(tag_scheduler& scheduler,
+link_supervisor::link_supervisor(const tag::tag_rate_config& start_rate,
                                  const arq_config& config,
                                  obs::collector* collector)
-    : scheduler_(scheduler), config_(config), collector_(collector) {
-  // The supervisor owns rate control; the scheduler only keeps the books.
-  scheduler_.set_auto_rate_fallback(false);
-  for (const std::uint32_t id : scheduler_.tag_ids()) {
-    tag_record record;
-    record.id = id;
-    records_.push_back(record);
-  }
-}
+    : config_(config), collector_(collector), rate_(start_rate) {}
 
-link_supervisor::tag_record& link_supervisor::record_of(std::uint32_t id) {
-  for (auto& r : records_)
-    if (r.id == id) return r;
-  throw std::out_of_range("link_supervisor: unsupervised tag id");
-}
-
-void link_supervisor::transition(tag_record& r, link_state next) {
-  if (r.state == next) return;
-  r.state = next;
+void link_supervisor::transition(link_state next) {
+  if (state_ == next) return;
+  state_ = next;
   obs::count(collector_, obs::probe::arq_state_transitions);
 }
 
-const link_supervisor::tag_record& link_supervisor::record_of(
-    std::uint32_t id) const {
-  for (const auto& r : records_)
-    if (r.id == id) return r;
-  throw std::out_of_range("link_supervisor: unsupervised tag id");
+bool link_supervisor::next() {
+  // A retry polls at once; it still consumes the opportunity.
+  ++opportunity_;
+  if (retry_pending_ || defer_until_ < opportunity_) return true;
+  // The window's last opportunity idles too, but the window ends there, so
+  // only the opportunities before it count as deferred polls.
+  if (defer_until_ > opportunity_) {
+    ++stats_.deferred_polls;
+    obs::count(collector_, obs::probe::arq_deferred_polls);
+  }
+  return false;
 }
 
-std::optional<std::uint32_t> link_supervisor::next() {
-  // Pending ARQ retries first, rotating fairly among them. A retry still
-  // consumes the opportunity, so the scheduler's clock must advance (the
-  // other tags' backoff windows keep draining).
-  for (std::size_t step = 0; step < records_.size(); ++step) {
-    auto& r = records_[(retry_cursor_ + step) % records_.size()];
-    if (r.retry_pending) {
-      retry_cursor_ = (retry_cursor_ + step + 1) % records_.size();
-      scheduler_.advance_opportunity();
-      return r.id;
-    }
-  }
-  const auto chosen = scheduler_.next();
-  // Every tag still inside its backoff window spent this opportunity
-  // deferred — including the case where nobody was pollable at all (a
-  // single supervised tag backing off idles the whole slot).
-  for (auto& r : records_) {
-    if ((!chosen || r.id != *chosen) && scheduler_.is_deferred(r.id)) {
-      ++r.stats.deferred_polls;
-      obs::count(collector_, obs::probe::arq_deferred_polls);
-    }
-  }
-  return chosen;
+void link_supervisor::defer(std::size_t opportunities) {
+  // Saturating add: a pathological backoff request near SIZE_MAX must park
+  // the tag, not wrap the gate around to "pollable immediately".
+  const std::size_t limit = std::numeric_limits<std::size_t>::max();
+  defer_until_ = opportunities > limit - opportunity_
+                     ? limit
+                     : opportunity_ + opportunities;
 }
 
 std::size_t link_supervisor::clamped_backoff(std::size_t streak) const {
@@ -101,138 +156,126 @@ std::size_t link_supervisor::clamped_backoff(std::size_t streak) const {
   return std::min(backoff, cap);
 }
 
-void link_supervisor::handle_transaction_failure(tag_record& r) {
-  tag::tag_rate_config rate = scheduler_.descriptor(r.id).rate;
-  if (fallback_rate(rate)) {
-    scheduler_.set_rate(r.id, rate);
-    ++r.stats.fallbacks;
+void link_supervisor::handle_transaction_failure() {
+  if (fallback_rate(rate_)) {
+    ++stats_.fallbacks;
     obs::count(collector_, obs::probe::arq_fallbacks);
-    ++r.fallback_streak;
-    scheduler_.defer(r.id, clamped_backoff(r.fallback_streak));
-    transition(r, link_state::backoff);
+    ++fallback_streak_;
+    defer(clamped_backoff(fallback_streak_));
+    transition(link_state::backoff);
     return;
   }
   // Already at the robust floor: count dead cycles toward suspension.
-  ++r.floor_failures;
-  if (r.floor_failures >= config_.suspend_after) {
-    if (r.state != link_state::suspended) {
-      ++r.stats.suspensions;
+  ++floor_failures_;
+  if (floor_failures_ >= config_.suspend_after) {
+    if (state_ != link_state::suspended) {
+      ++stats_.suspensions;
       obs::count(collector_, obs::probe::arq_suspensions);
     }
-    transition(r, link_state::suspended);
-    scheduler_.defer(r.id, config_.suspend_poll_interval);
+    transition(link_state::suspended);
+    defer(config_.suspend_poll_interval);
   } else {
-    scheduler_.defer(r.id,
-                     clamped_backoff(r.fallback_streak + r.floor_failures));
-    transition(r, link_state::backoff);
+    defer(clamped_backoff(fallback_streak_ + floor_failures_));
+    transition(link_state::backoff);
   }
 }
 
-void link_supervisor::report_result(std::uint32_t id, bool success,
-                                    double delivered_bits) {
-  tag_record& r = record_of(id);
-  scheduler_.report_result(id, success, delivered_bits);
+void link_supervisor::report_result(bool success) {
+  consecutive_failures_ = success ? 0 : consecutive_failures_ + 1;
 
   if (success) {
-    if (r.state != link_state::healthy) {
-      ++r.stats.recoveries;
+    if (state_ != link_state::healthy) {
+      ++stats_.recoveries;
       obs::count(collector_, obs::probe::arq_recoveries);
     }
-    transition(r, link_state::healthy);
-    r.retries_used = 0;
-    r.retry_pending = false;
-    r.fallback_streak = 0;
-    r.floor_failures = 0;
-    ++r.success_streak;
-    if (r.success_streak >= config_.probe_up_after) {
-      tag::tag_rate_config rate = scheduler_.descriptor(id).rate;
-      r.pre_probe_rate = rate;
-      if (probe_up_rate(rate)) {
-        scheduler_.set_rate(id, rate);
-        ++r.stats.probe_ups;
+    transition(link_state::healthy);
+    retries_used_ = 0;
+    retry_pending_ = false;
+    fallback_streak_ = 0;
+    floor_failures_ = 0;
+    ++success_streak_;
+    if (success_streak_ >= config_.probe_up_after) {
+      pre_probe_rate_ = rate_;
+      if (probe_up_rate(rate_)) {
+        ++stats_.probe_ups;
         obs::count(collector_, obs::probe::arq_probe_ups);
-        transition(r, link_state::probing);
+        transition(link_state::probing);
       }
-      r.success_streak = 0;
+      success_streak_ = 0;
     }
     return;
   }
 
-  r.success_streak = 0;
-  if (r.state == link_state::probing) {
+  success_streak_ = 0;
+  if (state_ == link_state::probing) {
     // First failure after a probe-up: revert immediately, no retry burn.
-    scheduler_.set_rate(id, r.pre_probe_rate);
-    ++r.stats.fallbacks;
+    rate_ = pre_probe_rate_;
+    ++stats_.fallbacks;
     obs::count(collector_, obs::probe::arq_fallbacks);
-    transition(r, link_state::healthy);
+    transition(link_state::healthy);
     return;
   }
 
-  if (r.retries_used < config_.max_retries) {
-    ++r.retries_used;
-    ++r.stats.retries;
+  if (retries_used_ < config_.max_retries) {
+    ++retries_used_;
+    ++stats_.retries;
     obs::count(collector_, obs::probe::arq_retries);
-    r.retry_pending = true;
-    transition(r, link_state::retrying);
+    retry_pending_ = true;
+    transition(link_state::retrying);
     return;
   }
 
-  // Transaction failed outright (retries exhausted). The scheduler's
-  // consecutive-failure counter is now >= fallback_after by construction;
-  // honour it anyway so a reconfigured threshold behaves as documented.
-  r.retries_used = 0;
-  r.retry_pending = false;
-  if (scheduler_.stats(id).consecutive_failures >=
-      static_cast<double>(config_.fallback_after))
-    handle_transaction_failure(r);
+  // Transaction failed outright (retries exhausted). The consecutive-
+  // failure count is now >= fallback_after by construction; honour it
+  // anyway so a reconfigured threshold behaves as documented.
+  retries_used_ = 0;
+  retry_pending_ = false;
+  if (consecutive_failures_ >= config_.fallback_after)
+    handle_transaction_failure();
 }
 
-void link_supervisor::report_symbol_result(std::uint32_t id, bool delivered,
-                                           double delivered_bits) {
-  tag_record& r = record_of(id);
-  scheduler_.report_result(id, delivered, delivered_bits);
+void link_supervisor::report_symbol_result(bool delivered) {
+  consecutive_failures_ = delivered ? 0 : consecutive_failures_ + 1;
 
   if (delivered) {
-    ++r.coding.symbols_delivered;
+    ++coding_.symbols_delivered;
     obs::count(collector_, obs::probe::coding_symbols_delivered);
-    r.erasure_streak = 0;
-    if (r.state != link_state::healthy) {
-      ++r.stats.recoveries;
+    erasure_streak_ = 0;
+    if (state_ != link_state::healthy) {
+      ++stats_.recoveries;
       obs::count(collector_, obs::probe::arq_recoveries);
     }
-    transition(r, link_state::healthy);
+    transition(link_state::healthy);
     return;
   }
 
-  ++r.coding.symbols_erased;
+  ++coding_.symbols_erased;
   obs::count(collector_, obs::probe::coding_symbols_erased);
-  ++r.erasure_streak;
-  if (r.erasure_streak >= config_.erasure_backoff_after) {
+  ++erasure_streak_;
+  if (erasure_streak_ >= config_.erasure_backoff_after) {
     // Erasures this long look like an OFF burst, not noise the code can
     // absorb: skip a fixed handful of polls instead of climbing the
     // exponential ladder (the operating point is not at fault).
-    r.erasure_streak = 0;
-    ++r.coding.erasure_backoffs;
+    erasure_streak_ = 0;
+    ++coding_.erasure_backoffs;
     obs::count(collector_, obs::probe::coding_erasure_backoffs);
-    scheduler_.defer(r.id,
-                     std::min(config_.erasure_backoff, config_.backoff_cap));
-    transition(r, link_state::backoff);
+    defer(std::min(config_.erasure_backoff, config_.backoff_cap));
+    transition(link_state::backoff);
   }
 }
 
-coded_directive link_supervisor::report_block_outcome(std::uint32_t id,
-                                                      phy::block_status status) {
-  tag_record& r = record_of(id);
+coded_directive link_supervisor::report_block_outcome(
+    phy::block_status status) {
   switch (status) {
     case phy::block_status::decoded:
-      ++r.coding.blocks_decoded;
+      ++coding_.blocks_decoded;
       obs::count(collector_, obs::probe::coding_blocks_decoded);
-      r.repair_rounds_used = 0;
+      repair_rounds_used_ = 0;
       return coded_directive::continue_stream;
     case phy::block_status::pending:
-      if (r.repair_rounds_used < config_.max_repair_rounds) {
-        ++r.repair_rounds_used;
-        ++r.coding.repair_rounds;
+      if (repair_rounds_used_ < config_.max_repair_rounds) {
+        ++repair_rounds_used_;
+        ++coding_.repair_rounds;
         obs::count(collector_, obs::probe::coding_repair_rounds);
         return coded_directive::send_repair;
       }
@@ -240,22 +283,10 @@ coded_directive link_supervisor::report_block_outcome(std::uint32_t id,
     case phy::block_status::unrecoverable:
       break;
   }
-  ++r.coding.blocks_abandoned;
+  ++coding_.blocks_abandoned;
   obs::count(collector_, obs::probe::coding_blocks_abandoned);
-  r.repair_rounds_used = 0;
+  repair_rounds_used_ = 0;
   return coded_directive::abandon_block;
-}
-
-link_state link_supervisor::state(std::uint32_t id) const {
-  return record_of(id).state;
-}
-
-const supervision_stats& link_supervisor::stats(std::uint32_t id) const {
-  return record_of(id).stats;
-}
-
-const coding_stats& link_supervisor::coding(std::uint32_t id) const {
-  return record_of(id).coding;
 }
 
 }  // namespace backfi::mac

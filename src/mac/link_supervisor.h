@@ -1,30 +1,40 @@
-// ARQ and link supervision on top of mac::tag_scheduler.
+// ARQ, rate control and link supervision of one BackFi tag.
 //
 // The paper's rate adaptation (Section 6.1) assumes the link is merely
 // noisy; in the wild (GuardRider, arXiv:1912.06493) the excitation itself
-// is bursty and unreliable, so the AP needs a per-tag state machine that
+// is bursty and unreliable, so the AP runs a state machine over the tag's
+// polling opportunities that
 // (a) retries a failed packet a bounded number of times immediately,
 // (b) falls back to a more robust operating point and backs its polling
-//     off exponentially when retries keep failing (driven off the
-//     scheduler's tag_stats::consecutive_failures counter),
+//     off exponentially when retries keep failing (driven off its
+//     consecutive-failure count),
 // (c) probes back up after a healthy streak, reverting on the first
 //     probe failure, and
 // (d) suspends a tag that stays dead at the most robust point, keeping a
 //     slow keepalive poll so it can revive.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
-#include "mac/tag_network.h"
 #include "phy/erasure_code.h"
+#include "tag/energy_model.h"
 
 namespace backfi::obs {
 class collector;
 }  // namespace backfi::obs
 
 namespace backfi::mac {
+
+/// Step an operating point to the next more robust one: halve the symbol
+/// rate; below the minimum, drop the modulation order / coding rate.
+/// Returns false when already at the most robust point.
+bool fallback_rate(tag::tag_rate_config& rate);
+
+/// Inverse ladder for probing a faster point after a healthy streak:
+/// raise the symbol rate; at the maximum clock, raise the coding rate,
+/// then the modulation order. Returns false at the fastest point.
+bool probe_up_rate(tag::tag_rate_config& rate);
 
 struct arq_config {
   std::size_t max_retries = 3;     ///< immediate re-polls per transaction
@@ -71,9 +81,7 @@ enum class coded_directive : std::uint8_t {
   abandon_block,    ///< repair budget exhausted; drop the block, move on
 };
 
-const char* to_string(coded_directive directive);
-
-/// Per-tag coded-link bookkeeping (symbol = one coded packet / poll).
+/// Coded-link bookkeeping (symbol = one coded packet / poll).
 struct coding_stats {
   std::size_t symbols_delivered = 0;
   std::size_t symbols_erased = 0;
@@ -92,45 +100,46 @@ struct supervision_stats {
   std::size_t recoveries = 0;     ///< successes that left a degraded state
 };
 
-/// Supervises the tags of one scheduler. The caller runs the loop:
-///   auto id = supervisor.next();        // instead of scheduler.next()
-///   ... run the poll ...
-///   supervisor.report_result(*id, ok, bits);  // instead of scheduler's
+/// Supervises one tag's polling opportunities. The caller runs the loop:
+///   if (supervisor.next()) {             // false: the slot idles
+///     ... run the poll at supervisor.rate() ...
+///     supervisor.report_result(ok);
+///   }
 class link_supervisor {
  public:
   /// `collector` (nullable) receives mac.arq_* counters: one
   /// arq_state_transitions per state change plus one counter per
   /// retry/fallback/probe-up/recovery/suspension/deferred-poll event,
   /// mirroring supervision_stats in the exported telemetry.
-  explicit link_supervisor(tag_scheduler& scheduler,
+  explicit link_supervisor(const tag::tag_rate_config& start_rate,
                            const arq_config& config = {},
                            obs::collector* collector = nullptr);
 
-  /// Next tag to poll: a pending ARQ retry takes precedence over the
-  /// scheduler's pick (the retry burns the opportunity either way).
-  std::optional<std::uint32_t> next();
+  /// Advance the opportunity clock and decide whether to poll in it. A
+  /// pending ARQ retry always polls; otherwise the tag polls unless a
+  /// backoff or suspension window still covers this opportunity.
+  bool next();
 
-  /// Outcome of one poll; drives the per-tag state machine and forwards
-  /// backlog/statistics bookkeeping to the scheduler.
-  void report_result(std::uint32_t id, bool success, double delivered_bits);
+  /// Outcome of one poll; drives the state machine.
+  void report_result(bool success);
 
   /// Coded-link outcome of one poll. Unlike report_result, an erasure
   /// never steps the rate down or burns retries — the code absorbs losses
   /// and per-packet ARQ degrades to "request more repair symbols". A long
   /// erasure run (erasure_backoff_after) defers polls by a fixed clamped
   /// erasure_backoff to ride out an OFF burst.
-  void report_symbol_result(std::uint32_t id, bool delivered,
-                            double delivered_bits);
+  void report_symbol_result(bool delivered);
 
   /// Reader-side verdict on a source block; returns what the coder should
   /// do next. `pending` earns repair rounds up to max_repair_rounds, then
   /// the block is abandoned.
-  coded_directive report_block_outcome(std::uint32_t id,
-                                       phy::block_status status);
+  coded_directive report_block_outcome(phy::block_status status);
 
-  link_state state(std::uint32_t id) const;
-  const supervision_stats& stats(std::uint32_t id) const;
-  const coding_stats& coding(std::uint32_t id) const;
+  /// The operating point the next poll runs at.
+  const tag::tag_rate_config& rate() const { return rate_; }
+  link_state state() const { return state_; }
+  const supervision_stats& stats() const { return stats_; }
+  const coding_stats& coding() const { return coding_; }
   const arq_config& config() const { return config_; }
 
   /// Overflow-safe exponential ladder value for a fallback streak:
@@ -138,32 +147,30 @@ class link_supervisor {
   std::size_t clamped_backoff(std::size_t streak) const;
 
  private:
-  struct tag_record {
-    std::uint32_t id = 0;
-    link_state state = link_state::healthy;
-    std::size_t retries_used = 0;      ///< within the current transaction
-    bool retry_pending = false;
-    std::size_t fallback_streak = 0;   ///< consecutive fallbacks, no success
-    std::size_t floor_failures = 0;    ///< failed cycles at the robust floor
-    std::size_t success_streak = 0;
-    tag::tag_rate_config pre_probe_rate;  ///< revert target while probing
-    supervision_stats stats;
-    std::size_t erasure_streak = 0;    ///< consecutive erased coded symbols
-    std::size_t repair_rounds_used = 0;  ///< for the block in flight
-    coding_stats coding;
-  };
-
-  tag_record& record_of(std::uint32_t id);
-  const tag_record& record_of(std::uint32_t id) const;
-  void handle_transaction_failure(tag_record& r);
+  void handle_transaction_failure();
+  /// Skip the next `opportunities` opportunities (saturating); a new
+  /// defer replaces any pending one.
+  void defer(std::size_t opportunities);
   /// State assignment that counts distinct transitions as a probe.
-  void transition(tag_record& r, link_state next);
+  void transition(link_state next);
 
-  tag_scheduler& scheduler_;
   arq_config config_;
   obs::collector* collector_ = nullptr;
-  std::vector<tag_record> records_;
-  std::size_t retry_cursor_ = 0;  ///< fair rotation among pending retries
+  tag::tag_rate_config rate_;
+  std::size_t opportunity_ = 0;      ///< opportunities seen so far
+  std::size_t defer_until_ = 0;      ///< last opportunity a defer gates
+  std::size_t consecutive_failures_ = 0;  ///< polls, either report kind
+  link_state state_ = link_state::healthy;
+  std::size_t retries_used_ = 0;     ///< within the current transaction
+  bool retry_pending_ = false;
+  std::size_t fallback_streak_ = 0;  ///< consecutive fallbacks, no success
+  std::size_t floor_failures_ = 0;   ///< failed cycles at the robust floor
+  std::size_t success_streak_ = 0;
+  tag::tag_rate_config pre_probe_rate_;  ///< revert target while probing
+  supervision_stats stats_;
+  std::size_t erasure_streak_ = 0;   ///< consecutive erased coded symbols
+  std::size_t repair_rounds_used_ = 0;  ///< for the block in flight
+  coding_stats coding_;
 };
 
 }  // namespace backfi::mac

@@ -6,13 +6,6 @@
 
 namespace backfi::mac {
 
-double ap_trace::busy_fraction() const {
-  if (duration_us <= 0.0) return 0.0;
-  double busy = 0.0;
-  for (const auto& tx : transmissions) busy += tx.airtime_us;
-  return busy / duration_us;
-}
-
 ap_trace generate_loaded_ap_trace(const trace_config& config) {
   if (!(config.target_busy_fraction > 0.0 &&
         config.target_busy_fraction < 1.0))
@@ -71,13 +64,6 @@ bool burst_schedule::on_at(double t_us) const {
   return false;
 }
 
-double burst_schedule::duty() const {
-  if (duration_us <= 0.0) return 0.0;
-  double on = 0.0;
-  for (const auto& p : on_periods) on += p.airtime_us;
-  return on / duration_us;
-}
-
 burst_schedule generate_burst_schedule(const burst_config& config,
                                        double duration_us) {
   // A zero mean ON length would draw zero-length periods until the
@@ -107,14 +93,6 @@ burst_schedule generate_burst_schedule(const burst_config& config,
     t += gen.exponential(mean_off);
   }
   return schedule;
-}
-
-ap_trace gate_trace(const ap_trace& trace, const burst_schedule& schedule) {
-  ap_trace gated;
-  gated.duration_us = trace.duration_us;
-  for (const auto& tx : trace.transmissions)
-    if (schedule.on_at(tx.start_us)) gated.transmissions.push_back(tx);
-  return gated;
 }
 
 std::vector<std::uint8_t> poll_availability(const burst_schedule& schedule,

@@ -26,9 +26,6 @@ struct tx_interval {
 struct ap_trace {
   std::vector<tx_interval> transmissions;
   double duration_us = 0.0;
-
-  /// Fraction of the window the AP spends transmitting.
-  double busy_fraction() const;
 };
 
 struct trace_config {
@@ -93,8 +90,6 @@ struct burst_schedule {
 
   /// Whether excitation is available at time t.
   bool on_at(double t_us) const;
-  /// Realised ON fraction of the window.
-  double duty() const;
 };
 
 /// Draw an exponential ON/OFF schedule. duty_cycle >= 1 degenerates to a
@@ -103,10 +98,6 @@ struct burst_schedule {
 /// duty_cycle.
 burst_schedule generate_burst_schedule(const burst_config& config,
                                        double duration_us);
-
-/// Gate an AP trace through a burst schedule: transmissions whose start
-/// falls in an OFF period are removed (the AP is silent / inaudible there).
-ap_trace gate_trace(const ap_trace& trace, const burst_schedule& schedule);
 
 /// Sample the schedule at poll boundaries: element p is 1 when the poll
 /// starting at p * poll_period_us begins inside an ON period.

@@ -26,11 +26,6 @@ bitvec string_to_bits(const std::string& text) {
       std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
 }
 
-std::string bits_to_string(std::span<const std::uint8_t> bits) {
-  const auto bytes = bits_to_bytes(bits);
-  return std::string(bytes.begin(), bytes.end());
-}
-
 std::size_t hamming_distance(std::span<const std::uint8_t> a,
                              std::span<const std::uint8_t> b) {
   const std::size_t common = std::min(a.size(), b.size());

@@ -22,9 +22,6 @@ std::vector<std::uint8_t> bits_to_bytes(std::span<const std::uint8_t> bits);
 /// Unpack a UTF-8/ASCII string into bits (LSB-first per byte).
 bitvec string_to_bits(const std::string& text);
 
-/// Pack bits back into a string (sizes must be a multiple of 8).
-std::string bits_to_string(std::span<const std::uint8_t> bits);
-
 /// Number of positions where a and b differ (up to the shorter length),
 /// plus the length difference counted as errors.
 std::size_t hamming_distance(std::span<const std::uint8_t> a,

@@ -13,14 +13,6 @@
 
 namespace backfi::phy {
 
-cvec constellation::map(std::span<const std::uint8_t> bits) const {
-  if (bits.size() % bits_per_symbol != 0)
-    throw std::invalid_argument("constellation::map: bits not a multiple of symbol size");
-  cvec out(bits.size() / bits_per_symbol);
-  map_into(bits, out);
-  return out;
-}
-
 void constellation::map_into(std::span<const std::uint8_t> bits,
                              std::span<cplx> out) const {
   if (bits.size() % bits_per_symbol != 0)
@@ -51,17 +43,6 @@ std::uint32_t constellation::slice(cplx y) const {
   // Nearest-point search in the AVX2 kernel TU; same result as the scalar
   // ascending scan with strict `<` (first point wins ties).
   return labels[detail::nearest_point(points.data(), points.size(), y)];
-}
-
-bitvec constellation::demap_hard(std::span<const cplx> symbols) const {
-  bitvec out;
-  out.reserve(symbols.size() * bits_per_symbol);
-  for (const cplx& y : symbols) {
-    const std::uint32_t label = slice(y);
-    for (std::size_t b = bits_per_symbol; b-- > 0;)
-      out.push_back(static_cast<std::uint8_t>((label >> b) & 1u));
-  }
-  return out;
 }
 
 void constellation::demap_llr(cplx y, double noise_var,
@@ -106,12 +87,6 @@ void constellation::demap_llr_stream_into(std::span<const cplx> symbols,
   detail::demap_llr_max_log(points.data(), labels.data(), points.size(),
                             bits_per_symbol, symbols.data(), symbols.size(),
                             inv_var, out.data());
-}
-
-double constellation::mean_energy() const {
-  double acc = 0.0;
-  for (const cplx& p : points) acc += std::norm(p);
-  return points.empty() ? 0.0 : acc / static_cast<double>(points.size());
 }
 
 std::uint32_t gray_encode(std::uint32_t v) { return v ^ (v >> 1); }

@@ -23,18 +23,14 @@ struct constellation {
   std::size_t bits_per_symbol = 0;
 
   /// Map `bits` (length multiple of bits_per_symbol, MSB first per symbol)
-  /// to complex points.
-  cvec map(std::span<const std::uint8_t> bits) const;
-
-  /// As map(), writing into a caller buffer of bits.size()/bits_per_symbol
-  /// points (no per-call allocation for constellations up to 64 points).
+  /// to complex points, writing into a caller buffer of
+  /// bits.size()/bits_per_symbol points (no per-call allocation for
+  /// constellations up to 64 points). Throws std::invalid_argument on a
+  /// misaligned bit count or a wrong buffer size.
   void map_into(std::span<const std::uint8_t> bits, std::span<cplx> out) const;
 
   /// Nearest-point hard decision; returns the bit label of the winner.
   std::uint32_t slice(cplx y) const;
-
-  /// Hard-demap a symbol stream back to bits.
-  bitvec demap_hard(std::span<const cplx> symbols) const;
 
   /// Max-log LLRs for one received point: one value per bit, MSB first.
   /// Positive = bit 0 more likely; `noise_var` is E|n|^2 of the effective
@@ -47,9 +43,6 @@ struct constellation {
   /// path).
   void demap_llr_stream_into(std::span<const cplx> symbols, double noise_var,
                              std::vector<double>& out) const;
-
-  /// Average symbol energy (should be ~1 for all built-ins).
-  double mean_energy() const;
 };
 
 /// 802.11 gray-mapped constellation with `bits_per_symbol` in {1, 2, 4, 6}.

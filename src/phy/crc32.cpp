@@ -1,36 +1,12 @@
 #include "phy/crc32.h"
 
-#include <array>
-
 namespace backfi::phy {
 
 namespace {
 
 constexpr std::uint32_t kPoly = 0xEDB88320u;
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (kPoly ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-const std::array<std::uint32_t, 256>& table() {
-  static const auto t = make_table();
-  return t;
-}
-
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t byte : bytes)
-    crc = table()[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
 
 std::uint32_t crc32_bits(std::span<const std::uint8_t> bits) {
   // Bitwise reflected CRC so arbitrary (non byte-aligned) lengths work.

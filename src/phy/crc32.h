@@ -9,10 +9,8 @@
 
 namespace backfi::phy {
 
-/// CRC-32 (reflected, poly 0xEDB88320, init/final 0xFFFFFFFF) over bytes.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
-
-/// CRC-32 over a bit sequence (LSB-first byte packing, any bit length).
+/// CRC-32 (reflected, poly 0xEDB88320, init/final 0xFFFFFFFF) over a bit
+/// sequence (LSB-first byte packing, any bit length).
 std::uint32_t crc32_bits(std::span<const std::uint8_t> bits);
 
 /// Append the 32 CRC bits (LSB-first, matching 802.11 FCS order) to `bits`.

@@ -42,12 +42,6 @@ std::uint8_t gf256_mul(std::uint8_t a, std::uint8_t b) {
   return t.exp[t.log[a] + t.log[b]];
 }
 
-std::uint8_t gf256_inv(std::uint8_t b) {
-  if (b == 0) throw std::invalid_argument("gf256_inv: zero has no inverse");
-  const auto& t = tables();
-  return t.exp[255 - t.log[b]];
-}
-
 std::uint8_t gf256_div(std::uint8_t a, std::uint8_t b) {
   if (b == 0) throw std::invalid_argument("gf256_div: division by zero");
   if (a == 0) return 0;
@@ -60,15 +54,6 @@ const char* to_string(erasure_scheme scheme) {
     case erasure_scheme::none: return "none";
     case erasure_scheme::reed_solomon: return "reed_solomon";
     case erasure_scheme::fountain: return "fountain";
-  }
-  return "unknown";
-}
-
-const char* to_string(block_status status) {
-  switch (status) {
-    case block_status::decoded: return "decoded";
-    case block_status::pending: return "pending";
-    case block_status::unrecoverable: return "unrecoverable";
   }
   return "unknown";
 }

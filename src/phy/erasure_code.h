@@ -38,9 +38,6 @@ namespace backfi::phy {
 /// Product in GF(256).
 std::uint8_t gf256_mul(std::uint8_t a, std::uint8_t b);
 
-/// Multiplicative inverse; b must be nonzero.
-std::uint8_t gf256_inv(std::uint8_t b);
-
 /// a / b in GF(256); b must be nonzero.
 std::uint8_t gf256_div(std::uint8_t a, std::uint8_t b);
 
@@ -61,8 +58,6 @@ enum class block_status : std::uint8_t {
   pending,        ///< not yet enough coded symbols
   unrecoverable,  ///< abandoned: repair budget (or the RS field) exhausted
 };
-
-const char* to_string(block_status status);
 
 /// The code geometry both ends agree on (part of the link setup, like the
 /// wake preamble): k source packets per block, the per-packet symbol

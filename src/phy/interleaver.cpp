@@ -1,16 +1,16 @@
 #include "phy/interleaver.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace backfi::phy {
 
 namespace {
 
-void require_block_size(std::size_t got, std::size_t want, const char* what) {
+void require_block_size(std::size_t got, std::size_t want) {
   if (got != want)
-    throw std::invalid_argument(std::string("interleaver: ") + what +
-                                " size differs from block_size()");
+    throw std::invalid_argument(
+        "interleaver: block size differs from block_size()");
 }
 
 }  // namespace
@@ -31,23 +31,9 @@ interleaver::interleaver(std::size_t n_cbps, std::size_t n_bpsc) {
   }
 }
 
-void interleaver::interleave_into(std::span<const std::uint8_t> block,
-                                  std::span<std::uint8_t> out) const {
-  require_block_size(block.size(), forward_.size(), "block");
-  require_block_size(out.size(), forward_.size(), "out");
-  for (std::size_t k = 0; k < block.size(); ++k) out[forward_[k]] = block[k];
-}
-
-bitvec interleaver::deinterleave(std::span<const std::uint8_t> block) const {
-  require_block_size(block.size(), forward_.size(), "block");
-  bitvec out(block.size());
-  for (std::size_t k = 0; k < block.size(); ++k) out[k] = block[forward_[k]];
-  return out;
-}
-
 std::vector<double> interleaver::deinterleave_soft(
     std::span<const double> block) const {
-  require_block_size(block.size(), forward_.size(), "block");
+  require_block_size(block.size(), forward_.size());
   std::vector<double> out(block.size());
   for (std::size_t k = 0; k < block.size(); ++k) out[k] = block[forward_[k]];
   return out;

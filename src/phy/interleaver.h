@@ -19,17 +19,8 @@ class interleaver {
 
   std::size_t block_size() const { return forward_.size(); }
 
-  /// Interleave exactly one block (size must equal block_size()) into a
-  /// caller buffer of block_size() entries. Throws std::invalid_argument
-  /// when either size differs.
-  void interleave_into(std::span<const std::uint8_t> block,
-                       std::span<std::uint8_t> out) const;
-
-  /// De-interleave one block of bits. Like deinterleave_soft, throws
+  /// De-interleave one block of soft metrics. Throws
   /// std::invalid_argument unless block.size() == block_size().
-  bitvec deinterleave(std::span<const std::uint8_t> block) const;
-
-  /// De-interleave one block of soft metrics.
   std::vector<double> deinterleave_soft(std::span<const double> block) const;
 
   /// Position in the interleaved block where input bit k lands.

@@ -105,15 +105,6 @@ phy::block_status block_collector::status(std::uint32_t block) const {
   return it == blocks_.end() ? phy::block_status::pending : it->second.status;
 }
 
-std::vector<std::uint8_t> block_collector::block_data(
-    std::uint32_t block) const {
-  const auto it = blocks_.find(block);
-  if (it == blocks_.end() ||
-      it->second.status != phy::block_status::decoded)
-    return {};
-  return it->second.data;
-}
-
 void block_collector::abandon(std::uint32_t block) {
   block_state& s = state_of(block);
   if (s.status == phy::block_status::unrecoverable) return;

@@ -52,9 +52,6 @@ class block_collector {
   /// Current status of a block (pending if never seen).
   phy::block_status status(std::uint32_t block) const;
 
-  /// Decoded source bytes of a block; empty when not decoded.
-  std::vector<std::uint8_t> block_data(std::uint32_t block) const;
-
   /// Give up on a block: it reports unrecoverable from now on.
   void abandon(std::uint32_t block);
 

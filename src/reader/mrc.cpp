@@ -20,22 +20,6 @@ cplx mrc_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
   return numerator / denominator;
 }
 
-cvec mrc_symbol_estimates(std::span<const cplx> y, std::span<const cplx> yhat,
-                          std::size_t first_symbol_start,
-                          std::size_t samples_per_symbol, std::size_t n_symbols,
-                          std::size_t guard) {
-  assert(guard < samples_per_symbol);
-  cvec out(n_symbols, cplx{0.0, 0.0});
-  for (std::size_t s = 0; s < n_symbols; ++s) {
-    const std::size_t start = first_symbol_start + s * samples_per_symbol;
-    const std::size_t begin = start + guard;
-    const std::size_t end = start + samples_per_symbol;
-    if (end > y.size()) break;
-    out[s] = mrc_estimate(y, yhat, begin, end);
-  }
-  return out;
-}
-
 void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
                     std::size_t begin, std::size_t end, cvec& products,
                     std::vector<double>& weights) {

@@ -23,15 +23,6 @@ namespace backfi::reader {
 cplx mrc_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
                   std::size_t begin, std::size_t end);
 
-/// MRC estimates for a run of `n_symbols` symbols of `samples_per_symbol`
-/// starting at `first_symbol_start`, trimming `guard` samples at the head
-/// of each symbol (channel-memory transition region, "sample ignored" in
-/// the paper's Fig. 6).
-cvec mrc_symbol_estimates(std::span<const cplx> y, std::span<const cplx> yhat,
-                          std::size_t first_symbol_start,
-                          std::size_t samples_per_symbol, std::size_t n_symbols,
-                          std::size_t guard);
-
 /// Precompute the per-sample MRC terms over the absolute index window
 /// [begin, end): products[i - begin] = y[i] * conj(yhat[i]) and
 /// weights[i - begin] = |yhat[i]|^2. The sync scan evaluates all timing
@@ -41,13 +32,16 @@ void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
                     std::size_t begin, std::size_t end, cvec& products,
                     std::vector<double>& weights);
 
-/// mrc_symbol_estimates evaluated from precomputed products/weights whose
+/// MRC estimates for a run of `n_symbols` symbols of `samples_per_symbol`
+/// starting at `first_symbol_start`, trimming `guard` samples at the head
+/// of each symbol (channel-memory transition region, "sample ignored" in
+/// the paper's Fig. 6), evaluated from precomputed products/weights whose
 /// index 0 corresponds to absolute sample `window_begin`, writing into the
 /// caller's span (sized n_symbols). `capture_size` is the length of the
-/// original y/yhat vectors and reproduces the end-of-capture truncation.
-/// Every symbol window must lie inside the precomputed window (or past
-/// `capture_size`, where the original breaks). Bit-identical to
-/// mrc_symbol_estimates: same per-sample accumulation order.
+/// original y/yhat vectors: a symbol that runs past it, and every symbol
+/// after it, is left 0. Every other symbol window must lie inside the
+/// precomputed window. Each estimate is bit-identical to mrc_estimate over
+/// the symbol's window: same per-sample accumulation order.
 void mrc_symbol_estimates_from_products(
     std::span<const cplx> products, std::span<const double> weights,
     std::size_t window_begin, std::size_t capture_size,

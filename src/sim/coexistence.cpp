@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <vector>
 
 #include "channel/awgn.h"
 #include "channel/pathloss.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
 #include "reader/excitation.h"
-#include "sim/parallel.h"
-#include "sim/scheduler.h"
 #include "tag/wake_detector.h"
 
 namespace backfi::sim {
@@ -80,25 +76,6 @@ coexistence_result run_coexistence_trial(const coexistence_config& config) {
   result.client_snr_db = rx.snr_db;
   result.client_evm_rms = rx.evm_rms;
   return result;
-}
-
-double client_throughput_bps(const coexistence_config& config, int trials) {
-  const auto& p = wifi::params_for(config.rate);
-  if (trials <= 0) return 0.0;
-  // Seeds depend only on (base seed, trial index); disjoint result slots
-  // and the index-ordered reduction keep the outcome bit-identical to the
-  // serial loop at any thread count. Runs through the sweep scheduler like
-  // the other Monte-Carlo evaluators.
-  const std::size_t n = static_cast<std::size_t>(trials);
-  std::vector<std::uint8_t> decoded(n, 0);
-  (void)sweep_for(n, [&](std::size_t t) {
-    coexistence_config c = config;
-    c.seed = derive_coexistence_seed(config.seed, t);
-    decoded[t] = run_coexistence_trial(c).client_decoded ? 1 : 0;
-  });
-  int ok = 0;
-  for (const std::uint8_t d : decoded) ok += d;
-  return p.mbps * 1e6 * static_cast<double>(ok) / static_cast<double>(trials);
 }
 
 double distance_for_client_snr(const channel::link_budget& budget, double snr_db) {

@@ -39,9 +39,6 @@ struct coexistence_result {
 /// Run one AP -> client packet with (optionally) an active tag.
 coexistence_result run_coexistence_trial(const coexistence_config& config);
 
-/// PHY throughput over `trials` packets: rate * (1 - PER).
-double client_throughput_bps(const coexistence_config& config, int trials);
-
 /// Distance at which a client sees roughly `snr_db` of preamble SNR under
 /// the link budget (used to place clients per WiFi bitrate, Fig. 13).
 double distance_for_client_snr(const channel::link_budget& budget, double snr_db);

@@ -1,6 +1,7 @@
 #include "sim/fault_campaign.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -34,24 +35,40 @@ void validate_campaign_or_throw(const campaign_config& config,
 
 }  // namespace
 
+fd::receive_chain_config hardened_chain(fd::receive_chain_config chain) {
+  chain.digital.widely_linear = true;
+  chain.digital.remove_dc = true;
+  chain.track_residual_gain = true;
+  return chain;
+}
+
+std::size_t run_poll_trial(const scenario_config& base,
+                           const tag::tag_rate_config& rate,
+                           double distance_m,
+                           const impair::impairment_plan& plan,
+                           const fd::receive_chain_config& chain,
+                           std::uint64_t seed, std::size_t poll) {
+  scenario_config trial = scenario_for_point(base, rate, distance_m);
+  trial.tag.id = 1;  // the one polled tag's wake preamble
+  trial.impairments = plan;
+  trial.chain = chain;
+  trial.seed = derive_trial_seed(seed, poll);
+  const trial_result r = run_backscatter_trial(trial);
+  return r.crc_ok && r.bit_errors == 0 ? trial.payload_bits : 0;
+}
+
 campaign_run run_campaign_arm(const campaign_config& config,
                               impair::fault_class fault, double severity,
                               bool recovery) {
   validate_campaign_or_throw(config, "run_campaign_arm");
-  constexpr std::uint32_t kTagId = 1;
   campaign_run run;
   run.first_success_poll = config.opportunities;
 
-  mac::tag_scheduler scheduler(mac::tag_scheduler::policy::round_robin);
-  scheduler.add_tag({.id = kTagId, .rate = config.start_rate,
-                     .backlog_bits = 0.0, .weight = 1.0});
+  // The baseline has no supervisor: it polls every opportunity at the
+  // starting operating point.
   std::optional<mac::link_supervisor> supervisor;
-  if (recovery) {
-    supervisor.emplace(scheduler, config.arq, config.link.collector);
-  } else {
-    // True no-recovery baseline: the operating point never moves.
-    scheduler.set_auto_rate_fallback(false);
-  }
+  if (recovery)
+    supervisor.emplace(config.start_rate, config.arq, config.link.collector);
 
   // Goodput denominator: every opportunity costs one nominal poll's
   // airtime at the starting operating point, whether it was issued,
@@ -66,43 +83,31 @@ campaign_run run_campaign_arm(const campaign_config& config,
 
   const impair::impairment_plan plan =
       impair::plan_for(fault, severity, config.seed);
+  // The hardened receive chain rides with the recovery arm: the
+  // widely-linear + DC-removing digital stage is the front-end answer to
+  // IQ-imbalance/DC faults, which no amount of ARQ can fix (the conjugate
+  // image of the self-interference swamps the backscatter).
+  const fd::receive_chain_config chain =
+      recovery ? hardened_chain(base.chain) : base.chain;
 
   double delivered_bits = 0.0;
   std::size_t successes = 0;
   for (std::size_t poll = 0; poll < config.opportunities; ++poll) {
-    scheduler.enqueue(kTagId, static_cast<double>(config.payload_bits));
-    const auto chosen = recovery ? supervisor->next() : scheduler.next();
-    if (!chosen) continue;  // backed off / suspended: the slot idles
+    if (supervisor && !supervisor->next())
+      continue;  // backed off / suspended: the slot idles
 
     ++run.polls_issued;
-    scenario_config trial = scenario_for_point(
-        base, scheduler.descriptor(kTagId).rate, config.distance_m);
-    trial.tag.id = kTagId;
-    trial.impairments = plan;
-    if (recovery) {
-      // The hardened receive chain rides with the recovery arm: the
-      // widely-linear + DC-removing digital stage is the front-end answer
-      // to IQ-imbalance/DC faults, which no amount of ARQ can fix (the
-      // conjugate image of the self-interference swamps the backscatter).
-      trial.chain.digital.widely_linear = true;
-      trial.chain.digital.remove_dc = true;
-      trial.chain.track_residual_gain = true;
-    }
     // Same per-poll seeds in both arms: paired comparison, the only
     // difference between the curves is the recovery machinery.
-    trial.seed = derive_trial_seed(config.seed, poll);
-    const trial_result r = run_backscatter_trial(trial);
-    const bool ok = r.crc_ok && r.bit_errors == 0;
-    if (ok) {
-      delivered_bits += static_cast<double>(trial.payload_bits);
+    const std::size_t bits = run_poll_trial(
+        base, supervisor ? supervisor->rate() : config.start_rate,
+        config.distance_m, plan, chain, config.seed, poll);
+    if (bits > 0) {
+      delivered_bits += static_cast<double>(bits);
       ++successes;
       run.first_success_poll = std::min(run.first_success_poll, poll);
     }
-    const double bits = ok ? static_cast<double>(trial.payload_bits) : 0.0;
-    if (recovery)
-      supervisor->report_result(kTagId, ok, bits);
-    else
-      scheduler.report_result(kTagId, ok, bits);
+    if (supervisor) supervisor->report_result(bits > 0);
   }
 
   run.success_rate =
@@ -111,13 +116,14 @@ campaign_run run_campaign_arm(const campaign_config& config,
           : 0.0;
   run.goodput_bps = delivered_bits / (static_cast<double>(config.opportunities) *
                                       poll_airtime_s);
-  if (recovery) {
-    const auto& stats = supervisor->stats(kTagId);
+  run.final_rate = config.start_rate;
+  if (supervisor) {
+    const auto& stats = supervisor->stats();
     run.retries = stats.retries;
     run.fallbacks = stats.fallbacks;
     run.probe_ups = stats.probe_ups;
+    run.final_rate = supervisor->rate();
   }
-  run.final_rate = scheduler.descriptor(kTagId).rate;
   return run;
 }
 

@@ -2,8 +2,9 @@
 // recovery stack and measure goodput under impairment.
 //
 // Each campaign cell runs the same single-tag polling loop twice:
-//   baseline  — fixed operating point, no retries, no backoff, no fallback
-//               (the pipeline as the clean-simulation benches drive it);
+//   baseline  — polls every opportunity at the starting operating point:
+//               no retries, no backoff, no fallback (the pipeline as the
+//               clean-simulation benches drive it);
 //   recovery  — mac::link_supervisor ARQ: bounded immediate retries,
 //               exponential poll backoff, rate fallback and probe-up.
 // The pair of goodput curves (per fault class, over severity) is the
@@ -59,6 +60,22 @@ struct campaign_cell {
 struct campaign_result {
   std::vector<campaign_cell> cells;
 };
+
+/// The hardened receive chain the supervised arms run: `chain` with the
+/// widely-linear + DC-removing digital stage and residual-gain tracking.
+fd::receive_chain_config hardened_chain(fd::receive_chain_config chain);
+
+/// One poll of a single-tag arm (the fault campaign's and the wild-traffic
+/// evaluator's): a trial of `base` at `rate` and `distance_m` under `plan`
+/// with the caller's receive chain, seeded derive_trial_seed(seed, poll).
+/// Returns the payload bits delivered intact (CRC ok and no bit errors),
+/// 0 when the poll failed.
+std::size_t run_poll_trial(const scenario_config& base,
+                           const tag::tag_rate_config& rate,
+                           double distance_m,
+                           const impair::impairment_plan& plan,
+                           const fd::receive_chain_config& chain,
+                           std::uint64_t seed, std::size_t poll);
 
 /// Run one arm: `recovery` selects the supervised loop.
 campaign_run run_campaign_arm(const campaign_config& config,

@@ -27,11 +27,6 @@ namespace backfi::sim {
 /// tuning. thread_count() and the scheduler both clamp to it.
 inline constexpr std::size_t max_pool_threads = 256;
 
-/// True on threads currently executing a sweep_for / sweep_for_ranges body
-/// (pool workers, and the calling thread while it participates). Nested
-/// loops on such threads run serially in index order.
-bool in_parallel_region();
-
 // --- Thread-count control ------------------------------------------------
 //
 // thread_count() is what the sweep scheduler actually uses;

@@ -175,8 +175,6 @@ sweep_stats sweep_pool::run(const body_fn& body, sweep_stats stats) {
 
 }  // namespace
 
-bool in_parallel_region() { return tl_in_sweep; }
-
 std::size_t sweep_chunk_size(std::size_t n) {
   // Pure function of n (never of the thread count): the chunk layout and
   // the sim.scheduler.chunks counter stay identical at any BACKFI_THREADS.

@@ -101,11 +101,4 @@ constexpr std::uint64_t derive_trial_seed(std::uint64_t base_seed,
   return base_seed * 1000003ULL + trial_index;
 }
 
-/// Coexistence-sweep variant of the same rule (distinct multiplier so tag
-/// and client Monte-Carlo streams never collide; PR 2 formula verbatim).
-constexpr std::uint64_t derive_coexistence_seed(std::uint64_t base_seed,
-                                                std::uint64_t trial_index) {
-  return base_seed * 7919ULL + trial_index;
-}
-
 }  // namespace backfi::sim

@@ -9,6 +9,7 @@
 #include "obs/collector.h"
 #include "reader/block_collector.h"
 #include "reader/excitation.h"
+#include "sim/fault_campaign.h"
 #include "sim/rate_adaptation.h"
 #include "sim/scheduler.h"
 #include "tag/packet_coder.h"
@@ -36,7 +37,6 @@ std::vector<std::uint8_t> source_block(const phy::erasure_spec& spec,
 wild_run run_wild_arm(const wild_traffic_config& config,
                       phy::erasure_scheme scheme, double duty_cycle,
                       std::uint64_t arm_seed) {
-  constexpr std::uint32_t kTagId = 1;
   const bool coded = scheme != phy::erasure_scheme::none;
 
   phy::erasure_spec spec = config.coding;
@@ -45,10 +45,7 @@ wild_run run_wild_arm(const wild_traffic_config& config,
   tag::packet_coder coder(spec);
   reader::block_collector collector(spec);
 
-  mac::tag_scheduler scheduler(mac::tag_scheduler::policy::round_robin);
-  scheduler.add_tag({.id = kTagId, .rate = config.start_rate,
-                     .backlog_bits = 0.0, .weight = 1.0});
-  mac::link_supervisor supervisor(scheduler, config.arq,
+  mac::link_supervisor supervisor(config.start_rate, config.arq,
                                   config.link.collector);
 
   // Fixed goodput denominator, as in the fault campaign: every
@@ -76,6 +73,7 @@ wild_run run_wild_arm(const wild_traffic_config& config,
 
   const impair::impairment_plan plan =
       impair::plan_for(config.fault, config.severity, arm_seed);
+  const fd::receive_chain_config chain = hardened_chain(base.chain);
 
   wild_run run;
   std::size_t delivered_polls = 0;
@@ -87,17 +85,14 @@ wild_run run_wild_arm(const wild_traffic_config& config,
     // coding layer the reader's feedback is per packet, not per symbol.
     // Delivery therefore needs the burst to stay ON across all k slots —
     // the whole-packet fragility the rateless symbols are built to avoid.
-    // A deferred scheduler opportunity costs one slot (the AP just polls
-    // something else), which if anything flatters this arm.
+    // A deferred opportunity costs one slot, not k, which if anything
+    // flatters this arm.
     const std::size_t k = spec.block_symbols;
     scenario_config block_base = base;
     block_base.payload_bits = spec.block_payload_bits();
     std::size_t slot = 0;
     while (slot + k <= config.opportunities) {
-      scheduler.enqueue(kTagId,
-                        static_cast<double>(spec.block_payload_bits()));
-      const auto chosen = supervisor.next();
-      if (!chosen) {
+      if (!supervisor.next()) {
         ++slot;
         continue;
       }
@@ -105,22 +100,11 @@ wild_run run_wild_arm(const wild_traffic_config& config,
       bool burst_covers_packet = true;
       for (std::size_t j = slot; j < slot + k; ++j)
         burst_covers_packet = burst_covers_packet && available[j] != 0;
-      bool delivered = false;
-      if (burst_covers_packet) {
-        scenario_config trial = scenario_for_point(
-            block_base, scheduler.descriptor(kTagId).rate, config.distance_m);
-        trial.tag.id = kTagId;
-        trial.impairments = plan;
-        trial.chain.digital.widely_linear = true;
-        trial.chain.digital.remove_dc = true;
-        trial.chain.track_residual_gain = true;
-        trial.seed = derive_trial_seed(arm_seed, slot);
-        const trial_result r = run_backscatter_trial(trial);
-        delivered = r.crc_ok && r.bit_errors == 0;
-      }
-      supervisor.report_result(
-          kTagId, delivered,
-          delivered ? static_cast<double>(spec.block_payload_bits()) : 0.0);
+      const bool delivered =
+          burst_covers_packet &&
+          run_poll_trial(block_base, supervisor.rate(), config.distance_m,
+                         plan, chain, arm_seed, slot) > 0;
+      supervisor.report_result(delivered);
       if (delivered) {
         ++delivered_polls;
         run.blocks_decoded += 1.0;
@@ -151,17 +135,15 @@ wild_run run_wild_arm(const wild_traffic_config& config,
   push_next_block(0);
 
   for (std::size_t poll = 0; poll < config.opportunities; ++poll) {
-    scheduler.enqueue(kTagId, static_cast<double>(spec.packet_payload_bits()));
-    const auto chosen = supervisor.next();
-    if (!chosen) continue;  // backed off / suspended: the slot idles
+    if (!supervisor.next()) continue;  // backed off / suspended: idle slot
     run.polls_issued += 1.0;
 
     // Keep the coder fed: an exhausted block asks the supervisor whether
     // to grant repair or give up; an empty coder starts the next block.
     if (!coder.has_packet()) {
       if (const auto exhausted = coder.exhausted_block()) {
-        mac::coded_directive directive = supervisor.report_block_outcome(
-            kTagId, collector.status(*exhausted));
+        mac::coded_directive directive =
+            supervisor.report_block_outcome(collector.status(*exhausted));
         if (directive == mac::coded_directive::send_repair &&
             coder.request_repair(*exhausted, config.repair_chunk) == 0)
           directive = mac::coded_directive::abandon_block;  // RS field spent
@@ -176,30 +158,18 @@ wild_run run_wild_arm(const wild_traffic_config& config,
 
     // The PHY trial only runs while the burst is ON; dark air is a
     // deterministic erasure (there is nothing to backscatter).
-    bool delivered = false;
-    if (available[poll] != 0) {
-      scenario_config trial = scenario_for_point(
-          base, scheduler.descriptor(kTagId).rate, config.distance_m);
-      trial.tag.id = kTagId;
-      trial.impairments = plan;
-      trial.chain.digital.widely_linear = true;
-      trial.chain.digital.remove_dc = true;
-      trial.chain.track_residual_gain = true;
-      trial.seed = derive_trial_seed(arm_seed, poll);
-      const trial_result r = run_backscatter_trial(trial);
-      delivered = r.crc_ok && r.bit_errors == 0;
-    }
-
-    const double bits =
-        delivered ? static_cast<double>(spec.packet_payload_bits()) : 0.0;
-    supervisor.report_symbol_result(kTagId, delivered, bits);
+    const bool delivered =
+        available[poll] != 0 &&
+        run_poll_trial(base, supervisor.rate(), config.distance_m, plan,
+                       chain, arm_seed, poll) > 0;
+    supervisor.report_symbol_result(delivered);
 
     if (!delivered) continue;
     ++delivered_polls;
     const reader::block_report report = collector.accept(packet.bits);
     if (report.status == phy::block_status::decoded) {
       coder.complete_block(packet.block);
-      supervisor.report_block_outcome(kTagId, phy::block_status::decoded);
+      supervisor.report_block_outcome(phy::block_status::decoded);
       latency_sum += static_cast<double>(poll -
                                          block_start_poll[packet.block]) + 1.0;
     }

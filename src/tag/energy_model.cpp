@@ -91,14 +91,6 @@ double energy_per_bit_pj(const tag_rate_config& config) {
   return relative_energy_per_bit(config) * reference_epb_pj;
 }
 
-energy_breakdown energy_breakdown_pj(const tag_rate_config& config) {
-  energy_breakdown out;
-  out.dynamic_pj = dynamic_repb(config) * reference_epb_pj;
-  out.static_pj = static_repb(config) * reference_epb_pj;
-  out.total_pj = out.dynamic_pj + out.static_pj;
-  return out;
-}
-
 std::span<const double> standard_symbol_rates() { return kSymbolRates; }
 
 std::span<const tag_rate_config> fig7_configs() { return kFig7Configs; }

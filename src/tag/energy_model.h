@@ -57,14 +57,6 @@ double relative_energy_per_bit(const tag_rate_config& config);
 /// Absolute energy per bit [pJ] (REPB x 3.15 pJ).
 double energy_per_bit_pj(const tag_rate_config& config);
 
-/// EPB split for analysis and the Fig. 7 bench.
-struct energy_breakdown {
-  double dynamic_pj = 0.0;  ///< memory + encoder + switch toggling
-  double static_pj = 0.0;   ///< leakage and bias power over the symbol time
-  double total_pj = 0.0;
-};
-energy_breakdown energy_breakdown_pj(const tag_rate_config& config);
-
 /// Reference EPB of (BPSK, 1/2, 1 MSPS) [pJ/bit] from the paper's parts
 /// (ADG904 modulator, CY62146EV30 memory).
 inline constexpr double reference_epb_pj = 3.15;

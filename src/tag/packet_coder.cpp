@@ -27,13 +27,9 @@ std::uint32_t packet_coder::push_block(std::span<const std::uint8_t> bytes) {
   b.id = next_block_id_++;
   b.data.assign(bytes.begin(), bytes.end());
   b.scheduled = spec_.scheduled_symbols();
-  if (spec_.scheme == phy::erasure_scheme::none)
-    b.acked.assign(spec_.block_symbols, 0);
   blocks_.push_back(std::move(b));
   return blocks_.back().id;
 }
-
-std::size_t packet_coder::open_blocks() const { return blocks_.size(); }
 
 packet_coder::open_block* packet_coder::find(std::uint32_t block) {
   for (auto& b : blocks_)
@@ -41,23 +37,9 @@ packet_coder::open_block* packet_coder::find(std::uint32_t block) {
   return nullptr;
 }
 
-const packet_coder::open_block* packet_coder::find(std::uint32_t block) const {
-  for (const auto& b : blocks_)
-    if (b.id == block) return &b;
-  return nullptr;
-}
-
-bool packet_coder::block_has_symbol(const open_block& b) const {
-  if (spec_.scheme == phy::erasure_scheme::none) {
-    // Stop-and-wait: the oldest unacked symbol is resent until acked.
-    return std::find(b.acked.begin(), b.acked.end(), 0) != b.acked.end();
-  }
-  return b.next_esi < b.scheduled;
-}
-
 bool packet_coder::has_packet() const {
   for (const auto& b : blocks_)
-    if (block_has_symbol(b)) return true;
+    if (b.next_esi < b.scheduled) return true;
   return false;
 }
 
@@ -86,15 +68,9 @@ phy::coded_packet packet_coder::next_packet() {
   for (std::size_t step = 0; step < blocks_.size(); ++step) {
     const std::size_t i = (stripe_cursor_ + step) % blocks_.size();
     open_block& b = blocks_[i];
-    if (!block_has_symbol(b)) continue;
+    if (b.next_esi >= b.scheduled) continue;
     stripe_cursor_ = (i + 1) % blocks_.size();
-    std::uint32_t esi = 0;
-    if (spec_.scheme == phy::erasure_scheme::none) {
-      const auto it = std::find(b.acked.begin(), b.acked.end(), 0);
-      esi = static_cast<std::uint32_t>(it - b.acked.begin());
-    } else {
-      esi = static_cast<std::uint32_t>(b.next_esi++);
-    }
+    const auto esi = static_cast<std::uint32_t>(b.next_esi++);
     phy::coded_packet packet;
     packet.block = b.id;
     packet.esi = esi;
@@ -112,7 +88,7 @@ std::size_t packet_coder::request_repair(std::uint32_t block,
   std::size_t granted = 0;
   switch (spec_.scheme) {
     case phy::erasure_scheme::none:
-      granted = 0;  // nothing new to send: ARQ resends the pending symbol
+      granted = 0;  // no code: nothing beyond the source symbols exists
       break;
     case phy::erasure_scheme::reed_solomon:
       // Fresh field points only: 255 distinct ESIs exist in GF(256).
@@ -147,18 +123,9 @@ void packet_coder::abandon_block(std::uint32_t block) {
   }
 }
 
-void packet_coder::ack_symbol(std::uint32_t block, std::uint32_t esi) {
-  if (spec_.scheme != phy::erasure_scheme::none) return;
-  open_block* b = find(block);
-  if (!b || esi >= b->acked.size()) return;
-  b->acked[esi] = 1;
-}
-
 std::optional<std::uint32_t> packet_coder::exhausted_block() const {
-  for (const auto& b : blocks_) {
-    if (spec_.scheme == phy::erasure_scheme::none) continue;
+  for (const auto& b : blocks_)
     if (b.next_esi >= b.scheduled) return b.id;
-  }
   return std::nullopt;
 }
 

@@ -6,9 +6,8 @@
 // of costing one block everything — the packet-level mirror of the bit
 // interleaver inside each packet. The reader's feedback loop (through
 // mac::link_supervisor) drives request_repair / complete_block /
-// abandon_block; the coder itself never retransmits a specific symbol
-// except in the uncoded scheme, where ack_symbol implements plain
-// stop-and-wait ARQ for comparison.
+// abandon_block; the coder itself never retransmits a specific symbol.
+// The uncoded scheme sends the k source symbols once and cannot repair.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +42,12 @@ class packet_coder {
   /// bytes). Blocks are numbered in push order starting at 0.
   std::uint32_t push_block(std::span<const std::uint8_t> bytes);
 
-  /// Blocks pushed and not yet completed/abandoned.
-  std::size_t open_blocks() const;
-
   /// True when next_packet() can produce a symbol: some open block still
-  /// has scheduled (or repair-granted, or ack-pending) symbols to send.
+  /// has scheduled (or repair-granted) symbols to send.
   bool has_packet() const;
 
   /// Produce the next coded packet, striping round-robin across open
-  /// blocks. Uncoded scheme: resends the oldest unacknowledged source
-  /// symbol (stop-and-wait). Throws std::logic_error when !has_packet().
+  /// blocks. Throws std::logic_error when !has_packet().
   phy::coded_packet next_packet();
 
   /// Grant `symbols` extra repair symbols to an open block (reader asked
@@ -67,13 +62,8 @@ class packet_coder {
   /// Give up on a block (repair budget exhausted at the supervisor).
   void abandon_block(std::uint32_t block);
 
-  /// Uncoded scheme only: mark one source symbol delivered, advancing the
-  /// stop-and-wait window.
-  void ack_symbol(std::uint32_t block, std::uint32_t esi);
-
   /// Oldest open block that has sent every scheduled+granted symbol and
-  /// is still waiting on the reader (repair-request trigger). Uncoded
-  /// blocks never exhaust (the pending symbol is resent forever).
+  /// is still waiting on the reader (repair-request trigger).
   std::optional<std::uint32_t> exhausted_block() const;
 
   const packet_coder_stats& stats() const { return stats_; }
@@ -84,12 +74,9 @@ class packet_coder {
     std::vector<std::uint8_t> data;    ///< k * symbol_bytes source bytes
     std::size_t scheduled = 0;         ///< symbols budgeted (incl. repair)
     std::size_t next_esi = 0;          ///< first unsent symbol index
-    std::vector<std::uint8_t> acked;   ///< uncoded: per-symbol delivery
   };
 
   open_block* find(std::uint32_t block);
-  const open_block* find(std::uint32_t block) const;
-  bool block_has_symbol(const open_block& b) const;
   std::vector<std::uint8_t> encode_symbol(const open_block& b,
                                           std::uint32_t esi) const;
 

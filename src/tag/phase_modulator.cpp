@@ -26,10 +26,6 @@ cplx phase_modulator::reflection_for_index(std::uint32_t leaf_index) const {
   return amplitude_ * dsp::phasor(angle);
 }
 
-cplx phase_modulator::reflection_for_label(std::uint32_t gray_label) const {
-  return reflection_for_index(phy::gray_decode(gray_label));
-}
-
 cplx phase_modulator::select(std::uint32_t gray_label) {
   const std::uint32_t leaf = phy::gray_decode(gray_label) % order_;
   // In the switch tree, moving from leaf a to leaf b toggles the switches

@@ -24,15 +24,13 @@ class phase_modulator {
   /// Number of SPDT switches in the tree (order - 1).
   std::size_t switch_count() const { return order_ - 1; }
 
-  /// Reflection coefficient for a symbol given by its gray-coded bit label
-  /// (matches phy::psk_constellation labelling).
-  cplx reflection_for_label(std::uint32_t gray_label) const;
-
   /// Reflection coefficient when the modulator selects leaf k directly.
   cplx reflection_for_index(std::uint32_t leaf_index) const;
 
-  /// Select a new leaf and count how many switches along the tree path
-  /// actually toggle (for energy accounting); returns the reflection.
+  /// Select the leaf of a symbol given by its gray-coded bit label (matches
+  /// phy::psk_constellation labelling) and count how many switches along
+  /// the tree path actually toggle (for energy accounting); returns the
+  /// reflection.
   cplx select(std::uint32_t gray_label);
 
   /// Total switch toggles since construction / reset.

@@ -7,29 +7,6 @@
 
 namespace backfi::tag {
 
-phy::bitvec envelope_bits(std::span<const cplx> samples,
-                          const wake_detector_config& config) {
-  const std::size_t n_bits = samples.size() / config.samples_per_bit;
-  // Envelope: mean magnitude per bit period (the RC lowpass of the
-  // envelope detector integrates over the bit).
-  std::vector<double> envelope(n_bits, 0.0);
-  for (std::size_t b = 0; b < n_bits; ++b) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < config.samples_per_bit; ++i)
-      acc += std::abs(samples[b * config.samples_per_bit + i]);
-    envelope[b] = acc / static_cast<double>(config.samples_per_bit);
-  }
-  // Peak detector holds the maximum; set-threshold outputs a fraction.
-  const double peak = envelope.empty()
-                          ? 0.0
-                          : *std::max_element(envelope.begin(), envelope.end());
-  const double threshold = peak * config.threshold_fraction;
-  phy::bitvec bits(n_bits);
-  for (std::size_t b = 0; b < n_bits; ++b)
-    bits[b] = envelope[b] > threshold ? 1 : 0;
-  return bits;
-}
-
 wake_result detect_wake(std::span<const cplx> samples,
                         std::span<const std::uint8_t> preamble,
                         double incident_power_dbm,

@@ -43,9 +43,4 @@ wake_result detect_wake(std::span<const cplx> samples,
                         double incident_power_dbm,
                         const wake_detector_config& config = {});
 
-/// The comparator bit decisions themselves (one per bit period), exposed
-/// for tests and the energy-detector micro-benchmarks.
-phy::bitvec envelope_bits(std::span<const cplx> samples,
-                          const wake_detector_config& config = {});
-
 }  // namespace backfi::tag

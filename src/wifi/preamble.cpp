@@ -99,8 +99,6 @@ const cvec& ltf_time_symbol() {
   return symbol;
 }
 
-std::span<const double> ltf_frequency_sequence() { return kLtfSequence; }
-
 double ltf_value(int subcarrier) {
   assert(subcarrier >= -26 && subcarrier <= 26);
   return kLtfSequence[static_cast<std::size_t>(subcarrier + 26)];

@@ -3,7 +3,6 @@
 // channel estimation.
 #pragma once
 
-#include <span>
 
 #include "dsp/types.h"
 
@@ -23,11 +22,8 @@ const cvec& long_training_field();
 /// One 64-sample LTF period (time domain), used as a timing reference.
 const cvec& ltf_time_symbol();
 
-/// LTF frequency values L_k for logical subcarriers -26..26 (index 26 = DC,
-/// which is 0); entries are +-1.
-std::span<const double> ltf_frequency_sequence();
-
-/// L_k for a logical subcarrier index in [-26, 26].
+/// LTF frequency value L_k (+-1, 0 at DC) for a logical subcarrier index
+/// in [-26, 26].
 double ltf_value(int subcarrier);
 
 /// Full legacy preamble: STF followed by LTF (320 samples, 16 us).

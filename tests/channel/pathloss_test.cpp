@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "dsp/types.h"
 
 namespace backfi::channel {
@@ -34,10 +37,21 @@ TEST(PathlossTest, HigherExponentLosesMoreBeyondReference) {
               log_distance_path_loss_db(1.0, carrier_hz, 2.0), 1e-9);
 }
 
-TEST(PathlossTest, AmplitudeGainIncludesAntennaGain) {
-  const double without = one_way_amplitude_gain(2.0, carrier_hz, 2.0, 0.0);
-  const double with = one_way_amplitude_gain(2.0, carrier_hz, 2.0, 3.0);
-  EXPECT_NEAR(with / without, std::pow(10.0, 3.0 / 20.0), 1e-9);
+TEST(PathlossTest, RejectsNonPositiveOrNonFiniteInputs) {
+  // log10 of a zero distance is -inf: a typed error in every build, not an
+  // assert that Release compiles away.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -2.0, inf, nan}) {
+    EXPECT_THROW(free_space_path_loss_db(bad, carrier_hz),
+                 std::invalid_argument) << bad;
+    EXPECT_THROW(free_space_path_loss_db(1.0, bad), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(log_distance_path_loss_db(bad, carrier_hz, 2.0),
+                 std::invalid_argument) << bad;
+    EXPECT_THROW(log_distance_path_loss_db(1.0, bad, 2.0),
+                 std::invalid_argument) << bad;
+  }
 }
 
 TEST(PathlossTest, NoiseFloor20MHz) {

@@ -11,6 +11,37 @@
 namespace backfi::dsp {
 namespace {
 
+// Test-local spellings of the transforms through the plan cache: forward
+// unnormalized, inverse 1/N normalized.
+void fft_in_place(std::span<cplx> data) {
+  get_fft_plan(data.size(), fft_direction::forward).execute(data);
+}
+
+cvec fft(std::span<const cplx> input) {
+  cvec out(input.begin(), input.end());
+  fft_in_place(out);
+  return out;
+}
+
+cvec ifft(std::span<const cplx> input) {
+  cvec out(input.begin(), input.end());
+  get_fft_plan(out.size(), fft_direction::inverse).execute(out);
+  const double inv_n = 1.0 / static_cast<double>(out.size());
+  for (cplx& v : out) v *= inv_n;
+  return out;
+}
+
+// The seed's inverse transform, 1/N normalized: its recurrence runs on
+// phasor(+a) = conj(phasor(-a)), and conjugation commutes exactly with
+// every complex add and multiply, so it equals the conjugated forward
+// reference of the conjugated input to the bit.
+void ifft_in_place_reference(std::span<cplx> data) {
+  for (cplx& v : data) v = std::conj(v);
+  fft_in_place_reference(data);
+  const double inv_n = 1.0 / static_cast<double>(data.size());
+  for (cplx& v : data) v = std::conj(v) * inv_n;
+}
+
 TEST(FftTest, IsPowerOfTwo) {
   EXPECT_TRUE(is_power_of_two(1));
   EXPECT_TRUE(is_power_of_two(64));

@@ -88,11 +88,11 @@ TEST(LinalgKernelsTest, DispatchedFitMatchesSeedImplementationBitExactly) {
     reference_normal_equations(x, y, n_taps, ref_gram, ref_rhs);
     double col_energy = 0.0;
     for (std::size_t t = n_taps - 1; t < n; ++t) col_energy += std::norm(x[t]);
-    cmatrix gram(n_taps, n_taps);
-    std::copy(ref_gram.begin(), ref_gram.end(), gram.data());
     for (std::size_t i = 0; i < n_taps; ++i)
-      gram(i, i) += 1e-9 * std::max(col_energy, 1e-30);
-    const cvec seed = solve_hermitian_positive_definite(gram, ref_rhs);
+      ref_gram[i * n_taps + i] += 1e-9 * std::max(col_energy, 1e-30);
+    cvec seed = ref_rhs;
+    detail::cholesky_factor_in_place(ref_gram.data(), n_taps);
+    detail::cholesky_solve_in_place(ref_gram.data(), n_taps, seed.data());
 
     cvec taps;
     fir_ls_workspace w;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dsp/rng.h"
 
 namespace backfi::dsp {
@@ -41,6 +43,23 @@ TEST(VecOpsTest, HadamardMultipliesElementwise) {
   const cvec z = hadamard(x, y);
   EXPECT_NEAR(std::abs(z[0] - cplx(0.0, 1.0)), 0.0, 1e-15);
   EXPECT_NEAR(std::abs(z[1] - cplx(-2.0, 0.0)), 0.0, 1e-15);
+}
+
+TEST(VecOpsTest, RejectsMismatchedSpanSizes) {
+  // A shorter x would be read past its end: a typed error in every build,
+  // not an assert that Release compiles away.
+  cvec y(8, cplx{1.0, 0.0});
+  const cvec shorter(5, cplx{1.0, 0.0});
+  const cvec longer(9, cplx{1.0, 0.0});
+  EXPECT_THROW(add_in_place(y, shorter), std::invalid_argument);
+  EXPECT_THROW(add_in_place(y, longer), std::invalid_argument);
+  EXPECT_THROW(hadamard(y, shorter), std::invalid_argument);
+  EXPECT_THROW(hadamard(shorter, y), std::invalid_argument);
+  cvec out;
+  EXPECT_THROW(hadamard_into(y, shorter, out), std::invalid_argument);
+  EXPECT_THROW(hadamard_into(shorter, y, out), std::invalid_argument);
+  // Nothing was written before the check.
+  for (const cplx& v : y) EXPECT_EQ(v, cplx(1.0, 0.0));
 }
 
 }  // namespace

@@ -11,6 +11,21 @@
 namespace backfi::impair {
 namespace {
 
+/// Whether any injector of the plan is active.
+bool any_injector(const impairment_plan& plan) {
+  return plan.cfo.offset_hz != 0.0 || plan.cfo.drift_hz_per_s != 0.0 ||
+         plan.phase_noise.linewidth_hz > 0.0 ||
+         plan.iq.gain_mismatch_db != 0.0 || plan.iq.phase_skew_deg != 0.0 ||
+         plan.iq.dc_offset != cplx{0.0, 0.0} || plan.iq.dc_over_rms != 0.0 ||
+         plan.sampling.ppm != 0.0 || plan.saturation.bursts_per_ms > 0.0 ||
+         plan.interferer.bursts_per_ms > 0.0 ||
+         plan.tag_jitter.clock_ppm != 0.0 ||
+         plan.tag_jitter.phase_jitter_rad > 0.0 ||
+         plan.brownout.probability > 0.0 ||
+         plan.canceller_drift.final_leakage_db > -200.0 ||
+         plan.stage_failure.leakage_db > -200.0;
+}
+
 /// Complex tone: constant-magnitude circular probe signal.
 cvec make_tone(std::size_t n, double cycles_per_sample = 0.03) {
   cvec x(n);
@@ -186,7 +201,7 @@ TEST(CancellerStageFailureTest, LeakageStartsAtConfiguredFraction) {
 
 TEST(PlanTest, DefaultPlanIsInert) {
   impairment_plan plan;
-  EXPECT_FALSE(plan.any());
+  EXPECT_FALSE(any_injector(plan));
   EXPECT_FALSE(plan.any_front_end());
   cvec x = make_tone(128);
   const cvec ref = x;
@@ -197,12 +212,12 @@ TEST(PlanTest, DefaultPlanIsInert) {
 TEST(PlanTest, FrontEndSplitMatchesInjectorDomain) {
   impairment_plan antenna_only;
   antenna_only.interferer.bursts_per_ms = 1.0;
-  EXPECT_TRUE(antenna_only.any());
+  EXPECT_TRUE(any_injector(antenna_only));
   EXPECT_FALSE(antenna_only.any_front_end());
 
   impairment_plan front_end;
   front_end.cfo.offset_hz = 10.0;
-  EXPECT_TRUE(front_end.any());
+  EXPECT_TRUE(any_injector(front_end));
   EXPECT_TRUE(front_end.any_front_end());
 }
 
@@ -224,14 +239,14 @@ TEST(PlanTest, IndependentStreamsPerInjector) {
 TEST(PlanTest, SeverityZeroIsCleanForEveryClass) {
   for (const fault_class fault : all_fault_classes()) {
     const impairment_plan plan = plan_for(fault, 0.0, 1);
-    EXPECT_FALSE(plan.any()) << fault_class_name(fault);
+    EXPECT_FALSE(any_injector(plan)) << fault_class_name(fault);
   }
 }
 
 TEST(PlanTest, SeverityOneActivatesEveryClass) {
   for (const fault_class fault : all_fault_classes()) {
     const impairment_plan plan = plan_for(fault, 1.0, 1);
-    EXPECT_TRUE(plan.any()) << fault_class_name(fault);
+    EXPECT_TRUE(any_injector(plan)) << fault_class_name(fault);
   }
 }
 

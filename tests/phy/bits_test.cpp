@@ -30,7 +30,8 @@ TEST(BitsTest, BitsToBytesRejectsPartialByte) {
 
 TEST(BitsTest, StringRoundTrip) {
   const std::string text = "BackFi tag #1";
-  EXPECT_EQ(bits_to_string(string_to_bits(text)), text);
+  const auto bytes = bits_to_bytes(string_to_bits(text));
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), text);
 }
 
 TEST(BitsTest, HammingDistanceCountsDifferences) {

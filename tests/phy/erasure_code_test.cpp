@@ -29,13 +29,12 @@ TEST(Gf256Test, FieldAxiomsHoldOnSamples) {
     EXPECT_EQ(gf256_mul(a, static_cast<std::uint8_t>(b ^ c)),
               gf256_mul(a, b) ^ gf256_mul(a, c));
     if (b != 0) {
-      EXPECT_EQ(gf256_mul(b, gf256_inv(b)), 1);
+      EXPECT_EQ(gf256_mul(b, gf256_div(1, b)), 1);
       EXPECT_EQ(gf256_mul(gf256_div(a, b), b), a);
     }
   }
   EXPECT_EQ(gf256_mul(0, 17), 0);
   EXPECT_EQ(gf256_mul(1, 17), 17);
-  EXPECT_THROW(gf256_inv(0), std::invalid_argument);
   EXPECT_THROW(gf256_div(1, 0), std::invalid_argument);
 }
 

@@ -9,10 +9,18 @@
 namespace backfi::phy {
 namespace {
 
-/// interleave_into on a fresh block-sized buffer.
+/// Interleave one block through the permutation table.
 bitvec interleaved(const interleaver& il, std::span<const std::uint8_t> block) {
   bitvec out(il.block_size());
-  il.interleave_into(block, out);
+  for (std::size_t k = 0; k < block.size(); ++k) out[il.map_index(k)] = block[k];
+  return out;
+}
+
+/// The inverse permutation on hard bits.
+bitvec deinterleaved(const interleaver& il,
+                     std::span<const std::uint8_t> block) {
+  bitvec out(block.size());
+  for (std::size_t k = 0; k < block.size(); ++k) out[k] = block[il.map_index(k)];
   return out;
 }
 
@@ -40,7 +48,7 @@ TEST_P(InterleaverParamTest, RoundTripIdentity) {
   const interleaver il(n_cbps, n_bpsc);
   dsp::rng gen(n_cbps);
   const bitvec block = gen.random_bits(n_cbps);
-  EXPECT_EQ(il.deinterleave(interleaved(il, block)), block);
+  EXPECT_EQ(deinterleaved(il, interleaved(il, block)), block);
 }
 
 TEST_P(InterleaverParamTest, SoftDeinterleaveMatchesHard) {
@@ -89,24 +97,15 @@ TEST(InterleaverTest, RejectsInvalidBlockSize) {
 }
 
 TEST(InterleaverTest, RejectsWrongBlockSizes) {
-  // A short `out` would be written past its end, and a long block read
-  // through forward_ past the table: both are typed errors, not UB.
+  // A long block would be read through forward_ past the table: a typed
+  // error, not UB.
   const interleaver il(48, 1);
-  const bitvec block(48, 1);
-  bitvec out(48, 0);
-  EXPECT_THROW(il.interleave_into(block, std::span(out).first(47)),
-               std::invalid_argument);
-  EXPECT_THROW(il.interleave_into(std::span(block).first(47), out),
-               std::invalid_argument);
-  EXPECT_THROW(il.deinterleave(bitvec(96, 0)), std::invalid_argument);
-  EXPECT_THROW(il.deinterleave(bitvec(47, 0)), std::invalid_argument);
   EXPECT_THROW(il.deinterleave_soft(std::vector<double>(96, 0.0)),
                std::invalid_argument);
   EXPECT_THROW(il.deinterleave_soft(std::vector<double>(47, 0.0)),
                std::invalid_argument);
   // The exact size still works.
-  EXPECT_NO_THROW(il.interleave_into(block, out));
-  EXPECT_EQ(il.deinterleave(out), block);
+  EXPECT_NO_THROW(il.deinterleave_soft(std::vector<double>(48, 0.0)));
 }
 
 }  // namespace

@@ -10,6 +10,39 @@
 namespace backfi::reader {
 namespace {
 
+/// Reference: mrc_estimate over each symbol's window, stopping at the
+/// first symbol that runs past the capture (the later ones stay 0).
+cvec direct_symbol_estimates(std::span<const cplx> y,
+                             std::span<const cplx> yhat,
+                             std::size_t first_symbol_start,
+                             std::size_t samples_per_symbol,
+                             std::size_t n_symbols, std::size_t guard) {
+  cvec out(n_symbols, cplx{0.0, 0.0});
+  for (std::size_t s = 0; s < n_symbols; ++s) {
+    const std::size_t start = first_symbol_start + s * samples_per_symbol;
+    const std::size_t end = start + samples_per_symbol;
+    if (end > y.size()) break;
+    out[s] = mrc_estimate(y, yhat, start + guard, end);
+  }
+  return out;
+}
+
+/// The decoder's path: products over the whole capture, then per-symbol
+/// sums.
+cvec mrc_symbol_estimates(std::span<const cplx> y, std::span<const cplx> yhat,
+                          std::size_t first_symbol_start,
+                          std::size_t samples_per_symbol,
+                          std::size_t n_symbols, std::size_t guard) {
+  cvec products;
+  std::vector<double> weights;
+  mrc_precompute(y, yhat, 0, y.size(), products, weights);
+  cvec out(n_symbols);
+  mrc_symbol_estimates_from_products(products, weights, 0, y.size(),
+                                     first_symbol_start, samples_per_symbol,
+                                     n_symbols, guard, out);
+  return out;
+}
+
 /// Synthetic observation: y = yhat * e^{j theta} + noise.
 struct observation {
   cvec y;
@@ -110,7 +143,8 @@ TEST(MrcTest, PrecomputedProductsReproduceSymbolEstimates) {
   for (auto& v : y) v = gen.complex_gaussian();
   for (auto& v : yhat) v = gen.complex_gaussian();
   const std::size_t first = 37, sps = 20, n_sym = 15, guard = 4;
-  const cvec direct = mrc_symbol_estimates(y, yhat, first, sps, n_sym, guard);
+  const cvec direct =
+      direct_symbol_estimates(y, yhat, first, sps, n_sym, guard);
 
   const std::size_t begin = 30, end = n;
   cvec products;
@@ -133,7 +167,8 @@ TEST(MrcTest, ProductsPathReproducesEndOfCaptureTruncation) {
   // The final symbols extend past the capture; from_products must reproduce
   // the original zero-fill of truncated symbols via `capture_size`.
   const std::size_t first = 10, sps = 16, n_sym = 7, guard = 3;
-  const cvec direct = mrc_symbol_estimates(y, yhat, first, sps, n_sym, guard);
+  const cvec direct =
+      direct_symbol_estimates(y, yhat, first, sps, n_sym, guard);
 
   cvec products;
   std::vector<double> weights;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/backscatter_sim.h"
-#include "sim/coexistence.h"
 #include "sim/scheduler.h"
 
 namespace backfi::sim {
@@ -126,24 +125,6 @@ TEST(ParallelDeterminismTest, PacketErrorRateMatchesPreChangeSerialAnchor) {
   const double per = packet_error_rate(anchor_scenario(4.0), 24);
   // Pre-change serial output: exactly 2 of 24 packets failed at 4.0 m.
   EXPECT_EQ(per, 2.0 / 24.0);
-}
-
-TEST(ParallelDeterminismTest, ClientThroughputBitIdenticalAcrossThreadCounts) {
-  coexistence_config c;
-  c.seed = 5;
-  c.ap_client_distance_m = 8.0;
-  double tput1, tput4;
-  {
-    scoped_thread_count threads(1);
-    tput1 = client_throughput_bps(c, 12);
-  }
-  {
-    scoped_thread_count threads(4);
-    tput4 = client_throughput_bps(c, 12);
-  }
-  EXPECT_EQ(tput1, tput4);
-  // Pre-change serial output: 11 of 12 client packets delivered at 54 Mbps.
-  EXPECT_EQ(tput1, 54e6 * 11.0 / 12.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Pins the flattened (point, trial) -> seed mapping the sweep scheduler
 // relies on. Every Monte-Carlo evaluator derives per-trial seeds through
-// sim/scheduler.h's derive_trial_seed / derive_coexistence_seed; if either
-// formula (or the flattening order) drifts, every pinned PER and
+// sim/scheduler.h's derive_trial_seed; if the formula (or the flattening
+// order) drifts, every pinned PER and
 // throughput anchor in the repo silently changes. This file fails first,
 // with a message that names the actual contract.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/backscatter_sim.h"
-#include "sim/coexistence.h"
 #include "sim/parallel.h"
 #include "sim/rate_adaptation.h"
 #include "sim/scheduler.h"
@@ -27,19 +26,13 @@ scenario_config anchor_scenario(double distance_m) {
 }
 
 TEST(SeedStabilityTest, DerivationFormulasArePinned) {
-  // The PR 2 formulas verbatim: base * 1000003 + t and base * 7919 + t.
+  // The PR 2 formula verbatim: base * 1000003 + t.
   EXPECT_EQ(derive_trial_seed(0, 0), 0u);
   EXPECT_EQ(derive_trial_seed(1, 0), 1000003u);
   EXPECT_EQ(derive_trial_seed(42, 0), 42000126u);
   EXPECT_EQ(derive_trial_seed(42, 23), 42000149u);
-  EXPECT_EQ(derive_coexistence_seed(5, 0), 39595u);
-  EXPECT_EQ(derive_coexistence_seed(5, 11), 39606u);
-  // Distinct multipliers: the tag and client Monte-Carlo streams never
-  // collide for small bases and trial indices.
-  EXPECT_NE(derive_trial_seed(1, 0), derive_coexistence_seed(1, 0));
   // constexpr: usable as compile-time constants.
   static_assert(derive_trial_seed(42, 23) == 42ULL * 1000003ULL + 23ULL);
-  static_assert(derive_coexistence_seed(5, 11) == 5ULL * 7919ULL + 11ULL);
 }
 
 TEST(SeedStabilityTest, FlattenedSeedOrderIsThreadCountInvariant) {
@@ -89,10 +82,6 @@ TEST(SeedStabilityTest, PinnedAnchorsHoldAtEightThreads) {
   scoped_thread_count threads(8);
   EXPECT_EQ(packet_error_rate(anchor_scenario(4.5), 24), 0.375);
   EXPECT_EQ(packet_error_rate(anchor_scenario(4.0), 24), 2.0 / 24.0);
-  coexistence_config c;
-  c.seed = 5;
-  c.ap_client_distance_m = 8.0;
-  EXPECT_EQ(client_throughput_bps(c, 12), 54e6 * 11.0 / 12.0);
 }
 
 }  // namespace

@@ -87,22 +87,18 @@ TEST(PacketCoderTest, RepairGrantsRespectTheFieldLimit) {
   EXPECT_EQ(uncoded.request_repair(0, 4), 0u);
 }
 
-TEST(PacketCoderTest, UncodedSchemeIsStopAndWait) {
+TEST(PacketCoderTest, UncodedSchemeSendsEachSourceSymbolOnce) {
   const phy::erasure_spec spec = make_spec(phy::erasure_scheme::none);
   packet_coder coder(spec);
   coder.push_block(block_bytes(spec, 6));
-  // The same symbol repeats until acknowledged.
-  EXPECT_EQ(coder.next_packet().esi, 0u);
-  EXPECT_EQ(coder.next_packet().esi, 0u);
-  coder.ack_symbol(0, 0);
-  EXPECT_EQ(coder.next_packet().esi, 1u);
-  coder.ack_symbol(0, 1);
-  coder.ack_symbol(0, 2);
-  EXPECT_EQ(coder.next_packet().esi, 3u);
-  coder.ack_symbol(0, 3);
+  // The k source symbols go out once each, in order; nothing else exists
+  // to send, so the block is then exhausted.
+  for (std::uint32_t esi = 0; esi < spec.block_symbols; ++esi) {
+    ASSERT_FALSE(coder.exhausted_block().has_value());
+    EXPECT_EQ(coder.next_packet().esi, esi);
+  }
   EXPECT_FALSE(coder.has_packet());
-  // Uncoded blocks never show up as exhausted (ARQ never gives up).
-  EXPECT_FALSE(coder.exhausted_block().has_value());
+  EXPECT_EQ(coder.exhausted_block(), std::optional<std::uint32_t>(0));
 }
 
 TEST(PacketCoderTest, CompleteAndAbandonCloseBlocks) {
@@ -110,12 +106,12 @@ TEST(PacketCoderTest, CompleteAndAbandonCloseBlocks) {
   packet_coder coder(spec);
   coder.push_block(block_bytes(spec, 7));
   coder.push_block(block_bytes(spec, 8));
-  EXPECT_EQ(coder.open_blocks(), 2u);
   coder.complete_block(0);
-  EXPECT_EQ(coder.open_blocks(), 1u);
+  // Only block 1 is left to stripe over.
+  EXPECT_EQ(coder.next_packet().block, 1u);
   EXPECT_EQ(coder.next_packet().block, 1u);
   coder.abandon_block(1);
-  EXPECT_EQ(coder.open_blocks(), 0u);
+  EXPECT_FALSE(coder.has_packet());
   EXPECT_EQ(coder.stats().blocks_completed, 1u);
   EXPECT_EQ(coder.stats().blocks_abandoned, 1u);
 }

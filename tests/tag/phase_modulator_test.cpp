@@ -42,7 +42,7 @@ TEST(PhaseModulatorTest, LabelMappingMatchesPskConstellation) {
     phase_modulator mod(order, 0.0);
     const auto& c = phy::psk_constellation(order);
     for (std::size_t k = 0; k < order; ++k) {
-      const cplx r = mod.reflection_for_label(c.labels[k]);
+      const cplx r = mod.select(c.labels[k]);
       EXPECT_NEAR(std::abs(r - c.points[k]), 0.0, 1e-12)
           << "order " << order << " point " << k;
     }

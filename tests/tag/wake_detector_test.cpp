@@ -22,9 +22,14 @@ cvec ook_waveform(const phy::bitvec& preamble, std::size_t samples_per_bit,
 TEST(WakeDetectorTest, EnvelopeBitsRecoverOokPattern) {
   const phy::bitvec preamble = phy::wake_preamble(3);
   const cvec wave = ook_waveform(preamble, 20, 1.0);
-  const phy::bitvec bits = envelope_bits(wave);
-  ASSERT_EQ(bits.size(), preamble.size());
-  EXPECT_EQ(bits, preamble);
+  // With no bit error tolerated, the comparator must recover every OOK
+  // bit at the first alignment.
+  wake_detector_config exact;
+  exact.max_bit_errors = 0;
+  const wake_result result = detect_wake(wave, preamble, -30.0, exact);
+  ASSERT_TRUE(result.woke);
+  EXPECT_EQ(result.bit_errors, 0u);
+  EXPECT_EQ(result.preamble_end_sample, wave.size());
 }
 
 TEST(WakeDetectorTest, DetectsCleanPreamble) {

@@ -50,7 +50,8 @@ void reference_coded_symbols(const phy::bitvec& coded, std::size_t n_cbps,
   phy::bitvec interleaved(n_cbps);
   cvec points(n_data_subcarriers);
   for (std::size_t s = 0; s * n_cbps < coded.size(); ++s) {
-    il.interleave_into(std::span(coded).subspan(s * n_cbps, n_cbps), interleaved);
+    for (std::size_t k = 0; k < n_cbps; ++k)
+      interleaved[il.map_index(k)] = coded[s * n_cbps + k];
     constellation.map_into(interleaved, points);
     reference_symbol(points, first_symbol + s, out + s * symbol_samples);
   }
