@@ -4,7 +4,8 @@
 // per-call twiddle recurrence it replaced at the PHY's 64 points, and the
 // thread scaling of packet_error_rate, including the bit-identity check
 // that the parallel result equals the serial one. Part 2 runs google-benchmark timings
-// (including cold AWGN synthesis, which every replay-cache miss pays) and
+// (including cold AWGN synthesis, which every replay-cache miss pays, and
+// the glibc-exact block sin/cos and log against the plain libm loops) and
 // writes BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
 // trajectory of the DSP layer is recorded per build.
 #include <benchmark/benchmark.h>
@@ -21,9 +22,12 @@
 #include "channel/awgn.h"
 #include "channel/backscatter_link.h"
 #include "dsp/fft.h"
+#include "dsp/libm_kernels.h"
+#include "dsp/math_util.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "fd/receive_chain.h"
+#include "impair/rf_impairments.h"
 #include "phy/constellation.h"
 #include "reader/decoder.h"
 #include "reader/stream_session.h"
@@ -186,6 +190,89 @@ void bm_fill_gaussian(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_fill_gaussian)->Unit(benchmark::kMicrosecond);
+
+// One capture's Box-Muller inputs: the 27,440 angles 2*pi*u2 and radii
+// arguments u1 of a fig08-mid trial's noise, for the libm block kernels
+// and the plain glibc loops they replace (the reference rows).
+struct box_muller_inputs {
+  std::vector<double> u1, angle;
+  box_muller_inputs() : u1(27440), angle(27440) {
+    dsp::rng gen(12);
+    for (std::size_t k = 0; k < u1.size(); ++k) {
+      do {
+        u1[k] = gen.uniform();
+      } while (u1[k] <= 0.0);
+      angle[k] = two_pi * gen.uniform();
+    }
+  }
+};
+
+void bm_sincos_block(benchmark::State& state) {
+  const box_muller_inputs in;
+  std::vector<double> sn(in.angle.size()), cs(in.angle.size());
+  std::size_t libm = 0;
+  for (auto _ : state) {
+    libm = dsp::sincos_block(in.angle, sn, cs);
+    benchmark::DoNotOptimize(sn.data());
+    benchmark::DoNotOptimize(cs.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["libm_share"] =
+      static_cast<double>(libm) / static_cast<double>(2 * in.angle.size());
+}
+BENCHMARK(bm_sincos_block)->Unit(benchmark::kMicrosecond);
+
+void bm_sincos_glibc_loop(benchmark::State& state) {
+  const box_muller_inputs in;
+  std::vector<double> sn(in.angle.size()), cs(in.angle.size());
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < in.angle.size(); ++k)
+      dsp::sin_cos(in.angle[k], sn[k], cs[k]);
+    benchmark::DoNotOptimize(sn.data());
+    benchmark::DoNotOptimize(cs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_sincos_glibc_loop)->Unit(benchmark::kMicrosecond);
+
+void bm_log_block(benchmark::State& state) {
+  const box_muller_inputs in;
+  std::vector<double> out(in.u1.size());
+  std::size_t libm = 0;
+  for (auto _ : state) {
+    libm = dsp::log_block(in.u1, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["libm_share"] =
+      static_cast<double>(libm) / static_cast<double>(in.u1.size());
+}
+BENCHMARK(bm_log_block)->Unit(benchmark::kMicrosecond);
+
+void bm_log_glibc_loop(benchmark::State& state) {
+  const box_muller_inputs in;
+  std::vector<double> out(in.u1.size());
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < in.u1.size(); ++k) out[k] = std::log(in.u1[k]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_log_glibc_loop)->Unit(benchmark::kMicrosecond);
+
+// The phase-noise impairment over one capture: a Gaussian walk of the
+// oscillator phase rotating every sample (block draws and block sincos).
+void bm_phase_noise(benchmark::State& state) {
+  cvec x = random_vector(27440, 13);
+  const impair::phase_noise_config cfg{.linewidth_hz = 2e3};
+  dsp::rng gen(14);
+  for (auto _ : state) {
+    impair::apply_phase_noise(cfg, x, gen);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_phase_noise)->Unit(benchmark::kMicrosecond);
 
 // The fault campaign's recovery-arm receive chain, warm: the widely-linear
 // + DC-removing digital stage and residual-gain tracking behind a

@@ -27,10 +27,11 @@ namespace backfi::dsp {
 ///    synthesis kernels. They consume the stream in the *same order* with
 ///    the *same per-value arithmetic* as the equivalent scalar loop, so
 ///    their output is bit-identical; they only restructure the work into
-///    staged passes (batched and reordered libm calls, vectorized
-///    combines). They live in rng_kernels.cpp, the per-TU SIMD unit (see
-///    src/dsp/CMakeLists.txt); equivalence is pinned by
-///    tests/dsp/rng_kernels_test.cpp.
+///    staged passes: log and sin/cos through the block kernels of
+///    libm_kernels.h, which return libm's exact bits at vector speed, and
+///    vectorized sqrt and combines. They live in rng_kernels.cpp, the
+///    per-TU SIMD unit (see src/dsp/CMakeLists.txt); equivalence is
+///    pinned by tests/dsp/rng_kernels_test.cpp.
 class rng {
  public:
   explicit rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);

@@ -10,16 +10,13 @@
 // Strategy: the xoshiro256++ stream itself is inherently sequential, but
 // the expensive part of Gaussian synthesis is libm (log/sqrt/sincos), not
 // the bit generator. Each fill works in blocks of a few hundred draws
-// staged in stack arrays: one tight pass over the generator, one pass per
-// libm function (letting the CPU pipeline back-to-back calls instead of
-// interleaving them with state updates and complex arithmetic), and a
-// final combine pass the compiler can vectorize (sqrt and the
-// multiply/add combines are IEEE-exact under vectorization; the libm
-// passes stay scalar calls, which is what keeps results bit-identical —
-// libmvec's vectorized variants round differently and are never used).
-// The libm calls cannot be vectorized, but their order is free: the
-// sincos pass visits its arguments in value order (sincos_order), which
-// keeps glibc's range branches predictable.
+// staged in stack arrays: one tight pass over the generator, then block
+// passes for log, sqrt and sin/cos, and a final combine pass the compiler
+// can vectorize (sqrt and the multiply/add combines are IEEE-exact under
+// vectorization). log and sin/cos go through dsp/libm_kernels.h, whose
+// AVX2 lanes return glibc's exact bits and hand every lane they cannot
+// certify to the libm call itself — libmvec's vectorized variants round
+// differently and are never used.
 //
 // Equivalence with the scalar methods — including the Box-Muller u1 > 0
 // rejection, the spare carry-in/out, and stream positions — is pinned by
@@ -31,6 +28,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "dsp/libm_kernels.h"
 #include "dsp/vec_ops.h"
 
 namespace backfi::dsp {
@@ -38,33 +36,8 @@ namespace backfi::dsp {
 namespace {
 
 /// Staged draws per block: big enough to amortize the pass structure,
-/// small enough that the staging arrays (5 x 2 KB, plus the sincos
-/// order) stay L1-resident.
+/// small enough that the staging arrays (5 x 2 KB) stay L1-resident.
 constexpr std::size_t kBlockPairs = 256;
-
-/// Value buckets for the sincos pass (see sincos_order).
-constexpr std::size_t kSincosBuckets = 64;
-
-/// Counting-sorts the block's pair indices by the value of u2 into
-/// kSincosBuckets equal-width buckets, so the sincos pass can visit
-/// arguments in near-ascending order. glibc's sincos picks its reduction
-/// and quadrant code paths by the argument's range; on uniformly random
-/// arguments those branches mispredict on a large fraction of calls,
-/// while in bucket order consecutive calls take the same path. Only the
-/// call order changes: each call still sees the identical argument and
-/// writes its result back to the pair's own index.
-void sincos_order(const double* u2, std::size_t pairs, std::uint16_t* order) {
-  std::uint16_t start[kSincosBuckets + 1] = {};
-  std::uint8_t bucket[kBlockPairs];
-  for (std::size_t k = 0; k < pairs; ++k) {
-    // u2 < 1, and scaling by a power of two is exact, so this is < 64.
-    bucket[k] = static_cast<std::uint8_t>(u2[k] * kSincosBuckets);
-    ++start[bucket[k] + 1];
-  }
-  for (std::size_t b = 0; b < kSincosBuckets; ++b) start[b + 1] += start[b];
-  for (std::size_t k = 0; k < pairs; ++k)
-    order[start[bucket[k]]++] = static_cast<std::uint16_t>(k);
-}
 
 }  // namespace
 
@@ -79,7 +52,6 @@ void rng::fill_gaussian(std::span<double> out) {
 
   double u1[kBlockPairs], u2[kBlockPairs];
   double rad[kBlockPairs], sn[kBlockPairs], cs[kBlockPairs];
-  std::uint16_t order[kBlockPairs];
   while (i < n) {
     const std::size_t remaining = n - i;
     // Enough pairs to cover the remainder (the final odd value, if any,
@@ -96,34 +68,31 @@ void rng::fill_gaussian(std::span<double> out) {
       u1[k] = a;
       u2[k] = uniform();
     }
-    // Pass 2: scalar libm log (pipelined back to back).
-    for (std::size_t k = 0; k < pairs; ++k) rad[k] = -2.0 * std::log(u1[k]);
-    // Pass 3: sqrt — IEEE-exact, so the compiler may vectorize it.
-    for (std::size_t k = 0; k < pairs; ++k) rad[k] = std::sqrt(rad[k]);
-    // Pass 4: scalar libm sin/cos in bucket order (sincos_order). glibc's
-    // sincos computes both from one argument reduction and returns
-    // bit-identical values to the separate calls; elsewhere fall back to
-    // exactly the scalar method's calls.
-    sincos_order(u2, pairs, order);
-    for (std::size_t j = 0; j < pairs; ++j) {
-      const std::size_t k = order[j];
-#if defined(__GLIBC__)
-      ::sincos(two_pi * u2[k], &sn[k], &cs[k]);
-#else
-      sn[k] = std::sin(two_pi * u2[k]);
-      cs[k] = std::cos(two_pi * u2[k]);
-#endif
-    }
-    // Pass 5: combine in draw order — cos first, sin second (the scalar
-    // method returns radius*cos and parks radius*sin as the spare).
+    // Pass 2: log, bit for bit std::log (libm_kernels.h).
+    log_block(std::span<const double>(u1, pairs), std::span<double>(rad, pairs));
+    // Pass 3: the radius — the scalar -2 * log, then an IEEE-exact sqrt
+    // the compiler vectorizes (this TU is built with -fno-math-errno; the
+    // argument is never negative). u1 is dead now and holds the angles.
     for (std::size_t k = 0; k < pairs; ++k) {
-      out[i++] = rad[k] * cs[k];
-      if (i < n) {
-        out[i++] = rad[k] * sn[k];
-      } else {
-        spare_gaussian_ = rad[k] * sn[k];
-        have_spare_gaussian_ = true;
-      }
+      rad[k] = std::sqrt(-2.0 * rad[k]);
+      u1[k] = two_pi * u2[k];
+    }
+    // Pass 4: sin and cos, bit for bit std::sin / std::cos.
+    sincos_block(std::span<const double>(u1, pairs), std::span<double>(sn, pairs),
+                 std::span<double>(cs, pairs));
+    // Pass 5: combine in draw order — cos first, sin second (the scalar
+    // method returns radius*cos and parks radius*sin as the spare, which
+    // only the block's last pair can need).
+    const std::size_t whole = std::min(pairs, (n - i) / 2);
+    for (std::size_t k = 0; k < whole; ++k) {
+      out[i + 2 * k] = rad[k] * cs[k];
+      out[i + 2 * k + 1] = rad[k] * sn[k];
+    }
+    i += 2 * whole;
+    if (whole < pairs) {
+      out[i++] = rad[whole] * cs[whole];
+      spare_gaussian_ = rad[whole] * sn[whole];
+      have_spare_gaussian_ = true;
     }
   }
 }
@@ -166,6 +135,9 @@ void rng::add_scaled_complex_gaussian(std::span<cplx> inout, double amp,
 void add_scaled_in_place(std::span<cplx> y, std::span<const double> x,
                          double s) {
   const std::size_t n = y.size();
+  if (x.size() != 2 * n)
+    throw std::invalid_argument(
+        "add_scaled_in_place: x must hold 2 * y.size() doubles");
   double* yd = reinterpret_cast<double*>(y.data());
   for (std::size_t i = 0; i < 2 * n; ++i) yd[i] += s * x[i];
 }

@@ -25,7 +25,8 @@ void add_in_place(std::span<cplx> y, std::span<const cplx> x);
 /// Each component is multiplied by `s` once and added once, never fused:
 /// the implementation lives in rng_kernels.cpp (the contraction-off SIMD
 /// TU) because the AWGN replay cache relies on this matching the scalar
-/// `y[i] += s * x[i]` rounding bit-for-bit.
+/// `y[i] += s * x[i]` rounding bit-for-bit. Throws std::invalid_argument
+/// unless x.size() == 2 * y.size().
 void add_scaled_in_place(std::span<cplx> y, std::span<const double> x,
                          double s);
 

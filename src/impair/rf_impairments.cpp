@@ -10,15 +10,18 @@ namespace backfi::impair {
 void apply_cfo(const cfo_config& config, std::span<cplx> x,
                std::size_t start_sample) {
   if (config.offset_hz == 0.0 && config.drift_hz_per_s == 0.0) return;
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    const double t =
-        static_cast<double>(start_sample + n) * sample_period_s;
-    // Instantaneous frequency f0 + d*t integrates to f0*t + d*t^2/2.
-    const double phase =
-        two_pi * (config.offset_hz * t + 0.5 * config.drift_hz_per_s * t * t);
-    double sn, cs;
-    dsp::sin_cos(phase, sn, cs);
-    x[n] *= cplx{cs, sn};
+  constexpr std::size_t kBlock = 512;
+  double phase[kBlock];
+  for (std::size_t i = 0; i < x.size(); i += kBlock) {
+    const std::size_t m = std::min(kBlock, x.size() - i);
+    for (std::size_t k = 0; k < m; ++k) {
+      const double t =
+          static_cast<double>(start_sample + i + k) * sample_period_s;
+      // Instantaneous frequency f0 + d*t integrates to f0*t + d*t^2/2.
+      phase[k] = two_pi *
+                 (config.offset_hz * t + 0.5 * config.drift_hz_per_s * t * t);
+    }
+    dsp::rotate_by_phases(x.subspan(i, m), std::span<const double>(phase, m));
   }
 }
 
@@ -29,22 +32,19 @@ void apply_phase_noise(const phase_noise_config& config, std::span<cplx> x,
       std::sqrt(two_pi * config.linewidth_hz * sample_period_s);
   // Batched Gaussian increments (one block fill instead of a draw per
   // sample); the phase walk itself stays the sequential scalar recurrence,
-  // with sin/cos fused into one sincos call. Values are bit-identical to
-  // the per-sample scalar loop.
+  // written over the increments and rotated by one block sincos. Values
+  // are bit-identical to the per-sample scalar loop.
   constexpr std::size_t kBlock = 512;
   double g[kBlock];
   double phase = 0.0;
-  std::size_t i = 0;
-  while (i < x.size()) {
+  for (std::size_t i = 0; i < x.size(); i += kBlock) {
     const std::size_t m = std::min(kBlock, x.size() - i);
     gen.fill_gaussian(std::span<double>(g, m));
     for (std::size_t k = 0; k < m; ++k) {
       phase += sigma * g[k];
-      double sn, cs;
-      dsp::sin_cos(phase, sn, cs);
-      x[i + k] *= cplx{cs, sn};
+      g[k] = phase;
     }
-    i += m;
+    dsp::rotate_by_phases(x.subspan(i, m), std::span<const double>(g, m));
   }
 }
 

@@ -31,22 +31,20 @@ void apply_oscillator_jitter(const oscillator_jitter_config& config,
   }
 
   if (config.phase_jitter_rad > 0.0) {
-    // Batched Gaussian increments + fused sincos, as in apply_phase_noise;
-    // bit-identical to the per-sample scalar walk.
+    // Batched Gaussian increments and a block sincos, as in
+    // apply_phase_noise; bit-identical to the per-sample scalar walk.
     constexpr std::size_t kBlock = 512;
     double g[kBlock];
     double phase = 0.0;
-    std::size_t n = active_begin;
-    while (n < active_end) {
+    for (std::size_t n = active_begin; n < active_end; n += kBlock) {
       const std::size_t m = std::min(kBlock, active_end - n);
       gen.fill_gaussian(std::span<double>(g, m));
       for (std::size_t k = 0; k < m; ++k) {
         phase += config.phase_jitter_rad * g[k];
-        double sn, cs;
-        dsp::sin_cos(phase, sn, cs);
-        reflection[n + k] *= cplx{cs, sn};
+        g[k] = phase;
       }
-      n += m;
+      dsp::rotate_by_phases(reflection.subspan(n, m),
+                            std::span<const double>(g, m));
     }
   }
 }

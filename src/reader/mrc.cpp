@@ -1,15 +1,31 @@
 #include "reader/mrc.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace backfi::reader {
 
+namespace {
+
+/// The checks every windowed MRC entry point makes on its caller's spans:
+/// equal lengths and begin <= end <= y.size(), in every build type.
+void check_window(std::span<const cplx> y, std::span<const cplx> yhat,
+                  std::size_t begin, std::size_t end, const char* who) {
+  if (y.size() != yhat.size())
+    throw std::invalid_argument(std::string(who) +
+                                ": y and yhat must have equal length");
+  if (begin > end || end > y.size())
+    throw std::invalid_argument(std::string(who) +
+                                ": need begin <= end <= y.size()");
+}
+
+}  // namespace
+
 cplx mrc_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
                   std::size_t begin, std::size_t end) {
-  assert(y.size() == yhat.size());
-  assert(begin <= end && end <= y.size());
+  check_window(y, yhat, begin, end, "mrc_estimate");
   cplx numerator{0.0, 0.0};
   double denominator = 0.0;
   for (std::size_t n = begin; n < end; ++n) {
@@ -23,8 +39,7 @@ cplx mrc_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
 void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
                     std::size_t begin, std::size_t end, cvec& products,
                     std::vector<double>& weights) {
-  assert(y.size() == yhat.size());
-  assert(begin <= end && end <= y.size());
+  check_window(y, yhat, begin, end, "mrc_precompute");
   const std::size_t n = end - begin;
   products.resize(n);
   weights.resize(n);
@@ -39,17 +54,37 @@ void mrc_symbol_estimates_from_products(
     std::size_t window_begin, std::size_t capture_size,
     std::size_t first_symbol_start, std::size_t samples_per_symbol,
     std::size_t n_symbols, std::size_t guard, std::span<cplx> out) {
-  assert(guard < samples_per_symbol);
-  assert(products.size() == weights.size());
-  assert(out.size() >= n_symbols);
+  if (guard >= samples_per_symbol)
+    throw std::invalid_argument(
+        "mrc_symbol_estimates_from_products: guard must be < "
+        "samples_per_symbol");
+  if (products.size() != weights.size())
+    throw std::invalid_argument(
+        "mrc_symbol_estimates_from_products: products and weights must have "
+        "equal length");
+  if (out.size() < n_symbols)
+    throw std::invalid_argument(
+        "mrc_symbol_estimates_from_products: out holds fewer than n_symbols");
+  // The symbols that end inside the capture are a prefix; the rest stay 0.
+  const std::size_t n_inside =
+      first_symbol_start > capture_size
+          ? 0
+          : std::min(n_symbols,
+                     (capture_size - first_symbol_start) / samples_per_symbol);
+  // Their windows rise with s, so the first and last bound them all.
+  if (n_inside > 0 &&
+      (first_symbol_start + guard < window_begin ||
+       first_symbol_start + n_inside * samples_per_symbol - window_begin >
+           products.size()))
+    throw std::invalid_argument(
+        "mrc_symbol_estimates_from_products: a symbol inside the capture "
+        "lies outside the precomputed window");
   std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(n_symbols),
             cplx{0.0, 0.0});
-  for (std::size_t s = 0; s < n_symbols; ++s) {
+  for (std::size_t s = 0; s < n_inside; ++s) {
     const std::size_t start = first_symbol_start + s * samples_per_symbol;
     const std::size_t begin = start + guard;
     const std::size_t end = start + samples_per_symbol;
-    if (end > capture_size) break;
-    assert(begin >= window_begin && end - window_begin <= products.size());
     // Each stored product/weight is the exact value mrc_estimate would
     // compute in place; summing them in the same ascending-sample order
     // reproduces its result to the bit.
@@ -65,7 +100,7 @@ void mrc_symbol_estimates_from_products(
 
 cplx naive_division_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
                              std::size_t begin, std::size_t end) {
-  assert(begin <= end && end <= y.size());
+  check_window(y, yhat, begin, end, "naive_division_estimate");
   cplx acc{0.0, 0.0};
   std::size_t count = 0;
   for (std::size_t n = begin; n < end; ++n) {

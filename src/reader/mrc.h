@@ -19,7 +19,9 @@ namespace backfi::reader {
 
 /// MRC estimate over samples [begin, end) of y against the expected
 /// unmodulated backscatter yhat (same indexing). Returns ~e^{j theta}.
-/// Returns 0 when the window carries no usable energy.
+/// Returns 0 when the window carries no usable energy. Throws
+/// std::invalid_argument unless y and yhat have equal length and
+/// begin <= end <= y.size().
 cplx mrc_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
                   std::size_t begin, std::size_t end);
 
@@ -27,7 +29,8 @@ cplx mrc_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
 /// [begin, end): products[i - begin] = y[i] * conj(yhat[i]) and
 /// weights[i - begin] = |yhat[i]|^2. The sync scan evaluates all timing
 /// offsets as contiguous sums over these buffers instead of recomputing
-/// the products per offset.
+/// the products per offset. Throws std::invalid_argument on the spans and
+/// window mrc_estimate rejects.
 void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
                     std::size_t begin, std::size_t end, cvec& products,
                     std::vector<double>& weights);
@@ -41,7 +44,11 @@ void mrc_precompute(std::span<const cplx> y, std::span<const cplx> yhat,
 /// original y/yhat vectors: a symbol that runs past it, and every symbol
 /// after it, is left 0. Every other symbol window must lie inside the
 /// precomputed window. Each estimate is bit-identical to mrc_estimate over
-/// the symbol's window: same per-sample accumulation order.
+/// the symbol's window: same per-sample accumulation order. Throws
+/// std::invalid_argument, before writing anything, unless
+/// guard < samples_per_symbol, products and weights have equal length,
+/// out holds n_symbols, and every symbol inside the capture lies inside
+/// the precomputed window.
 void mrc_symbol_estimates_from_products(
     std::span<const cplx> products, std::span<const double> weights,
     std::size_t window_begin, std::size_t capture_size,
@@ -50,7 +57,8 @@ void mrc_symbol_estimates_from_products(
 
 /// Naive alternative the paper rejects (Section 4.3.2): divide y by yhat
 /// sample-wise and average. Amplifies noise wherever |yhat| is small;
-/// exists for the MRC-superiority tests and the ablation bench.
+/// exists for the MRC-superiority tests and the ablation bench. Throws
+/// std::invalid_argument on the spans and window mrc_estimate rejects.
 cplx naive_division_estimate(std::span<const cplx> y, std::span<const cplx> yhat,
                              std::size_t begin, std::size_t end);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "dsp/rng.h"
 
@@ -60,6 +61,20 @@ TEST(VecOpsTest, RejectsMismatchedSpanSizes) {
   EXPECT_THROW(hadamard_into(shorter, y, out), std::invalid_argument);
   // Nothing was written before the check.
   for (const cplx& v : y) EXPECT_EQ(v, cplx(1.0, 0.0));
+}
+
+TEST(VecOpsTest, AddScaledRejectsMismatchedSpanSizes) {
+  // The noise-cache replay reads x as 2 * y.size() interleaved doubles; a
+  // short x would be read past its end, a long one silently truncated.
+  cvec y(8, cplx{1.0, 0.0});
+  const std::vector<double> shorter(15, 1.0), longer(17, 1.0), exact(16, 1.0);
+  EXPECT_THROW(add_scaled_in_place(y, shorter, 2.0), std::invalid_argument);
+  EXPECT_THROW(add_scaled_in_place(y, longer, 2.0), std::invalid_argument);
+  EXPECT_THROW(add_scaled_in_place(y, std::vector<double>{}, 2.0),
+               std::invalid_argument);
+  for (const cplx& v : y) EXPECT_EQ(v, cplx(1.0, 0.0));
+  add_scaled_in_place(y, exact, 2.0);
+  for (const cplx& v : y) EXPECT_EQ(v, cplx(3.0, 2.0));
 }
 
 }  // namespace

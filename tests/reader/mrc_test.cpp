@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "dsp/math_util.h"
@@ -177,6 +178,77 @@ TEST(MrcTest, ProductsPathReproducesEndOfCaptureTruncation) {
   mrc_symbol_estimates_from_products(products, weights, 0, n, first, sps,
                                      n_sym, guard, out);
   for (std::size_t s = 0; s < n_sym; ++s) ASSERT_EQ(out[s], direct[s]) << s;
+}
+
+// Caller-passed spans and ranges are checked in every build type: a
+// Release build compiles asserts away, and each of these would read or
+// write past a buffer.
+TEST(MrcTest, EstimateRejectsMismatchedSpansAndBadRanges) {
+  const observation obs = make_observation(0.3, 0.1, 64, 31);
+  const cvec short_yhat(obs.yhat.begin(), obs.yhat.begin() + 32);
+  EXPECT_THROW(mrc_estimate(obs.y, short_yhat, 0, 64), std::invalid_argument);
+  EXPECT_THROW(mrc_estimate(obs.y, obs.yhat, 0, 65), std::invalid_argument);
+  EXPECT_THROW(mrc_estimate(obs.y, obs.yhat, 10, 9), std::invalid_argument);
+  EXPECT_NO_THROW(mrc_estimate(obs.y, obs.yhat, 64, 64));
+}
+
+TEST(MrcTest, PrecomputeRejectsMismatchedSpansAndBadRanges) {
+  const observation obs = make_observation(0.3, 0.1, 64, 32);
+  const cvec short_yhat(obs.yhat.begin(), obs.yhat.begin() + 32);
+  cvec products;
+  std::vector<double> weights;
+  EXPECT_THROW(mrc_precompute(obs.y, short_yhat, 0, 64, products, weights),
+               std::invalid_argument);
+  EXPECT_THROW(mrc_precompute(obs.y, obs.yhat, 0, 65, products, weights),
+               std::invalid_argument);
+  EXPECT_THROW(mrc_precompute(obs.y, obs.yhat, 5, 4, products, weights),
+               std::invalid_argument);
+  EXPECT_TRUE(products.empty());
+}
+
+TEST(MrcTest, SymbolEstimatesFromProductsRejectBadArguments) {
+  const observation obs = make_observation(0.3, 0.1, 64, 33);
+  cvec products;
+  std::vector<double> weights;
+  mrc_precompute(obs.y, obs.yhat, 16, 48, products, weights);
+  cvec out(4, cplx{7.0, 7.0});
+  const auto call = [&](std::span<const double> w, std::size_t first,
+                        std::size_t sps, std::size_t n, std::size_t guard,
+                        std::span<cplx> o) {
+    mrc_symbol_estimates_from_products(products, w, 16, 64, first, sps, n,
+                                       guard, o);
+  };
+  // guard >= samples_per_symbol, products/weights lengths, a short out.
+  EXPECT_THROW(call(weights, 16, 8, 4, 8, out), std::invalid_argument);
+  EXPECT_THROW(call(std::span<const double>(weights).first(31), 16, 8, 4, 2,
+                    out),
+               std::invalid_argument);
+  EXPECT_THROW(call(weights, 16, 8, 4, 2, std::span<cplx>(out).first(3)),
+               std::invalid_argument);
+  // Symbols inside the capture but outside the window [16, 48): one
+  // starting before it, one running past its end.
+  EXPECT_THROW(call(weights, 8, 8, 4, 2, out), std::invalid_argument);
+  cvec five(5);
+  EXPECT_THROW(call(weights, 16, 8, 5, 2, five), std::invalid_argument);
+  for (const cplx& v : out) EXPECT_EQ(v, cplx(7.0, 7.0));
+  // Symbols past the capture end (here 48) are not checked against the
+  // window; they stay 0.
+  mrc_symbol_estimates_from_products(products, weights, 16, 48, 16, 16, 4, 2,
+                                     out);
+  EXPECT_NE(out[1], cplx(0.0, 0.0));
+  EXPECT_EQ(out[2], cplx(0.0, 0.0));
+  EXPECT_EQ(out[3], cplx(0.0, 0.0));
+}
+
+TEST(MrcTest, NaiveDivisionRejectsMismatchedSpansAndBadRanges) {
+  const observation obs = make_observation(0.3, 0.1, 64, 34);
+  const cvec short_yhat(obs.yhat.begin(), obs.yhat.begin() + 32);
+  EXPECT_THROW(naive_division_estimate(obs.y, short_yhat, 0, 64),
+               std::invalid_argument);
+  EXPECT_THROW(naive_division_estimate(obs.y, obs.yhat, 0, 65),
+               std::invalid_argument);
+  EXPECT_THROW(naive_division_estimate(obs.y, obs.yhat, 3, 2),
+               std::invalid_argument);
 }
 
 }  // namespace
