@@ -4,12 +4,15 @@
 // per-call twiddle recurrence it replaced at the PHY's 64 points, and the
 // thread scaling of packet_error_rate, including the bit-identity check
 // that the parallel result equals the serial one. Part 2 runs google-benchmark timings
-// (including cold AWGN synthesis, which every replay-cache miss pays, and
-// the glibc-exact block sin/cos and log against the plain libm loops) and
+// (including cold AWGN synthesis and a fresh-seed excitation build, which
+// first evaluations pay, the glibc-exact block sin/cos and log against the
+// plain libm loops, and the four-symbol OFDM modulation against the
+// per-symbol plan path) and
 // writes BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
 // trajectory of the DSP layer is recorded per build.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,10 +33,13 @@
 #include "impair/rf_impairments.h"
 #include "phy/constellation.h"
 #include "reader/decoder.h"
+#include "reader/excitation.h"
 #include "reader/stream_session.h"
 #include "sim/backscatter_sim.h"
 #include "sim/parallel.h"
 #include "sim/stream_sim.h"
+#include "wifi/ofdm.h"
+#include "wifi/rates.h"
 
 namespace {
 
@@ -165,11 +171,14 @@ void bm_fft_plan(benchmark::State& state) {
 BENCHMARK(bm_fft_plan)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // Cold AWGN synthesis at the fig08 mid-point capture length: a fresh
-// generator state every iteration, so every add_awgn call misses the
-// noise replay cache and pays the full Box-Muller draw plus the record.
+// generator state every iteration (the seed counter runs on across the
+// row's runs), so every add_awgn call misses the noise replay cache. The
+// first ~150 misses fill the budget and pay the record; the cache then
+// refuses these never-repeated keys, so the row times the plain
+// Box-Muller pass a first evaluation pays.
 void bm_awgn_cold(benchmark::State& state) {
   cvec x(27440, cplx{0.0, 0.0});
-  std::uint64_t seed = 1;
+  static std::uint64_t seed = 1;
   for (auto _ : state) {
     dsp::rng gen(seed++);
     channel::add_awgn(x, 1e-4, gen);
@@ -259,6 +268,104 @@ void bm_log_glibc_loop(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_log_glibc_loop)->Unit(benchmark::kMicrosecond);
+
+// The 334 data symbols of the 4000-byte, 24 Mbps PPDU every fig08
+// mid-range excitation carries: modulate_symbols_into (four symbols per
+// transform pass) against the per-symbol fft_plan path it replaced (the
+// reference row: scatter into a zeroed buffer, plan, 1/N and tx scale,
+// cyclic prefix), on the same 16-QAM points.
+struct ofdm_symbols {
+  static constexpr std::size_t n = 334;
+  cvec points;
+  cvec out;
+  ofdm_symbols()
+      : points(n * wifi::n_data_subcarriers), out(n * wifi::symbol_samples) {
+    const phy::constellation& c =
+        phy::wifi_constellation(wifi::params_for(wifi::wifi_rate::mbps24).n_bpsc);
+    dsp::rng gen(31);
+    for (auto& v : points) v = c.points[gen.uniform_int(c.points.size())];
+  }
+};
+
+void bm_ofdm_modulate(benchmark::State& state) {
+  ofdm_symbols sym;
+  for (auto _ : state) {
+    wifi::modulate_symbols_into(sym.points, 1, sym.out);
+    benchmark::DoNotOptimize(sym.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_ofdm_modulate)->Unit(benchmark::kMicrosecond);
+
+void bm_ofdm_modulate_plan_reference(benchmark::State& state) {
+  ofdm_symbols sym;
+  const dsp::fft_plan& plan =
+      dsp::get_fft_plan(wifi::fft_size, dsp::fft_direction::inverse);
+  const auto data_sc = wifi::data_subcarrier_indices();
+  const auto pilot_sc = wifi::pilot_subcarrier_indices();
+  const double inv_n = 1.0 / static_cast<double>(wifi::fft_size);
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < ofdm_symbols::n; ++s) {
+      const std::span<cplx> symbol = std::span<cplx>(sym.out).subspan(
+          s * wifi::symbol_samples, wifi::symbol_samples);
+      const std::span<cplx> freq =
+          symbol.subspan(wifi::cyclic_prefix, wifi::fft_size);
+      std::fill(freq.begin(), freq.end(), cplx{0.0, 0.0});
+      for (std::size_t i = 0; i < wifi::n_data_subcarriers; ++i)
+        freq[wifi::subcarrier_to_bin(data_sc[i])] =
+            sym.points[s * wifi::n_data_subcarriers + i];
+      const double polarity = wifi::pilot_polarity(1 + s);
+      for (std::size_t i = 0; i < wifi::n_pilot_subcarriers; ++i)
+        freq[wifi::subcarrier_to_bin(pilot_sc[i])] =
+            wifi::pilot_base_values()[i] * polarity;
+      plan.execute(freq);
+      for (cplx& v : freq) {
+        v *= inv_n;
+        v *= wifi::tx_scale();
+      }
+      std::copy(freq.end() - wifi::cyclic_prefix, freq.end(), symbol.begin());
+    }
+    benchmark::DoNotOptimize(sym.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_ofdm_modulate_plan_reference)->Unit(benchmark::kMicrosecond);
+
+// A first evaluation's excitation (trial_fresh's: 4000 B at 24 Mbps, one
+// PPDU), a fresh payload seed every iteration, with the excitation cache on
+// and already full of keys that never come back. The timed build is the
+// refused miss: synthesis into the caller's buffers, no copy into the
+// cache. `refused_share` reports which path the iterations took.
+void bm_excitation_fresh(benchmark::State& state) {
+  // Seeds no other row uses, never repeated across the row's runs.
+  static std::uint64_t seed = std::uint64_t{1} << 40;
+  reader::excitation_config cfg;
+  cfg.ppdu_bytes = 4000;
+  cfg.payload_seed = seed;
+  reader::excitation ex;
+  const auto refused = [] { return reader::excitation_cache_stats().refused; };
+  // Fill the budget (64 MiB holds ~150 of these) until the cache refuses.
+  const std::uint64_t refused_at_start = refused();
+  for (int i = 0; i < 4096 && refused() == refused_at_start; ++i) {
+    reader::build_excitation_into(cfg, ex);
+    ++cfg.payload_seed;
+  }
+  const auto before = reader::excitation_cache_stats();
+  for (auto _ : state) {
+    reader::build_excitation_into(cfg, ex);
+    ++cfg.payload_seed;
+    benchmark::DoNotOptimize(ex.samples.data());
+    benchmark::ClobberMemory();
+  }
+  seed = cfg.payload_seed;
+  const auto after = reader::excitation_cache_stats();
+  const double lookups = static_cast<double>(after.misses - before.misses +
+                                             after.hits - before.hits);
+  state.counters["refused_share"] =
+      lookups > 0.0 ? static_cast<double>(after.refused - before.refused) / lookups
+                    : 0.0;
+}
+BENCHMARK(bm_excitation_fresh)->Unit(benchmark::kMicrosecond);
 
 // The phase-noise impairment over one capture: a Gaussian walk of the
 // oscillator phase rotating every sample (block draws and block sincos).

@@ -77,19 +77,27 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen) {
     return;
   }
 
-  // Miss: one pass draws, records and adds, exactly as the no-cache path.
+  // Miss the cache refuses (full, and no replay lately): the plain pass,
+  // with no record to write.
+  const std::size_t bytes = x.size() * sizeof(cplx) + sizeof(noise_entry);
+  if (!cache.admit(key, bytes)) {
+    gen.add_scaled_complex_gaussian(x, amp);
+    return;
+  }
+
+  // Admitted miss: one pass draws, records and adds, exactly as the
+  // no-cache path.
   auto entry = std::make_shared<noise_entry>();
   entry->z = std::make_unique_for_overwrite<double[]>(2 * x.size());
   gen.add_scaled_complex_gaussian(
       x, amp, std::span<double>(entry->z.get(), 2 * x.size()));
   entry->end = gen.save();
-  const std::size_t bytes = x.size() * sizeof(cplx) + sizeof(noise_entry);
   cache.insert(key, std::move(entry), bytes);
 }
 
 noise_cache_stats awgn_cache_stats() {
   const auto s = noise_cache().stats();
-  return {s.hits, s.misses, s.evictions, s.entries, s.bytes};
+  return {s.hits, s.misses, s.evictions, s.entries, s.bytes, s.refused};
 }
 
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,

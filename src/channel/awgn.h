@@ -31,11 +31,12 @@ namespace backfi::channel {
 /// wild-traffic arms — replay the identical RNG state at this stage, so
 /// the cache turns their Box-Muller synthesis into one fused vectorized
 /// scaled-add; `gen` is restored to the exact position a generating pass
-/// ends at. A miss is the same single pass as the uncached path: the
-/// kernel adds amp·z into `x` and records the unit-power z into the new
-/// entry as it goes, so hit and miss results are bitwise identical by
-/// construction. Budget: BACKFI_NOISE_CACHE_MB (MiB, default 64, 0
-/// disables).
+/// ends at. An admitted miss is the same single pass as the uncached path:
+/// the kernel adds amp·z into `x` and records the unit-power z into the
+/// new entry as it goes, so hit and miss results are bitwise identical by
+/// construction. A miss the full cache refuses (dsp::replay_cache::admit)
+/// is the uncached pass itself, with no record. Budget:
+/// BACKFI_NOISE_CACHE_MB (MiB, default 64, 0 disables).
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 
 /// Noise power normalized to the transmit power reference: the receiver's
@@ -52,6 +53,7 @@ struct noise_cache_stats {
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
+  std::uint64_t refused = 0;  ///< misses the full cache did not admit
 };
 noise_cache_stats awgn_cache_stats();
 

@@ -22,7 +22,9 @@ bool is_power_of_two(std::size_t n);
 
 /// The original per-call twiddle-recurrence forward transform (no
 /// normalization), kept verbatim as the baseline for perf_kernels and for
-/// the plan equivalence tests. Not used by the signal chain.
+/// the plan equivalence tests. Not used by the signal chain. Throws
+/// std::invalid_argument unless data.size() is a power of two in
+/// [1, 2^40], as the plans do.
 void fft_in_place_reference(std::span<cplx> data);
 
 enum class fft_direction { forward, inverse };
@@ -45,6 +47,15 @@ class fft_plan {
   /// (callers scale the inverse by 1/N, as the seed implementation did).
   /// Throws std::invalid_argument unless data.size() == size().
   void execute(std::span<cplx> data) const;
+
+  /// The plan's tables, for kernels that run its exact butterflies on
+  /// another data layout (wifi/ofdm_kernels: four symbols per vector):
+  /// the bit-reversal swap pairs as flattened (i, j) index pairs, and the
+  /// twiddles, stage s (butterfly span 2^(s+1)) starting at
+  /// stage_offsets()[s].
+  std::span<const std::size_t> swap_pairs() const { return swap_pairs_; }
+  std::span<const cplx> twiddles() const { return twiddles_; }
+  std::span<const std::size_t> stage_offsets() const { return offsets_; }
 
  private:
   std::size_t n_;

@@ -20,12 +20,29 @@
 // rehashes only happen under the unique lock inserts take). Inserts are
 // first-writer-wins — a racing duplicate insert is dropped, which is safe
 // precisely because duplicates are bit-identical by the contract above.
+// admit() takes no map lock: its counters are relaxed atomics and its
+// ring of refused keys has a mutex of its own.
+//
+// Admission: a miss costs its caller a capture-sized copy into the new
+// entry, which only pays off if the key comes back. So callers ask
+// admit() on a miss, before building the entry, and take their plain
+// uncached path when refused. While the budget has room every miss is
+// admitted. Once it is full, a miss is admitted only if some lookup has
+// hit within the last budget's worth of missed bytes (the cache paid off
+// within its last turnover), or if the key was refused before (a fixed
+// ring of refused key hashes remembers it; this is its second sighting).
+// A stream of never-repeated keys (first evaluations of fresh seeds)
+// therefore fills the budget once and then stops paying for inserts,
+// while a replaying workload, whose hits keep the gate open, admits as
+// before. The rule reads only what the cache observes.
 //
 // Budgets come from environment variables (see cache_budget_bytes); a
-// budget of 0 disables the cache entirely, turning find/insert into
-// cheap no-ops so A/B runs can bisect cache effects.
+// budget of 0 disables the cache entirely, turning find/admit/insert
+// into cheap no-ops so A/B runs can bisect cache effects.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -71,7 +88,36 @@ class replay_cache {
         .store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                std::memory_order_relaxed);
     hits_.fetch_add(1, std::memory_order_relaxed);
+    if (missed_since_hit_.load(std::memory_order_relaxed) != 0)
+      missed_since_hit_.store(0, std::memory_order_relaxed);
     return it->second.value;
+  }
+
+  /// Ask, after find(key) missed and before building the value, whether
+  /// an entry of `bytes` for `key` should be built and inserted. True
+  /// while the budget has room for it; once the budget is full, true only
+  /// if a lookup has hit within the last max_bytes() of missed bytes or
+  /// `key` was refused before (its second sighting). A false answer is
+  /// counted in stats().refused; the caller then takes its uncached path
+  /// and inserts nothing. Values larger than the whole budget are always
+  /// refused (insert would drop them), and so is everything when the
+  /// cache is disabled.
+  bool admit(const Key& key, std::size_t bytes) {
+    if (!enabled() || bytes > max_bytes_) return false;
+    const std::size_t missed =
+        missed_since_hit_.fetch_add(bytes, std::memory_order_relaxed);
+    if (bytes_.load(std::memory_order_relaxed) + bytes <= max_bytes_)
+      return true;
+    if (missed < max_bytes_) return true;
+    const std::size_t h = Hash{}(key);
+    std::lock_guard lock(ring_mutex_);
+    const std::size_t filled = std::min(ring_count_, refused_ring_.size());
+    for (std::size_t i = 0; i < filled; ++i)
+      if (refused_ring_[i] == h) return true;
+    refused_ring_[ring_count_ % refused_ring_.size()] = h;
+    ++ring_count_;
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
   /// Insert `key` -> `value` accounting `bytes` against the budget,
@@ -108,6 +154,7 @@ class replay_cache {
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
     std::size_t bytes = 0;
+    std::uint64_t refused = 0;  ///< misses admit() turned away
   };
 
   stats_snapshot stats() const {
@@ -115,7 +162,8 @@ class replay_cache {
     return {hits_.load(std::memory_order_relaxed),
             misses_.load(std::memory_order_relaxed),
             evictions_.load(std::memory_order_relaxed), map_.size(),
-            bytes_.load(std::memory_order_relaxed)};
+            bytes_.load(std::memory_order_relaxed),
+            refused_.load(std::memory_order_relaxed)};
   }
 
   /// Drop every entry (tests; stats counters are kept).
@@ -140,6 +188,14 @@ class replay_cache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::size_t> bytes_{0};
+  // Admission state: bytes of the misses admit() saw since the last hit,
+  // and the hashes of the last refused keys (a hash collision only admits
+  // a first sighting early, never changes a value).
+  std::atomic<std::size_t> missed_since_hit_{0};
+  std::atomic<std::uint64_t> refused_{0};
+  std::mutex ring_mutex_;
+  std::array<std::size_t, 4096> refused_ring_{};
+  std::size_t ring_count_ = 0;  // refusals recorded, guarded by ring_mutex_
 };
 
 /// splitmix64-style word mixer for composing cache-key hashes.

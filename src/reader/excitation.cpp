@@ -109,15 +109,17 @@ void build_excitation_into(const excitation_config& config, excitation& out) {
     return;
   }
   build_excitation_uncached(config, out);
+  // The entry is a copy of `out`; a miss the full cache refuses skips it.
   const std::size_t bytes = out.samples.size() * sizeof(cplx) +
                             out.ppdu.payload.size() +
                             out.wake_preamble.size() + sizeof(excitation);
-  cache.insert(key, std::make_shared<excitation>(out), bytes);
+  if (cache.admit(key, bytes))
+    cache.insert(key, std::make_shared<excitation>(out), bytes);
 }
 
 excitation_cache_stats_snapshot excitation_cache_stats() {
   const auto s = full_cache().stats();
-  return {s.hits, s.misses, s.evictions, s.entries, s.bytes};
+  return {s.hits, s.misses, s.evictions, s.entries, s.bytes, s.refused};
 }
 
 std::size_t excitation_length(const excitation_config& config) {

@@ -39,8 +39,11 @@ struct excitation {
 /// full-synthesis replay cache serves repeated configs: it holds the
 /// complete waveform, keyed on (tag_id, wake_bits, rate, ppdu_bytes,
 /// payload_seed, n_ppdus), so repeated-seed sweeps pay synthesis once per
-/// key. Cache hits are bitwise identical to fresh synthesis; budget
-/// BACKFI_EXCITATION_CACHE_MB (MiB, default 64, 0 disables the cache).
+/// key. Cache hits are bitwise identical to fresh synthesis. Once the
+/// budget is full, a miss is only copied into the cache when the cache
+/// admits it (dsp::replay_cache::admit: recent hits, or a key seen
+/// before); budget BACKFI_EXCITATION_CACHE_MB (MiB, default 64, 0 disables
+/// the cache).
 excitation build_excitation(const excitation_config& config);
 
 /// As build_excitation(), recycling the caller's excitation buffers across
@@ -60,6 +63,7 @@ struct excitation_cache_stats_snapshot {
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
+  std::uint64_t refused = 0;  ///< misses the full cache did not admit
 };
 excitation_cache_stats_snapshot excitation_cache_stats();
 

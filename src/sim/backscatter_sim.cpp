@@ -276,24 +276,19 @@ trial_result run_backscatter_trial(const scenario_config& config,
     obs::count(c, obs::probe::bit_errors, result.bit_errors);
   }
 
-  // Raw (pre-Viterbi) symbol errors for the Fig. 11b BER analysis.
+  // Raw (pre-Viterbi) symbol errors for the Fig. 11b BER analysis: the
+  // sliced estimates against the labels the tag emitted (all of its coded
+  // stream, since a short excitation returned above).
   if (decoded.sync_found && !decoded.symbol_estimates.empty()) {
     const auto& constellation =
         phy::psk_constellation(tag::psk_order(config.tag.rate.modulation));
-    const std::size_t bps = tag::bits_per_symbol(config.tag.rate.modulation);
+    const std::size_t n = std::min(decoded.symbol_estimates.size(),
+                                   tag_tx.payload_labels.size());
     std::size_t errors = 0;
-    // Reconstruct the transmitted coded stream to compare sliced symbols.
-    phy::bitvec coded =
-        phy::puncture(phy::conv_encode(tag_tx.info_bits), config.tag.rate.coding);
-    while (coded.size() % bps != 0) coded.push_back(0);
-    for (std::size_t s = 0;
-         s < decoded.symbol_estimates.size() && (s + 1) * bps <= coded.size();
-         ++s) {
-      std::uint32_t tx_label = 0;
-      for (std::size_t b = 0; b < bps; ++b)
-        tx_label = (tx_label << 1) | (coded[s * bps + b] & 1u);
-      if (constellation.slice(decoded.symbol_estimates[s]) != tx_label) ++errors;
-    }
+    for (std::size_t s = 0; s < n; ++s)
+      if (constellation.slice(decoded.symbol_estimates[s]) !=
+          tag_tx.payload_labels[s])
+        ++errors;
     result.raw_symbol_errors = errors;
     obs::count(c, obs::probe::raw_symbol_errors, errors);
   }

@@ -111,14 +111,16 @@ void tag_device::backscatter_into(std::span<const std::uint8_t> payload,
 
   // Payload symbols (dropped once the excitation ends).
   cursor = out.data_start;
+  out.payload_labels.clear();
   for (std::size_t s = 0; s * bps < coded.size(); ++s) {
     std::uint32_t label = 0;
     for (std::size_t b = 0; b < bps; ++b)
       label = (label << 1) | (coded[s * bps + b] & 1u);
     if (!emit_symbol(label, cursor)) break;
     cursor += out.samples_per_symbol;
-    ++out.n_payload_symbols;
+    out.payload_labels.push_back(label);
   }
+  out.n_payload_symbols = out.payload_labels.size();
   out.data_end = cursor;
   out.switch_toggles = modulator.toggle_count();
   out.energy_pj =

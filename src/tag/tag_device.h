@@ -54,6 +54,10 @@ struct tag_transmission {
   std::size_t samples_per_symbol = 0;
   std::size_t n_payload_symbols = 0;
   phy::bitvec info_bits;              ///< payload + CRC as encoded
+  /// Labels of the emitted payload symbols, in order (the coded, padded
+  /// stream read bits_per_symbol bits at a time, MSB first); the reader's
+  /// raw symbol-error count compares its slices against them.
+  std::vector<std::uint32_t> payload_labels;
   double energy_pj = 0.0;             ///< EPB model x information bits
   std::uint64_t switch_toggles = 0;   ///< from the switch-tree model
 };

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <span>
+#include <stdexcept>
 
 #include "dsp/types.h"
 
@@ -32,13 +33,28 @@ double pilot_polarity(std::size_t symbol_index);
 /// Map a logical subcarrier index (-32..31) to the FFT bin (0..63).
 std::size_t subcarrier_to_bin(int subcarrier);
 
-/// Assemble one OFDM symbol from 48 data points: places data + pilots in
-/// frequency, runs the IFFT and prepends the cyclic prefix, writing the 80
-/// samples into `out` (the IFFT runs in place in the symbol body, no
-/// scratch buffer). Output power is normalized so the average sample power
-/// is ~1.
-void modulate_symbol_into(std::span<const cplx> data_points,
-                          std::size_t symbol_index, std::span<cplx> out);
+/// Assemble n = data_points.size() / 48 consecutive OFDM symbols, symbol s
+/// from data points [48 s, 48 s + 48) and numbered first_symbol + s for the
+/// pilot polarity, into the n * 80 samples of `out`: each symbol places its
+/// data + pilots in frequency, runs the 64-point IFFT in place in its body
+/// (no scratch buffer) and prepends the cyclic prefix. The transforms run
+/// four symbols per pass (wifi/ofdm_kernels), bit-identical to the
+/// per-symbol fft_plan path. Output power is normalized so the average
+/// sample power is ~1. Throws std::invalid_argument unless data_points
+/// holds whole symbols and `out` exactly their samples.
+void modulate_symbols_into(std::span<const cplx> data_points,
+                           std::size_t first_symbol, std::span<cplx> out);
+
+/// modulate_symbols_into for one symbol: exactly 48 data points into
+/// exactly 80 samples.
+inline void modulate_symbol_into(std::span<const cplx> data_points,
+                                 std::size_t symbol_index,
+                                 std::span<cplx> out) {
+  if (data_points.size() != n_data_subcarriers || out.size() != symbol_samples)
+    throw std::invalid_argument(
+        "modulate_symbol_into: need exactly 48 data points and 80 samples");
+  modulate_symbols_into(data_points, symbol_index, out);
+}
 
 /// Demodulated frequency-domain content of one symbol.
 struct demodulated_symbol {

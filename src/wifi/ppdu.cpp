@@ -86,20 +86,29 @@ void modulate_coded(std::span<const std::uint8_t> in, const rate_params& p,
   mother.resize(in.size());
   phy::conv_encode_packed(in, mother);
   const symbol_tables& t = tables_for(p.rate);
-  std::array<cplx, n_data_subcarriers> points;
-  for (std::size_t s = 0; s < n_sym; ++s) {
-    const std::size_t base = s * 2 * p.n_dbps;
-    const std::uint16_t* src = t.mother_bit.data();
-    for (std::size_t d = 0; d < n_data_subcarriers; ++d) {
-      std::uint32_t label = 0;
-      for (std::size_t b = 0; b < p.n_bpsc; ++b) {
-        const std::size_t m = base + *src++;
-        label = (label << 1) | ((mother[m >> 4] >> (m & 15)) & 1u);
+  // Four symbols per modulate_symbols_into call, one pass of its transform
+  // kernel, so the points of a pass are still in L1 when it reads them.
+  constexpr std::size_t pass = 4;
+  std::array<cplx, pass * n_data_subcarriers> points;
+  for (std::size_t s0 = 0; s0 < n_sym; s0 += pass) {
+    const std::size_t m = std::min(pass, n_sym - s0);
+    cplx* dst = points.data();
+    for (std::size_t s = s0; s < s0 + m; ++s) {
+      const std::size_t base = s * 2 * p.n_dbps;
+      const std::uint16_t* src = t.mother_bit.data();
+      for (std::size_t d = 0; d < n_data_subcarriers; ++d) {
+        std::uint32_t label = 0;
+        for (std::size_t b = 0; b < p.n_bpsc; ++b) {
+          const std::size_t mb = base + *src++;
+          label = (label << 1) | ((mother[mb >> 4] >> (mb & 15)) & 1u);
+        }
+        *dst++ = t.point_by_label[label];
       }
-      points[d] = t.point_by_label[label];
     }
-    modulate_symbol_into(points, first_symbol + s,
-                         out.subspan(s * symbol_samples, symbol_samples));
+    modulate_symbols_into(
+        std::span<const cplx>(points).first(m * n_data_subcarriers),
+        first_symbol + s0,
+        out.subspan(s0 * symbol_samples, m * symbol_samples));
   }
 }
 

@@ -1,8 +1,8 @@
 #include "wifi/preamble.h"
 
 #include <array>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/fft.h"
 #include "wifi/ofdm.h"
@@ -100,7 +100,8 @@ const cvec& ltf_time_symbol() {
 }
 
 double ltf_value(int subcarrier) {
-  assert(subcarrier >= -26 && subcarrier <= 26);
+  if (subcarrier < -26 || subcarrier > 26)
+    throw std::invalid_argument("ltf_value: subcarrier outside -26..26");
   return kLtfSequence[static_cast<std::size_t>(subcarrier + 26)];
 }
 

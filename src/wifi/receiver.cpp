@@ -1,7 +1,7 @@
 #include "wifi/receiver.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/correlation.h"
 #include "dsp/fft.h"
@@ -86,8 +86,11 @@ std::optional<std::size_t> locate_ltf(std::span<const cplx> samples,
 
 channel_estimate estimate_channel(std::span<const cplx> samples,
                                   std::size_t ltf_symbol_start) {
+  if (ltf_symbol_start > samples.size() ||
+      samples.size() - ltf_symbol_start < 2 * fft_size)
+    throw std::invalid_argument(
+        "estimate_channel: capture ends before the two LTF symbols");
   channel_estimate est;
-  assert(ltf_symbol_start + 2 * fft_size <= samples.size());
   cvec y1(samples.begin() + ltf_symbol_start,
           samples.begin() + ltf_symbol_start + fft_size);
   cvec y2(samples.begin() + ltf_symbol_start + fft_size,

@@ -206,6 +206,19 @@ TEST(FftPlanTest, CacheReturnsStableSharedInstances) {
   EXPECT_EQ(inv.direction(), fft_direction::inverse);
 }
 
+// The reference transform checks its size like the plans: a 48-point span
+// used to run the bit-reversal permutation past the end of the buffer in
+// release builds, where the assert was compiled out.
+TEST(FftTest, ReferenceRejectsNonPowerOfTwo) {
+  cvec odd(48, cplx{1.0, 0.0});
+  EXPECT_THROW(fft_in_place_reference(odd), std::invalid_argument);
+  cvec empty;
+  EXPECT_THROW(fft_in_place_reference(empty), std::invalid_argument);
+  cvec one(1, cplx{2.0, -3.0});
+  fft_in_place_reference(one);
+  EXPECT_EQ(one[0], (cplx{2.0, -3.0}));
+}
+
 TEST(FftPlanTest, RejectsInvalidSizes) {
   // Size checks are not assert-only: a 48-point request must not build a
   // plan into the 16-point cache slot, and size 0 must not index past the

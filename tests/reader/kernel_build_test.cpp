@@ -1,7 +1,7 @@
 // The SIMD kernel TUs (Viterbi ACS, constellation slice, pre-decode finite
 // scan, noise synthesis, the block sin/cos and log, the canceller
-// convolutions, the least-squares normal equations, the ADC quantizer and
-// the hardened receive chain) get -mavx2 from per-source COMPILE_OPTIONS. A
+// convolutions, the least-squares normal equations, the ADC quantizer, the
+// hardened receive chain and the four-symbol OFDM inverse transform) get -mavx2 from per-source COMPILE_OPTIONS. A
 // build change that drops those flags loses the vector paths without
 // changing a single output bit, so no value test notices; this one pins
 // each TU's __AVX2__ to the CMake host probe.
@@ -16,6 +16,7 @@
 #include "phy/demod_kernels.h"
 #include "phy/viterbi_kernels.h"
 #include "reader/decoder_kernels.h"
+#include "wifi/ofdm_kernels.h"
 
 namespace backfi {
 namespace {
@@ -34,6 +35,7 @@ TEST(KernelBuildTest, SimdTusMatchHostProbe) {
   EXPECT_EQ(dsp::detail::linalg_kernels_avx2(), probe);
   EXPECT_EQ(fd::detail::adc_avx2(), probe);
   EXPECT_EQ(fd::detail::chain_kernels_avx2(), probe);
+  EXPECT_EQ(wifi::detail::ofdm_kernels_avx2(), probe);
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "dsp/fft.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "phy/constellation.h"
+#include "wifi/rates.h"
 
 namespace backfi::wifi {
 namespace {
@@ -43,6 +46,14 @@ TEST(OfdmTest, SubcarrierToBinWrapsNegatives) {
   EXPECT_EQ(subcarrier_to_bin(-1), 63u);
   EXPECT_EQ(subcarrier_to_bin(-26), 38u);
   EXPECT_EQ(subcarrier_to_bin(26), 26u);
+}
+
+TEST(OfdmTest, SubcarrierToBinRejectsOutOfRange) {
+  EXPECT_EQ(subcarrier_to_bin(-32), 32u);
+  EXPECT_EQ(subcarrier_to_bin(31), 31u);
+  EXPECT_THROW(subcarrier_to_bin(32), std::invalid_argument);
+  EXPECT_THROW(subcarrier_to_bin(-33), std::invalid_argument);
+  EXPECT_THROW(subcarrier_to_bin(1000), std::invalid_argument);
 }
 
 TEST(OfdmTest, PilotPolarityMatchesStandardPrefix) {
@@ -95,6 +106,73 @@ TEST(OfdmTest, ModulateDemodulateRoundTrip) {
     EXPECT_NEAR(std::abs(demod.pilots[i] / tx_scale() - pilot_base_values()[i] * pol),
                 0.0, 1e-9)
         << i;
+}
+
+// The per-symbol fft_plan path the four-symbol kernel replaced: scatter
+// into a zeroed 64-bin buffer, the shared inverse plan, then 1/N and the
+// tx scale as two multiplies, cyclic prefix first.
+void plan_path_symbol(std::span<const cplx> points, std::size_t symbol_index,
+                      cplx* out) {
+  cvec freq(fft_size, cplx{0.0, 0.0});
+  const auto data_sc = data_subcarrier_indices();
+  for (std::size_t i = 0; i < n_data_subcarriers; ++i)
+    freq[subcarrier_to_bin(data_sc[i])] = points[i];
+  const double polarity = pilot_polarity(symbol_index);
+  for (std::size_t i = 0; i < n_pilot_subcarriers; ++i)
+    freq[subcarrier_to_bin(pilot_subcarrier_indices()[i])] =
+        pilot_base_values()[i] * polarity;
+  dsp::get_fft_plan(fft_size, dsp::fft_direction::inverse).execute(freq);
+  constexpr double inv_n = 1.0 / static_cast<double>(fft_size);
+  for (cplx& v : freq) {
+    v *= inv_n;
+    v *= tx_scale();
+  }
+  std::copy(freq.end() - cyclic_prefix, freq.end(), out);
+  std::copy(freq.begin(), freq.end(), out + cyclic_prefix);
+}
+
+// Every rate's constellation, symbol counts of each residue mod 4 (the last
+// pass then runs 4, 1, 2 or 3 real lanes) and pilot numbering across the
+// 127-symbol polarity wrap: the multi-symbol form writes exactly the bytes
+// of the per-symbol plan path, and nothing outside its output.
+TEST(OfdmTest, MultiSymbolModulationMatchesPerSymbolPlanPath) {
+  dsp::rng gen(0x0FD3);
+  for (const rate_params& p : all_rates()) {
+    const phy::constellation& c = phy::wifi_constellation(p.n_bpsc);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                std::size_t{4}, std::size_t{5}, std::size_t{6},
+                                std::size_t{11}, std::size_t{334}}) {
+      for (const std::size_t first : {std::size_t{0}, std::size_t{125}}) {
+        cvec points(n * n_data_subcarriers);
+        for (auto& v : points) v = c.points[gen.uniform_int(c.points.size())];
+        cvec want(n * symbol_samples);
+        for (std::size_t s = 0; s < n; ++s)
+          plan_path_symbol(
+              std::span<const cplx>(points).subspan(s * n_data_subcarriers,
+                                                    n_data_subcarriers),
+              first + s, want.data() + s * symbol_samples);
+        cvec got(n * symbol_samples + 2, cplx{7.0, 7.0});
+        modulate_symbols_into(points, first,
+                              std::span<cplx>(got).subspan(1, want.size()));
+        ASSERT_EQ(0, std::memcmp(got.data() + 1, want.data(),
+                                 want.size() * sizeof(cplx)))
+            << p.name << " n=" << n << " first=" << first;
+        EXPECT_EQ(got.front(), (cplx{7.0, 7.0}));
+        EXPECT_EQ(got.back(), (cplx{7.0, 7.0}));
+      }
+    }
+  }
+}
+
+TEST(OfdmTest, MultiSymbolModulationRejectsPartialSymbols) {
+  const cvec points(2 * n_data_subcarriers - 1, cplx{1.0, 0.0});
+  cvec out(2 * symbol_samples);
+  EXPECT_THROW(modulate_symbols_into(points, 0, out), std::invalid_argument);
+  const cvec two(2 * n_data_subcarriers, cplx{1.0, 0.0});
+  cvec short_out(2 * symbol_samples - 1);
+  EXPECT_THROW(modulate_symbols_into(two, 0, short_out), std::invalid_argument);
+  cvec empty_out;
+  modulate_symbols_into(std::span<const cplx>(), 0, empty_out);
 }
 
 TEST(OfdmTest, ModulateRejectsWrongPointCount) {

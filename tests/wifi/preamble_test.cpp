@@ -49,6 +49,13 @@ TEST(PreambleTest, LtfSequenceValuesAreBipolarWithDcNull) {
   EXPECT_EQ(nonzero, 52);
 }
 
+TEST(PreambleTest, LtfValueRejectsOutOfRange) {
+  EXPECT_EQ(ltf_value(-26), 1.0);
+  EXPECT_THROW(ltf_value(27), std::invalid_argument);
+  EXPECT_THROW(ltf_value(-27), std::invalid_argument);
+  EXPECT_THROW(ltf_value(-1000), std::invalid_argument);
+}
+
 TEST(PreambleTest, StfAutocorrelationMetricIsHigh) {
   const cvec& stf = short_training_field();
   const dsp::rvec metric = dsp::delayed_autocorrelation(stf, 16);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "dsp/fir.h"
 #include "dsp/math_util.h"
 #include "dsp/rng.h"
@@ -121,6 +123,22 @@ TEST(ReceiverTest, TruncatedPacketReportsIncomplete) {
   EXPECT_TRUE(result.detected);
   EXPECT_TRUE(result.signal_valid);
   EXPECT_FALSE(result.psdu_complete);
+}
+
+// The two LTF symbols must lie inside the capture; a start too close to
+// the end (or past it) used to read beyond the buffer in release builds.
+TEST(ReceiverTest, EstimateChannelRejectsShortCapture) {
+  const cvec preamble = legacy_preamble();
+  const std::size_t ltf_start = stf_samples + 32;  // after the LTF guard
+  EXPECT_NO_THROW(estimate_channel(preamble, ltf_start));
+  const cvec short_capture(preamble.begin(),
+                           preamble.begin() + ltf_start + 2 * fft_size - 1);
+  EXPECT_THROW(estimate_channel(short_capture, ltf_start),
+               std::invalid_argument);
+  EXPECT_THROW(estimate_channel(preamble, preamble.size() + 1),
+               std::invalid_argument);
+  EXPECT_THROW(estimate_channel(preamble, SIZE_MAX - 64),
+               std::invalid_argument);
 }
 
 TEST(ReceiverTest, SnrEstimateTracksInjectedSnr) {
