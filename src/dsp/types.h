@@ -34,10 +34,14 @@ inline constexpr double speed_of_light = 299'792'458.0;
 /// Boltzmann constant [J/K]; used for thermal-noise floors.
 inline constexpr double boltzmann = 1.380649e-23;
 
+/// Baseband samples per microsecond: the simulation's clock, which every
+/// duration given in microseconds is converted with.
+inline constexpr std::size_t samples_per_us = 20;
+
 /// Baseband sample rate of the whole simulation [Hz]. One sample per
 /// 802.11 20 MHz sample; 50 ns resolution, fine enough to resolve the
 /// paper's 50-80 ns indoor delay spreads as 1-2 taps.
-inline constexpr double sample_rate_hz = 20e6;
+inline constexpr double sample_rate_hz = samples_per_us * 1e6;
 
 /// Duration of one baseband sample [s].
 inline constexpr double sample_period_s = 1.0 / sample_rate_hz;
@@ -53,4 +57,5 @@ using backfi::cplx;
 using backfi::cvec;
 using backfi::rvec;
 using backfi::sample_range;
+using backfi::samples_per_us;
 }  // namespace backfi::dsp

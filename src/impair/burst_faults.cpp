@@ -10,7 +10,6 @@ namespace backfi::impair {
 namespace {
 
 constexpr double samples_per_ms = sample_rate_hz / 1e3;
-constexpr double samples_per_us = sample_rate_hz / 1e6;
 
 /// Walk Poisson arrivals over the span and hand each burst's sample range
 /// to `emit`. Burst lengths are exponential with the given mean.

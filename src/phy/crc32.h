@@ -9,6 +9,9 @@
 
 namespace backfi::phy {
 
+/// Bits append_crc32 adds to a frame.
+inline constexpr std::size_t crc32_width = 32;
+
 /// CRC-32 (reflected, poly 0xEDB88320, init/final 0xFFFFFFFF) over a bit
 /// sequence (LSB-first byte packing, any bit length).
 std::uint32_t crc32_bits(std::span<const std::uint8_t> bits);

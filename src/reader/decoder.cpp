@@ -18,17 +18,6 @@
 namespace backfi::reader {
 
 namespace {
-constexpr std::size_t samples_per_us = 20;
-
-std::size_t saturating_add(std::size_t a, std::size_t b) {
-  std::size_t r = 0;
-  return __builtin_add_overflow(a, b, &r) ? SIZE_MAX : r;
-}
-
-std::size_t saturating_mul(std::size_t a, std::size_t b) {
-  std::size_t r = 0;
-  return __builtin_mul_overflow(a, b, &r) ? SIZE_MAX : r;
-}
 
 // Per-reason failure accounting: the aggregate counter plus one
 // "reader.failure.<reason>" row per reason, so campaigns can tell a sync
@@ -115,14 +104,8 @@ backfi_decoder::backfi_decoder(const tag::tag_config& tag_config,
     by_label_[constellation_->labels[i]] = i;
   const tag::tag_device device(tag_config_);
   sync_labels_ = device.sync_labels();
-  sps_ = device.samples_per_symbol();
-  bps_ = tag::bits_per_symbol(tag_config_.rate.modulation);
-  preamble_offset_ = saturating_mul(tag_config_.silent_us, samples_per_us);
-  sync_offset_ = saturating_add(
-      preamble_offset_,
-      saturating_mul(tag_config_.preamble_us, samples_per_us));
-  data_offset_ = saturating_add(
-      sync_offset_, saturating_mul(tag_config_.sync_symbols, sps_));
+  const std::size_t sps = device.samples_per_symbol();
+  guard_ = std::min<std::size_t>(config_.fb_taps - 1, sps > 2 ? sps - 2 : 1);
   // Widest timing search any retry attempt can reach: decode() widens by
   // the same schedule, so a retry never scans outside the read window.
   double width = static_cast<double>(std::max(config_.timing_search, 0));
@@ -164,42 +147,14 @@ bool backfi_decoder::estimate_combined_channel_into(
   return true;
 }
 
-bool backfi_decoder::layout(std::size_t nominal_origin,
-                            std::size_t payload_bits,
-                            packet_layout& out) const {
-  if (payload_bits > tag::max_payload_bits) return false;
-  // Below tag::max_payload_bits neither the CRC addition nor the coded
-  // length can overflow.
-  const std::size_t coded =
-      phy::coded_length(payload_bits + 32, tag_config_.rate.coding);
-  out.n_payload_symbols = (coded + bps_ - 1) / bps_;
-  std::size_t payload_samples = 0;
+std::optional<tag::frame> backfi_decoder::layout(
+    std::size_t nominal_origin, std::size_t payload_bits) const {
+  const std::optional<tag::frame> f =
+      tag::frame_layout(tag_config_, payload_bits, nominal_origin);
   std::size_t search_end = 0;
-  if (__builtin_add_overflow(nominal_origin, data_offset_, &out.data_begin) ||
-      __builtin_mul_overflow(out.n_payload_symbols, sps_, &payload_samples) ||
-      __builtin_add_overflow(out.data_begin, payload_samples, &out.data_end) ||
-      __builtin_add_overflow(out.data_end, max_search_, &search_end))
-    return false;
-  out.preamble_begin = nominal_origin + preamble_offset_;
-  out.sync_begin = nominal_origin + sync_offset_;
-  return true;
-}
-
-dsp::sample_range backfi_decoder::read_window(std::size_t capture_len,
-                                              const packet_layout& l) const {
-  // The widest sync search together with the estimator's (taps - 1)
-  // history reach-back bounds every sample index the decode pipeline
-  // touches.
-  const std::size_t history = config_.fb_taps - 1;
-  const std::size_t window_lo =
-      l.sync_begin >= max_search_ + history
-          ? l.sync_begin - max_search_ - history
-          : 0;
-  const std::size_t scan_lo =
-      std::min(std::min(l.preamble_begin, window_lo), capture_len);
-  const std::size_t scan_hi = std::min(capture_len, l.data_end + max_search_);
-  if (scan_lo >= scan_hi) return {};
-  return {scan_lo, scan_hi};
+  if (!f || __builtin_add_overflow(f->data_end, max_search_, &search_end))
+    return std::nullopt;
+  return f;
 }
 
 dsp::sample_range backfi_decoder::read_window_bounds(
@@ -207,11 +162,23 @@ dsp::sample_range backfi_decoder::read_window_bounds(
     std::size_t payload_bits) const {
   // Mirror decode's early typed-error exits: those paths return before
   // touching a single y sample, so their window is empty.
-  packet_layout l;
-  if (capture_len == 0 || nominal_origin >= capture_len || payload_bits == 0 ||
-      !layout(nominal_origin, payload_bits, l))
+  if (capture_len == 0 || nominal_origin >= capture_len || payload_bits == 0)
     return {};
-  return read_window(capture_len, l);
+  const std::optional<tag::frame> f = layout(nominal_origin, payload_bits);
+  if (!f) return {};
+  // The widest sync search together with the estimator's (taps - 1)
+  // history reach-back bounds every sample index the decode pipeline
+  // touches.
+  const std::size_t history = config_.fb_taps - 1;
+  const std::size_t window_lo =
+      f->sync_start >= max_search_ + history
+          ? f->sync_start - max_search_ - history
+          : 0;
+  const std::size_t scan_lo =
+      std::min(std::min(f->preamble_start, window_lo), capture_len);
+  const std::size_t scan_hi = std::min(capture_len, f->data_end + max_search_);
+  if (scan_lo >= scan_hi) return {};
+  return {scan_lo, scan_hi};
 }
 
 decode_result backfi_decoder::decode(std::span<const cplx> x,
@@ -245,24 +212,25 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
     note_failure(config_.collector, result.failure);
     return result;
   }
-  packet_layout packet;
-  if (!layout(nominal_origin, payload_bits, packet)) {
+  const std::optional<tag::frame> packet = layout(nominal_origin, payload_bits);
+  if (!packet) {
     result.failure = decode_failure::payload_too_long;
     note_failure(config_.collector, result.failure);
     return result;
   }
-  const std::size_t sps = sps_;
-  const std::size_t preamble_begin = packet.preamble_begin;
-  const std::size_t sync_begin = packet.sync_begin;
-  const std::size_t data_begin = packet.data_begin;
-  const std::size_t data_end = packet.data_end;
-  const std::size_t n_payload_symbols = packet.n_payload_symbols;
+  const std::size_t sps = packet->samples_per_symbol;
+  const std::size_t preamble_begin = packet->preamble_start;
+  const std::size_t sync_begin = packet->sync_start;
+  const std::size_t data_begin = packet->data_start;
+  const std::size_t data_end = packet->data_end;
+  const std::size_t n_payload_symbols = packet->payload_symbols;
 
   {
     // The finite pre-check walks exactly the read-window bound — the same
     // derivation the receive chain's ROI comes from, so a windowed chain
     // never leaves an unchecked (possibly stale) sample readable.
-    const dsp::sample_range window = read_window(y.size(), packet);
+    const dsp::sample_range window =
+        read_window_bounds(y.size(), nominal_origin, payload_bits);
     if (!window.empty() &&
         !detail::all_finite_window(x, y, window.begin, window.end)) {
       result.failure = decode_failure::non_finite_samples;
@@ -270,11 +238,6 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
       return result;
     }
   }
-
-  // Channel memory contaminates the first (taps - 1) samples of each
-  // symbol with the previous symbol's phase (paper Fig. 6 "sample ignored").
-  const std::size_t guard =
-      std::min<std::size_t>(config_.fb_taps - 1, sps > 2 ? sps - 2 : 1);
 
   const std::span<const cplx> sync_points(sync_points_);
   const phy::constellation& constellation = *constellation_;
@@ -342,7 +305,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
                                     static_cast<std::ptrdiff_t>(offset));
       mrc_symbol_estimates_from_products(
           scratch.products, scratch.weights, window_begin, y.size(), start,
-          sps, sync_points.size(), guard, scratch.sync_estimates);
+          sps, sync_points.size(), guard_, scratch.sync_estimates);
       const std::span<const cplx> m(scratch.sync_estimates);
       cplx corr{0.0, 0.0};
       double energy = 0.0;
@@ -386,7 +349,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
   {
     mrc_symbol_estimates_from_products(
         scratch.products, scratch.weights, window_begin, y.size(),
-        sync_start_best, sps, sync_points.size(), guard,
+        sync_start_best, sps, sync_points.size(), guard_,
         scratch.sync_estimates);
     const std::span<const cplx> m(scratch.sync_estimates);
     for (std::size_t i = 0; i < m.size(); ++i)
@@ -405,7 +368,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
   cvec symbols(n_payload_symbols);
   mrc_symbol_estimates_from_products(scratch.products, scratch.weights,
                                      window_begin, y.size(), data_start_best,
-                                     sps, n_payload_symbols, guard, symbols);
+                                     sps, n_payload_symbols, guard_, symbols);
   for (cplx& m : symbols) m /= correction;
 
   // Decision-directed phase tracking across the payload: each sliced
@@ -496,7 +459,7 @@ decode_result backfi_decoder::decode_from_symbols_impl(
     obs::observe(config_.collector, obs::probe::evm_rms, result.evm_rms);
   }
 
-  const std::size_t info_bits = payload_bits + 32;  // + CRC
+  const std::size_t info_bits = payload_bits + phy::crc32_width;
   const std::size_t coded_bits =
       phy::coded_length(info_bits, tag_config_.rate.coding);
   std::vector<double>& soft = scratch.soft;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -170,6 +171,16 @@ class backfi_decoder {
                                        std::size_t nominal_origin,
                                        std::size_t payload_bits) const;
 
+  /// tag::frame_layout at the nominal origin, or std::nullopt (decode fails
+  /// with payload_too_long, read_window_bounds is empty) when that frame or
+  /// its end plus the widest sync search does not fit std::size_t.
+  std::optional<tag::frame> layout(std::size_t nominal_origin,
+                                   std::size_t payload_bits) const;
+
+  /// Leading samples of each symbol that MRC skips: the first (fb_taps - 1)
+  /// carry the previous symbol's phase (paper Fig. 6 "sample ignored").
+  std::size_t mrc_guard() const { return guard_; }
+
   /// Demap, depuncture, Viterbi-decode and CRC-check a stream of per-symbol
   /// MRC estimates (used by the multi-antenna combiner, which produces the
   /// symbol stream itself). Fills decoded/crc_ok/payload/evm_rms. A
@@ -210,40 +221,11 @@ class backfi_decoder {
                                       std::size_t preamble_end, cvec& taps,
                                       dsp::fir_ls_workspace& workspace) const;
 
-  /// Absolute sample geometry of one packet (see layout()).
-  struct packet_layout {
-    std::size_t preamble_begin = 0;
-    std::size_t sync_begin = 0;
-    std::size_t data_begin = 0;
-    std::size_t n_payload_symbols = 0;
-    std::size_t data_end = 0;  ///< data_begin + n_payload_symbols * sps
-  };
-
-  /// The packet geometry for (nominal_origin, payload_bits) from the
-  /// per-config offsets below, in O(1). False when the payload exceeds
-  /// tag::max_payload_bits or any index the decoder derives from it
-  /// (through data_end plus the widest sync search) does not fit
-  /// std::size_t: decode then fails with payload_too_long before reading a
-  /// sample, and read_window_bounds returns an empty range.
-  bool layout(std::size_t nominal_origin, std::size_t payload_bits,
-              packet_layout& out) const;
-
-  /// read_window_bounds for an already derived layout.
-  dsp::sample_range read_window(std::size_t capture_len,
-                                const packet_layout& l) const;
-
   tag::tag_config tag_config_;
   decoder_config config_;
-  /// Per-config geometry, derived once by the constructor: samples and
-  /// coded bits per tag symbol, the preamble/sync/data offsets from the
-  /// nominal origin (saturated at SIZE_MAX, which layout() then rejects),
-  /// and the widest timing search any retry reaches.
-  std::size_t sps_ = 0;
-  std::size_t bps_ = 0;
-  std::size_t preamble_offset_ = 0;
-  std::size_t sync_offset_ = 0;
-  std::size_t data_offset_ = 0;
+  /// The widest timing search any retry reaches, and mrc_guard().
   std::size_t max_search_ = 0;
+  std::size_t guard_ = 0;
   /// Per-config tables, built once by the constructor: the tag's PSK
   /// constellation, its label -> point-index table (labels are unique, so
   /// the EVM loop and phase tracker look points up instead of scanning),

@@ -6,12 +6,11 @@
 #include "dsp/replay_cache.h"
 #include "dsp/rng.h"
 #include "phy/prbs.h"
+#include "tag/wake_detector.h"
 
 namespace backfi::reader {
 
 namespace {
-
-constexpr std::size_t samples_per_wake_bit = 20;  // 1 us at 20 MS/s
 
 // Full-synthesis replay cache: an excitation is a pure function of the
 // whole excitation_config (the per-PPDU payload rng is seeded from
@@ -63,10 +62,10 @@ void build_excitation_uncached(const excitation_config& config,
   out.samples.resize(excitation_length(config));
   // Wake preamble as 1 us on/off pulses.
   for (std::size_t b = 0; b < out.wake_preamble.size(); ++b)
-    std::fill_n(out.samples.begin() + b * samples_per_wake_bit,
-                samples_per_wake_bit,
+    std::fill_n(out.samples.begin() + b * tag::samples_per_wake_bit,
+                tag::samples_per_wake_bit,
                 out.wake_preamble[b] ? cplx{1.0, 0.0} : cplx{0.0, 0.0});
-  out.wake_end = out.wake_preamble.size() * samples_per_wake_bit;
+  out.wake_end = out.wake_preamble.size() * tag::samples_per_wake_bit;
   out.ppdu_start = out.wake_end;
 
   // PPDU i draws its payload from payload_seed + i (same rng, same draw
@@ -123,7 +122,7 @@ excitation_cache_stats_snapshot excitation_cache_stats() {
 }
 
 std::size_t excitation_length(const excitation_config& config) {
-  return config.wake_bits * samples_per_wake_bit +
+  return config.wake_bits * tag::samples_per_wake_bit +
          std::max<std::size_t>(config.n_ppdus, 1) *
              wifi::ppdu_length_samples(config.ppdu_bytes, config.rate);
 }

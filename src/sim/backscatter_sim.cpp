@@ -16,10 +16,6 @@
 
 namespace backfi::sim {
 
-namespace {
-constexpr std::size_t samples_per_us = 20;
-}  // namespace
-
 const char* to_string(config_error error) {
   switch (error) {
     case config_error::none: return "none";
@@ -36,6 +32,7 @@ const char* to_string(config_error error) {
     case config_error::bad_stream_threads: return "bad_stream_threads";
     case config_error::bad_stream_queue: return "bad_stream_queue";
     case config_error::bad_drift: return "bad_drift";
+    case config_error::bad_tag_config: return "bad_tag_config";
   }
   return "unknown";
 }
@@ -44,12 +41,20 @@ config_error scenario_config::validate() const {
   if (payload_bits == 0) return config_error::zero_payload;
   if (!std::isfinite(tag_distance_m) || tag_distance_m <= 0.0)
     return config_error::bad_distance;
-  if (!std::isfinite(tag.rate.symbol_rate_hz) ||
-      tag.rate.symbol_rate_hz <= 0.0 ||
-      tag.rate.symbol_rate_hz > sample_rate_hz / 2.0)
+  // Delegate the sub-config checks to their own validators; the violations
+  // this enum predates (the tag's symbol rate, two decoder knobs) keep
+  // their original values. The scenario adds Nyquist: at least two samples
+  // per tag symbol.
+  if (tag.rate.symbol_rate_hz > sample_rate_hz / 2.0)
     return config_error::bad_symbol_rate;
-  // Delegate the sub-config checks to their own validators; the two
-  // decoder violations this enum predates keep their original values.
+  switch (tag.validate()) {
+    case tag::config_error::none: break;
+    case tag::config_error::bad_symbol_rate:
+      return config_error::bad_symbol_rate;
+    default: return config_error::bad_tag_config;
+  }
+  if (!tag::frame_layout(tag, payload_bits))
+    return config_error::bad_tag_config;
   switch (decoder.validate()) {
     case reader::config_error::none: break;
     case reader::config_error::zero_channel_taps:
@@ -215,9 +220,10 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // guaranteed backscatter-free. This is the first 16 us of the PPDU.
   // Front-end (downconverter) faults are injected inside the chain, between
   // the analog canceller and the ADC — their physical location.
-  const std::size_t silent_begin = ex.wake_end;
   const std::size_t silent_end =
-      silent_begin + config.tag.silent_us * samples_per_us;
+      tag::frame_layout(config.tag, config.payload_bits, ex.wake_end)
+          .value()
+          .preamble_start;
   fd::receive_chain_config chain_cfg = config.chain;
   chain_cfg.collector = c;
   if (faults.any_front_end()) {
@@ -294,14 +300,11 @@ trial_result run_backscatter_trial(const scenario_config& config,
   }
 
   // --- Oracle SNR (the paper's VNA-measured expectation) ---
-  const std::size_t guard = std::min<std::size_t>(
-      config.decoder.fb_taps - 1,
-      device.samples_per_symbol() > 2 ? device.samples_per_symbol() - 2 : 1);
   result.link.expected_snr_db = oracle_post_mrc_snr_db_ws(
       ex.samples, channels,
       dsp::db_to_amplitude(-config.tag.insertion_loss_db),
-      device.samples_per_symbol(), guard, tag_tx.data_start, tag_tx.data_end,
-      ws.oracle_yhat);
+      tag_tx.samples_per_symbol, decoder.mrc_guard(), tag_tx.data_start,
+      tag_tx.data_end, ws.oracle_yhat);
   obs::observe(c, obs::probe::expected_snr_db, result.link.expected_snr_db);
 
   // --- Throughput accounting ---

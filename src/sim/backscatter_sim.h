@@ -27,7 +27,8 @@ enum class config_error : std::uint8_t {
   none,
   zero_payload,           ///< payload_bits == 0
   bad_distance,           ///< tag_distance_m not finite or <= 0
-  bad_symbol_rate,        ///< symbol rate outside (0, sample_rate / 2]
+  bad_symbol_rate,        ///< symbol rate outside (0, sample_rate / 2], or
+                          ///< not dividing it (tag.validate())
   zero_channel_taps,      ///< decoder.fb_taps == 0
   bad_sync_threshold,     ///< decoder.sync_threshold outside (0, 1]
   empty_excitation,       ///< excitation.n_ppdus == 0
@@ -41,6 +42,8 @@ enum class config_error : std::uint8_t {
   bad_stream_threads,     ///< stream threads outside {1, 2}
   bad_stream_queue,       ///< queue_capacity 0 or > dsp::max_ring_capacity
   bad_drift,              ///< non-finite drift coherence / bad LO step
+  bad_tag_config,         ///< tag.validate() failed on coding or frame, or
+                          ///< the frame of payload_bits is not representable
 };
 
 /// Display name, e.g. "bad_symbol_rate".

@@ -12,10 +12,6 @@
 
 namespace backfi::sim {
 
-namespace {
-constexpr std::size_t samples_per_us = 20;
-}  // namespace
-
 coexistence_result run_coexistence_trial(const coexistence_config& config) {
   coexistence_result result;
   dsp::rng gen(config.seed);
@@ -46,8 +42,8 @@ coexistence_result run_coexistence_trial(const coexistence_config& config) {
     const cvec incident = channel::apply_channel(ex.samples, tag_channels.h_f);
     const double incident_dbm = channel::incident_power_at_tag_dbm(
         config.budget, config.ap_tag_distance_m);
-    const std::size_t wake_window = std::min<std::size_t>(
-        (ex_cfg.wake_bits + 4) * samples_per_us, incident.size());
+    const std::size_t wake_window =
+        std::min(tag::wake_window_samples(ex_cfg.wake_bits), incident.size());
     const auto wake = tag::detect_wake(std::span(incident).first(wake_window),
                                        ex.wake_preamble, incident_dbm);
     if (wake.woke) {

@@ -1,13 +1,10 @@
 #include "sim/rate_adaptation.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "tag/wake_detector.h"
 
 namespace backfi::sim {
-
-namespace {
-constexpr std::size_t samples_per_us = 20;
-}  // namespace
 
 std::vector<operating_point> all_operating_points() {
   std::vector<operating_point> points;
@@ -34,36 +31,30 @@ scenario_config scenario_for_point(const scenario_config& base,
   config.tag.rate = rate;
 
   // Fewer (longer) sync symbols at low symbol rates to bound overhead.
-  const std::size_t sps = static_cast<std::size_t>(
-      std::llround(sample_rate_hz / rate.symbol_rate_hz));
+  const std::size_t sps = tag::tag_device(config.tag).samples_per_symbol();
   config.tag.sync_symbols = sps <= 40 ? 16 : (sps <= 200 ? 8 : 4);
 
   // Cap the payload by the paper's ~1000-bit tag packets and choose the
   // excitation burst length so protocol overhead + payload fit. Low symbol
   // rates cannot carry many bits per burst: bound the airtime to roughly
   // 8 ms and shrink the payload to fit (8 bits minimum — the CRC and tail
-  // still dominate, as they would on real sub-10 kSPS links).
+  // still dominate, as they would on real sub-10 kSPS links). The PPDUs
+  // carry the tag's frame from its time origin, the widest nominal timing
+  // search and 64 samples of slack.
   config.payload_bits = std::min<std::size_t>(base.payload_bits, 1000);
+  const auto ppdu_need = [&config] {
+    return tag::frame_layout(config.tag, config.payload_bits).value().data_end +
+           static_cast<std::size_t>(config.decoder.timing_search) + 64;
+  };
   const std::size_t max_burst_samples = 160000;  // 8 ms
-  const tag::tag_device probe(config.tag);
-  while (config.payload_bits > 8) {
-    const std::size_t need =
-        config.excitation.wake_bits * samples_per_us +
-        config.tag.silent_us * samples_per_us +
-        config.tag.preamble_us * samples_per_us +
-        config.tag.sync_symbols * sps +
-        probe.payload_symbols(config.payload_bits) * sps +
-        static_cast<std::size_t>(config.decoder.timing_search) + 64;
-    if (need <= max_burst_samples) break;
+  const std::size_t wake_samples =
+      config.excitation.wake_bits * tag::samples_per_wake_bit;
+  while (config.payload_bits > 8 &&
+         wake_samples + ppdu_need() > max_burst_samples)
     config.payload_bits = std::max<std::size_t>(config.payload_bits * 2 / 3, 8);
-  }
 
   // Size the excitation burst.
-  const std::size_t need =
-      config.tag.silent_us * samples_per_us +
-      config.tag.preamble_us * samples_per_us + config.tag.sync_symbols * sps +
-      probe.payload_symbols(config.payload_bits) * sps +
-      static_cast<std::size_t>(config.decoder.timing_search) + 64;
+  const std::size_t need = ppdu_need();
   const std::size_t per_ppdu =
       wifi::ppdu_length_samples(config.excitation.ppdu_bytes,
                                 config.excitation.rate);

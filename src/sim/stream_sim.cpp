@@ -11,10 +11,6 @@
 
 namespace backfi::sim {
 
-namespace {
-constexpr std::size_t samples_per_us = 20;
-}  // namespace
-
 config_error stream_scenario_config::validate() const {
   const config_error base = scenario.validate();
   if (base != config_error::none) return base;
@@ -113,11 +109,14 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
     channel::add_awgn(std::span<cplx>(cap.y).subspan(offset, ex_len + gap),
                       channels.noise_power, gen);
 
+    const std::size_t wake_end = offset + ex.wake_end;
     cap.schedule.push_back(reader::stream_packet{
         .begin = offset,
         .end = offset + ex_len,
-        .wake_end = offset + ex.wake_end,
-        .silent_end = offset + ex.wake_end + sc.tag.silent_us * samples_per_us,
+        .wake_end = wake_end,
+        .silent_end = tag::frame_layout(sc.tag, sc.payload_bits, wake_end)
+                          .value()
+                          .preamble_start,
         .payload_bits = sc.payload_bits});
   }
   cap.final_h_f = std::move(h_f);

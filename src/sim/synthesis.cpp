@@ -6,19 +6,16 @@
 #include "dsp/fir.h"
 #include "dsp/vec_ops.h"
 #include "impair/rf_impairments.h"
+#include "tag/wake_detector.h"
 
 namespace backfi::sim {
-
-namespace {
-constexpr std::size_t samples_per_us = 20;
-}  // namespace
 
 std::span<const cplx> wake_incident(std::span<const cplx> x,
                                     std::span<const cplx> h_f,
                                     std::size_t wake_bits,
                                     synthesis_scratch& scratch) {
   const std::size_t window =
-      std::min<std::size_t>((wake_bits + 4) * samples_per_us, x.size());
+      std::min(tag::wake_window_samples(wake_bits), x.size());
   dsp::convolve_same_range_into(x, h_f, 0, window, scratch.incident);
   return std::span<const cplx>(scratch.incident).first(window);
 }

@@ -42,7 +42,7 @@ struct synthesis_scratch {
 };
 
 /// The incident field h_f * x over the samples the tag's wake detector
-/// reads: the wake preamble plus 4 us of slack, clipped to the capture.
+/// reads (tag::wake_window_samples), clipped to the capture.
 /// Bit-identical to the same window of channel::apply_channel_into(x, h_f).
 std::span<const cplx> wake_incident(std::span<const cplx> x,
                                     std::span<const cplx> h_f,

@@ -10,7 +10,7 @@ double downlink_rate_bps(const downlink_config& config) {
 
 cvec encode_downlink(std::span<const std::uint8_t> bits,
                      const downlink_config& config) {
-  const std::size_t half = config.bit_period_us * config.samples_per_us / 2;
+  const std::size_t half = config.bit_period_us * samples_per_us / 2;
   cvec out;
   out.reserve(bits.size() * 2 * half);
   for (std::uint8_t bit : bits) {
@@ -26,7 +26,7 @@ cvec encode_downlink(std::span<const std::uint8_t> bits,
 
 phy::bitvec decode_downlink(std::span<const cplx> samples,
                             const downlink_config& config) {
-  const std::size_t half = config.bit_period_us * config.samples_per_us / 2;
+  const std::size_t half = config.bit_period_us * samples_per_us / 2;
   const std::size_t n_bits = samples.size() / (2 * half);
   phy::bitvec bits(n_bits);
   for (std::size_t b = 0; b < n_bits; ++b) {

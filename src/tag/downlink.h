@@ -22,8 +22,6 @@ struct downlink_config {
   /// Transmit amplitude of the "on" half-bit (relative to the AP's unit
   /// transmit reference).
   double pulse_amplitude = 1.0;
-  /// Samples per microsecond at the simulation rate.
-  std::size_t samples_per_us = 20;
 };
 
 /// Information rate of the downlink [bit/s].

@@ -1,7 +1,7 @@
 #include "tag/energy_model.h"
 
 #include <array>
-#include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace backfi::tag {
@@ -69,7 +69,9 @@ double dynamic_repb(const tag_rate_config& config) {
 }
 
 double static_repb(const tag_rate_config& config) {
-  assert(config.symbol_rate_hz > 0.0);
+  if (!std::isfinite(config.symbol_rate_hz) || !(config.symbol_rate_hz > 0.0))
+    throw std::invalid_argument(
+        "energy model: symbol rate must be finite and positive");
   const double b = static_cast<double>(bits_per_symbol(config.modulation));
   const double n_sw = static_cast<double>(switch_count(config.modulation));
   const double r = phy::code_rate_value(config.coding);

@@ -52,9 +52,12 @@ struct tag_rate_config {
 double throughput_bps(const tag_rate_config& config);
 
 /// Relative energy per bit against the (BPSK, 1/2, 1 MSPS) reference.
+/// Throws std::invalid_argument when the symbol rate is not finite and
+/// positive.
 double relative_energy_per_bit(const tag_rate_config& config);
 
-/// Absolute energy per bit [pJ] (REPB x 3.15 pJ).
+/// Absolute energy per bit [pJ] (REPB x 3.15 pJ). Throws as
+/// relative_energy_per_bit does.
 double energy_per_bit_pj(const tag_rate_config& config);
 
 /// Reference EPB of (BPSK, 1/2, 1 MSPS) [pJ/bit] from the paper's parts

@@ -1,9 +1,9 @@
 #include "tag/tag_device.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "phy/constellation.h"
 #include "phy/crc32.h"
@@ -13,22 +13,80 @@ namespace backfi::tag {
 
 namespace {
 
-constexpr std::size_t samples_per_us = 20;  // 20 MS/s baseband
+std::size_t samples_per_symbol_of(const tag_rate_config& rate) {
+  return static_cast<std::size_t>(
+      std::llround(sample_rate_hz / rate.symbol_rate_hz));
+}
+
+// Below max_payload_bits neither the CRC addition nor the coded length can
+// overflow.
+std::size_t payload_symbols_of(const tag_rate_config& rate,
+                               std::size_t n_payload_bits) {
+  const std::size_t coded =
+      phy::coded_length(n_payload_bits + phy::crc32_width, rate.coding);
+  const std::size_t bps = bits_per_symbol(rate.modulation);
+  return (coded + bps - 1) / bps;
+}
 
 }  // namespace
 
+const char* to_string(config_error error) {
+  switch (error) {
+    case config_error::none: return "none";
+    case config_error::bad_symbol_rate: return "bad_symbol_rate";
+    case config_error::unsupported_coding: return "unsupported_coding";
+    case config_error::frame_not_representable:
+      return "frame_not_representable";
+  }
+  return "unknown";
+}
+
+config_error tag_config::validate() const {
+  // A whole number of samples per symbol, at least one and small enough
+  // for llround; NaN, zero and negative rates fail the same comparisons.
+  const double sps = sample_rate_hz / rate.symbol_rate_hz;
+  if (!(sps >= 1.0 && sps < 0x1p62) || std::abs(sps - std::round(sps)) > 1e-6)
+    return config_error::bad_symbol_rate;
+  if (rate.coding == phy::code_rate::three_quarters)
+    return config_error::unsupported_coding;
+  if (!frame_layout(*this, 0)) return config_error::frame_not_representable;
+  return config_error::none;
+}
+
+void validate_or_throw(const tag_config& config, const char* where) {
+  const config_error error = config.validate();
+  if (error != config_error::none)
+    throw std::invalid_argument(std::string(where) + ": invalid tag_config (" +
+                                to_string(error) + ")");
+}
+
+std::optional<frame> frame_layout(const tag_config& config,
+                                  std::size_t payload_bits,
+                                  std::size_t origin) {
+  if (payload_bits > max_payload_bits) return std::nullopt;
+  frame f;
+  f.samples_per_symbol = samples_per_symbol_of(config.rate);
+  f.payload_symbols = payload_symbols_of(config.rate, payload_bits);
+  std::size_t silent = 0, preamble = 0, sync = 0, payload = 0;
+  if (__builtin_mul_overflow(config.silent_us, samples_per_us, &silent) ||
+      __builtin_mul_overflow(config.preamble_us, samples_per_us, &preamble) ||
+      __builtin_mul_overflow(config.sync_symbols, f.samples_per_symbol, &sync) ||
+      __builtin_mul_overflow(f.payload_symbols, f.samples_per_symbol,
+                             &payload) ||
+      __builtin_add_overflow(origin, silent, &f.preamble_start) ||
+      __builtin_add_overflow(f.preamble_start, preamble, &f.sync_start) ||
+      __builtin_add_overflow(f.sync_start, sync, &f.data_start) ||
+      __builtin_add_overflow(f.data_start, payload, &f.data_end))
+    return std::nullopt;
+  return f;
+}
+
 tag_device::tag_device(const tag_config& config) : config_(config) {
-  const double sps = sample_rate_hz / config.rate.symbol_rate_hz;
-  if (std::abs(sps - std::round(sps)) > 1e-6 || sps < 1.0)
-    throw std::invalid_argument(
-        "tag_device: symbol rate must divide the 20 MS/s sample rate");
-  if (config.rate.coding == phy::code_rate::three_quarters)
-    throw std::invalid_argument("tag_device: tag supports rates 1/2 and 2/3 only");
+  validate_or_throw(config_, "tag_device");
 }
 
 std::size_t tag_device::samples_per_symbol() const {
-  return static_cast<std::size_t>(
-      std::llround(sample_rate_hz / config_.rate.symbol_rate_hz));
+  return samples_per_symbol_of(config_.rate);
 }
 
 std::vector<std::uint32_t> tag_device::sync_labels() const {
@@ -47,10 +105,7 @@ std::vector<std::uint32_t> tag_device::sync_labels() const {
 std::size_t tag_device::payload_symbols(std::size_t n_payload_bits) const {
   if (n_payload_bits > max_payload_bits)
     throw std::invalid_argument("tag_device: payload_bits above max_payload_bits");
-  const std::size_t info_bits = n_payload_bits + 32;  // + CRC-32
-  const std::size_t coded = phy::coded_length(info_bits, config_.rate.coding);
-  const std::size_t bps = bits_per_symbol(config_.rate.modulation);
-  return (coded + bps - 1) / bps;
+  return payload_symbols_of(config_.rate, n_payload_bits);
 }
 
 tag_transmission tag_device::backscatter(std::span<const std::uint8_t> payload,
@@ -65,27 +120,30 @@ void tag_device::backscatter_into(std::span<const std::uint8_t> payload,
                                   std::size_t total_samples,
                                   std::size_t time_origin,
                                   tag_transmission& out) const {
-  out.reflection.resize(total_samples);
-  std::fill(out.reflection.begin(), out.reflection.end(), cplx{0.0, 0.0});
-  out.n_payload_symbols = 0;
-  out.samples_per_symbol = samples_per_symbol();
-
+  const std::optional<frame> layout =
+      frame_layout(config_, payload.size(), time_origin);
+  if (!layout)
+    throw std::invalid_argument("tag_device: frame not representable");
+  const std::size_t sps = layout->samples_per_symbol;
+  out.reflection.assign(total_samples, cplx{0.0, 0.0});
+  out.samples_per_symbol = sps;
   out.silent_start = time_origin;
-  out.preamble_start = out.silent_start + config_.silent_us * samples_per_us;
-  out.sync_start = out.preamble_start + config_.preamble_us * samples_per_us;
-  out.data_start = out.sync_start + config_.sync_symbols * out.samples_per_symbol;
+  out.preamble_start = layout->preamble_start;
+  out.sync_start = layout->sync_start;
+  out.data_start = layout->data_start;
 
   phase_modulator modulator(psk_order(config_.rate.modulation),
                             config_.insertion_loss_db);
   const auto& constellation = phy::psk_constellation(modulator.order());
 
-  // Info bits: payload + CRC-32; coded at the configured rate.
+  // Info bits: payload + CRC-32; coded at the configured rate and padded
+  // to the symbol boundary.
   out.info_bits.assign(payload.begin(), payload.end());
   phy::append_crc32(out.info_bits);
-  const phy::bitvec mother = phy::conv_encode(out.info_bits);
-  phy::bitvec coded = phy::puncture(mother, config_.rate.coding);
+  phy::bitvec coded =
+      phy::puncture(phy::conv_encode(out.info_bits), config_.rate.coding);
   const std::size_t bps = modulator.bits_per_symbol();
-  while (coded.size() % bps != 0) coded.push_back(0);  // pad to symbol boundary
+  coded.resize(layout->payload_symbols * bps, 0);
 
   // Constant-phase estimation preamble (leaf 0).
   if (out.preamble_start < total_samples) {
@@ -94,30 +152,26 @@ void tag_device::backscatter_into(std::span<const std::uint8_t> payload,
     for (std::size_t n = out.preamble_start; n < end; ++n) out.reflection[n] = pre;
   }
 
-  auto emit_symbol = [&](std::uint32_t label, std::size_t start) -> bool {
-    if (start + out.samples_per_symbol > total_samples) return false;
+  // Whole symbols from `cursor` on, until one no longer fits before
+  // total_samples.
+  std::size_t cursor = out.sync_start;
+  auto emit_symbol = [&](std::uint32_t label) -> bool {
+    if (cursor + sps > total_samples) return false;
     const cplx r = modulator.select(label);
-    for (std::size_t n = start; n < start + out.samples_per_symbol; ++n)
-      out.reflection[n] = r;
+    for (std::size_t n = cursor; n < cursor + sps; ++n) out.reflection[n] = r;
+    cursor += sps;
     return true;
   };
+  for (const std::uint32_t label : sync_labels())
+    if (!emit_symbol(label)) break;
 
-  // Sync word.
-  std::size_t cursor = out.sync_start;
-  for (const std::uint32_t label : sync_labels()) {
-    if (!emit_symbol(label, cursor)) break;
-    cursor += out.samples_per_symbol;
-  }
-
-  // Payload symbols (dropped once the excitation ends).
   cursor = out.data_start;
   out.payload_labels.clear();
-  for (std::size_t s = 0; s * bps < coded.size(); ++s) {
+  for (std::size_t s = 0; s < layout->payload_symbols; ++s) {
     std::uint32_t label = 0;
     for (std::size_t b = 0; b < bps; ++b)
       label = (label << 1) | (coded[s * bps + b] & 1u);
-    if (!emit_symbol(label, cursor)) break;
-    cursor += out.samples_per_symbol;
+    if (!emit_symbol(label)) break;
     out.payload_labels.push_back(label);
   }
   out.n_payload_symbols = out.payload_labels.size();

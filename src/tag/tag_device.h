@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -23,6 +24,18 @@
 
 namespace backfi::tag {
 
+/// Why a tag_config is unusable (first violation, as sim::config_error);
+/// the tag_device constructor rejects invalid configs up front.
+enum class config_error : std::uint8_t {
+  none,
+  bad_symbol_rate,          ///< not a whole number >= 1 of samples/symbol
+  unsupported_coding,       ///< coding other than rate 1/2 or 2/3
+  frame_not_representable,  ///< frame offsets overflow std::size_t
+};
+
+/// Display name, e.g. "bad_symbol_rate".
+const char* to_string(config_error error);
+
 struct tag_config {
   std::uint32_t id = 1;
   tag_rate_config rate;
@@ -30,7 +43,14 @@ struct tag_config {
   std::size_t silent_us = 16;     ///< paper: 16 us silent period
   std::size_t preamble_us = 32;   ///< 32 us default, 96 us long mode (Fig. 8)
   std::size_t sync_symbols = 16;  ///< known symbols for timing recovery
+
+  /// First violated constraint, or config_error::none when usable.
+  config_error validate() const;
 };
+
+/// Throw std::invalid_argument naming `where` and the violated constraint
+/// when the config is invalid (called by the tag_device constructor).
+void validate_or_throw(const tag_config& config, const char* where);
 
 /// Largest payload (bits, before the CRC-32) a tag packet can describe. No
 /// capture can hold a longer one: a capture has fewer than SIZE_MAX / 16
@@ -39,6 +59,25 @@ struct tag_config {
 /// every coded length and symbol count is representable.
 inline constexpr std::size_t max_payload_bits =
     std::numeric_limits<std::size_t>::max() / 4;
+
+/// Where each part of the timeline above starts, as absolute sample indices
+/// (the silent period is [origin, preamble_start)).
+struct frame {
+  std::size_t preamble_start = 0;
+  std::size_t sync_start = 0;
+  std::size_t data_start = 0;
+  std::size_t data_end = 0;  ///< first sample after the last payload symbol
+  std::size_t samples_per_symbol = 0;
+  std::size_t payload_symbols = 0;  ///< payload + CRC-32, coded and padded
+};
+
+/// The frame of `payload_bits` for a tag that woke at `origin`: the tag
+/// emits it, the decoder reads it, and the simulators size their windows by
+/// it. std::nullopt above max_payload_bits or when an index does not fit
+/// std::size_t. `config` must pass validate()'s rate checks.
+std::optional<frame> frame_layout(const tag_config& config,
+                                  std::size_t payload_bits,
+                                  std::size_t origin = 0);
 
 /// The reflection waveform and bookkeeping of one backscatter transmission.
 struct tag_transmission {
@@ -73,9 +112,10 @@ class tag_device {
 
   /// Build the reflection waveform for `payload` bits. `time_origin` is the
   /// sample index (in the excitation timeline of `total_samples` samples)
-  /// where the tag's wake detector fired; the schedule runs from there and
-  /// symbols that do not fit before `total_samples` are dropped (the tag
+  /// where the tag's wake detector fired; the frame_layout runs from there
+  /// and symbols that do not fit before `total_samples` are dropped (the tag
   /// "stops when its detection logic signals the end of the transmission").
+  /// Throws std::invalid_argument when that frame is not representable.
   tag_transmission backscatter(std::span<const std::uint8_t> payload,
                                std::size_t total_samples,
                                std::size_t time_origin) const;

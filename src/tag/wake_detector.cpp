@@ -15,16 +15,16 @@ wake_result detect_wake(std::span<const cplx> samples,
   if (incident_power_dbm < config.sensitivity_dbm) return result;
   if (preamble.empty()) return result;
 
-  const std::size_t n_bits = samples.size() / config.samples_per_bit;
+  const std::size_t n_bits = samples.size() / samples_per_wake_bit;
   if (n_bits < preamble.size()) return result;
 
   // Per-bit envelope values (the comparator input).
   std::vector<double> envelope(n_bits, 0.0);
   for (std::size_t b = 0; b < n_bits; ++b) {
     double acc = 0.0;
-    for (std::size_t i = 0; i < config.samples_per_bit; ++i)
-      acc += std::abs(samples[b * config.samples_per_bit + i]);
-    envelope[b] = acc / static_cast<double>(config.samples_per_bit);
+    for (std::size_t i = 0; i < samples_per_wake_bit; ++i)
+      acc += std::abs(samples[b * samples_per_wake_bit + i]);
+    envelope[b] = acc / static_cast<double>(samples_per_wake_bit);
   }
 
   // The peak detector tracks the recent input: threshold each candidate
@@ -44,7 +44,7 @@ wake_result detect_wake(std::span<const cplx> samples,
     if (errors <= config.max_bit_errors) {
       result.woke = true;
       result.bit_errors = errors;
-      result.preamble_end_sample = (start + preamble.size()) * config.samples_per_bit;
+      result.preamble_end_sample = (start + preamble.size()) * samples_per_wake_bit;
       return result;
     }
   }

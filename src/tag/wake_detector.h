@@ -16,13 +16,21 @@
 
 namespace backfi::tag {
 
+/// Samples per wake-preamble bit: the reader's OOK pulses and the tag's
+/// comparator both run at one bit per microsecond.
+inline constexpr std::size_t samples_per_wake_bit = samples_per_us;
+
+/// Incident samples the tag's detector examines for a `wake_bits`-bit wake
+/// preamble: the pulses plus 4 bits of slack.
+constexpr std::size_t wake_window_samples(std::size_t wake_bits) {
+  return (wake_bits + 4) * samples_per_wake_bit;
+}
+
 struct wake_detector_config {
   double sensitivity_dbm = -50.0;   ///< minimum detectable input power (the
                                     ///< cited designs span -41 [40] to -56 [18])
   double threshold_fraction = 0.5;  ///< comparator threshold vs held peak
   std::size_t max_bit_errors = 1;   ///< tolerated mismatches in the correlator
-  /// Samples per preamble bit: 1 us at the 20 MS/s baseband rate.
-  std::size_t samples_per_bit = 20;
 };
 
 struct wake_result {

@@ -233,6 +233,19 @@ TEST(DecoderTest, OversizedPayloadIsTypedAtEveryEntryPoint) {
                   .empty());
 }
 
+TEST(DecoderTest, MrcGuardSkipsChannelMemoryButKeepsSamples) {
+  tag::tag_config tag_cfg = default_tag();
+  decoder_config cfg;
+  cfg.fb_taps = 5;
+  tag_cfg.rate.symbol_rate_hz = 1e6;  // 20 samples per symbol
+  EXPECT_EQ(backfi_decoder(tag_cfg, cfg).mrc_guard(), 4u);
+  tag_cfg.rate.symbol_rate_hz = 4e6;  // 5 samples: keeps 2
+  cfg.fb_taps = 8;
+  EXPECT_EQ(backfi_decoder(tag_cfg, cfg).mrc_guard(), 3u);
+  tag_cfg.rate.symbol_rate_hz = 10e6;  // 2 samples: keeps 1
+  EXPECT_EQ(backfi_decoder(tag_cfg, cfg).mrc_guard(), 1u);
+}
+
 TEST(DecoderTest, EmptyInputYieldsTypedFailure) {
   const backfi_decoder decoder(default_tag());
   const auto result = decode(decoder, {}, {}, 0, 100);

@@ -101,6 +101,34 @@ TEST(ScenarioValidate, EntryPointsThrowWithCallSiteAndReason) {
   EXPECT_THROW((void)run_backscatter_trial(c), std::invalid_argument);
 }
 
+// validate() rejects a symbol rate that does not divide 20 MS/s and rate-3/4
+// coding at any range. Left to the tag, the trial would throw only when the
+// tag wakes (1 m) and return an error-free result when it does not (30 m).
+TEST(ScenarioValidate, RejectsTagConfigsTheTagCannotRunAtAnyRange) {
+  for (const double distance_m : {1.0, 30.0}) {
+    scenario_config rate = cheap_scenario();
+    rate.tag_distance_m = distance_m;
+    rate.tag.rate.symbol_rate_hz = 3e6;
+    EXPECT_EQ(rate.validate(), config_error::bad_symbol_rate) << distance_m;
+    EXPECT_THROW((void)run_backscatter_trial(rate), std::invalid_argument)
+        << distance_m;
+
+    scenario_config coding = cheap_scenario();
+    coding.tag_distance_m = distance_m;
+    coding.tag.rate.coding = phy::code_rate::three_quarters;
+    EXPECT_EQ(coding.validate(), config_error::bad_tag_config) << distance_m;
+    EXPECT_THROW((void)run_backscatter_trial(coding), std::invalid_argument)
+        << distance_m;
+  }
+  scenario_config frame = cheap_scenario();
+  frame.tag.silent_us = std::numeric_limits<std::size_t>::max() / 10;
+  EXPECT_EQ(frame.validate(), config_error::bad_tag_config);
+  scenario_config payload = cheap_scenario();
+  payload.payload_bits = tag::max_payload_bits + 1;
+  EXPECT_EQ(payload.validate(), config_error::bad_tag_config);
+  EXPECT_STREQ(to_string(config_error::bad_tag_config), "bad_tag_config");
+}
+
 TEST(ScenarioValidate, ErrorNamesAreStable) {
   EXPECT_STREQ(to_string(config_error::none), "none");
   EXPECT_STREQ(to_string(config_error::bad_symbol_rate), "bad_symbol_rate");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace backfi::tag {
 namespace {
 
@@ -32,6 +35,18 @@ TEST(EnergyModelTest, ReferenceConfigHasUnitRepb) {
               1.0, 1e-3);
   EXPECT_NEAR(energy_per_bit_pj({tag_modulation::bpsk, phy::code_rate::half, 1e6}),
               3.15, 0.01);
+}
+
+TEST(EnergyModelTest, RejectsNonPositiveOrNonFiniteSymbolRate) {
+  for (const double rate : {0.0, -1e6, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    const tag_rate_config config{tag_modulation::bpsk, phy::code_rate::half,
+                                 rate};
+    EXPECT_THROW((void)relative_energy_per_bit(config), std::invalid_argument)
+        << rate;
+    EXPECT_THROW((void)energy_per_bit_pj(config), std::invalid_argument)
+        << rate;
+  }
 }
 
 // The full Fig. 7 table from the paper: REPB for each (modulation, rate)

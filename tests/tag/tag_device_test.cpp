@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "dsp/rng.h"
 #include "phy/constellation.h"
 #include "phy/crc32.h"
@@ -26,6 +29,63 @@ TEST(TagDeviceTest, RejectsThreeQuarterRate) {
   tag_config cfg = default_config();
   cfg.rate.coding = phy::code_rate::three_quarters;
   EXPECT_THROW(tag_device{cfg}, std::invalid_argument);
+}
+
+TEST(TagConfigValidate, ReportsEachViolation) {
+  EXPECT_EQ(default_config().validate(), config_error::none);
+  for (const double rate : {3e6, 0.0, -1e6, 30e6, 1e-300,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    tag_config cfg = default_config();
+    cfg.rate.symbol_rate_hz = rate;
+    EXPECT_EQ(cfg.validate(), config_error::bad_symbol_rate) << rate;
+  }
+  {
+    tag_config cfg = default_config();
+    cfg.rate.coding = phy::code_rate::three_quarters;
+    EXPECT_EQ(cfg.validate(), config_error::unsupported_coding);
+  }
+  {
+    tag_config cfg = default_config();
+    cfg.silent_us = std::numeric_limits<std::size_t>::max() / 10;
+    EXPECT_EQ(cfg.validate(), config_error::frame_not_representable);
+  }
+  {
+    tag_config cfg = default_config();
+    cfg.sync_symbols = std::numeric_limits<std::size_t>::max() / 20 - 10;
+    EXPECT_EQ(cfg.validate(), config_error::frame_not_representable);
+  }
+  EXPECT_STREQ(to_string(config_error::unsupported_coding),
+               "unsupported_coding");
+}
+
+TEST(TagConfigValidate, ConstructorThrowsWithCallSiteAndReason) {
+  tag_config cfg = default_config();
+  cfg.rate.coding = phy::code_rate::three_quarters;
+  try {
+    (void)tag_device(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tag_device"), std::string::npos) << what;
+    EXPECT_NE(what.find("unsupported_coding"), std::string::npos) << what;
+  }
+}
+
+TEST(TagDeviceTest, FrameLayoutRejectsUnrepresentableFrames) {
+  const tag_config cfg = default_config();
+  EXPECT_TRUE(frame_layout(cfg, std::size_t{1} << 40));
+  // ~SIZE_MAX / 4 QPSK symbols of 20 samples each do not fit std::size_t.
+  EXPECT_FALSE(frame_layout(cfg, max_payload_bits));
+  EXPECT_FALSE(frame_layout(cfg, max_payload_bits + 1));
+  const std::size_t top = std::numeric_limits<std::size_t>::max();
+  EXPECT_FALSE(frame_layout(cfg, 100, top - 1000));
+  // The tag refuses a time origin whose frame would wrap instead of
+  // emitting at wrapped offsets.
+  const tag_device dev(cfg);
+  tag_transmission tx;
+  EXPECT_THROW(dev.backscatter_into(phy::bitvec(100, 1), 4000, top - 1000, tx),
+               std::invalid_argument);
 }
 
 TEST(TagDeviceTest, SamplesPerSymbolForStandardRates) {
