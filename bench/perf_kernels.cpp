@@ -5,7 +5,8 @@
 // thread scaling of packet_error_rate, including the bit-identity check
 // that the parallel result equals the serial one. Part 2 runs google-benchmark timings
 // (including cold AWGN synthesis and a fresh-seed excitation build, which
-// first evaluations pay, the glibc-exact block sin/cos and log against the
+// first evaluations pay, the replay caches' admission check on a fresh
+// miss, the glibc-exact block sin/cos and log against the
 // plain libm loops, and the four-symbol OFDM modulation against the
 // per-symbol plan path) and
 // writes BENCH_dsp.json (override with --benchmark_out=FILE) so the perf
@@ -27,6 +28,7 @@
 #include "dsp/fft.h"
 #include "dsp/libm_kernels.h"
 #include "dsp/math_util.h"
+#include "dsp/replay_cache.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
 #include "fd/receive_chain.h"
@@ -170,21 +172,35 @@ void bm_fft_plan(benchmark::State& state) {
 }
 BENCHMARK(bm_fft_plan)->Arg(64)->Unit(benchmark::kMicrosecond);
 
+// Share of a row's replay-cache lookups that missed and were refused,
+// from the cache's stats before and after the row.
+template <typename Stats>
+double refused_share(const Stats& before, const Stats& after) {
+  const double lookups = static_cast<double>(after.misses - before.misses +
+                                             after.hits - before.hits);
+  return lookups > 0.0
+             ? static_cast<double>(after.refused - before.refused) / lookups
+             : 0.0;
+}
+
 // Cold AWGN synthesis at the fig08 mid-point capture length: a fresh
 // generator state every iteration (the seed counter runs on across the
-// row's runs), so every add_awgn call misses the noise replay cache. The
-// first ~150 misses fill the budget and pay the record; the cache then
-// refuses these never-repeated keys, so the row times the plain
-// Box-Muller pass a first evaluation pays.
+// row's runs), so every add_awgn call misses the noise replay cache, which
+// admits only on evidence of reuse and so refuses these never-repeated
+// keys from the first one: the row times the plain Box-Muller pass a first
+// evaluation pays. `refused_share` reports which path the iterations took.
 void bm_awgn_cold(benchmark::State& state) {
   cvec x(27440, cplx{0.0, 0.0});
   static std::uint64_t seed = 1;
+  const auto before = channel::awgn_cache_stats();
   for (auto _ : state) {
     dsp::rng gen(seed++);
     channel::add_awgn(x, 1e-4, gen);
     benchmark::DoNotOptimize(x.data());
     benchmark::ClobberMemory();
   }
+  const auto after = channel::awgn_cache_stats();
+  state.counters["refused_share"] = refused_share(before, after);
 }
 BENCHMARK(bm_awgn_cold)->Unit(benchmark::kMicrosecond);
 
@@ -332,10 +348,11 @@ void bm_ofdm_modulate_plan_reference(benchmark::State& state) {
 BENCHMARK(bm_ofdm_modulate_plan_reference)->Unit(benchmark::kMicrosecond);
 
 // A first evaluation's excitation (trial_fresh's: 4000 B at 24 Mbps, one
-// PPDU), a fresh payload seed every iteration, with the excitation cache on
-// and already full of keys that never come back. The timed build is the
-// refused miss: synthesis into the caller's buffers, no copy into the
-// cache. `refused_share` reports which path the iterations took.
+// PPDU), a fresh payload seed every iteration, with the excitation cache
+// on. The cache admits only on evidence of reuse, so it refuses these
+// never-repeated keys from the first one: the timed build is the refused
+// miss, synthesis into the caller's buffers with no copy into the cache.
+// `refused_share` reports which path the iterations took.
 void bm_excitation_fresh(benchmark::State& state) {
   // Seeds no other row uses, never repeated across the row's runs.
   static std::uint64_t seed = std::uint64_t{1} << 40;
@@ -343,13 +360,6 @@ void bm_excitation_fresh(benchmark::State& state) {
   cfg.ppdu_bytes = 4000;
   cfg.payload_seed = seed;
   reader::excitation ex;
-  const auto refused = [] { return reader::excitation_cache_stats().refused; };
-  // Fill the budget (64 MiB holds ~150 of these) until the cache refuses.
-  const std::uint64_t refused_at_start = refused();
-  for (int i = 0; i < 4096 && refused() == refused_at_start; ++i) {
-    reader::build_excitation_into(cfg, ex);
-    ++cfg.payload_seed;
-  }
   const auto before = reader::excitation_cache_stats();
   for (auto _ : state) {
     reader::build_excitation_into(cfg, ex);
@@ -359,13 +369,25 @@ void bm_excitation_fresh(benchmark::State& state) {
   }
   seed = cfg.payload_seed;
   const auto after = reader::excitation_cache_stats();
-  const double lookups = static_cast<double>(after.misses - before.misses +
-                                             after.hits - before.hits);
-  state.counters["refused_share"] =
-      lookups > 0.0 ? static_cast<double>(after.refused - before.refused) / lookups
-                    : 0.0;
+  state.counters["refused_share"] = refused_share(before, after);
 }
 BENCHMARK(bm_excitation_fresh)->Unit(benchmark::kMicrosecond);
+
+// What the admission gate costs a fresh miss: admit() for a never-seen key
+// (a capture-sized entry) once the ring of refused key hashes is full, so
+// the second-sighting lookup scans all 4,096 hashes before refusing. Every
+// fresh miss pays this ahead of its uncached synthesis pass.
+void bm_replay_admit_fresh(benchmark::State& state) {
+  dsp::replay_cache<std::uint64_t, int> cache(std::size_t{64} << 20);
+  constexpr std::size_t bytes = 27440 * sizeof(cplx);
+  std::uint64_t key = 0;
+  for (; key < 4096; ++key) cache.admit(key, bytes);
+  for (auto _ : state) benchmark::DoNotOptimize(cache.admit(key++, bytes));
+  state.counters["refused_share"] =
+      static_cast<double>(cache.stats().refused - 4096) /
+      static_cast<double>(key - 4096);
+}
+BENCHMARK(bm_replay_admit_fresh)->Unit(benchmark::kMicrosecond);
 
 // The phase-noise impairment over one capture: a Gaussian walk of the
 // oscillator phase rotating every sample (block draws and block sincos).

@@ -77,8 +77,8 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen) {
     return;
   }
 
-  // Miss the cache refuses (full, and no replay lately): the plain pass,
-  // with no record to write.
+  // Miss the cache refuses (no recent hit, first sighting): the plain
+  // pass, with no record to write.
   const std::size_t bytes = x.size() * sizeof(cplx) + sizeof(noise_entry);
   if (!cache.admit(key, bytes)) {
     gen.add_scaled_complex_gaussian(x, amp);

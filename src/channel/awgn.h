@@ -34,8 +34,10 @@ namespace backfi::channel {
 /// ends at. An admitted miss is the same single pass as the uncached path:
 /// the kernel adds amp·z into `x` and records the unit-power z into the
 /// new entry as it goes, so hit and miss results are bitwise identical by
-/// construction. A miss the full cache refuses (dsp::replay_cache::admit)
-/// is the uncached pass itself, with no record. Budget:
+/// construction. A miss the cache refuses (dsp::replay_cache::admit: it
+/// admits only after recent hits or at a key's second sighting, so a run
+/// of fresh seeds is refused from the first) is the uncached pass itself,
+/// with no record. Budget:
 /// BACKFI_NOISE_CACHE_MB (MiB, default 64, 0 disables).
 void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 
@@ -53,7 +55,7 @@ struct noise_cache_stats {
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
-  std::uint64_t refused = 0;  ///< misses the full cache did not admit
+  std::uint64_t refused = 0;  ///< misses the cache did not admit
 };
 noise_cache_stats awgn_cache_stats();
 

@@ -26,15 +26,15 @@
 // Admission: a miss costs its caller a capture-sized copy into the new
 // entry, which only pays off if the key comes back. So callers ask
 // admit() on a miss, before building the entry, and take their plain
-// uncached path when refused. While the budget has room every miss is
-// admitted. Once it is full, a miss is admitted only if some lookup has
-// hit within the last budget's worth of missed bytes (the cache paid off
-// within its last turnover), or if the key was refused before (a fixed
-// ring of refused key hashes remembers it; this is its second sighting).
-// A stream of never-repeated keys (first evaluations of fresh seeds)
-// therefore fills the budget once and then stops paying for inserts,
-// while a replaying workload, whose hits keep the gate open, admits as
-// before. The rule reads only what the cache observes.
+// uncached path when refused. A miss is admitted only on evidence of
+// reuse: some lookup has hit within the last budget's worth of missed
+// bytes (the cache paid off within its last turnover), or the key was
+// refused before (a fixed ring of refused key hashes remembers it; this
+// is its second sighting). The gate starts closed: a cache that has never
+// hit counts as having missed a full budget. A stream of never-repeated
+// keys (first evaluations of fresh seeds) therefore never inserts, while
+// a replaying workload opens the gate with its first hits and keeps it
+// open. The rule reads only what the cache observes.
 //
 // Budgets come from environment variables (see cache_budget_bytes); a
 // budget of 0 disables the cache entirely, turning find/admit/insert
@@ -68,7 +68,8 @@ inline std::size_t cache_budget_bytes(const char* env_name,
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class replay_cache {
  public:
-  explicit replay_cache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
+  explicit replay_cache(std::size_t max_bytes)
+      : max_bytes_(max_bytes), missed_since_hit_(max_bytes) {}
 
   bool enabled() const { return max_bytes_ > 0; }
   std::size_t max_bytes() const { return max_bytes_; }
@@ -95,19 +96,16 @@ class replay_cache {
 
   /// Ask, after find(key) missed and before building the value, whether
   /// an entry of `bytes` for `key` should be built and inserted. True
-  /// while the budget has room for it; once the budget is full, true only
-  /// if a lookup has hit within the last max_bytes() of missed bytes or
-  /// `key` was refused before (its second sighting). A false answer is
-  /// counted in stats().refused; the caller then takes its uncached path
-  /// and inserts nothing. Values larger than the whole budget are always
-  /// refused (insert would drop them), and so is everything when the
-  /// cache is disabled.
+  /// only if a lookup has hit within the last max_bytes() of missed bytes
+  /// (never, before the first hit) or `key` was refused before (its
+  /// second sighting). A false answer is counted in stats().refused; the
+  /// caller then takes its uncached path and inserts nothing. Values
+  /// larger than the whole budget are always refused (insert would drop
+  /// them), and so is everything when the cache is disabled.
   bool admit(const Key& key, std::size_t bytes) {
     if (!enabled() || bytes > max_bytes_) return false;
     const std::size_t missed =
         missed_since_hit_.fetch_add(bytes, std::memory_order_relaxed);
-    if (bytes_.load(std::memory_order_relaxed) + bytes <= max_bytes_)
-      return true;
     if (missed < max_bytes_) return true;
     const std::size_t h = Hash{}(key);
     std::lock_guard lock(ring_mutex_);
@@ -188,10 +186,11 @@ class replay_cache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::size_t> bytes_{0};
-  // Admission state: bytes of the misses admit() saw since the last hit,
-  // and the hashes of the last refused keys (a hash collision only admits
-  // a first sighting early, never changes a value).
-  std::atomic<std::size_t> missed_since_hit_{0};
+  // Admission state: bytes of the misses admit() saw since the last hit
+  // (a full budget before the first one), and the hashes of the last
+  // refused keys (a hash collision only admits a first sighting early,
+  // never changes a value).
+  std::atomic<std::size_t> missed_since_hit_;
   std::atomic<std::uint64_t> refused_{0};
   std::mutex ring_mutex_;
   std::array<std::size_t, 4096> refused_ring_{};

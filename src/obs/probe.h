@@ -141,10 +141,12 @@ namespace backfi::obs {
   G(noise_cache_misses, "runtime.noise_cache.misses", "count")               \
   G(noise_cache_entries, "runtime.noise_cache.entries", "count")             \
   G(noise_cache_bytes, "runtime.noise_cache.bytes", "bytes")                 \
+  G(noise_cache_refused, "runtime.noise_cache.refused", "count")             \
   G(excitation_cache_hits, "runtime.excitation_cache.hits", "count")         \
   G(excitation_cache_misses, "runtime.excitation_cache.misses", "count")     \
   G(excitation_cache_entries, "runtime.excitation_cache.entries", "count")   \
   G(excitation_cache_bytes, "runtime.excitation_cache.bytes", "bytes")       \
+  G(excitation_cache_refused, "runtime.excitation_cache.refused", "count")   \
                                                                              \
   /* --- runtime: receive-chain region of interest --- */                    \
   G(roi_samples_processed, "runtime.chain.roi.samples_processed", "samples") \

@@ -33,13 +33,13 @@ std::uint32_t nonzero_state(std::uint32_t seed) {
 
 }  // namespace
 
-bitvec wake_preamble(std::uint32_t tag_id, std::size_t n_bits) {
+void wake_preamble_into(std::uint32_t tag_id, std::size_t n_bits, bitvec& out) {
   lfsr gen(kPn15Taps, nonzero_state(tag_id));
-  bitvec seq = gen.bits(n_bits);
+  out.resize(n_bits);
+  for (std::uint8_t& bit : out) bit = gen.next_bit();
   // Guarantee at least one pulse so an OOK preamble always carries energy,
   // and start with a pulse to give the envelope detector a peak reference.
-  seq[0] = 1;
-  return seq;
+  if (n_bits > 0) out[0] = 1;
 }
 
 bitvec sync_sequence(std::uint32_t tag_id, std::size_t n_bits) {

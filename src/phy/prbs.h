@@ -29,9 +29,17 @@ class lfsr {
   std::uint32_t state_;
 };
 
-/// The n-bit pseudo-random wake preamble assigned to a tag id. Distinct ids
-/// give sequences with low cross-correlation (different LFSR phases).
-bitvec wake_preamble(std::uint32_t tag_id, std::size_t n_bits = 16);
+/// The n-bit pseudo-random wake preamble assigned to a tag id, written
+/// into `out` (resized to n_bits). Distinct ids give sequences with low
+/// cross-correlation (different LFSR phases).
+void wake_preamble_into(std::uint32_t tag_id, std::size_t n_bits, bitvec& out);
+
+/// wake_preamble_into() into a new vector.
+inline bitvec wake_preamble(std::uint32_t tag_id, std::size_t n_bits = 16) {
+  bitvec out;
+  wake_preamble_into(tag_id, n_bits, out);
+  return out;
+}
 
 /// PN sequence used by the tag's synchronization preamble (+-1 chips as
 /// bits); deterministic per tag id.

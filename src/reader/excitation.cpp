@@ -58,7 +58,7 @@ full_key key_for(const excitation_config& config) {
 
 void build_excitation_uncached(const excitation_config& config,
                                excitation& out) {
-  out.wake_preamble = phy::wake_preamble(config.tag_id, config.wake_bits);
+  phy::wake_preamble_into(config.tag_id, config.wake_bits, out.wake_preamble);
   out.samples.resize(excitation_length(config));
   // Wake preamble as 1 us on/off pulses.
   for (std::size_t b = 0; b < out.wake_preamble.size(); ++b)
@@ -108,7 +108,7 @@ void build_excitation_into(const excitation_config& config, excitation& out) {
     return;
   }
   build_excitation_uncached(config, out);
-  // The entry is a copy of `out`; a miss the full cache refuses skips it.
+  // The entry is a copy of `out`; a miss the cache refuses skips it.
   const std::size_t bytes = out.samples.size() * sizeof(cplx) +
                             out.ppdu.payload.size() +
                             out.wake_preamble.size() + sizeof(excitation);

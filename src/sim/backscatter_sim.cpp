@@ -117,12 +117,14 @@ void report_replay_cache_gauges(obs::collector* c) {
   c->set(probe::noise_cache_misses, static_cast<double>(noise.misses));
   c->set(probe::noise_cache_entries, static_cast<double>(noise.entries));
   c->set(probe::noise_cache_bytes, static_cast<double>(noise.bytes));
+  c->set(probe::noise_cache_refused, static_cast<double>(noise.refused));
   const reader::excitation_cache_stats_snapshot ex =
       reader::excitation_cache_stats();
   c->set(probe::excitation_cache_hits, static_cast<double>(ex.hits));
   c->set(probe::excitation_cache_misses, static_cast<double>(ex.misses));
   c->set(probe::excitation_cache_entries, static_cast<double>(ex.entries));
   c->set(probe::excitation_cache_bytes, static_cast<double>(ex.bytes));
+  c->set(probe::excitation_cache_refused, static_cast<double>(ex.refused));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
 
 #include "dsp/rng.h"
@@ -14,24 +15,19 @@
 
 namespace backfi::wifi {
 
-phy::bitvec signal_info_bits(wifi_rate rate, std::size_t length_bytes) {
+std::uint32_t signal_info_word(wifi_rate rate, std::size_t length_bytes) {
   if (length_bytes == 0 || length_bytes > 4095)
-    throw std::invalid_argument("signal_info_bits: LENGTH must be 1..4095");
+    throw std::invalid_argument("signal_info_word: LENGTH must be 1..4095");
   const auto& p = params_for(rate);
-  phy::bitvec bits;
-  bits.reserve(18);
+  std::uint32_t word = 0;
   // RATE: 4 bits, R1 first (stored MSB-first in signal_bits).
-  for (int i = 3; i >= 0; --i)
-    bits.push_back(static_cast<std::uint8_t>((p.signal_bits >> i) & 1u));
-  bits.push_back(0);  // reserved
-  // LENGTH: 12 bits, LSB first.
-  for (int i = 0; i < 12; ++i)
-    bits.push_back(static_cast<std::uint8_t>((length_bytes >> i) & 1u));
+  for (int i = 0; i < 4; ++i)
+    word |= ((p.signal_bits >> (3 - i)) & 1u) << i;
+  // Bit 4 is reserved (0). LENGTH: 12 bits, LSB first.
+  word |= static_cast<std::uint32_t>(length_bytes) << 5;
   // Even parity over the first 17 bits.
-  std::uint8_t parity = 0;
-  for (std::uint8_t b : bits) parity ^= b;
-  bits.push_back(parity);
-  return bits;  // the encoder's zero tail supplies the 6 SIGNAL tail bits
+  word |= static_cast<std::uint32_t>(std::popcount(word) & 1) << 17;
+  return word;  // the encoder's zero tail supplies the 6 SIGNAL tail bits
 }
 
 namespace {
@@ -114,16 +110,17 @@ void modulate_coded(std::span<const std::uint8_t> in, const rate_params& p,
 
 }  // namespace
 
-cvec signal_symbol(wifi_rate rate, std::size_t length_bytes) {
+void signal_symbol_into(wifi_rate rate, std::size_t length_bytes,
+                        std::span<cplx> out) {
+  if (out.size() != symbol_samples)
+    throw std::invalid_argument("signal_symbol: output must hold one symbol");
   // SIGNAL is one BPSK rate-1/2 symbol, unscrambled: its 18 info bits plus
   // the 6 zero tail bits are exactly the 24 data bits of the 6 Mbps mode.
-  const phy::bitvec info = signal_info_bits(rate, length_bytes);
-  std::array<std::uint8_t, 3> in{};
-  for (std::size_t i = 0; i < info.size(); ++i)
-    in[i / 8] = static_cast<std::uint8_t>(in[i / 8] | (info[i] << (i % 8)));
-  cvec out(symbol_samples);
+  const std::uint32_t info = signal_info_word(rate, length_bytes);
+  const std::array<std::uint8_t, 3> in{static_cast<std::uint8_t>(info),
+                                       static_cast<std::uint8_t>(info >> 8),
+                                       static_cast<std::uint8_t>(info >> 16)};
   modulate_coded(in, params_for(wifi_rate::mbps6), 1, /*first_symbol=*/0, out);
-  return out;
 }
 
 tx_ppdu transmit(std::span<const std::uint8_t> psdu, const tx_config& config) {
@@ -148,10 +145,10 @@ void transmit_into(std::span<const std::uint8_t> psdu, const tx_config& config,
   info.n_data_symbols = n_sym;
   info.data_start = preamble_samples + symbol_samples;
 
-  const cvec preamble = legacy_preamble();
-  const cvec sig = signal_symbol(config.rate, psdu.size());
+  const cvec& preamble = legacy_preamble();
   std::copy(preamble.begin(), preamble.end(), samples.begin());
-  std::copy(sig.begin(), sig.end(), samples.begin() + preamble.size());
+  signal_symbol_into(config.rate, psdu.size(),
+                     samples.subspan(preamble.size(), symbol_samples));
 
   // Encoder input, LSB-first bytes: SERVICE (16 zero bits), PSDU, zero pad
   // up to n_info bits, then the encoder's 6-bit zero tail (which plays the

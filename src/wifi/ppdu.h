@@ -10,6 +10,7 @@
 
 #include "dsp/types.h"
 #include "phy/bits.h"
+#include "wifi/ofdm.h"
 #include "wifi/rates.h"
 
 namespace backfi::wifi {
@@ -37,12 +38,31 @@ struct tx_ppdu : ppdu_info {
   cvec samples;  ///< preamble + SIGNAL + data, unit mean power
 };
 
-/// Build the 18 SIGNAL-field information bits (RATE, reserved, LENGTH,
-/// parity) for a given rate and PSDU length.
-phy::bitvec signal_info_bits(wifi_rate rate, std::size_t length_bytes);
+/// The 18 SIGNAL-field information bits (RATE, reserved, LENGTH, parity)
+/// for a given rate and PSDU length, packed LSB-first: bit i of the word is
+/// information bit i.
+std::uint32_t signal_info_word(wifi_rate rate, std::size_t length_bytes);
 
-/// Encode and modulate the SIGNAL field into one 80-sample OFDM symbol.
-cvec signal_symbol(wifi_rate rate, std::size_t length_bytes);
+/// signal_info_word() as one bit per entry.
+inline phy::bitvec signal_info_bits(wifi_rate rate, std::size_t length_bytes) {
+  const std::uint32_t word = signal_info_word(rate, length_bytes);
+  phy::bitvec bits(18);
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    bits[i] = static_cast<std::uint8_t>((word >> i) & 1u);
+  return bits;
+}
+
+/// Encode and modulate the SIGNAL field into one OFDM symbol: `out` holds
+/// exactly symbol_samples (80) entries.
+void signal_symbol_into(wifi_rate rate, std::size_t length_bytes,
+                        std::span<cplx> out);
+
+/// signal_symbol_into() into a new vector.
+inline cvec signal_symbol(wifi_rate rate, std::size_t length_bytes) {
+  cvec out(symbol_samples);
+  signal_symbol_into(rate, length_bytes, out);
+  return out;
+}
 
 /// Assemble a complete PPDU carrying `psdu` at the configured rate.
 /// Maximum PSDU length 4095 bytes (12-bit LENGTH field).

@@ -105,14 +105,17 @@ double ltf_value(int subcarrier) {
   return kLtfSequence[static_cast<std::size_t>(subcarrier + 26)];
 }
 
-cvec legacy_preamble() {
-  cvec out;
-  out.reserve(preamble_samples);
-  const cvec& stf = short_training_field();
-  const cvec& ltf = long_training_field();
-  out.insert(out.end(), stf.begin(), stf.end());
-  out.insert(out.end(), ltf.begin(), ltf.end());
-  return out;
+const cvec& legacy_preamble() {
+  static const cvec preamble = [] {
+    cvec out;
+    out.reserve(preamble_samples);
+    const cvec& stf = short_training_field();
+    const cvec& ltf = long_training_field();
+    out.insert(out.end(), stf.begin(), stf.end());
+    out.insert(out.end(), ltf.begin(), ltf.end());
+    return out;
+  }();
+  return preamble;
 }
 
 }  // namespace backfi::wifi

@@ -27,6 +27,6 @@ const cvec& ltf_time_symbol();
 double ltf_value(int subcarrier);
 
 /// Full legacy preamble: STF followed by LTF (320 samples, 16 us).
-cvec legacy_preamble();
+const cvec& legacy_preamble();
 
 }  // namespace backfi::wifi

@@ -119,32 +119,44 @@ bool lookup(cache& c, const key& k, std::size_t bytes) {
   return false;
 }
 
-TEST(ReplayCacheTest, FreshKeysStopBeingAdmittedOnceTheBudgetIsFull) {
+TEST(ReplayCacheTest, FreshKeysAreAdmittedOnlyOnEvidenceOfReuse) {
   cache c(100);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    EXPECT_FALSE(c.find({i, 0})) << i;
-    EXPECT_TRUE(c.admit({i, 0}, 10)) << "room left: key " << i;
-    c.insert({i, 0}, std::make_shared<const std::vector<int>>(), 10);
-  }
-  // Full, and a budget's worth of misses without a hit: fresh keys stop
-  // paying for inserts, and what the cache holds stays put.
-  for (std::uint64_t i = 10; i < 1000; ++i) {
+  // The gate starts closed: never-repeated keys into an empty cache are
+  // all refused, and nothing is held for them.
+  for (std::uint64_t i = 0; i < 1000; ++i) {
     EXPECT_FALSE(c.find({i, 0})) << i;
     EXPECT_FALSE(c.admit({i, 0}, 10)) << i;
   }
   auto s = c.stats();
-  EXPECT_EQ(s.refused, 990u);
-  EXPECT_EQ(s.entries, 10u);
-  EXPECT_EQ(s.evictions, 0u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_TRUE(c.find({i, 0})) << i;
+  EXPECT_EQ(s.refused, 1000u);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bytes, 0u);
 
-  // Those hits show the cache paying off again: the next fresh key is
-  // admitted, and evicts the least recently used entry.
-  EXPECT_TRUE(c.admit({5000, 0}, 10));
-  c.insert({5000, 0}, std::make_shared<const std::vector<int>>(), 10);
+  // A key's second sighting is admitted.
+  EXPECT_FALSE(c.find({999, 0}));
+  EXPECT_TRUE(c.admit({999, 0}, 10));
+  c.insert({999, 0}, std::make_shared<const std::vector<int>>(), 10);
+
+  // A hit opens the gate: fresh keys are admitted at their first sighting
+  // for a budget's worth of missed bytes (ten 10-byte misses) ...
+  EXPECT_TRUE(c.find({999, 0}));
+  for (std::uint64_t i = 5000; i < 5010; ++i) {
+    EXPECT_FALSE(c.find({i, 0})) << i;
+    EXPECT_TRUE(c.admit({i, 0}, 10)) << "after a hit: key " << i;
+    c.insert({i, 0}, std::make_shared<const std::vector<int>>(), 10);
+  }
   s = c.stats();
-  EXPECT_EQ(s.refused, 990u);
+  EXPECT_EQ(s.refused, 1000u);
+  EXPECT_EQ(s.entries, 10u);
   EXPECT_EQ(s.evictions, 1u);
+
+  // ... and with no hit since, fresh keys are refused again.
+  for (std::uint64_t i = 5010; i < 5020; ++i) {
+    EXPECT_FALSE(c.find({i, 0})) << i;
+    EXPECT_FALSE(c.admit({i, 0}, 10)) << i;
+  }
+  s = c.stats();
+  EXPECT_EQ(s.refused, 1010u);
   EXPECT_EQ(s.entries, 10u);
 
   // Oversized values and a disabled cache are never admitted.
@@ -166,9 +178,11 @@ TEST(ReplayCacheTest, RefusedKeyIsAdmittedOnItsSecondSighting) {
 
 // The fault campaign's lookup pattern: blocks of 60 fresh seeds, each
 // replayed by 9 cells (cell-major), through a cache that holds fewer than
-// two blocks. Every block turns the whole budget over, yet admission must
-// not cost a single hit against a cache that admits every miss.
-TEST(ReplayCacheTest, CampaignTraceGetsTheHitsOfAlwaysAdmit) {
+// two blocks. Every block turns the whole budget over. Against a cache
+// that admits every miss, admission costs only the first block's first
+// cell: the closed gate refuses those 60 first sightings, their second
+// sightings are admitted, and the hits that follow keep the gate open.
+TEST(ReplayCacheTest, CampaignTraceLosesOnlyItsFirstCellToAdmission) {
   constexpr std::size_t bytes = 10;
   cache gated(100 * bytes);
   cache always(100 * bytes);
@@ -186,9 +200,10 @@ TEST(ReplayCacheTest, CampaignTraceGetsTheHitsOfAlwaysAdmit) {
       }
     }
   }
-  EXPECT_EQ(always_hits, 20u * 8u * 60u);
-  EXPECT_EQ(gated_hits, always_hits);
-  EXPECT_EQ(gated.stats().refused, 0u);
+  EXPECT_EQ(always_hits, 9600u);
+  EXPECT_EQ(gated_hits, 9540u);
+  EXPECT_EQ(gated.stats().refused, 60u);
+  EXPECT_EQ(always.stats().evictions, 1100u);
   EXPECT_EQ(gated.stats().evictions, always.stats().evictions);
 }
 

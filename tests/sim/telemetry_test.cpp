@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "channel/awgn.h"
 #include "fd/receive_chain.h"
 #include "obs/collector.h"
 #include "obs/export.h"
+#include "reader/excitation.h"
 #include "sim/backscatter_sim.h"
 #include "sim/parallel.h"
 #include "sim/stream_sim.h"
@@ -279,6 +281,24 @@ TEST(Collector, EveryEmittedNameIsCatalogued) {
       obs::probe::timing_stream_cancel,
   };
   EXPECT_TRUE(obs::zero_sample_probes(reg, fired).empty());
+}
+
+// The replay caches' admission refusals are published with their other
+// runtime gauges, as the caches' own cumulative counts.
+TEST(Collector, ReplayCacheRefusedGaugesReadTheCacheStats) {
+  obs::collector collector;
+  scenario_config c = cheap_scenario();
+  c.seed = 0x5EF05ED;  // a seed no other test uses: both caches miss
+  c.collector = &collector;
+  (void)run_backscatter_trial(c);
+  const obs::metrics_registry& reg = collector.registry();
+  const obs::gauge& noise = reg.gauge_at(obs::probe::noise_cache_refused);
+  const obs::gauge& ex = reg.gauge_at(obs::probe::excitation_cache_refused);
+  EXPECT_TRUE(noise.set);
+  EXPECT_TRUE(ex.set);
+  EXPECT_EQ(noise.value, static_cast<double>(channel::awgn_cache_stats().refused));
+  EXPECT_EQ(ex.value,
+            static_cast<double>(reader::excitation_cache_stats().refused));
 }
 
 TEST(Collector, FailureRowsFollowTheDecodeFailureEnum) {
