@@ -1,7 +1,7 @@
 #include "channel/multipath.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/fir.h"
 #include "dsp/math_util.h"
@@ -9,7 +9,8 @@
 namespace backfi::channel {
 
 cvec draw_multipath(const multipath_profile& profile, dsp::rng& gen) {
-  assert(profile.n_taps >= 1);
+  if (profile.n_taps == 0)
+    throw std::invalid_argument("channel::draw_multipath: n_taps must be >= 1");
   const double tap_spacing_ns = 1e9 * sample_period_s;
   const double decay = profile.delay_spread_ns > 0.0
                            ? std::exp(-tap_spacing_ns / profile.delay_spread_ns)

@@ -23,7 +23,8 @@ struct multipath_profile {
 
 /// Draw a random tapped-delay-line realization: exponential power delay
 /// profile, Rician first tap, Rayleigh later taps, normalized so the
-/// expected (not per-draw) total power equals total_gain_db.
+/// expected (not per-draw) total power equals total_gain_db. Throws
+/// std::invalid_argument for n_taps == 0.
 cvec draw_multipath(const multipath_profile& profile, dsp::rng& gen);
 
 /// Convolve a signal with channel taps (output same length as input).

@@ -25,11 +25,9 @@ void analog_canceller::adapt(const analog_canceller_config& config,
   for (const cplx& t : taps_) max_mag = std::max({max_mag, std::abs(t.real()),
                                                   std::abs(t.imag())});
   if (max_mag <= 0.0) return;
-  // ldexp(1.0, bits - 1) is the exact power of two the former
-  // (1ULL << (bits - 1)) cast produced, without the shift's undefined
-  // behaviour at bits > 64 (validate() bounds bits to [1, 64] regardless).
-  const double step =
-      max_mag / std::ldexp(1.0, static_cast<int>(config.coefficient_bits) - 1);
+  constexpr double levels = 1ULL
+                            << (analog_canceller_config::coefficient_bits - 1);
+  const double step = max_mag / levels;
   for (cplx& t : taps_)
     t = {std::round(t.real() / step) * step, std::round(t.imag() / step) * step};
 }
@@ -59,7 +57,7 @@ void digital_canceller::adapt(const digital_canceller_config& config,
   // The conj branch's Gram must be derived before the ridge/factor
   // overwrite the linear branch's lags in place.
   if (wl) dsp::fir_ls_derive_conj(txn, edge, s.lin, s.conj);
-  dsp::fir_ls_factor(s.lin, config.ridge);
+  dsp::fir_ls_factor(s.lin, digital_canceller_config::ridge);
   dsp::fir_ls_solve(s.lin, taps_);
   conj_taps_.clear();
   dc_ = {0.0, 0.0};
@@ -76,7 +74,7 @@ void digital_canceller::adapt(const digital_canceller_config& config,
     dsp::convolve_same_subtract_into(rxn, txn, taps_, s.work);
     const auto res = std::span<const cplx>(s.work).subspan(edge);
     dsp::fir_ls_build_rhs(ctxv, res, s.conj);
-    dsp::fir_ls_factor(s.conj, config.ridge);
+    dsp::fir_ls_factor(s.conj, digital_canceller_config::ridge);
     dsp::fir_ls_solve(s.conj, conj_taps_);
     // Keep the branch only if it clearly explains training-window power.
     // On a healthy front end the residual is thermal noise; an LS fit of

@@ -22,8 +22,7 @@ struct analog_canceller_config {
   std::size_t n_taps = 6;
   /// Coefficient resolution in bits (per I/Q axis) of the tunable
   /// attenuator/phase-shifter network. Limits achievable cancellation.
-  /// Must be in [1, 64] (receive_chain_config::validate()).
-  std::size_t coefficient_bits = 7;
+  static constexpr std::size_t coefficient_bits = 7;
 };
 
 /// Reusable adaptation/cancellation state for both canceller stages (one
@@ -72,7 +71,8 @@ class analog_canceller {
 
 struct digital_canceller_config {
   std::size_t n_taps = 8;
-  double ridge = 1e-9;
+  /// LS ridge of the fit (scaled by excitation energy).
+  static constexpr double ridge = 1e-9;
   /// Widely-linear augmentation: also estimate an FIR on conj(tx) and
   /// subtract it. A plain FIR of tx cannot cancel the image the receive
   /// path's IQ imbalance makes of the (60+ dB stronger) self-interference;

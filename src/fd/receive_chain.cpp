@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -16,30 +15,17 @@ const char* to_string(config_error error) {
   switch (error) {
     case config_error::none: return "none";
     case config_error::zero_analog_taps: return "zero_analog_taps";
-    case config_error::zero_coefficient_bits: return "zero_coefficient_bits";
     case config_error::zero_digital_taps: return "zero_digital_taps";
-    case config_error::bad_ridge: return "bad_ridge";
     case config_error::bad_adc_bits: return "bad_adc_bits";
-    case config_error::bad_agc_headroom: return "bad_agc_headroom";
     case config_error::zero_gain_block: return "zero_gain_block";
-    case config_error::bad_coefficient_bits: return "bad_coefficient_bits";
   }
   return "unknown";
 }
 
 config_error receive_chain_config::validate() const {
   if (analog.n_taps == 0) return config_error::zero_analog_taps;
-  if (analog.coefficient_bits == 0) return config_error::zero_coefficient_bits;
-  // The quantization step is max_mag / 2^(bits - 1); past 64 bits the
-  // hardware model is meaningless (and the former integer-shift spelling
-  // was undefined behaviour there).
-  if (analog.coefficient_bits > 64) return config_error::bad_coefficient_bits;
   if (digital.n_taps == 0) return config_error::zero_digital_taps;
-  if (!std::isfinite(digital.ridge) || digital.ridge < 0.0)
-    return config_error::bad_ridge;
   if (adc.bits == 0 || adc.bits > 32) return config_error::bad_adc_bits;
-  if (!std::isfinite(agc_headroom) || agc_headroom <= 0.0)
-    return config_error::bad_agc_headroom;
   if (track_residual_gain && gain_block == 0)
     return config_error::zero_gain_block;
   return config_error::none;
@@ -185,10 +171,11 @@ receive_chain_result run_receive_chain(std::span<const cplx> tx,
   if (config.enable_adc) {
     const bool peak_known = after_analog_energy >= 0.0;
     adc.full_scale =
-        peak_known ? agc_full_scale_from_energy(after_analog_energy,
-                                                after_analog.size(),
-                                                config.agc_headroom)
-                   : agc_full_scale(after_analog, config.agc_headroom);
+        peak_known
+            ? agc_full_scale_from_energy(after_analog_energy,
+                                         after_analog.size(),
+                                         receive_chain_config::agc_headroom)
+            : agc_full_scale(after_analog, receive_chain_config::agc_headroom);
     if (peak_known) {
       clipped_any |= static_cast<unsigned>(after_analog_peak > adc.full_scale);
     } else {

@@ -24,13 +24,9 @@ namespace backfi::fd {
 enum class config_error : std::uint8_t {
   none,
   zero_analog_taps,       ///< analog.n_taps == 0
-  zero_coefficient_bits,  ///< analog.coefficient_bits == 0
   zero_digital_taps,      ///< digital.n_taps == 0
-  bad_ridge,              ///< digital.ridge negative or non-finite
   bad_adc_bits,           ///< adc.bits outside [1, 32]
-  bad_agc_headroom,       ///< agc_headroom not finite-positive
   zero_gain_block,        ///< track_residual_gain with gain_block == 0
-  bad_coefficient_bits,   ///< analog.coefficient_bits > 64
 };
 
 /// Display name, e.g. "bad_adc_bits".
@@ -43,7 +39,9 @@ struct receive_chain_config {
   bool enable_analog = true;   ///< failure injection: bypass analog stage
   bool enable_digital = true;  ///< failure injection: bypass digital stage
   bool enable_adc = true;      ///< ideal (infinite resolution) front end
-  double agc_headroom = 4.0;
+  /// AGC full scale over the analog residual's RMS (agc_full_scale): 12 dB
+  /// of crest-factor headroom for the OFDM self-interference residual.
+  static constexpr double agc_headroom = 4.0;
   /// Residual gain tracking: both cancellation stages are static fits from
   /// the silent window, so any LO rotation (TX/RX reference mismatch,
   /// phase noise) re-grows the 90+ dB self-interference as SI*(e^{j\theta(t)}-1)

@@ -10,9 +10,12 @@ namespace backfi::impair {
 
 namespace {
 
-/// Random unit-power leakage channel of `taps` taps.
-cvec draw_leakage_channel(std::size_t taps, dsp::rng& gen) {
-  cvec h(std::max<std::size_t>(taps, 1));
+/// Taps of a drifted or failed stage's leakage channel: its delay spread.
+constexpr std::size_t leakage_taps = 2;
+
+/// Random unit-power leakage channel of `leakage_taps` taps.
+cvec draw_leakage_channel(dsp::rng& gen) {
+  cvec h(leakage_taps);
   double energy = 0.0;
   for (cplx& t : h) {
     t = gen.complex_gaussian();
@@ -34,7 +37,7 @@ void apply_canceller_drift(const canceller_drift_config& config,
   const double tx_power = dsp::mean_power(tx.first(n));
   if (tx_power <= 0.0) return;
 
-  const cvec dh = draw_leakage_channel(config.taps, gen);
+  const cvec dh = draw_leakage_channel(gen);
   const cvec leakage = dsp::convolve_same(tx.first(n), dh);
   const double final_amp =
       std::sqrt(tx_power * std::pow(10.0, config.final_leakage_db / 10.0));
@@ -57,7 +60,7 @@ void apply_canceller_stage_failure(
   const double tx_power = dsp::mean_power(tx.first(n));
   if (tx_power <= 0.0) return;
 
-  const cvec dh = draw_leakage_channel(config.taps, gen);
+  const cvec dh = draw_leakage_channel(gen);
   const cvec leakage = dsp::convolve_same(tx.first(n), dh);
   const double amp =
       std::sqrt(tx_power * std::pow(10.0, config.leakage_db / 10.0));

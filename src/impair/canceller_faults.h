@@ -24,10 +24,10 @@ struct canceller_drift_config {
   /// buffer; ramps quadratically from zero at `adapt_end` (thermal drift
   /// accelerates). -infinity dB (<= -200) disables.
   double final_leakage_db = -200.0;
-  std::size_t taps = 2;  ///< delay spread of the drifted leakage channel
 };
 
-/// Add the drifted-tap residual to `cleaned` from `adapt_end` onward.
+/// Add the drifted-tap residual (a random 2-tap leakage channel) to
+/// `cleaned` from `adapt_end` onward.
 void apply_canceller_drift(const canceller_drift_config& config,
                            std::span<const cplx> tx, std::span<cplx> cleaned,
                            std::size_t adapt_end, dsp::rng& gen);
@@ -39,10 +39,10 @@ struct canceller_stage_failure_config {
   double leakage_db = -200.0;
   /// Failure instant as a fraction of the buffer length.
   double at_frac = 0.5;
-  std::size_t taps = 2;
 };
 
-/// Re-admit a constant leakage channel from the failure instant onward.
+/// Re-admit a constant random 2-tap leakage channel from the failure
+/// instant onward.
 void apply_canceller_stage_failure(const canceller_stage_failure_config& config,
                                    std::span<const cplx> tx,
                                    std::span<cplx> cleaned, dsp::rng& gen);

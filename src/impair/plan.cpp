@@ -17,8 +17,7 @@ dsp::rng stream(std::uint64_t seed, std::uint64_t salt) {
 bool impairment_plan::any_front_end() const {
   return cfo.offset_hz != 0.0 || cfo.drift_hz_per_s != 0.0 ||
          phase_noise.linewidth_hz > 0.0 || iq.gain_mismatch_db != 0.0 ||
-         iq.phase_skew_deg != 0.0 || iq.dc_offset != cplx{0.0, 0.0} ||
-         iq.dc_over_rms != 0.0 || sampling.ppm != 0.0;
+         iq.phase_skew_deg != 0.0 || iq.dc_over_rms != 0.0;
 }
 
 bool impairment_plan::any_post_cancellation() const {
@@ -44,7 +43,6 @@ void impairment_plan::apply_front_end(std::span<cplx> samples) const {
     apply_phase_noise(phase_noise, samples, gen);
   }
   apply_iq_imbalance(iq, samples);
-  apply_sampling_offset(sampling, samples);
 }
 
 void impairment_plan::apply_to_rx(std::span<cplx> rx) const {

@@ -20,7 +20,6 @@ struct impairment_plan {
   cfo_config cfo;
   phase_noise_config phase_noise;
   iq_imbalance_config iq;
-  sampling_offset_config sampling;
   saturation_burst_config saturation;
   interferer_config interferer;
   // Tag side (reflection waveform).
@@ -50,8 +49,8 @@ struct impairment_plan {
 
   /// Receive front-end faults: the downconverter sits BETWEEN the analog
   /// canceller and the ADC, so its LO/IQ blemishes (CFO, phase noise, IQ
-  /// imbalance + DC offset, sampling skew) act on the analog-cancelled
-  /// residual, not on the raw antenna signal. Wire this as
+  /// imbalance + DC offset) act on the analog-cancelled residual, not on
+  /// the raw antenna signal. Wire this as
   /// `receive_chain_config::front_end_hook`.
   void apply_front_end(std::span<cplx> samples) const;
 

@@ -52,7 +52,7 @@ void apply_iq_imbalance(const iq_imbalance_config& config, std::span<cplx> x) {
   const double g = std::pow(10.0, config.gain_mismatch_db / 20.0);
   const double phi = config.phase_skew_deg * pi / 180.0;
   const bool skewed = config.gain_mismatch_db != 0.0 || phi != 0.0;
-  cplx dc = config.dc_offset;
+  cplx dc{0.0, 0.0};
   if (config.dc_over_rms != 0.0 && !x.empty()) {
     double power = 0.0;
     for (const cplx& v : x) power += std::norm(v);
@@ -82,23 +82,6 @@ void apply_constant_phase(std::span<cplx> x, double phase_rad) {
   dsp::sin_cos(phase_rad, sn, cs);
   const cplx rot{cs, sn};
   for (cplx& v : x) v *= rot;
-}
-
-void apply_sampling_offset(const sampling_offset_config& config,
-                           std::span<cplx> x) {
-  if (config.ppm == 0.0 || x.size() < 2) return;
-  const double ratio = 1.0 + config.ppm * 1e-6;
-  cvec src(x.begin(), x.end());
-  const double last = static_cast<double>(src.size() - 1);
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    double pos = static_cast<double>(n) * ratio;
-    if (pos >= last) pos = last;
-    const std::size_t k = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(k);
-    const cplx lo = src[k];
-    const cplx hi = src[k + 1 < src.size() ? k + 1 : k];
-    x[n] = lo + (hi - lo) * frac;
-  }
 }
 
 }  // namespace backfi::impair

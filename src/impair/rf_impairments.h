@@ -1,10 +1,10 @@
 // Deterministic RF front-end impairment injectors (the "dirty radio"
 // effects the paper's WARP testbed suffers implicitly): carrier frequency
-// offset with drift, oscillator phase noise, IQ imbalance + DC offset, and
-// sampling clock offset. Each injector is a plain config struct plus an
-// apply() that mutates a span of complex baseband samples in place, driven
-// only by the config and (where stochastic) an explicit dsp::rng — so every
-// fault campaign is reproducible sample-for-sample.
+// offset with drift, oscillator phase noise, and IQ imbalance + DC offset.
+// Each injector is a plain config struct plus an apply() that mutates a
+// span of complex baseband samples in place, driven only by the config and
+// (where stochastic) an explicit dsp::rng — so every fault campaign is
+// reproducible sample-for-sample.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,8 @@ void apply_phase_noise(const phase_noise_config& config, std::span<cplx> x,
 struct iq_imbalance_config {
   double gain_mismatch_db = 0.0;  ///< Q rail gain relative to I
   double phase_skew_deg = 0.0;    ///< quadrature error
-  cplx dc_offset = {0.0, 0.0};    ///< additive LO leakage at DC
-  /// Additional DC offset as a fraction of the span's RMS amplitude, for
-  /// callers that do not know the absolute signal scale (the fault plan:
+  /// Additive LO leakage at DC as a fraction of the span's RMS amplitude,
+  /// so callers need not know the absolute signal scale (the fault plan:
   /// the span is dominated by self-interference whose level depends on the
   /// scenario). Added at 45 degrees so both rails see it.
   double dc_over_rms = 0.0;
@@ -80,15 +79,5 @@ struct lo_drift_state {
 /// Rotate every sample by the constant phasor e^{j*phase_rad} (the frozen
 /// per-packet LO offset applied to the backscatter component).
 void apply_constant_phase(std::span<cplx> x, double phase_rad);
-
-/// Sampling clock offset between reader TX and RX converters: the RX
-/// stream is resampled by (1 + ppm*1e-6) with linear interpolation, so a
-/// packet's tail slides by ppm*1e-6*N samples against the TX timeline.
-struct sampling_offset_config {
-  double ppm = 0.0;
-};
-
-void apply_sampling_offset(const sampling_offset_config& config,
-                           std::span<cplx> x);
 
 }  // namespace backfi::impair

@@ -56,10 +56,12 @@ bool apply_brownout(const brownout_config& config, std::span<cplx> reflection,
   if (active_begin >= active_end) return false;
   if (!gen.bernoulli(config.probability)) return false;
 
+  // Earliest onset as a fraction of the active region (the harvester
+  // usually survives the preamble; payload is where it dies).
+  constexpr double earliest_frac = 0.3;
   const std::size_t n_active = active_end - active_begin;
-  const std::size_t earliest = static_cast<std::size_t>(
-      std::clamp(config.earliest_frac, 0.0, 1.0) *
-      static_cast<double>(n_active));
+  const std::size_t earliest =
+      static_cast<std::size_t>(earliest_frac * static_cast<double>(n_active));
   const std::size_t onset =
       active_begin + earliest +
       (earliest < n_active ? gen.uniform_int(n_active - earliest) : 0);

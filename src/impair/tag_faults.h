@@ -37,13 +37,12 @@ void apply_oscillator_jitter(const oscillator_jitter_config& config,
 struct brownout_config {
   double probability = 0.0;       ///< chance the brownout fires this packet
   double duration_us = 50.0;      ///< dropout length once it fires
-  /// Earliest onset as a fraction of the active region (the harvester
-  /// usually survives the preamble; payload is where it dies).
-  double earliest_frac = 0.3;
 };
 
-/// Zero the reflection over a dropout window inside the active region.
-/// Returns true when the brownout fired.
+/// Zero the reflection over a dropout window inside the active region,
+/// starting no earlier than 30% into it (the harvester usually survives
+/// the preamble; payload is where it dies). Returns true when the brownout
+/// fired.
 bool apply_brownout(const brownout_config& config, std::span<cplx> reflection,
                     std::size_t active_begin, std::size_t active_end,
                     dsp::rng& gen);

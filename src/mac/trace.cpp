@@ -6,6 +6,10 @@
 
 namespace backfi::mac {
 
+/// Maximum frames aggregated per transmission opportunity (A-MPDU-style
+/// bursts; the paper's replayed APs transmit 1-4 ms at a time).
+constexpr std::size_t aggregation_max = 6;
+
 ap_trace generate_loaded_ap_trace(const trace_config& config) {
   if (!(config.target_busy_fraction > 0.0 &&
         config.target_busy_fraction < 1.0))
@@ -41,8 +45,7 @@ ap_trace generate_loaded_ap_trace(const trace_config& config) {
       }
       u -= rate_weights[i];
     }
-    const std::size_t aggregated =
-        1 + gen.uniform_int(std::max<std::size_t>(config.aggregation_max, 1));
+    const std::size_t aggregated = 1 + gen.uniform_int(aggregation_max);
     const double airtime =
         ppdu_airtime_us(bytes, rate) * static_cast<double>(aggregated);
     const double mean_gap =

@@ -37,14 +37,12 @@ struct trace_config {
   /// Packet payload range [bytes] (TCP-dominated mix).
   std::size_t min_bytes = 200;
   std::size_t max_bytes = 1500;
-  /// Maximum frames aggregated per transmission opportunity (A-MPDU-style
-  /// bursts; the paper's replayed APs transmit 1-4 ms at a time).
-  std::size_t aggregation_max = 6;
   std::uint64_t seed = 1;
 };
 
-/// Generate a synthetic loaded-AP schedule: packets with random sizes and
-/// rates, separated by contention gaps sized to hit the busy fraction.
+/// Generate a synthetic loaded-AP schedule: bursts of 1-6 aggregated
+/// packets with random sizes and rates, separated by contention gaps sized
+/// to hit the busy fraction.
 /// Throws std::invalid_argument for a target_busy_fraction outside (0, 1)
 /// or min_bytes > max_bytes.
 ap_trace generate_loaded_ap_trace(const trace_config& config);

@@ -1,11 +1,13 @@
 #include "phy/prbs.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace backfi::phy {
 
 lfsr::lfsr(std::uint32_t taps, std::uint32_t state) : taps_(taps), state_(state) {
-  assert(state_ != 0 && "LFSR state must be nonzero");
+  // A zero register never leaves zero: it would emit only zeros.
+  if (state_ == 0)
+    throw std::invalid_argument("phy::lfsr: state must be nonzero");
 }
 
 std::uint8_t lfsr::next_bit() {

@@ -15,7 +15,7 @@ namespace backfi::phy {
 class lfsr {
  public:
   /// `taps` is the feedback polynomial mask (e.g. 0b1100000 for x^7+x^6+1);
-  /// `state` must be nonzero.
+  /// `state` must be nonzero (std::invalid_argument otherwise).
   lfsr(std::uint32_t taps, std::uint32_t state);
 
   /// Next output bit.

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace backfi::phy {
 
@@ -32,10 +33,18 @@ const std::array<std::uint8_t, 127>& keystream_for(std::uint8_t seed) {
   return all[seed & 0x7Fu];
 }
 
+/// A zero 7-bit state never leaves zero: its "keystream" would pass the
+/// bits through unscrambled.
+void check_seed(std::uint8_t seed, const char* where) {
+  if ((seed & 0x7Fu) == 0)
+    throw std::invalid_argument(std::string(where) +
+                                ": scrambler seed must be nonzero");
+}
+
 }  // namespace
 
 bitvec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed) {
-  assert((seed & 0x7Fu) != 0 && "scrambler seed must be nonzero");
+  check_seed(seed, "phy::scramble");
   const auto& key = keystream_for(seed);
   bitvec out(bits.size());
   std::size_t i = 0;
@@ -54,6 +63,7 @@ bitvec scrambler_sequence(std::uint8_t seed, std::size_t n_bits) {
 }
 
 const std::array<std::uint8_t, 127>& scrambler_keystream_bytes(std::uint8_t seed) {
+  check_seed(seed, "phy::scrambler_keystream_bytes");
   static const std::array<std::array<std::uint8_t, 127>, 128> all = [] {
     std::array<std::array<std::uint8_t, 127>, 128> packed{};
     for (int s = 0; s < 128; ++s) {

@@ -10,7 +10,9 @@
 namespace backfi::phy {
 
 /// Scramble (or descramble) bits with the 802.11 frame-synchronous
-/// scrambler initialized to `seed` (7-bit nonzero state).
+/// scrambler initialized to `seed` (7-bit nonzero state). Throws
+/// std::invalid_argument when the low 7 bits of `seed` are zero, as do
+/// scrambler_sequence and scrambler_keystream_bytes.
 bitvec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed = 0x5D);
 
 /// The raw 127-bit scrambler sequence for a given seed (for test vectors).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "dsp/fir.h"
 #include "dsp/linalg.h"
@@ -28,6 +27,10 @@ static_assert(static_cast<std::size_t>(obs::probe::failure_crc_failed) -
                           obs::probe::failure_empty_input) + 1 ==
                   static_cast<std::size_t>(decode_failure::crc_failed),
               "one reader.failure.* probe per decode_failure except none");
+
+/// The timing search stops widening here (samples): an attempt past it
+/// rescans the same window.
+constexpr double max_search_width = 1e6;
 
 void note_failure(obs::collector* c, decode_failure failure) {
   if (!c || failure == decode_failure::none) return;
@@ -56,47 +59,9 @@ const char* to_string(decode_failure failure) {
   return "unknown";
 }
 
-const char* to_string(config_error error) {
-  switch (error) {
-    case config_error::none: return "none";
-    case config_error::zero_channel_taps: return "zero_channel_taps";
-    case config_error::bad_sync_threshold: return "bad_sync_threshold";
-    case config_error::bad_timing_search: return "bad_timing_search";
-    case config_error::bad_ridge: return "bad_ridge";
-    case config_error::bad_retry_scale: return "bad_retry_scale";
-    case config_error::bad_tracking_gain: return "bad_tracking_gain";
-  }
-  return "unknown";
-}
-
-config_error decoder_config::validate() const {
-  if (fb_taps == 0) return config_error::zero_channel_taps;
-  if (!(sync_threshold > 0.0) || sync_threshold > 1.0)
-    return config_error::bad_sync_threshold;
-  if (timing_search < 0) return config_error::bad_timing_search;
-  if (!std::isfinite(ridge) || ridge < 0.0) return config_error::bad_ridge;
-  if (!std::isfinite(retry_search_scale) || retry_search_scale < 1.0)
-    return config_error::bad_retry_scale;
-  if (!std::isfinite(phase_tracking_gain) || phase_tracking_gain < 0.0 ||
-      phase_tracking_gain > 1.0)
-    return config_error::bad_tracking_gain;
-  return config_error::none;
-}
-
-void validate_or_throw(const decoder_config& config, const char* where) {
-  const config_error error = config.validate();
-  if (error == config_error::none) return;
-  std::string message = where;
-  message += ": invalid decoder_config (";
-  message += to_string(error);
-  message += ")";
-  throw std::invalid_argument(message);
-}
-
 backfi_decoder::backfi_decoder(const tag::tag_config& tag_config,
                                const decoder_config& config)
     : tag_config_(tag_config), config_(config) {
-  validate_or_throw(config_, "backfi_decoder");
   constellation_ =
       &phy::psk_constellation(tag::psk_order(tag_config_.rate.modulation));
   by_label_.resize(constellation_->points.size());
@@ -105,13 +70,16 @@ backfi_decoder::backfi_decoder(const tag::tag_config& tag_config,
   const tag::tag_device device(tag_config_);
   sync_labels_ = device.sync_labels();
   const std::size_t sps = device.samples_per_symbol();
-  guard_ = std::min<std::size_t>(config_.fb_taps - 1, sps > 2 ? sps - 2 : 1);
+  guard_ = std::min<std::size_t>(decoder_config::fb_taps - 1,
+                                 sps > 2 ? sps - 2 : 1);
   // Widest timing search any retry attempt can reach: decode() widens by
   // the same schedule, so a retry never scans outside the read window.
-  double width = static_cast<double>(std::max(config_.timing_search, 0));
-  for (std::size_t a = 0; a < config_.sync_retries; ++a)
-    width *= std::max(config_.retry_search_scale, 1.0);
-  max_search_ = static_cast<std::size_t>(static_cast<int>(std::min(width, 1e6)));
+  double width = decoder_config::timing_search;
+  for (std::size_t a = 0; a < config_.sync_retries && width < max_search_width;
+       ++a)
+    width *= decoder_config::retry_search_scale;
+  max_search_ = static_cast<std::size_t>(
+      static_cast<int>(std::min(width, max_search_width)));
   sync_points_.resize(sync_labels_.size());
   for (std::size_t i = 0; i < sync_labels_.size(); ++i)
     sync_points_[i] = constellation_->points[by_label_[sync_labels_[i]]];
@@ -137,13 +105,13 @@ bool backfi_decoder::estimate_combined_channel_into(
   if (end <= preamble_begin) return false;
   // Shift the window back by (taps - 1) so the estimator sees the full
   // excitation history for every row it uses.
-  const std::size_t history = config_.fb_taps - 1;
+  const std::size_t history = decoder_config::fb_taps - 1;
   const std::size_t start = preamble_begin >= history ? preamble_begin - history : 0;
   const std::size_t len = end - start;
-  if (len < config_.fb_taps) return false;
-  dsp::estimate_fir_least_squares_into(x.subspan(start, len),
-                                       y.subspan(start, len), config_.fb_taps,
-                                       config_.ridge, taps, workspace);
+  if (len < decoder_config::fb_taps) return false;
+  dsp::estimate_fir_least_squares_into(
+      x.subspan(start, len), y.subspan(start, len), decoder_config::fb_taps,
+      decoder_config::ridge, taps, workspace);
   return true;
 }
 
@@ -169,7 +137,7 @@ dsp::sample_range backfi_decoder::read_window_bounds(
   // The widest sync search together with the estimator's (taps - 1)
   // history reach-back bounds every sample index the decode pipeline
   // touches.
-  const std::size_t history = config_.fb_taps - 1;
+  const std::size_t history = decoder_config::fb_taps - 1;
   const std::size_t window_lo =
       f->sync_start >= max_search_ + history
           ? f->sync_start - max_search_ - history
@@ -246,25 +214,27 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
   // each attempt widens the timing search (the estimation window shrinks
   // accordingly so it stays inside the constant-phase region at any
   // candidate offset). Attempt 0 failing its geometry checks is a typed
-  // error; a widened attempt that no longer fits just stops the retries.
+  // error; a widened attempt that no longer fits just stops the retries,
+  // and so does the width reaching max_search_width.
   int best_offset = 0;
   double best_score = -1.0;
   cplx best_reference{1.0, 0.0};
   std::size_t window_begin = 0;  // absolute index of scratch.products[0]
-  double search_width = static_cast<double>(std::max(config_.timing_search, 0));
+  double search_width = decoder_config::timing_search;
   for (std::size_t attempt = 0; attempt <= config_.sync_retries; ++attempt,
-                   search_width *= std::max(config_.retry_search_scale, 1.0)) {
+                   search_width *= decoder_config::retry_search_scale) {
     const int search =
-        static_cast<int>(std::min(search_width, 1e6));
+        static_cast<int>(std::min(search_width, max_search_width));
     // The payload must fit even at the maximum timing offset, and the
     // negative extreme must not run off the front of the sync region.
     const bool fits =
         data_end + static_cast<std::size_t>(search) <= y.size() &&
         sync_begin >= static_cast<std::size_t>(search);
-    const std::size_t margin = static_cast<std::size_t>(search) + config_.fb_taps;
+    const std::size_t margin =
+        static_cast<std::size_t>(search) + decoder_config::fb_taps;
     const std::size_t est_begin = preamble_begin + margin;
     const std::size_t est_end = sync_begin > margin ? sync_begin - margin : 0;
-    const bool estimable = est_end > est_begin + 4 * config_.fb_taps;
+    const bool estimable = est_end > est_begin + 4 * decoder_config::fb_taps;
     if (!fits || !estimable) {
       if (attempt == 0) {
         result.failure = !fits ? decode_failure::payload_too_long
@@ -321,7 +291,9 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
         best_reference = corr / static_cast<double>(m.size());
       }
     }
-    if (best_score >= config_.sync_threshold) break;
+    if (best_score >= decoder_config::sync_threshold ||
+        search_width >= max_search_width)
+      break;
   }
   result.timing_offset = best_offset;
   result.sync_correlation = std::max(best_score, 0.0);
@@ -329,7 +301,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
                result.sync_correlation);
   obs::observe(config_.collector, obs::probe::timing_offset,
                static_cast<double>(result.timing_offset));
-  if (best_score < config_.sync_threshold) {
+  if (best_score < decoder_config::sync_threshold) {
     result.failure = decode_failure::sync_not_found;
     note_failure(config_.collector, result.failure);
     return result;
@@ -381,7 +353,7 @@ decode_result backfi_decoder::decode(std::span<const cplx> x,
     // The sliced decisions are kept so the EVM loop below reuses them
     // instead of re-slicing the exact same (final) symbol values.
     scratch.track_labels.resize(n_payload_symbols);
-    const double gain = config_.phase_tracking_gain;
+    const double gain = decoder_config::phase_tracking_gain;
     cplx rot{1.0, 0.0};
     std::size_t s = 0;
     for (cplx& m : symbols) {

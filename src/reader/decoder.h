@@ -50,60 +50,44 @@ enum class decode_failure : std::uint8_t {
 /// Display name, e.g. "sync_not_found".
 const char* to_string(decode_failure failure);
 
-/// Why a decoder_config is unusable (the sim::config_error pattern: typed
-/// first-violation reason). Checked by validate(); the backfi_decoder
-/// constructor rejects invalid configs up front — unlike decode_failure,
-/// which reports malformed *input*, this reports a malformed *setup*.
-enum class config_error : std::uint8_t {
-  none,
-  zero_channel_taps,   ///< fb_taps == 0
-  bad_sync_threshold,  ///< sync_threshold outside (0, 1]
-  bad_timing_search,   ///< timing_search < 0
-  bad_ridge,           ///< ridge negative or non-finite
-  bad_retry_scale,     ///< retry_search_scale < 1 or non-finite
-  bad_tracking_gain,   ///< phase_tracking_gain outside [0, 1] or non-finite
-};
-
-/// Display name, e.g. "bad_sync_threshold".
-const char* to_string(config_error error);
-
 struct decoder_config {
   /// Taps of the combined forward-backward channel estimate. The paper's
   /// short indoor channels make L+M about 4-6 at 50 ns spacing.
-  std::size_t fb_taps = 5;
+  static constexpr std::size_t fb_taps = 5;
   /// Timing search half-width [samples] around the nominal schedule
   /// (covers tag wake-detector jitter).
-  int timing_search = 24;
+  static constexpr int timing_search = 24;
   /// Minimum normalized sync-word correlation to accept timing.
-  double sync_threshold = 0.55;
+  static constexpr double sync_threshold = 0.55;
   /// LS ridge for the h_fb estimate (scaled by excitation energy).
-  double ridge = 1e-9;
-  /// Timing re-acquisition: when the sync scan fails, retry up to this
-  /// many times with the search window widened by `retry_search_scale`
-  /// each attempt (recovers tags whose wake detector fired far off the
-  /// nominal schedule, e.g. under excitation starvation).
+  static constexpr double ridge = 1e-9;
+  /// Timing re-acquisition: when the sync scan fails, retry up to
+  /// `sync_retries` times with the search window widened by
+  /// `retry_search_scale` each attempt (recovers tags whose wake detector
+  /// fired far off the nominal schedule, e.g. under excitation
+  /// starvation). The width stops growing at 10^6 samples; an attempt
+  /// past that would rescan the same window, so the retries end there.
+  /// `sync_retries` stays settable for
+  /// RoiDecoderTest.ReadWindowWidensWithRetryScheduleAndNeverLeaksCapture,
+  /// which proves the read window covers the widened reach.
   std::size_t sync_retries = 1;
-  double retry_search_scale = 3.0;
-  /// Decision-directed per-symbol phase tracking: a first-order loop that
-  /// absorbs slow residual rotation (reader CFO relative to the adapted
-  /// canceller, oscillator phase noise, tag clock phase wander) which the
-  /// single sync-word correction cannot. Costs a little noise enhancement
-  /// at low SNR; the CRC still gates wrong decisions.
+  static constexpr double retry_search_scale = 3.0;
+  /// Decision-directed per-symbol phase tracking: a first-order loop with
+  /// gain `phase_tracking_gain` that absorbs slow residual rotation
+  /// (reader CFO relative to the adapted canceller, oscillator phase
+  /// noise, tag clock phase wander) which the single sync-word correction
+  /// cannot. Costs a little noise enhancement at low SNR; the CRC still
+  /// gates wrong decisions. `phase_tracking` stays settable for
+  /// DecoderTest.PhaseTrackingAbsorbsSlowResidualRotation, which compares
+  /// the loop against no loop.
   bool phase_tracking = true;
-  double phase_tracking_gain = 0.15;
+  static constexpr double phase_tracking_gain = 0.15;
   /// Observability sink (nullable): the decoder reports sync correlation,
   /// timing offset, post-MRC SNR, EVM, Viterbi path metric, per-reason
   /// failure counters and the reader.decode timing span through it. Null
   /// (the default) compiles to no-ops on the hot path.
   obs::collector* collector = nullptr;
-
-  /// First violated constraint, or config_error::none when usable.
-  config_error validate() const;
 };
-
-/// Throw std::invalid_argument naming `where` and the violated constraint
-/// when the config is invalid (called by the backfi_decoder constructor).
-void validate_or_throw(const decoder_config& config, const char* where);
 
 struct decode_result {
   bool sync_found = false;   ///< sync word located above threshold
@@ -159,8 +143,8 @@ class backfi_decoder {
   /// this (capture length, nominal origin, payload size) — the same span
   /// its up-front finite check walks, and therefore a superset of every
   /// sample the estimation window, the sync scan at the worst-case retry
-  /// widening (timing_search × retry_search_scale^sync_retries, the exact
-  /// width decode uses) and the MRC stages can touch. The receive chain
+  /// widening (timing_search × retry_search_scale^sync_retries capped at
+  /// 10^6 samples, the exact width decode uses) and the MRC stages can touch. The receive chain
   /// takes this as its region of interest: samples outside it may hold
   /// stale contents without changing any decode result, provided they are
   /// finite or never materialized. Degenerate geometry (origin at/past the

@@ -50,7 +50,6 @@ stream_session::stream_session(std::span<const cplx> x,
   if (config_.threads < 1 || config_.threads > 2)
     throw std::invalid_argument("stream_session: threads must be 1 or 2");
   fd::validate_or_throw(config_.chain, "stream_session");
-  validate_or_throw(config_.decoder, "stream_session");
   std::size_t previous_begin = 0;
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     const stream_packet& p = schedule_[i];

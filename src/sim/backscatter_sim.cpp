@@ -22,11 +22,8 @@ const char* to_string(config_error error) {
     case config_error::zero_payload: return "zero_payload";
     case config_error::bad_distance: return "bad_distance";
     case config_error::bad_symbol_rate: return "bad_symbol_rate";
-    case config_error::zero_channel_taps: return "zero_channel_taps";
-    case config_error::bad_sync_threshold: return "bad_sync_threshold";
     case config_error::empty_excitation: return "empty_excitation";
     case config_error::bad_bandwidth: return "bad_bandwidth";
-    case config_error::bad_decoder_config: return "bad_decoder_config";
     case config_error::bad_chain_config: return "bad_chain_config";
     case config_error::zero_stream_packets: return "zero_stream_packets";
     case config_error::bad_stream_threads: return "bad_stream_threads";
@@ -41,10 +38,9 @@ config_error scenario_config::validate() const {
   if (payload_bits == 0) return config_error::zero_payload;
   if (!std::isfinite(tag_distance_m) || tag_distance_m <= 0.0)
     return config_error::bad_distance;
-  // Delegate the sub-config checks to their own validators; the violations
-  // this enum predates (the tag's symbol rate, two decoder knobs) keep
-  // their original values. The scenario adds Nyquist: at least two samples
-  // per tag symbol.
+  // Delegate the sub-config checks to their own validators; the tag's
+  // symbol rate keeps its own value. The scenario adds Nyquist: at least
+  // two samples per tag symbol.
   if (tag.rate.symbol_rate_hz > sample_rate_hz / 2.0)
     return config_error::bad_symbol_rate;
   switch (tag.validate()) {
@@ -55,14 +51,6 @@ config_error scenario_config::validate() const {
   }
   if (!tag::frame_layout(tag, payload_bits))
     return config_error::bad_tag_config;
-  switch (decoder.validate()) {
-    case reader::config_error::none: break;
-    case reader::config_error::zero_channel_taps:
-      return config_error::zero_channel_taps;
-    case reader::config_error::bad_sync_threshold:
-      return config_error::bad_sync_threshold;
-    default: return config_error::bad_decoder_config;
-  }
   if (chain.validate() != fd::config_error::none)
     return config_error::bad_chain_config;
   if (excitation.n_ppdus == 0) return config_error::empty_excitation;

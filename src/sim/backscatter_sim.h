@@ -29,13 +29,8 @@ enum class config_error : std::uint8_t {
   bad_distance,           ///< tag_distance_m not finite or <= 0
   bad_symbol_rate,        ///< symbol rate outside (0, sample_rate / 2], or
                           ///< not dividing it (tag.validate())
-  zero_channel_taps,      ///< decoder.fb_taps == 0
-  bad_sync_threshold,     ///< decoder.sync_threshold outside (0, 1]
   empty_excitation,       ///< excitation.n_ppdus == 0
   bad_bandwidth,          ///< budget.bandwidth_hz <= 0
-  // Appended (enum values are append-only): delegated sub-config
-  // validation beyond the two decoder knobs named above.
-  bad_decoder_config,     ///< decoder.validate() failed (other knob)
   bad_chain_config,       ///< chain.validate() failed
   // Streaming-scenario constraints (sim/stream_sim.h).
   zero_stream_packets,    ///< stream n_packets == 0

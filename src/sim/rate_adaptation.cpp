@@ -44,7 +44,7 @@ scenario_config scenario_for_point(const scenario_config& base,
   config.payload_bits = std::min<std::size_t>(base.payload_bits, 1000);
   const auto ppdu_need = [&config] {
     return tag::frame_layout(config.tag, config.payload_bits).value().data_end +
-           static_cast<std::size_t>(config.decoder.timing_search) + 64;
+           static_cast<std::size_t>(reader::decoder_config::timing_search) + 64;
   };
   const std::size_t max_burst_samples = 160000;  // 8 ms
   const std::size_t wake_samples =

@@ -18,6 +18,9 @@ namespace backfi::sim {
 
 namespace {
 
+/// Repair symbols granted per send_repair directive.
+constexpr std::size_t repair_chunk = 4;
+
 [[noreturn]] void throw_invalid(const char* what) {
   throw std::invalid_argument(std::string("run_wild_traffic") +
                               ": invalid wild_traffic_config (" + what + ")");
@@ -145,7 +148,7 @@ wild_run run_wild_arm(const wild_traffic_config& config,
         mac::coded_directive directive =
             supervisor.report_block_outcome(collector.status(*exhausted));
         if (directive == mac::coded_directive::send_repair &&
-            coder.request_repair(*exhausted, config.repair_chunk) == 0)
+            coder.request_repair(*exhausted, repair_chunk) == 0)
           directive = mac::coded_directive::abandon_block;  // RS field spent
         if (directive == mac::coded_directive::abandon_block) {
           coder.abandon_block(*exhausted);

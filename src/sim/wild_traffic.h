@@ -56,8 +56,6 @@ struct wild_traffic_config {
   /// Fault injected on top of the bursts (PR 1 campaign classes).
   impair::fault_class fault = impair::fault_class::none;
   double severity = 0.0;
-  /// Repair symbols granted per send_repair directive.
-  std::size_t repair_chunk = 4;
   std::uint64_t seed = 1;
 };
 

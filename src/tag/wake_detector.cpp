@@ -11,8 +11,12 @@ wake_result detect_wake(std::span<const cplx> samples,
                         std::span<const std::uint8_t> preamble,
                         double incident_power_dbm,
                         const wake_detector_config& config) {
+  // Minimum detectable input power (the cited designs span -41 [40] to
+  // -56 [18]) and the set-threshold circuit's fraction of the held peak.
+  constexpr double sensitivity_dbm = -50.0;
+  constexpr double threshold_fraction = 0.5;
   wake_result result;
-  if (incident_power_dbm < config.sensitivity_dbm) return result;
+  if (incident_power_dbm < sensitivity_dbm) return result;
   if (preamble.empty()) return result;
 
   const std::size_t n_bits = samples.size() / samples_per_wake_bit;
@@ -34,7 +38,7 @@ wake_result detect_wake(std::span<const cplx> samples,
     double peak = 0.0;
     for (std::size_t k = 0; k < preamble.size(); ++k)
       peak = std::max(peak, envelope[start + k]);
-    const double threshold = peak * config.threshold_fraction;
+    const double threshold = peak * threshold_fraction;
     std::size_t errors = 0;
     for (std::size_t k = 0; k < preamble.size() && errors <= config.max_bit_errors;
          ++k) {

@@ -27,9 +27,6 @@ constexpr std::size_t wake_window_samples(std::size_t wake_bits) {
 }
 
 struct wake_detector_config {
-  double sensitivity_dbm = -50.0;   ///< minimum detectable input power (the
-                                    ///< cited designs span -41 [40] to -56 [18])
-  double threshold_fraction = 0.5;  ///< comparator threshold vs held peak
   std::size_t max_bit_errors = 1;   ///< tolerated mismatches in the correlator
 };
 
@@ -43,9 +40,10 @@ struct wake_result {
 
 /// Run the envelope/comparator pipeline over incident samples and search
 /// for the tag's wake preamble. `incident_power_dbm` is the average RF
-/// power at the tag while the reader pulses "on" (used for the sensitivity
-/// gate). Samples are complex baseband at the tag's antenna, normalized
-/// like everything else to the reader's transmit reference.
+/// power at the tag while the reader pulses "on": below the detector's
+/// -50 dBm sensitivity the tag never wakes. Samples are complex baseband
+/// at the tag's antenna, normalized like everything else to the reader's
+/// transmit reference.
 wake_result detect_wake(std::span<const cplx> samples,
                         std::span<const std::uint8_t> preamble,
                         double incident_power_dbm,

@@ -177,20 +177,25 @@ void demap_symbol(const equalized_symbol& eq, const channel_estimate& ch,
 rx_result receive(std::span<const cplx> samples, const rx_config& config) {
   rx_result result;
 
-  const auto detect = detect_packet(samples, config.detection_threshold);
+  // STF delayed-autocorrelation threshold for packet detection, and
+  // normalized LTF cross-correlation threshold for fine timing.
+  constexpr double detection_threshold = 0.8;
+  constexpr double timing_threshold = 0.5;
+  const auto detect = detect_packet(samples, detection_threshold);
   if (!detect) return result;
   result.detected = true;
 
-  double omega = 0.0;
-  if (config.correct_cfo) omega = estimate_coarse_cfo(samples, *detect);
+  // Carrier frequency offset estimated from the preamble is corrected
+  // before demodulating: coarse from the STF, fine from the LTF.
+  double omega = estimate_coarse_cfo(samples, *detect);
   cvec corrected = apply_cfo_correction(samples, omega);
 
-  const auto ltf = locate_ltf(corrected, *detect, config.timing_threshold);
+  const auto ltf = locate_ltf(corrected, *detect, timing_threshold);
   if (!ltf) return result;
   std::size_t ltf_start = *ltf;
 
   // Fine CFO from the repetition of the two LTF periods.
-  if (config.correct_cfo && ltf_start + 2 * fft_size <= corrected.size()) {
+  if (ltf_start + 2 * fft_size <= corrected.size()) {
     cplx acc{0.0, 0.0};
     for (std::size_t n = ltf_start; n < ltf_start + fft_size; ++n)
       acc += corrected[n] * std::conj(corrected[n + fft_size]);

@@ -18,15 +18,8 @@
 namespace backfi::wifi {
 
 struct rx_config {
-  /// STF delayed-autocorrelation threshold for packet detection.
-  double detection_threshold = 0.8;
-  /// Normalized LTF cross-correlation threshold for fine timing.
-  double timing_threshold = 0.5;
   /// Scrambler seed expected in the DATA field (see tx_config).
   std::uint8_t scrambler_seed = 0x5D;
-  /// When true, the receiver corrects carrier frequency offset estimated
-  /// from the preamble before demodulating.
-  bool correct_cfo = true;
 };
 
 /// Outcome of one receive attempt.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
 
@@ -12,6 +14,12 @@ TEST(MultipathTest, TapCountMatchesProfile) {
   dsp::rng gen(1);
   const cvec taps = draw_multipath({.n_taps = 5}, gen);
   EXPECT_EQ(taps.size(), 5u);
+}
+
+TEST(MultipathTest, ZeroTapsThrows) {
+  dsp::rng gen(1);
+  EXPECT_THROW((void)draw_multipath({.n_taps = 0}, gen),
+               std::invalid_argument);
 }
 
 TEST(MultipathTest, AveragePowerMatchesTotalGain) {

@@ -60,7 +60,7 @@ TEST(AnalogCancellerTest, AchievesTensOfDbButIsQuantizationLimited) {
   const si_scenario s = make_scenario(1);
   analog_canceller analog;
   dsp::fir_ls_workspace w;
-  analog.adapt({.n_taps = 6, .coefficient_bits = 7}, std::span(s.tx).first(320),
+  analog.adapt({.n_taps = 6}, std::span(s.tx).first(320),
                std::span(s.rx).first(320), w);
   const cvec res = cancelled(analog, s.tx, s.rx);
   const double depth = cancellation_depth_db(s.rx, res);

@@ -16,8 +16,7 @@ bool any_injector(const impairment_plan& plan) {
   return plan.cfo.offset_hz != 0.0 || plan.cfo.drift_hz_per_s != 0.0 ||
          plan.phase_noise.linewidth_hz > 0.0 ||
          plan.iq.gain_mismatch_db != 0.0 || plan.iq.phase_skew_deg != 0.0 ||
-         plan.iq.dc_offset != cplx{0.0, 0.0} || plan.iq.dc_over_rms != 0.0 ||
-         plan.sampling.ppm != 0.0 || plan.saturation.bursts_per_ms > 0.0 ||
+         plan.iq.dc_over_rms != 0.0 || plan.saturation.bursts_per_ms > 0.0 ||
          plan.interferer.bursts_per_ms > 0.0 ||
          plan.tag_jitter.clock_ppm != 0.0 ||
          plan.tag_jitter.phase_jitter_rad > 0.0 ||

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace backfi::phy {
 namespace {
@@ -18,6 +19,11 @@ TEST(PrbsTest, LfsrIsDeterministic) {
   lfsr a(0x6000u, 0x1234u);
   lfsr b(0x6000u, 0x1234u);
   EXPECT_EQ(a.bits(256), b.bits(256));
+}
+
+TEST(PrbsTest, ZeroStateThrows) {
+  // A zero register would emit only zeros.
+  EXPECT_THROW(lfsr(0x6000u, 0u), std::invalid_argument);
 }
 
 TEST(PrbsTest, LfsrMaximalPeriod) {

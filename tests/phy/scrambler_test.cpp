@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dsp/rng.h"
 
 namespace backfi::phy {
@@ -26,6 +28,17 @@ TEST(ScramblerTest, PackedKeystreamScramblesBytesLikeBits) {
     const auto& key = scrambler_keystream_bytes(seed);
     for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] ^= key[i % key.size()];
     EXPECT_EQ(bytes_to_bits(bytes), scrambled) << int{seed};
+  }
+}
+
+TEST(ScramblerTest, ZeroSeedThrows) {
+  // Only the low 7 bits seed the register; zero there would pass the bits
+  // through unscrambled.
+  const bitvec bits(64, 1);
+  for (const std::uint8_t seed : {std::uint8_t{0x00}, std::uint8_t{0x80}}) {
+    EXPECT_THROW((void)scramble(bits, seed), std::invalid_argument);
+    EXPECT_THROW((void)scrambler_sequence(seed, 16), std::invalid_argument);
+    EXPECT_THROW((void)scrambler_keystream_bytes(seed), std::invalid_argument);
   }
 }
 

@@ -234,16 +234,38 @@ TEST(DecoderTest, OversizedPayloadIsTypedAtEveryEntryPoint) {
 }
 
 TEST(DecoderTest, MrcGuardSkipsChannelMemoryButKeepsSamples) {
+  static_assert(decoder_config::fb_taps == 5);
   tag::tag_config tag_cfg = default_tag();
-  decoder_config cfg;
-  cfg.fb_taps = 5;
-  tag_cfg.rate.symbol_rate_hz = 1e6;  // 20 samples per symbol
-  EXPECT_EQ(backfi_decoder(tag_cfg, cfg).mrc_guard(), 4u);
+  tag_cfg.rate.symbol_rate_hz = 1e6;  // 20 samples per symbol: skips 4
+  EXPECT_EQ(backfi_decoder(tag_cfg).mrc_guard(), 4u);
   tag_cfg.rate.symbol_rate_hz = 4e6;  // 5 samples: keeps 2
-  cfg.fb_taps = 8;
-  EXPECT_EQ(backfi_decoder(tag_cfg, cfg).mrc_guard(), 3u);
+  EXPECT_EQ(backfi_decoder(tag_cfg).mrc_guard(), 3u);
   tag_cfg.rate.symbol_rate_hz = 10e6;  // 2 samples: keeps 1
-  EXPECT_EQ(backfi_decoder(tag_cfg, cfg).mrc_guard(), 1u);
+  EXPECT_EQ(backfi_decoder(tag_cfg).mrc_guard(), 1u);
+}
+
+TEST(DecoderTest, RetryScheduleStopsWideningAtTheSearchClamp) {
+  // 24 * 3^10 ~ 1.4e6 is the first search width past the 10^6-sample
+  // clamp, so every longer retry schedule reads the same window, and one
+  // of SIZE_MAX retries constructs at once instead of widening 1.8e19
+  // times. Nine retries (472,392) stay below the clamp.
+  const std::size_t capture_len = std::size_t{1} << 23;
+  const std::size_t origin = 2'000'000;
+  const auto bounds = [&](std::size_t retries) {
+    decoder_config cfg;
+    cfg.sync_retries = retries;
+    return backfi_decoder(default_tag(), cfg)
+        .read_window_bounds(capture_len, origin, 600);
+  };
+  const dsp::sample_range clamped = bounds(10);
+  const dsp::sample_range saturated = bounds(SIZE_MAX);
+  ASSERT_FALSE(clamped.empty());
+  EXPECT_GT(clamped.begin, 0u);
+  EXPECT_LT(clamped.end, capture_len);
+  EXPECT_EQ(saturated.begin, clamped.begin);
+  EXPECT_EQ(saturated.end, clamped.end);
+  EXPECT_EQ(bounds(11).end, clamped.end);
+  EXPECT_GT(clamped.size(), bounds(9).size());
 }
 
 TEST(DecoderTest, EmptyInputYieldsTypedFailure) {
@@ -470,54 +492,6 @@ TEST(DecoderTest, NullScratchThrows) {
   const cvec symbols(64, cplx{0.7, 0.7});
   EXPECT_THROW(decoder.decode_from_symbols(symbols, 0.1, 300, nullptr),
                std::invalid_argument);
-}
-
-TEST(DecoderValidate, FirstViolationIsTypedAndCtorThrows) {
-  EXPECT_EQ(decoder_config{}.validate(), config_error::none);
-  {
-    decoder_config cfg;
-    cfg.fb_taps = 0;
-    EXPECT_EQ(cfg.validate(), config_error::zero_channel_taps);
-  }
-  {
-    decoder_config cfg;
-    cfg.sync_threshold = 1.5;
-    EXPECT_EQ(cfg.validate(), config_error::bad_sync_threshold);
-    cfg.sync_threshold = 0.0;
-    EXPECT_EQ(cfg.validate(), config_error::bad_sync_threshold);
-  }
-  {
-    decoder_config cfg;
-    cfg.timing_search = -1;
-    EXPECT_EQ(cfg.validate(), config_error::bad_timing_search);
-  }
-  {
-    decoder_config cfg;
-    cfg.ridge = -1.0;
-    EXPECT_EQ(cfg.validate(), config_error::bad_ridge);
-  }
-  {
-    decoder_config cfg;
-    cfg.retry_search_scale = 0.5;
-    EXPECT_EQ(cfg.validate(), config_error::bad_retry_scale);
-  }
-  {
-    decoder_config cfg;
-    cfg.phase_tracking_gain = 1.5;
-    EXPECT_EQ(cfg.validate(), config_error::bad_tracking_gain);
-  }
-  EXPECT_STREQ(to_string(config_error::bad_retry_scale), "bad_retry_scale");
-
-  decoder_config bad;
-  bad.fb_taps = 0;
-  try {
-    const backfi_decoder decoder(default_tag(), bad);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("backfi_decoder"), std::string::npos) << what;
-    EXPECT_NE(what.find("zero_channel_taps"), std::string::npos) << what;
-  }
 }
 
 }  // namespace

@@ -63,7 +63,8 @@ TEST(FrameLayoutTest, TagDecoderAndExcitationAgreeAtEveryOperatingPoint) {
         // The burst holds the wake pulses, the frame and the timing search.
         EXPECT_GE(capture,
                   wake_end + frame->data_end +
-                      static_cast<std::size_t>(cfg.decoder.timing_search));
+                      static_cast<std::size_t>(
+                          reader::decoder_config::timing_search));
 
         // The tag emits, at the nominal origin, the frame the decoder reads.
         const tag::tag_device device(cfg.tag);

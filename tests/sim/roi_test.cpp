@@ -244,7 +244,6 @@ TEST(RoiDecoderTest, ReadWindowWidensWithRetryScheduleAndNeverLeaksCapture) {
   narrow.sync_retries = 0;
   reader::decoder_config widened;
   widened.sync_retries = 2;
-  widened.retry_search_scale = 3.0;
   const reader::backfi_decoder a(tag, narrow);
   const reader::backfi_decoder b(tag, widened);
   const dsp::sample_range wa = a.read_window_bounds(capture_len, 400, 600);

@@ -69,16 +69,6 @@ TEST(ScenarioValidate, ReportsEachViolation) {
   }
   {
     scenario_config c = cheap_scenario();
-    c.decoder.fb_taps = 0;
-    EXPECT_EQ(c.validate(), config_error::zero_channel_taps);
-  }
-  {
-    scenario_config c = cheap_scenario();
-    c.decoder.sync_threshold = 1.5;
-    EXPECT_EQ(c.validate(), config_error::bad_sync_threshold);
-  }
-  {
-    scenario_config c = cheap_scenario();
     c.excitation.n_ppdus = 0;
     EXPECT_EQ(c.validate(), config_error::empty_excitation);
   }
@@ -346,17 +336,10 @@ TEST(JsonExport, NonFiniteValuesExportAsNull) {
 TEST(ScenarioValidate, DelegatesToSubConfigValidators) {
   {
     scenario_config c = cheap_scenario();
-    c.decoder.ridge = -1.0;  // not one of the two legacy decoder values
-    EXPECT_EQ(c.validate(), config_error::bad_decoder_config);
-  }
-  {
-    scenario_config c = cheap_scenario();
     c.chain.adc.bits = 0;
     EXPECT_EQ(c.validate(), config_error::bad_chain_config);
     EXPECT_THROW((void)run_backscatter_trial(c), std::invalid_argument);
   }
-  EXPECT_STREQ(to_string(config_error::bad_decoder_config),
-               "bad_decoder_config");
   EXPECT_STREQ(to_string(config_error::bad_chain_config), "bad_chain_config");
 }
 

@@ -224,7 +224,7 @@ TEST(WildTrafficTest, DegenerateConfigsThrow) {
   }
   {
     wild_traffic_config config = small_config();
-    config.link.decoder.fb_taps = 0;  // scenario-level violation
+    config.link.excitation.n_ppdus = 0;  // scenario-level violation
     EXPECT_THROW(run_wild_traffic(config), std::invalid_argument);
   }
 }
