@@ -14,6 +14,7 @@
 #include "channel/multipath.h"
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
+#include "impair/plan.h"
 #include "impair/rf_impairments.h"
 #include "reader/excitation.h"
 #include "sim/stream_sim.h"
@@ -335,6 +336,99 @@ TEST(Synthesis, StreamCaptureWithoutWakeOrRoomForThePayload) {
   cut.scenario.excitation.ppdu_bytes = 40;
   cut.scenario.payload_bits = 2000;
   EXPECT_GT(expect_same_capture(cut, "payload not fitting").size(), 0u);
+}
+
+// run_backscatter_trial's capture of a woke trial whose payload fits, drawn
+// in the draw-order contract's order (payload seed, channels, jitter,
+// payload bits, noise) with every channel product full-range and the
+// impairment plan re-seeded as the trial does.
+cvec reference_trial_capture(const scenario_config& sc) {
+  dsp::rng gen(sc.seed);
+  reader::excitation_config ex_cfg = sc.excitation;
+  ex_cfg.tag_id = sc.tag.id;
+  ex_cfg.payload_seed = gen.next_u64();
+  const reader::excitation ex = reader::build_excitation(ex_cfg);
+  const auto channels =
+      channel::draw_backscatter_channels(sc.budget, sc.tag_distance_m, gen);
+  cvec incident, rx, reflected, backscatter;
+  channel::apply_channel_into(ex.samples, channels.h_f, incident);
+  const std::size_t wake_window = std::min<std::size_t>(
+      (ex_cfg.wake_bits + 4) * samples_per_us, incident.size());
+  const auto wake = tag::detect_wake(
+      std::span<const cplx>(incident).first(wake_window), ex.wake_preamble,
+      channel::incident_power_at_tag_dbm(sc.budget, sc.tag_distance_m));
+  EXPECT_TRUE(wake.woke);
+  const std::size_t jitter =
+      sc.tag_jitter_samples > 0 ? gen.uniform_int(sc.tag_jitter_samples + 1)
+                                : 0;
+  const tag::tag_device device(sc.tag);
+  tag::tag_transmission tag_tx =
+      device.backscatter(gen.random_bits(sc.payload_bits), ex.samples.size(),
+                         wake.preamble_end_sample + jitter);
+  impair::impairment_plan faults = sc.impairments;
+  faults.seed = faults.seed * 0x9e3779b97f4a7c15ULL + sc.seed;
+  faults.apply_to_reflection(tag_tx.reflection, tag_tx.preamble_start,
+                             tag_tx.data_end);
+  channel::apply_channel_into(ex.samples, channels.h_env, rx);
+  dsp::hadamard_into(incident, tag_tx.reflection, reflected);
+  channel::apply_channel_into(reflected, channels.h_b, backscatter);
+  dsp::add_in_place(rx, backscatter);
+  channel::add_awgn(rx, channels.noise_power, gen);
+  faults.apply_at_antenna(rx);
+  return rx;
+}
+
+scenario_config trial_case(std::uint64_t seed) {
+  scenario_config cfg;
+  cfg.excitation.ppdu_bytes = 1500;
+  cfg.payload_bits = 400;
+  cfg.tag.rate = {tag::tag_modulation::qpsk, phy::code_rate::half, 2e6};
+  cfg.tag_distance_m = 1.5;
+  cfg.seed = seed;
+  return cfg;
+}
+
+// Runs the trial on an explicit workspace and returns its capture after
+// checking it against the reference.
+cvec expect_same_trial_capture(const scenario_config& cfg,
+                               const std::string& what) {
+  trial_workspace ws;
+  const trial_result r = run_backscatter_trial(cfg, ws);
+  EXPECT_TRUE(r.woke) << what;
+  EXPECT_EQ(r.payload_symbols,
+            tag::tag_device(cfg.tag).payload_symbols(cfg.payload_bits))
+      << what;
+  EXPECT_TRUE(same_samples(ws.rx, reference_trial_capture(cfg))) << what;
+  return ws.rx;
+}
+
+TEST(Synthesis, TrialCaptureMatchesFullRangeReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    scenario_config cfg = trial_case(seed);
+    ASSERT_GT(cfg.tag_jitter_samples, 0u);
+    expect_same_trial_capture(cfg, "seed " + std::to_string(seed));
+    cfg.tag_jitter_samples = 0;
+    expect_same_trial_capture(cfg, "no jitter, seed " + std::to_string(seed));
+  }
+
+  // Reflection faults (oscillator jitter, brownout), then antenna faults
+  // (interferer, saturation bursts) on top; each layer changes the capture.
+  scenario_config faulty = trial_case(5);
+  const cvec clean = expect_same_trial_capture(faulty, "clean");
+  faulty.impairments.tag_jitter =
+      impair::plan_for(impair::fault_class::tag_oscillator_jitter, 0.5, 0)
+          .tag_jitter;
+  faulty.impairments.brownout =
+      impair::plan_for(impair::fault_class::tag_brownout, 1.0, 0).brownout;
+  const cvec reflection = expect_same_trial_capture(faulty, "reflection");
+  EXPECT_FALSE(same_samples(reflection, clean));
+  faulty.impairments.interferer =
+      impair::plan_for(impair::fault_class::wifi_interferer, 1.0, 0).interferer;
+  faulty.impairments.saturation =
+      impair::plan_for(impair::fault_class::adc_saturation_bursts, 1.0, 0)
+          .saturation;
+  EXPECT_FALSE(same_samples(expect_same_trial_capture(faulty, "both"),
+                            reflection));
 }
 
 }  // namespace
