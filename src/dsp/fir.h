@@ -35,6 +35,10 @@ void convolve_same_range_into(std::span<const cplx> x, std::span<const cplx> h,
 void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,
                         cvec& out);
 
+/// As above, into a span of exactly len(x) (else std::invalid_argument).
+void convolve_same_into(std::span<const cplx> x, std::span<const cplx> h,
+                        std::span<cplx> out);
+
 /// Fused cancellation: out[j] = rx[j] - convolve(x, h)[j] for
 /// j < min(len(rx), len(x)), and out[j] = rx[j] beyond (matching a
 /// subtract over the overlapping prefix). Bit-identical to materializing

@@ -109,9 +109,15 @@ class replay_cache {
     if (missed < max_bytes_) return true;
     const std::size_t h = Hash{}(key);
     std::lock_guard lock(ring_mutex_);
+    // No early exit, so -O3 vectorises the scan; d | -d has bit 63 set
+    // iff d != 0 (SSE2 has no 64-bit lane compare).
     const std::size_t filled = std::min(ring_count_, refused_ring_.size());
-    for (std::size_t i = 0; i < filled; ++i)
-      if (refused_ring_[i] == h) return true;
+    std::uint64_t none = 1;
+    for (std::size_t i = 0; i < filled; ++i) {
+      const std::uint64_t d = refused_ring_[i] ^ h;
+      none &= (d | (0 - d)) >> 63;
+    }
+    if (!none) return true;
     refused_ring_[ring_count_ % refused_ring_.size()] = h;
     ++ring_count_;
     refused_.fetch_add(1, std::memory_order_relaxed);

@@ -12,7 +12,6 @@
 #include "phy/constellation.h"
 #include "reader/stream_session.h"
 #include "sim/synthesis.h"
-#include "tag/wake_detector.h"
 
 namespace backfi::sim {
 
@@ -128,13 +127,9 @@ double oracle_post_mrc_snr_db(std::span<const cplx> x,
                                    data_end, yhat);
 }
 
-trial_workspace& local_trial_workspace() {
-  thread_local trial_workspace workspace;
-  return workspace;
-}
-
 trial_result run_backscatter_trial(const scenario_config& config) {
-  return run_backscatter_trial(config, local_trial_workspace());
+  thread_local trial_workspace workspace;
+  return run_backscatter_trial(config, workspace);
 }
 
 trial_result run_backscatter_trial(const scenario_config& config,
@@ -145,64 +140,30 @@ trial_result run_backscatter_trial(const scenario_config& config,
   obs::count(c, obs::probe::trials);
   dsp::rng gen(config.seed);
 
-  // --- Excitation and channels ---
-  reader::excitation_config ex_cfg = config.excitation;
-  ex_cfg.tag_id = config.tag.id;
-  ex_cfg.payload_seed = gen.next_u64();
-  reader::build_excitation_into(ex_cfg, ws.ex);
-  const reader::excitation& ex = ws.ex;
-
+  // --- Synthesis (the draw-order contract of sim/synthesis.h) ---
+  const std::uint64_t payload_seed = gen.next_u64();
   const auto channels =
       channel::draw_backscatter_channels(config.budget, config.tag_distance_m, gen);
-
-  // --- Tag side: wake detection on the incident signal ---
-  // Only the wake window of h_f * x is built here; add_backscatter builds
-  // the tag's support (sim/synthesis.h).
-  const std::span<const cplx> incident = wake_incident(
-      ex.samples, channels.h_f, ex_cfg.wake_bits, ws.synth);
-  const double incident_dbm =
-      channel::incident_power_at_tag_dbm(config.budget, config.tag_distance_m);
-  const auto wake = tag::detect_wake(incident, ex.wake_preamble, incident_dbm);
-  result.woke = wake.woke;
-  if (!wake.woke) {
-    report_replay_cache_gauges(c);
-    return result;
-  }
-  obs::count(c, obs::probe::trials_woke);
-
-  const std::size_t jitter =
-      config.tag_jitter_samples > 0
-          ? gen.uniform_int(config.tag_jitter_samples + 1)
-          : 0;
-  const std::size_t tag_origin = wake.preamble_end_sample + jitter;
-
   // Per-trial impairment stream: re-mix the plan seed with the trial seed
   // so campaign sweeps draw independent burst/jitter realizations.
   impair::impairment_plan faults = config.impairments;
   faults.seed = faults.seed * 0x9e3779b97f4a7c15ULL + config.seed;
+  ws.rx.resize(reader::excitation_length(config.excitation));
+  synthesize_packet(config, payload_seed, channels, /*theta_rad=*/0.0,
+                    faults, /*offset=*/0, ws.rx, gen, ws.packet);
+  report_replay_cache_gauges(c);  // the synthesis is their last user
+  const reader::excitation& ex = ws.packet.ex;
+  const tag::tag_transmission& tag_tx = ws.packet.tag_tx;
 
-  // --- Tag backscatter ---
-  const phy::bitvec payload = gen.random_bits(config.payload_bits);
-  const tag::tag_device device(config.tag);
-  device.backscatter_into(payload, ex.samples.size(), tag_origin, ws.tag_tx);
-  tag::tag_transmission& tag_tx = ws.tag_tx;
+  result.woke = ws.packet.wake.woke;
+  if (!result.woke) return result;
+  obs::count(c, obs::probe::trials_woke);
   result.payload_symbols = tag_tx.n_payload_symbols;
   result.tag_energy_pj = tag_tx.energy_pj;
   obs::observe(c, obs::probe::tag_energy_pj, result.tag_energy_pj);
-  if (tag_tx.n_payload_symbols < device.payload_symbols(config.payload_bits)) {
-    report_replay_cache_gauges(c);
+  if (tag_tx.n_payload_symbols <
+      tag::tag_device(config.tag).payload_symbols(config.payload_bits))
     return result;  // excitation too short for the payload
-  }
-  faults.apply_to_reflection(tag_tx.reflection, tag_tx.preamble_start,
-                             tag_tx.data_end);
-
-  // --- Received signal at the reader ---
-  channel::apply_channel_into(ex.samples, channels.h_env, ws.rx);
-  cvec& rx = ws.rx;
-  add_backscatter(ex.samples, channels.h_f, channels.h_b, tag_tx,
-                  /*theta_rad=*/0.0, rx, ws.synth);
-  channel::add_awgn(rx, channels.noise_power, gen);
-  faults.apply_at_antenna(rx);
 
   // --- Self-interference cancellation over the silent window ---
   // The reader adapts over its nominal silent window: the tag stays silent
@@ -210,10 +171,6 @@ trial_result run_backscatter_trial(const scenario_config& config,
   // guaranteed backscatter-free. This is the first 16 us of the PPDU.
   // Front-end (downconverter) faults are injected inside the chain, between
   // the analog canceller and the ADC — their physical location.
-  const std::size_t silent_end =
-      tag::frame_layout(config.tag, config.payload_bits, ex.wake_end)
-          .value()
-          .preamble_start;
   fd::receive_chain_config chain_cfg = config.chain;
   chain_cfg.collector = c;
   if (faults.any_front_end()) {
@@ -235,13 +192,8 @@ trial_result run_backscatter_trial(const scenario_config& config,
       faults.apply_post_cancellation(tx, cleaned, window_end);
     };
   }
-  const reader::stream_packet packet{.begin = 0,
-                                     .end = rx.size(),
-                                     .wake_end = ex.wake_end,
-                                     .silent_end = silent_end,
-                                     .payload_bits = config.payload_bits};
   const fd::receive_chain_result chain =
-      reader::cancel_packet(ex.samples, rx, packet, decoder,
+      reader::cancel_packet(ex.samples, ws.rx, ws.packet.schedule, decoder,
                             /*restrict_to_roi=*/true, post_cancel, chain_cfg,
                             ws.chain);
   result.cancellation_bypassed = chain.cancellation_bypassed;
@@ -268,7 +220,8 @@ trial_result run_backscatter_trial(const scenario_config& config,
   if (result.decoded) obs::count(c, obs::probe::trials_decoded);
   if (result.crc_ok) obs::count(c, obs::probe::trials_crc_ok);
   if (decoded.decoded) {
-    result.bit_errors = phy::hamming_distance(decoded.payload, payload);
+    result.bit_errors =
+        phy::hamming_distance(decoded.payload, ws.packet.payload);
     obs::count(c, obs::probe::bit_errors, result.bit_errors);
   }
 
@@ -308,7 +261,6 @@ trial_result run_backscatter_trial(const scenario_config& config,
                  result.effective_throughput_bps);
   }
 
-  report_replay_cache_gauges(c);
   return result;
 }
 

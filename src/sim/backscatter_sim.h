@@ -96,31 +96,21 @@ struct trial_result {
   double effective_throughput_bps = 0.0;  ///< info bits / data airtime if ok
 };
 
-/// Reusable per-thread buffer arena for run_backscatter_trial: every
-/// capture-length intermediate of the pipeline (excitation, channel
-/// outputs, tag reflection, receive-chain waveforms and canceller taps,
-/// decoder scratch). Once warmed by a trial of the same configuration, the
-/// workspace serves every capture-sized buffer from existing capacity. The
-/// trial still makes a couple of dozen small allocations (the decoder's
-/// per-config tables and returned vectors, the payload draw), and a fresh
-/// seed adds the replay caches' capture-sized inserts; tests/alloc asserts
-/// that no other allocation is as large as the capture.
+/// Reusable per-thread buffers of run_backscatter_trial: the synthesized
+/// packet and its capture, the receive chain's and the decoder's scratch.
+/// Once warmed by a trial of the same configuration, the workspace serves
+/// every capture-sized buffer from existing capacity (tests/alloc).
 struct trial_workspace {
-  reader::excitation ex;
-  synthesis_scratch synth;
+  synthesized_packet packet;
   cvec rx;
-  tag::tag_transmission tag_tx;
   fd::receive_chain_scratch chain;
   reader::decoder_scratch decoder;
   cvec oracle_yhat;
 };
 
-/// The calling thread's lazily created workspace (what the config-only
-/// run_backscatter_trial overload uses).
-trial_workspace& local_trial_workspace();
-
-/// Run one complete backscatter exchange (on the calling thread's
-/// workspace; results are independent of workspace history).
+/// Run one complete backscatter exchange (on a workspace of the calling
+/// thread's; results are independent of workspace history). The capture is
+/// one synthesize_packet call after the channel draw (sim/synthesis.h).
 trial_result run_backscatter_trial(const scenario_config& config);
 
 /// As above with an explicit workspace. Bit-identical to the workspace-free

@@ -25,8 +25,8 @@ namespace backfi::sim {
 struct campaign_config {
   scenario_config link;  ///< shared link/excitation parameters
   /// Operating point both arms start from (the baseline never leaves it).
-  tag::tag_rate_config start_rate = {tag::tag_modulation::qpsk,
-                                     phy::code_rate::half, 2e6};
+  static constexpr tag::tag_rate_config start_rate = {
+      tag::tag_modulation::qpsk, phy::code_rate::half, 2e6};
   double distance_m = 1.5;
   std::size_t opportunities = 40;  ///< polls per arm
   std::size_t payload_bits = 256;

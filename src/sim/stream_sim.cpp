@@ -5,9 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "channel/awgn.h"
 #include "sim/synthesis.h"
-#include "tag/wake_detector.h"
 
 namespace backfi::sim {
 
@@ -41,18 +39,15 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
   dsp::rng gen(sc.seed);
 
   stream_capture cap;
-  const auto channels =
+  auto channels =
       channel::draw_backscatter_channels(sc.budget, sc.tag_distance_m, gen);
-  cvec h_f = channels.h_f;
   // Drift innovations come from the exact distribution h_f was drawn from,
   // so the stream stays statistically the same link at every packet.
   const channel::multipath_profile drift_profile = channel::tag_link_profile(
       channel::one_way_gain_db(sc.budget, sc.tag_distance_m));
   impair::lo_drift_state lo;
 
-  reader::excitation_config ex_cfg = sc.excitation;
-  ex_cfg.tag_id = sc.tag.id;
-  const std::size_t ex_len = reader::excitation_length(ex_cfg);
+  const std::size_t ex_len = reader::excitation_length(sc.excitation);
   const std::size_t gap = config.gap_us * samples_per_us;
   const std::size_t total = config.n_packets * (ex_len + gap);
   cap.x.assign(total, cplx{0.0, 0.0});
@@ -61,65 +56,25 @@ stream_capture build_stream_capture(const stream_scenario_config& config) {
   cap.payloads.resize(config.n_packets);
   cap.woke.assign(config.n_packets, 0);
 
-  const tag::tag_device device(sc.tag);
-  const double incident_dbm =
-      channel::incident_power_at_tag_dbm(sc.budget, sc.tag_distance_m);
-
-  reader::excitation ex;
-  synthesis_scratch synth;
-  cvec si;
-  tag::tag_transmission tag_tx;
-
+  synthesized_packet pkt;
   std::size_t offset = 0;
   for (std::size_t k = 0; k < config.n_packets; ++k, offset += ex_len + gap) {
-    // Per-packet draw order (header contract): payload seed, drift
-    // innovation, LO step, wake jitter, payload bits, noise.
-    ex_cfg.payload_seed = gen.next_u64();
+    // The caller's steps of the draw-order contract (sim/synthesis.h):
+    // payload seed, then the channel step (drift innovation, LO step).
+    const std::uint64_t payload_seed = gen.next_u64();
     if (k > 0)
-      channel::evolve_multipath(h_f, drift_profile, config.forward_drift, gen);
+      channel::evolve_multipath(channels.h_f, drift_profile,
+                                config.forward_drift, gen);
     const double theta = lo.step(config.lo_drift, gen);
-
-    reader::build_excitation_into(ex_cfg, ex);
-    std::copy(ex.samples.begin(), ex.samples.end(), cap.x.begin() + offset);
-
-    const auto wake = tag::detect_wake(
-        wake_incident(ex.samples, h_f, ex_cfg.wake_bits, synth),
-        ex.wake_preamble, incident_dbm);
-
-    // Self-interference rides every packet whether or not the tag answers.
-    channel::apply_channel_into(ex.samples, channels.h_env, si);
-    auto y_pkt = std::span<cplx>(cap.y).subspan(offset, ex_len);
-    std::copy(si.begin(), si.end(), y_pkt.begin());
-
-    if (wake.woke) {
-      cap.woke[k] = 1;
-      const std::size_t jitter =
-          sc.tag_jitter_samples > 0 ? gen.uniform_int(sc.tag_jitter_samples + 1)
-                                    : 0;
-      const std::size_t tag_origin = wake.preamble_end_sample + jitter;
-      cap.payloads[k] = gen.random_bits(sc.payload_bits);
-      device.backscatter_into(cap.payloads[k], ex.samples.size(), tag_origin,
-                              tag_tx);
-      // The walked LO phase rotates only the backscatter component: the
-      // self-interference is generated and received by the same LO.
-      add_backscatter(ex.samples, h_f, channels.h_b, tag_tx, theta, y_pkt,
-                      synth);
-    }
-
-    channel::add_awgn(std::span<cplx>(cap.y).subspan(offset, ex_len + gap),
-                      channels.noise_power, gen);
-
-    const std::size_t wake_end = offset + ex.wake_end;
-    cap.schedule.push_back(reader::stream_packet{
-        .begin = offset,
-        .end = offset + ex_len,
-        .wake_end = wake_end,
-        .silent_end = tag::frame_layout(sc.tag, sc.payload_bits, wake_end)
-                          .value()
-                          .preamble_start,
-        .payload_bits = sc.payload_bits});
+    const auto y = std::span<cplx>(cap.y).subspan(offset, ex_len + gap);
+    synthesize_packet(sc, payload_seed, channels, theta, /*faults=*/{},
+                      offset, y, gen, pkt);
+    std::ranges::copy(pkt.ex.samples, cap.x.begin() + offset);
+    cap.woke[k] = pkt.wake.woke;
+    if (pkt.wake.woke) cap.payloads[k] = std::move(pkt.payload);
+    cap.schedule.push_back(pkt.schedule);
   }
-  cap.final_h_f = std::move(h_f);
+  cap.final_h_f = std::move(channels.h_f);
   cap.final_lo_phase_rad = lo.phase_rad;
   return cap;
 }

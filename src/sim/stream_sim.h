@@ -11,21 +11,10 @@
 // combined channel, which the decoder's per-packet estimation absorbs
 // (that is the point of re-estimating every packet).
 //
-// Seeded synthesis contract (pinned by tests/sim/stream_test.cpp): all
-// randomness comes from one dsp::rng(seed) consumed in packet order. After
-// the initial draw_backscatter_channels, packet k consumes, in order:
-//   1. one next_u64() for the WiFi payload seed,
-//   2. the forward-drift innovation (one draw_multipath realization when
-//      enabled and k > 0, zero draws otherwise — channel/drift.h contract),
-//   3. one gaussian() for the LO phase step (when enabled),
-//   4. one uniform_int() wake-jitter draw (when the tag woke and
-//      tag_jitter_samples > 0),
-//   5. the payload bits,
-//   6. the AWGN over the packet-plus-gap chunk.
-// The capture therefore depends only on (config, seed) — never on how the
-// stream is later chunked or decoded — and the decoded bit-stream is
-// bit-identical at 1 and 2 threads and to the per-packet batch reference
-// on static channels.
+// Seeded synthesis: one synthesize_packet call per packet, in the
+// draw-order contract of sim/synthesis.h, so the capture depends only on
+// (config, seed) and the decoded bit-stream is bit-identical at 1 and 2
+// threads and to the per-packet batch reference on static channels.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +69,7 @@ struct stream_capture {
   double final_lo_phase_rad = 0.0;
 };
 
-/// Synthesize the capture for `config` (see the contract above).
+/// Synthesize the capture for `config` (draw order: sim/synthesis.h).
 stream_capture build_stream_capture(const stream_scenario_config& config);
 
 /// Per-packet decode outcome, in schedule order.

@@ -35,8 +35,8 @@ namespace backfi::sim {
 struct wild_traffic_config {
   scenario_config link;  ///< shared link/excitation parameters
   /// Operating point every arm starts from.
-  tag::tag_rate_config start_rate = {tag::tag_modulation::qpsk,
-                                     phy::code_rate::half, 2e6};
+  static constexpr tag::tag_rate_config start_rate = {
+      tag::tag_modulation::qpsk, phy::code_rate::half, 2e6};
   double distance_m = 1.5;
   std::size_t opportunities = 64;  ///< polls per arm
   /// Code geometry shared by every arm (scheme and seed are overridden
