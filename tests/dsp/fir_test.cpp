@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <stdexcept>
 
 #include "dsp/rng.h"
 #include "dsp/vec_ops.h"
@@ -137,6 +139,20 @@ TEST(FirTest, ConvolveSameIntoMatchesConvolveSame) {
   convolve_same_into(x, h, out);
   ASSERT_EQ(out.size(), full.size());
   for (std::size_t i = 0; i < full.size(); ++i) ASSERT_EQ(out[i], full[i]) << i;
+}
+
+TEST(FirTest, ConvolveSameIntoSpanWritesEverySampleOrThrows) {
+  const cvec x = window_vec(200, 113);
+  const cvec h = window_vec(7, 114);
+  const cvec full = convolve_same(x, h);
+  cvec out(x.size() + 10, cplx{3.0, -4.0});  // dirty; a prefix is the span
+  convolve_same_into(x, h, std::span<cplx>(out).first(x.size()));
+  for (std::size_t i = 0; i < full.size(); ++i) ASSERT_EQ(out[i], full[i]) << i;
+  EXPECT_EQ(out[x.size()], (cplx{3.0, -4.0}));  // past the span: untouched
+  convolve_same_into(x, cvec{}, std::span<cplx>(out).first(x.size()));
+  for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(out[i], cplx{}) << i;
+  EXPECT_THROW(convolve_same_into(x, h, std::span<cplx>(out)),
+               std::invalid_argument);
 }
 
 TEST(FirTest, ConvolveSameSubtractIntoMatchesMaterializedSubtract) {
