@@ -245,6 +245,32 @@ TEST(ChainKernelsTest, TrackerMatchesReferenceOnHostileCaptures) {
   expect_tracker_matches(tiny, 80, whole, "denormal");
 }
 
+// The block count used to be (n + block - 1) / block, which wraps to 0
+// near SIZE_MAX and sent the gain-application pass past an empty centre
+// vector. A block longer than the capture is one block: the same output as
+// a block of n.
+TEST(ChainKernelsTest, HugeGainBlockIsOneBlock) {
+  const std::size_t n = 4000;
+  const tracker_case t = make_tracker_case(n, 14);
+  const std::array<dsp::sample_range, 2> ranges{{{0, 320}, {900, 2101}}};
+  cvec one_block = t.cleaned;
+  cvec one_gain;
+  std::vector<double> one_centre;
+  detail::track_residual_gain(t.digitized, one_block, n, ranges, one_gain,
+                              one_centre);
+  ASSERT_EQ(one_gain.size(), 1u);
+  for (const std::size_t block : {n + 1, SIZE_MAX / 2, SIZE_MAX}) {
+    cvec huge = t.cleaned;
+    cvec gain;
+    std::vector<double> centre;
+    detail::track_residual_gain(t.digitized, huge, block, ranges, gain,
+                                centre);
+    EXPECT_TRUE(same_bits(huge, one_block)) << block;
+    EXPECT_TRUE(same_bits(gain, one_gain)) << block;
+    EXPECT_TRUE(same_bits(centre, one_centre)) << block;
+  }
+}
+
 TEST(ChainKernelsTest, GainBlockCountDoesNotWrap) {
   EXPECT_EQ(detail::gain_block_count(0, 80), 0u);
   EXPECT_EQ(detail::gain_block_count(80, 80), 1u);

@@ -285,9 +285,9 @@ TEST(ReceiveChainTest, FullRangeOutputsPinned) {
 //  - with a front-end hook, the fault campaign's recovery-arm
 //    configuration: the hook keeps every sweep full-range;
 //  - with a roi (no hook) whose union with the silent window is two
-//    disjoint ranges, and an odd gain_block (integer block centres), so
-//    the gain-application pass writes narrower ranges than the sweeps.
-//    Only the readable samples (silent window and roi) are hashed.
+//    disjoint ranges, so the gain-application pass writes narrower ranges
+//    than the sweeps. Only the readable samples (silent window and roi)
+//    are hashed.
 TEST(ReceiveChainTest, HardenedOutputsPinned) {
   struct pinned {
     std::uint64_t cleaned_fnv;
@@ -316,7 +316,6 @@ TEST(ReceiveChainTest, HardenedOutputsPinned) {
       };
     } else {
       cfg.roi = kRoi;
-      cfg.gain_block = 63;
     }
     return cfg;
   };
@@ -330,11 +329,11 @@ TEST(ReceiveChainTest, HardenedOutputsPinned) {
   const pinned want[2][kConfigs] = {
       {{0x8a6a668b90fb63c2ULL, 0x1.1d5787af6cd14p+6, 0x1.9441b2b066d1ap-31,
         false},
-       {0x5d89d38d294d0daaULL, 0x1.79f9a9673f344p+6, 0x1.f41bb0abf165p-39,
+       {0x0c2b3d10dfac2b26ULL, 0x1.79f31c8ae4e94p+6, 0x1.f4d8669d20c76p-39,
         false}},
       {{0x14b9dfd96de9a64bULL, 0x1.3290b8191231fp+6, 0x1.dfad393877de3p-33,
         false},
-       {0x114a11fe47793aafULL, 0x1.7a199621d2e18p+6, 0x1.f3c2e35b71075p-39,
+       {0x6bedb0e5b61476b2ULL, 0x1.7a01affe04dd7p+6, 0x1.f6744749eda72p-39,
         false}},
   };
   for (std::size_t si = 0; si < 2; ++si) {
@@ -350,10 +349,6 @@ TEST(ReceiveChainTest, HardenedOutputsPinned) {
   }
 }
 
-// validate() accepts any non-zero gain_block. The block count used to be
-// (n + block - 1) / block, which wraps to 0 near SIZE_MAX and sent the
-// gain-application pass past an empty centre vector. A block longer than
-// the capture is one block: the same output as gain_block == n.
 // The adc_saturated flag, taken from the analog stage's fused peak, against
 // saturation_scan_range over the whole analog residual at the AGC's full
 // scale. The roi is set, so the quantize sweeps skip most of the capture.
@@ -402,25 +397,6 @@ TEST(ReceiveChainTest, FusedSaturationFlagMatchesFullScan) {
   }
 }
 
-TEST(ReceiveChainTest, HugeGainBlockIsOneBlock) {
-  const chain_scenario s = make_scenario(14);
-  receive_chain_config cfg;
-  cfg.digital.widely_linear = true;
-  cfg.digital.remove_dc = true;
-  cfg.track_residual_gain = true;
-  cfg.gain_block = s.rx.size();
-  const auto one_block = run_chain(s.tx, s.rx, 0, 320, cfg);
-  for (const std::size_t block : {s.rx.size() + 1, SIZE_MAX / 2, SIZE_MAX}) {
-    cfg.gain_block = block;
-    ASSERT_EQ(cfg.validate(), config_error::none);
-    const auto huge = run_chain(s.tx, s.rx, 0, 320, cfg);
-    EXPECT_EQ(fnv1a_bytes(huge.cleaned), fnv1a_bytes(one_block.cleaned))
-        << block;
-    EXPECT_EQ(huge.total_depth_db, one_block.total_depth_db) << block;
-    EXPECT_EQ(huge.residual_power, one_block.residual_power) << block;
-  }
-}
-
 TEST(ReceiveChainValidate, FirstViolationIsTypedAndNamed) {
   EXPECT_EQ(receive_chain_config{}.validate(), config_error::none);
   {
@@ -439,12 +415,6 @@ TEST(ReceiveChainValidate, FirstViolationIsTypedAndNamed) {
     EXPECT_EQ(cfg.validate(), config_error::bad_adc_bits);
     cfg.adc.bits = 48;
     EXPECT_EQ(cfg.validate(), config_error::bad_adc_bits);
-  }
-  {
-    receive_chain_config cfg;
-    cfg.track_residual_gain = true;
-    cfg.gain_block = 0;
-    EXPECT_EQ(cfg.validate(), config_error::zero_gain_block);
   }
   EXPECT_STREQ(to_string(config_error::bad_adc_bits), "bad_adc_bits");
   EXPECT_STREQ(to_string(config_error::none), "none");
