@@ -463,7 +463,7 @@ void bm_stream_packet(benchmark::State& state) {
   const auto x = std::span<const cplx>(cap.x).subspan(
       packet.begin, packet.end - packet.begin);
   const auto run = [&] {
-    reader::cancel_packet(cap.x, cap.y, packet, decoder, true, {}, chain,
+    reader::cancel_packet(cap.x, cap.y, packet, decoder, {}, chain,
                           chain_scratch);
     return decoder.decode(x, chain_scratch.cleaned,
                           packet.wake_end - packet.begin, packet.payload_bits,

@@ -95,10 +95,7 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen) {
   cache.insert(key, std::move(entry), bytes);
 }
 
-noise_cache_stats awgn_cache_stats() {
-  const auto s = noise_cache().stats();
-  return {s.hits, s.misses, s.evictions, s.entries, s.bytes, s.refused};
-}
+noise_cache_stats awgn_cache_stats() { return noise_cache().stats(); }
 
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,
                               double noise_figure_db) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 
+#include "dsp/replay_cache.h"
 #include "dsp/rng.h"
 #include "dsp/types.h"
 
@@ -46,17 +47,9 @@ void add_awgn(std::span<cplx> x, double noise_power, dsp::rng& gen);
 double normalized_noise_power(double tx_power_dbm, double bandwidth_hz,
                               double noise_figure_db);
 
-/// Hit/miss/size counters of the AWGN replay cache (process-wide,
-/// cumulative). Exported as runtime.noise_cache.* gauges by the trial
-/// runner; all-zero when the cache is disabled.
-struct noise_cache_stats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t bytes = 0;
-  std::uint64_t refused = 0;  ///< misses the cache did not admit
-};
+/// Counters of the AWGN replay cache (process-wide, cumulative). Exported
+/// as runtime.noise_cache.* gauges by the trial runner.
+using noise_cache_stats = dsp::replay_cache_stats;
 noise_cache_stats awgn_cache_stats();
 
 }  // namespace backfi::channel

@@ -65,6 +65,17 @@ inline std::size_t cache_budget_bytes(const char* env_name,
   return *mb << 20;
 }
 
+/// A replay_cache's cumulative counters and current size (all zero when the
+/// cache is disabled).
+struct replay_cache_stats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::size_t entries = 0;
+  std::size_t bytes = 0;
+  std::uint64_t refused = 0;  ///< misses admit() turned away
+};
+
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class replay_cache {
  public:
@@ -152,16 +163,7 @@ class replay_cache {
     }
   }
 
-  struct stats_snapshot {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-    std::uint64_t refused = 0;  ///< misses admit() turned away
-  };
-
-  stats_snapshot stats() const {
+  replay_cache_stats stats() const {
     std::shared_lock lock(mutex_);
     return {hits_.load(std::memory_order_relaxed),
             misses_.load(std::memory_order_relaxed),

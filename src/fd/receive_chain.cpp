@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
-#include <string>
 
+#include "dsp/invalid_config.h"
 #include "dsp/vec_ops.h"
 #include "fd/chain_kernels.h"
 #include "obs/collector.h"
@@ -17,7 +17,6 @@ const char* to_string(config_error error) {
     case config_error::zero_analog_taps: return "zero_analog_taps";
     case config_error::zero_digital_taps: return "zero_digital_taps";
     case config_error::bad_adc_bits: return "bad_adc_bits";
-    case config_error::zero_gain_block: return "zero_gain_block";
   }
   return "unknown";
 }
@@ -26,19 +25,13 @@ config_error receive_chain_config::validate() const {
   if (analog.n_taps == 0) return config_error::zero_analog_taps;
   if (digital.n_taps == 0) return config_error::zero_digital_taps;
   if (adc.bits == 0 || adc.bits > 32) return config_error::bad_adc_bits;
-  if (track_residual_gain && gain_block == 0)
-    return config_error::zero_gain_block;
   return config_error::none;
 }
 
 void validate_or_throw(const receive_chain_config& config, const char* where) {
   const config_error error = config.validate();
-  if (error == config_error::none) return;
-  std::string message = where;
-  message += ": invalid receive_chain_config (";
-  message += to_string(error);
-  message += ")";
-  throw std::invalid_argument(message);
+  if (error != config_error::none)
+    dsp::throw_invalid_config(where, "receive_chain_config", to_string(error));
 }
 
 namespace {

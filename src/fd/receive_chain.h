@@ -26,7 +26,6 @@ enum class config_error : std::uint8_t {
   zero_analog_taps,       ///< analog.n_taps == 0
   zero_digital_taps,      ///< digital.n_taps == 0
   bad_adc_bits,           ///< adc.bits outside [1, 32]
-  zero_gain_block,        ///< track_residual_gain with gain_block == 0
 };
 
 /// Display name, e.g. "bad_adc_bits".
@@ -38,7 +37,10 @@ struct receive_chain_config {
   adc_config adc;
   bool enable_analog = true;   ///< failure injection: bypass analog stage
   bool enable_digital = true;  ///< failure injection: bypass digital stage
-  bool enable_adc = true;      ///< ideal (infinite resolution) front end
+  /// False = an ideal (infinite resolution) front end. Kept settable for
+  /// ReceiveChainTest.IdealFrontEndSlightlyBetterThanAdc, which compares
+  /// the ideal front end with the ADC.
+  bool enable_adc = true;
   /// AGC full scale over the analog residual's RMS (agc_full_scale): 12 dB
   /// of crest-factor headroom for the OFDM self-interference residual.
   static constexpr double agc_headroom = 4.0;
@@ -46,12 +48,13 @@ struct receive_chain_config {
   /// the silent window, so any LO rotation (TX/RX reference mismatch,
   /// phase noise) re-grows the 90+ dB self-interference as SI*(e^{j\theta(t)}-1)
   /// over the packet. Tracking re-estimates a complex gain on the summed
-  /// SI model per `gain_block` samples (linearly interpolated between block
-  /// centres) and subtracts it. The backscatter's projection on the model
-  /// is ~SI - 90 dB, so the tracker barely sees it — the scalar analogue
-  /// of hardware residual phase tracking, not a protocol violation.
+  /// SI model per `gain_block` samples (4 us; linearly interpolated between
+  /// block centres) and subtracts it. The backscatter's projection on the
+  /// model is ~SI - 90 dB, so the tracker barely sees it — the scalar
+  /// analogue of hardware residual phase tracking, not a protocol
+  /// violation.
   bool track_residual_gain = false;
-  std::size_t gain_block = 80;
+  static constexpr std::size_t gain_block = 80;
   /// Fault-injection hook for the receive front end, applied between the
   /// analog cancellation stage and the ADC — the physical location of the
   /// downconverter, whose LO/IQ blemishes (CFO, phase noise, IQ imbalance,
@@ -110,10 +113,11 @@ struct receive_chain_result {
   /// `cleaned` is the raw rx, and the depths are zero. Callers must not
   /// trust the cancellation.
   bool cancellation_bypassed = false;
-  /// ROI accounting (meaningful only when config.roi was set): capture
-  /// samples that went through the quantize/cancel sweeps vs. samples
-  /// covered only by the compare-only saturation scan. With the roi unset
-  /// (or forced full-range by a hook) processed equals the capture length.
+  /// ROI accounting (set only when config.roi was set): capture samples
+  /// that went through the quantize/cancel sweeps vs. samples covered only
+  /// by the compare-only saturation scan. With the roi unset both stay
+  /// zero; forced full-range by a hook, processed equals the capture
+  /// length.
   std::size_t roi_samples_processed = 0;
   std::size_t roi_samples_skipped = 0;
 };

@@ -10,14 +10,15 @@ namespace backfi::mac {
 /// bursts; the paper's replayed APs transmit 1-4 ms at a time).
 constexpr std::size_t aggregation_max = 6;
 
+/// Packet payload range [bytes] (TCP-dominated mix).
+constexpr std::size_t min_bytes = 200;
+constexpr std::size_t max_bytes = 1500;
+
 ap_trace generate_loaded_ap_trace(const trace_config& config) {
   if (!(config.target_busy_fraction > 0.0 &&
         config.target_busy_fraction < 1.0))
     throw std::invalid_argument(
         "generate_loaded_ap_trace: target_busy_fraction outside (0, 1)");
-  if (config.min_bytes > config.max_bytes)
-    throw std::invalid_argument(
-        "generate_loaded_ap_trace: min_bytes > max_bytes");
   dsp::rng gen(config.seed);
   ap_trace trace;
   trace.duration_us = config.duration_s * 1e6;
@@ -34,8 +35,7 @@ ap_trace generate_loaded_ap_trace(const trace_config& config) {
     // Contention gap: DIFS + backoff + other stations' packets; sized so
     // the long-run busy fraction hits the target:
     //   busy = airtime / (airtime + gap)  =>  gap = airtime * (1-b)/b.
-    std::size_t bytes = config.min_bytes +
-                        gen.uniform_int(config.max_bytes - config.min_bytes + 1);
+    std::size_t bytes = min_bytes + gen.uniform_int(max_bytes - min_bytes + 1);
     double u = gen.uniform();
     wifi::wifi_rate rate = rates[5];
     for (std::size_t i = 0; i < 6; ++i) {

@@ -34,17 +34,13 @@ struct trace_config {
   /// "heavily loaded"; APs in saturated downlink-dominated networks
   /// typically win 60-95 % of the air.
   double target_busy_fraction = 0.8;
-  /// Packet payload range [bytes] (TCP-dominated mix).
-  std::size_t min_bytes = 200;
-  std::size_t max_bytes = 1500;
   std::uint64_t seed = 1;
 };
 
 /// Generate a synthetic loaded-AP schedule: bursts of 1-6 aggregated
-/// packets with random sizes and rates, separated by contention gaps sized
-/// to hit the busy fraction.
-/// Throws std::invalid_argument for a target_busy_fraction outside (0, 1)
-/// or min_bytes > max_bytes.
+/// packets of 200-1500 bytes (a TCP-dominated mix) at random rates,
+/// separated by contention gaps sized to hit the busy fraction.
+/// Throws std::invalid_argument for a target_busy_fraction outside (0, 1).
 ap_trace generate_loaded_ap_trace(const trace_config& config);
 
 /// Replay parameters: what one backscatter opportunity costs and yields.

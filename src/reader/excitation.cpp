@@ -117,8 +117,7 @@ void build_excitation_into(const excitation_config& config, excitation& out) {
 }
 
 excitation_cache_stats_snapshot excitation_cache_stats() {
-  const auto s = full_cache().stats();
-  return {s.hits, s.misses, s.evictions, s.entries, s.bytes, s.refused};
+  return full_cache().stats();
 }
 
 std::size_t excitation_length(const excitation_config& config) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "dsp/replay_cache.h"
 #include "dsp/types.h"
 #include "phy/bits.h"
 #include "wifi/ppdu.h"
@@ -55,17 +56,10 @@ void build_excitation_into(const excitation_config& config, excitation& out);
 /// Duration [samples] of an excitation with the given parameters.
 std::size_t excitation_length(const excitation_config& config);
 
-/// Hit/miss/size counters of the full-synthesis excitation cache
-/// (process-wide, cumulative). Exported as runtime.excitation_cache.*
-/// gauges by the trial runner; all-zero when the cache is disabled.
-struct excitation_cache_stats_snapshot {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t bytes = 0;
-  std::uint64_t refused = 0;  ///< misses the cache did not admit
-};
+/// Counters of the full-synthesis excitation cache (process-wide,
+/// cumulative). Exported as runtime.excitation_cache.* gauges by the trial
+/// runner.
+using excitation_cache_stats_snapshot = dsp::replay_cache_stats;
 excitation_cache_stats_snapshot excitation_cache_stats();
 
 }  // namespace backfi::reader

@@ -20,7 +20,6 @@ fd::receive_chain_result cancel_packet(std::span<const cplx> x,
                                        std::span<const cplx> y,
                                        const stream_packet& packet,
                                        const backfi_decoder& decoder,
-                                       bool restrict_to_roi,
                                        const post_cancel_fn& hook,
                                        fd::receive_chain_config& chain,
                                        fd::receive_chain_scratch& scratch) {
@@ -29,7 +28,7 @@ fd::receive_chain_result cancel_packet(std::span<const cplx> x,
   const auto yseg = y.subspan(packet.begin, len);
   const std::size_t wake_end = packet.wake_end - packet.begin;
   const std::size_t silent_end = packet.silent_end - packet.begin;
-  if (restrict_to_roi && !hook)
+  if (!hook)
     chain.roi = decoder.read_window_bounds(len, wake_end, packet.payload_bits);
   const fd::receive_chain_result result =
       fd::run_receive_chain(xseg, yseg, wake_end, silent_end, chain, &scratch);
@@ -151,9 +150,8 @@ void stream_session::process_packet(std::size_t index) {
   const stream_packet& p = schedule_[index];
   stream_packet_result& out = results_[index];
   const std::uint64_t t0 = now_ns();
-  out.chain = cancel_packet(x_, y_, p, *decoder_, config_.restrict_to_roi,
-                            config_.post_cancel_hook, config_.chain,
-                            chain_scratch_);
+  out.chain =
+      cancel_packet(x_, y_, p, *decoder_, {}, config_.chain, chain_scratch_);
   worker_stats_.roi_samples_processed += out.chain.roi_samples_processed;
   worker_stats_.roi_samples_skipped += out.chain.roi_samples_skipped;
   const std::uint64_t t1 = now_ns();

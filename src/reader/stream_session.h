@@ -62,8 +62,8 @@ struct stream_packet {
 
 /// Applied to a packet's cleaned segment between cancellation and decode
 /// (arguments: aligned tx segment, cleaned segment, silent-window end
-/// relative to the segment). The simulator injects post-cancellation
-/// faults here.
+/// relative to the segment). The trial injects post-cancellation faults
+/// here through cancel_packet.
 using post_cancel_fn =
     std::function<void(std::span<const cplx>, std::span<cplx>, std::size_t)>;
 
@@ -86,19 +86,17 @@ struct stream_config {
   /// queue depth and therefore in-flight latency.
   std::size_t queue_capacity = 8;
   stream_overflow overflow = stream_overflow::block;
-  /// Post-cancellation hook (see post_cancel_fn); empty = none.
-  post_cancel_fn post_cancel_hook;
-  /// Per-packet region-of-interest shrinking: derive each packet's decoder
-  /// read window (backfi_decoder::read_window_bounds, which covers the
-  /// worst-case retry-widened sync scan) and pass it as the receive
-  /// chain's roi, so cancellation compute scales with the tag packet span
-  /// instead of the captured segment (decoded bits stay bit-identical by
-  /// the roi contract). Automatically disabled when a post_cancel_hook is
-  /// installed — the hook reads/mutates the whole cleaned segment; an
-  /// installed front_end_hook is handled inside the chain (forces the
-  /// full-range sweep) so it needs no session-side gate. Off = every
-  /// packet runs the full-capture chain, byte-for-byte the pre-ROI path.
-  bool restrict_to_roi = true;
+  /// Every packet's receive chain runs over the decoder's read window
+  /// (cancel_packet without a hook), so cancellation compute scales with
+  /// the tag packet span instead of the captured segment; decoded bits are
+  /// those of the full-range chain by the roi contract. An installed
+  /// chain.front_end_hook forces the full-range sweep inside the chain.
+  /// A constant: bench/e2e's replay reads it.
+  static constexpr bool restrict_to_roi = true;
+  /// The stream injects no post-cancellation faults, so the session passes
+  /// no hook. Kept only because bench/e2e's replay reads it; the benchmark
+  /// half of ROADMAP item 7 deletes it.
+  static inline const post_cancel_fn post_cancel_hook{};
   /// Observability sink (nullable), see probe confinement note above. It
   /// receives the chain/decoder probes, the per-stage timing spans and, in
   /// finish(), the session's reader.stream.* / runtime.stream.* metrics.
@@ -116,18 +114,16 @@ struct stream_packet_result {
 /// The reader's per-packet cancellation stage, shared by stream_session and
 /// sim::run_backscatter_trial: runs the receive chain over one packet of
 /// the (x, y) timeline and leaves its cleaned segment (indexed from
-/// packet.begin) in scratch.cleaned, ready for decoder.decode. With
-/// `restrict_to_roi` and no hook, chain.roi is first set to the decoder's
-/// read window for the packet, so cancellation compute scales with the tag
-/// packet span instead of the captured segment; decoded bits are the same
-/// either way (the roi contract). A hook reads and rewrites the whole
-/// cleaned segment, so it keeps the caller's chain.roi and runs after the
-/// chain.
+/// packet.begin) in scratch.cleaned, ready for decoder.decode. Without a
+/// hook, chain.roi is first set to the decoder's read window for the
+/// packet, so cancellation compute scales with the tag packet span instead
+/// of the captured segment; decoded bits are those of the full-range chain
+/// (the roi contract). A hook reads and rewrites the whole cleaned segment,
+/// so it keeps the caller's chain.roi and runs after the chain.
 fd::receive_chain_result cancel_packet(std::span<const cplx> x,
                                        std::span<const cplx> y,
                                        const stream_packet& packet,
                                        const backfi_decoder& decoder,
-                                       bool restrict_to_roi,
                                        const post_cancel_fn& hook,
                                        fd::receive_chain_config& chain,
                                        fd::receive_chain_scratch& scratch);
@@ -148,8 +144,8 @@ struct stream_stats {
   /// block-policy stalls are included.
   double latency_us_max = 0.0;
   double latency_us_total = 0.0;
-  /// ROI accounting summed over the cancelled packets (zeros when ROI
-  /// shrinking was off or no packet carried a usable window).
+  /// ROI accounting summed over the cancelled packets (zeros when no
+  /// packet carried a usable window).
   std::size_t roi_samples_processed = 0;
   std::size_t roi_samples_skipped = 0;
 };

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 #include "channel/awgn.h"
+#include "dsp/invalid_config.h"
 #include "dsp/fir.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
@@ -59,12 +58,8 @@ config_error scenario_config::validate() const {
 
 void validate_or_throw(const scenario_config& config, const char* where) {
   const config_error error = config.validate();
-  if (error == config_error::none) return;
-  std::string message = where;
-  message += ": invalid scenario_config (";
-  message += to_string(error);
-  message += ")";
-  throw std::invalid_argument(message);
+  if (error != config_error::none)
+    dsp::throw_invalid_config(where, "scenario_config", to_string(error));
 }
 
 namespace {
@@ -194,8 +189,7 @@ trial_result run_backscatter_trial(const scenario_config& config,
   }
   const fd::receive_chain_result chain =
       reader::cancel_packet(ex.samples, ws.rx, ws.packet.schedule, decoder,
-                            /*restrict_to_roi=*/true, post_cancel, chain_cfg,
-                            ws.chain);
+                            post_cancel, chain_cfg, ws.chain);
   result.cancellation_bypassed = chain.cancellation_bypassed;
   result.link.analog_depth_db = chain.analog_depth_db;
   result.link.total_depth_db = chain.total_depth_db;

@@ -31,11 +31,8 @@ coexistence_result run_coexistence_trial(const coexistence_config& config) {
   if (config.tag_active) {
     const auto tag_channels = channel::draw_backscatter_channels(
         config.budget, config.ap_tag_distance_m, gen);
-    const double d_tc =
-        config.tag_client_distance_m > 0.0
-            ? config.tag_client_distance_m
-            : std::max(0.25, std::abs(config.ap_client_distance_m -
-                                      config.ap_tag_distance_m));
+    const double d_tc = std::max(
+        0.25, std::abs(config.ap_client_distance_m - config.ap_tag_distance_m));
     const cvec h_tc = channel::draw_one_way_channel(config.budget, d_tc,
                                                     0.0, gen);
 

@@ -20,10 +20,9 @@ struct coexistence_config {
   channel::link_budget budget;
   tag::tag_config tag;
   double ap_client_distance_m = 5.0;
+  /// The tag sits on the AP-client line (worst case for the client): the
+  /// tag-to-client distance is |d_ap_client - d_ap_tag|, floored at 0.25 m.
   double ap_tag_distance_m = 0.25;
-  /// Tag-to-client distance; <= 0 means worst-case collinear placement
-  /// (|d_ap_client - d_ap_tag|, floored at 0.25 m).
-  double tag_client_distance_m = -1.0;
   wifi::wifi_rate rate = wifi::wifi_rate::mbps54;
   std::size_t ppdu_bytes = 1000;
   bool tag_active = true;

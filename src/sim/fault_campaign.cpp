@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <optional>
-#include <stdexcept>
-#include <string>
 
+#include "dsp/invalid_config.h"
 #include "reader/excitation.h"
 #include "obs/collector.h"
 #include "sim/parallel.h"
@@ -19,15 +18,14 @@ namespace {
 // payload override bypasses the scenario's own zero_payload check, zero
 // opportunities would divide goodput by zero, and an empty severity grid
 // silently returns an empty result a plot script then misreads as "no
-// regressions". Same message shape as validate_or_throw.
+// regressions".
 void validate_campaign_or_throw(const campaign_config& config,
                                 const char* where) {
   scenario_config effective = config.link;
   effective.payload_bits = config.payload_bits;
   validate_or_throw(effective, where);
-  const auto fail = [&](const char* what) {
-    throw std::invalid_argument(std::string(where) +
-                                ": invalid campaign_config (" + what + ")");
+  const auto fail = [&](const char* reason) {
+    dsp::throw_invalid_config(where, "campaign_config", reason);
   };
   if (config.opportunities == 0) fail("zero_opportunities");
   if (config.severities.empty()) fail("empty_severities");

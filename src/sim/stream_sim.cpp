@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
+#include "dsp/invalid_config.h"
 #include "sim/synthesis.h"
 
 namespace backfi::sim {
@@ -25,12 +24,9 @@ config_error stream_scenario_config::validate() const {
 void validate_or_throw(const stream_scenario_config& config,
                        const char* where) {
   const config_error error = config.validate();
-  if (error == config_error::none) return;
-  std::string message = where;
-  message += ": invalid stream_scenario_config (";
-  message += to_string(error);
-  message += ")";
-  throw std::invalid_argument(message);
+  if (error != config_error::none)
+    dsp::throw_invalid_config(where, "stream_scenario_config",
+                              to_string(error));
 }
 
 stream_capture build_stream_capture(const stream_scenario_config& config) {

@@ -1,9 +1,8 @@
 #include "sim/wild_traffic.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
+#include "dsp/invalid_config.h"
 #include "dsp/rng.h"
 #include "mac/trace.h"
 #include "obs/collector.h"
@@ -21,9 +20,8 @@ namespace {
 /// Repair symbols granted per send_repair directive.
 constexpr std::size_t repair_chunk = 4;
 
-[[noreturn]] void throw_invalid(const char* what) {
-  throw std::invalid_argument(std::string("run_wild_traffic") +
-                              ": invalid wild_traffic_config (" + what + ")");
+[[noreturn]] void throw_invalid(const char* reason) {
+  dsp::throw_invalid_config("run_wild_traffic", "wild_traffic_config", reason);
 }
 
 std::vector<std::uint8_t> source_block(const phy::erasure_spec& spec,

@@ -4,17 +4,25 @@
 
 namespace backfi::tag {
 
-double downlink_rate_bps(const downlink_config& config) {
-  return 1e6 / static_cast<double>(config.bit_period_us);
+namespace {
+
+// 50 us Manchester bits give the paper's 20 Kbps; the "on" half-bit is sent
+// at the AP's unit transmit reference.
+constexpr std::size_t bit_period_us = 50;
+constexpr std::size_t half = bit_period_us * samples_per_us / 2;
+constexpr double pulse_amplitude = 1.0;
+
+}  // namespace
+
+double downlink_rate_bps() {
+  return 1e6 / static_cast<double>(bit_period_us);
 }
 
-cvec encode_downlink(std::span<const std::uint8_t> bits,
-                     const downlink_config& config) {
-  const std::size_t half = config.bit_period_us * samples_per_us / 2;
+cvec encode_downlink(std::span<const std::uint8_t> bits) {
   cvec out;
   out.reserve(bits.size() * 2 * half);
   for (std::uint8_t bit : bits) {
-    const cplx on{config.pulse_amplitude, 0.0};
+    const cplx on{pulse_amplitude, 0.0};
     const cplx off{0.0, 0.0};
     const cplx first = (bit & 1u) ? on : off;
     const cplx second = (bit & 1u) ? off : on;
@@ -24,9 +32,7 @@ cvec encode_downlink(std::span<const std::uint8_t> bits,
   return out;
 }
 
-phy::bitvec decode_downlink(std::span<const cplx> samples,
-                            const downlink_config& config) {
-  const std::size_t half = config.bit_period_us * samples_per_us / 2;
+phy::bitvec decode_downlink(std::span<const cplx> samples) {
   const std::size_t n_bits = samples.size() / (2 * half);
   phy::bitvec bits(n_bits);
   for (std::size_t b = 0; b < n_bits; ++b) {

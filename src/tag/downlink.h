@@ -16,26 +16,18 @@
 
 namespace backfi::tag {
 
-struct downlink_config {
-  /// Bit period [us]; 50 us Manchester bits = 20 Kbps as in the paper.
-  std::size_t bit_period_us = 50;
-  /// Transmit amplitude of the "on" half-bit (relative to the AP's unit
-  /// transmit reference).
-  double pulse_amplitude = 1.0;
-};
-
-/// Information rate of the downlink [bit/s].
-double downlink_rate_bps(const downlink_config& config = {});
+/// Information rate of the downlink [bit/s]: 50 us Manchester bits, the
+/// paper's 20 Kbps.
+double downlink_rate_bps();
 
 /// Encode bits as a Manchester OOK waveform: bit 1 = on->off,
-/// bit 0 = off->on, each half lasting bit_period/2.
-cvec encode_downlink(std::span<const std::uint8_t> bits,
-                     const downlink_config& config = {});
+/// bit 0 = off->on, each half lasting 25 us. The "on" half has the AP's
+/// unit transmit amplitude.
+cvec encode_downlink(std::span<const std::uint8_t> bits);
 
 /// Decode a downlink waveform observed at the tag's antenna (any constant
 /// channel scaling): envelope per half-bit, compare the two halves.
 /// Returns as many bits as complete bit periods in `samples`.
-phy::bitvec decode_downlink(std::span<const cplx> samples,
-                            const downlink_config& config = {});
+phy::bitvec decode_downlink(std::span<const cplx> samples);
 
 }  // namespace backfi::tag

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
+#include "dsp/invalid_config.h"
 #include "phy/constellation.h"
 #include "phy/crc32.h"
 #include "phy/prbs.h"
@@ -56,8 +56,7 @@ config_error tag_config::validate() const {
 void validate_or_throw(const tag_config& config, const char* where) {
   const config_error error = config.validate();
   if (error != config_error::none)
-    throw std::invalid_argument(std::string(where) + ": invalid tag_config (" +
-                                to_string(error) + ")");
+    dsp::throw_invalid_config(where, "tag_config", to_string(error));
 }
 
 std::optional<frame> frame_layout(const tag_config& config,

@@ -9,12 +9,13 @@ namespace backfi::tag {
 
 wake_result detect_wake(std::span<const cplx> samples,
                         std::span<const std::uint8_t> preamble,
-                        double incident_power_dbm,
-                        const wake_detector_config& config) {
+                        double incident_power_dbm) {
   // Minimum detectable input power (the cited designs span -41 [40] to
-  // -56 [18]) and the set-threshold circuit's fraction of the held peak.
+  // -56 [18]), the set-threshold circuit's fraction of the held peak, and
+  // the mismatches the correlator tolerates at an alignment.
   constexpr double sensitivity_dbm = -50.0;
   constexpr double threshold_fraction = 0.5;
+  constexpr std::size_t max_bit_errors = 1;
   wake_result result;
   if (incident_power_dbm < sensitivity_dbm) return result;
   if (preamble.empty()) return result;
@@ -40,12 +41,11 @@ wake_result detect_wake(std::span<const cplx> samples,
       peak = std::max(peak, envelope[start + k]);
     const double threshold = peak * threshold_fraction;
     std::size_t errors = 0;
-    for (std::size_t k = 0; k < preamble.size() && errors <= config.max_bit_errors;
-         ++k) {
+    for (std::size_t k = 0; k < preamble.size() && errors <= max_bit_errors; ++k) {
       const std::uint8_t bit = envelope[start + k] > threshold ? 1 : 0;
       errors += (bit != (preamble[k] & 1u)) ? 1 : 0;
     }
-    if (errors <= config.max_bit_errors) {
+    if (errors <= max_bit_errors) {
       result.woke = true;
       result.bit_errors = errors;
       result.preamble_end_sample = (start + preamble.size()) * samples_per_wake_bit;

@@ -26,10 +26,6 @@ constexpr std::size_t wake_window_samples(std::size_t wake_bits) {
   return (wake_bits + 4) * samples_per_wake_bit;
 }
 
-struct wake_detector_config {
-  std::size_t max_bit_errors = 1;   ///< tolerated mismatches in the correlator
-};
-
 struct wake_result {
   bool woke = false;
   /// Sample index (within the examined span) of the end of the preamble —
@@ -41,12 +37,12 @@ struct wake_result {
 /// Run the envelope/comparator pipeline over incident samples and search
 /// for the tag's wake preamble. `incident_power_dbm` is the average RF
 /// power at the tag while the reader pulses "on": below the detector's
-/// -50 dBm sensitivity the tag never wakes. Samples are complex baseband
+/// -50 dBm sensitivity the tag never wakes. The correlator tolerates one
+/// mismatched bit per alignment. Samples are complex baseband
 /// at the tag's antenna, normalized like everything else to the reader's
 /// transmit reference.
 wake_result detect_wake(std::span<const cplx> samples,
                         std::span<const std::uint8_t> preamble,
-                        double incident_power_dbm,
-                        const wake_detector_config& config = {});
+                        double incident_power_dbm);
 
 }  // namespace backfi::tag

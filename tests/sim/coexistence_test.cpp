@@ -127,8 +127,7 @@ TEST(CoexistenceTest, DistanceForClientSnrInvertsLinkBudget) {
 TEST(CoexistenceTest, WorstCaseCollinearTagClientDistance) {
   coexistence_config cfg = base_config();
   cfg.ap_client_distance_m = 5.0;
-  cfg.ap_tag_distance_m = 0.25;
-  cfg.tag_client_distance_m = -1.0;  // auto: |5 - 0.25| = 4.75
+  cfg.ap_tag_distance_m = 0.25;  // tag-to-client |5 - 0.25| = 4.75
   // Just exercise the path; the trial must complete.
   const auto r = run_coexistence_trial(cfg);
   EXPECT_GE(r.client_snr_db, 0.0);

@@ -4,10 +4,12 @@
 // adaptation, depths, residual power, the saturation flag, every in-union
 // sample, the decoded bit-stream — is bit-identical to the full sweep.
 // These tests pin the equivalence at the chain level (window shapes around
-// the decoder span), at the session level (ROI on vs off, including a
-// retry-widened sync under a tight ROI), on the streaming 32-packet drift
-// capture vs the full-capture batch reference, and across 1/2/4/8-thread
-// Monte-Carlo pools (PER + deterministic telemetry digest).
+// the decoder span), at the session level (the session against a
+// full-range per-packet loop, including a retry-widened sync under a tight
+// ROI), on the streaming 32-packet drift capture vs the full-capture batch
+// reference, and across 1/2/4/8-thread Monte-Carlo pools (PER +
+// deterministic telemetry digest). cancel_packet's roi/hook rule, which
+// both the session and the trial rely on, is tested directly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -257,7 +259,7 @@ TEST(RoiDecoderTest, ReadWindowWidensWithRetryScheduleAndNeverLeaksCapture) {
   EXPECT_LE(wb.end, capture_len);
 }
 
-// --- Session-level equivalence: ROI on vs off ---
+// --- Session-level equivalence: the session against the full range ---
 
 stream_scenario_config fast_stream_scenario(std::uint64_t seed,
                                             std::size_t n_packets = 4) {
@@ -272,23 +274,48 @@ stream_scenario_config fast_stream_scenario(std::uint64_t seed,
   return cfg;
 }
 
-reader::stream_config session_config(const stream_scenario_config& cfg,
-                                     bool restrict_to_roi) {
+reader::stream_config session_config(const stream_scenario_config& cfg) {
   reader::stream_config scfg;
   scfg.tag = cfg.scenario.tag;
   scfg.decoder = cfg.scenario.decoder;
   scfg.chain = cfg.scenario.chain;
-  scfg.restrict_to_roi = restrict_to_roi;
   return scfg;
 }
 
-void expect_packets_bit_identical(const reader::stream_session& roi_on,
-                                  const reader::stream_session& roi_off,
-                                  const char* what) {
-  ASSERT_EQ(roi_on.results().size(), roi_off.results().size()) << what;
-  for (std::size_t i = 0; i < roi_on.results().size(); ++i) {
-    const reader::stream_packet_result& a = roi_on.results()[i];
-    const reader::stream_packet_result& b = roi_off.results()[i];
+/// run_stream_batch_reference's per-packet body over `schedule`: the
+/// receive chain with an empty roi (the full capture), then decode.
+std::vector<reader::stream_packet_result> full_range_reference(
+    const stream_capture& cap, std::span<const reader::stream_packet> schedule,
+    const reader::stream_config& scfg) {
+  const reader::backfi_decoder decoder(scfg.tag, scfg.decoder);
+  const fd::receive_chain_config& chain = scfg.chain;
+  fd::receive_chain_scratch chain_scratch;
+  reader::decoder_scratch decode_scratch;
+  std::vector<reader::stream_packet_result> results(schedule.size());
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const reader::stream_packet& p = schedule[i];
+    const std::size_t len = p.end - p.begin;
+    const auto xseg = std::span<const cplx>(cap.x).subspan(p.begin, len);
+    const auto yseg = std::span<const cplx>(cap.y).subspan(p.begin, len);
+    results[i].index = i;
+    results[i].chain =
+        fd::run_receive_chain(xseg, yseg, p.wake_end - p.begin,
+                              p.silent_end - p.begin, chain, &chain_scratch);
+    results[i].decoded =
+        decoder.decode(xseg, chain_scratch.cleaned, p.wake_end - p.begin,
+                       p.payload_bits, &decode_scratch);
+  }
+  return results;
+}
+
+void expect_packets_bit_identical(
+    const std::vector<reader::stream_packet_result>& session,
+    const std::vector<reader::stream_packet_result>& full_range,
+    const char* what) {
+  ASSERT_EQ(session.size(), full_range.size()) << what;
+  for (std::size_t i = 0; i < session.size(); ++i) {
+    const reader::stream_packet_result& a = session[i];
+    const reader::stream_packet_result& b = full_range[i];
     EXPECT_EQ(a.chain.analog_depth_db, b.chain.analog_depth_db)
         << what << " packet " << i;
     EXPECT_EQ(a.chain.total_depth_db, b.chain.total_depth_db)
@@ -311,6 +338,8 @@ void expect_packets_bit_identical(const reader::stream_session& roi_on,
     EXPECT_EQ(a.decoded.post_mrc_snr_db, b.decoded.post_mrc_snr_db)
         << what << " packet " << i;
     EXPECT_EQ(a.decoded.evm_rms, b.decoded.evm_rms) << what << " packet " << i;
+    // The reference really ran the full range: an unset roi reports none.
+    EXPECT_EQ(b.chain.roi_samples_processed, 0u) << what << " packet " << i;
   }
 }
 
@@ -320,39 +349,74 @@ TEST(RoiEquivalenceTest, SessionRoiOnMatchesRoiOffBitExact) {
     cfg.forward_drift.coherence_packets = 8.0;
     cfg.lo_drift.step_std_rad = 0.05;
     const stream_capture cap = build_stream_capture(cfg);
+    reader::stream_config scfg = session_config(cfg);
+    const auto reference = full_range_reference(cap, cap.schedule, scfg);
     for (const std::size_t threads : {1u, 2u}) {
-      reader::stream_config on = session_config(cfg, true);
-      reader::stream_config off = session_config(cfg, false);
-      on.threads = threads;
-      off.threads = threads;
-      reader::stream_session roi_on(cap.x, cap.y, cap.schedule, on);
-      reader::stream_session roi_off(cap.x, cap.y, cap.schedule, off);
-      roi_on.finish();
-      roi_off.finish();
+      scfg.threads = threads;
+      reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
+      session.finish();
       const std::string what =
           "seed " + std::to_string(seed) + " threads " + std::to_string(threads);
-      expect_packets_bit_identical(roi_on, roi_off, what.c_str());
-      // ROI-on actually skipped work; ROI-off reports none.
-      EXPECT_GT(roi_on.stats().roi_samples_skipped, 0u) << what;
-      EXPECT_GT(roi_on.stats().roi_samples_processed, 0u) << what;
-      EXPECT_EQ(roi_off.stats().roi_samples_processed, 0u) << what;
-      EXPECT_EQ(roi_off.stats().roi_samples_skipped, 0u) << what;
+      expect_packets_bit_identical(session.results(), reference, what.c_str());
+      // The session actually skipped work.
+      EXPECT_GT(session.stats().roi_samples_skipped, 0u) << what;
+      EXPECT_GT(session.stats().roi_samples_processed, 0u) << what;
     }
   }
 }
 
-TEST(RoiEquivalenceTest, PostCancelHookDisablesSessionRoi) {
+// cancel_packet's rule, shared by the session (no hook) and the trial (a
+// hook when the plan has post-cancellation faults): without a hook the
+// chain runs over the decoder's read window; a hook keeps the caller's
+// roi and sees the whole cleaned segment after the chain.
+TEST(CancelPacketTest, RoiIsTheReadWindowUnlessAHookRewritesTheSegment) {
   const stream_scenario_config cfg = fast_stream_scenario(3, 2);
   const stream_capture cap = build_stream_capture(cfg);
-  reader::stream_config scfg = session_config(cfg, true);
-  scfg.post_cancel_hook = [](std::span<const cplx>, std::span<cplx>,
-                             std::size_t) {};
-  reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
-  session.finish();
-  // The hook reads/mutates the whole cleaned segment, so the session must
-  // fall back to the full-capture chain even with restrict_to_roi set.
-  EXPECT_EQ(session.stats().roi_samples_processed, 0u);
-  EXPECT_EQ(session.stats().roi_samples_skipped, 0u);
+  // The second packet: relative and absolute indices differ.
+  const reader::stream_packet& p = cap.schedule[1];
+  ASSERT_GT(p.begin, 0u);
+  const std::size_t len = p.end - p.begin;
+  const reader::backfi_decoder decoder(cfg.scenario.tag, cfg.scenario.decoder);
+  const dsp::sample_range window =
+      decoder.read_window_bounds(len, p.wake_end - p.begin, p.payload_bits);
+  ASSERT_FALSE(window.empty());
+  const dsp::sample_range caller_roi{p.silent_end - p.begin, len - 7};
+  fd::receive_chain_scratch scratch;
+
+  fd::receive_chain_config chain = cfg.scenario.chain;
+  chain.roi = caller_roi;
+  const fd::receive_chain_result no_hook =
+      reader::cancel_packet(cap.x, cap.y, p, decoder, {}, chain, scratch);
+  EXPECT_EQ(chain.roi.begin, window.begin);
+  EXPECT_EQ(chain.roi.end, window.end);
+  EXPECT_GT(no_hook.roi_samples_skipped, 0u);
+
+  chain = cfg.scenario.chain;
+  chain.roi = caller_roi;
+  std::size_t calls = 0;
+  const reader::post_cancel_fn hook = [&](std::span<const cplx> tx,
+                                          std::span<cplx> cleaned,
+                                          std::size_t silent_end) {
+    ++calls;
+    EXPECT_EQ(tx.data(), cap.x.data() + p.begin);
+    EXPECT_EQ(tx.size(), len);
+    EXPECT_EQ(cleaned.data(), scratch.cleaned.data());
+    EXPECT_EQ(cleaned.size(), len);
+    EXPECT_EQ(silent_end, p.silent_end - p.begin);
+    cleaned.front() = cplx{123.0, 0.0};
+    cleaned.back() = cplx{0.0, -45.0};
+  };
+  const fd::receive_chain_result with_hook =
+      reader::cancel_packet(cap.x, cap.y, p, decoder, hook, chain, scratch);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(chain.roi.begin, caller_roi.begin);
+  EXPECT_EQ(chain.roi.end, caller_roi.end);
+  // The chain swept the silent window and the caller's roi, which touch,
+  // and the hook ran after it.
+  EXPECT_EQ(with_hook.roi_samples_processed,
+            caller_roi.end - (p.wake_end - p.begin));
+  EXPECT_EQ(scratch.cleaned.front(), (cplx{123.0, 0.0}));
+  EXPECT_EQ(scratch.cleaned.back(), (cplx{0.0, -45.0}));
 }
 
 // Satellite: force the decoder through a widened retry (sync_attempts > 1)
@@ -376,23 +440,26 @@ TEST(RoiRetryTest, RetryWidenedSyncBitIdenticalUnderTightRoi) {
   shifted[0].wake_end -= delta;
   shifted[0].silent_end -= delta;
 
-  reader::stream_config on = session_config(cfg, true);
-  reader::stream_config off = session_config(cfg, false);
-  reader::stream_session roi_on(cap.x, cap.y, shifted, on);
-  reader::stream_session roi_off(cap.x, cap.y, shifted, off);
-  roi_on.finish();
-  roi_off.finish();
+  const reader::stream_config scfg = session_config(cfg);
+  const auto reference = full_range_reference(cap, shifted, scfg);
+  for (const std::size_t threads : {1u, 2u}) {
+    reader::stream_config threaded = scfg;
+    threaded.threads = threads;
+    reader::stream_session session(cap.x, cap.y, shifted, threaded);
+    session.finish();
+    const std::string what = "threads " + std::to_string(threads);
 
-  const reader::decode_result& decoded = roi_on.results()[0].decoded;
-  ASSERT_TRUE(decoded.sync_found);
-  EXPECT_GT(decoded.sync_attempts, 1u);
-  // The recovered offset is the schedule shift plus the tag's own wake
-  // jitter — what matters is that it sits beyond attempt 0's ±24 reach.
-  EXPECT_GE(decoded.timing_offset, delta);
-  EXPECT_TRUE(decoded.crc_ok);
-  ASSERT_EQ(decoded.payload, cap.payloads[0]);
-  expect_packets_bit_identical(roi_on, roi_off, "retry-widened sync");
-  EXPECT_GT(roi_on.stats().roi_samples_skipped, 0u);
+    const reader::decode_result& decoded = session.results()[0].decoded;
+    ASSERT_TRUE(decoded.sync_found) << what;
+    EXPECT_GT(decoded.sync_attempts, 1u) << what;
+    // The recovered offset is the schedule shift plus the tag's own wake
+    // jitter — what matters is that it sits beyond attempt 0's ±24 reach.
+    EXPECT_GE(decoded.timing_offset, delta) << what;
+    EXPECT_TRUE(decoded.crc_ok) << what;
+    ASSERT_EQ(decoded.payload, cap.payloads[0]) << what;
+    expect_packets_bit_identical(session.results(), reference, what.c_str());
+    EXPECT_GT(session.stats().roi_samples_skipped, 0u) << what;
+  }
 }
 
 // Streaming gate: the 32-packet drifting capture through the ROI-shrunk

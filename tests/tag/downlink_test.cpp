@@ -10,8 +10,7 @@ namespace {
 
 TEST(DownlinkTest, RateMatchesPaper) {
   // 50 us bits -> 20 Kbps, the paper's quoted downlink throughput.
-  EXPECT_DOUBLE_EQ(downlink_rate_bps({}), 20e3);
-  EXPECT_DOUBLE_EQ(downlink_rate_bps({.bit_period_us = 100}), 10e3);
+  EXPECT_DOUBLE_EQ(downlink_rate_bps(), 20e3);
 }
 
 TEST(DownlinkTest, CleanRoundTrip) {
@@ -46,7 +45,7 @@ TEST(DownlinkTest, SurvivesChannelScalingAndPhase) {
 TEST(DownlinkTest, SurvivesModerateNoise) {
   dsp::rng gen(3);
   const phy::bitvec bits = gen.random_bits(100);
-  cvec wave = encode_downlink(bits, {.pulse_amplitude = 1.0});
+  cvec wave = encode_downlink(bits);
   channel::add_awgn(wave, 0.05, gen);  // ~13 dB SNR on the "on" halves
   const phy::bitvec decoded = decode_downlink(wave);
   EXPECT_EQ(phy::hamming_distance(decoded, bits), 0u);
