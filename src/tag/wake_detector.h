@@ -38,9 +38,9 @@ struct wake_result {
 /// for the tag's wake preamble. `incident_power_dbm` is the average RF
 /// power at the tag while the reader pulses "on": below the detector's
 /// -50 dBm sensitivity the tag never wakes. The correlator tolerates one
-/// mismatched bit per alignment. Samples are complex baseband
-/// at the tag's antenna, normalized like everything else to the reader's
-/// transmit reference.
+/// mismatched bit per alignment. Samples are complex baseband at the tag's
+/// antenna, normalized like everything else to the reader's transmit
+/// reference.
 wake_result detect_wake(std::span<const cplx> samples,
                         std::span<const std::uint8_t> preamble,
                         double incident_power_dbm);
