@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "channel/awgn.h"
-#include "dsp/invalid_config.h"
 #include "dsp/fir.h"
+#include "dsp/invalid_config.h"
 #include "dsp/math_util.h"
 #include "dsp/vec_ops.h"
 #include "phy/constellation.h"
