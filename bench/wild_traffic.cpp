@@ -1,6 +1,6 @@
 // Wild-traffic sustainability: goodput vs burst duty-cycle for plain
-// packet ARQ vs erasure-coded streams (RS and rateless fountain) when the
-// ambient excitation itself is ON/OFF bursty (GuardRider-style air,
+// packet ARQ vs the systematic-RS coded stream when the ambient
+// excitation itself is ON/OFF bursty (GuardRider-style air,
 // arXiv:1912.06493). Not a paper figure — BackFi's testbed assumed its
 // own excitation; this is the sustainability extension: the coded link
 // must hold >= 50% of its clean-air goodput at a duty cycle where plain
@@ -48,7 +48,7 @@ sim::wild_traffic_config make_config() {
 
 int run_experiment() {
   bench::print_header("Wild-traffic sustainability",
-                      "goodput vs burst duty-cycle: plain ARQ vs RS/fountain");
+                      "goodput vs burst duty-cycle: plain ARQ vs RS");
   bench::telemetry_session telemetry("wild_traffic");
   sim::wild_traffic_config cfg = make_config();
   cfg.link.collector = telemetry.collector();
@@ -61,9 +61,9 @@ int run_experiment() {
   std::printf("%-14s %-6s %-14s %-9s %-9s %-9s %-8s %-9s\n", "scheme", "duty",
               "goodput", "of-clean", "decoded", "abandon", "repair",
               "latency");
-  // Track, per duty cycle, plain's and the best coded scheme's goodput as
-  // a fraction of that scheme's own clean-air (duty 1.0) goodput.
-  std::vector<double> plain_rel(n_duty, 0.0), coded_rel(n_duty, 0.0);
+  // Track, per duty cycle, plain's and RS's goodput as a fraction of that
+  // scheme's own clean-air (duty 1.0) goodput.
+  std::vector<double> plain_rel(n_duty, 0.0), rs_rel(n_duty, 0.0);
   for (std::size_t s = 0; s < cfg.schemes.size(); ++s) {
     const double clean = result.cells[s * n_duty].mean.goodput_bps;
     for (std::size_t d = 0; d < n_duty; ++d) {
@@ -72,8 +72,8 @@ int run_experiment() {
           clean > 0.0 ? cell.mean.goodput_bps / clean : 0.0;
       if (cfg.schemes[s] == phy::erasure_scheme::none)
         plain_rel[d] = rel;
-      else if (rel > coded_rel[d])
-        coded_rel[d] = rel;
+      else
+        rs_rel[d] = rel;
       std::printf("%-14s %-6.2f %-14s %8.1f%% %-9.1f %-9.1f %-8.1f %-9.1f\n",
                   phy::to_string(cell.scheme), cell.duty_cycle,
                   bench::format_throughput(cell.mean.goodput_bps).c_str(),
@@ -84,16 +84,16 @@ int run_experiment() {
     std::printf("\n");
   }
   // The acceptance criterion: some duty cycle where plain ARQ is dead
-  // (< 10% of its clean-air goodput) while a coded scheme still sustains
-  // >= 50% of its own. Reported, not enforced: the smoke grid is too
-  // small to resolve it.
+  // (< 10% of its clean-air goodput) while RS still sustains >= 50% of its
+  // own. Reported, not enforced here (WildTrafficClaim asserts it): the
+  // smoke grid is too small to resolve it.
   bool sustained = false;
   for (std::size_t d = 0; d < n_duty; ++d) {
-    if (plain_rel[d] < 0.10 && coded_rel[d] >= 0.50) {
+    if (plain_rel[d] < 0.10 && rs_rel[d] >= 0.50) {
       std::printf(
-          "# criterion: PASS at duty %.2f — plain %.1f%% of clean, best "
-          "coded %.1f%%\n",
-          cfg.duty_cycles[d], 100.0 * plain_rel[d], 100.0 * coded_rel[d]);
+          "# criterion: PASS at duty %.2f — plain %.1f%% of clean, RS "
+          "%.1f%%\n",
+          cfg.duty_cycles[d], 100.0 * plain_rel[d], 100.0 * rs_rel[d]);
       sustained = true;
       break;
     }
@@ -101,7 +101,7 @@ int run_experiment() {
   if (!sustained)
     std::printf(
         "# criterion: no duty cycle in this grid has plain < 10%% and "
-        "coded >= 50%% of clean air\n");
+        "RS >= 50%% of clean air\n");
   bench::print_paper_reference(
       "no figure — sustainability extension; coded link must hold >= 50% "
       "of clean-air goodput where plain ARQ drops below 10%");

@@ -15,18 +15,22 @@
 
 namespace backfi::channel {
 
-/// RF/link-budget parameters of the reproduction testbed; defaults are
-/// calibrated so the paper's headline points hold (DESIGN.md section 4).
+/// RF/link-budget constants of the reproduction testbed, calibrated so the
+/// paper's headline points hold (DESIGN.md section 4). Nothing sweeps them,
+/// so they are static members: `budget.x` reads the one calibrated value.
 struct link_budget {
-  double tx_power_dbm = 20.0;          ///< WARP-class AP transmit power
-  double tag_antenna_gain_dbi = 3.0;   ///< paper: 3 dB omni at the tag
-  double tag_insertion_loss_db = 8.0;  ///< modulator reflection/insertion loss
-  double path_loss_exponent = 2.85;    ///< cluttered indoor lab
-  double noise_figure_db = 6.0;
-  double bandwidth_hz = 20e6;
-  double circulator_isolation_db = 20.0;  ///< direct TX->RX leakage
-  double env_reflection_db = -45.0;       ///< total environment reflections
-  double frequency_hz = carrier_hz;
+  static constexpr double tx_power_dbm = 20.0;  ///< WARP-class AP power
+  static constexpr double tag_antenna_gain_dbi = 3.0;  ///< paper: 3 dB omni
+  /// Modulator reflection/insertion loss.
+  static constexpr double tag_insertion_loss_db = 8.0;
+  static constexpr double path_loss_exponent = 2.85;  ///< cluttered lab
+  static constexpr double noise_figure_db = 6.0;
+  static constexpr double bandwidth_hz = 20e6;
+  /// Direct TX->RX leakage.
+  static constexpr double circulator_isolation_db = 20.0;
+  /// Total environment reflections.
+  static constexpr double env_reflection_db = -45.0;
+  static constexpr double frequency_hz = carrier_hz;
 };
 
 /// One random realization of all channels for a reader + tag placement.

@@ -72,41 +72,29 @@ void for_each_by_name(probe_kind kind, F&& f) {
 
 std::string to_json(const metrics_registry& registry,
                     const json_options& options) {
-  const char* nl = options.pretty ? "\n" : "";
-  const char* ind = options.pretty ? "  " : "";
-  const char* ind2 = options.pretty ? "    " : "";
-  std::string out;
-  out += "{";
-  out += nl;
-  out += ind;
-  out += "\"backfi_telemetry\": 1,";
-  out += nl;
+  std::string out = "{\n  \"backfi_telemetry\": 1,\n";
 
-  // One object per kind; `close` ends it ("}," or, for the last, "}").
+  // One object per kind, one metric per line; `close` ends it ("}," or,
+  // for the last, "}").
   const auto section = [&](const char* title, probe_kind kind,
                            const char* close, const auto& append_value) {
-    out += ind;
+    out += "  ";
     append_quoted(out, title);
-    out += ": {";
-    out += nl;
+    out += ": {\n";
     bool first = true;
     for_each_by_name(kind, [&](probe p, const char* name) {
       if (!options.include_timings && is_timing(name)) return;
       if (kind == probe_kind::gauge && !registry.gauge_at(p).set) return;
-      if (!first) {
-        out += ",";
-        out += nl;
-      }
+      if (!first) out += ",\n";
       first = false;
-      out += ind2;
+      out += "    ";
       append_quoted(out, name);
       out += ": ";
       append_value(p);
     });
-    out += nl;
-    out += ind;
+    out += "\n  ";
     out += close;
-    out += nl;
+    out += "\n";
   };
   section("counters", probe_kind::counter, "},", [&](probe p) {
     append_u64(out, registry.counter_at(p).value);
@@ -137,8 +125,7 @@ std::string to_json(const metrics_registry& registry,
     }
     out += "]}";
   });
-  out += "}";
-  out += nl;
+  out += "}\n";
   return out;
 }
 

@@ -24,10 +24,10 @@ namespace backfi::obs {
 
 struct json_options {
   bool include_timings = true;  ///< false: drop "timing.*" / "runtime.*" metrics
-  bool pretty = true;           ///< newline/indent per metric
 };
 
-/// Canonical JSON of the registry (metrics in lexicographic name order).
+/// Canonical JSON of the registry (metrics in lexicographic name order),
+/// one metric per line.
 std::string to_json(const metrics_registry& registry,
                     const json_options& options = {});
 

@@ -1,10 +1,7 @@
 #include "phy/erasure_code.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "dsp/rng.h"
 
 namespace backfi::phy {
 
@@ -53,25 +50,12 @@ const char* to_string(erasure_scheme scheme) {
   switch (scheme) {
     case erasure_scheme::none: return "none";
     case erasure_scheme::reed_solomon: return "reed_solomon";
-    case erasure_scheme::fountain: return "fountain";
   }
   return "unknown";
 }
 
 std::size_t erasure_spec::scheduled_symbols() const {
-  switch (scheme) {
-    case erasure_scheme::none:
-      return block_symbols;
-    case erasure_scheme::reed_solomon:
-      return block_symbols + rs_repair_symbols;
-    case erasure_scheme::fountain: {
-      const double scheduled =
-          std::ceil(static_cast<double>(block_symbols) *
-                    (1.0 + std::max(fountain_overhead, 0.0)));
-      return std::max(block_symbols, static_cast<std::size_t>(scheduled));
-    }
-  }
-  return block_symbols;
+  return block_symbols + rs_repair_symbols;
 }
 
 std::size_t erasure_spec::packet_payload_bits() const {
@@ -198,153 +182,6 @@ std::optional<std::vector<std::uint8_t>> rs_decode_block(
     }
   }
   return data;
-}
-
-// --- LT fountain ---------------------------------------------------------
-
-std::vector<double> robust_soliton_pmf(std::size_t k, double c, double delta) {
-  if (k == 0)
-    throw std::invalid_argument("robust_soliton_pmf: k must be positive");
-  if (!(c >= 0.0) || !(delta > 0.0 && delta < 1.0))
-    throw std::invalid_argument(
-        "robust_soliton_pmf: need c >= 0 and delta in (0, 1)");
-  std::vector<double> pmf(k, 0.0);
-  if (k == 1) {
-    pmf[0] = 1.0;
-    return pmf;
-  }
-  // Ideal soliton rho.
-  pmf[0] = 1.0 / static_cast<double>(k);
-  for (std::size_t d = 2; d <= k; ++d)
-    pmf[d - 1] = 1.0 / (static_cast<double>(d) * static_cast<double>(d - 1));
-  // Robust tail tau: spike at k/R, 1/(i*R... ) below it.
-  const double kd = static_cast<double>(k);
-  const double R = std::max(1.0, c * std::log(kd / delta) * std::sqrt(kd));
-  const auto spike = static_cast<std::size_t>(
-      std::clamp(std::floor(kd / R), 1.0, kd));
-  for (std::size_t d = 1; d < spike; ++d)
-    pmf[d - 1] += R / (static_cast<double>(d) * kd);
-  pmf[spike - 1] += R * std::log(R / delta) / kd;
-  double total = 0.0;
-  for (const double p : pmf) total += p;
-  for (double& p : pmf) p /= total;
-  return pmf;
-}
-
-std::vector<std::size_t> lt_neighbors(const erasure_spec& spec,
-                                      std::uint32_t block,
-                                      std::uint32_t esi) {
-  const std::size_t k = spec.block_symbols;
-  if (k == 0)
-    throw std::invalid_argument("lt_neighbors: block_symbols must be positive");
-  if (esi < k) return {esi};  // systematic prefix
-  // All randomness comes from (seed, block, esi): both ends regenerate the
-  // same neighbour set from the packet header alone.
-  dsp::rng gen(spec.seed * 0x9e3779b97f4a7c15ULL +
-               (static_cast<std::uint64_t>(block) * 65536ULL + esi + 1ULL));
-  const std::vector<double> pmf =
-      robust_soliton_pmf(k, spec.soliton_c, spec.soliton_delta);
-  double u = gen.uniform();
-  std::size_t degree = k;
-  for (std::size_t d = 1; d <= k; ++d) {
-    if (u < pmf[d - 1]) {
-      degree = d;
-      break;
-    }
-    u -= pmf[d - 1];
-  }
-  std::vector<std::size_t> neighbors;
-  neighbors.reserve(degree);
-  while (neighbors.size() < degree) {
-    const auto idx = static_cast<std::size_t>(gen.uniform_int(k));
-    if (std::find(neighbors.begin(), neighbors.end(), idx) == neighbors.end())
-      neighbors.push_back(idx);
-  }
-  std::sort(neighbors.begin(), neighbors.end());
-  return neighbors;
-}
-
-std::vector<std::uint8_t> lt_encode_symbol(const erasure_spec& spec,
-                                           std::span<const std::uint8_t> data,
-                                           std::uint32_t block,
-                                           std::uint32_t esi) {
-  const std::size_t k = spec.block_symbols;
-  const std::size_t bytes = spec.symbol_bytes;
-  if (data.size() != k * bytes)
-    throw std::invalid_argument("lt_encode_symbol: data size mismatch");
-  std::vector<std::uint8_t> out(bytes, 0);
-  for (const std::size_t n : lt_neighbors(spec, block, esi)) {
-    const auto row = data.subspan(n * bytes, bytes);
-    for (std::size_t b = 0; b < bytes; ++b) out[b] ^= row[b];
-  }
-  return out;
-}
-
-lt_decoder::lt_decoder(std::size_t k, std::size_t symbol_bytes)
-    : k_(k),
-      symbol_bytes_(symbol_bytes),
-      words_((k + 63) / 64),
-      pivots_(k) {
-  if (k == 0)
-    throw std::invalid_argument("lt_decoder: k must be positive");
-}
-
-bool lt_decoder::mask_bit(const std::vector<std::uint64_t>& mask,
-                          std::size_t i) const {
-  return (mask[i / 64] >> (i % 64)) & 1u;
-}
-
-bool lt_decoder::add_symbol(std::span<const std::size_t> neighbors,
-                            std::span<const std::uint8_t> payload) {
-  if (payload.size() != symbol_bytes_)
-    throw std::invalid_argument("lt_decoder: payload size mismatch");
-  ++received_;
-  row r;
-  r.mask.assign(words_, 0);
-  for (const std::size_t n : neighbors) {
-    if (n >= k_)
-      throw std::invalid_argument("lt_decoder: neighbor index out of range");
-    r.mask[n / 64] |= 1ULL << (n % 64);
-  }
-  r.payload.assign(payload.begin(), payload.end());
-  // Incremental elimination: cancel existing pivots off the new equation;
-  // install it at its lowest remaining index, or absorb it as redundant.
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (!mask_bit(r.mask, i)) continue;
-    if (!pivots_[i]) {
-      pivots_[i] = std::move(r);
-      ++rank_;
-      return complete();
-    }
-    const row& p = *pivots_[i];
-    for (std::size_t w = 0; w < words_; ++w) r.mask[w] ^= p.mask[w];
-    for (std::size_t b = 0; b < symbol_bytes_; ++b)
-      r.payload[b] ^= p.payload[b];
-  }
-  return complete();
-}
-
-std::vector<std::uint8_t> lt_decoder::data() const {
-  if (!complete())
-    throw std::logic_error("lt_decoder::data: block not yet decoded");
-  // Back-substitute on a copy: clear every above-diagonal bit, highest
-  // index first, leaving each pivot row equal to its source symbol.
-  std::vector<row> rows(k_);
-  for (std::size_t i = 0; i < k_; ++i) rows[i] = *pivots_[i];
-  for (std::size_t i = k_; i-- > 0;) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (!mask_bit(rows[j].mask, i)) continue;
-      for (std::size_t w = 0; w < words_; ++w)
-        rows[j].mask[w] ^= rows[i].mask[w];
-      for (std::size_t b = 0; b < symbol_bytes_; ++b)
-        rows[j].payload[b] ^= rows[i].payload[b];
-    }
-  }
-  std::vector<std::uint8_t> out(k_ * symbol_bytes_);
-  for (std::size_t i = 0; i < k_; ++i)
-    std::copy(rows[i].payload.begin(), rows[i].payload.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(i * symbol_bytes_));
-  return out;
 }
 
 }  // namespace backfi::phy

@@ -2,7 +2,7 @@
 //
 // The collector is the receive end of tag::packet_coder: every CRC-clean
 // tag packet is parsed (block id, ESI, symbol payload) and folded into the
-// per-block decoder state; the typed outcome (decoded / pending /
+// per-block RS decoder state; the typed outcome (decoded / pending /
 // unrecoverable) is what mac::link_supervisor's coded ladder consumes —
 // a lost packet is an erasure the code absorbs, not a retransmission
 // trigger. All decoding is deterministic in the arrival order.
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,8 +36,7 @@ struct block_collector_stats {
 
 class block_collector {
  public:
-  /// `spec` must match the tag's coder (same geometry and seed — the
-  /// fountain neighbour sets are regenerated from the packet header).
+  /// `spec` must match the tag's coder (same geometry).
   explicit block_collector(const phy::erasure_spec& spec);
 
   const phy::erasure_spec& spec() const { return spec_; }
@@ -60,16 +58,10 @@ class block_collector {
  private:
   struct block_state {
     phy::block_status status = phy::block_status::pending;
-    std::size_t useful_symbols = 0;
-    // Scheme none / reed_solomon: collected (esi, symbol) pairs.
-    std::vector<std::uint32_t> esis;
+    std::vector<std::uint32_t> esis;  ///< distinct symbols collected
     std::vector<std::vector<std::uint8_t>> symbols;
-    // Scheme fountain: incremental eliminator.
-    std::unique_ptr<phy::lt_decoder> lt;
     std::vector<std::uint8_t> data;
   };
-
-  block_state& state_of(std::uint32_t block);
 
   phy::erasure_spec spec_;
   std::map<std::uint32_t, block_state> blocks_;

@@ -21,7 +21,6 @@ const char* to_string(config_error error) {
     case config_error::bad_distance: return "bad_distance";
     case config_error::bad_symbol_rate: return "bad_symbol_rate";
     case config_error::empty_excitation: return "empty_excitation";
-    case config_error::bad_bandwidth: return "bad_bandwidth";
     case config_error::bad_chain_config: return "bad_chain_config";
     case config_error::zero_stream_packets: return "zero_stream_packets";
     case config_error::bad_stream_threads: return "bad_stream_threads";
@@ -52,7 +51,6 @@ config_error scenario_config::validate() const {
   if (chain.validate() != fd::config_error::none)
     return config_error::bad_chain_config;
   if (excitation.n_ppdus == 0) return config_error::empty_excitation;
-  if (!(budget.bandwidth_hz > 0.0)) return config_error::bad_bandwidth;
   return config_error::none;
 }
 

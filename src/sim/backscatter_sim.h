@@ -30,7 +30,6 @@ enum class config_error : std::uint8_t {
   bad_symbol_rate,        ///< symbol rate outside (0, sample_rate / 2], or
                           ///< not dividing it (tag.validate())
   empty_excitation,       ///< excitation.n_ppdus == 0
-  bad_bandwidth,          ///< budget.bandwidth_hz <= 0
   bad_chain_config,       ///< chain.validate() failed
   // Streaming-scenario constraints (sim/stream_sim.h).
   zero_stream_packets,    ///< stream n_packets == 0
@@ -138,8 +137,8 @@ struct per_options {
   int max_trials = 0;               ///< trial budget per point (required)
   double target_ci_halfwidth = 0.0; ///< 0 = fixed count; else stop when tight
   int min_trials = 16;              ///< never stop before this many trials
-  int batch = 8;                    ///< stopping rule checked every `batch`
-  double z = 1.959963984540054;     ///< normal quantile (default 95% CI)
+  static constexpr int batch = 8;   ///< stopping rule checked every `batch`
+  static constexpr double z = 1.959963984540054;  ///< 95% CI normal quantile
 };
 
 /// One evaluated PER point.

@@ -31,7 +31,7 @@ std::vector<per_estimate> packet_error_rates(
   const bool adaptive = options.target_ci_halfwidth > 0.0;
   // Without a target every point's whole budget is one round: a single
   // sweep over the (point, trial) grid.
-  const int batch = adaptive ? std::max(options.batch, 1) : max_trials;
+  const int batch = adaptive ? per_options::batch : max_trials;
 
   // Round loop: every live point contributes its next `batch` trial
   // indices to one flattened sweep, then the stopping rule replays the
@@ -91,7 +91,8 @@ std::vector<per_estimate> packet_error_rates(
     for (std::size_t p = 0; p < configs.size(); ++p) {
       if (!live[p]) continue;
       per_estimate& e = out[p];
-      e.ci_halfwidth = wilson_halfwidth(e.failures, e.trials_run, options.z);
+      e.ci_halfwidth =
+          wilson_halfwidth(e.failures, e.trials_run, per_options::z);
       if (adaptive && e.trials_run >= min_trials && e.trials_run < max_trials &&
           e.ci_halfwidth <= options.target_ci_halfwidth) {
         e.early_stopped = true;

@@ -24,6 +24,13 @@ constexpr std::size_t repair_chunk = 4;
   dsp::throw_invalid_config("run_wild_traffic", "wild_traffic_config", reason);
 }
 
+// Zero symbols would stall both arms (the plain arm's k-slot loop never
+// advances), so this check binds whatever schemes run.
+void check_symbols(const phy::erasure_spec& coding) {
+  if (coding.block_symbols == 0 || coding.symbol_bytes == 0)
+    throw_invalid("zero_code_geometry");
+}
+
 std::vector<std::uint8_t> source_block(const phy::erasure_spec& spec,
                                        std::uint64_t arm_seed,
                                        std::uint32_t block) {
@@ -38,13 +45,8 @@ std::vector<std::uint8_t> source_block(const phy::erasure_spec& spec,
 wild_run run_wild_arm(const wild_traffic_config& config,
                       phy::erasure_scheme scheme, double duty_cycle,
                       std::uint64_t arm_seed) {
-  const bool coded = scheme != phy::erasure_scheme::none;
-
-  phy::erasure_spec spec = config.coding;
-  spec.scheme = scheme;
-  spec.seed = arm_seed;
-  tag::packet_coder coder(spec);
-  reader::block_collector collector(spec);
+  const phy::erasure_spec& spec = config.coding;
+  check_symbols(spec);
 
   mac::link_supervisor supervisor(config.start_rate, config.arq,
                                   config.link.collector);
@@ -80,12 +82,12 @@ wild_run run_wild_arm(const wild_traffic_config& config,
   std::size_t delivered_polls = 0;
   double latency_sum = 0.0;
 
-  if (!coded) {
+  if (scheme == phy::erasure_scheme::none) {
     // Plain packet-level ARQ: the source block travels as ONE long packet
     // (k symbol-slots of airtime) with a single CRC, because without the
     // coding layer the reader's feedback is per packet, not per symbol.
     // Delivery therefore needs the burst to stay ON across all k slots —
-    // the whole-packet fragility the rateless symbols are built to avoid.
+    // the whole-packet fragility the coded symbols are built to avoid.
     // A deferred opportunity costs one slot, not k, which if anything
     // flatters this arm.
     const std::size_t k = spec.block_symbols;
@@ -125,6 +127,8 @@ wild_run run_wild_arm(const wild_traffic_config& config,
     return run;
   }
 
+  tag::packet_coder coder(spec);
+  reader::block_collector collector(spec);
   // One source block in flight at a time; block ids count up from 0.
   std::vector<std::size_t> block_start_poll;
   const auto push_next_block = [&](std::size_t poll) {
@@ -204,18 +208,21 @@ wild_result run_wild_traffic(const wild_traffic_config& config) {
   }
   if (config.trials == 0) throw_invalid("zero_trials");
   if (config.opportunities == 0) throw_invalid("zero_opportunities");
+  // Block ids never exceed polls issued; past the header's 16 bits the
+  // coder would throw inside a sweep lane.
+  if (config.opportunities > phy::max_block_ids)
+    throw_invalid("too_many_opportunities");
   if (config.schemes.empty()) throw_invalid("empty_schemes");
   if (config.duty_cycles.empty()) throw_invalid("empty_duty_cycles");
   for (const double duty : config.duty_cycles)
     if (!(duty > 0.0) || duty > 1.0) throw_invalid("bad_duty_cycle");
   if (!(config.mean_burst_polls > 0.0)) throw_invalid("bad_burst_length");
-  // Code-geometry violations (zero symbols, RS past the GF(256) field)
-  // must surface here, on the caller's thread, not inside a sweep lane.
-  for (const phy::erasure_scheme scheme : config.schemes) {
-    phy::erasure_spec probe = config.coding;
-    probe.scheme = scheme;
-    tag::packet_coder{probe};
-  }
+  // Code-geometry violations must surface here, on the caller's thread,
+  // not inside a sweep lane. The GF(256) field limit binds only RS.
+  check_symbols(config.coding);
+  if (std::find(config.schemes.begin(), config.schemes.end(),
+                phy::erasure_scheme::reed_solomon) != config.schemes.end())
+    tag::packet_coder{config.coding};
 
   wild_result result;
   result.cells.resize(config.schemes.size() * config.duty_cycles.size());

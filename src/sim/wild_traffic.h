@@ -1,6 +1,7 @@
-// Wild-traffic sustainability evaluator: how much goodput each erasure
-// scheme sustains when the ambient excitation itself comes and goes in
-// bursts (GuardRider-style ON/OFF air, on top of the PR 1 fault classes).
+// Wild-traffic sustainability evaluator: how much goodput plain ARQ and
+// the RS-coded link each sustain when the ambient excitation itself comes
+// and goes in bursts (GuardRider-style ON/OFF air, on top of the PR 1
+// fault classes).
 //
 // Each cell of the (scheme x duty-cycle) grid runs the same supervised
 // single-tag polling loop over a burst-gated link:
@@ -16,8 +17,6 @@
 //   reed_solomon  — tag::packet_coder stripes RS-coded symbols; erasures
 //                   feed report_symbol_result (no rate fallback) and ARQ
 //                   degrades to "request more repair symbols".
-//   fountain      — same loop with rateless LT symbols; repair never runs
-//                   out of ESIs.
 // The reader side reassembles through reader::block_collector; only fully
 // decoded source blocks count toward goodput (no partial credit).
 #pragma once
@@ -38,13 +37,12 @@ struct wild_traffic_config {
   static constexpr tag::tag_rate_config start_rate = {
       tag::tag_modulation::qpsk, phy::code_rate::half, 2e6};
   double distance_m = 1.5;
-  std::size_t opportunities = 64;  ///< polls per arm
-  /// Code geometry shared by every arm (scheme and seed are overridden
-  /// per arm so the grid stays trial-independent).
-  phy::erasure_spec coding;
+  /// Polls per arm, at most phy::max_block_ids (a poll starts at most one
+  /// block, and block ids must fit the coded packet's 16-bit header).
+  std::size_t opportunities = 64;
+  phy::erasure_spec coding;  ///< code geometry shared by every arm
   std::vector<phy::erasure_scheme> schemes = {
-      phy::erasure_scheme::none, phy::erasure_scheme::reed_solomon,
-      phy::erasure_scheme::fountain};
+      phy::erasure_scheme::none, phy::erasure_scheme::reed_solomon};
   mac::arq_config arq;
   /// Mean ON-burst length in polls; OFF bursts follow from the duty cycle.
   /// Short bursts relative to block_symbols are the interesting regime:
@@ -85,9 +83,11 @@ struct wild_result {
 };
 
 /// Run one arm (one trial of one cell). `arm_seed` drives the burst
-/// schedule, the per-poll PHY seeds and the fountain neighbour streams.
-/// Throws std::invalid_argument (from mac::generate_burst_schedule) for a
-/// non-positive mean_burst_polls or duty_cycle.
+/// schedule, the per-poll PHY seeds and the source blocks. Throws
+/// std::invalid_argument for zero block_symbols / symbol_bytes, an RS
+/// block past the GF(256) field (coded arm only), and (from
+/// mac::generate_burst_schedule) a non-positive mean_burst_polls or
+/// duty_cycle.
 wild_run run_wild_arm(const wild_traffic_config& config,
                       phy::erasure_scheme scheme, double duty_cycle,
                       std::uint64_t arm_seed);
@@ -95,9 +95,11 @@ wild_run run_wild_arm(const wild_traffic_config& config,
 /// Full sweep: every scheme at every duty cycle, `trials` runs each,
 /// flattened through the sweep scheduler (bit-identical results and
 /// telemetry at any BACKFI_THREADS). Throws std::invalid_argument for
-/// degenerate configs: zero trials/opportunities, empty scheme or duty
-/// grids, duty cycles outside (0, 1], non-positive burst length, and any
-/// scenario_config or code-geometry violation.
+/// degenerate configs: zero trials, opportunities outside
+/// [1, phy::max_block_ids], empty scheme or duty grids, duty cycles
+/// outside (0, 1], non-positive burst length, any scenario_config
+/// violation, zero code geometry, and (when reed_solomon is in `schemes`)
+/// an RS block past the GF(256) field.
 wild_result run_wild_traffic(const wild_traffic_config& config);
 
 }  // namespace backfi::sim

@@ -7,7 +7,7 @@
 // interleaver inside each packet. The reader's feedback loop (through
 // mac::link_supervisor) drives request_repair / complete_block /
 // abandon_block; the coder itself never retransmits a specific symbol.
-// The uncoded scheme sends the k source symbols once and cannot repair.
+// Symbols are systematic RS (phy/erasure_code.h).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 
 namespace backfi::tag {
 
-/// Per-coder accounting (all schemes).
+/// Per-coder accounting.
 struct packet_coder_stats {
   std::size_t symbols_sent = 0;       ///< packets produced by next_packet
   std::size_t repair_symbols_granted = 0;
@@ -30,16 +30,17 @@ struct packet_coder_stats {
 
 class packet_coder {
  public:
-  /// `spec` is the code geometry both ends agreed on; spec.seed feeds the
-  /// fountain neighbour streams. Throws std::invalid_argument for
-  /// degenerate geometry (zero block_symbols / symbol_bytes, RS blocks
-  /// that cannot fit the GF(256) field).
+  /// `spec` is the code geometry both ends agreed on. Throws
+  /// std::invalid_argument for degenerate geometry (zero block_symbols /
+  /// symbol_bytes, blocks that cannot fit the 255-symbol GF(256) field).
   explicit packet_coder(const phy::erasure_spec& spec);
 
   const phy::erasure_spec& spec() const { return spec_; }
 
   /// Queue one source block (exactly spec.block_symbols * symbol_bytes
-  /// bytes). Blocks are numbered in push order starting at 0.
+  /// bytes). Blocks are numbered in push order starting at 0. Throws
+  /// std::overflow_error instead of numbering a block past the 16-bit
+  /// header field (phy::max_block_ids blocks per coder).
   std::uint32_t push_block(std::span<const std::uint8_t> bytes);
 
   /// True when next_packet() can produce a symbol: some open block still
@@ -51,9 +52,8 @@ class packet_coder {
   phy::coded_packet next_packet();
 
   /// Grant `symbols` extra repair symbols to an open block (reader asked
-  /// for more). Returns the number actually granted — RS runs out of
-  /// field points at 255 total symbols; fountain never runs out; the
-  /// uncoded scheme cannot repair (returns 0).
+  /// for more). Returns the number actually granted: the field runs out of
+  /// points at 255 total symbols.
   std::size_t request_repair(std::uint32_t block, std::size_t symbols);
 
   /// Reader decoded the block: stop sending its symbols.
@@ -77,8 +77,6 @@ class packet_coder {
   };
 
   open_block* find(std::uint32_t block);
-  std::vector<std::uint8_t> encode_symbol(const open_block& b,
-                                          std::uint32_t esi) const;
 
   phy::erasure_spec spec_;
   std::deque<open_block> blocks_;

@@ -8,14 +8,11 @@
 namespace backfi::reader {
 namespace {
 
-phy::erasure_spec make_spec(phy::erasure_scheme scheme) {
+phy::erasure_spec make_spec() {
   phy::erasure_spec spec;
-  spec.scheme = scheme;
   spec.block_symbols = 6;
   spec.symbol_bytes = 8;
   spec.rs_repair_symbols = 3;
-  spec.fountain_overhead = 0.5;
-  spec.seed = 11;
   return spec;
 }
 
@@ -28,7 +25,7 @@ std::vector<std::uint8_t> block_bytes(const phy::erasure_spec& spec,
 }
 
 TEST(BlockCollectorTest, EndToEndRsSurvivesErasures) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  const phy::erasure_spec spec = make_spec();
   tag::packet_coder coder(spec);
   block_collector collector(spec);
   const auto data = block_bytes(spec, 1);
@@ -47,32 +44,42 @@ TEST(BlockCollectorTest, EndToEndRsSurvivesErasures) {
   EXPECT_EQ(collector.stats().blocks_decoded, 1u);
 }
 
-TEST(BlockCollectorTest, EndToEndFountainSurvivesBurstErasure) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::fountain);
+TEST(BlockCollectorTest, EndToEndRsRepairSurvivesBurstErasure) {
+  const phy::erasure_spec spec = make_spec();
   tag::packet_coder coder(spec);
   block_collector collector(spec);
   const auto data = block_bytes(spec, 2);
   coder.push_block(data);
-  // A burst kills the first 4 packets outright; repair symbols granted on
-  // demand keep the stream going until the eliminator completes.
-  std::size_t sent = 0;
+  // A burst kills the first 4 packets outright: 5 of the 9 scheduled
+  // symbols survive, one short of k = 6, so only a repair grant made on
+  // demand carries the block to decoded.
+  std::size_t sent = 0, granted = 0;
   block_report last;
   while (last.status != phy::block_status::decoded) {
     if (!coder.has_packet()) {
-      ASSERT_GT(coder.request_repair(0, 4), 0u);
+      ASSERT_EQ(last.status, phy::block_status::pending);
+      ASSERT_EQ(coder.exhausted_block(), std::optional<std::uint32_t>{0});
+      const std::size_t grant = coder.request_repair(0, 4);
+      ASSERT_GT(grant, 0u);
+      granted += grant;
     }
     const phy::coded_packet p = coder.next_packet();
     ++sent;
     if (sent <= 4) continue;  // burst erasure
     last = collector.accept(p.bits);
-    ASSERT_LT(sent, 200u);
   }
+  EXPECT_EQ(sent, 10u);  // 4 erased + k delivered
+  EXPECT_EQ(granted, 4u);
+  EXPECT_EQ(last.symbols_received, spec.block_symbols);
   EXPECT_EQ(collector.status(0), phy::block_status::decoded);
   EXPECT_EQ(last.data, data);
 }
 
 TEST(BlockCollectorTest, UncodedNeedsEverySourceSymbol) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::none);
+  // With no repair budget the systematic code is the uncoded scheme: the
+  // block decodes only once every one of its k source symbols arrived.
+  phy::erasure_spec spec = make_spec();
+  spec.rs_repair_symbols = 0;
   tag::packet_coder coder(spec);
   block_collector collector(spec);
   const auto data = block_bytes(spec, 3);
@@ -86,10 +93,11 @@ TEST(BlockCollectorTest, UncodedNeedsEverySourceSymbol) {
   const block_report report = collector.accept(p.bits);
   EXPECT_EQ(report.status, phy::block_status::decoded);
   EXPECT_EQ(report.data, data);
+  EXPECT_FALSE(coder.has_packet());
 }
 
 TEST(BlockCollectorTest, DuplicatesAndLateSymbolsAreCounted) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  const phy::erasure_spec spec = make_spec();
   tag::packet_coder coder(spec);
   block_collector collector(spec);
   coder.push_block(block_bytes(spec, 4));
@@ -101,7 +109,7 @@ TEST(BlockCollectorTest, DuplicatesAndLateSymbolsAreCounted) {
 }
 
 TEST(BlockCollectorTest, MalformedPayloadIsRejected) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::fountain);
+  const phy::erasure_spec spec = make_spec();
   block_collector collector(spec);
   const phy::bitvec junk(spec.packet_payload_bits() - 4, 1);
   const block_report report = collector.accept(junk);
@@ -110,7 +118,7 @@ TEST(BlockCollectorTest, MalformedPayloadIsRejected) {
 }
 
 TEST(BlockCollectorTest, AbandonMarksUnrecoverableButNeverDowngrades) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  const phy::erasure_spec spec = make_spec();
   tag::packet_coder coder(spec);
   block_collector collector(spec);
   const auto data = block_bytes(spec, 5);

@@ -110,7 +110,7 @@ TEST(AdaptivePerTest, EstimatesAndTelemetryIdenticalAcrossThreadCounts) {
     const std::vector<per_estimate> estimates = packet_error_rates(
         std::span(configs.data(), configs.size()), options, &collector);
     const std::string json = obs::to_json(
-        collector.registry(), {.include_timings = false, .pretty = true});
+        collector.registry(), {.include_timings = false});
     if (reference.empty()) {
       reference = estimates;
       reference_json = json;

@@ -505,7 +505,7 @@ TEST(RoiEquivalenceTest, PerAndTelemetryDigestIdenticalAcrossThreadCounts) {
     run_cfg.collector = &collector;
     const double per = packet_error_rate(run_cfg, 24);
     const std::string json = obs::to_json(
-        collector.registry(), {.include_timings = false, .pretty = true});
+        collector.registry(), {.include_timings = false});
     if (reference_json.empty()) {
       reference_per = per;
       reference_json = json;

@@ -113,7 +113,7 @@ TEST(SchedulerTest, DeterministicCountersAreThreadCountInvariant) {
     const sweep_stats stats = sweep_for(n, [](std::size_t) {});
     report_sweep_stats(&collector, stats);
     exports[idx++] = obs::to_json(collector.registry(),
-                                  {.include_timings = false, .pretty = true});
+                                  {.include_timings = false});
   }
   EXPECT_EQ(exports[0], exports[1]);
 }

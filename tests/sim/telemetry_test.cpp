@@ -72,11 +72,6 @@ TEST(ScenarioValidate, ReportsEachViolation) {
     c.excitation.n_ppdus = 0;
     EXPECT_EQ(c.validate(), config_error::empty_excitation);
   }
-  {
-    scenario_config c = cheap_scenario();
-    c.budget.bandwidth_hz = 0.0;
-    EXPECT_EQ(c.validate(), config_error::bad_bandwidth);
-  }
 }
 
 TEST(ScenarioValidate, EntryPointsThrowWithCallSiteAndReason) {
@@ -124,7 +119,6 @@ TEST(ScenarioValidate, RejectsTagConfigsTheTagCannotRunAtAnyRange) {
 TEST(ScenarioValidate, ErrorNamesAreStable) {
   EXPECT_STREQ(to_string(config_error::none), "none");
   EXPECT_STREQ(to_string(config_error::bad_symbol_rate), "bad_symbol_rate");
-  EXPECT_STREQ(to_string(config_error::bad_bandwidth), "bad_bandwidth");
 }
 
 // --- Telemetry determinism ------------------------------------------------

@@ -25,8 +25,7 @@ wild_traffic_config small_config() {
 TEST(WildTrafficTest, CleanAirDecodesBlocksInEveryScheme) {
   const wild_traffic_config config = small_config();
   for (const phy::erasure_scheme scheme :
-       {phy::erasure_scheme::none, phy::erasure_scheme::reed_solomon,
-        phy::erasure_scheme::fountain}) {
+       {phy::erasure_scheme::none, phy::erasure_scheme::reed_solomon}) {
     const wild_run run = run_wild_arm(config, scheme, 1.0, 7);
     EXPECT_EQ(run.delivered_fraction, 1.0) << static_cast<int>(scheme);
     EXPECT_GT(run.blocks_decoded, 0.0) << static_cast<int>(scheme);
@@ -43,14 +42,10 @@ TEST(WildTrafficTest, CodedSchemesOutliveBurstsThatStallPlainArq) {
       run_wild_arm(config, phy::erasure_scheme::none, duty, 5);
   const wild_run rs =
       run_wild_arm(config, phy::erasure_scheme::reed_solomon, duty, 5);
-  const wild_run fountain =
-      run_wild_arm(config, phy::erasure_scheme::fountain, duty, 5);
   // Identical air (same arm seed => same burst schedule and PHY draws):
-  // the whole-block packet needs k contiguous ON slots, the coded streams
-  // only need k ON slots anywhere.
+  // the whole-block packet needs k contiguous ON slots, the coded stream
+  // only needs k ON slots anywhere.
   EXPECT_GE(rs.blocks_decoded, plain.blocks_decoded);
-  EXPECT_GE(fountain.blocks_decoded, plain.blocks_decoded);
-  EXPECT_GT(fountain.blocks_decoded, 0.0);
   EXPECT_GT(rs.blocks_decoded, 0.0);
 }
 
@@ -67,8 +62,8 @@ TEST(WildTrafficTest, ArmsAreDeterministic) {
   EXPECT_DOUBLE_EQ(a.repair_symbols, b.repair_symbols);
 }
 
-// Every output of six arms, exact: the three schemes at duty 0.5 and 1.0
-// on one arm seed. The plain arm's whole-block packets walk the packet
+// Every output of four arms, exact: both schemes at duty 0.5 and 1.0 on
+// one arm seed. The plain arm's whole-block packets walk the packet
 // ladder (retries, fallbacks, backoff); the coded arms walk the erasure
 // backoff and the repair budget.
 TEST(WildTrafficTest, ArmOutputsPinned) {
@@ -96,14 +91,6 @@ TEST(WildTrafficTest, ArmOutputsPinned) {
        0x1.34a4587e6b74fp+13, 0x1.3333333333333p-2, 0x1.4p+4,
        0x1p+0, 0x0p+0, 0x1.8p+3, 0x1.3p+4,
        {2, 0, 0, 0, 1, 0, 3, 6, 14, 1, 1, 3, 0}},
-      {phy::erasure_scheme::fountain, 1.0,
-       0x1.81cd6e9e06523p+15, 0x1.eaaaaaaaaaaabp-1, 0x1.8p+4,
-       0x1.4p+2, 0x0p+0, 0x1p+2, 0x1.2666666666666p+2,
-       {0, 0, 0, 0, 0, 0, 0, 23, 1, 0, 5, 1, 0}},
-      {phy::erasure_scheme::fountain, 0.5,
-       0x1.34a4587e6b74fp+13, 0x1.3333333333333p-2, 0x1.4p+4,
-       0x1p+0, 0x0p+0, 0x1.8p+3, 0x1.3p+4,
-       {2, 0, 0, 0, 1, 0, 3, 6, 14, 1, 1, 3, 0}},
   };
   wild_traffic_config config = small_config();
   config.opportunities = 24;
@@ -128,21 +115,22 @@ TEST(WildTrafficTest, ArmOutputsPinned) {
 TEST(WildTrafficTest, SweepCoversTheGridSchemeMajor) {
   wild_traffic_config config = small_config();
   config.opportunities = 4;
-  config.schemes = {phy::erasure_scheme::none, phy::erasure_scheme::fountain};
+  config.schemes = {phy::erasure_scheme::none,
+                    phy::erasure_scheme::reed_solomon};
   config.duty_cycles = {1.0, 0.5};
   const wild_result result = run_wild_traffic(config);
   ASSERT_EQ(result.cells.size(), 4u);
   EXPECT_EQ(result.cells[0].scheme, phy::erasure_scheme::none);
   EXPECT_EQ(result.cells[0].duty_cycle, 1.0);
   EXPECT_EQ(result.cells[1].duty_cycle, 0.5);
-  EXPECT_EQ(result.cells[3].scheme, phy::erasure_scheme::fountain);
+  EXPECT_EQ(result.cells[3].scheme, phy::erasure_scheme::reed_solomon);
   EXPECT_EQ(result.cells[3].duty_cycle, 0.5);
 }
 
 TEST(WildTrafficTest, SweepIsThreadCountInvariant) {
   wild_traffic_config config = small_config();
   config.opportunities = 6;
-  config.schemes = {phy::erasure_scheme::fountain};
+  config.schemes = {phy::erasure_scheme::reed_solomon};
   config.duty_cycles = {1.0, 0.5};
   config.trials = 2;
   wild_result serial, parallel;
@@ -190,6 +178,13 @@ TEST(WildTrafficTest, DegenerateConfigsThrow) {
     EXPECT_THROW(run_wild_traffic(config), std::invalid_argument);
   }
   {
+    // A poll starts at most one block, so capping the polls keeps every
+    // block id inside the packet header's 16 bits.
+    wild_traffic_config config = small_config();
+    config.opportunities = phy::max_block_ids + 1;
+    EXPECT_THROW(run_wild_traffic(config), std::invalid_argument);
+  }
+  {
     wild_traffic_config config = small_config();
     config.schemes.clear();
     EXPECT_THROW(run_wild_traffic(config), std::invalid_argument);
@@ -227,6 +222,55 @@ TEST(WildTrafficTest, DegenerateConfigsThrow) {
     config.link.excitation.n_ppdus = 0;  // scenario-level violation
     EXPECT_THROW(run_wild_traffic(config), std::invalid_argument);
   }
+}
+
+TEST(WildTrafficTest, PlainOnlyGridSkipsTheRsFieldCheck) {
+  // The GF(256) field limit binds the coded arm only: a plain-ARQ grid
+  // runs a block geometry RS could not code.
+  wild_traffic_config config = small_config();
+  config.coding.block_symbols = 300;
+  config.schemes = {phy::erasure_scheme::none};
+  config.duty_cycles = {1.0};
+  const wild_result result = run_wild_traffic(config);
+  ASSERT_EQ(result.cells.size(), 1u);
+  // 300 symbol-slots never fit in 12 polls: nothing is sent.
+  EXPECT_EQ(result.cells[0].mean.polls_issued, 0.0);
+  config.schemes = {phy::erasure_scheme::none,
+                    phy::erasure_scheme::reed_solomon};
+  EXPECT_THROW(run_wild_traffic(config), std::invalid_argument);
+}
+
+// The extension's claim on bench/wild_traffic's geometry (k = 8 four-byte
+// symbols, 4 repair, mean ON burst 2.5 polls, 128 polls per arm): at duty
+// 0.5 plain ARQ has collapsed below 10% of its clean-air goodput while RS
+// holds several times that share. Seed offsets 1..8 at 10 trials give
+// plain 1.3-6.3% and RS 38.9-50.9%; the margins below sit outside that
+// spread. (RS's expected share at duty 0.5 is ~45%, under the 50% bar the
+// bench's criterion names: 40 trials give 43-46% at seeds 1 and 7.)
+TEST(WildTrafficClaim, RsSustainsWherePlainArqCollapses) {
+  wild_traffic_config config;
+  config.link.excitation.ppdu_bytes = 1500;
+  config.distance_m = 1.5;
+  config.coding.block_symbols = 8;
+  config.coding.symbol_bytes = 4;
+  config.coding.rs_repair_symbols = 4;
+  config.opportunities = 128;
+  config.mean_burst_polls = 2.5;
+  config.duty_cycles = {1.0, 0.5};
+  config.trials = 10;
+  config.seed = 7;
+  const wild_result result = run_wild_traffic(config);
+  ASSERT_EQ(result.cells.size(), 4u);
+  const auto share = [&](std::size_t clean, std::size_t bursty) {
+    EXPECT_GT(result.cells[clean].mean.goodput_bps, 0.0);
+    return result.cells[bursty].mean.goodput_bps /
+           result.cells[clean].mean.goodput_bps;
+  };
+  const double plain = share(0, 1);
+  const double rs = share(2, 3);
+  EXPECT_LT(plain, 0.10);
+  EXPECT_GE(rs, 0.35);
+  EXPECT_GE(rs, 5.0 * plain);
 }
 
 TEST(FaultCampaignHardeningTest, DegenerateCampaignsThrow) {

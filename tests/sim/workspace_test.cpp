@@ -187,7 +187,7 @@ TEST(TrialWorkspaceTest, PinnedTelemetryExportDigest) {
     run_backscatter_trial(cfg);
   }
   const std::string json = obs::to_json(
-      root.registry(), {.include_timings = false, .pretty = true});
+      root.registry(), {.include_timings = false});
   EXPECT_EQ(json.size(), 4980u);
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : json) {

@@ -7,14 +7,11 @@
 namespace backfi::tag {
 namespace {
 
-phy::erasure_spec make_spec(phy::erasure_scheme scheme) {
+phy::erasure_spec make_spec() {
   phy::erasure_spec spec;
-  spec.scheme = scheme;
   spec.block_symbols = 4;
   spec.symbol_bytes = 8;
   spec.rs_repair_symbols = 2;
-  spec.fountain_overhead = 0.5;
-  spec.seed = 5;
   return spec;
 }
 
@@ -27,23 +24,20 @@ std::vector<std::uint8_t> block_bytes(const phy::erasure_spec& spec,
 }
 
 TEST(PacketCoderTest, RejectsDegenerateGeometry) {
-  phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  phy::erasure_spec spec = make_spec();
   spec.block_symbols = 0;
   EXPECT_THROW(packet_coder{spec}, std::invalid_argument);
-  spec = make_spec(phy::erasure_scheme::reed_solomon);
+  spec = make_spec();
   spec.symbol_bytes = 0;
   EXPECT_THROW(packet_coder{spec}, std::invalid_argument);
-  spec = make_spec(phy::erasure_scheme::reed_solomon);
+  spec = make_spec();
   spec.block_symbols = 250;
   spec.rs_repair_symbols = 20;  // 270 > 255 field points
-  EXPECT_THROW(packet_coder{spec}, std::invalid_argument);
-  spec = make_spec(phy::erasure_scheme::fountain);
-  spec.soliton_delta = 1.5;
   EXPECT_THROW(packet_coder{spec}, std::invalid_argument);
 }
 
 TEST(PacketCoderTest, SchedulesExactlyTheBudgetPerBlock) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  const phy::erasure_spec spec = make_spec();
   packet_coder coder(spec);
   coder.push_block(block_bytes(spec, 1));
   std::size_t produced = 0;
@@ -57,7 +51,7 @@ TEST(PacketCoderTest, SchedulesExactlyTheBudgetPerBlock) {
 }
 
 TEST(PacketCoderTest, StripesAcrossOpenBlocks) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::fountain);
+  const phy::erasure_spec spec = make_spec();
   packet_coder coder(spec);
   coder.push_block(block_bytes(spec, 1));
   coder.push_block(block_bytes(spec, 2));
@@ -67,7 +61,7 @@ TEST(PacketCoderTest, StripesAcrossOpenBlocks) {
 }
 
 TEST(PacketCoderTest, RepairGrantsRespectTheFieldLimit) {
-  phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  phy::erasure_spec spec = make_spec();
   spec.block_symbols = 250;
   spec.rs_repair_symbols = 3;  // scheduled 253 of 255
   packet_coder coder(spec);
@@ -75,34 +69,32 @@ TEST(PacketCoderTest, RepairGrantsRespectTheFieldLimit) {
   EXPECT_EQ(coder.request_repair(0, 10), 2u);  // only 2 field points left
   EXPECT_EQ(coder.request_repair(0, 10), 0u);
   EXPECT_EQ(coder.stats().repair_symbols_granted, 2u);
-
-  const phy::erasure_spec lt = make_spec(phy::erasure_scheme::fountain);
-  packet_coder fountain(lt);
-  fountain.push_block(block_bytes(lt, 4));
-  EXPECT_EQ(fountain.request_repair(0, 1000), 1000u);  // rateless
-
-  const phy::erasure_spec plain = make_spec(phy::erasure_scheme::none);
-  packet_coder uncoded(plain);
-  uncoded.push_block(block_bytes(plain, 5));
-  EXPECT_EQ(uncoded.request_repair(0, 4), 0u);
 }
 
 TEST(PacketCoderTest, UncodedSchemeSendsEachSourceSymbolOnce) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::none);
+  // With no repair budget the systematic code is the uncoded scheme: the
+  // k source symbols go out once each, verbatim and in order; nothing
+  // else is scheduled, so the block is then exhausted.
+  phy::erasure_spec spec = make_spec();
+  spec.rs_repair_symbols = 0;
   packet_coder coder(spec);
-  coder.push_block(block_bytes(spec, 6));
-  // The k source symbols go out once each, in order; nothing else exists
-  // to send, so the block is then exhausted.
+  const auto data = block_bytes(spec, 6);
+  coder.push_block(data);
   for (std::uint32_t esi = 0; esi < spec.block_symbols; ++esi) {
     ASSERT_FALSE(coder.exhausted_block().has_value());
-    EXPECT_EQ(coder.next_packet().esi, esi);
+    const phy::coded_packet packet = coder.next_packet();
+    EXPECT_EQ(packet.esi, esi);
+    const phy::bitvec verbatim = phy::pack_coded_packet(
+        0, esi,
+        std::span(data).subspan(esi * spec.symbol_bytes, spec.symbol_bytes));
+    EXPECT_EQ(packet.bits, verbatim);
   }
   EXPECT_FALSE(coder.has_packet());
   EXPECT_EQ(coder.exhausted_block(), std::optional<std::uint32_t>(0));
 }
 
 TEST(PacketCoderTest, CompleteAndAbandonCloseBlocks) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::fountain);
+  const phy::erasure_spec spec = make_spec();
   packet_coder coder(spec);
   coder.push_block(block_bytes(spec, 7));
   coder.push_block(block_bytes(spec, 8));
@@ -117,7 +109,7 @@ TEST(PacketCoderTest, CompleteAndAbandonCloseBlocks) {
 }
 
 TEST(PacketCoderTest, PacketsCarryTheSpecLayout) {
-  const phy::erasure_spec spec = make_spec(phy::erasure_scheme::reed_solomon);
+  const phy::erasure_spec spec = make_spec();
   packet_coder coder(spec);
   coder.push_block(block_bytes(spec, 9));
   const phy::coded_packet packet = coder.next_packet();
@@ -127,6 +119,33 @@ TEST(PacketCoderTest, PacketsCarryTheSpecLayout) {
   ASSERT_TRUE(phy::unpack_coded_packet(packet.bits, spec, block, esi, symbol));
   EXPECT_EQ(block, packet.block);
   EXPECT_EQ(esi, packet.esi);
+}
+
+TEST(PacketCoderTest, BlockIdsStopAtTheHeaderField) {
+  // The packet header carries 16 bits of block id: the coder numbers
+  // blocks 0..65535 and refuses the next one instead of wrapping to 0.
+  phy::erasure_spec spec;
+  spec.block_symbols = 1;
+  spec.symbol_bytes = 1;
+  spec.rs_repair_symbols = 0;
+  packet_coder coder(spec);
+  const std::uint8_t byte = 0x5a;
+  phy::coded_packet last;
+  for (std::size_t i = 0; i < phy::max_block_ids; ++i) {
+    const std::uint32_t id = coder.push_block({&byte, 1});
+    ASSERT_EQ(id, i);
+    last = coder.next_packet();
+    ASSERT_EQ(last.block, id);
+    coder.complete_block(id);
+  }
+  // The last id still round-trips through the header.
+  std::uint32_t block = 0, esi = 0;
+  std::vector<std::uint8_t> symbol;
+  ASSERT_TRUE(phy::unpack_coded_packet(last.bits, spec, block, esi, symbol));
+  EXPECT_EQ(block, phy::max_block_ids - 1);
+  EXPECT_THROW(coder.push_block({&byte, 1}), std::overflow_error);
+  EXPECT_EQ(coder.stats().blocks_completed, phy::max_block_ids);
+  EXPECT_FALSE(coder.has_packet());
 }
 
 }  // namespace
