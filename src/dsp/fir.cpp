@@ -73,24 +73,29 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
 
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out,
+                                          std::span<const cplx> h,
+                                          std::size_t begin, std::size_t end,
+                                          double energy, cvec& out,
                                           double& max_abs) {
   out.resize(rx.size());
   const std::size_t overlap = h.empty() ? 0 : std::min(rx.size(), x.size());
-  double eacc = 0.0;
-  max_abs = 0.0;
-  if (overlap > 0)
-    eacc = detail::convolve_same_gather_subtract_energy(
-        x.data(), x.size(), h.data(), h.size(), rx.data(), out.data(), 0,
-        overlap, max_abs);
-  for (std::size_t j = overlap; j < rx.size(); ++j) {
+  end = std::min(end, rx.size());
+  std::size_t j = std::min(begin, end);
+  if (j < overlap) {
+    const std::size_t o1 = std::min(end, overlap);
+    energy = detail::convolve_same_gather_subtract_energy(
+        x.data(), x.size(), h.data(), h.size(), rx.data(), out.data() + j, j,
+        o1, energy, max_abs);
+    j = o1;
+  }
+  for (; j < end; ++j) {
     out[j] = rx[j];
     const double re = out[j].real(), im = out[j].imag();
-    eacc += re * re + im * im;
+    energy += re * re + im * im;
     max_abs = std::max(max_abs, std::fabs(re));
     max_abs = std::max(max_abs, std::fabs(im));
   }
-  return eacc;
+  return energy;
 }
 
 }  // namespace backfi::dsp

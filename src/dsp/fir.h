@@ -47,18 +47,25 @@ void convolve_same_subtract_into(std::span<const cplx> rx,
                                  std::span<const cplx> x,
                                  std::span<const cplx> h, cvec& out);
 
-/// As convolve_same_subtract_into, additionally returning the residual's
-/// energy sum |out[j]|^2 over the whole output, accumulated in ascending
-/// index order with one norm rounding per element — bit-identical to
-/// calling energy(out) afterwards, fused into the store loop so the output
-/// is not re-read — and writing its peak axis magnitude max(|re|, |im|),
-/// NaN components ignored (0 for an empty output), to `max_abs`. (The
-/// receive chain's AGC needs exactly this energy right after the analog
-/// cancel, and the ADC saturation flag this peak; separate passes would
-/// each be a full capture-length read.)
+/// convolve_same_subtract_into restricted to the output range
+/// [begin, end) (clamped to len(rx)), fused with the residual's energy and
+/// peak: `out` is sized to len(rx) and only the range is written (samples
+/// outside it keep their contents). Returns `energy` plus sum |out[j]|^2
+/// over the range, added in ascending index order with one norm rounding
+/// per element, and raises `max_abs` to the range's peak axis magnitude
+/// max(|re|, |im|), NaN components ignored. The whole output is the range
+/// [0, len(rx)) from energy 0 and max_abs 0, bit-identical to calling
+/// energy(out) afterwards; consecutive ranges that carry the returned
+/// energy (and max_abs) into the next give the same outputs, energy bits
+/// and peak as that one call, so a capture can be cancelled as it arrives.
+/// (The receive chain's AGC needs exactly this energy right after the
+/// analog cancel, and the ADC saturation flag this peak; separate passes
+/// would each be a full capture-length read.)
 double convolve_same_subtract_energy_into(std::span<const cplx> rx,
                                           std::span<const cplx> x,
-                                          std::span<const cplx> h, cvec& out,
+                                          std::span<const cplx> h,
+                                          std::size_t begin, std::size_t end,
+                                          double energy, cvec& out,
                                           double& max_abs);
 
 }  // namespace backfi::dsp

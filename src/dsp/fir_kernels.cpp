@@ -27,26 +27,28 @@ namespace {
 // become -0.0 under round-to-nearest (x + y is -0 only when both operands
 // are -0, and +0 + (+/-0) is +0), and adding the +/-0 products a zero input
 // contributes leaves every finite accumulator value unchanged.
-// When Energy is set, the kernel also accumulates sum |out[j]|^2 across the
-// window, in ascending output order with one norm rounding per element
-// (t = re*re + im*im, then eacc += t) — exactly dsp::energy's sequence over
-// the same values, so the fused accumulation is bit-identical to a separate
-// post-pass. The block bodies extract the norms straight from the output
+// When Energy is set, the kernel also adds sum |out[j]|^2 across the window
+// to the running energy it is handed, in ascending output order with one
+// norm rounding per element (t = re*re + im*im, then eacc += t) — exactly
+// dsp::energy's sequence over the same values, so the fused accumulation is
+// bit-identical to a separate post-pass, and a capture cancelled in several
+// consecutive windows with the energy carried from one to the next sums in
+// the same order as one whole-capture call. The block bodies extract the norms straight from the output
 // registers (square, in-lane horizontal add, scalar extract) rather than
 // re-reading the stores — an 8-byte reload of a 32-byte store would stall
 // on failed store-forwarding every element — and the short scalar add
 // chain overlaps with the next block's independent convolution work.
-// The Energy form also returns the peak axis magnitude max(|re|, |im|) over
-// the window, NaN components ignored: _mm256_max_pd(|v|, peak) is
+// The Energy form also raises the running peak axis magnitude
+// max(|re|, |im|) over the window, NaN components ignored: _mm256_max_pd(|v|, peak) is
 // `|v| > peak ? |v| : peak`, which keeps `peak` for a NaN lane, and the
 // maximum of non-NaN values is exact in any order (|v| is never -0), so the
 // lane-wise running peaks reduce to the scalar loop's value.
 template <bool Subtract, bool Energy>
 double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
                    const cplx* rx, cplx* outp, std::size_t o0, std::size_t o1,
-                   double* max_abs) {
-  double eacc = 0.0;
-  double peak = 0.0;
+                   double energy, double* max_abs) {
+  double eacc = energy;
+  double peak = Energy ? *max_abs : 0.0;
   [[maybe_unused]] const __m256d sign = _mm256_set1_pd(-0.0);
   [[maybe_unused]] __m256d peakv = _mm256_setzero_pd();
   // Norms of the two complex outputs in `v`, accumulated in lane order:
@@ -206,7 +208,7 @@ void convolve_same_gather(const cplx* x, std::size_t nx, const cplx* h,
   assert(nh >= 1 && o1 <= nx);
   if (o0 >= o1) return;
 #if defined(__AVX2__)
-  gather_avx2<false, false>(x, nx, h, nh, nullptr, out, o0, o1, nullptr);
+  gather_avx2<false, false>(x, nx, h, nh, nullptr, out, o0, o1, 0.0, nullptr);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
 #endif
@@ -219,7 +221,7 @@ void convolve_same_gather_subtract(const cplx* x, std::size_t nx,
   assert(nh >= 1 && o1 <= nx);
   if (o0 >= o1) return;
 #if defined(__AVX2__)
-  gather_avx2<true, false>(x, nx, h, nh, rx, out, o0, o1, nullptr);
+  gather_avx2<true, false>(x, nx, h, nh, rx, out, o0, o1, 0.0, nullptr);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
   for (std::size_t j = o0; j < o1; ++j) out[j - o0] = rx[j] - out[j - o0];
@@ -230,16 +232,16 @@ double convolve_same_gather_subtract_energy(const cplx* x, std::size_t nx,
                                             const cplx* h, std::size_t nh,
                                             const cplx* rx, cplx* out,
                                             std::size_t o0, std::size_t o1,
-                                            double& max_abs) {
+                                            double energy, double& max_abs) {
   assert(nh >= 1 && o1 <= nx);
-  max_abs = 0.0;
-  if (o0 >= o1) return 0.0;
+  if (o0 >= o1) return energy;
 #if defined(__AVX2__)
-  return gather_avx2<true, true>(x, nx, h, nh, rx, out, o0, o1, &max_abs);
+  return gather_avx2<true, true>(x, nx, h, nh, rx, out, o0, o1, energy,
+                                 &max_abs);
 #else
   scatter_range(x, nx, h, nh, out, o0, o1);
-  double eacc = 0.0;
-  double peak = 0.0;
+  double eacc = energy;
+  double peak = max_abs;
   for (std::size_t j = o0; j < o1; ++j) {
     const cplx v = rx[j] - out[j - o0];
     out[j - o0] = v;

@@ -50,16 +50,20 @@ class analog_canceller {
   void adapt(const analog_canceller_config& config, std::span<const cplx> tx,
              std::span<const cplx> rx, dsp::fir_ls_workspace& w);
 
-  /// out = rx - tx * taps (same length as rx; tx must be the aligned
-  /// transmit samples for the same interval) into a reusable caller
-  /// buffer, returning the residual's energy (sum |out[i]|^2, bit-identical
-  /// to dsp::energy(out) run afterwards) fused into the cancellation store
-  /// loop, and writing the residual's peak axis magnitude max(|re|, |im|)
-  /// (NaN components ignored) to `max_abs`. The receive chain's AGC sets
-  /// its full scale from exactly this energy and its ADC saturation flag
-  /// is `max_abs > full_scale`; the fusion removes a capture-length rms
-  /// pass and a saturation scan between the analog stage and the ADC.
+  /// out[j] = rx[j] - (tx * taps)[j] for j in [begin, end) (out sized to
+  /// rx; tx must be the aligned transmit samples for the same interval)
+  /// into a reusable caller buffer, returning `energy` plus the range's
+  /// residual energy (sum |out[j]|^2 in ascending j, bit-identical to
+  /// dsp::energy(out) run afterwards over [0, len) when begin = 0 and
+  /// energy = 0) fused into the cancellation store loop, and raising
+  /// `max_abs` to the range's peak axis magnitude max(|re|, |im|) (NaN
+  /// components ignored). Consecutive ranges carrying energy and max_abs
+  /// equal one call over their union. The receive chain's AGC sets its
+  /// full scale from exactly this energy and its ADC saturation flag is
+  /// `max_abs > full_scale`; the fusion removes a capture-length rms pass
+  /// and a saturation scan between the analog stage and the ADC.
   double cancel_energy_into(std::span<const cplx> tx, std::span<const cplx> rx,
+                            std::size_t begin, std::size_t end, double energy,
                             cvec& out, double& max_abs) const;
 
   const cvec& taps() const { return taps_; }

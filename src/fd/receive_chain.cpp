@@ -53,7 +53,60 @@ std::size_t union_ranges(dsp::sample_range silent, dsp::sample_range roi,
   return 2;
 }
 
+/// A window the cancellers cannot adapt on (see cancellation_bypassed).
+/// A window shorter than an enabled stage's tap count has fewer rows than
+/// unknowns and cannot be fitted at all.
+bool degenerate_window(std::span<const cplx> tx, std::span<const cplx> rx,
+                       std::size_t silent_begin, std::size_t silent_end,
+                       const receive_chain_config& config) {
+  const std::size_t min_window =
+      std::max(config.enable_analog ? config.analog.n_taps : 0,
+               config.enable_digital ? config.digital.n_taps : 0);
+  return tx.size() != rx.size() || silent_begin >= silent_end ||
+         silent_end > rx.size() || silent_end - silent_begin < min_window;
+}
+
+/// advance_receive_chain past its checks: the analog stage is enabled and
+/// the window usable.
+void advance_analog(std::span<const cplx> tx, std::span<const cplx> rx,
+                    std::size_t silent_begin, std::size_t silent_end,
+                    std::size_t upto, const receive_chain_config& config,
+                    receive_chain_scratch& scratch) {
+  analog_cursor& c = scratch.cursor;
+  if (c.tx != tx.data() || c.rx != rx.data() || c.size != rx.size() ||
+      c.silent_begin != silent_begin || c.silent_end != silent_end)
+    c = {tx.data(), rx.data(), rx.size(), silent_begin, silent_end};
+  upto = std::min(upto, rx.size());
+  if (upto < silent_end) return;
+  if (!c.adapted) {
+    scratch.analog.adapt(
+        config.analog, tx.subspan(silent_begin, silent_end - silent_begin),
+        rx.subspan(silent_begin, silent_end - silent_begin),
+        scratch.canceller.lin);
+    c.adapted = true;
+  }
+  if (upto > c.done) {
+    c.energy = scratch.analog.cancel_energy_into(
+        tx, rx, c.done, upto, c.energy, scratch.after_analog, c.peak);
+    c.done = upto;
+  }
+}
+
 }  // namespace
+
+void advance_receive_chain(std::span<const cplx> tx, std::span<const cplx> rx,
+                           std::size_t silent_begin, std::size_t silent_end,
+                           std::size_t upto,
+                           const receive_chain_config& config,
+                           receive_chain_scratch* scratch) {
+  validate_or_throw(config, "advance_receive_chain");
+  if (scratch == nullptr)
+    throw std::invalid_argument("advance_receive_chain: scratch is required");
+  if (!config.enable_analog ||
+      degenerate_window(tx, rx, silent_begin, silent_end, config))
+    return;
+  advance_analog(tx, rx, silent_begin, silent_end, upto, config, *scratch);
+}
 
 receive_chain_result run_receive_chain(std::span<const cplx> tx,
                                        std::span<const cplx> rx,
@@ -72,15 +125,10 @@ receive_chain_result run_receive_chain(std::span<const cplx> tx,
   obs::timing_span chain_span(config.collector,
                               obs::probe::timing_receive_chain);
   // A degenerate adaptation window (or misaligned tx/rx) would train both
-  // cancellers on garbage and silently "cancel" the backscatter itself; a
-  // window shorter than an enabled stage's tap count has fewer rows than
-  // unknowns and cannot be fitted at all. Flag it and pass the input
-  // through untouched instead.
-  const std::size_t min_window =
-      std::max(config.enable_analog ? config.analog.n_taps : 0,
-               config.enable_digital ? config.digital.n_taps : 0);
-  if (tx.size() != rx.size() || silent_begin >= silent_end ||
-      silent_end > rx.size() || silent_end - silent_begin < min_window) {
+  // cancellers on garbage and silently "cancel" the backscatter itself.
+  // Flag it and pass the input through untouched instead.
+  if (degenerate_window(tx, rx, silent_begin, silent_end, config)) {
+    scratch.cursor = {};
     result.cancellation_bypassed = true;
     obs::count(config.collector, obs::probe::cancellation_bypassed);
     cleaned.resize(rx.size());
@@ -122,18 +170,21 @@ receive_chain_result run_receive_chain(std::span<const cplx> tx,
   // saturation flag its peak axis magnitude; the fused cancel returns both
   // from the same store loop (the energy bit-identical to a separate rms
   // pass), so the ADC stage below does not re-read the capture. A negative
-  // energy marks both unknown (analog bypassed / hook ran).
+  // energy marks both unknown (analog bypassed / hook ran). The cursor may
+  // already hold a prefix cancelled as the capture arrived; the energy it
+  // carries sums in the same order as one whole-capture pass.
   double after_analog_energy = -1.0;
   double after_analog_peak = 0.0;
   if (config.enable_analog) {
-    scratch.analog.adapt(config.analog, tx_silent, rx_silent,
-                         scratch.canceller.lin);
-    after_analog_energy = scratch.analog.cancel_energy_into(
-        tx, rx, after_analog, after_analog_peak);
+    advance_analog(tx, rx, silent_begin, silent_end, capture_len, config,
+                   scratch);
+    after_analog_energy = scratch.cursor.energy;
+    after_analog_peak = scratch.cursor.peak;
   } else {
     after_analog.resize(rx.size());
     std::copy(rx.begin(), rx.end(), after_analog.begin());
   }
+  scratch.cursor = {};
   result.analog_depth_db = cancellation_depth_db(
       rx_silent, std::span(after_analog).subspan(silent_begin,
                                                  silent_end - silent_begin));

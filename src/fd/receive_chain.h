@@ -122,6 +122,22 @@ struct receive_chain_result {
   std::size_t roi_samples_skipped = 0;
 };
 
+/// How far the analog stage has run over one capture (see
+/// advance_receive_chain): the capture and silent window it belongs to,
+/// whether the analog taps are adapted, and the running energy and peak of
+/// after_analog[0, done), which is final.
+struct analog_cursor {
+  const cplx* tx = nullptr;
+  const cplx* rx = nullptr;
+  std::size_t size = 0;
+  std::size_t silent_begin = 0;
+  std::size_t silent_end = 0;
+  bool adapted = false;
+  std::size_t done = 0;
+  double energy = 0.0;
+  double peak = 0.0;
+};
+
 /// Caller-owned state of repeated run_receive_chain calls (one per worker
 /// thread): every intermediate waveform, the cleaned output and both
 /// cancellers' adapted taps. Buffers keep their capacity across calls, so
@@ -130,7 +146,7 @@ struct receive_chain_scratch {
   cvec after_analog;
   cvec digitized;
   cvec cleaned;  ///< the chain's output: rx after both cancellation stages
-  /// Adapted tap state of both canceller stages (re-adapted every call).
+  /// Adapted tap state of both canceller stages (re-adapted every capture).
   analog_canceller analog;
   digital_canceller digital;
   /// Adaptation workspaces for both canceller stages: least-squares fit
@@ -139,6 +155,9 @@ struct receive_chain_scratch {
   /// Residual-gain tracker per-block state (pass 2).
   cvec gain_a;
   std::vector<double> centre;
+  /// The analog stage's progress over the capture being received; cleared
+  /// by run_receive_chain when it finishes a capture.
+  analog_cursor cursor;
 };
 
 /// Adapt on rx[silent_begin, silent_end) against the aligned tx samples and
@@ -150,11 +169,34 @@ struct receive_chain_scratch {
 /// instead of adapting on garbage. `scratch` is required (a null pointer
 /// throws std::invalid_argument); once it has served a capture of the same
 /// length the call allocates nothing.
+///
+/// The call advances the analog stage to the end of the capture (as
+/// advance_receive_chain does) and then finishes the chain: AGC, ADC,
+/// digital stage. It continues scratch->cursor only when the cursor belongs
+/// to the same capture (the tx and rx buffers and length) and silent
+/// window, and clears it in every case, so a reused scratch never picks up
+/// another capture's prefix. The result is bit-identical however the
+/// analog stage was split.
 receive_chain_result run_receive_chain(std::span<const cplx> tx,
                                        std::span<const cplx> rx,
                                        std::size_t silent_begin,
                                        std::size_t silent_end,
                                        const receive_chain_config& config,
                                        receive_chain_scratch* scratch);
+
+/// Run the analog stage of the capture over the samples below `upto`
+/// (clamped to the capture), for a capture whose samples arrive in order:
+/// once `upto` reaches silent_end the analog taps are adapted, and every
+/// call cancels [done, upto) into scratch->after_analog, carrying the
+/// residual's energy and peak in scratch->cursor. A cursor left from
+/// another capture or window is restarted. Does nothing for a bypassed
+/// analog stage or a degenerate window (run_receive_chain handles both).
+/// The capture's samples below `upto` must not change before the
+/// run_receive_chain call that finishes it, nor may config's analog stage.
+void advance_receive_chain(std::span<const cplx> tx, std::span<const cplx> rx,
+                           std::size_t silent_begin, std::size_t silent_end,
+                           std::size_t upto,
+                           const receive_chain_config& config,
+                           receive_chain_scratch* scratch);
 
 }  // namespace backfi::fd

@@ -104,13 +104,19 @@ stream_session::~stream_session() {
 
 void stream_session::feed(std::size_t n_samples) {
   if (finished_) return;
-  watermark_ = std::min(watermark_ + n_samples, y_.size());
+  const std::size_t watermark = std::min(
+      watermark_.load(std::memory_order_relaxed) + n_samples, y_.size());
+  // The release store publishes the new samples to the worker's acquiring
+  // load in worker_loop().
+  watermark_.store(watermark, std::memory_order_release);
+  if (config_.threads == 1) advance_open_packet(watermark);
   push_ready_packets();
 }
 
 void stream_session::push_ready_packets() {
+  const std::size_t watermark = watermark_.load(std::memory_order_relaxed);
   while (next_packet_ < schedule_.size() &&
-         schedule_[next_packet_].end <= watermark_) {
+         schedule_[next_packet_].end <= watermark) {
     produce(next_packet_);
     ++next_packet_;
   }
@@ -143,12 +149,39 @@ void stream_session::produce(std::size_t index) {
     std::this_thread::yield();
 }
 
+bool stream_session::advance_open_packet(std::size_t watermark) {
+  if (stage_next_ >= schedule_.size()) return false;
+  const stream_packet& p = schedule_[stage_next_];
+  const std::size_t upto = std::min(watermark, p.end);
+  if (open_packet_ != stage_next_) {
+    open_packet_ = stage_next_;
+    open_upto_ = p.begin;
+    open_ns_ = 0;
+  }
+  if (upto <= open_upto_) return false;
+  open_upto_ = upto;
+  const std::size_t len = p.end - p.begin;
+  const std::uint64_t t0 = now_ns();
+  fd::advance_receive_chain(x_.subspan(p.begin, len), y_.subspan(p.begin, len),
+                            p.wake_end - p.begin, p.silent_end - p.begin,
+                            upto - p.begin, config_.chain, &chain_scratch_);
+  open_ns_ += now_ns() - t0;
+  return true;
+}
+
 void stream_session::process_packet(std::size_t index) {
   // Only this stage's thread touches config_.chain (cancel_packet sets its
-  // roi per packet) and the scratch, so both threading modes are
-  // race-free.
+  // roi per packet), the scratch and the open-packet state, so both
+  // threading modes are race-free.
   const stream_packet& p = schedule_[index];
   stream_packet_result& out = results_[index];
+  // The analog stage already run over this packet's arrived samples counts
+  // toward its cancellation time. A cursor left by another packet (one the
+  // drop policy never queued) is restarted.
+  const std::uint64_t early_ns = index == open_packet_ ? open_ns_ : 0;
+  if (index != open_packet_) chain_scratch_.cursor = {};
+  open_packet_ = no_packet;
+  stage_next_ = index + 1;
   const std::uint64_t t0 = now_ns();
   out.chain =
       cancel_packet(x_, y_, p, *decoder_, {}, config_.chain, chain_scratch_);
@@ -162,7 +195,7 @@ void stream_session::process_packet(std::size_t index) {
   ++worker_stats_.packets_decoded;
   if (out.decoded.crc_ok) ++worker_stats_.crc_ok;
 
-  const double cancel_us = static_cast<double>(t1 - t0) * 1e-3;
+  const double cancel_us = static_cast<double>(t1 - t0 + early_ns) * 1e-3;
   const double decode_us = static_cast<double>(t2 - t1) * 1e-3;
   const double latency_us = static_cast<double>(t2 - t_feed_ns_[index]) * 1e-3;
   worker_stats_.cancel_us_total += cancel_us;
@@ -188,7 +221,9 @@ void stream_session::worker_loop() {
       // pop above and the flag check would be silently lost.
       while (capture_ring_->try_pop(index)) process_packet(index);
       break;
-    } else {
+    } else if (!advance_open_packet(
+                   watermark_.load(std::memory_order_acquire))) {
+      // Idle: the next packet's arrived samples are already cancelled.
       std::this_thread::yield();
     }
   }
@@ -196,7 +231,7 @@ void stream_session::worker_loop() {
 
 void stream_session::finish() {
   if (finished_) return;
-  feed(y_.size() - watermark_);
+  feed(y_.size() - watermark_.load(std::memory_order_relaxed));
   if (config_.threads == 2) {
     producer_done_.store(true, std::memory_order_release);
     if (worker_.joinable()) worker_.join();

@@ -182,6 +182,9 @@ class stream_session {
  private:
   void push_ready_packets();
   void produce(std::size_t index);         // capture -> per-packet stage
+  /// Runs the analog stage of the packet the stage takes next over its
+  /// samples below `watermark`; false when there was nothing new to do.
+  bool advance_open_packet(std::size_t watermark);
   void process_packet(std::size_t index);  // cancellation, then decode
   void worker_loop();
 
@@ -200,9 +203,21 @@ class stream_session {
   std::unique_ptr<obs::collector> worker_collector_;
   obs::collector* stage_collector_ = nullptr;  ///< what the stages report to
 
-  std::size_t watermark_ = 0;    ///< samples fed so far
+  /// Samples fed so far: written by the producer, read by the worker to
+  /// advance the open packet while its ring is empty.
+  std::atomic<std::size_t> watermark_{0};
   std::size_t next_packet_ = 0;  ///< first schedule entry not yet pushed
   bool finished_ = false;
+
+  /// Stage-side (worker-owned in 2-thread mode): the schedule entry the
+  /// stage takes next, the packet whose analog stage has run ahead
+  /// (chain_scratch_.cursor), the absolute sample it has run to, and the
+  /// time spent doing so.
+  static constexpr std::size_t no_packet = static_cast<std::size_t>(-1);
+  std::size_t stage_next_ = 0;
+  std::size_t open_packet_ = no_packet;
+  std::size_t open_upto_ = 0;
+  std::uint64_t open_ns_ = 0;
 
   /// Feed-time stamp per packet, written by the producer in produce()
   /// before the ring push (whose release store publishes it to the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -197,9 +199,9 @@ TEST(FirTest, ConvolveSameSubtractEnergyMatchesSeparatePasses) {
       cvec reference;
       convolve_same_subtract_into(rx, x, h, reference);
       cvec out;
-      double peak = -1.0;
-      const double fused =
-          convolve_same_subtract_energy_into(rx, x, h, out, peak);
+      double peak = 0.0;
+      const double fused = convolve_same_subtract_energy_into(
+          rx, x, h, 0, rx.size(), 0.0, out, peak);
       ASSERT_EQ(out.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i)
         ASSERT_EQ(out[i], reference[i]) << taps << "x" << nx << " @" << i;
@@ -210,12 +212,53 @@ TEST(FirTest, ConvolveSameSubtractEnergyMatchesSeparatePasses) {
   // Degenerate operands follow convolve_same_subtract_into's copy path.
   const cvec rx = window_vec(64, 153);
   cvec out;
-  double peak = -1.0;
-  EXPECT_EQ(convolve_same_subtract_energy_into(rx, {}, {}, out, peak),
+  double peak = 0.0;
+  EXPECT_EQ(convolve_same_subtract_energy_into(rx, {}, {}, 0, rx.size(), 0.0,
+                                               out, peak),
             energy(rx));
   EXPECT_EQ(peak, reference_peak(rx));
   ASSERT_EQ(out.size(), rx.size());
   for (std::size_t i = 0; i < rx.size(); ++i) ASSERT_EQ(out[i], rx[i]);
+}
+
+// Cancelling a capture in consecutive ranges that carry the energy and peak
+// from one call to the next (as the receive chain does while the capture
+// arrives) gives the outputs, energy bits and peak of one whole call, wherever
+// the cuts fall: inside the left edge, between vector blocks, mid-block, or
+// across the plain-copy tail.
+TEST(FirTest, SplitSubtractEnergyCarriesTheRunningSum) {
+  rng gen(170);
+  for (const std::size_t taps : {std::size_t{1}, std::size_t{6},
+                                 std::size_t{15}}) {
+    const cvec x = window_vec(1033, 171 + taps);
+    const cvec rx = window_vec(1050, 172 + taps);  // plain tail past x
+    const cvec h = window_vec(taps, 173 + taps);
+    cvec whole;
+    double whole_peak = 0.0;
+    const double whole_energy = convolve_same_subtract_energy_into(
+        rx, x, h, 0, rx.size(), 0.0, whole, whole_peak);
+    for (int trial = 0; trial < 40; ++trial) {
+      cvec out;
+      double peak = 0.0, e = 0.0;
+      std::size_t done = 0;
+      while (done < rx.size()) {
+        // Mostly short steps, so the cuts land at many block phases.
+        const std::size_t step = trial % 4 == 0 ? 1 + gen.uniform_int(3)
+                                                : gen.uniform_int(97);
+        const std::size_t upto = std::min(rx.size(), done + step);
+        e = convolve_same_subtract_energy_into(rx, x, h, done, upto, e, out,
+                                               peak);
+        done = upto;
+      }
+      ASSERT_EQ(out.size(), whole.size());
+      for (std::size_t i = 0; i < whole.size(); ++i)
+        ASSERT_EQ(out[i], whole[i]) << taps << " taps, trial " << trial;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(e),
+                std::bit_cast<std::uint64_t>(whole_energy))
+          << taps << " taps, trial " << trial;
+      ASSERT_EQ(peak, whole_peak) << taps << " taps, trial " << trial;
+    }
+  }
 }
 
 // The fused peak ignores NaN components and sees infinities, wherever they
@@ -230,12 +273,13 @@ TEST(FirTest, SubtractEnergyPeakIgnoresNanAndSeesInfinity) {
     cvec rx = window_vec(320, 162);
     rx[at] = cplx{nan, 0.25};
     cvec out;
-    double peak = -1.0;
-    convolve_same_subtract_energy_into(rx, x, h, out, peak);
+    double peak = 0.0;
+    convolve_same_subtract_energy_into(rx, x, h, 0, rx.size(), 0.0, out, peak);
     EXPECT_EQ(peak, reference_peak(out)) << at;
     EXPECT_FALSE(std::isnan(peak)) << at;
     rx[at + 1] = cplx{0.0, -inf};
-    convolve_same_subtract_energy_into(rx, x, h, out, peak);
+    peak = 0.0;
+    convolve_same_subtract_energy_into(rx, x, h, 0, rx.size(), 0.0, out, peak);
     EXPECT_EQ(peak, inf) << at;
   }
 }

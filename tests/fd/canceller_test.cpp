@@ -42,7 +42,7 @@ cvec cancelled(const analog_canceller& c, std::span<const cplx> tx,
                std::span<const cplx> rx) {
   cvec out;
   double peak = 0.0;
-  c.cancel_energy_into(tx, rx, out, peak);
+  c.cancel_energy_into(tx, rx, 0, rx.size(), 0.0, out, peak);
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "channel/awgn.h"
 #include "channel/backscatter_link.h"
@@ -394,6 +395,99 @@ TEST(ReceiveChainTest, FusedSaturationFlagMatchesFullScan) {
       EXPECT_EQ(r.adc_saturated, scanned != 0) << c << " roi " << with_roi;
       EXPECT_EQ(r.adc_saturated, cases[c].clips) << c << " roi " << with_roi;
     }
+  }
+}
+
+/// Every field of two chain results and their cleaned waveforms, bit for
+/// bit.
+void expect_same_run(const receive_chain_result& got, const cvec& got_cleaned,
+                     const chain_run& want, const std::string& what) {
+  EXPECT_EQ(got.analog_depth_db, want.analog_depth_db) << what;
+  EXPECT_EQ(got.total_depth_db, want.total_depth_db) << what;
+  EXPECT_EQ(got.residual_power, want.residual_power) << what;
+  EXPECT_EQ(got.adc_saturated, want.adc_saturated) << what;
+  EXPECT_EQ(got.cancellation_bypassed, want.cancellation_bypassed) << what;
+  EXPECT_EQ(got.roi_samples_processed, want.roi_samples_processed) << what;
+  EXPECT_EQ(got.roi_samples_skipped, want.roi_samples_skipped) << what;
+  EXPECT_EQ(fnv1a_bytes(got_cleaned), fnv1a_bytes(want.cleaned)) << what;
+}
+
+// The analog stage run ahead in random slices as the capture arrives
+// (advance_receive_chain), then finished by run_receive_chain, gives the
+// one-call result: every field and every cleaned byte. Slices end before,
+// at and past silent_end, and past the capture. Configurations: default,
+// hardened (widely-linear + DC + residual-gain tracking), default with a
+// roi, analog stage off, and bypassed windows (reversed, too short for the
+// taps).
+TEST(ReceiveChainTest, AdvancedAnalogStageMatchesOneCall) {
+  const chain_scenario s = make_scenario(21);
+  const std::size_t n = s.rx.size();
+  struct chain_case {
+    const char* name;
+    receive_chain_config config;
+    std::size_t silent_begin, silent_end;
+  };
+  std::vector<chain_case> cases(6);
+  cases[0] = {"default", {}, 0, 320};
+  cases[1] = {"hardened", {}, 40, 320};
+  cases[1].config.digital.widely_linear = true;
+  cases[1].config.digital.remove_dc = true;
+  cases[1].config.track_residual_gain = true;
+  cases[2] = {"roi", {}, 0, 320};
+  cases[2].config.roi = {700, 1900};
+  cases[3] = {"analog_off", {}, 0, 320};
+  cases[3].config.enable_analog = false;
+  cases[4] = {"reversed_window", {}, 320, 100};
+  cases[5] = {"short_window", {}, 100, 103};
+  dsp::rng gen(22);
+  for (const chain_case& c : cases) {
+    const chain_run want =
+        run_chain(s.tx, s.rx, c.silent_begin, c.silent_end, c.config);
+    receive_chain_scratch scratch;
+    for (int trial = 0; trial < 8; ++trial) {
+      std::size_t upto = 0;
+      while (upto < n + 50) {
+        upto += trial == 0 ? 1 + gen.uniform_int(4)
+                           : 1 + gen.uniform_int(n / 3);
+        if (trial == 1 && upto < c.silent_end) upto = c.silent_end;
+        advance_receive_chain(s.tx, s.rx, c.silent_begin, c.silent_end,
+                              upto, c.config, &scratch);
+        if (trial == 2) break;  // one slice, then finish
+      }
+      const receive_chain_result got = run_receive_chain(
+          s.tx, s.rx, c.silent_begin, c.silent_end, c.config, &scratch);
+      expect_same_run(got, scratch.cleaned, want,
+                      std::string(c.name) + " trial " + std::to_string(trial));
+      EXPECT_EQ(scratch.cursor.tx, nullptr) << c.name << ": cursor not cleared";
+    }
+  }
+}
+
+// A cursor left by an unfinished capture is restarted, not continued, when
+// the next call is for another capture or for the same capture with another
+// silent window.
+TEST(ReceiveChainTest, CursorFromAnotherCaptureIsIgnored) {
+  const chain_scenario a = make_scenario(23);
+  const chain_scenario b = make_scenario(24);
+  const receive_chain_config cfg;
+  const std::size_t n = a.rx.size();
+  const auto left_over = [&](receive_chain_scratch& scratch) {
+    advance_receive_chain(a.tx, a.rx, 0, 320, n / 2, cfg, &scratch);
+    ASSERT_EQ(scratch.cursor.done, n / 2);
+  };
+  {
+    receive_chain_scratch scratch;
+    left_over(scratch);
+    const auto got = run_receive_chain(b.tx, b.rx, 0, 320, cfg, &scratch);
+    expect_same_run(got, scratch.cleaned, run_chain(b.tx, b.rx, 0, 320, cfg),
+                    "another capture");
+  }
+  {
+    receive_chain_scratch scratch;
+    left_over(scratch);
+    const auto got = run_receive_chain(a.tx, a.rx, 0, 400, cfg, &scratch);
+    expect_same_run(got, scratch.cleaned, run_chain(a.tx, a.rx, 0, 400, cfg),
+                    "another window");
   }
 }
 

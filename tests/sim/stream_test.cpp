@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dsp/ring_buffer.h"
+#include "dsp/rng.h"
 #include "obs/collector.h"
 
 namespace backfi::sim {
@@ -99,6 +102,92 @@ TEST(StreamBitIdentity, HoldsUnderDriftingChannels) {
   cfg.threads = 2;
   const stream_trial_result two = run_stream_trial(cfg);
   expect_same_outcomes(streamed, two, "drifted capture, 2 threads");
+}
+
+// Every field two sessions' per-packet results must share, bit for bit.
+void expect_same_packets(const std::vector<reader::stream_packet_result>& a,
+                         const std::vector<reader::stream_packet_result>& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::string at = what + " packet " + std::to_string(i);
+    const fd::receive_chain_result& c = a[i].chain;
+    const fd::receive_chain_result& d = b[i].chain;
+    EXPECT_EQ(a[i].dropped, b[i].dropped) << at;
+    EXPECT_EQ(c.analog_depth_db, d.analog_depth_db) << at;
+    EXPECT_EQ(c.total_depth_db, d.total_depth_db) << at;
+    EXPECT_EQ(c.residual_power, d.residual_power) << at;
+    EXPECT_EQ(c.adc_saturated, d.adc_saturated) << at;
+    EXPECT_EQ(c.cancellation_bypassed, d.cancellation_bypassed) << at;
+    EXPECT_EQ(c.roi_samples_processed, d.roi_samples_processed) << at;
+    const reader::decode_result& p = a[i].decoded;
+    const reader::decode_result& q = b[i].decoded;
+    EXPECT_EQ(p.sync_found, q.sync_found) << at;
+    EXPECT_EQ(p.crc_ok, q.crc_ok) << at;
+    EXPECT_EQ(p.timing_offset, q.timing_offset) << at;
+    EXPECT_EQ(p.post_mrc_snr_db, q.post_mrc_snr_db) << at;
+    EXPECT_EQ(p.evm_rms, q.evm_rms) << at;
+    EXPECT_EQ(p.payload, q.payload) << at;
+  }
+}
+
+// The session runs each packet's analog stage as its samples arrive (in
+// feed() at 1 thread, in the idle worker at 2), so where the feeds cut the
+// capture decides how the stage is split. Random cut sets, each also
+// cutting every packet at silent_end - 1, silent_end and end, and a run of
+// 1-sample feeds, give the results of one whole-capture feed at 1 and 2
+// threads.
+TEST(StreamBitIdentity, StagedAnalogStageIsFeedChunkingInvariant) {
+  stream_scenario_config cfg = fast_stream_scenario(5, 4);
+  cfg.forward_drift.coherence_packets = 8.0;
+  const stream_capture cap = build_stream_capture(cfg);
+  reader::stream_config scfg;
+  scfg.tag = cfg.scenario.tag;
+  scfg.decoder = cfg.scenario.decoder;
+  scfg.chain = cfg.scenario.chain;
+  const auto run = [&](const std::vector<std::size_t>& cuts,
+                       std::size_t threads) {
+    scfg.threads = threads;
+    reader::stream_session session(cap.x, cap.y, cap.schedule, scfg);
+    std::size_t fed = 0;
+    for (const std::size_t cut : cuts) {
+      session.feed(cut - fed);
+      fed = cut;
+    }
+    session.finish();
+    return session.results();
+  };
+  const auto reference = run({}, 1);
+
+  const std::size_t n = cap.y.size();
+  dsp::rng gen(6);
+  std::vector<std::vector<std::size_t>> plans;
+  for (int plan = 0; plan < 4; ++plan) {
+    std::vector<std::size_t> cuts;
+    for (const reader::stream_packet& p : cap.schedule)
+      cuts.insert(cuts.end(), {p.silent_end - 1, p.silent_end, p.end});
+    for (int k = 0; k < 8 << plan; ++k) cuts.push_back(gen.uniform_int(n));
+    plans.push_back(std::move(cuts));
+  }
+  // 1-sample feeds across the first packet's silent window, its end and
+  // into the second packet.
+  {
+    std::vector<std::size_t> cuts;
+    const reader::stream_packet& p0 = cap.schedule[0];
+    const std::size_t from = p0.wake_end, to = cap.schedule[1].silent_end + 64;
+    for (std::size_t k = from; k <= to; ++k) cuts.push_back(k);
+    cuts.push_back(p0.end - p0.end % 7);
+    plans.push_back(std::move(cuts));
+  }
+  for (std::size_t plan = 0; plan < plans.size(); ++plan) {
+    std::vector<std::size_t>& cuts = plans[plan];
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    for (const std::size_t threads : {1u, 2u})
+      expect_same_packets(run(cuts, threads), reference,
+                          "plan " + std::to_string(plan) + ", " +
+                              std::to_string(threads) + " threads");
+  }
 }
 
 // Acceptance anchor: a >= 32-packet continuous capture with inter-packet
