@@ -15,6 +15,7 @@ namespace backfi::sim {
 coexistence_result run_coexistence_trial(const coexistence_config& config) {
   coexistence_result result;
   dsp::rng gen(config.seed);
+  const channel::link_budget budget;
 
   reader::excitation_config ex_cfg;
   ex_cfg.tag_id = config.tag.id;
@@ -25,20 +26,19 @@ coexistence_result run_coexistence_trial(const coexistence_config& config) {
 
   // AP -> client direct channel (0 dBi client antenna).
   const cvec h_ac = channel::draw_one_way_channel(
-      config.budget, config.ap_client_distance_m, 0.0, gen);
+      budget, config.ap_client_distance_m, 0.0, gen);
   cvec client_rx = channel::apply_channel(ex.samples, h_ac);
 
   if (config.tag_active) {
     const auto tag_channels = channel::draw_backscatter_channels(
-        config.budget, config.ap_tag_distance_m, gen);
+        budget, config.ap_tag_distance_m, gen);
     const double d_tc = std::max(
         0.25, std::abs(config.ap_client_distance_m - config.ap_tag_distance_m));
-    const cvec h_tc = channel::draw_one_way_channel(config.budget, d_tc,
-                                                    0.0, gen);
+    const cvec h_tc = channel::draw_one_way_channel(budget, d_tc, 0.0, gen);
 
     const cvec incident = channel::apply_channel(ex.samples, tag_channels.h_f);
     const double incident_dbm = channel::incident_power_at_tag_dbm(
-        config.budget, config.ap_tag_distance_m);
+        budget, config.ap_tag_distance_m);
     const std::size_t wake_window =
         std::min(tag::wake_window_samples(ex_cfg.wake_bits), incident.size());
     const auto wake = tag::detect_wake(std::span(incident).first(wake_window),
@@ -55,8 +55,8 @@ coexistence_result run_coexistence_trial(const coexistence_config& config) {
   }
 
   const double noise = channel::normalized_noise_power(
-      config.budget.tx_power_dbm, config.budget.bandwidth_hz,
-      config.budget.noise_figure_db);
+      channel::link_budget::tx_power_dbm, channel::link_budget::bandwidth_hz,
+      channel::link_budget::noise_figure_db);
   // Trailing noise-only samples so a timing estimate that lands a sample
   // late still has a full final symbol window to read.
   client_rx.resize(client_rx.size() + 400, cplx{0.0, 0.0});

@@ -17,7 +17,6 @@
 namespace backfi::sim {
 
 struct coexistence_config {
-  channel::link_budget budget;
   tag::tag_config tag;
   double ap_client_distance_m = 5.0;
   /// The tag sits on the AP-client line (worst case for the client): the

@@ -18,12 +18,13 @@ phase_modulator::phase_modulator(std::size_t order, double insertion_loss_db)
     default:
       throw std::invalid_argument("phase_modulator: order must be 2/4/8/16");
   }
+  for (std::size_t k = 0; k < order_; ++k)
+    leaves_[k] = amplitude_ * dsp::phasor(two_pi * static_cast<double>(k) /
+                                          static_cast<double>(order_));
 }
 
 cplx phase_modulator::reflection_for_index(std::uint32_t leaf_index) const {
-  const double angle =
-      two_pi * static_cast<double>(leaf_index % order_) / static_cast<double>(order_);
-  return amplitude_ * dsp::phasor(angle);
+  return leaves_[leaf_index % order_];
 }
 
 cplx phase_modulator::select(std::uint32_t gray_label) {

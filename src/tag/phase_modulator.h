@@ -5,6 +5,8 @@
 // e^{j 2 pi k / N} (times the insertion-loss amplitude).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "dsp/types.h"
@@ -44,6 +46,9 @@ class phase_modulator {
   std::size_t order_;
   std::size_t bits_per_symbol_;
   double amplitude_;
+  /// Reflection of each leaf, amplitude_ * e^{j 2 pi k / order}, computed
+  /// once here instead of per symbol.
+  std::array<cplx, 16> leaves_{};
   std::uint32_t current_leaf_ = 0;
   std::uint64_t toggles_ = 0;
 };

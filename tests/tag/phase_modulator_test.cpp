@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dsp/math_util.h"
 #include "phy/constellation.h"
 
@@ -27,6 +30,40 @@ TEST(PhaseModulatorTest, ReflectionPhasesAreUniform) {
     const double expected = two_pi * k / static_cast<double>(order);
     EXPECT_NEAR(dsp::wrap_phase(std::arg(r) - expected), 0.0, 1e-12) << k;
     EXPECT_NEAR(std::abs(r), 1.0, 1e-12);
+  }
+}
+
+// The leaf table holds exactly what the per-symbol formula computed:
+// amplitude * phasor(2 pi leaf / order), bit for bit, for every order and
+// leaf, through both select() and reflection_for_index() (which wraps the
+// index modulo the order).
+TEST(PhaseModulatorTest, LeafTableMatchesThePerSymbolFormula) {
+  for (const double loss_db : {0.0, 6.0, 8.0}) {
+    for (const std::size_t order : {2u, 4u, 8u, 16u}) {
+      phase_modulator mod(order, loss_db);
+      const double amplitude = dsp::db_to_amplitude(-loss_db);
+      for (std::uint32_t leaf = 0; leaf < 2 * order; ++leaf) {
+        const double angle = two_pi * static_cast<double>(leaf % order) /
+                             static_cast<double>(order);
+        const cplx want = amplitude * dsp::phasor(angle);
+        const cplx got = mod.reflection_for_index(leaf);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.real()),
+                  std::bit_cast<std::uint64_t>(want.real()))
+            << order << "/" << leaf;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.imag()),
+                  std::bit_cast<std::uint64_t>(want.imag()))
+            << order << "/" << leaf;
+        if (leaf < order) {
+          const cplx selected = mod.select(phy::gray_encode(leaf));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(selected.real()),
+                    std::bit_cast<std::uint64_t>(want.real()))
+              << order << "/" << leaf;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(selected.imag()),
+                    std::bit_cast<std::uint64_t>(want.imag()))
+              << order << "/" << leaf;
+        }
+      }
+    }
   }
 }
 
