@@ -7,21 +7,29 @@
 //
 //   caller (capture)                    session pipeline
 //   ----------------                    ----------------------------------
-//   feed(chunk) --> [capture ring] -->  per-packet stage, back to back:
-//       |            bounded SPSC         cancellation (cancel_packet:
-//       |            backpressure         adapt on the packet's own silent
-//       v            boundary             window), then decode (sync scan,
+//   feed(chunk) ----------------------> open packet, as its samples arrive:
+//       |                                 analog stage (adapt once its
+//       |                                 silent window is in, then cancel
+//       |                                 each new slice)
+//       +-----> [capture ring] -------> per-packet stage, back to back:
+//       |        bounded SPSC             rest of the chain (cancel_packet:
+//       |        backpressure             last analog slice, AGC, ADC,
+//       v        boundary                 digital), then decode (sync scan,
 //   block / drop                          MRC, PSK demap, Viterbi, CRC)
 //   when full
 //
 // With `threads == 1` the stage runs inline on the caller's thread (the
 // capture ring still carries the hand-off, so wraparound/backpressure
-// behave identically); with `threads == 2` it runs on one worker thread
-// and the capture ring is the cross-thread boundary. The decoded
-// bit-stream is bit-identical at 1 and 2 threads and to the batch
-// per-packet path (pinned by tests/sim/stream_test.cpp): packets are
-// decoded strictly in schedule order through the exact same
-// run_receive_chain / backfi_decoder::decode calls on identical subspans.
+// behave identically), and feed() runs the open packet's analog stage up
+// to the new watermark before it pushes ready packets; with
+// `threads == 2` it runs on one worker thread, the capture ring is the
+// cross-thread boundary, and the worker advances the open packet whenever
+// its ring is empty. The decoded bit-stream is bit-identical at 1 and 2
+// threads, at any feed() chunking and to the batch per-packet path
+// (pinned by tests/sim/stream_test.cpp): packets are decoded strictly in
+// schedule order through the exact same run_receive_chain /
+// backfi_decoder::decode calls on identical subspans, and the analog
+// stage's slices carry its running energy (fd::advance_receive_chain).
 //
 // Probe confinement: obs::collector is not thread-safe, so in 2-thread
 // mode the chain/decoder probes go to a session-private worker collector
@@ -137,7 +145,9 @@ struct stream_stats {
   std::size_t packets_dropped = 0;  ///< overflow drops (drop policy only)
   std::size_t crc_ok = 0;
   std::size_t queue_high_water = 0;  ///< max capture-ring depth observed
-  double cancel_us_total = 0.0;      ///< cancellation-stage wall time
+  /// Cancellation-stage wall time, including the analog slices run while
+  /// each packet arrived.
+  double cancel_us_total = 0.0;
   double decode_us_total = 0.0;      ///< decode-stage wall time
   /// Max feed->decoded packet latency, stamped when produce() pushes the
   /// packet, so ring-queueing (the dominant term under backpressure) and
@@ -153,9 +163,10 @@ struct stream_stats {
 /// A streaming decode session over one continuous capture. x is the
 /// reader's transmit timeline, y the receive capture (equal length, both
 /// alive for the session's lifetime), `schedule` the packet layout in
-/// ascending begin order. Feed the capture in chunks of any size —
-/// processing fires whenever a packet's last sample becomes available, so
-/// results are invariant to the chunking.
+/// ascending begin order. Feed the capture in chunks of any size — the
+/// next packet's analog stage runs over its samples as they arrive, the
+/// rest of its processing fires when its last sample becomes available,
+/// and results are invariant to the chunking.
 class stream_session {
  public:
   stream_session(std::span<const cplx> x, std::span<const cplx> y,
@@ -167,7 +178,8 @@ class stream_session {
 
   /// Advance the capture watermark by n samples (clamped to the capture
   /// length); every schedule entry now fully captured is pushed through
-  /// the pipeline.
+  /// the pipeline. At 1 thread the call first runs the next packet's
+  /// analog stage up to the new watermark.
   void feed(std::size_t n_samples);
 
   /// Feed any remaining capture, drain the pipeline, join the worker and
