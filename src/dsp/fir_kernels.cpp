@@ -33,16 +33,18 @@ namespace {
 // dsp::energy's sequence over the same values, so the fused accumulation is
 // bit-identical to a separate post-pass, and a capture cancelled in several
 // consecutive windows with the energy carried from one to the next sums in
-// the same order as one whole-capture call. The block bodies extract the norms straight from the output
-// registers (square, in-lane horizontal add, scalar extract) rather than
-// re-reading the stores — an 8-byte reload of a 32-byte store would stall
-// on failed store-forwarding every element — and the short scalar add
-// chain overlaps with the next block's independent convolution work.
+// the same order as one whole-capture call. The block bodies extract the
+// norms straight from the output registers (square, in-lane horizontal add,
+// scalar extract) rather than re-reading the stores — an 8-byte reload of a
+// 32-byte store would stall on failed store-forwarding every element — and
+// the short scalar add chain overlaps with the next block's independent
+// convolution work.
 // The Energy form also raises the running peak axis magnitude
-// max(|re|, |im|) over the window, NaN components ignored: _mm256_max_pd(|v|, peak) is
-// `|v| > peak ? |v| : peak`, which keeps `peak` for a NaN lane, and the
-// maximum of non-NaN values is exact in any order (|v| is never -0), so the
-// lane-wise running peaks reduce to the scalar loop's value.
+// max(|re|, |im|) over the window, NaN components ignored:
+// _mm256_max_pd(|v|, peak) is `|v| > peak ? |v| : peak`, which keeps
+// `peak` for a NaN lane, and the maximum of non-NaN values is exact in any
+// order (|v| is never -0), so the lane-wise running peaks reduce to the
+// scalar loop's value, the carried-in peak included.
 template <bool Subtract, bool Energy>
 double gather_avx2(const cplx* x, std::size_t nx, const cplx* h, std::size_t nh,
                    const cplx* rx, cplx* outp, std::size_t o0, std::size_t o1,
